@@ -1177,6 +1177,55 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// Two ranks that each receive from the other: a deadlock.
+    struct CrossedReceives;
+
+    impl pas2p_signature::RankProgram for CrossedReceives {
+        fn prologue(&mut self, ctx: &mut dyn pas2p_mpisim::Mpi) {
+            ctx.recv(Some(1 - ctx.rank()), Some(0));
+        }
+        fn steps(&self) -> u64 {
+            0
+        }
+        fn step(&mut self, _step: u64, _ctx: &mut dyn pas2p_mpisim::Mpi) {}
+        fn epilogue(&mut self, _ctx: &mut dyn pas2p_mpisim::Mpi) {}
+        fn snapshot(&self) -> Vec<u8> {
+            Vec::new()
+        }
+        fn restore(&mut self, _bytes: &[u8]) {}
+    }
+
+    impl MpiApp for CrossedReceives {
+        fn name(&self) -> String {
+            "crossed".into()
+        }
+        fn nprocs(&self) -> u32 {
+            2
+        }
+        fn make_rank(&self, _rank: u32) -> Box<dyn pas2p_signature::RankProgram> {
+            Box::new(CrossedReceives)
+        }
+    }
+
+    #[test]
+    fn a_deadlocked_application_answers_code_panic() {
+        let root = temp_root("deadlock");
+        let store = SignatureStore::open(&root).expect("open store");
+        let resolve: AppResolver = Box::new(|_, _| Some(Box::new(CrossedReceives)));
+        let svc = PredictionService::new(Pas2p::default(), store, resolve);
+        let started = std::time::Instant::now();
+        let (response, stop) = svc.handle_line(r#"{"op":"submit","app":"crossed","nprocs":2}"#);
+        assert!(started.elapsed() < Duration::from_secs(1), "reported, not hung");
+        assert!(!response.ok && !stop);
+        assert_eq!(response.code, Some("panic"));
+        let error = response.error.expect("the report");
+        assert!(
+            error.contains("rank 0 in recv(src=Some(1), tag=Some(0))"),
+            "{error}"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn submit_is_computed_once_then_served_from_the_store() {
         let root = temp_root("submit");

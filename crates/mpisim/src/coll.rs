@@ -14,10 +14,9 @@
 
 use crate::group::Group;
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use pas2p_machine::CollectiveKind;
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// Element-wise reduction operators over `f64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -268,10 +267,11 @@ struct SlotState {
     out_clock: f64,
 }
 
-/// A reusable rendezvous point for one group.
+/// A reusable rendezvous point for one group. It holds the round's data
+/// only; members that must wait park through the run's
+/// [`Registry`](crate::park::Registry) and the last arrival wakes them.
 pub(crate) struct CollSlot {
     state: Mutex<SlotState>,
-    cv: Condvar,
 }
 
 /// Result of participating in a collective round.
@@ -280,11 +280,14 @@ pub(crate) struct CollResult {
     pub out_clock: f64,
 }
 
-/// Signalled by the runtime when a global abort is requested while a
-/// participant waits inside a rendezvous.
-pub(crate) enum CollWait {
-    Done(CollResult),
-    Aborted,
+/// What [`CollSlot::arrive`] found.
+pub(crate) enum Arrival {
+    /// This member was the last one: the round is complete and the
+    /// caller must wake the other members.
+    Completed(CollResult),
+    /// The round (identified by its generation) is still open; poll
+    /// [`CollSlot::result`] after each wake.
+    Pending(u64),
 }
 
 impl CollSlot {
@@ -299,7 +302,6 @@ impl CollSlot {
                 outputs: Vec::new(),
                 out_clock: 0.0,
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -307,8 +309,7 @@ impl CollSlot {
     ///
     /// `cost_of` is invoked exactly once per round, by the last arrival,
     /// with the generation number; it returns the modeled collective cost
-    /// (including jitter). `abort` is polled while waiting.
-    #[allow(clippy::too_many_arguments)]
+    /// (including jitter).
     pub fn arrive(
         &self,
         group: &Group,
@@ -317,9 +318,7 @@ impl CollSlot {
         input: CollInput,
         clock: f64,
         cost_of: impl FnOnce(u64, u64) -> f64,
-        abort: &std::sync::atomic::AtomicBool,
-    ) -> CollWait {
-        use std::sync::atomic::Ordering;
+    ) -> Arrival {
         let n = group.len();
         let mut st = self.state.lock();
         match st.op {
@@ -337,37 +336,35 @@ impl CollSlot {
         st.clocks[pos] = clock;
         st.arrived += 1;
         let my_gen = st.generation;
-
-        if st.arrived == n {
-            // Last arrival: combine and release the round.
-            let inputs: Vec<CollInput> = st.inputs.iter_mut().map(|i| i.take().unwrap()).collect();
-            let max_bytes = inputs.iter().map(|i| i.byte_len()).max().unwrap_or(0);
-            let max_clock = st.clocks.iter().cloned().fold(f64::MIN, f64::max);
-            let cost = cost_of(my_gen, max_bytes);
-            st.outputs = complete(op, group, &inputs);
-            st.out_clock = max_clock + cost;
-            st.arrived = 0;
-            st.op = None;
-            st.generation += 1;
-            self.cv.notify_all();
-            let output = st.outputs[pos].clone();
-            let out_clock = st.out_clock;
-            return CollWait::Done(CollResult { output, out_clock });
+        if st.arrived < n {
+            return Arrival::Pending(my_gen);
         }
 
-        // Wait for the round to complete, polling the abort flag.
-        while st.generation == my_gen {
-            let timeout = self
-                .cv
-                .wait_for(&mut st, Duration::from_millis(5))
-                .timed_out();
-            if timeout && abort.load(Ordering::Relaxed) && st.generation == my_gen {
-                return CollWait::Aborted;
-            }
-        }
-        let output = st.outputs[pos].clone();
-        let out_clock = st.out_clock;
-        CollWait::Done(CollResult { output, out_clock })
+        // Last arrival: combine and release the round.
+        let inputs: Vec<CollInput> = st.inputs.iter_mut().map(|i| i.take().unwrap()).collect();
+        let max_bytes = inputs.iter().map(|i| i.byte_len()).max().unwrap_or(0);
+        let max_clock = st.clocks.iter().cloned().fold(f64::MIN, f64::max);
+        let cost = cost_of(my_gen, max_bytes);
+        st.outputs = complete(op, group, &inputs);
+        st.out_clock = max_clock + cost;
+        st.arrived = 0;
+        st.op = None;
+        st.generation += 1;
+        Arrival::Completed(CollResult {
+            output: st.outputs[pos].clone(),
+            out_clock: st.out_clock,
+        })
+    }
+
+    /// Position `pos`'s result of round `round`, once that round is
+    /// complete. Outputs stay in place until the next round completes,
+    /// which needs this member to arrive again first.
+    pub fn result(&self, pos: usize, round: u64) -> Option<CollResult> {
+        let st = self.state.lock();
+        (st.generation != round).then(|| CollResult {
+            output: st.outputs[pos].clone(),
+            out_clock: st.out_clock,
+        })
     }
 }
 

@@ -1,30 +1,20 @@
 //! The per-rank execution context.
 
-use crate::coll::{keyed_unit_noise, CollInput, CollOp, CollOutput, CollSlot, CollWait, ReduceOp};
+use crate::coll::{keyed_unit_noise, Arrival, CollInput, CollOp, CollOutput, CollSlot, ReduceOp};
 use crate::group::Group;
 use crate::harness::{Counters, HarnessAction};
 use crate::msg::{Envelope, Message, PendingQueue, Tag};
+use crate::park::Wait;
 use crate::runtime::{Shared, SimAbort};
 use crate::Mpi;
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use pas2p_machine::jitter::JitterStream;
 use pas2p_machine::Work;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
-
-/// How long a blocked operation sleeps between abort-flag polls.
-const POLL: Duration = Duration::from_millis(2);
-
-/// Consecutive quiet poll windows (no clock published anywhere in the
-/// run) after which a wildcard receive treats the system as quiesced
-/// and commits its best pending candidate. ~100 ms of global silence —
-/// long enough that a merely-preempted rank is vanishingly unlikely to
-/// be mistaken for a parked one.
-const QUIESCE_PATIENCE: u32 = 50;
 
 /// The execution context handed to each rank's closure: implements [`Mpi`]
 /// directly against the simulated machine.
@@ -32,6 +22,8 @@ pub struct RankCtx {
     rank: u32,
     size: u32,
     clock: f64,
+    /// The clock value last handed to the park registry.
+    published: f64,
     pending: PendingQueue,
     rx: Receiver<Envelope>,
     senders: Arc<Vec<Sender<Envelope>>>,
@@ -60,6 +52,7 @@ impl RankCtx {
             rank,
             size,
             clock: 0.0,
+            published: 0.0,
             pending: PendingQueue::default(),
             rx,
             senders,
@@ -89,8 +82,15 @@ impl RankCtx {
         self.clock
     }
 
+    /// The rank's program has returned (runtime only).
+    pub(crate) fn finish(&self) {
+        if let Err(deadlock) = self.shared.park.finish(self.rank, self.published) {
+            panic!("{deadlock}");
+        }
+    }
+
     fn check_abort(&self) {
-        if self.shared.abort.load(Ordering::Relaxed) {
+        if self.shared.park.aborted() {
             std::panic::panic_any(SimAbort);
         }
     }
@@ -99,7 +99,7 @@ impl RankCtx {
         self.check_abort();
         if let Some(h) = &self.shared.harness {
             if h.on_comm_event(self.rank, &self.counters, self.clock) == HarnessAction::AbortAll {
-                self.shared.abort.store(true, Ordering::Relaxed);
+                self.shared.park.abort();
                 std::panic::panic_any(SimAbort);
             }
         }
@@ -113,13 +113,51 @@ impl RankCtx {
 
     /// Publish this rank's virtual clock for wildcard receivers. Must be
     /// called only *after* any envelope departing at the current clock
-    /// has been handed to the channel: a reader that observes
-    /// `live_clocks[rank] > d` concludes every message from this rank
+    /// has been handed to the channel: a reader that observes a
+    /// published clock `> d` concludes every message from this rank
     /// departing at or before `d` is already delivered.
-    fn publish_clock(&self) {
-        self.shared.live_clocks[self.rank as usize]
-            .store(self.clock.to_bits(), Ordering::Release);
-        self.shared.progress.fetch_add(1, Ordering::Release);
+    fn publish_clock(&mut self) {
+        self.shared
+            .park
+            .publish(self.rank, self.published, self.clock);
+        self.published = self.clock;
+    }
+
+    /// Block until a wake token beyond `seen` is issued to this rank.
+    /// `seen` must have been read before the caller last examined what
+    /// it waits for. If this park completes an application deadlock,
+    /// panics with the report naming every rank's wait.
+    fn park(&self, seen: u64, wait: Wait) {
+        if let Err(deadlock) = self.shared.park.park(self.rank, seen, wait) {
+            panic!("{deadlock}");
+        }
+    }
+
+    /// Block in a wait that lives outside the `Mpi` interface — a
+    /// driver-level barrier such as the checkpoint coordinator's — until
+    /// `ready` returns true. `what` names the wait in a deadlock report.
+    ///
+    /// The wait joins the run's park/wake protocol: `ready` is evaluated
+    /// again after every [`wake`](Self::wake) addressed to this rank, and
+    /// a harness abort unwinds it like any other blocked operation.
+    /// Whoever makes `ready` true must be a rank of the same run and
+    /// must call `wake` *afterwards*; a rank parked here counts as
+    /// blocked when the runtime decides whether the run is quiescent.
+    pub fn park_until(&mut self, what: &'static str, mut ready: impl FnMut() -> bool) {
+        loop {
+            let seen = self.shared.park.tokens(self.rank);
+            self.check_abort();
+            if ready() {
+                return;
+            }
+            self.park(seen, Wait::External(what));
+        }
+    }
+
+    /// Make `rank` re-evaluate the condition it is parked on in
+    /// [`park_until`](Self::park_until). Call after the condition changed.
+    pub fn wake(&self, rank: u32) {
+        self.shared.park.wake(rank);
     }
 
     /// `MPI_ANY_SOURCE` receive with a deterministic match.
@@ -128,78 +166,57 @@ impl RankCtx {
     /// is exactly the receive nondeterminism the paper targets with its
     /// logical ordering, but the *simulator* must stay reproducible: the
     /// batch driver promises byte-identical reports for any worker
-    /// count. So a wildcard commits conservatively, in virtual time: the
-    /// best pending candidate (minimum `(depart, src, msg_id)`) is taken
-    /// only once every other rank's published clock is strictly past the
-    /// candidate's departure — after which no rank can ever produce an
-    /// earlier-departing message (clocks are monotone, and clocks are
-    /// published only after the channel send). The match then depends
-    /// only on virtual times, never on thread scheduling.
+    /// count. So a wildcard commits in virtual time. The best pending
+    /// candidate (minimum `(depart, src, msg_id)`) is taken
     ///
-    /// Liveness backstop: if the whole run publishes nothing for
-    /// [`QUIESCE_PATIENCE`] consecutive poll windows, every rank is
-    /// parked and the pending set is final — commit the best candidate.
+    /// * by the *clock rule*: once every other rank's published clock is
+    ///   strictly past the candidate's departure, no rank can ever
+    ///   produce an earlier-departing message (clocks are monotone, and
+    ///   published only after the channel send); or
+    /// * at *quiescence*: every other rank is finished or parked with no
+    ///   wake token outstanding and this candidate is the smallest one
+    ///   any parked wildcard receive holds (`park::Registry::settle`).
+    ///
+    /// Either way the match depends only on virtual times, never on
+    /// thread scheduling or on how long anything took.
     fn recv_wildcard(&mut self, tag: Option<Tag>) -> Envelope {
-        let mut quiet_polls = 0u32;
-        let mut last_progress = self.shared.progress.load(Ordering::Acquire);
+        let me = self.rank;
         loop {
-            // Snapshot clocks *before* draining: a stale (smaller) clock
-            // only delays the commit, never admits a wrong one.
-            let snapshot: Vec<u64> = self
-                .shared
-                .live_clocks
-                .iter()
-                .map(|c| c.load(Ordering::Acquire))
-                .collect();
+            let seen = self.shared.park.tokens(me);
+            self.check_abort();
             self.drain_arrivals();
-            if let Some(i) = self.pending.find_match(None, tag) {
-                let depart = self.pending.depart_of(i);
-                let committable = snapshot.iter().enumerate().all(|(r, &bits)| {
-                    r == self.rank as usize || {
-                        let c = f64::from_bits(bits);
-                        c > depart || c.is_infinite()
+            let found = self.pending.find_match(None, tag);
+            let found = found.map(|i| (i, self.pending.key_of(i)));
+            if let Some((i, c)) = found {
+                let park = &self.shared.park;
+                // Watch first, read the clocks second: a clock that
+                // moves past the departure after this read wakes us.
+                park.watch(me, c.depart);
+                let by_clock = park.clocks_past(me, c.depart);
+                if by_clock || park.take_grant(me) == c.msg_id {
+                    park.unwatch(me);
+                    if pas2p_obs::enabled() {
+                        pas2p_obs::counter(if by_clock {
+                            "mpisim.wildcard.clock_commits"
+                        } else {
+                            "mpisim.wildcard.quiescence_commits"
+                        })
+                        .inc();
                     }
-                });
-                if committable {
                     return self.pending.remove(i);
                 }
             }
-            match self.rx.recv_timeout(POLL) {
-                Ok(env) => {
-                    self.pending.push(env);
-                    quiet_polls = 0;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    self.check_abort();
-                    let progress = self.shared.progress.load(Ordering::Acquire);
-                    if progress == last_progress {
-                        quiet_polls += 1;
-                        if quiet_polls >= QUIESCE_PATIENCE {
-                            if let Some(i) = self.pending.find_match(None, tag) {
-                                return self.pending.remove(i);
-                            }
-                        }
-                    } else {
-                        last_progress = progress;
-                        quiet_polls = 0;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => self.recv_disconnected(None, tag),
+            let candidate = found.map(|(_, c)| c);
+            let wait = Wait::Recv {
+                src: None,
+                tag,
+                candidate,
+            };
+            self.park(seen, wait);
+            if candidate.is_some() {
+                self.shared.park.unwatch(me);
             }
         }
-    }
-
-    /// All senders hung up while this rank was blocked in a receive:
-    /// either the run is aborting (unwind quietly) or the application
-    /// deadlocked (loud panic).
-    fn recv_disconnected(&self, src: Option<u32>, tag: Option<Tag>) -> ! {
-        if self.shared.abort.load(Ordering::Relaxed) {
-            std::panic::panic_any(SimAbort);
-        }
-        panic!(
-            "rank {} blocked in recv(src={:?}, tag={:?}) with all senders gone",
-            self.rank, src, tag
-        )
     }
 
     fn coll_slot(&self, group: &Group) -> Arc<CollSlot> {
@@ -232,17 +249,33 @@ impl RankCtx {
             let factor = (1.0 + sigma * keyed_unit_noise(seed, group_hash, generation)).max(0.05);
             base * factor
         };
-        match slot.arrive(group, pos, op, input, self.clock, cost_of, &shared.abort) {
-            CollWait::Done(res) => {
-                self.clock = res.out_clock;
-                self.publish_clock();
-                self.counters.colls += 1;
-                self.shared.total_colls.fetch_add(1, Ordering::Relaxed);
-                self.after_comm_event();
-                res.output
+        let res = match slot.arrive(group, pos, op, input, self.clock, cost_of) {
+            Arrival::Completed(res) => {
+                // Last arrival: the round's result is in the slot, so
+                // the members parked on it can be woken.
+                for &member in group.ranks() {
+                    if member != self.rank {
+                        shared.park.wake(member);
+                    }
+                }
+                res
             }
-            CollWait::Aborted => std::panic::panic_any(SimAbort),
-        }
+            Arrival::Pending(round) => loop {
+                let seen = shared.park.tokens(self.rank);
+                self.check_abort();
+                if let Some(res) = slot.result(pos, round) {
+                    break res;
+                }
+                let members = group.len();
+                self.park(seen, Wait::Coll { op, members });
+            },
+        };
+        self.clock = res.out_clock;
+        self.publish_clock();
+        self.counters.colls += 1;
+        self.shared.total_colls.fetch_add(1, Ordering::Relaxed);
+        self.after_comm_event();
+        res.output
     }
 }
 
@@ -308,16 +341,16 @@ impl Mpi for RankCtx {
         // receiver during a harness abort just means the peer unwound
         // first; propagate the abort instead of failing.
         if self.senders[dest as usize].send(env).is_err() {
-            if self.shared.abort.load(Ordering::Relaxed) {
-                std::panic::panic_any(SimAbort);
-            }
+            self.check_abort();
             panic!(
                 "rank {} exited while rank {} still had messages for it",
                 dest, self.rank
             );
         }
-        // Publish strictly after the channel send so wildcard receivers
-        // never conclude this envelope cannot exist.
+        // Token after the envelope is in the channel, clock after both:
+        // a parked receiver that observed this token has the envelope,
+        // and wildcard receivers never conclude it cannot exist.
+        self.shared.park.wake(dest);
         self.publish_clock();
         self.counters.sends += 1;
         if pas2p_obs::enabled() {
@@ -340,15 +373,20 @@ impl Mpi for RankCtx {
             // matching arrival is the only possible answer — commit
             // immediately.
             loop {
+                let seen = self.shared.park.tokens(self.rank);
+                self.check_abort();
                 self.drain_arrivals();
                 if let Some(env) = self.pending.take_match(src, tag) {
                     break env;
                 }
-                match self.rx.recv_timeout(POLL) {
-                    Ok(env) => self.pending.push(env),
-                    Err(RecvTimeoutError::Timeout) => self.check_abort(),
-                    Err(RecvTimeoutError::Disconnected) => self.recv_disconnected(src, tag),
-                }
+                self.park(
+                    seen,
+                    Wait::Recv {
+                        src,
+                        tag,
+                        candidate: None,
+                    },
+                );
             }
         } else {
             self.recv_wildcard(tag)

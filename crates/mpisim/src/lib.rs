@@ -42,6 +42,7 @@ pub mod ctx;
 pub mod group;
 pub mod harness;
 pub mod msg;
+mod park;
 pub mod report;
 pub mod runtime;
 

@@ -1,5 +1,6 @@
 //! Point-to-point messages and the per-rank mailbox.
 
+use crate::park::Candidate;
 use bytes::Bytes;
 
 /// Message tag (the MPI tag). [`ANY_TAG`] in a receive matches anything.
@@ -95,7 +96,7 @@ impl PendingQueue {
 
     /// Index of the best match for a receive of (`src`, `tag`) without
     /// removing it — the wildcard receive path inspects the candidate's
-    /// departure time before committing (see `RankCtx::recv_wildcard`).
+    /// sort key before committing (see `RankCtx::recv_wildcard`).
     pub fn find_match(&self, src: Option<u32>, tag: Option<Tag>) -> Option<usize> {
         let mut best: Option<usize> = None;
         for (i, e) in self.items.iter().enumerate() {
@@ -124,9 +125,14 @@ impl PendingQueue {
         best
     }
 
-    /// Departure time of the queued arrival at `i`.
-    pub fn depart_of(&self, i: usize) -> f64 {
-        self.items[i].depart
+    /// Wildcard sort key of the queued arrival at `i`.
+    pub fn key_of(&self, i: usize) -> Candidate {
+        let e = &self.items[i];
+        Candidate {
+            depart: e.depart,
+            src: e.src,
+            msg_id: e.msg_id,
+        }
     }
 
     /// Remove and return the queued arrival at `i` (an index obtained

@@ -19,7 +19,9 @@ pub struct RunReport {
     pub total_bytes: u64,
     /// Total collective participations (counted per rank per collective).
     pub total_colls: u64,
-    /// True if the run was terminated early by a harness abort.
+    /// True if the run was terminated early by a harness abort. The
+    /// clocks of such a run record how far each rank's thread got before
+    /// it noticed, which is not reproducible.
     pub aborted: bool,
     /// Real (host) seconds the simulation took.
     pub wall_seconds: f64,

@@ -5,6 +5,7 @@ use crate::ctx::RankCtx;
 use crate::group::Group;
 use crate::harness::SimHarness;
 use crate::msg::Envelope;
+use crate::park::Registry;
 use crate::report::RunReport;
 use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
@@ -39,23 +40,14 @@ fn install_abort_hook() {
 pub(crate) struct Shared {
     pub machine: MachineModel,
     pub mapping: Mapping,
-    pub abort: AtomicBool,
+    /// The run's park/wake protocol: published clocks, wake tokens,
+    /// park records and the abort flag (see [`crate::park`]).
+    pub park: Registry,
     pub slots: Mutex<HashMap<Group, Arc<CollSlot>>>,
     pub harness: Option<Arc<dyn SimHarness>>,
     pub total_msgs: AtomicU64,
     pub total_bytes: AtomicU64,
     pub total_colls: AtomicU64,
-    /// Each rank's published virtual clock (f64 bit pattern; `INFINITY`
-    /// once the rank's program has returned). A rank publishes *after*
-    /// handing any departed envelope to the channel, so an observer that
-    /// reads `live_clocks[r] > d` knows every message from `r` departing
-    /// at or before `d` has already been delivered — the invariant the
-    /// deterministic wildcard receive relies on.
-    pub live_clocks: Vec<AtomicU64>,
-    /// Bumped on every clock publication; a wildcard receive that sees
-    /// no movement across a full poll window treats the system as
-    /// quiesced (see `RankCtx::recv_wildcard`).
-    pub progress: AtomicU64,
 }
 
 /// Configuration of a simulated run.
@@ -90,8 +82,10 @@ impl SimConfig {
 }
 
 /// Execute `f` once per rank on the configured machine and return the run
-/// report. Panics from application code propagate; [`SimAbort`] unwinds
-/// are converted into `aborted = true`.
+/// report. The first panic from application code — or the report of an
+/// application deadlock — propagates with its own payload once every
+/// rank has unwound; [`SimAbort`] unwinds are converted into
+/// `aborted = true`.
 pub fn run_app<F>(cfg: &SimConfig, f: F) -> RunReport
 where
     F: Fn(&mut RankCtx) + Send + Sync,
@@ -113,18 +107,17 @@ where
     let shared = Arc::new(Shared {
         machine: cfg.machine.clone(),
         mapping,
-        abort: AtomicBool::new(false),
+        park: Registry::new(n as usize),
         slots: Mutex::new(HashMap::new()),
         harness: cfg.harness.clone(),
         total_msgs: AtomicU64::new(0),
         total_bytes: AtomicU64::new(0),
         total_colls: AtomicU64::new(0),
-        live_clocks: (0..n).map(|_| AtomicU64::new(0f64.to_bits())).collect(),
-        progress: AtomicU64::new(0),
     });
 
     let clocks = Mutex::new(vec![0.0f64; n as usize]);
     let any_aborted = AtomicBool::new(false);
+    let first_panic = Mutex::new(None);
     let start = Instant::now();
     let f = &f;
 
@@ -134,6 +127,7 @@ where
             let shared = shared.clone();
             let clocks = &clocks;
             let any_aborted = &any_aborted;
+            let first_panic = &first_panic;
             s.spawn(move || {
                 // Timeline span for this rank's host thread (wall-clock
                 // domain; the *virtual* rank timeline is reconstructed
@@ -144,28 +138,26 @@ where
                     None
                 };
                 let mut ctx = RankCtx::new(rank as u32, n, rx, senders, shared.clone());
-                let result = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-                match result {
-                    Ok(()) => {
-                        if let Some(h) = &shared.harness {
-                            h.on_rank_done(rank as u32, ctx.final_clock());
-                        }
+                let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                    f(&mut ctx);
+                    if let Some(h) = &shared.harness {
+                        h.on_rank_done(rank as u32, ctx.final_clock());
                     }
-                    Err(payload) => {
-                        if payload.downcast_ref::<SimAbort>().is_some() {
-                            any_aborted.store(true, Ordering::Relaxed);
-                        } else {
-                            // Real application panic: make sure the other
-                            // ranks don't deadlock, then propagate.
-                            shared.abort.store(true, Ordering::Relaxed);
-                            panic::resume_unwind(payload);
-                        }
+                    // This rank will never send again: wildcard
+                    // receivers stop waiting on its clock, and the ranks
+                    // still parked may now be settled — or deadlocked.
+                    ctx.finish();
+                }));
+                if let Err(payload) = result {
+                    if payload.downcast_ref::<SimAbort>().is_some() {
+                        any_aborted.store(true, Ordering::Relaxed);
+                    } else {
+                        // Real application panic: unwind the other ranks
+                        // (parked ones included), then propagate.
+                        shared.park.abort();
+                        first_panic.lock().get_or_insert(payload);
                     }
                 }
-                // This rank will never send again: let wildcard
-                // receivers stop waiting on its clock.
-                shared.live_clocks[rank].store(f64::INFINITY.to_bits(), Ordering::Release);
-                shared.progress.fetch_add(1, Ordering::Release);
                 clocks.lock()[rank] = ctx.final_clock();
                 if let Some(span) = rank_span {
                     span.finish_with(vec![("virtual_clock", format!("{:.6}", ctx.final_clock()))]);
@@ -178,6 +170,9 @@ where
         }
     });
 
+    if let Some(payload) = first_panic.into_inner() {
+        panic::resume_unwind(payload);
+    }
     let rank_clocks = clocks.into_inner();
     let makespan = rank_clocks.iter().cloned().fold(0.0f64, f64::max);
     if pas2p_obs::enabled() {

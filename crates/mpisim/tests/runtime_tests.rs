@@ -64,9 +64,6 @@ fn recv_any_source_matches_earliest_departure() {
         let rank = ctx.rank();
         if rank == 0 {
             let mut sources = Vec::new();
-            // Give the senders real time to inject everything so the
-            // pending queue sees all three messages.
-            std::thread::sleep(std::time::Duration::from_millis(100));
             for _ in 0..3 {
                 let m = ctx.recv(None, None);
                 sources.push((m.depart, m.src));
@@ -81,6 +78,91 @@ fn recv_any_source_matches_earliest_departure() {
         }
     });
     assert_eq!(r.total_msgs, 3);
+}
+
+#[test]
+fn a_stalled_sender_is_running_not_parked() {
+    // Rank 1's thread stalls for 250 ms of *wall* time before it sends at
+    // virtual t≈1 s; rank 2 sends at t≈2 s and then blocks on rank 0. A
+    // rank that sleeps is running, not parked, so however long the stall,
+    // the run is not quiescent and rank 2's message must not be matched
+    // first.
+    let run = || {
+        let sources = parking_lot_mutex_vec();
+        let log = parking_lot::Mutex::new(Vec::<u8>::new());
+        let r = run4(|ctx| match ctx.rank() {
+            0 => {
+                for _ in 0..2 {
+                    let m = ctx.recv(None, None);
+                    sources.lock().push(u64::from(m.src));
+                    let mut log = log.lock();
+                    log.extend_from_slice(&m.msg_id.to_le_bytes());
+                    log.extend_from_slice(&m.depart.to_bits().to_le_bytes());
+                    log.extend_from_slice(&m.arrive.to_bits().to_le_bytes());
+                }
+                ctx.send(2, 9, b"go");
+            }
+            1 => {
+                std::thread::sleep(std::time::Duration::from_millis(250));
+                ctx.compute(Work::flops(1.9e9));
+                ctx.send(0, 5, b"one");
+            }
+            2 => {
+                ctx.compute(Work::flops(2.0 * 1.9e9));
+                ctx.send(0, 5, b"two");
+                ctx.recv(Some(0), Some(9));
+            }
+            _ => {}
+        });
+        (sources.into_inner(), log.into_inner(), r.rank_clocks)
+    };
+    let first = run();
+    assert_eq!(first.0, vec![1, 2], "matched in departure order");
+    for _ in 1..20 {
+        assert_eq!(run(), first);
+    }
+}
+
+#[test]
+fn an_application_deadlock_is_reported_not_hung() {
+    // Each rank receives from the other and nobody sends.
+    let cfg = SimConfig::new(quiet_machine(), 2, MappingPolicy::Block);
+    let started = std::time::Instant::now();
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_app(&cfg, |ctx| {
+            let peer = 1 - ctx.rank();
+            ctx.recv(Some(peer), Some(3));
+        })
+    }))
+    .expect_err("a deadlocked run must panic");
+    assert!(started.elapsed() < std::time::Duration::from_secs(1));
+    let report = payload
+        .downcast_ref::<String>()
+        .expect("the panic carries the report");
+    assert!(
+        report.contains("rank 0 in recv(src=Some(1), tag=Some(3))")
+            && report.contains("rank 1 in recv(src=Some(0), tag=Some(3))"),
+        "{report}"
+    );
+}
+
+#[test]
+fn a_rank_that_returns_leaves_its_waiter_deadlocked() {
+    let cfg = SimConfig::new(quiet_machine(), 2, MappingPolicy::Block);
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_app(&cfg, |ctx| {
+            if ctx.rank() == 0 {
+                ctx.barrier_in(&Group::new(vec![0]));
+                ctx.recv(None, None);
+            }
+        })
+    }))
+    .expect_err("nobody can ever send to rank 0");
+    let report = payload.downcast_ref::<String>().expect("report");
+    assert!(
+        report.contains("rank 0 in recv(src=None, tag=None)") && report.contains("rank 1 finished"),
+        "{report}"
+    );
 }
 
 #[test]
@@ -113,7 +195,7 @@ fn collectives_synchronize_clocks() {
 fn bcast_from_nonzero_root() {
     run4(|ctx| {
         let data = if ctx.rank() == 2 {
-            Some(Bytes::from_static(b"hello"))
+            Some(Bytes::copy_from_slice(b"hello"))
         } else {
             None
         };
@@ -528,7 +610,7 @@ fn single_rank_world_runs_collectives() {
         ctx.barrier();
         let s = ctx.allreduce_f64(&[5.0], ReduceOp::Sum);
         assert_eq!(s, vec![5.0]);
-        let b = ctx.bcast(0, Some(bytes::Bytes::from_static(b"solo")));
+        let b = ctx.bcast(0, Some(bytes::Bytes::copy_from_slice(b"solo")));
         assert_eq!(&b[..], b"solo");
     });
     assert_eq!(r.nprocs, 1);

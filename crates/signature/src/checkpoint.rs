@@ -8,10 +8,10 @@
 //! each rank's virtual-clock skew relative to the earliest rank (restored
 //! on restart so the resumed execution keeps the original imbalance).
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
+use pas2p_mpisim::{Mpi, RankCtx};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Where a phase's measurement run begins.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -82,12 +82,13 @@ struct SyncState {
 /// beyond the row's checkpoint coordinates. It lives *outside* the MPI
 /// interface — like DMTCP's coordinator process — so it adds no
 /// communication events and does not disturb the event counts the phase
-/// table addresses.
+/// table addresses. Ranks that wait at it park through the run's own
+/// park/wake protocol ([`RankCtx::park_until`]), so the simulator knows
+/// they are blocked rather than computing.
 pub(crate) struct CkptCoordinator {
     n: usize,
     rows: Vec<RowTargets>,
     state: Mutex<SyncState>,
-    cv: Condvar,
 }
 
 impl CkptCoordinator {
@@ -108,7 +109,6 @@ impl CkptCoordinator {
                 outcome: BoundaryOutcome { all_finalized: nrows == 0 },
                 step: 0,
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -118,38 +118,46 @@ impl CkptCoordinator {
         self.state.lock().snapshot_next
     }
 
-    /// Rank `rank` reaches a step boundary having completed `step` steps,
-    /// with `comm_ops` events on its counter and virtual clock `clock`.
-    /// `snapshot` must be `Some` when [`wants_snapshot`](Self::wants_snapshot)
-    /// returned true before the call. Blocks until all ranks arrive;
-    /// returns the round outcome.
+    /// The rank behind `ctx` reaches a step boundary having completed
+    /// `step` steps, with `comm_ops` events on its counter and virtual
+    /// clock `clock`. `snapshot` must be `Some` when
+    /// [`wants_snapshot`](Self::wants_snapshot) returned true before the
+    /// call. Blocks until all ranks arrive; returns the round outcome.
     pub fn boundary(
         &self,
-        rank: u32,
+        ctx: &mut RankCtx,
         step: u64,
         comm_ops: u64,
         clock: f64,
         snapshot: Option<Vec<u8>>,
     ) -> BoundaryOutcome {
-        let mut st = self.state.lock();
-        let my_gen = st.generation;
-        st.counts[rank as usize] = comm_ops;
-        st.clocks[rank as usize] = clock;
-        if let Some(s) = snapshot {
-            st.snaps[rank as usize] = s;
-        }
-        st.step = step;
-        st.arrived += 1;
-
-        if st.arrived == self.n {
-            self.complete_round(&mut st);
-            self.cv.notify_all();
-            return st.outcome;
-        }
-        while st.generation == my_gen {
-            self.cv.wait_for(&mut st, Duration::from_millis(50));
-        }
-        st.outcome
+        let rank = ctx.rank();
+        let my_gen = {
+            let mut st = self.state.lock();
+            st.counts[rank as usize] = comm_ops;
+            st.clocks[rank as usize] = clock;
+            if let Some(s) = snapshot {
+                st.snaps[rank as usize] = s;
+            }
+            st.step = step;
+            st.arrived += 1;
+            if st.arrived == self.n {
+                self.complete_round(&mut st);
+                let outcome = st.outcome;
+                drop(st);
+                // The round is visible; now the waiters may look.
+                for waiter in (0..self.n as u32).filter(|&r| r != rank) {
+                    ctx.wake(waiter);
+                }
+                return outcome;
+            }
+            st.generation
+        };
+        ctx.park_until("the checkpoint boundary", || {
+            self.state.lock().generation != my_gen
+        });
+        // Stable until the next round completes, which needs this rank.
+        self.state.lock().outcome
     }
 
     fn complete_round(&self, st: &mut SyncState) {
@@ -221,36 +229,32 @@ impl CkptCoordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pas2p_machine::{cluster_a, MappingPolicy};
+    use pas2p_mpisim::{run_app, SimConfig};
 
     fn coordinator(rows: Vec<RowTargets>) -> Arc<CkptCoordinator> {
         Arc::new(CkptCoordinator::new(2, rows))
     }
 
-    /// Drive both ranks through boundaries sequentially on threads.
+    /// Drive both ranks of a two-rank run through the boundaries.
     fn run_boundaries(
         c: &Arc<CkptCoordinator>,
         // (step, [counts per rank], [clock per rank])
         boundaries: &[(u64, [u64; 2], [f64; 2])],
     ) -> Vec<BoundaryOutcome> {
-        let mut outcomes = Vec::new();
-        for &(step, counts, clocks) in boundaries {
-            let want = c.wants_snapshot();
-            let c0 = c.clone();
-            let h = std::thread::spawn(move || {
-                c0.boundary(
-                    1,
-                    step,
-                    counts[1],
-                    clocks[1],
-                    want.then(|| vec![1u8, step as u8]),
-                )
-            });
-            let o = c.boundary(0, step, counts[0], clocks[0], want.then(|| vec![0u8, step as u8]));
-            let o2 = h.join().unwrap();
-            assert_eq!(o, o2);
-            outcomes.push(o);
-        }
-        outcomes
+        let cfg = SimConfig::new(cluster_a(), 2, MappingPolicy::Block);
+        let outcomes = Mutex::new(vec![Vec::new(); 2]);
+        run_app(&cfg, |ctx| {
+            let r = ctx.rank() as usize;
+            for &(step, counts, clocks) in boundaries {
+                let snap = c.wants_snapshot().then(|| vec![r as u8, step as u8]);
+                let o = c.boundary(ctx, step, counts[r], clocks[r], snap);
+                outcomes.lock()[r].push(o);
+            }
+        });
+        let mut outcomes = outcomes.into_inner();
+        assert_eq!(outcomes[0], outcomes[1], "both ranks see every outcome");
+        outcomes.remove(0)
     }
 
     #[test]

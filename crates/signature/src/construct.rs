@@ -165,9 +165,8 @@ pub fn construct_signature(
 
         let boundary = |prog: &dyn crate::app::RankProgram, ctx: &mut pas2p_mpisim::RankCtx, step: u64| {
             let snap = coord_ref.wants_snapshot().then(|| prog.snapshot());
-            coord_ref
-                .boundary(rank, step, ctx.counters().comm_ops(), ctx.now(), snap)
-                .all_finalized
+            let (ops, now) = (ctx.counters().comm_ops(), ctx.now());
+            coord_ref.boundary(ctx, step, ops, now, snap).all_finalized
         };
 
         if boundary(prog.as_ref(), ctx, 0) {

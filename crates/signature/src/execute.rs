@@ -142,6 +142,14 @@ impl MeasureHarness {
     fn all_measured(&self) -> bool {
         self.state.lock().remaining == 0
     }
+
+    /// Virtual time at which the last rank left the last window — the
+    /// instant the measurement run is terminated.
+    fn terminated_at(&self) -> f64 {
+        let st = self.state.lock();
+        let last = st.end_clock.last().expect("at least one window");
+        last.iter().filter_map(|c| *c).fold(0.0f64, f64::max)
+    }
 }
 
 impl SimHarness for MeasureHarness {
@@ -253,6 +261,14 @@ pub fn execute_signature(
             harness.all_measured() || !report.aborted,
             "aborted without completing measurement"
         );
+        // An aborted run's rank clocks record how far each thread happened
+        // to get before it noticed the abort; the span of the run is the
+        // virtual instant the abort was decided.
+        let measured_span = if report.aborted {
+            harness.terminated_at()
+        } else {
+            report.makespan
+        };
 
         if pas2p_obs::tracing_enabled() {
             pas2p_obs::instant(
@@ -270,7 +286,7 @@ pub fn execute_signature(
             phase_id: entry.row.phase_id,
             weight: entry.row.weight,
             phase_et: harness.phase_et(),
-            measured_span: report.makespan,
+            measured_span,
             restart_cost,
         });
     }
@@ -349,6 +365,7 @@ mod tests {
         assert!(h.all_measured());
         // max(start)=1.5, max(end)=3.0
         assert!((h.phase_et() - 1.5).abs() < 1e-12);
+        assert_eq!(h.terminated_at(), 3.0);
     }
 
     #[test]

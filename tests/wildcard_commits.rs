@@ -1,0 +1,52 @@
+//! How a wildcard receive was released — by the clock rule or at
+//! quiescence — is decided by virtual time alone, so the two commit
+//! counters are exact for a given (application, process count, driver).
+//! Master/worker shows both: traced, every worker returns right after
+//! its result and the clock rule releases each match; under the
+//! checkpoint coordinator the workers park at the step boundary with
+//! their clock *equal* to their result's departure, so only quiescence
+//! can.
+//!
+//! One test in a file of its own: the obs registry is process-global.
+
+use pas2p::prelude::*;
+use pas2p::Pas2p;
+use pas2p_apps::by_name;
+
+fn commits() -> (u64, u64) {
+    (
+        pas2p_obs::counter("mpisim.wildcard.clock_commits").get(),
+        pas2p_obs::counter("mpisim.wildcard.quiescence_commits").get(),
+    )
+}
+
+#[test]
+fn masterworker_commit_counters_are_pinned() {
+    let base = cluster_a();
+    let pas2p = Pas2p::default();
+    pas2p_obs::set_enabled(true);
+    for n in [4u32, 8] {
+        let workers = u64::from(n) - 1;
+        let app = by_name("masterworker", n).expect("catalog app");
+
+        pas2p_obs::global().reset();
+        run_traced(
+            app.as_ref(),
+            &base,
+            MappingPolicy::Block,
+            InstrumentationModel::free(),
+        );
+        assert_eq!(commits(), (workers, 0), "run_traced at {n} ranks");
+
+        let analysis = pas2p.analyze(app.as_ref(), &base, MappingPolicy::Block);
+        pas2p_obs::global().reset();
+        pas2p.build_signature(app.as_ref(), &analysis, &base, MappingPolicy::Block);
+        assert_eq!(commits(), (0, workers), "construct_signature at {n} ranks");
+
+        // How often a thread actually slept depends on the schedule, so
+        // `mpisim.parks` has no pinned value; each sleep is timed once.
+        let parks = pas2p_obs::counter("mpisim.parks").get();
+        assert_eq!(pas2p_obs::histogram("mpisim.park_wait_us").count(), parks);
+    }
+    pas2p_obs::set_enabled(false);
+}
