@@ -1,9 +1,8 @@
-//! Sequential-vs-parallel phase extraction (the Table 8 TFAT column,
-//! re-measured with the extraction worker pool): the same logical trace
-//! analyzed with `parallelism` 1, 2, 4 and the core-count default. The
-//! workload cycles through enough distinct communication blocks that the
-//! known-phase list grows past the parallel-merge threshold, which is
-//! where the fan-out starts paying.
+//! Phase-extraction time by similarity kernel (the Table 8 TFAT column):
+//! the same logical trace extracted with the scalar reference walk and
+//! with the SoA kernel. (The file is named after the worker-count sweep
+//! it used to hold; extraction has been sequential since PR 14, when
+//! its fan-out was measured, never won, and was deleted.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pas2p_machine::{cluster_a, JitterModel, MappingPolicy, Work};
@@ -12,42 +11,6 @@ use pas2p_mpisim::{run_app, Mpi, ReduceOp, SimConfig};
 use pas2p_phases::{extract_phases, SimilarityConfig, SimilarityKernel};
 use pas2p_trace::{InstrumentationModel, Trace, TraceCollector, Traced};
 use std::sync::Arc;
-
-/// A ring application whose per-iteration behavior cycles through
-/// `variants` distinct (message size, compute) blocks, yielding at least
-/// `variants` unique phases so the candidate-vs-known comparisons
-/// dominate extraction time.
-fn varied_trace(n: u32, reps: usize, variants: usize) -> Trace {
-    let mut machine = cluster_a();
-    machine.jitter = JitterModel::none();
-    let collector = Arc::new(TraceCollector::new(
-        n,
-        "bench",
-        InstrumentationModel::free(),
-    ));
-    let cfg = SimConfig::new(machine, n, MappingPolicy::Block);
-    let col = collector.clone();
-    run_app(&cfg, move |ctx| {
-        let size = ctx.size();
-        let rank = ctx.rank();
-        let mut t = Traced::new(ctx, &col);
-        let next = (rank + 1) % size;
-        let prev = (rank + size - 1) % size;
-        let payload = vec![0u8; 16 << (variants.min(12))];
-        for rep in 0..reps {
-            let v = rep % variants;
-            let bytes = 16usize << (v % 12);
-            t.compute(Work::flops(1e5 * (v + 1) as f64));
-            for _ in 0..=(v % 3) {
-                t.send(next, v as u32, &payload[..bytes]);
-                t.recv(Some(prev), Some(v as u32));
-            }
-            t.allreduce_f64(&[1.0], ReduceOp::Sum);
-        }
-        t.finish();
-    });
-    Arc::into_inner(collector).unwrap().into_trace()
-}
 
 /// A ring application whose variants all share one communication
 /// *structure* (same tick count per iteration — the scalar walk's O(1)
@@ -89,55 +52,14 @@ fn uniform_variants_trace(n: u32, reps: usize, variants: usize) -> Trace {
 }
 
 fn bench_par_extract(c: &mut Criterion) {
-    let trace = varied_trace(8, 240, 24);
-    let logical = pas2p_order(&trace);
-    let ticks = logical.len() as u64;
-
-    // Sanity: the parallel and sequential analyses must agree before we
-    // time them (the determinism suite pins this repo-wide; the bench
-    // refuses to measure a broken configuration).
-    let seq_cfg = SimilarityConfig {
-        parallelism: Some(1),
-        ..SimilarityConfig::default()
-    };
-    let baseline = extract_phases(&logical, &seq_cfg);
-    assert!(
-        baseline.total_phases() >= 8,
-        "workload too uniform to engage the parallel merge"
-    );
-
-    let mut g = c.benchmark_group("par_extract");
-    g.throughput(Throughput::Elements(ticks));
-    for parallelism in [Some(1), Some(2), Some(4), None] {
-        let cfg = SimilarityConfig {
-            parallelism,
-            ..SimilarityConfig::default()
-        };
-        let check = extract_phases(&logical, &cfg);
-        assert_eq!(
-            baseline.total_phases(),
-            check.total_phases(),
-            "parallelism {parallelism:?} changed the analysis"
-        );
-        let label = match parallelism {
-            Some(k) => k.to_string(),
-            None => "cores".into(),
-        };
-        g.bench_with_input(BenchmarkId::new("workers", label), &cfg, |b, cfg| {
-            b.iter(|| extract_phases(&logical, cfg))
-        });
-    }
-    g.finish();
-
     // Kernel ablation: the scalar reference walk vs the SoA kernel
-    // (banded prefilters + LSH bucketing), sequentially and with the
-    // core-count worker pool. Same byte-identical output, different
-    // TFAT — this group is the speedup evidence BENCH_kernel.json
-    // records from `pas2p-cli bench-report`.
+    // (banded prefilters + LSH bucketing). Same byte-identical output,
+    // different TFAT — this group is the speedup evidence
+    // BENCH_kernel.json records from `pas2p-cli bench-report`.
     let kernel_trace = uniform_variants_trace(4, 720, 144);
     let kernel_logical = pas2p_order(&kernel_trace);
     let kernel_ticks = kernel_logical.len() as u64;
-    let kernel_baseline = extract_phases(&kernel_logical, &seq_cfg);
+    let kernel_baseline = extract_phases(&kernel_logical, &SimilarityConfig::default());
     assert!(
         kernel_baseline.total_phases() >= 96,
         "kernel workload collapsed below the many-known-phases regime"
@@ -145,14 +67,12 @@ fn bench_par_extract(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("similarity_kernel");
     g.throughput(Throughput::Elements(kernel_ticks));
-    for (label, kernel, parallelism) in [
-        ("scalar/seq", SimilarityKernel::Scalar, Some(1)),
-        ("soa/seq", SimilarityKernel::Soa, Some(1)),
-        ("soa/cores", SimilarityKernel::Soa, None),
+    for (label, kernel) in [
+        ("scalar/seq", SimilarityKernel::Scalar),
+        ("soa/seq", SimilarityKernel::Soa),
     ] {
         let cfg = SimilarityConfig {
             kernel,
-            parallelism,
             ..SimilarityConfig::default()
         };
         assert_eq!(

@@ -1,14 +1,14 @@
 //! The rule engine: artifacts in, report out.
 //!
 //! Rule families are independent — none reads another's findings — so
-//! the engine fans them out over a small worker pool
+//! the engine fans them out over the workspace's farm
 //! ([`CheckEngine::with_workers`]). Determinism is non-negotiable for a
 //! linter (CI diffs reports byte-for-byte), and it is guaranteed
 //! structurally rather than by scheduling luck:
 //!
-//! 1. every family writes into its own slot, claimed off an atomic
-//!    cursor, so no interleaving of worker progress mixes outputs;
-//! 2. slots merge in family-insertion order;
+//! 1. every family is one farm task producing its own findings list, so
+//!    no interleaving of worker progress mixes outputs;
+//! 2. the lists come back, and merge, in family-insertion order;
 //! 3. the merged list gets a **canonical total sort** — severity
 //!    (descending), then code, location, message, suggestion — under
 //!    which any merge order yields the same bytes;
@@ -24,8 +24,6 @@ use pas2p_phases::{PhaseAnalysis, PhaseTable, SimilarityConfig};
 use pas2p_trace::{IngestReport, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Everything a rule may look at. Each stage is optional so the engine
 /// can check whatever subset of the pipeline the caller has — rules skip
@@ -244,39 +242,16 @@ impl CheckEngine {
     /// When `pas2p-obs` is enabled, bumps a `check.hit.*` counter per
     /// finding, `check.runs` once, and the `check.par.workers` gauge.
     pub fn run(&self, artifacts: &Artifacts<'_>) -> CheckReport {
-        let nfam = self.checkers.len();
-        let mut slots: Vec<Vec<Diagnostic>> = Vec::with_capacity(nfam);
-        if self.workers <= 1 || nfam <= 1 {
-            for c in &self.checkers {
+        // One task per family, results in family order: the farm's task
+        // order — not worker identity or finish order — carries the
+        // merge order, so scheduling cannot leak into the report.
+        let families = self.checkers.iter().map(|c| c.as_ref()).collect();
+        let slots =
+            pas2p_obs::farm::map(self.workers, "check worker", families, |c: &dyn Checker| {
                 let mut out = Vec::new();
                 c.check(artifacts, &mut out);
-                slots.push(out);
-            }
-        } else {
-            // Fan-out: workers claim family indices off an atomic cursor
-            // and park results in per-family slots. The slot vector —
-            // not worker identity or finish order — carries the merge
-            // order, so scheduling cannot leak into the report.
-            let cursor = AtomicUsize::new(0);
-            let results: Vec<Mutex<Vec<Diagnostic>>> =
-                (0..nfam).map(|_| Mutex::new(Vec::new())).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..self.workers.min(nfam) {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= nfam {
-                            break;
-                        }
-                        let mut out = Vec::new();
-                        self.checkers[i].check(artifacts, &mut out);
-                        *results[i].lock().expect("slot lock poisoned") = out;
-                    });
-                }
+                out
             });
-            for slot in results {
-                slots.push(slot.into_inner().expect("slot lock poisoned"));
-            }
-        }
 
         let mut diagnostics: Vec<Diagnostic> = slots.into_iter().flatten().collect();
         if pas2p_obs::enabled() {

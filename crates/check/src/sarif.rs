@@ -17,6 +17,7 @@
 
 use crate::diag::{Diagnostic, Severity};
 use crate::engine::CheckReport;
+use pas2p_obs::json_string;
 
 /// The SARIF schema version this module emits.
 pub const SARIF_VERSION: &str = "2.1.0";
@@ -86,24 +87,6 @@ pub const RULE_TABLE: &[(&str, &str)] = &[
     ),
 ];
 
-/// JSON string escape (the SARIF output is hand-emitted; see module
-/// docs for why).
-fn esc(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn level_of(s: Severity) -> &'static str {
     match s {
         Severity::Error => "error",
@@ -138,9 +121,9 @@ pub fn to_sarif(report: &CheckReport) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"$schema\": ");
-    esc(SARIF_SCHEMA, &mut s);
+    json_string(&mut s, SARIF_SCHEMA);
     s.push_str(",\n  \"version\": ");
-    esc(SARIF_VERSION, &mut s);
+    json_string(&mut s, SARIF_VERSION);
     s.push_str(",\n  \"runs\": [\n    {\n");
     s.push_str("      \"tool\": {\n        \"driver\": {\n");
     s.push_str("          \"name\": \"pas2p-check\",\n");
@@ -148,9 +131,9 @@ pub fn to_sarif(report: &CheckReport) -> String {
     s.push_str("          \"rules\": [\n");
     for (i, (id, desc)) in rules.iter().enumerate() {
         s.push_str("            { \"id\": ");
-        esc(id, &mut s);
+        json_string(&mut s, id);
         s.push_str(", \"shortDescription\": { \"text\": ");
-        esc(desc, &mut s);
+        json_string(&mut s, desc);
         s.push_str(" } }");
         if i + 1 < rules.len() {
             s.push(',');
@@ -167,21 +150,21 @@ pub fn to_sarif(report: &CheckReport) -> String {
             message.push(')');
         }
         s.push_str("        {\n          \"ruleId\": ");
-        esc(&d.code, &mut s);
+        json_string(&mut s, &d.code);
         s.push_str(&format!(
             ",\n          \"ruleIndex\": {}",
             index_of(&d.code)
         ));
         s.push_str(",\n          \"level\": ");
-        esc(level_of(d.severity), &mut s);
+        json_string(&mut s, level_of(d.severity));
         s.push_str(",\n          \"message\": { \"text\": ");
-        esc(&message, &mut s);
+        json_string(&mut s, &message);
         s.push_str(" },\n          \"locations\": [\n");
         s.push_str("            { \"logicalLocations\": [ { \"fullyQualifiedName\": ");
-        esc(&d.location.to_string(), &mut s);
+        json_string(&mut s, &d.location.to_string());
         s.push_str(", \"kind\": \"element\" } ] }\n          ],\n");
         s.push_str("          \"fingerprints\": { \"pas2p/v1\": ");
-        esc(&d.fingerprint(), &mut s);
+        json_string(&mut s, &d.fingerprint());
         s.push_str(" }\n        }");
         if i + 1 < report.diagnostics.len() {
             s.push(',');
@@ -231,7 +214,7 @@ impl Baseline {
         s.push_str(",\n  \"suppressed\": [\n");
         for (i, f) in self.suppressed.iter().enumerate() {
             s.push_str("    ");
-            esc(f, &mut s);
+            json_string(&mut s, f);
             if i + 1 < self.suppressed.len() {
                 s.push(',');
             }

@@ -3,11 +3,11 @@
 //!
 //! The driver exists for the paper's experimental sweeps (Tables 5–9):
 //! one Stage-A analysis per application/workload pair, all independent of
-//! each other. Jobs are claimed from a shared cursor by worker threads
-//! and every result is written back into the slot of its submission
-//! index, so the report order — and, because each analysis is itself
-//! deterministic, the report content — is identical for any worker count
-//! and any claiming order.
+//! each other. Jobs are the tasks of a `pas2p_obs::farm`: idle workers
+//! claim the next job and results come back in submission order, so the
+//! report order — and, because each analysis is itself deterministic,
+//! the report content — is identical for any worker count and any
+//! claiming order.
 //!
 //! The driver is hardened against misbehaving jobs: a panic inside one
 //! analysis is caught at the worker boundary and classified, never
@@ -20,15 +20,12 @@
 //! acceptance suite is built on this.
 
 use crate::pipeline::{Analysis, Pas2p};
-use parking_lot::Mutex;
 use pas2p_faults::FaultPlan;
 use pas2p_machine::{MachineModel, MappingPolicy};
 use pas2p_signature::{run_traced, MpiApp};
 use pas2p_trace::{Confidence, IngestReport};
 use serde::Serialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// One unit of batch work: analyze `app` on `base` under `policy`.
@@ -249,9 +246,7 @@ impl Default for BatchOptions {
 /// Resolve the worker count: an explicit request is clamped to the job
 /// count; `None` means one worker per available core (again clamped).
 pub fn batch_workers(requested: Option<usize>, jobs: usize) -> usize {
-    requested
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .clamp(1, jobs.max(1))
+    pas2p_obs::farm::workers(requested).min(jobs.max(1))
 }
 
 /// Largest exponent used by the retry backoff: delays stop doubling at
@@ -277,7 +272,9 @@ struct Outcome {
     attempts: u32,
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Render a caught panic payload as the error text of a failed job or
+/// request.
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         format!("panicked: {}", s)
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -436,11 +433,10 @@ fn run_job(pas2p: &Pas2p, job: BatchJob, opts: &BatchOptions) -> (String, BatchS
 /// isolation, per-job deadlines and bounded retries per
 /// [`BatchOptions`].
 ///
-/// Workers claim jobs through a shared atomic cursor — no job is run
-/// twice, no job is skipped — and deposit results into the slot of the
-/// job's submission index. The analyses themselves are deterministic,
-/// so [`BatchReport::digest`] is byte-identical for any worker count
-/// and any claiming order.
+/// Each job is one farm task — no job is run twice, no job is skipped —
+/// and results come back in submission order. The analyses themselves
+/// are deterministic, so [`BatchReport::digest`] is byte-identical for
+/// any worker count and any claiming order.
 pub fn run_batch_with(pas2p: &Pas2p, jobs: Vec<BatchJob>, opts: BatchOptions) -> BatchReport {
     let njobs = jobs.len();
     let workers = batch_workers(opts.workers, njobs);
@@ -451,18 +447,7 @@ pub fn run_batch_with(pas2p: &Pas2p, jobs: Vec<BatchJob>, opts: BatchOptions) ->
         pas2p_obs::gauge("pipeline.par.workers").set(workers as f64);
     }
 
-    let cursor = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<BatchResult>>> = Mutex::new((0..njobs).map(|_| None).collect());
-    // Jobs are owned behind mutexed slots so a worker can take one and
-    // move it into a deadline runner thread.
-    let jobs: Arc<Vec<Mutex<Option<BatchJob>>>> =
-        Arc::new(jobs.into_iter().map(|j| Mutex::new(Some(j))).collect());
-
-    let run_one = |index: usize| {
-        let job = jobs[index]
-            .lock()
-            .take()
-            .expect("the cursor hands each job to exactly one worker");
+    let run_one = |(index, job): (usize, BatchJob)| {
         // One aggregated histogram for all jobs plus a bounded top-K of
         // stage profiles after the pool drains — NOT one stage profile
         // per job, which made snapshot size grow with batch size.
@@ -511,34 +496,13 @@ pub fn run_batch_with(pas2p: &Pas2p, jobs: Vec<BatchJob>, opts: BatchOptions) ->
         }
     };
 
-    // Always run through the pool, even with one worker: a job must see
-    // the same thread environment (fresh thread, no enclosing timeline
-    // span) regardless of the worker count, or the exported timelines
-    // would nest differently for workers = 1 vs. workers > 1.
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= njobs {
-                        break;
-                    }
-                    let result = run_one(index);
-                    slots.lock()[index] = Some(result);
-                }
-                // The scope unblocks before this thread's TLS
-                // destructors run; flush so a take() right after the
-                // batch returns sees every job span.
-                pas2p_obs::events::flush();
-            });
-        }
-    });
-
-    let results: Vec<BatchResult> = slots
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("every claimed job deposits a result"))
-        .collect();
+    // Always on worker threads, even with one worker: a job must see
+    // the same thread environment (fresh thread under a worker lane, no
+    // enclosing span of the caller's) regardless of the worker count,
+    // or the exported timelines would nest differently for workers = 1
+    // vs. workers > 1.
+    let jobs = jobs.into_iter().enumerate().collect();
+    let results = pas2p_obs::farm::map_on_workers(workers, "batch worker", jobs, run_one);
     if pas2p_obs::enabled() {
         record_slowest_jobs(&results);
     }
@@ -797,7 +761,9 @@ mod tests {
         let pas2p = Pas2p::default();
         let opts = BatchOptions {
             workers: Some(2),
-            deadline: Some(Duration::from_millis(60)),
+            // Between the sleeper's 400 ms and what `cg` needs on a
+            // loaded two-core box in a debug build (60 ms was not).
+            deadline: Some(Duration::from_millis(250)),
             ..BatchOptions::default()
         };
         let jobs = vec![

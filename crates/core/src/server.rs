@@ -35,11 +35,11 @@
 
 #![cfg(unix)]
 
-use crate::service::{PredictionService, Request, Response};
+use crate::service::{PredictionService, Request, Response, ServiceCore};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -70,10 +70,11 @@ impl Default for ServeOptions {
     }
 }
 
-/// One queued request: the raw line plus the channel its response rides
-/// back on (per-request, so responses cannot cross connections).
+/// One queued request, already decoded on its connection thread, plus
+/// the channel its response rides back on (per-request, so responses
+/// cannot cross connections).
 struct Job {
-    line: String,
+    request: Request,
     reply: SyncSender<Response>,
 }
 
@@ -135,7 +136,7 @@ pub fn serve_unix_with(
                 set_queue_gauge(depth);
                 let inflight = core.stats.inflight.fetch_add(1, Ordering::SeqCst) + 1;
                 set_inflight_gauge(inflight);
-                let (response, _stop) = svc.handle_line(&job.line);
+                let (response, _stop) = svc.handle_request(job.request);
                 let inflight = core.stats.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
                 set_inflight_gauge(inflight);
                 // The connection may have vanished; that is its problem.
@@ -206,7 +207,7 @@ pub fn serve_unix_with(
 }
 
 /// Answer an over-limit connection with one classified `busy` line.
-fn shed_connection(mut stream: UnixStream, core: &crate::service::ServiceCore) {
+fn shed_connection(mut stream: UnixStream, core: &ServiceCore) {
     core.stats.shed.fetch_add(1, Ordering::SeqCst);
     if pas2p_obs::enabled() {
         pas2p_obs::counter("serve.shed").add(1);
@@ -219,23 +220,14 @@ fn shed_connection(mut stream: UnixStream, core: &crate::service::ServiceCore) {
     let _ = writeln!(stream, "{}", response.render());
 }
 
-/// Ops the connection thread answers inline, without consuming queue
-/// capacity: the control plane must stay responsive when the data
-/// plane is saturated, and a malformed line must not occupy a worker.
-fn inline_response(service: &PredictionService, line: &str) -> Option<(Response, bool)> {
-    match Request::from_line(line) {
-        Err(_) | Ok(Request::Ping) | Ok(Request::Health) | Ok(Request::Shutdown) => {
-            Some(service.handle_line(line))
-        }
-        Ok(_) => None,
-    }
-}
-
-/// One connection's read loop: decode lines, answer control-plane ops
-/// inline, enqueue compute ops (shedding when the queue is full), stop
-/// on EOF, socket error, server stop, or a shutdown request from this
-/// client. Reads run under a 100ms timeout so the loop notices the
-/// stop flag even while a slow-loris client drips bytes.
+/// One connection's read loop: decode each line once, answer
+/// control-plane ops (`ping`, `health`, `shutdown`) and malformed lines
+/// inline — the control plane must stay responsive when the data plane
+/// is saturated, and a malformed line must not occupy a worker —
+/// enqueue compute ops (shedding when the queue is full), stop on EOF,
+/// socket error, server stop, or a shutdown request from this client.
+/// Reads run under a 100ms timeout so the loop notices the stop flag
+/// even while a slow-loris client drips bytes.
 fn handle_connection(
     stream: UnixStream,
     service: &PredictionService,
@@ -263,61 +255,67 @@ fn handle_connection(
         if line.trim().is_empty() {
             continue;
         }
-        if let Some((response, request_stop)) = inline_response(service, &line) {
-            if writeln!(writer, "{}", response.render()).is_err() || writer.flush().is_err() {
-                break;
+        let (response, request_stop) = match Request::from_line(&line) {
+            Err(e) => (service.malformed(&e), false),
+            Ok(request @ (Request::Ping | Request::Health | Request::Shutdown)) => {
+                service.handle_request(request)
             }
-            if request_stop {
-                // Ack flushed above; now stop the accept loop. The
-                // listener drains the rest.
-                stop.store(true, Ordering::SeqCst);
-                break;
-            }
-            continue;
-        }
-        // Compute-bearing request: enqueue, or shed if the queue is
-        // full. `try_send` is the load-shedding decision point — it
-        // never blocks, so a saturated service answers `busy` fast
-        // instead of accumulating unbounded work.
-        let (reply_tx, reply_rx) = mpsc::sync_channel::<Response>(1);
-        let job = Job {
-            line: line.clone(),
-            reply: reply_tx,
-        };
-        // Account the queue slot *before* handing the job over: the
-        // worker decrements on dequeue, so incrementing only after a
-        // successful `try_send` would race the decrement below zero.
-        let depth = core.stats.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
-        set_queue_gauge(depth);
-        let response = match job_tx.try_send(job) {
-            Ok(()) => match wait_for_reply(&reply_rx, stop) {
-                Some(response) => response,
+            Ok(request) => match enqueue(core, job_tx, request) {
+                Some(response) => (response, false),
                 None => break,
             },
-            Err(TrySendError::Full(_)) => {
-                let depth = core.stats.queue_depth.fetch_sub(1, Ordering::SeqCst) - 1;
-                set_queue_gauge(depth);
-                core.stats.shed.fetch_add(1, Ordering::SeqCst);
-                if pas2p_obs::enabled() {
-                    pas2p_obs::counter("serve.shed").add(1);
-                }
-                let op = Request::from_line(&line)
-                    .map(|r| match r {
-                        Request::Submit { .. } => "submit",
-                        Request::Predict { .. } => "predict",
-                        Request::Batch { .. } => "batch",
-                        _ => "invalid",
-                    })
-                    .unwrap_or("invalid");
-                Response::failure_code(op, "busy", "request queue full; retry later".to_string())
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                core.stats.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                break;
-            }
         };
         if writeln!(writer, "{}", response.render()).is_err() || writer.flush().is_err() {
             break;
+        }
+        if request_stop {
+            // Ack flushed above; now stop the accept loop. The
+            // listener drains the rest.
+            stop.store(true, Ordering::SeqCst);
+            break;
+        }
+    }
+}
+
+/// Hand a compute-bearing request to the worker pool and wait for its
+/// answer, or shed it if the queue is full. `try_send` is the
+/// load-shedding decision point — it never blocks, so a saturated
+/// service answers `busy` fast instead of accumulating unbounded work.
+/// `None` means the worker side is gone.
+fn enqueue(core: &ServiceCore, job_tx: &SyncSender<Job>, request: Request) -> Option<Response> {
+    let (reply_tx, reply_rx) = mpsc::sync_channel::<Response>(1);
+    let op = request.op();
+    let job = Job {
+        request,
+        reply: reply_tx,
+    };
+    // Account the queue slot *before* handing the job over: the
+    // worker decrements on dequeue, so incrementing only after a
+    // successful `try_send` would race the decrement below zero.
+    let depth = core.stats.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
+    set_queue_gauge(depth);
+    match job_tx.try_send(job) {
+        // In-flight requests are drained even during shutdown, so this
+        // blocks until the worker answers; the worker pool outlives
+        // every connection thread's sender, so a RecvError means real
+        // trouble.
+        Ok(()) => reply_rx.recv().ok(),
+        Err(TrySendError::Full(_)) => {
+            let depth = core.stats.queue_depth.fetch_sub(1, Ordering::SeqCst) - 1;
+            set_queue_gauge(depth);
+            core.stats.shed.fetch_add(1, Ordering::SeqCst);
+            if pas2p_obs::enabled() {
+                pas2p_obs::counter("serve.shed").add(1);
+            }
+            Some(Response::failure_code(
+                op,
+                "busy",
+                "request queue full; retry later".to_string(),
+            ))
+        }
+        Err(TrySendError::Disconnected(_)) => {
+            core.stats.queue_depth.fetch_sub(1, Ordering::SeqCst);
+            None
         }
     }
 }
@@ -358,15 +356,6 @@ fn read_line_patiently(
             Err(_) => return ReadOutcome::Closed,
         }
     }
-}
-
-/// Wait for the worker's response; bail out (returning `None`) only if
-/// the worker side vanished entirely.
-fn wait_for_reply(reply_rx: &Receiver<Response>, _stop: &AtomicBool) -> Option<Response> {
-    // In-flight requests are drained even during shutdown, so this
-    // blocks until the worker answers; the worker pool outlives every
-    // connection thread's sender, so a RecvError means real trouble.
-    reply_rx.recv().ok()
 }
 
 #[cfg(test)]
@@ -463,6 +452,36 @@ mod tests {
         assert_eq!(bye["result"]["stopping"], serde_json::json!(true));
         server.join().expect("server thread");
         assert!(!socket.exists(), "socket removed on clean exit");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Every answered line counts as one request, wherever it was
+    /// decoded and answered: a malformed line and a control-plane op on
+    /// the connection thread, a queued op on a worker.
+    #[test]
+    fn each_line_counts_as_one_request() {
+        let root = temp_root("count");
+        let socket = root.join("pas2p.sock");
+        let svc = service(&root);
+        let server_svc = svc.clone();
+        let server_socket = socket.clone();
+        let server = std::thread::spawn(move || {
+            serve_unix_with(&server_svc, &server_socket, ServeOptions::default()).expect("serve");
+        });
+        let mut client = connect(&socket);
+        let invalid = roundtrip(&mut client, "not json");
+        assert_eq!(invalid["op"], serde_json::json!("invalid"));
+        roundtrip(&mut client, r#"{"op":"ping"}"#);
+        let unknown = roundtrip(&mut client, r#"{"op":"predict","app":"nope","target":"B"}"#);
+        assert_eq!(unknown["op"], serde_json::json!("predict"));
+        assert_eq!(unknown["code"], serde_json::json!("error"));
+        let stats = roundtrip(&mut client, r#"{"op":"stats"}"#);
+        assert_eq!(stats["result"]["requests"], serde_json::json!(4));
+        let health = roundtrip(&mut client, r#"{"op":"health"}"#);
+        assert_eq!(health["result"]["requests"], serde_json::json!(5));
+        roundtrip(&mut client, r#"{"op":"shutdown"}"#);
+        server.join().expect("server thread");
+        assert_eq!(svc.serve_stats().requests.load(Ordering::SeqCst), 6);
         let _ = std::fs::remove_dir_all(&root);
     }
 

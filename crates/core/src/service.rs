@@ -55,7 +55,7 @@
 //! `serve.inflight` / `serve.queue` gauges from the server front end,
 //! and the store's `store.hit` / `store.miss` / `store.evict` counters.
 
-use crate::batch::{run_batch_with, BatchJob, BatchOptions};
+use crate::batch::{panic_message, run_batch_with, BatchJob, BatchOptions};
 use crate::pipeline::{Analysis, Pas2p};
 use parking_lot::{Condvar, Mutex};
 use pas2p_machine::{preset_by_name, MachineModel, MappingPolicy};
@@ -136,6 +136,20 @@ pub enum Request {
 }
 
 impl Request {
+    /// The protocol name of this request's operation, echoed as the
+    /// response's `op`.
+    pub fn op(&self) -> &'static str {
+        match self {
+            Request::Submit { .. } => "submit",
+            Request::Predict { .. } => "predict",
+            Request::Batch { .. } => "batch",
+            Request::Ping => "ping",
+            Request::Health => "health",
+            Request::Stats => "stats",
+            Request::Shutdown => "shutdown",
+        }
+    }
+
     /// Decode one NDJSON protocol line. The wire format is spelled out
     /// explicitly — it is a public contract, and the parser doubles as
     /// its documentation: `op` selects the variant, `nprocs` defaults
@@ -403,14 +417,13 @@ impl Drop for PendingGuard<'_> {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        format!("panicked: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("panicked: {s}")
-    } else {
-        "panicked".to_string()
-    }
+/// What [`ServiceCore::resolve`] makes of a request's names.
+struct Resolved {
+    app: Box<dyn MpiApp>,
+    base: MachineModel,
+    fingerprint: String,
+    /// The signature's store alias ([`signature_alias`]).
+    alias: String,
 }
 
 /// The prediction service: a [`Pas2p`] pipeline in front of a
@@ -508,6 +521,34 @@ impl ServiceCore {
         preset_by_name(name).ok_or_else(|| format!("unknown machine preset '{name}'"))
     }
 
+    /// The store alias of `app`'s signature on `base` under the
+    /// configuration `fingerprint`.
+    fn alias_of(app: &dyn MpiApp, base: &MachineModel, fingerprint: &str) -> String {
+        signature_alias(
+            &app.name(),
+            &app.workload(),
+            app.nprocs(),
+            &base.name,
+            fingerprint,
+        )
+    }
+
+    /// Resolve a request's application and base machine and derive the
+    /// store alias of their signature under this service's
+    /// configuration.
+    fn resolve(&self, app_name: &str, nprocs: u32, base_name: &str) -> Result<Resolved, String> {
+        let app = self.resolve_app(app_name, nprocs)?;
+        let base = Self::resolve_machine(base_name)?;
+        let fingerprint = self.fingerprint();
+        let alias = Self::alias_of(app.as_ref(), &base, &fingerprint);
+        Ok(Resolved {
+            app,
+            base,
+            fingerprint,
+            alias,
+        })
+    }
+
     /// Mirror the store's entry count into the lock-free stats while
     /// already holding the store lock.
     fn sync_entries(&self, store: &SignatureStore) {
@@ -591,31 +632,25 @@ impl ServiceCore {
         Ok((key, payload))
     }
 
-    /// Ensure a signature for (app, nprocs, base) exists in the store;
-    /// returns the key, the payload, and whether it was served from
-    /// cache. Concurrent callers for the same alias are single-flighted:
-    /// one computes Stage A, the rest wait on the condvar and then read
-    /// the published artifact.
+    /// Ensure the signature of a resolved (app, base) pair exists in the
+    /// store; returns the key, the payload, and whether it was served
+    /// from cache. Concurrent callers for the same alias are
+    /// single-flighted: one computes Stage A, the rest wait on the
+    /// condvar and then read the published artifact.
     fn ensure_signature(
         &self,
-        app_name: &str,
-        nprocs: u32,
-        base_name: &str,
+        resolved: &Resolved,
     ) -> Result<(StoreKey, StoredSignature, bool), String> {
-        let app = self.resolve_app(app_name, nprocs)?;
-        let base = Self::resolve_machine(base_name)?;
-        let fingerprint = self.fingerprint();
-        let alias = signature_alias(
-            &app.name(),
-            &app.workload(),
-            app.nprocs(),
-            &base.name,
-            &fingerprint,
-        );
+        let Resolved {
+            app,
+            base,
+            fingerprint,
+            alias,
+        } = resolved;
         loop {
             {
                 let mut store = self.store.lock();
-                if let Some(key) = store.lookup_alias(&alias) {
+                if let Some(key) = store.lookup_alias(alias) {
                     if let Some((payload, _sidecar)) = store.get_signature(&key) {
                         return Ok((key, payload, true));
                     }
@@ -625,7 +660,7 @@ impl ServiceCore {
                 }
             }
             let mut pending = self.pending.lock();
-            if !pending.contains(&alias) {
+            if !pending.contains(alias) {
                 pending.insert(alias.clone());
                 break;
             }
@@ -638,7 +673,7 @@ impl ServiceCore {
             core: self,
             alias: alias.clone(),
         };
-        let (key, payload) = self.compute_and_store(app.as_ref(), &base, &fingerprint)?;
+        let (key, payload) = self.compute_and_store(app.as_ref(), base, fingerprint)?;
         Ok((key, payload, false))
     }
 
@@ -649,7 +684,8 @@ impl ServiceCore {
         nprocs: u32,
         base_name: &str,
     ) -> Result<SubmitOutcome, String> {
-        let (key, payload, cached) = self.ensure_signature(app_name, nprocs, base_name)?;
+        let resolved = self.resolve(app_name, nprocs, base_name)?;
+        let (key, payload, cached) = self.ensure_signature(&resolved)?;
         Ok(SubmitOutcome {
             digest: key.digest,
             cached,
@@ -672,25 +708,17 @@ impl ServiceCore {
         let target = Self::resolve_machine(target_name)?;
         let policy_label = self.policy_label();
 
+        let resolved = self.resolve(app_name, nprocs, base_name)?;
+
         // Fast path: alias → signature key → prediction key, without
         // loading (or recomputing) the signature at all.
         {
-            let app = self.resolve_app(app_name, nprocs)?;
-            let base = Self::resolve_machine(base_name)?;
-            let fingerprint = self.fingerprint();
-            let alias = signature_alias(
-                &app.name(),
-                &app.workload(),
-                app.nprocs(),
-                &base.name,
-                &fingerprint,
-            );
             let mut store = self.store.lock();
-            if let Some(sig_key) = store.lookup_alias(&alias) {
+            if let Some(sig_key) = store.lookup_alias(&resolved.alias) {
                 let pkey = prediction_key(&sig_key, &target, &policy_label);
                 if let Some(json) = store.get_prediction_json(&pkey) {
                     return Ok(PredictOutcome {
-                        app: app.name(),
+                        app: resolved.app.name(),
                         target: target.name.clone(),
                         prediction_json: json,
                         cached: true,
@@ -703,14 +731,12 @@ impl ServiceCore {
         // Slow path: make sure the signature exists (cached Stage A or
         // a fresh analysis), execute it on the target, canonicalize and
         // persist the prediction.
-        let (sig_key, stored, signature_cached) =
-            self.ensure_signature(app_name, nprocs, base_name)?;
+        let (sig_key, stored, signature_cached) = self.ensure_signature(&resolved)?;
         let pkey = prediction_key(&sig_key, &target, &policy_label);
-        let app = self.resolve_app(app_name, nprocs)?;
         let mut prediction = self
             .pas2p
             .predict(
-                app.as_ref(),
+                resolved.app.as_ref(),
                 &stored.signature,
                 &target,
                 self.policy.clone(),
@@ -762,22 +788,22 @@ impl ServiceCore {
         let base = Self::resolve_machine(base_name)?;
         let fingerprint = self.fingerprint();
 
+        let aliases: Vec<String> = apps
+            .iter()
+            .map(|name| {
+                let app = self.resolve_app(name, nprocs)?;
+                Ok(Self::alias_of(app.as_ref(), &base, &fingerprint))
+            })
+            .collect::<Result<_, String>>()?;
+
         // Which apps still need Stage A? One short lock for the whole
         // census — no compute happens under it.
         let mut missing: Vec<String> = Vec::new();
         let mut statuses = serde_json::Map::new();
         {
             let store = self.store.lock();
-            for name in apps {
-                let app = self.resolve_app(name, nprocs)?;
-                let alias = signature_alias(
-                    &app.name(),
-                    &app.workload(),
-                    app.nprocs(),
-                    &base.name,
-                    &fingerprint,
-                );
-                if store.lookup_alias(&alias).is_some() {
+            for (name, alias) in apps.iter().zip(&aliases) {
+                if store.lookup_alias(alias).is_some() {
                     statuses.insert(name.clone(), json!("cached"));
                 } else {
                     missing.push(name.clone());
@@ -974,19 +1000,30 @@ impl PredictionService {
     /// Decode and execute one protocol line. Returns the response and
     /// whether the serve loop should stop.
     pub fn handle_line(&self, line: &str) -> (Response, bool) {
+        match Request::from_line(line) {
+            Ok(request) => self.handle_request(request),
+            Err(e) => (self.malformed(&e), false),
+        }
+    }
+
+    fn count_request(&self) {
         self.core.stats.requests.fetch_add(1, Ordering::SeqCst);
         if pas2p_obs::enabled() {
             pas2p_obs::counter("serve.requests").add(1);
         }
-        let request = match Request::from_line(line) {
-            Ok(r) => r,
-            Err(e) => {
-                return (
-                    Response::failure_code("invalid", "invalid", format!("malformed request: {e}")),
-                    false,
-                )
-            }
-        };
+    }
+
+    /// The classified answer to a line [`Request::from_line`] rejected
+    /// with `error` (counted as a request, like any other line).
+    pub(crate) fn malformed(&self, error: &str) -> Response {
+        self.count_request();
+        Response::failure_code("invalid", "invalid", format!("malformed request: {error}"))
+    }
+
+    /// Execute one decoded request. Returns the response and whether
+    /// the serve loop should stop.
+    pub(crate) fn handle_request(&self, request: Request) -> (Response, bool) {
+        self.count_request();
         match request {
             Request::Submit { app, nprocs, base } => {
                 let mut st = pas2p_obs::stage("serve.submit");

@@ -22,19 +22,6 @@ use crate::logical::{assemble, LogicalEvent, LogicalTrace};
 use pas2p_trace::{EventKind, ProcessTrace, Trace, TraceEvent};
 use std::collections::{HashMap, VecDeque};
 
-/// Traces below this many events stay single-threaded in the per-rank
-/// prep: thread spawns cost more than the rank loops.
-const PAR_MIN_EVENTS: usize = 4096;
-
-/// Workers for the per-rank prep: one per available core for large
-/// traces, 1 (sequential) below [`PAR_MIN_EVENTS`].
-fn par_workers(total_events: usize) -> usize {
-    if total_events < PAR_MIN_EVENTS {
-        return 1;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// Which logical-clock rule the engine applies to receives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Rule {
@@ -133,17 +120,8 @@ pub(crate) fn try_order_with_rule(
     trace: &Trace,
     rule: Rule,
 ) -> Result<(LogicalTrace, Vec<(u32, u64)>), ModelError> {
-    try_order_with_rule_workers(trace, rule, par_workers(trace.total_events()))
-}
-
-pub(crate) fn try_order_with_rule_workers(
-    trace: &Trace,
-    rule: Rule,
-    workers: usize,
-) -> Result<(LogicalTrace, Vec<(u32, u64)>), ModelError> {
     let nprocs = trace.nprocs;
     let n = nprocs as usize;
-    let workers = workers.max(1).min(n.max(1));
 
     // Per-event assigned LTs, indexed [process][event index].
     let mut lt: Vec<Vec<Option<u64>>> = trace
@@ -154,7 +132,7 @@ pub(crate) fn try_order_with_rule_workers(
     // Next free logical time per process.
     let mut proc_next: Vec<u64> = vec![0; n];
     // Where each message's receive lives: msg_id → (process, index).
-    let recv_index = build_recv_index(trace, workers);
+    let recv_index = build_recv_index(trace);
 
     // The processing queue: (process, event index).
     let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
@@ -281,7 +259,7 @@ pub(crate) fn try_order_with_rule_workers(
     }
     let mut lt = resolved;
 
-    let (permuted, splits, keyed) = finish_ranks(trace, &mut lt, rule, workers);
+    let (permuted, splits, keyed) = finish_ranks(trace, &mut lt, rule);
     let logical = assemble(trace.nprocs, keyed);
     if pas2p_obs::enabled() {
         pas2p_obs::counter("model.events_ordered").add(log.len() as u64);
@@ -290,97 +268,37 @@ pub(crate) fn try_order_with_rule_workers(
         pas2p_obs::counter("model.recv_permutations").add(permuted);
         pas2p_obs::counter("model.tick_splits").add(splits);
         pas2p_obs::counter("model.ticks").add(logical.len() as u64);
-        if workers > 1 {
-            pas2p_obs::gauge("model.par.workers").set(workers as f64);
-        }
     }
     Ok((logical, log))
 }
 
-/// Build the msg_id → receive location index. For large traces the
-/// per-rank scans run on a scoped worker pool; partial maps merge in rank
-/// order, preserving the sequential last-wins semantics for duplicate
-/// msg_ids.
-fn build_recv_index(trace: &Trace, workers: usize) -> HashMap<u64, (usize, usize)> {
-    let index_of = |base: usize, procs: &[ProcessTrace]| {
-        let mut m: HashMap<u64, (usize, usize)> = HashMap::new();
-        for (dp, pt) in procs.iter().enumerate() {
-            for (i, e) in pt.events.iter().enumerate() {
-                if e.kind == EventKind::Recv && e.msg_id != 0 {
-                    m.insert(e.msg_id, (base + dp, i));
-                }
+/// Build the msg_id → receive location index; ranks are scanned in
+/// order, so a duplicate msg_id resolves to its last receive.
+fn build_recv_index(trace: &Trace) -> HashMap<u64, (usize, usize)> {
+    let mut recv_index = HashMap::new();
+    for (p, pt) in trace.procs.iter().enumerate() {
+        for (i, e) in pt.events.iter().enumerate() {
+            if e.kind == EventKind::Recv && e.msg_id != 0 {
+                recv_index.insert(e.msg_id, (p, i));
             }
         }
-        m
-    };
-    let n = trace.procs.len();
-    if workers <= 1 || n <= 1 {
-        return index_of(0, &trace.procs);
-    }
-    let chunk = n.div_ceil(workers);
-    let partials: Vec<HashMap<u64, (usize, usize)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = trace
-            .procs
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, procs)| scope.spawn(move || index_of(ci * chunk, procs)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("recv-index worker"))
-            .collect()
-    });
-    let mut recv_index = HashMap::with_capacity(partials.iter().map(HashMap::len).sum());
-    for m in partials {
-        recv_index.extend(m);
     }
     recv_index
 }
 
 /// The per-rank post-processing after the global queue merge: receive-LT
-/// permutation, program-order clamping and tick-key construction. Every
-/// rank is independent here, so the ranks fan out over a scoped worker
-/// pool; results concatenate in rank order, making the output identical
-/// to the sequential pass for any worker count.
-#[allow(clippy::type_complexity)]
+/// permutation, program-order clamping and tick-key construction, rank
+/// by rank, concatenated in rank order.
 fn finish_ranks(
     trace: &Trace,
     lt: &mut [Vec<u64>],
     rule: Rule,
-    workers: usize,
 ) -> (u64, u64, Vec<(u64, u64, LogicalEvent)>) {
-    let n = trace.procs.len();
-    let results: Vec<(u64, u64, Vec<(u64, u64, LogicalEvent)>)> = if workers > 1 && n > 1 {
-        let chunk = n.div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = lt
-                .chunks_mut(chunk)
-                .zip(trace.procs.chunks(chunk))
-                .map(|(lts_chunk, procs_chunk)| {
-                    scope.spawn(move || {
-                        lts_chunk
-                            .iter_mut()
-                            .zip(procs_chunk)
-                            .map(|(lts, pt)| finish_rank(pt, lts, rule))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("rank prep worker"))
-                .collect()
-        })
-    } else {
-        lt.iter_mut()
-            .zip(&trace.procs)
-            .map(|(lts, pt)| finish_rank(pt, lts, rule))
-            .collect()
-    };
     let mut permuted = 0u64;
     let mut splits = 0u64;
     let mut keyed = Vec::with_capacity(trace.total_events());
-    for (m, sp, k) in results {
+    for (lts, pt) in lt.iter_mut().zip(&trace.procs) {
+        let (m, sp, k) = finish_rank(pt, lts, rule);
         permuted += m;
         splits += sp;
         keyed.extend(k);
@@ -739,56 +657,5 @@ mod tests {
         let t = trace_of(vec![vec![], vec![]]);
         let logical = pas2p_order(&t);
         assert!(logical.is_empty());
-    }
-
-    /// The per-rank prep (recv index, permutation, clamping, tick keying)
-    /// must produce the same logical trace and dequeue log for any worker
-    /// count — parallelism is an implementation detail, not a semantics
-    /// knob.
-    #[test]
-    fn rank_prep_is_worker_count_invariant() {
-        // Six ranks in a ring: each sends two messages to the next rank
-        // and receives two from the previous one — deliberately received
-        // out of order so the permutation and clamping paths both run —
-        // then everybody joins a barrier-like collective.
-        let nprocs = 6u32;
-        let msg = |src: u32, k: u64| 1000 * (src as u64 + 1) + k;
-        let procs: Vec<Vec<TraceEvent>> = (0..nprocs)
-            .map(|p| {
-                let next = (p + 1) % nprocs;
-                let prev = (p + nprocs - 1) % nprocs;
-                let mut events = vec![
-                    ev(0, p, EventKind::Send, Some(next), msg(p, 0), 0, 1, 0.0),
-                    ev(1, p, EventKind::Send, Some(next), msg(p, 1), 0, 1, 1.0),
-                    // Receive the SECOND message first (network reordering).
-                    ev(2, p, EventKind::Recv, Some(prev), msg(prev, 1), 0, 1, 2.0),
-                    ev(3, p, EventKind::Recv, Some(prev), msg(prev, 0), 0, 1, 3.0),
-                ];
-                events.push(ev(
-                    4,
-                    p,
-                    EventKind::Coll(CollClass::Allreduce),
-                    None,
-                    0,
-                    7,
-                    nprocs,
-                    4.0,
-                ));
-                events
-            })
-            .collect();
-        let t = trace_of(procs);
-        for rule in [Rule::Pas2p, Rule::Lamport] {
-            let baseline =
-                try_order_with_rule_workers(&t, rule, 1).expect("sequential ordering succeeds");
-            for workers in [2, 3, 4, 8] {
-                let par = try_order_with_rule_workers(&t, rule, workers)
-                    .expect("parallel ordering succeeds");
-                assert_eq!(
-                    baseline, par,
-                    "worker count {workers} changed the {rule:?} ordering output"
-                );
-            }
-        }
     }
 }

@@ -16,12 +16,12 @@
 //! sink when it fills (amortized, one mutex acquisition per
 //! [`RING_CAP`] events), on an explicit [`flush()`], and when the
 //! thread exits. Worker threads spawned under `std::thread::scope`
-//! must call [`flush()`] as the last thing in their closure: the scope
-//! unblocks as soon as the closure returns, *before* the thread's TLS
-//! destructors run, so the exit-time drain races any subsequent
-//! [`take()`] on the spawning thread. The `Drop` drain remains as a
-//! backstop for detached threads. [`take()`] flushes the calling
-//! thread and drains the sink.
+//! must call [`flush()`] as the last thing in their closure (the
+//! workers of [`crate::farm`] do): the scope unblocks as soon as the
+//! closure returns, *before* the thread's TLS destructors run, so the
+//! exit-time drain races any subsequent [`take()`] on the spawning
+//! thread. The `Drop` drain remains as a backstop for detached threads.
+//! [`take()`] flushes the calling thread and drains the sink.
 //!
 //! Tracing is **disabled by default** and gated separately from metric
 //! collection ([`set_tracing`] / `PAS2P_TRACE=1`): the disabled path is
@@ -352,20 +352,21 @@ pub fn dropped() -> u64 {
     state().dropped.load(Ordering::Relaxed)
 }
 
+/// The tracing gate and sink are process-global; every test of this
+/// crate that records serializes on this lock.
+#[cfg(test)]
+pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The tracing gate and sink are process-global; every test that
-    /// records serializes on this lock.
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     #[test]
     fn disabled_records_nothing() {
-        let _g = guard();
+        let _g = test_guard();
         set_tracing(false);
         clear();
         instant("host.test", "quiet", Vec::new());
@@ -376,7 +377,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_carry_parents() {
-        let _g = guard();
+        let _g = test_guard();
         set_tracing(true);
         clear();
         let outer = trace_span("host.test", "outer");
@@ -404,7 +405,7 @@ mod tests {
 
     #[test]
     fn scoped_worker_events_arrive_after_flush() {
-        let _g = guard();
+        let _g = test_guard();
         set_tracing(true);
         clear();
         std::thread::scope(|s| {
@@ -422,7 +423,7 @@ mod tests {
 
     #[test]
     fn joined_thread_events_arrive_via_exit_drain() {
-        let _g = guard();
+        let _g = test_guard();
         set_tracing(true);
         clear();
         // A real join (unlike a scope) returns only after the thread has
@@ -442,7 +443,7 @@ mod tests {
 
     #[test]
     fn discard_local_suppresses_the_exit_drain() {
-        let _g = guard();
+        let _g = test_guard();
         set_tracing(true);
         clear();
         std::thread::spawn(|| {
@@ -462,7 +463,7 @@ mod tests {
 
     #[test]
     fn flows_pair_by_id() {
-        let _g = guard();
+        let _g = test_guard();
         set_tracing(true);
         clear();
         let id = flow_start("host.batch", "handoff", None);
@@ -478,7 +479,7 @@ mod tests {
 
     #[test]
     fn ring_overflow_drains_to_sink() {
-        let _g = guard();
+        let _g = test_guard();
         set_tracing(true);
         clear();
         for i in 0..(RING_CAP + 10) {

@@ -416,8 +416,10 @@ impl std::fmt::Display for Us {
     }
 }
 
-/// Append `v` to `s` as a JSON string literal.
-fn json_string(s: &mut String, v: &str) {
+/// Append `v` to `s` as a JSON string literal, quotes included — the
+/// one escaper behind every hand-emitted JSON document of the workspace
+/// (timelines, JSON log lines, SARIF).
+pub fn json_string(s: &mut String, v: &str) {
     s.push('"');
     for c in v.chars() {
         match c {
@@ -468,6 +470,13 @@ mod tests {
         doc.instant(PID_HOST, 0, "host.stage", "a\"b\\c\n", 0.0, Vec::new());
         let json = doc.to_json();
         assert!(json.contains("a\\\"b\\\\c\\n"));
+    }
+
+    #[test]
+    fn json_string_escapes_quotes_slashes_and_control_characters() {
+        let mut out = String::new();
+        json_string(&mut out, "a\"b\\c\nd\u{1}\r\té");
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\\r\\té\"");
     }
 
     #[test]

@@ -25,6 +25,10 @@
 //! * **[`export`]** — …the Chrome Trace Event / Perfetto-compatible
 //!   [`ChromeTrace`] JSON exporter behind `pas2p-cli timeline` and the
 //!   `--trace-out` flags.
+//! * **[`farm`]** — the one fan-out of the workspace: an
+//!   ordered map over scoped workers, which is also where worker lanes,
+//!   the worker-exit [`events::flush`], panic re-raise and "one worker
+//!   per core" live.
 //!
 //! # Cost model
 //!
@@ -61,6 +65,7 @@
 
 pub mod events;
 pub mod export;
+pub mod farm;
 pub mod logger;
 pub mod metrics;
 pub mod registry;
@@ -68,7 +73,7 @@ pub mod registry;
 pub use events::{
     flow_end, flow_start, instant, set_tracing, trace_span, tracing_enabled, EventSpan,
 };
-pub use export::{ChromeEvent, ChromeTrace, CAT_HOST_WORKER, PID_APP, PID_HOST};
+pub use export::{json_string, ChromeEvent, ChromeTrace, CAT_HOST_WORKER, PID_APP, PID_HOST};
 pub use logger::{log, log_enabled, logger, span, Level, Logger, Span};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary};
 pub use registry::{

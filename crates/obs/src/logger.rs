@@ -10,6 +10,7 @@
 //! * programmatic: [`Logger::set_level`] / [`Logger::set_file`]
 //!   (the CLI's `--log-level` / `--log-file` flags call these)
 
+use crate::export::json_string;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
@@ -140,37 +141,19 @@ impl Logger {
             json.push_str(&ts_us.to_string());
             json.push_str(",\"level\":\"");
             json.push_str(level.as_str());
-            json.push_str("\",\"target\":\"");
-            escape_json_into(&mut json, target);
-            json.push_str("\",\"msg\":\"");
-            escape_json_into(&mut json, msg);
-            json.push('"');
+            json.push_str("\",\"target\":");
+            json_string(&mut json, target);
+            json.push_str(",\"msg\":");
+            json_string(&mut json, msg);
             for (k, v) in fields {
-                json.push_str(",\"");
-                escape_json_into(&mut json, k);
-                json.push_str("\":\"");
-                escape_json_into(&mut json, v);
-                json.push('"');
+                json.push(',');
+                json_string(&mut json, k);
+                json.push(':');
+                json_string(&mut json, v);
             }
             json.push('}');
             let _ = writeln!(w, "{json}");
             let _ = w.flush();
-        }
-    }
-}
-
-fn escape_json_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
         }
     }
 }
@@ -274,12 +257,5 @@ mod tests {
         assert!(!logger.enabled(Level::Debug));
         logger.set_level(Level::Off);
         assert!(!logger.enabled(Level::Error));
-    }
-
-    #[test]
-    fn json_escaping() {
-        let mut out = String::new();
-        escape_json_into(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "a\\\"b\\\\c\\nd\\u0001");
     }
 }

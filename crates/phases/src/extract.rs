@@ -4,12 +4,14 @@
 //! logical trace into candidate windows (steps 1–4). A *merge loop* then
 //! dedupes each candidate against the known phases by similarity (step 5),
 //! in discovery order. The candidate×known-phase comparisons inside the
-//! merge are the TFAT hot loop (Table 8) and can fan out over a worker
-//! pool ([`SimilarityConfig::parallelism`]): the known phases are chunked
-//! across workers, each worker reports its chunk-local first match, and
-//! the merge takes the globally smallest matching index — exactly the
-//! phase the sequential first-match walk would have picked. Output is
-//! therefore byte-identical to the sequential path for any worker count.
+//! merge are the TFAT hot loop (Table 8). There are two merge loops, one
+//! per [`SimilarityKernel`]: the scalar walk — the differential oracle —
+//! and the SoA loop, which scans only the candidate's LSH bucket. Both
+//! take the first match in discovery order and both run on the calling
+//! thread: splitting a bucket scan across workers was measured and beat
+//! the inline scan at no bucket length (EXPERIMENTS.md "PR 14"), so
+//! [`SimilarityConfig::parallelism`] is accepted and has no effect here.
+//! Output is byte-identical for either kernel.
 
 use crate::sig::{CellSig, SimilarityConfig, SimilarityKernel};
 use crate::soa::{SoaIndex, SoaPattern};
@@ -154,10 +156,6 @@ impl PhaseAnalysis {
     }
 }
 
-/// Below this many known phases a candidate is matched inline on the
-/// calling thread: chunk dispatch costs more than the scan itself.
-const PAR_MIN_KNOWN: usize = 8;
-
 /// Extract phases from a logical trace (the paper's six-step algorithm).
 pub fn extract_phases(lt: &LogicalTrace, cfg: &SimilarityConfig) -> PhaseAnalysis {
     let mut st = pas2p_obs::stage("extract_phases");
@@ -185,35 +183,17 @@ pub fn extract_phases(lt: &LogicalTrace, cfg: &SimilarityConfig) -> PhaseAnalysi
         boundary,
         running_counts: vec![0u64; lt.nprocs as usize],
         phases: Vec::new(),
-        known: Vec::new(),
-        index: SoaIndex::new(),
         comparisons: 0,
         dedupe_hits: 0,
-        par_compares: 0,
         band_rejects: 0,
         lsh_skipped: 0,
         soa_compares: 0,
         negative_spans: 0,
     };
 
-    let workers = cfg.effective_parallelism();
     match cfg.kernel {
-        SimilarityKernel::Scalar if workers > 1 && !windows.is_empty() => {
-            merger.merge_parallel(&windows, workers);
-        }
-        SimilarityKernel::Scalar => {
-            for &(s, e) in &windows {
-                let (pattern, occurrence) = merger.candidate(s, e);
-                let hit = merger.first_match(&pattern);
-                merger.commit(hit, pattern, occurrence);
-            }
-        }
-        SimilarityKernel::Soa if workers > 1 && !windows.is_empty() => {
-            merger.merge_soa_parallel(&windows, workers);
-        }
-        SimilarityKernel::Soa => {
-            merger.merge_soa_sequential(&windows);
-        }
+        SimilarityKernel::Scalar => merger.merge_scalar(&windows),
+        SimilarityKernel::Soa => merger.merge_soa(&windows),
     }
 
     let aet = *merger.boundary.last().unwrap();
@@ -232,9 +212,6 @@ pub fn extract_phases(lt: &LogicalTrace, cfg: &SimilarityConfig) -> PhaseAnalysi
             .add(analysis.phases.iter().map(|p| p.weight).sum());
         pas2p_obs::counter("phases.similarity_comparisons").add(merger.comparisons);
         pas2p_obs::counter("phases.dedupe_hits").add(merger.dedupe_hits);
-        if merger.par_compares > 0 {
-            pas2p_obs::counter("extract.par.compares").add(merger.par_compares);
-        }
         if matches!(cfg.kernel, SimilarityKernel::Soa) {
             // Always registered (even at 0) so the SoA kernel's skip
             // behaviour is visible in every metrics snapshot.
@@ -303,40 +280,6 @@ fn scan_windows(lt: &LogicalTrace) -> Vec<(usize, usize)> {
     windows
 }
 
-/// A unit of matching work: compare one candidate against a contiguous
-/// chunk of the known phases starting at global index `base`.
-struct MatchTask {
-    round: usize,
-    base: usize,
-    known: Vec<Arc<Pattern>>,
-    candidate: Arc<Pattern>,
-}
-
-/// A worker's answer for one chunk: the global index of the chunk-local
-/// first match (if any) and how many comparisons the scan performed.
-struct MatchResult {
-    round: usize,
-    hit: Option<usize>,
-    compares: u64,
-}
-
-/// SoA-kernel unit of matching work: one chunk of a candidate's LSH
-/// bucket, carried as `(global index, pattern)` pairs in ascending
-/// index order.
-struct SoaMatchTask {
-    round: usize,
-    entries: Vec<(u32, Arc<SoaPattern>)>,
-    candidate: Arc<SoaPattern>,
-}
-
-/// A worker's answer for one SoA chunk.
-struct SoaMatchResult {
-    round: usize,
-    hit: Option<u32>,
-    compares: u64,
-    band_rejects: u64,
-}
-
 /// Step 5: dedupe candidate windows into phases, in discovery order.
 struct Merger<'a> {
     lt: &'a LogicalTrace,
@@ -347,19 +290,9 @@ struct Merger<'a> {
     /// contiguous, so this always equals the counts at the next start.
     running_counts: Vec<u64>,
     phases: Vec<Phase>,
-    /// Shared mirror of `phases[i].pattern`, cheap to hand to workers
-    /// (scalar kernel only).
-    known: Vec<Arc<Pattern>>,
-    /// Columnar mirror of the known phases with LSH buckets (SoA kernel
-    /// only).
-    index: SoaIndex,
-    /// Similarity comparisons the *sequential* first-match walk would
-    /// perform (step 5 cost driver) — identical for every worker count
-    /// and for both kernels.
+    /// Similarity comparisons the scalar first-match walk performs
+    /// (step 5 cost driver) — identical for both kernels.
     comparisons: u64,
-    /// Comparisons actually executed by pool workers (chunk scans do not
-    /// stop at the global first match, so this can exceed `comparisons`).
-    par_compares: u64,
     /// Candidate×known pairs the band prefilter rejected (SoA kernel).
     band_rejects: u64,
     /// Candidate×known pairs never examined because the known phase sits
@@ -374,13 +307,6 @@ struct Merger<'a> {
 }
 
 impl Merger<'_> {
-    /// Build the pattern and occurrence of the window `[s, e)`, advancing
-    /// the running per-process event counts.
-    fn candidate(&mut self, s: usize, e: usize) -> (Arc<Pattern>, Occurrence) {
-        let pattern = Arc::new(self.pattern_of(s, e));
-        (pattern, self.occurrence_of(s, e))
-    }
-
     /// Build the occurrence of the window `[s, e)`, advancing the running
     /// per-process event counts.
     fn occurrence_of(&mut self, s: usize, e: usize) -> Occurrence {
@@ -404,151 +330,21 @@ impl Merger<'_> {
         }
     }
 
-    /// Sequential first match among the known phases.
-    fn first_match(&self, candidate: &Pattern) -> Option<usize> {
-        self.known
-            .iter()
-            .position(|k| self.cfg.phases_similar(k, candidate))
-    }
-
-    /// Fold a first-match result into the phase list. `comparisons`
-    /// advances by the sequential-equivalent count so the counter is
-    /// identical whichever path produced `hit`.
-    fn commit(&mut self, hit: Option<usize>, pattern: Arc<Pattern>, occurrence: Occurrence) {
-        self.comparisons += match hit {
-            Some(i) => i as u64 + 1,
-            None => self.known.len() as u64,
-        };
-        match hit {
-            Some(i) => {
-                self.dedupe_hits += 1;
-                let phase = &mut self.phases[i];
-                phase.weight += 1;
-                phase.occurrences.push(occurrence);
-            }
-            None => {
-                self.phases.push(Phase {
-                    id: self.phases.len() as u32,
-                    pattern: (*pattern).clone(),
-                    weight: 1,
-                    occurrences: vec![occurrence],
-                });
-                self.known.push(pattern);
-            }
-        }
-    }
-
-    /// The parallel merge: a scoped worker pool scans chunks of the known
-    /// phases; the merge thread takes the minimum matching global index,
-    /// which is exactly the sequential first match.
-    fn merge_parallel(&mut self, windows: &[(usize, usize)], workers: usize) {
-        let (task_tx, task_rx) = crossbeam::channel::unbounded::<MatchTask>();
-        let (res_tx, res_rx) = crossbeam::channel::unbounded::<MatchResult>();
-        let cfg = *self.cfg;
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let rx = task_rx.clone();
-                let tx = res_tx.clone();
-                scope.spawn(move || {
-                    // Worker-pool lane on the timeline; dropped by the
-                    // normalized export (lane count varies with the
-                    // parallelism knob, so it cannot be deterministic).
-                    let worker_span = if pas2p_obs::tracing_enabled() {
-                        Some(pas2p_obs::trace_span(
-                            pas2p_obs::CAT_HOST_WORKER,
-                            &format!("extract worker {w}"),
-                        ))
-                    } else {
-                        None
-                    };
-                    let mut tasks_done = 0u64;
-                    let mut worker_compares = 0u64;
-                    while let Ok(task) = rx.recv() {
-                        let mut compares = 0u64;
-                        let mut hit = None;
-                        for (i, known) in task.known.iter().enumerate() {
-                            compares += 1;
-                            if cfg.phases_similar(known, &task.candidate) {
-                                hit = Some(task.base + i);
-                                break;
-                            }
-                        }
-                        tasks_done += 1;
-                        worker_compares += compares;
-                        if tx
-                            .send(MatchResult {
-                                round: task.round,
-                                hit,
-                                compares,
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                    if let Some(span) = worker_span {
-                        span.finish_with(vec![
-                            ("tasks", tasks_done.to_string()),
-                            ("compares", worker_compares.to_string()),
-                        ]);
-                        // The scope unblocks before this thread's TLS
-                        // destructors run — flush while it still waits.
-                        pas2p_obs::events::flush();
-                    }
-                });
-            }
-            drop(task_rx);
-            drop(res_tx);
-
-            for (round, &(s, e)) in windows.iter().enumerate() {
-                let (pattern, occurrence) = self.candidate(s, e);
-                let hit = if self.known.len() >= PAR_MIN_KNOWN.max(workers) {
-                    let chunk = self.known.len().div_ceil(workers);
-                    let mut sent = 0usize;
-                    for (ci, slice) in self.known.chunks(chunk).enumerate() {
-                        let task = MatchTask {
-                            round,
-                            base: ci * chunk,
-                            known: slice.to_vec(),
-                            candidate: Arc::clone(&pattern),
-                        };
-                        assert!(task_tx.send(task).is_ok(), "extract worker pool alive");
-                        sent += 1;
-                    }
-                    let mut best: Option<usize> = None;
-                    for _ in 0..sent {
-                        let r = res_rx.recv().expect("extract worker result");
-                        debug_assert_eq!(r.round, round);
-                        self.par_compares += r.compares;
-                        best = match (best, r.hit) {
-                            (Some(b), Some(h)) => Some(b.min(h)),
-                            (b, h) => b.or(h),
-                        };
-                    }
-                    best
-                } else {
-                    self.first_match(&pattern)
-                };
-                self.commit(hit, pattern, occurrence);
-            }
-            drop(task_tx);
-        });
-    }
-
-    /// Fold a SoA first-match result into the phase list. The AoS
-    /// representative pattern is only materialized on a miss — dedupe
-    /// hits (the common case) never touch the AoS layout at all.
-    fn commit_soa(
+    /// Fold a first-match result into the phase list; true when the
+    /// window opened a new phase. `comparisons` advances by the scalar
+    /// walk's count so the counter is identical whichever kernel
+    /// produced `hit`. `pattern` builds the representative AoS
+    /// pattern and is only called on a miss — dedupe hits (the common
+    /// case) never materialize it on the SoA path.
+    fn commit(
         &mut self,
         hit: Option<usize>,
-        candidate: Arc<SoaPattern>,
-        s: usize,
-        e: usize,
         occurrence: Occurrence,
-    ) {
+        pattern: impl FnOnce(&Self) -> Pattern,
+    ) -> bool {
         self.comparisons += match hit {
             Some(i) => i as u64 + 1,
-            None => self.index.len() as u64,
+            None => self.phases.len() as u64,
         };
         match hit {
             Some(i) => {
@@ -556,150 +352,53 @@ impl Merger<'_> {
                 let phase = &mut self.phases[i];
                 phase.weight += 1;
                 phase.occurrences.push(occurrence);
+                false
             }
             None => {
+                let pattern = pattern(self);
                 self.phases.push(Phase {
                     id: self.phases.len() as u32,
-                    pattern: self.pattern_of(s, e),
+                    pattern,
                     weight: 1,
                     occurrences: vec![occurrence],
                 });
-                self.index.push(candidate);
+                true
             }
         }
     }
 
-    /// Step 5 on the SoA kernel, sequentially: bucket lookup, band
-    /// prefilter, columnar compare — same first match as the scalar walk.
-    fn merge_soa_sequential(&mut self, windows: &[(usize, usize)]) {
+    /// Step 5 on the scalar kernel: the reference first-match walk over
+    /// the known phases, cell by cell.
+    fn merge_scalar(&mut self, windows: &[(usize, usize)]) {
+        for &(s, e) in windows {
+            let pattern = self.pattern_of(s, e);
+            let occurrence = self.occurrence_of(s, e);
+            let hit = self
+                .phases
+                .iter()
+                .position(|k| self.cfg.phases_similar(&k.pattern, &pattern));
+            self.commit(hit, occurrence, |_| pattern);
+        }
+    }
+
+    /// Step 5 on the SoA kernel: bucket lookup, band prefilter, columnar
+    /// compare — same first match as the scalar walk. Only the
+    /// candidate's LSH bucket is ever scanned (other buckets cannot
+    /// match).
+    fn merge_soa(&mut self, windows: &[(usize, usize)]) {
+        // The columnar mirror of `self.phases`.
+        let mut index = SoaIndex::new();
         for &(s, e) in windows {
             let occurrence = self.occurrence_of(s, e);
-            let candidate = Arc::new(SoaPattern::from_ticks(self.lt, s, e));
-            let (hit, stats) = self.index.first_match(self.cfg, &candidate);
+            let candidate = SoaPattern::from_ticks(self.lt, s, e);
+            let (hit, stats) = index.first_match(self.cfg, &candidate);
             self.soa_compares += stats.compares;
             self.band_rejects += stats.band_rejects;
             self.lsh_skipped += stats.lsh_skipped;
-            self.commit_soa(hit, candidate, s, e, occurrence);
+            if self.commit(hit, occurrence, |m| m.pattern_of(s, e)) {
+                index.push(Arc::new(candidate));
+            }
         }
-    }
-
-    /// The parallel SoA merge: only the candidate's LSH bucket is
-    /// chunked across the pool (other buckets cannot match), each worker
-    /// reports its chunk-local first match, and the merge takes the
-    /// smallest global index — bucket entries ascend, so that is exactly
-    /// the sequential first match.
-    fn merge_soa_parallel(&mut self, windows: &[(usize, usize)], workers: usize) {
-        let (task_tx, task_rx) = crossbeam::channel::unbounded::<SoaMatchTask>();
-        let (res_tx, res_rx) = crossbeam::channel::unbounded::<SoaMatchResult>();
-        let cfg = *self.cfg;
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let rx = task_rx.clone();
-                let tx = res_tx.clone();
-                scope.spawn(move || {
-                    // Worker-pool lane on the timeline; dropped by the
-                    // normalized export (lane count varies with the
-                    // parallelism knob, so it cannot be deterministic).
-                    let worker_span = if pas2p_obs::tracing_enabled() {
-                        Some(pas2p_obs::trace_span(
-                            pas2p_obs::CAT_HOST_WORKER,
-                            &format!("extract worker {w}"),
-                        ))
-                    } else {
-                        None
-                    };
-                    let mut tasks_done = 0u64;
-                    let mut worker_compares = 0u64;
-                    while let Ok(task) = rx.recv() {
-                        let mut compares = 0u64;
-                        let mut band_rejects = 0u64;
-                        let mut hit = None;
-                        for (idx, known) in &task.entries {
-                            if !cfg.band_admits(known, &task.candidate) {
-                                band_rejects += 1;
-                                continue;
-                            }
-                            compares += 1;
-                            if cfg.soa_phases_similar(known, &task.candidate) {
-                                hit = Some(*idx);
-                                break;
-                            }
-                        }
-                        tasks_done += 1;
-                        worker_compares += compares;
-                        if tx
-                            .send(SoaMatchResult {
-                                round: task.round,
-                                hit,
-                                compares,
-                                band_rejects,
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                    if let Some(span) = worker_span {
-                        span.finish_with(vec![
-                            ("tasks", tasks_done.to_string()),
-                            ("compares", worker_compares.to_string()),
-                        ]);
-                        // The scope unblocks before this thread's TLS
-                        // destructors run — flush while it still waits.
-                        pas2p_obs::events::flush();
-                    }
-                });
-            }
-            drop(task_rx);
-            drop(res_tx);
-
-            for (round, &(s, e)) in windows.iter().enumerate() {
-                let occurrence = self.occurrence_of(s, e);
-                let candidate = Arc::new(SoaPattern::from_ticks(self.lt, s, e));
-                let bucket_len = self.index.bucket(candidate.sketch()).len();
-                let hit = if bucket_len >= PAR_MIN_KNOWN.max(workers) {
-                    self.lsh_skipped += (self.index.len() - bucket_len) as u64;
-                    let entries: Vec<(u32, Arc<SoaPattern>)> = self
-                        .index
-                        .bucket(candidate.sketch())
-                        .iter()
-                        .map(|&i| (i, Arc::clone(self.index.get(i as usize))))
-                        .collect();
-                    let chunk = entries.len().div_ceil(workers);
-                    let mut sent = 0usize;
-                    for slice in entries.chunks(chunk) {
-                        let task = SoaMatchTask {
-                            round,
-                            entries: slice.to_vec(),
-                            candidate: Arc::clone(&candidate),
-                        };
-                        assert!(task_tx.send(task).is_ok(), "extract worker pool alive");
-                        sent += 1;
-                    }
-                    let mut best: Option<u32> = None;
-                    for _ in 0..sent {
-                        let r = res_rx.recv().expect("extract worker result");
-                        debug_assert_eq!(r.round, round);
-                        self.par_compares += r.compares;
-                        self.soa_compares += r.compares;
-                        self.band_rejects += r.band_rejects;
-                        best = match (best, r.hit) {
-                            (Some(b), Some(h)) => Some(b.min(h)),
-                            (b, h) => b.or(h),
-                        };
-                    }
-                    best.map(|b| b as usize)
-                } else {
-                    let (hit, stats) = self.index.first_match(self.cfg, &candidate);
-                    self.soa_compares += stats.compares;
-                    self.band_rejects += stats.band_rejects;
-                    self.lsh_skipped += stats.lsh_skipped;
-                    hit
-                };
-                self.commit_soa(hit, candidate, s, e, occurrence);
-            }
-            drop(task_tx);
-        });
     }
 
     fn pattern_of(&self, s: usize, e: usize) -> Pattern {
@@ -948,30 +647,22 @@ mod tests {
         assert_eq!(analysis.reconstructed_aet(), 0.0);
     }
 
-    /// A trace with many *distinct* phases, so the known-phase list grows
-    /// past `PAR_MIN_KNOWN` and the pool actually dispatches chunks.
-    fn varied_trace() -> LogicalTrace {
+    /// A trace of `blocks` *distinct* phases of one length (so they all
+    /// share one LSH bucket), each occurring twice.
+    fn varied_trace(blocks: u64) -> LogicalTrace {
         let mut cells = Vec::new();
         let mut t = 0;
-        for rep in 0..12u64 {
-            // Each block: a Send/Recv pair at a size unique to the block,
-            // repeated twice so every block closes as its own phase.
+        for rep in 0..blocks {
+            // Each block: a Send/Recv pair whose size and compute time
+            // are unique to the block (powers of two apart, far outside
+            // the similarity ratios), repeated twice so every block
+            // closes as its own phase.
+            let size = 16 << (rep % 32);
+            let compute = 1e-6 * 2f64.powi((rep / 32) as i32);
             for _ in 0..2 {
-                cells.push((
-                    t,
-                    0u32,
-                    EventKind::Send,
-                    16 << (rep % 6),
-                    0.01 * (rep + 1) as f64,
-                ));
+                cells.push((t, 0u32, EventKind::Send, size, compute));
                 t += 1;
-                cells.push((
-                    t,
-                    0u32,
-                    EventKind::Recv,
-                    16 << (rep % 6),
-                    0.01 * (rep + 1) as f64,
-                ));
+                cells.push((t, 0u32, EventKind::Recv, size, compute));
                 t += 1;
             }
         }
@@ -983,88 +674,43 @@ mod tests {
         a
     }
 
-    #[test]
-    fn parallel_merge_is_byte_identical_to_sequential() {
-        let lt = varied_trace();
-        for kernel in [SimilarityKernel::Scalar, SimilarityKernel::Soa] {
-            let sequential = {
-                let cfg = SimilarityConfig {
-                    parallelism: Some(1),
-                    kernel,
-                    ..SimilarityConfig::default()
-                };
-                strip_timing(extract_phases(&lt, &cfg))
-            };
-            assert!(
-                sequential.total_phases() >= PAR_MIN_KNOWN,
-                "trace must grow enough phases to engage the pool, got {}",
-                sequential.total_phases()
-            );
-            for workers in [2usize, 3, 8] {
-                let cfg = SimilarityConfig {
-                    parallelism: Some(workers),
-                    kernel,
-                    ..SimilarityConfig::default()
-                };
-                let parallel = strip_timing(extract_phases(&lt, &cfg));
-                assert_eq!(
-                    sequential, parallel,
-                    "kernel = {kernel:?}, workers = {workers}"
-                );
-                assert_eq!(
-                    serde_json::to_string(&sequential)
-                        .expect("serialize")
-                        .into_bytes(),
-                    serde_json::to_string(&parallel)
-                        .expect("serialize")
-                        .into_bytes(),
-                    "kernel = {kernel:?}, workers = {workers}"
-                );
-            }
-        }
+    fn extract_with(
+        lt: &LogicalTrace,
+        kernel: SimilarityKernel,
+        parallelism: Option<usize>,
+    ) -> PhaseAnalysis {
+        let cfg = SimilarityConfig {
+            parallelism,
+            kernel,
+            ..SimilarityConfig::default()
+        };
+        strip_timing(extract_phases(lt, &cfg))
     }
 
     #[test]
     fn soa_kernel_matches_scalar_oracle() {
-        let lt = varied_trace();
-        let run = |kernel: SimilarityKernel| {
-            let cfg = SimilarityConfig {
-                parallelism: Some(1),
-                kernel,
-                ..SimilarityConfig::default()
-            };
-            strip_timing(extract_phases(&lt, &cfg))
-        };
-        assert_eq!(run(SimilarityKernel::Scalar), run(SimilarityKernel::Soa));
+        let lt = varied_trace(12);
+        assert_eq!(
+            extract_with(&lt, SimilarityKernel::Scalar, Some(1)),
+            extract_with(&lt, SimilarityKernel::Soa, Some(1))
+        );
     }
 
+    /// `parallelism` is accepted for compatibility and read by nothing:
+    /// every setting — unset, zero, many — extracts what one worker
+    /// does, on both kernels.
     #[test]
-    fn effective_parallelism_resolves_and_clamps() {
-        let mut cfg = SimilarityConfig::default();
-        assert!(cfg.effective_parallelism() >= 1);
-        cfg.parallelism = Some(0);
-        assert_eq!(cfg.effective_parallelism(), 1);
-        cfg.parallelism = Some(4);
-        assert_eq!(cfg.effective_parallelism(), 4);
-    }
-
-    /// Regression: a zero parallelism setting must behave exactly like
-    /// the forced-sequential path — never an unclamped worker count —
-    /// on both kernels and at the extraction level, not just in
-    /// `effective_parallelism`.
-    #[test]
-    fn zero_parallelism_extracts_identically_to_one() {
-        let lt = varied_trace();
+    fn parallelism_has_no_effect_on_extraction() {
+        let lt = varied_trace(12);
         for kernel in [SimilarityKernel::Scalar, SimilarityKernel::Soa] {
-            let run = |parallelism: Option<usize>| {
-                let cfg = SimilarityConfig {
-                    parallelism,
-                    kernel,
-                    ..SimilarityConfig::default()
-                };
-                strip_timing(extract_phases(&lt, &cfg))
-            };
-            assert_eq!(run(Some(0)), run(Some(1)), "kernel = {kernel:?}");
+            let one = extract_with(&lt, kernel, Some(1));
+            for parallelism in [None, Some(0), Some(8)] {
+                assert_eq!(
+                    extract_with(&lt, kernel, parallelism),
+                    one,
+                    "kernel = {kernel:?}, parallelism = {parallelism:?}"
+                );
+            }
         }
     }
 }

@@ -76,10 +76,11 @@ pub struct SimilarityConfig {
     /// Compute times below this floor (seconds) are treated as equal —
     /// they are noise, not PBB bodies.
     pub compute_floor: f64,
-    /// Worker threads for the candidate×known-phase similarity matching
-    /// inside `extract_phases`. `None` (the default) means one worker per
-    /// available core; `Some(1)` forces the sequential path. The merge is
-    /// deterministic: output is byte-identical for every setting.
+    /// Accepted and ignored: `extract_phases` matches candidates on the
+    /// calling thread at every setting (splitting the scan across
+    /// workers never beat the inline scan, EXPERIMENTS.md "PR 14"). The
+    /// field stays so callers and serialized configs that set it keep
+    /// working; it is excluded from the store fingerprint.
     #[serde(default)]
     pub parallelism: Option<usize>,
     /// Similarity-kernel implementation the merge loop runs. Excluded
@@ -103,14 +104,6 @@ impl Default for SimilarityConfig {
 }
 
 impl SimilarityConfig {
-    /// Resolve [`SimilarityConfig::parallelism`] to a concrete worker
-    /// count, clamped to at least 1.
-    pub fn effective_parallelism(&self) -> usize {
-        self.parallelism
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-            .max(1)
-    }
-
     pub(crate) fn ratio_similar(a: f64, b: f64, threshold: f64, floor: f64) -> bool {
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         if hi <= floor {

@@ -111,7 +111,8 @@ check: runs the pas2p-check invariant rules over every pipeline artifact;
 analysis (any command):
   --kernel K          similarity kernel: soa (default: columnar layout with
                       band prefilters and LSH bucketing) or scalar (the
-                      reference walk); both produce byte-identical output
+                      reference walk, always sequential); both produce
+                      byte-identical output
 observability (any command):
   --log-level LEVEL   off|error|warn|info|debug|trace (default warn; env PAS2P_LOG)
   --log-file FILE     append JSON-lines log records to FILE (env PAS2P_LOG_FILE)
