@@ -18,39 +18,35 @@ use crate::batch::BatchReport;
 /// Version stamp written into every record.
 ///
 /// v2 added the optional `check` block (check-engine throughput); v3
-/// added the optional `kernel` block (similarity-kernel timing). Records
-/// from older schemas deserialize with the newer blocks as `None`.
-pub const BENCH_SCHEMA_VERSION: u32 = 3;
+/// added the optional `kernel` block (similarity-kernel timing); v4
+/// dropped that block's `workers`, `soa_parallel_seconds` and
+/// `total_speedup` (extraction is sequential: they timed the SoA run
+/// twice). Records from older schemas deserialize with the newer blocks
+/// as `None` and the dropped fields ignored.
+pub const BENCH_SCHEMA_VERSION: u32 = 4;
 
 /// Similarity-kernel timing inside a [`BenchRecord`]: the same logical
 /// trace extracted with the scalar reference walk and with the SoA
-/// kernel (banded prefilters + LSH bucketing), sequentially and over a
-/// worker pool. The outputs are byte-identical by construction
-/// (`tests/kernel_equivalence.rs`); only the time and the skip counters
-/// differ.
+/// kernel (banded prefilters + LSH bucketing). The outputs are
+/// byte-identical by construction (`tests/kernel_equivalence.rs`); only
+/// the time and the skip counters differ.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct KernelBenchStat {
     /// Application the extraction was timed over.
     pub app: String,
-    /// Worker threads in the parallel SoA configuration.
-    pub workers: usize,
-    /// Unique phases extracted (identical in every configuration).
+    /// Unique phases extracted (identical with either kernel).
     pub phases: u64,
-    /// Sequential scalar extraction, wall-clock seconds.
+    /// Scalar extraction, wall-clock seconds.
     pub scalar_seconds: f64,
-    /// Sequential SoA extraction, wall-clock seconds.
+    /// SoA extraction, wall-clock seconds.
     pub soa_seconds: f64,
-    /// Parallel SoA extraction, wall-clock seconds.
-    pub soa_parallel_seconds: f64,
     /// `scalar_seconds / soa_seconds` (0 when not measurable).
     pub soa_speedup: f64,
-    /// `scalar_seconds / soa_parallel_seconds` (0 when not measurable).
-    pub total_speedup: f64,
-    /// Candidates rejected by the band prefilter (sequential SoA run).
+    /// Candidates rejected by the band prefilter (SoA run).
     pub band_rejects: u64,
-    /// Known phases skipped by LSH bucketing (sequential SoA run).
+    /// Known phases skipped by LSH bucketing (SoA run).
     pub lsh_skipped: u64,
-    /// Full comparisons that survived the prefilters (sequential SoA run).
+    /// Full comparisons that survived the prefilters (SoA run).
     pub soa_compares: u64,
 }
 
@@ -136,7 +132,8 @@ pub struct BenchRecord {
     pub kernel: Option<KernelBenchStat>,
 }
 
-fn rate(num: f64, den: f64) -> f64 {
+/// `num / den`, or 0 when `den` is not positive (nothing was measured).
+pub fn rate(num: f64, den: f64) -> f64 {
     if den > 0.0 {
         num / den
     } else {
@@ -270,6 +267,32 @@ mod tests {
         assert!(!json.contains("\"check\""));
         let back: BenchRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(back, rec);
+
+        // A v3-era kernel block carries three fields v4 dropped; they
+        // are ignored and the rest of the block reads as before.
+        rec.schema = 3;
+        let v3_kernel = r#""kernel":{"app":"varied-ring","workers":4,"phases":144,
+            "scalar_seconds":0.9,"soa_seconds":0.2,"soa_parallel_seconds":0.21,
+            "soa_speedup":4.5,"total_speedup":4.3,"band_rejects":100,
+            "lsh_skipped":400,"soa_compares":20},"#;
+        let json = serde_json::to_string(&rec)
+            .unwrap()
+            .replacen('{', &format!("{{{v3_kernel}"), 1);
+        let back: BenchRecord = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.schema, 3);
+        assert_eq!(
+            back.kernel,
+            Some(KernelBenchStat {
+                app: "varied-ring".into(),
+                phases: 144,
+                scalar_seconds: 0.9,
+                soa_seconds: 0.2,
+                soa_speedup: 4.5,
+                band_rejects: 100,
+                lsh_skipped: 400,
+                soa_compares: 20,
+            })
+        );
     }
 
     #[test]
@@ -277,13 +300,10 @@ mod tests {
         let mut rec = bench_record(&report_with_one_failure(), "k", 8, "ClusterA");
         rec.kernel = Some(KernelBenchStat {
             app: "cg".into(),
-            workers: 4,
             phases: 12,
             scalar_seconds: 0.9,
             soa_seconds: 0.2,
-            soa_parallel_seconds: 0.1,
             soa_speedup: 4.5,
-            total_speedup: 9.0,
             band_rejects: 100,
             lsh_skipped: 400,
             soa_compares: 20,

@@ -1,55 +1,55 @@
 //! The concurrent unix-socket front end of the prediction service.
 //!
-//! PR 8's `serve_unix` accepted one connection at a time: a stalled or
-//! malicious client starved every other. This module replaces it with a
-//! small, explicit server shaped for the ROADMAP's "heavy traffic"
-//! north-star while staying deterministic enough to chaos-test:
+//! The server owns connections, not work: one acceptor, one thread per
+//! connection, and every request runs on the thread that read it
+//! (`PredictionService::respond` — the same line handler the stdin
+//! loop uses). It stays deterministic enough to chaos-test:
 //!
-//! * **N simultaneous connections.** A nonblocking accept loop hands
-//!   each connection to its own reader thread (bounded by
+//! * **N simultaneous connections.** The acceptor blocks in `accept`
+//!   and hands each connection to its own thread (bounded by
 //!   `max_connections`; excess connections get a classified `busy`
-//!   response and are closed).
-//! * **Bounded worker pool, bounded queue.** Compute-bearing requests
-//!   (`submit`/`predict`/`batch`/`stats`) travel through a
-//!   `sync_channel` of capacity `queue_capacity` to `workers` worker
-//!   threads. When the queue is full the request is *shed* — a
-//!   `code:"busy"` response, a `serve.shed` counter tick — never
-//!   unbounded memory.
+//!   response and are closed). An idle server runs no other thread.
+//! * **Bounded compute, bounded line.** `workers` and `queue_capacity`
+//!   are the service's admission bounds: a compute op
+//!   (`submit`/`predict`/`batch`/`stats`) takes one of `workers`
+//!   permits on its connection thread, at most `queue_capacity` wait
+//!   for one, and beyond that the request is *shed* — a `code:"busy"`
+//!   response, a `serve.shed` counter tick — never unbounded memory.
 //! * **Inline control plane.** `ping`, `health`, `shutdown` and
-//!   malformed lines are answered by the connection thread itself,
-//!   without consuming queue capacity: the control plane stays
-//!   responsive when the data plane is saturated (`health` takes no
-//!   lock at all).
+//!   malformed lines need no permit: the control plane stays responsive
+//!   when the data plane is saturated (`health` takes no lock at all).
 //! * **Graceful shutdown.** A `shutdown` request is acknowledged on its
-//!   own connection first; then the listener stops accepting, in-flight
-//!   requests drain (bounded by `drain`), workers retire, the store
-//!   index is flushed and the socket file removed.
+//!   own connection first; that connection then sets the stop flag and
+//!   connects to the socket once, which wakes the acceptor. It stops
+//!   accepting, open connections get `drain` to finish what they are
+//!   answering, the store index is flushed and the socket file removed
+//!   — also when `accept` itself failed.
 //!
 //! Per-request deadlines are the service's own
-//! ([`crate::service::PredictionService::with_deadline`]); the server
-//! adds the queueing, shedding and drain semantics around them.
+//! ([`crate::service::PredictionService::with_deadline`]) and the only
+//! reason a request ever leaves its connection thread.
 //!
-//! Observability: `serve.shed` / `serve.timeout` counters (the latter
-//! from the service), `serve.inflight` / `serve.queue` gauges, plus the
-//! per-request counters the service already maintains.
+//! Observability: `serve.shed` / `serve.timeout` counters and
+//! `serve.inflight` / `serve.queue` gauges, all maintained by the
+//! service, plus its per-request counters.
 
 #![cfg(unix)]
 
-use crate::service::{PredictionService, Request, Response, ServiceCore};
-use std::io::{BufRead, BufReader, Write};
+use crate::service::PredictionService;
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Knobs of the concurrent server. The defaults suit tests and small
 /// deployments; the CLI exposes each as a flag.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// Worker threads executing queued requests.
+    /// Compute requests that may run at once (permits).
     pub workers: usize,
-    /// Bound of the in-flight request queue; a full queue sheds.
+    /// Bound of the line waiting for a permit; a full line sheds.
     pub queue_capacity: usize,
     /// Maximum simultaneous connections; excess are answered `busy`
     /// and closed.
@@ -70,23 +70,23 @@ impl Default for ServeOptions {
     }
 }
 
-/// One queued request, already decoded on its connection thread, plus
-/// the channel its response rides back on (per-request, so responses
-/// cannot cross connections).
-struct Job {
-    request: Request,
-    reply: SyncSender<Response>,
+/// The stop flag, and the way to make a blocked acceptor look at it.
+struct Stop {
+    requested: AtomicBool,
+    socket: PathBuf,
 }
 
-fn set_queue_gauge(depth: u64) {
-    if pas2p_obs::enabled() {
-        pas2p_obs::gauge("serve.queue").set(depth as f64);
+impl Stop {
+    /// Called by the connection that acknowledged `shutdown`: the
+    /// throwaway connection returns the acceptor from `accept`. If it
+    /// cannot be made, the next client to connect has the same effect.
+    fn request(&self) {
+        self.requested.store(true, Ordering::SeqCst);
+        let _ = UnixStream::connect(&self.socket);
     }
-}
 
-fn set_inflight_gauge(n: u64) {
-    if pas2p_obs::enabled() {
-        pas2p_obs::gauge("serve.inflight").set(n as f64);
+    fn requested(&self) -> bool {
+        self.requested.load(Ordering::SeqCst)
     }
 }
 
@@ -94,266 +94,129 @@ fn set_inflight_gauge(n: u64) {
 /// sends `shutdown`. See the module docs for the lifecycle.
 pub fn serve_unix_with(
     service: &PredictionService,
-    socket_path: &std::path::Path,
+    socket_path: &Path,
     opts: ServeOptions,
 ) -> std::io::Result<()> {
-    let workers = opts.workers.max(1);
-    let queue_capacity = opts.queue_capacity.max(1);
-    let core = Arc::clone(service.core());
-    core.stats.workers.store(workers as u64, Ordering::SeqCst);
-    core.stats
+    let stats = service.serve_stats();
+    stats
+        .workers
+        .store(opts.workers.max(1) as u64, Ordering::SeqCst);
+    stats
         .queue_capacity
-        .store(queue_capacity as u64, Ordering::SeqCst);
-    core.stats.accepting.store(true, Ordering::SeqCst);
+        .store(opts.queue_capacity.max(1) as u64, Ordering::SeqCst);
 
     let _ = std::fs::remove_file(socket_path);
     let listener = UnixListener::bind(socket_path)?;
-    listener.set_nonblocking(true)?;
+    stats.accepting.store(true, Ordering::SeqCst);
+    let stop = Arc::new(Stop {
+        requested: AtomicBool::new(false),
+        socket: socket_path.to_path_buf(),
+    });
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let (job_tx, job_rx) = mpsc::sync_channel::<Job>(queue_capacity);
-    let job_rx = Arc::new(Mutex::new(job_rx));
-
-    // The worker pool: claim one job at a time from the shared
-    // receiver, execute it through the service (deadline + panic
-    // boundary included), send the response back to its connection.
-    let mut worker_handles = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let rx = Arc::clone(&job_rx);
-        let svc = service.clone();
-        worker_handles.push(std::thread::spawn(move || {
-            loop {
-                let job = {
-                    let guard = rx.lock().expect("worker queue lock");
-                    guard.recv()
-                };
-                let Ok(job) = job else {
-                    // Every sender is gone: the server is draining.
-                    break;
-                };
-                let core = svc.core();
-                let depth = core.stats.queue_depth.fetch_sub(1, Ordering::SeqCst) - 1;
-                set_queue_gauge(depth);
-                let inflight = core.stats.inflight.fetch_add(1, Ordering::SeqCst) + 1;
-                set_inflight_gauge(inflight);
-                let (response, _stop) = svc.handle_request(job.request);
-                let inflight = core.stats.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
-                set_inflight_gauge(inflight);
-                // The connection may have vanished; that is its problem.
-                let _ = job.reply.send(response);
+    // The accept loop: one thread per connection, until a connection
+    // requested shutdown (its wake-up connection, or a client racing
+    // it, is dropped unanswered) or `accept` fails for good.
+    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let outcome = loop {
+        let stream = match listener.accept() {
+            Ok((stream, _addr)) => stream,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                ) =>
+            {
+                continue
             }
-            // Detached deadline runners may outlive the worker; events
+            Err(e) => break Err(e),
+        };
+        if stop.requested() {
+            break Ok(());
+        }
+        if stats.connections.load(Ordering::SeqCst) >= opts.max_connections as u64 {
+            // Shed the connection itself: classified, closed.
+            let busy = service.shed("busy", "connection limit reached");
+            let _ = writeln!(&stream, "{}", busy.render());
+            continue;
+        }
+        stats.connections.fetch_add(1, Ordering::SeqCst);
+        let svc = service.clone();
+        let stop = Arc::clone(&stop);
+        connections.push(std::thread::spawn(move || {
+            handle_connection(stream, &svc, &stop);
+            svc.serve_stats().connections.fetch_sub(1, Ordering::SeqCst);
+            // Deadline runners may outlive the connection; events
             // buffered on this thread are handed over before it exits.
             pas2p_obs::events::flush();
         }));
-    }
+        connections.retain(|h| !h.is_finished());
+    };
 
-    // The accept loop: poll the (nonblocking) listener, spawn one
-    // reader thread per connection, stop when a connection requested
-    // shutdown.
-    let mut conn_handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                let open = core.stats.connections.load(Ordering::SeqCst);
-                if open >= opts.max_connections as u64 {
-                    // Shed the connection itself: classified, closed.
-                    shed_connection(stream, &core);
-                    continue;
-                }
-                core.stats.connections.fetch_add(1, Ordering::SeqCst);
-                let svc = service.clone();
-                let stop = Arc::clone(&stop);
-                let job_tx = job_tx.clone();
-                conn_handles.push(std::thread::spawn(move || {
-                    handle_connection(stream, &svc, &stop, &job_tx);
-                    svc.core()
-                        .stats
-                        .connections
-                        .fetch_sub(1, Ordering::SeqCst);
-                    pas2p_obs::events::flush();
-                }));
-                conn_handles.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-
-    // Graceful shutdown: stop accepting (drop the listener), give
-    // in-flight connections `drain` to finish (workers are still
-    // serving the queue), then retire the pool and seal the store.
-    core.stats.accepting.store(false, Ordering::SeqCst);
+    // Graceful shutdown, on every way out of the loop: stop accepting
+    // (drop the listener), give open connections `drain` to finish,
+    // then seal the store.
+    stats.accepting.store(false, Ordering::SeqCst);
     drop(listener);
     let deadline = Instant::now() + opts.drain;
-    while core.stats.connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+    while stats.connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    for handle in conn_handles {
+    for handle in connections {
         if handle.is_finished() {
             let _ = handle.join();
         }
     }
-    // Dropping the last sender ends the workers' recv loops.
-    drop(job_tx);
-    for handle in worker_handles {
-        let _ = handle.join();
-    }
-    core.flush_store();
+    service.flush_store();
     let _ = std::fs::remove_file(socket_path);
-    Ok(())
+    outcome
 }
 
-/// Answer an over-limit connection with one classified `busy` line.
-fn shed_connection(mut stream: UnixStream, core: &ServiceCore) {
-    core.stats.shed.fetch_add(1, Ordering::SeqCst);
-    if pas2p_obs::enabled() {
-        pas2p_obs::counter("serve.shed").add(1);
-    }
-    let response = Response::failure_code(
-        "busy",
-        "busy",
-        "connection limit reached; retry later".to_string(),
-    );
-    let _ = writeln!(stream, "{}", response.render());
-}
-
-/// One connection's read loop: decode each line once, answer
-/// control-plane ops (`ping`, `health`, `shutdown`) and malformed lines
-/// inline — the control plane must stay responsive when the data plane
-/// is saturated, and a malformed line must not occupy a worker —
-/// enqueue compute ops (shedding when the queue is full), stop on EOF,
-/// socket error, server stop, or a shutdown request from this client.
-/// Reads run under a 100ms timeout so the loop notices the stop flag
-/// even while a slow-loris client drips bytes.
-fn handle_connection(
-    stream: UnixStream,
-    service: &PredictionService,
-    stop: &AtomicBool,
-    job_tx: &SyncSender<Job>,
-) {
-    let core = service.core();
+/// One connection's read loop: every line goes through
+/// `PredictionService::respond`; stop on EOF, socket error, server
+/// stop, or a shutdown request from this client. Reads run under a
+/// 100ms timeout so the loop notices the stop flag even while a
+/// slow-loris client drips bytes.
+fn handle_connection(stream: UnixStream, service: &PredictionService, stop: &Stop) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
+    let Ok(clone) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::new(clone);
     let mut writer = stream;
     let mut line = String::new();
-    loop {
-        line.clear();
-        // `read_line` under a read timeout: a WouldBlock/TimedOut tick
-        // leaves any partial line buffered in the BufReader, so a
-        // slow-loris client's bytes accumulate across ticks while the
-        // loop keeps polling the stop flag.
-        match read_line_patiently(&mut reader, &mut line, stop) {
-            ReadOutcome::Line => {}
-            ReadOutcome::Closed => break,
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, request_stop) = match Request::from_line(&line) {
-            Err(e) => (service.malformed(&e), false),
-            Ok(request @ (Request::Ping | Request::Health | Request::Shutdown)) => {
-                service.handle_request(request)
+    while read_line_patiently(&mut reader, &mut line, stop) {
+        match service.respond(&line, &mut writer) {
+            Ok(false) => line.clear(),
+            // Ack flushed; now stop the accept loop. The listener
+            // drains the rest.
+            Ok(true) => {
+                stop.request();
+                return;
             }
-            Ok(request) => match enqueue(core, job_tx, request) {
-                Some(response) => (response, false),
-                None => break,
-            },
-        };
-        if writeln!(writer, "{}", response.render()).is_err() || writer.flush().is_err() {
-            break;
-        }
-        if request_stop {
-            // Ack flushed above; now stop the accept loop. The
-            // listener drains the rest.
-            stop.store(true, Ordering::SeqCst);
-            break;
+            Err(_) => return,
         }
     }
 }
 
-/// Hand a compute-bearing request to the worker pool and wait for its
-/// answer, or shed it if the queue is full. `try_send` is the
-/// load-shedding decision point — it never blocks, so a saturated
-/// service answers `busy` fast instead of accumulating unbounded work.
-/// `None` means the worker side is gone.
-fn enqueue(core: &ServiceCore, job_tx: &SyncSender<Job>, request: Request) -> Option<Response> {
-    let (reply_tx, reply_rx) = mpsc::sync_channel::<Response>(1);
-    let op = request.op();
-    let job = Job {
-        request,
-        reply: reply_tx,
-    };
-    // Account the queue slot *before* handing the job over: the
-    // worker decrements on dequeue, so incrementing only after a
-    // successful `try_send` would race the decrement below zero.
-    let depth = core.stats.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
-    set_queue_gauge(depth);
-    match job_tx.try_send(job) {
-        // In-flight requests are drained even during shutdown, so this
-        // blocks until the worker answers; the worker pool outlives
-        // every connection thread's sender, so a RecvError means real
-        // trouble.
-        Ok(()) => reply_rx.recv().ok(),
-        Err(TrySendError::Full(_)) => {
-            let depth = core.stats.queue_depth.fetch_sub(1, Ordering::SeqCst) - 1;
-            set_queue_gauge(depth);
-            core.stats.shed.fetch_add(1, Ordering::SeqCst);
-            if pas2p_obs::enabled() {
-                pas2p_obs::counter("serve.shed").add(1);
-            }
-            Some(Response::failure_code(
-                op,
-                "busy",
-                "request queue full; retry later".to_string(),
-            ))
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            core.stats.queue_depth.fetch_sub(1, Ordering::SeqCst);
-            None
-        }
-    }
-}
-
-enum ReadOutcome {
-    Line,
-    Closed,
-}
-
-/// Read one line, riding out read-timeout ticks until data arrives, the
-/// peer closes, or the server stops. A final unterminated fragment at
-/// EOF is surfaced as a line (it will parse — or classify — normally).
-fn read_line_patiently(
-    reader: &mut BufReader<UnixStream>,
-    line: &mut String,
-    stop: &AtomicBool,
-) -> ReadOutcome {
+/// Read one line into `line`, riding out read-timeout ticks until data
+/// arrives (`true`) or the peer closes, the socket fails or the server
+/// stops (`false`). A tick leaves any partial line in `line`, so a
+/// slow-loris client's bytes accumulate across ticks while the loop
+/// keeps polling the stop flag; a final unterminated fragment at EOF is
+/// surfaced as a line (it will parse — or classify — normally).
+fn read_line_patiently(reader: &mut BufReader<UnixStream>, line: &mut String, stop: &Stop) -> bool {
     loop {
         match reader.read_line(line) {
-            Ok(0) => {
-                return if line.is_empty() {
-                    ReadOutcome::Closed
-                } else {
-                    ReadOutcome::Line
-                };
-            }
-            Ok(_) => return ReadOutcome::Line,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    // Drain in progress: drop the partial line — the
-                    // client never finished the request.
-                    return ReadOutcome::Closed;
+            Ok(0) => return !line.is_empty(),
+            Ok(_) => return true,
+            // Drain in progress: drop the partial line — the client
+            // never finished the request.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if stop.requested() {
+                    return false;
                 }
             }
-            Err(_) => return ReadOutcome::Closed,
+            Err(_) => return false,
         }
     }
 }
@@ -513,6 +376,201 @@ mod tests {
         let bye = roundtrip(&mut polite, r#"{"op":"shutdown"}"#);
         assert_eq!(bye["ok"], serde_json::json!(true));
         server.join().expect("server thread");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Admission: with two permits and six clients held inside the
+    /// injected resolver, exactly two requests execute, four wait in
+    /// line, and all six are answered once the gate opens.
+    #[test]
+    fn permits_bound_concurrent_compute() {
+        use std::sync::atomic::AtomicU64;
+        use std::sync::{Condvar, Mutex};
+
+        let root = temp_root("permits");
+        let socket = root.join("pas2p.sock");
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let active = Arc::new(AtomicU64::new(0));
+        let peak = Arc::new(AtomicU64::new(0));
+        let store = SignatureStore::open(root.join("store")).expect("open store");
+        let resolve = {
+            let (gate, active, peak) = (gate.clone(), active.clone(), peak.clone());
+            move |name: &str, nprocs: u32| {
+                let now = active.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                let mut open = gate.0.lock().unwrap();
+                while !*open {
+                    open = gate.1.wait(open).unwrap();
+                }
+                drop(open);
+                active.fetch_sub(1, Ordering::SeqCst);
+                pas2p_apps::by_name(name, nprocs)
+            }
+        };
+        let svc = PredictionService::new(Pas2p::default(), store, Box::new(resolve));
+        let server_svc = svc.clone();
+        let server_socket = socket.clone();
+        let server = std::thread::spawn(move || {
+            let opts = ServeOptions {
+                workers: 2,
+                ..ServeOptions::default()
+            };
+            serve_unix_with(&server_svc, &server_socket, opts).expect("serve");
+        });
+        let mut probe = connect(&socket);
+        let clients: Vec<_> = (0..6)
+            .map(|_| {
+                let socket = socket.clone();
+                std::thread::spawn(move || {
+                    let mut client = connect(&socket);
+                    roundtrip(&mut client, r#"{"op":"submit","app":"cg","nprocs":4}"#)
+                })
+            })
+            .collect();
+        // Two hold permits (inside the resolver), four wait in line.
+        let mut polls = 0;
+        loop {
+            let health = roundtrip(&mut probe, r#"{"op":"health"}"#);
+            let inflight = health["result"]["inflight"].as_u64().unwrap();
+            assert!(inflight <= 2, "inflight exceeds the permits: {health}");
+            if inflight == 2 && health["result"]["queue_depth"] == serde_json::json!(4) {
+                break;
+            }
+            polls += 1;
+            assert!(
+                polls < 2000,
+                "never reached 2 in flight + 4 queued: {health}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(active.load(Ordering::SeqCst), 2);
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        while !clients.iter().all(|c| c.is_finished()) {
+            let health = roundtrip(&mut probe, r#"{"op":"health"}"#);
+            assert!(
+                health["result"]["inflight"].as_u64().unwrap() <= 2,
+                "{health}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for client in clients {
+            let answer = client.join().expect("client");
+            assert_eq!(answer["ok"], serde_json::json!(true), "{answer}");
+        }
+        assert_eq!(
+            peak.load(Ordering::SeqCst),
+            2,
+            "never more than two at once"
+        );
+        let health = roundtrip(&mut probe, r#"{"op":"health"}"#);
+        assert_eq!(health["result"]["inflight"], serde_json::json!(0));
+        assert_eq!(health["result"]["queue_depth"], serde_json::json!(0));
+        assert_eq!(health["result"]["shed"], serde_json::json!(0));
+        roundtrip(&mut probe, r#"{"op":"shutdown"}"#);
+        server.join().expect("server thread");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The wire format, pinned byte for byte, and the same bytes from
+    /// the stdin loop and from the socket (each over a fresh store, so
+    /// the cold submit answers — digest included — must match too).
+    #[test]
+    fn stdin_and_socket_answer_with_identical_golden_bytes() {
+        const PONG: &str = r#"{"ok":true,"op":"ping","result":{"pong":true}}"#;
+        const INVALID: &str = concat!(
+            r#"{"code":"invalid","error":"malformed request: unknown op 'nope'","#,
+            r#""ok":false,"op":"invalid"}"#
+        );
+        const BUSY: &str = concat!(
+            r#"{"code":"busy","error":"connection limit reached; retry later","#,
+            r#""ok":false,"op":"busy"}"#
+        );
+        let requests = [
+            r#"{"op":"ping"}"#,
+            r#"{"op":"nope"}"#,
+            r#"{"op":"submit","app":"cg","nprocs":4}"#,
+        ];
+
+        let stdin_root = temp_root("golden-stdin");
+        let mut out = Vec::new();
+        service(&stdin_root)
+            .serve(std::io::Cursor::new(requests.join("\n\n")), &mut out)
+            .expect("serve");
+        let stdin_lines: Vec<String> = String::from_utf8(out)
+            .expect("utf-8")
+            .lines()
+            .map(str::to_string)
+            .collect();
+        assert_eq!(stdin_lines.len(), 3, "blank lines are skipped");
+        assert_eq!(stdin_lines[0], PONG);
+        assert_eq!(stdin_lines[1], INVALID);
+        assert!(
+            stdin_lines[2]
+                .starts_with(r#"{"ok":true,"op":"submit","result":{"app":"CG","cached":false,"#),
+            "{}",
+            stdin_lines[2]
+        );
+
+        let root = temp_root("golden-socket");
+        let socket = root.join("pas2p.sock");
+        let svc = service(&root);
+        let server_socket = socket.clone();
+        let server = std::thread::spawn(move || {
+            let opts = ServeOptions {
+                max_connections: 1,
+                ..ServeOptions::default()
+            };
+            serve_unix_with(&svc, &server_socket, opts).expect("serve");
+        });
+        let read_raw = |stream: &UnixStream| {
+            let mut line = String::new();
+            BufReader::new(stream).read_line(&mut line).expect("read");
+            line
+        };
+        let mut client = connect(&socket);
+        for (request, expected) in requests.iter().zip(&stdin_lines) {
+            writeln!(client, "{request}\n").expect("write");
+            assert_eq!(read_raw(&client), format!("{expected}\n"), "{request}");
+        }
+        // Over the connection cap: one classified line, then EOF.
+        let refused = connect(&socket);
+        assert_eq!(read_raw(&refused), format!("{BUSY}\n"));
+        writeln!(client, r#"{{"op":"shutdown"}}"#).expect("write");
+        assert_eq!(
+            read_raw(&client),
+            "{\"ok\":true,\"op\":\"shutdown\",\"result\":{\"stopping\":true}}\n"
+        );
+        server.join().expect("server thread");
+        for root in [stdin_root, root] {
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
+
+    /// Nobody is connected and the acceptor sits in `accept` when the
+    /// shutdown is acknowledged: the server must still return, well
+    /// inside its drain budget, with the socket gone.
+    #[test]
+    fn shutdown_wakes_an_acceptor_blocked_in_accept() {
+        let root = temp_root("wake");
+        let socket = root.join("pas2p.sock");
+        let svc = service(&root);
+        let server_socket = socket.clone();
+        let opts = ServeOptions::default();
+        let server = std::thread::spawn(move || {
+            serve_unix_with(&svc, &server_socket, opts).expect("serve");
+        });
+        let mut client = connect(&socket);
+        let started = Instant::now();
+        let bye = roundtrip(&mut client, r#"{"op":"shutdown"}"#);
+        assert_eq!(bye["result"]["stopping"], serde_json::json!(true));
+        server.join().expect("server thread");
+        assert!(
+            started.elapsed() < opts.drain,
+            "shutdown took {:?}",
+            started.elapsed()
+        );
+        assert!(!socket.exists(), "socket removed on clean exit");
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -33,27 +33,35 @@
 //! retries), then serves every (app, target) prediction through the
 //! same cache path as single requests.
 //!
-//! # Hardening
+//! # Hardening: permit, then run here
 //!
-//! The service is safe to share across server workers: all methods
-//! take `&self`, the store sits behind a mutex that is held only for
-//! lookups and publishes (never during Stage-A/Stage-B compute), and a
-//! single-flight set collapses concurrent Stage-A work for the same
-//! signature into one computation. `submit`/`predict` honor an
-//! optional per-request deadline through the same
-//! [`crate::cancel::run_abandonable`] machinery batch jobs use —
-//! an expired request answers `code:"timeout"` while the abandoned
-//! runner unwinds at its next stage boundary. `ping` answers without
-//! touching any lock; `health` reports queue/in-flight/shed state from
-//! atomics so it stays responsive even while every worker is wedged on
-//! a slow disk. The concurrent unix-socket front end lives in
-//! [`crate::server`].
+//! A request runs on the thread that read it. `PredictionService::respond`
+//! is the one path from a protocol line to its response line, for the
+//! stdin loop and for every socket connection of [`crate::server`]:
+//! `ping`, `health`, `shutdown` and malformed lines are answered at
+//! once; a compute op (`submit`/`predict`/`batch`/`stats`) first takes
+//! one of `workers` permits — waiting in a line of at most
+//! `queue_capacity`, shed with `code:"busy"` beyond it — and then
+//! executes on the calling thread under a panic boundary
+//! (`code:"panic"`). The permit state *is* the `inflight` /
+//! `queue_depth` counters `health` reports. Only a service with a
+//! deadline hands `submit`/`predict` to another thread — the one
+//! [`crate::cancel::run_abandonable`] runner batch jobs also use: an
+//! expired request answers `code:"timeout"` and returns its permit while
+//! the abandoned runner unwinds at its next stage boundary.
+//!
+//! All methods take `&self` and clones share one interior: the store
+//! sits behind a mutex that is held only for lookups and publishes
+//! (never during Stage-A/Stage-B compute), and a single-flight set
+//! collapses concurrent Stage-A work for the same signature into one
+//! computation. `ping` touches no lock; `health` reads atomics only, so
+//! it answers even while every permit holder is wedged on a slow disk.
 //!
 //! Observability: a `serve.requests` counter, per-request stage
 //! profiles (`serve.submit` / `serve.predict` / `serve.batch` /
-//! `serve.stats`), `serve.shed` / `serve.timeout` counters with
-//! `serve.inflight` / `serve.queue` gauges from the server front end,
-//! and the store's `store.hit` / `store.miss` / `store.evict` counters.
+//! `serve.stats`), `serve.shed` / `serve.timeout` counters,
+//! `serve.inflight` / `serve.queue` gauges, and the store's
+//! `store.hit` / `store.miss` / `store.evict` counters.
 
 use crate::batch::{panic_message, run_batch_with, BatchJob, BatchOptions};
 use crate::pipeline::{Analysis, Pas2p};
@@ -65,7 +73,7 @@ use pas2p_store::{
     Sidecar, SignatureStore, StoreKey, StoreReport, StoredSignature, STORE_FORMAT_VERSION,
 };
 use serde::Serialize;
-use serde_json::json;
+use serde_json::{json, Value};
 use std::collections::HashSet;
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -76,7 +84,7 @@ use std::time::Duration;
 /// Resolves an application name + process count to a runnable app. The
 /// catalog lives in `pas2p-apps`, which sits above this crate in the
 /// dependency graph, so the caller injects the lookup (the CLI passes
-/// `pas2p_apps::by_name`). `Sync` because server workers resolve
+/// `pas2p_apps::by_name`). `Sync` because connections resolve
 /// concurrently through a shared service.
 pub type AppResolver = Box<dyn Fn(&str, u32) -> Option<Box<dyn MpiApp>> + Send + Sync>;
 
@@ -127,7 +135,7 @@ pub enum Request {
     Ping,
     /// Serving-state probe: queue, in-flight, shed/timeout counters and
     /// store entry count, all read from atomics (lock-free, so health
-    /// stays answerable while workers are wedged).
+    /// stays answerable while every permit holder is wedged).
     Health,
     /// Service and store statistics.
     Stats,
@@ -232,26 +240,30 @@ impl Request {
     }
 }
 
-/// One protocol response line.
-#[derive(Debug)]
+/// One protocol response line. The fields are declared in the order
+/// they are rendered (sorted keys); absent ones are omitted, not `null`.
+#[derive(Debug, Serialize)]
 pub struct Response {
+    /// Machine-readable failure class when `ok` is false: `invalid`
+    /// (malformed request), `busy` (load shed), `timeout` (deadline
+    /// expired), `panic` (isolated panic) or `error` (everything else).
+    /// Clients dispatch on this; `error` is for humans.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub code: Option<&'static str>,
+    /// Failure description when `ok` is false.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub error: Option<String>,
     /// Whether the request succeeded.
     pub ok: bool,
     /// The request's operation (or `"invalid"`).
     pub op: &'static str,
-    /// Machine-readable failure class when `ok` is false: `invalid`
-    /// (malformed request), `busy` (load shed), `timeout` (deadline
-    /// expired), `panic` (isolated worker panic) or `error` (everything
-    /// else). Clients dispatch on this; `error` is for humans.
-    pub code: Option<&'static str>,
-    /// Failure description when `ok` is false.
-    pub error: Option<String>,
     /// Operation result when `ok` is true.
-    pub result: Option<serde_json::Value>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub result: Option<Value>,
 }
 
 impl Response {
-    fn success(op: &'static str, result: serde_json::Value) -> Response {
+    fn success(op: &'static str, result: Value) -> Response {
         Response {
             ok: true,
             op,
@@ -261,11 +273,7 @@ impl Response {
         }
     }
 
-    fn failure(op: &'static str, error: String) -> Response {
-        Response::failure_code(op, "error", error)
-    }
-
-    pub(crate) fn failure_code(op: &'static str, code: &'static str, error: String) -> Response {
+    fn failure(op: &'static str, code: &'static str, error: String) -> Response {
         Response {
             ok: false,
             op,
@@ -275,28 +283,9 @@ impl Response {
         }
     }
 
-    /// The response as a JSON value; `code`/`error`/`result` are
-    /// omitted when absent, not emitted as `null`.
-    pub fn to_value(&self) -> serde_json::Value {
-        let mut v = json!({
-            "ok": self.ok,
-            "op": self.op,
-        });
-        if let Some(code) = self.code {
-            v["code"] = json!(code);
-        }
-        if let Some(error) = &self.error {
-            v["error"] = json!(error.as_str());
-        }
-        if let Some(result) = &self.result {
-            v["result"] = result.clone();
-        }
-        v
-    }
-
     /// The response as one NDJSON line (no trailing newline).
     pub fn render(&self) -> String {
-        serde_json::to_string(&self.to_value())
+        serde_json::to_string(self)
             .unwrap_or_else(|e| format!(r#"{{"ok":false,"op":"invalid","error":"encode: {e}"}}"#))
     }
 }
@@ -344,20 +333,21 @@ pub fn canonicalize_prediction(prediction: &mut Prediction) {
 }
 
 /// Live serving counters, all atomic: `health` reads them without
-/// taking any lock, so it stays answerable while every worker is wedged
-/// behind a slow store. The server front end maintains the queue,
-/// connection and capacity fields; the request path maintains the rest.
+/// taking any lock, so it stays answerable while every permit holder is
+/// wedged behind a slow store. `inflight` and `queue_depth` are the
+/// admission state itself (changed only under the service's gate);
+/// the server front end sets the bounds and counts connections.
 #[derive(Debug, Default)]
 pub struct ServeStats {
     /// Requests decoded (including invalid ones).
     pub(crate) requests: AtomicU64,
-    /// Requests refused with `code:"busy"` because the queue was full.
+    /// Requests and connections refused with `code:"busy"`.
     pub(crate) shed: AtomicU64,
     /// Requests refused with `code:"timeout"` past their deadline.
     pub(crate) timeouts: AtomicU64,
-    /// Requests currently executing on a worker.
+    /// Compute requests holding a permit.
     pub(crate) inflight: AtomicU64,
-    /// Requests queued, waiting for a worker.
+    /// Compute requests waiting in line for a permit.
     pub(crate) queue_depth: AtomicU64,
     /// Connections currently open.
     pub(crate) connections: AtomicU64,
@@ -366,9 +356,10 @@ pub struct ServeStats {
     pub(crate) entries: AtomicU64,
     /// Whether new connections/requests are being accepted.
     pub(crate) accepting: AtomicBool,
-    /// Worker threads serving the queue (0 for the inline stdin loop).
+    /// Permits: compute requests that may run at once (0 = unbounded:
+    /// the stdin loop and in-process callers).
     pub(crate) workers: AtomicU64,
-    /// Bound of the in-flight request queue (0 for the stdin loop).
+    /// Bound of the line waiting for a permit (0 with `workers` 0).
     pub(crate) queue_capacity: AtomicU64,
 }
 
@@ -384,40 +375,62 @@ impl ServeStats {
     }
 }
 
-/// The shared interior of a [`PredictionService`]: everything server
-/// workers touch concurrently. The store mutex is held for lookups and
-/// publishes only — Stage-A analysis and Stage-B execution run outside
-/// it — and `pending` + its condvar collapse concurrent Stage-A work on
-/// the same signature into a single computation (the paper's
-/// characterize-*once* promise, kept under concurrency).
-pub(crate) struct ServiceCore {
+fn set_gauge(name: &'static str, value: u64) {
+    if pas2p_obs::enabled() {
+        pas2p_obs::gauge(name).set(value as f64);
+    }
+}
+
+/// Everything clones of a [`PredictionService`] share. The store mutex
+/// is held for lookups and publishes only — Stage-A analysis and
+/// Stage-B execution run outside it — and `pending` + its condvar
+/// collapse concurrent Stage-A work on the same signature into a single
+/// computation (the paper's characterize-*once* promise, kept under
+/// concurrency). `gate` + its condvar order every change of
+/// `stats.inflight` / `stats.queue_depth`.
+struct Shared {
     pas2p: Pas2p,
-    pub(crate) store: Mutex<SignatureStore>,
+    store: Mutex<SignatureStore>,
     resolve: AppResolver,
     policy: MappingPolicy,
-    pub(crate) deadline: Option<Duration>,
-    pub(crate) stats: ServeStats,
+    deadline: Option<Duration>,
+    stats: ServeStats,
     pending: Mutex<HashSet<String>>,
     pending_cv: Condvar,
+    gate: Mutex<()>,
+    gate_cv: Condvar,
 }
 
 /// Removes its alias from the single-flight set on drop — including the
 /// unwind of a deadline-cancelled run — so waiters never starve behind
 /// a computation that is no longer happening.
 struct PendingGuard<'a> {
-    core: &'a ServiceCore,
+    shared: &'a Shared,
     alias: String,
 }
 
 impl Drop for PendingGuard<'_> {
     fn drop(&mut self) {
-        let mut pending = self.core.pending.lock();
+        let mut pending = self.shared.pending.lock();
         pending.remove(&self.alias);
-        self.core.pending_cv.notify_all();
+        self.shared.pending_cv.notify_all();
     }
 }
 
-/// What [`ServiceCore::resolve`] makes of a request's names.
+/// One compute permit; handed to the next in line on drop (a panic or
+/// an expired deadline included).
+struct Permit<'a>(&'a Shared);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let _gate = self.0.gate.lock();
+        let inflight = self.0.stats.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
+        set_gauge("serve.inflight", inflight);
+        self.0.gate_cv.notify_one();
+    }
+}
+
+/// What [`PredictionService::resolve`] makes of a request's names.
 struct Resolved {
     app: Box<dyn MpiApp>,
     base: MachineModel,
@@ -428,18 +441,11 @@ struct Resolved {
 
 /// The prediction service: a [`Pas2p`] pipeline in front of a
 /// [`SignatureStore`]. Cheap to clone; clones share the same store,
-/// stats and single-flight state, which is how the concurrent server
-/// hands one service to many workers.
+/// stats, permits and single-flight state, which is how the concurrent
+/// server hands one service to many connections.
+#[derive(Clone)]
 pub struct PredictionService {
-    core: Arc<ServiceCore>,
-}
-
-impl Clone for PredictionService {
-    fn clone(&self) -> PredictionService {
-        PredictionService {
-            core: Arc::clone(&self.core),
-        }
-    }
+    shared: Arc<Shared>,
 }
 
 impl PredictionService {
@@ -449,7 +455,7 @@ impl PredictionService {
         stats.entries.store(store.len() as u64, Ordering::SeqCst);
         stats.accepting.store(true, Ordering::SeqCst);
         PredictionService {
-            core: Arc::new(ServiceCore {
+            shared: Arc::new(Shared {
                 pas2p,
                 store: Mutex::new(store),
                 resolve,
@@ -458,6 +464,8 @@ impl PredictionService {
                 stats,
                 pending: Mutex::new(HashSet::new()),
                 pending_cv: Condvar::new(),
+                gate: Mutex::new(()),
+                gate_cv: Condvar::new(),
             }),
         }
     }
@@ -466,7 +474,7 @@ impl PredictionService {
     /// style; `None` disables). Must be called before the service is
     /// shared with a server.
     pub fn with_deadline(mut self, deadline: Option<Duration>) -> PredictionService {
-        Arc::get_mut(&mut self.core)
+        Arc::get_mut(&mut self.shared)
             .expect("deadline is configured before the service is shared")
             .deadline = deadline;
         self
@@ -475,45 +483,40 @@ impl PredictionService {
     /// The service's configuration fingerprint (see
     /// [`config_fingerprint`]).
     pub fn fingerprint(&self) -> String {
-        self.core.fingerprint()
+        let pas2p = &self.shared.pas2p;
+        config_fingerprint(
+            &pas2p.similarity,
+            &pas2p.signature,
+            pas2p.instrumentation.per_event_seconds,
+        )
     }
 
     /// Snapshot of the store's open-time repair report.
     pub fn store_report(&self) -> StoreReport {
-        self.core.store.lock().report().clone()
+        self.shared.store.lock().report().clone()
     }
 
     /// The store report as `STORE-*` diagnostics.
     pub fn store_diagnostics(&self) -> Vec<pas2p_check::Diagnostic> {
-        self.core.store.lock().diagnostics()
+        self.shared.store.lock().diagnostics()
     }
 
     /// Entries currently in the store.
     pub fn store_len(&self) -> usize {
-        self.core.store.lock().len()
+        self.shared.store.lock().len()
     }
 
-    /// The shared interior, for the server front end.
-    pub(crate) fn core(&self) -> &Arc<ServiceCore> {
-        &self.core
-    }
-}
-
-impl ServiceCore {
-    pub(crate) fn fingerprint(&self) -> String {
-        config_fingerprint(
-            &self.pas2p.similarity,
-            &self.pas2p.signature,
-            self.pas2p.instrumentation.per_event_seconds,
-        )
+    /// Live serving counters (shed, timeouts, …).
+    pub fn serve_stats(&self) -> &ServeStats {
+        &self.shared.stats
     }
 
     fn policy_label(&self) -> String {
-        serde_json::to_string(&self.policy).expect("policies serialize")
+        serde_json::to_string(&self.shared.policy).expect("policies serialize")
     }
 
     fn resolve_app(&self, name: &str, nprocs: u32) -> Result<Box<dyn MpiApp>, String> {
-        (self.resolve)(name, nprocs)
+        (self.shared.resolve)(name, nprocs)
             .ok_or_else(|| format!("unknown application '{name}' (nprocs {nprocs})"))
     }
 
@@ -552,46 +555,20 @@ impl ServiceCore {
     /// Mirror the store's entry count into the lock-free stats while
     /// already holding the store lock.
     fn sync_entries(&self, store: &SignatureStore) {
-        self.stats
+        self.shared
+            .stats
             .entries
             .store(store.len() as u64, Ordering::SeqCst);
     }
 
-    /// Analyze `app` on `base`, construct the signature, and persist
-    /// both under the trace's content address. Returns the key and the
-    /// stored payload. Runs without the store lock; only the final
-    /// publish takes it.
-    fn compute_and_store(
-        &self,
-        app: &dyn MpiApp,
-        base: &MachineModel,
-        fingerprint: &str,
-    ) -> Result<(StoreKey, StoredSignature), String> {
-        let (analysis, trace, _logical) = self.pas2p.analyze_full(app, base, self.policy.clone());
-        let trace_bytes = pas2p_trace::format::encode(&trace);
-        let key = signature_key(&trace_bytes, base, fingerprint);
-        drop(trace);
-        self.persist(app, analysis, base, key)
+    /// The content address of `trace`'s signature on `base`.
+    fn content_key(trace: pas2p_trace::Trace, base: &MachineModel, fingerprint: &str) -> StoreKey {
+        signature_key(&pas2p_trace::format::encode(&trace), base, fingerprint)
     }
 
-    /// Persist an already-produced analysis (the batch path): re-run
-    /// the deterministic trace collection for the content address, then
-    /// construct and store. The expensive part — phase extraction —
-    /// already happened inside the batch driver and is not repeated.
-    fn persist_from_analysis(
-        &self,
-        app: &dyn MpiApp,
-        analysis: Analysis,
-        base: &MachineModel,
-        fingerprint: &str,
-    ) -> Result<(StoreKey, StoredSignature), String> {
-        let (trace, _) = run_traced(app, base, self.policy.clone(), self.pas2p.instrumentation);
-        let trace_bytes = pas2p_trace::format::encode(&trace);
-        let key = signature_key(&trace_bytes, base, fingerprint);
-        drop(trace);
-        self.persist(app, analysis, base, key)
-    }
-
+    /// Construct the signature of `analysis` and persist both under
+    /// `key`. Runs without the store lock; only the final publish takes
+    /// it.
     fn persist(
         &self,
         app: &dyn MpiApp,
@@ -599,9 +576,8 @@ impl ServiceCore {
         base: &MachineModel,
         key: StoreKey,
     ) -> Result<(StoreKey, StoredSignature), String> {
-        let (signature, _stats) =
-            self.pas2p
-                .build_signature(app, &analysis, base, self.policy.clone());
+        let Shared { pas2p, policy, .. } = &*self.shared;
+        let (signature, _stats) = pas2p.build_signature(app, &analysis, base, policy.clone());
         // Zero the one host-volatile field inside the payload; the real
         // value rides in the sidecar. Everything else in the payload is
         // deterministic for the key's inputs.
@@ -624,7 +600,7 @@ impl ServiceCore {
             tfat_seconds: analysis.tfat_seconds,
             metrics: analysis.metrics,
         };
-        let mut store = self.store.lock();
+        let mut store = self.shared.store.lock();
         store
             .put_signature(&key, &payload, sidecar)
             .map_err(|e| e.to_string())?;
@@ -647,9 +623,10 @@ impl ServiceCore {
             fingerprint,
             alias,
         } = resolved;
+        let shared = &*self.shared;
         loop {
             {
-                let mut store = self.store.lock();
+                let mut store = shared.store.lock();
                 if let Some(key) = store.lookup_alias(alias) {
                     if let Some((payload, _sidecar)) = store.get_signature(&key) {
                         return Ok((key, payload, true));
@@ -659,7 +636,7 @@ impl ServiceCore {
                     // reported it.
                 }
             }
-            let mut pending = self.pending.lock();
+            let mut pending = shared.pending.lock();
             if !pending.contains(alias) {
                 pending.insert(alias.clone());
                 break;
@@ -667,18 +644,23 @@ impl ServiceCore {
             // Another request is computing exactly this signature.
             // Wait for it to finish (or fail), then re-check the store
             // instead of duplicating the expensive Stage-A run.
-            self.pending_cv.wait(&mut pending);
+            shared.pending_cv.wait(&mut pending);
         }
         let _guard = PendingGuard {
-            core: self,
+            shared,
             alias: alias.clone(),
         };
-        let (key, payload) = self.compute_and_store(app.as_ref(), base, fingerprint)?;
+        let (analysis, trace, _logical) =
+            shared
+                .pas2p
+                .analyze_full(app.as_ref(), base, shared.policy.clone());
+        let key = Self::content_key(trace, base, fingerprint);
+        let (key, payload) = self.persist(app.as_ref(), analysis, base, key)?;
         Ok((key, payload, false))
     }
 
     /// `submit`: analyze + store (or confirm presence).
-    pub(crate) fn submit(
+    pub fn submit(
         &self,
         app_name: &str,
         nprocs: u32,
@@ -698,7 +680,7 @@ impl ServiceCore {
 
     /// `predict`: serve the (app, target) prediction, from the store
     /// when present, computing and persisting on the way otherwise.
-    pub(crate) fn predict(
+    pub fn predict(
         &self,
         app_name: &str,
         nprocs: u32,
@@ -713,7 +695,7 @@ impl ServiceCore {
         // Fast path: alias → signature key → prediction key, without
         // loading (or recomputing) the signature at all.
         {
-            let mut store = self.store.lock();
+            let mut store = self.shared.store.lock();
             if let Some(sig_key) = store.lookup_alias(&resolved.alias) {
                 let pkey = prediction_key(&sig_key, &target, &policy_label);
                 if let Some(json) = store.get_prediction_json(&pkey) {
@@ -734,12 +716,13 @@ impl ServiceCore {
         let (sig_key, stored, signature_cached) = self.ensure_signature(&resolved)?;
         let pkey = prediction_key(&sig_key, &target, &policy_label);
         let mut prediction = self
+            .shared
             .pas2p
             .predict(
                 resolved.app.as_ref(),
                 &stored.signature,
                 &target,
-                self.policy.clone(),
+                self.shared.policy.clone(),
             )
             .map_err(|e| format!("signature execution failed: {e}"))?;
         canonicalize_prediction(&mut prediction);
@@ -755,7 +738,7 @@ impl ServiceCore {
             target: Some(target.name.clone()),
         };
         {
-            let mut store = self.store.lock();
+            let mut store = self.shared.store.lock();
             store
                 .put_prediction_json(&pkey, entry, &json)
                 .map_err(|e| e.to_string())?;
@@ -775,7 +758,7 @@ impl ServiceCore {
     /// persist the completed analyses, then serve the apps × targets
     /// prediction matrix through the cache path.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn batch(
+    pub fn batch(
         &self,
         apps: &[String],
         nprocs: u32,
@@ -784,7 +767,7 @@ impl ServiceCore {
         workers: Option<usize>,
         deadline_ms: Option<u64>,
         retries: Option<u32>,
-    ) -> Result<serde_json::Value, String> {
+    ) -> Result<Value, String> {
         let base = Self::resolve_machine(base_name)?;
         let fingerprint = self.fingerprint();
 
@@ -801,7 +784,7 @@ impl ServiceCore {
         let mut missing: Vec<String> = Vec::new();
         let mut statuses = serde_json::Map::new();
         {
-            let store = self.store.lock();
+            let store = self.shared.store.lock();
             for (name, alias) in apps.iter().zip(&aliases) {
                 if store.lookup_alias(alias).is_some() {
                     statuses.insert(name.clone(), json!("cached"));
@@ -822,12 +805,20 @@ impl ServiceCore {
                 max_retries: retries.unwrap_or(0),
                 ..BatchOptions::default()
             };
-            let report = run_batch_with(&self.pas2p, jobs?, opts);
+            let Shared { pas2p, policy, .. } = &*self.shared;
+            let report = run_batch_with(pas2p, jobs?, opts);
             for (name, result) in missing.iter().zip(report.results) {
                 statuses.insert(name.clone(), json!(result.status.to_string()));
                 if let Some(analysis) = result.analysis {
+                    // The batch driver keeps no trace: re-run the
+                    // deterministic collection for the content address.
+                    // Phase extraction, the expensive part, is not
+                    // repeated.
                     let app = self.resolve_app(name, nprocs)?;
-                    self.persist_from_analysis(app.as_ref(), analysis, &base, &fingerprint)?;
+                    let (trace, _) =
+                        run_traced(app.as_ref(), &base, policy.clone(), pas2p.instrumentation);
+                    let key = Self::content_key(trace, &base, &fingerprint);
+                    self.persist(app.as_ref(), analysis, &base, key)?;
                 }
             }
         }
@@ -837,9 +828,8 @@ impl ServiceCore {
             for target in targets {
                 match self.predict(name, nprocs, base_name, target) {
                     Ok(outcome) => {
-                        let value: serde_json::Value =
-                            serde_json::from_str(&outcome.prediction_json)
-                                .map_err(|e| e.to_string())?;
+                        let value: Value = serde_json::from_str(&outcome.prediction_json)
+                            .map_err(|e| e.to_string())?;
                         predictions.push(json!({
                             "app": outcome.app,
                             "target": outcome.target,
@@ -858,15 +848,16 @@ impl ServiceCore {
             }
         }
         Ok(json!({
-            "jobs": serde_json::Value::Object(statuses),
+            "jobs": Value::Object(statuses),
             "predictions": predictions,
         }))
     }
 
     /// `stats`: request counters, store shape, and the store report.
     /// Takes the store lock (unlike `health`).
-    pub(crate) fn stats_value(&self) -> serde_json::Value {
-        let store = self.store.lock();
+    pub fn stats(&self) -> Value {
+        let stats = &self.shared.stats;
+        let store = self.shared.store.lock();
         let report = store.report();
         let diagnostics: Vec<String> = store
             .diagnostics()
@@ -874,9 +865,9 @@ impl ServiceCore {
             .map(|d| format!("{}: {}", d.code, d.message))
             .collect();
         json!({
-            "requests": self.stats.requests.load(Ordering::SeqCst),
-            "shed": self.stats.shed.load(Ordering::SeqCst),
-            "timeouts": self.stats.timeouts.load(Ordering::SeqCst),
+            "requests": stats.requests.load(Ordering::SeqCst),
+            "shed": stats.shed.load(Ordering::SeqCst),
+            "timeouts": stats.timeouts.load(Ordering::SeqCst),
             "entries": store.len(),
             "format_version": STORE_FORMAT_VERSION,
             "fingerprint": self.fingerprint(),
@@ -886,199 +877,175 @@ impl ServiceCore {
     }
 
     /// `health`: serving state from atomics only — no lock anywhere on
-    /// this path, so it answers even while every worker is wedged
+    /// this path, so it answers even while every permit holder is wedged
     /// behind a gated store or a long Stage-A run.
-    pub(crate) fn health_value(&self) -> serde_json::Value {
+    fn health(&self) -> Value {
+        let stats = &self.shared.stats;
         json!({
-            "accepting": self.stats.accepting.load(Ordering::SeqCst),
-            "workers": self.stats.workers.load(Ordering::SeqCst),
-            "queue_capacity": self.stats.queue_capacity.load(Ordering::SeqCst),
-            "queue_depth": self.stats.queue_depth.load(Ordering::SeqCst),
-            "inflight": self.stats.inflight.load(Ordering::SeqCst),
-            "connections": self.stats.connections.load(Ordering::SeqCst),
-            "requests": self.stats.requests.load(Ordering::SeqCst),
-            "shed": self.stats.shed.load(Ordering::SeqCst),
-            "timeouts": self.stats.timeouts.load(Ordering::SeqCst),
-            "entries": self.stats.entries.load(Ordering::SeqCst),
-            "deadline_ms": self.deadline.map(|d| d.as_millis() as u64),
+            "accepting": stats.accepting.load(Ordering::SeqCst),
+            "workers": stats.workers.load(Ordering::SeqCst),
+            "queue_capacity": stats.queue_capacity.load(Ordering::SeqCst),
+            "queue_depth": stats.queue_depth.load(Ordering::SeqCst),
+            "inflight": stats.inflight.load(Ordering::SeqCst),
+            "connections": stats.connections.load(Ordering::SeqCst),
+            "requests": stats.requests.load(Ordering::SeqCst),
+            "shed": stats.shed.load(Ordering::SeqCst),
+            "timeouts": stats.timeouts.load(Ordering::SeqCst),
+            "entries": stats.entries.load(Ordering::SeqCst),
+            "deadline_ms": self.shared.deadline.map(|d| d.as_millis() as u64),
         })
     }
 
     /// Flush the store index to disk (graceful-shutdown step).
     pub(crate) fn flush_store(&self) {
-        let mut store = self.store.lock();
+        let mut store = self.shared.store.lock();
         if let Err(e) = store.flush_index() {
             eprintln!("pas2p serve: flushing store index on shutdown: {e}");
         }
     }
-}
 
-impl PredictionService {
-    /// `submit`: analyze + store (or confirm presence).
-    pub fn submit(
-        &self,
-        app_name: &str,
-        nprocs: u32,
-        base_name: &str,
-    ) -> Result<SubmitOutcome, String> {
-        self.core.submit(app_name, nprocs, base_name)
+    /// Count one refusal and build its classified `busy` answer.
+    pub(crate) fn shed(&self, op: &'static str, why: &str) -> Response {
+        self.shared.stats.shed.fetch_add(1, Ordering::SeqCst);
+        if pas2p_obs::enabled() {
+            pas2p_obs::counter("serve.shed").add(1);
+        }
+        Response::failure(op, "busy", format!("{why}; retry later"))
     }
 
-    /// `predict`: serve the (app, target) prediction, from the store
-    /// when present, computing and persisting on the way otherwise.
-    pub fn predict(
-        &self,
-        app_name: &str,
-        nprocs: u32,
-        base_name: &str,
-        target_name: &str,
-    ) -> Result<PredictOutcome, String> {
-        self.core.predict(app_name, nprocs, base_name, target_name)
-    }
-
-    /// `batch`: analyze every missing app through the batch driver,
-    /// then serve the apps × targets prediction matrix.
-    #[allow(clippy::too_many_arguments)]
-    pub fn batch(
-        &self,
-        apps: &[String],
-        nprocs: u32,
-        base_name: &str,
-        targets: &[String],
-        workers: Option<usize>,
-        deadline_ms: Option<u64>,
-        retries: Option<u32>,
-    ) -> Result<serde_json::Value, String> {
-        self.core
-            .batch(apps, nprocs, base_name, targets, workers, deadline_ms, retries)
-    }
-
-    /// `stats`: request counters, store shape, and the store report.
-    pub fn stats(&self) -> serde_json::Value {
-        self.core.stats_value()
-    }
-
-    /// Live serving counters (shed, timeouts, …).
-    pub fn serve_stats(&self) -> &ServeStats {
-        &self.core.stats
-    }
-
-    /// Run `f` under the panic boundary and (for deadline-bearing
-    /// services) the abandonable deadline runner. A panicking request
-    /// answers `code:"panic"`; an expired one answers `code:"timeout"`
-    /// while the runner unwinds at its next stage boundary.
-    fn run_guarded(
-        &self,
-        op: &'static str,
-        f: impl FnOnce() -> Response + Send + 'static,
-    ) -> Response {
-        let wrapped = move || match catch_unwind(AssertUnwindSafe(f)) {
-            Ok(response) => response,
-            Err(payload) => Response::failure_code(op, "panic", panic_message(payload)),
+    /// Take a compute permit, waiting in line while all `workers` are
+    /// out and the line is shorter than `queue_capacity`; a full line
+    /// sheds at once, so a saturated service answers `busy` fast
+    /// instead of accumulating unbounded work. The line is bounded, not
+    /// ordered: whoever the condvar wakes goes next.
+    fn admit(&self, op: &'static str) -> Result<Permit<'_>, Response> {
+        let Shared {
+            stats,
+            gate,
+            gate_cv,
+            ..
+        } = &*self.shared;
+        let mut held = gate.lock();
+        let full = || {
+            let workers = stats.workers.load(Ordering::SeqCst);
+            workers > 0 && stats.inflight.load(Ordering::SeqCst) >= workers
         };
-        match self.core.deadline {
-            None => wrapped(),
-            Some(deadline) => {
-                match crate::cancel::run_abandonable("host.serve", deadline, wrapped) {
-                    Some(response) => response,
-                    None => {
-                        self.core.stats.timeouts.fetch_add(1, Ordering::SeqCst);
-                        if pas2p_obs::enabled() {
-                            pas2p_obs::counter("serve.timeout").add(1);
-                        }
-                        Response::failure_code(
-                            op,
-                            "timeout",
-                            format!("deadline of {:.3}s expired", deadline.as_secs_f64()),
-                        )
-                    }
-                }
+        if full() {
+            let capacity = stats.queue_capacity.load(Ordering::SeqCst);
+            if stats.queue_depth.load(Ordering::SeqCst) >= capacity {
+                return Err(self.shed(op, "request queue full"));
             }
+            let depth = stats.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
+            set_gauge("serve.queue", depth);
+            while full() {
+                gate_cv.wait(&mut held);
+            }
+            let depth = stats.queue_depth.fetch_sub(1, Ordering::SeqCst) - 1;
+            set_gauge("serve.queue", depth);
         }
-    }
-
-    /// Decode and execute one protocol line. Returns the response and
-    /// whether the serve loop should stop.
-    pub fn handle_line(&self, line: &str) -> (Response, bool) {
-        match Request::from_line(line) {
-            Ok(request) => self.handle_request(request),
-            Err(e) => (self.malformed(&e), false),
-        }
+        let inflight = stats.inflight.fetch_add(1, Ordering::SeqCst) + 1;
+        set_gauge("serve.inflight", inflight);
+        Ok(Permit(&self.shared))
     }
 
     fn count_request(&self) {
-        self.core.stats.requests.fetch_add(1, Ordering::SeqCst);
+        self.shared.stats.requests.fetch_add(1, Ordering::SeqCst);
         if pas2p_obs::enabled() {
             pas2p_obs::counter("serve.requests").add(1);
         }
     }
 
-    /// The classified answer to a line [`Request::from_line`] rejected
-    /// with `error` (counted as a request, like any other line).
-    pub(crate) fn malformed(&self, error: &str) -> Response {
+    /// Answer one compute op: permit, stage profile, panic boundary and
+    /// — with a `deadline` — the abandonable runner, which is the only
+    /// case where `work` leaves the calling thread. A panicking request
+    /// answers `code:"panic"`; an expired one answers `code:"timeout"`
+    /// while the runner unwinds at its next stage boundary.
+    fn compute(
+        &self,
+        op: &'static str,
+        stage: &'static str,
+        items: u64,
+        deadline: Option<Duration>,
+        work: impl FnOnce(&PredictionService) -> Result<Value, String> + Send + 'static,
+    ) -> Response {
+        let _permit = match self.admit(op) {
+            Ok(permit) => permit,
+            Err(busy) => return busy,
+        };
         self.count_request();
-        Response::failure_code("invalid", "invalid", format!("malformed request: {error}"))
+        let mut st = pas2p_obs::stage(stage);
+        st.items(items);
+        let svc = self.clone();
+        let guarded = move || match catch_unwind(AssertUnwindSafe(|| work(&svc))) {
+            Ok(result) => result.map_err(|error| ("error", error)),
+            Err(payload) => Err(("panic", panic_message(payload))),
+        };
+        let outcome = match deadline {
+            None => guarded(),
+            Some(deadline) => crate::cancel::run_abandonable("host.serve", deadline, guarded)
+                .unwrap_or_else(|| {
+                    self.shared.stats.timeouts.fetch_add(1, Ordering::SeqCst);
+                    if pas2p_obs::enabled() {
+                        pas2p_obs::counter("serve.timeout").add(1);
+                    }
+                    let secs = deadline.as_secs_f64();
+                    Err(("timeout", format!("deadline of {secs:.3}s expired")))
+                }),
+        };
+        st.finish();
+        match outcome {
+            Ok(result) => Response::success(op, result),
+            Err((code, error)) => Response::failure(op, code, error),
+        }
     }
 
-    /// Execute one decoded request. Returns the response and whether
+    /// Decode and execute one protocol line: malformed lines and the
+    /// control plane (`ping`, `health`, `shutdown`) are answered at
+    /// once, without a permit; compute ops go through
+    /// `compute`. Returns the response and whether
     /// the serve loop should stop.
-    pub(crate) fn handle_request(&self, request: Request) -> (Response, bool) {
-        self.count_request();
-        match request {
+    pub fn handle_line(&self, line: &str) -> (Response, bool) {
+        let request = match Request::from_line(line) {
+            Ok(request) => request,
+            Err(e) => {
+                self.count_request();
+                let error = format!("malformed request: {e}");
+                return (Response::failure("invalid", "invalid", error), false);
+            }
+        };
+        let op = request.op();
+        let deadline = self.shared.deadline;
+        let stop = matches!(request, Request::Shutdown);
+        if matches!(request, Request::Ping | Request::Health | Request::Shutdown) {
+            // Counted here: a compute op counts once it holds a permit.
+            self.count_request();
+        }
+        let response = match request {
             Request::Submit { app, nprocs, base } => {
-                let mut st = pas2p_obs::stage("serve.submit");
-                st.items(1);
-                let core = Arc::clone(&self.core);
-                let response = self.run_guarded("submit", move || {
-                    match core.submit(&app, nprocs, &base) {
-                        Ok(outcome) => Response::success(
-                            "submit",
-                            json!({
-                                "digest": outcome.digest.as_str(),
-                                "cached": outcome.cached,
-                                "app": outcome.app.as_str(),
-                                "phases": outcome.phases,
-                                "relevant": outcome.relevant,
-                                "confidence": outcome.confidence.as_str(),
-                            }),
-                        ),
-                        Err(e) => Response::failure("submit", e),
-                    }
-                });
-                st.finish();
-                (response, false)
+                self.compute(op, "serve.submit", 1, deadline, move |svc| {
+                    let outcome = svc.submit(&app, nprocs, &base)?;
+                    serde_json::to_value(outcome).map_err(|e| e.to_string())
+                })
             }
             Request::Predict {
                 app,
                 nprocs,
                 base,
                 target,
-            } => {
-                let mut st = pas2p_obs::stage("serve.predict");
-                st.items(1);
-                let core = Arc::clone(&self.core);
-                let response = self.run_guarded("predict", move || {
-                    match core.predict(&app, nprocs, &base, &target) {
-                        Ok(outcome) => {
-                            let prediction: serde_json::Value =
-                                serde_json::from_str(&outcome.prediction_json).unwrap_or_default();
-                            Response::success(
-                                "predict",
-                                json!({
-                                    "app": outcome.app,
-                                    "target": outcome.target,
-                                    "cached": outcome.cached,
-                                    "signature_cached": outcome.signature_cached,
-                                    "prediction": prediction,
-                                }),
-                            )
-                        }
-                        Err(e) => Response::failure("predict", e),
-                    }
-                });
-                st.finish();
-                (response, false)
-            }
+            } => self.compute(op, "serve.predict", 1, deadline, move |svc| {
+                let outcome = svc.predict(&app, nprocs, &base, &target)?;
+                let prediction: Value =
+                    serde_json::from_str(&outcome.prediction_json).unwrap_or_default();
+                Ok(json!({
+                    "app": outcome.app,
+                    "target": outcome.target,
+                    "cached": outcome.cached,
+                    "signature_cached": outcome.signature_cached,
+                    "prediction": prediction,
+                }))
+            }),
+            // Batch carries its own per-job deadline; the service
+            // deadline does not wrap it — only the panic boundary.
             Request::Batch {
                 apps,
                 nprocs,
@@ -1087,13 +1054,8 @@ impl PredictionService {
                 workers,
                 deadline_ms,
                 retries,
-            } => {
-                // Batch carries its own per-job deadline; the service
-                // deadline does not wrap it — only the panic boundary.
-                let mut st = pas2p_obs::stage("serve.batch");
-                st.items(apps.len() as u64);
-                let core = Arc::clone(&self.core);
-                let run = move || match core.batch(
+            } => self.compute(op, "serve.batch", apps.len() as u64, None, move |svc| {
+                svc.batch(
                     &apps,
                     nprocs,
                     &base,
@@ -1101,36 +1063,29 @@ impl PredictionService {
                     workers,
                     deadline_ms,
                     retries,
-                ) {
-                    Ok(result) => Response::success("batch", result),
-                    Err(e) => Response::failure("batch", e),
-                };
-                let response = match catch_unwind(AssertUnwindSafe(run)) {
-                    Ok(response) => response,
-                    Err(payload) => {
-                        Response::failure_code("batch", "panic", panic_message(payload))
-                    }
-                };
-                st.finish();
-                (response, false)
-            }
-            Request::Ping => (Response::success("ping", json!({"pong": true})), false),
-            Request::Health => (
-                Response::success("health", self.core.health_value()),
-                false,
-            ),
-            Request::Stats => {
-                let mut st = pas2p_obs::stage("serve.stats");
-                st.items(1);
-                let response = Response::success("stats", self.core.stats_value());
-                st.finish();
-                (response, false)
-            }
-            Request::Shutdown => (
-                Response::success("shutdown", json!({"stopping": true})),
-                true,
-            ),
+                )
+            }),
+            Request::Stats => self.compute(op, "serve.stats", 1, None, |svc| Ok(svc.stats())),
+            Request::Ping => Response::success(op, json!({"pong": true})),
+            Request::Health => Response::success(op, self.health()),
+            Request::Shutdown => Response::success(op, json!({"stopping": true})),
+        };
+        (response, stop)
+    }
+
+    /// Protocol line in, response line out: skip a blank line, else
+    /// answer it through [`PredictionService::handle_line`] and write
+    /// and flush the rendered response. The stdin loop and every socket
+    /// connection call this and differ only in how they read. Returns
+    /// whether the line asked the serve loop to stop.
+    pub(crate) fn respond(&self, line: &str, output: &mut impl Write) -> std::io::Result<bool> {
+        if line.trim().is_empty() {
+            return Ok(false);
         }
+        let (response, stop) = self.handle_line(line);
+        writeln!(output, "{}", response.render())?;
+        output.flush()?;
+        Ok(stop)
     }
 
     /// Serve newline-delimited JSON requests from `input`, writing one
@@ -1139,30 +1094,13 @@ impl PredictionService {
     /// index is flushed to disk on the way out.
     pub fn serve(&self, input: impl BufRead, mut output: impl Write) -> std::io::Result<()> {
         for line in input.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let (response, stop) = self.handle_line(&line);
-            writeln!(output, "{}", response.render())?;
-            output.flush()?;
-            if stop {
+            if self.respond(&line?, &mut output)? {
                 break;
             }
         }
-        self.core.stats.accepting.store(false, Ordering::SeqCst);
-        self.core.flush_store();
+        self.shared.stats.accepting.store(false, Ordering::SeqCst);
+        self.flush_store();
         Ok(())
-    }
-
-    /// Serve over a unix socket with the default concurrent-server
-    /// options (see [`crate::server::ServeOptions`]): a bounded worker
-    /// pool over N simultaneous connections, a bounded request queue
-    /// with load-shedding, and graceful drain on shutdown. The socket
-    /// file is created fresh and removed on clean exit.
-    #[cfg(unix)]
-    pub fn serve_unix(&self, socket_path: &std::path::Path) -> std::io::Result<()> {
-        crate::server::serve_unix_with(self, socket_path, crate::server::ServeOptions::default())
     }
 }
 
@@ -1252,7 +1190,10 @@ mod tests {
         let svc = PredictionService::new(Pas2p::default(), store, resolve);
         let started = std::time::Instant::now();
         let (response, stop) = svc.handle_line(r#"{"op":"submit","app":"crossed","nprocs":2}"#);
-        assert!(started.elapsed() < Duration::from_secs(1), "reported, not hung");
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "reported, not hung"
+        );
         assert!(!response.ok && !stop);
         assert_eq!(response.code, Some("panic"));
         let error = response.error.expect("the report");
@@ -1396,7 +1337,8 @@ mod tests {
         let store_root = root.clone();
         let server = std::thread::spawn(move || {
             let svc = service(&store_root);
-            svc.serve_unix(&socket_path).expect("serve_unix");
+            crate::server::serve_unix_with(&svc, &socket_path, Default::default())
+                .expect("serve_unix_with");
         });
         // The listener needs a moment to bind.
         let mut attempts = 0;

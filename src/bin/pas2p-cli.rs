@@ -22,10 +22,12 @@
 //! * `--metrics FILE`    — enable metric collection and write the final
 //!   `MetricsSnapshot` JSON to FILE (or set `PAS2P_OBS=1`)
 
+use pas2p::benchrec::rate;
 use pas2p::prelude::*;
 use pas2p::Pas2p;
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::time::Duration;
 
 const USAGE: &str = "usage:
   pas2p-cli list
@@ -80,15 +82,16 @@ serve: long-running prediction service over newline-delimited JSON on
   --socket PATH    listen on a unix socket instead of stdin
   --evict-stale    drop entries whose config fingerprint no longer
                    matches the current configuration before serving
-  --workers K      socket mode: compute worker pool size (default 4)
-  --queue N        socket mode: bounded request queue; a full queue sheds
-                   new requests with a retryable \"busy\" error (default 64)
+  --workers K      socket mode: compute requests that may run at once; each
+                   runs on its connection's thread (default 4)
+  --queue N        socket mode: requests that may wait for their turn; beyond
+                   that new ones get a retryable \"busy\" error (default 64)
   --max-conns N    socket mode: concurrent connection cap (default 64)
   --deadline-ms N  per-request compute deadline; an overrunning request is
                    abandoned and answered with a \"timeout\" error
   --drain-ms N     socket mode: graceful-shutdown drain budget (default 5000)
   socket-mode extras: ops ping and health answer inline (never queued), so
-  liveness probes work even when the compute pool is saturated
+  liveness probes work even when every compute slot is taken
 bench-report: run the full application suite through the batch driver and
   derive a schema-versioned performance record (TFAT, events/sec,
   jobs/sec, check-engine diagnostics/sec sequential vs parallel, and
@@ -154,11 +157,27 @@ fn input(msg: String) -> CliError {
     CliError::Input(msg)
 }
 
+/// The application catalog: what `list` shows and `bench-report` runs.
+const SUITE: &[&str] = &[
+    "cg",
+    "bt",
+    "sp",
+    "lu",
+    "ft",
+    "sweep3d",
+    "smg2000",
+    "pop",
+    "moldy",
+    "gromacs",
+    "masterworker",
+];
+
 /// Flags that take no value; their presence maps to "true".
 const BOOL_FLAGS: &[&str] = &["json", "strict", "normalize", "evict-stale"];
 
 /// Parse `--flag value` pairs (and bare boolean flags), reporting exactly
-/// which flag is malformed.
+/// which flag is malformed. The usage text is the list of flags: one it
+/// does not spell is a typo, not something to ignore.
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
@@ -169,6 +188,12 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
             .ok_or_else(|| format!("expected a --flag, got '{arg}'"))?;
         if key.is_empty() {
             return Err("bare '--' is not a flag".into());
+        }
+        if !USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .any(|word| word == arg)
+        {
+            return Err(format!("unknown flag '--{key}'"));
         }
         if BOOL_FLAGS.contains(&key) {
             if flags.insert(key.to_string(), "true".into()).is_some() {
@@ -233,14 +258,33 @@ fn machine(flags: &HashMap<String, String>, key: &str) -> Result<MachineModel, S
     preset_by_name(name).ok_or_else(|| format!("unknown machine '{}'", name))
 }
 
+/// The value of `--key` parsed as a `T`; `None` when the flag is absent.
+fn parsed<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    key: &str,
+) -> Result<Option<T>, String> {
+    flags
+        .get(key)
+        .map(|v| v.parse().map_err(|_| format!("bad --{key} '{v}'")))
+        .transpose()
+}
+
+fn nprocs(flags: &HashMap<String, String>) -> Result<u32, String> {
+    Ok(parsed(flags, "nprocs")?.ok_or("missing --nprocs")?)
+}
+
+/// `--workers K` where zero workers make no sense.
+fn workers(flags: &HashMap<String, String>) -> Result<Option<usize>, String> {
+    match parsed(flags, "workers")? {
+        Some(0) => Err(format!("bad --workers '{}'", flags["workers"])),
+        workers => Ok(workers),
+    }
+}
+
 fn app(flags: &HashMap<String, String>) -> Result<Box<dyn MpiApp>, String> {
     let name = flags.get("app").ok_or("missing --app")?;
-    let nprocs: u32 = flags
-        .get("nprocs")
-        .ok_or("missing --nprocs")?
-        .parse()
-        .map_err(|_| format!("bad --nprocs '{}'", flags["nprocs"]))?;
-    pas2p_apps::by_name(name, nprocs).ok_or_else(|| format!("unknown application '{}'", name))
+    pas2p_apps::by_name(name, nprocs(flags)?)
+        .ok_or_else(|| format!("unknown application '{}'", name))
 }
 
 fn write_or_print(flags: &HashMap<String, String>, json: &str) -> Result<(), String> {
@@ -280,19 +324,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
     let result: Result<ExitCode, CliError> = match cmd.as_str() {
         "list" => {
             println!("applications (--app):");
-            for name in [
-                "cg",
-                "bt",
-                "sp",
-                "lu",
-                "ft",
-                "sweep3d",
-                "smg2000",
-                "pop",
-                "moldy",
-                "gromacs",
-                "masterworker",
-            ] {
+            for name in SUITE {
                 let a = pas2p_apps::by_name(name, 16).unwrap();
                 println!("  {:<12} {}", name, a.workload());
             }
@@ -336,11 +368,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
             // per (trace, base, config) and serves repeat predictions
             // as canonical cached JSON.
             let name = flags.get("app").ok_or("missing --app")?.clone();
-            let nprocs: u32 = flags
-                .get("nprocs")
-                .ok_or("missing --nprocs")?
-                .parse()
-                .map_err(|_| format!("bad --nprocs '{}'", flags["nprocs"]))?;
+            let nprocs = nprocs(&flags)?;
             let base = flags.get("base").map(String::as_str).unwrap_or("A");
             let target = flags.get("target").ok_or("missing --target")?.clone();
             let dir = flags.get("store").expect("guarded by match arm");
@@ -409,17 +437,8 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
             Ok(ExitCode::SUCCESS)
         }
         "check" => {
-            let engine = {
-                let workers = match flags.get("workers") {
-                    Some(w) => w
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&w| w > 0)
-                        .ok_or_else(|| format!("bad --workers '{w}'"))?,
-                    None => 1,
-                };
-                CheckEngine::with_default_rules().with_workers(workers)
-            };
+            let engine =
+                CheckEngine::with_default_rules().with_workers(workers(&flags)?.unwrap_or(1));
             let report = if let Some(path) = flags.get("trace") {
                 // Recovery mode: decode a binary trace with the
                 // resync-capable ingest path and check whatever
@@ -525,37 +544,19 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
         }
         "batch" => {
             let names = flags.get("apps").ok_or("missing --apps")?;
-            let nprocs: u32 = flags
-                .get("nprocs")
-                .ok_or("missing --nprocs")?
-                .parse()
-                .map_err(|_| format!("bad --nprocs '{}'", flags["nprocs"]))?;
+            let nprocs = nprocs(&flags)?;
             let base = machine(&flags, "base")?;
-            let workers = match flags.get("workers") {
-                Some(w) => Some(
-                    w.parse::<usize>()
-                        .ok()
-                        .filter(|&w| w > 0)
-                        .ok_or_else(|| format!("bad --workers '{w}'"))?,
-                ),
-                None => None,
-            };
             // Fault injection: --fault-seed runs the built-in matrix,
             // --faults loads plans from a spec file. Mutually exclusive.
             let plans: Vec<(String, FaultPlan)> =
-                match (flags.get("fault-seed"), flags.get("faults")) {
+                match (parsed(&flags, "fault-seed")?, flags.get("faults")) {
                     (Some(_), Some(_)) => {
                         return Err("--fault-seed and --faults are mutually exclusive".into());
                     }
-                    (Some(seed), None) => {
-                        let seed: u64 = seed
-                            .parse()
-                            .map_err(|_| format!("bad --fault-seed '{seed}'"))?;
-                        fault_matrix(seed)
-                            .into_iter()
-                            .map(|(label, plan)| (label.to_string(), plan))
-                            .collect()
-                    }
+                    (Some(seed), None) => fault_matrix(seed)
+                        .into_iter()
+                        .map(|(label, plan)| (label.to_string(), plan))
+                        .collect(),
                     (None, Some(path)) => {
                         let text = std::fs::read_to_string(path)
                             .map_err(|e| input(format!("reading {}: {}", path, e)))?;
@@ -568,19 +569,13 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                     }
                     (None, None) => Vec::new(),
                 };
-            let mut opts = pas2p::BatchOptions {
-                workers,
-                ..pas2p::BatchOptions::default()
+            let defaults = pas2p::BatchOptions::default();
+            let opts = pas2p::BatchOptions {
+                workers: workers(&flags)?,
+                deadline: parsed(&flags, "deadline-ms")?.map(Duration::from_millis),
+                max_retries: parsed(&flags, "retries")?.unwrap_or(defaults.max_retries),
+                ..defaults
             };
-            if let Some(ms) = flags.get("deadline-ms") {
-                let ms: u64 = ms
-                    .parse()
-                    .map_err(|_| format!("bad --deadline-ms '{ms}'"))?;
-                opts.deadline = Some(std::time::Duration::from_millis(ms));
-            }
-            if let Some(n) = flags.get("retries") {
-                opts.max_retries = n.parse().map_err(|_| format!("bad --retries '{n}'"))?;
-            }
             let apps: Vec<(&str, Box<dyn MpiApp>)> = names
                 .split(',')
                 .map(|name| {
@@ -637,35 +632,20 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                 "pas2p serve: store {dir} ({} entr(ies)), one JSON request per line",
                 store.len()
             );
-            let mut svc =
-                pas2p::PredictionService::new(pas2p, store, Box::new(pas2p_apps::by_name));
-            if let Some(ms) = flags.get("deadline-ms") {
-                let ms: u64 = ms
-                    .parse()
-                    .map_err(|_| format!("bad --deadline-ms '{ms}'"))?;
-                svc = svc.with_deadline(Some(std::time::Duration::from_millis(ms)));
-            }
-            let svc = svc;
+            let svc = pas2p::PredictionService::new(pas2p, store, Box::new(pas2p_apps::by_name))
+                .with_deadline(parsed(&flags, "deadline-ms")?.map(Duration::from_millis));
             match flags.get("socket") {
                 #[cfg(unix)]
                 Some(path) => {
-                    let mut opts = pas2p::ServeOptions::default();
-                    if let Some(n) = flags.get("workers") {
-                        opts.workers = n.parse().map_err(|_| format!("bad --workers '{n}'"))?;
-                    }
-                    if let Some(n) = flags.get("queue") {
-                        opts.queue_capacity =
-                            n.parse().map_err(|_| format!("bad --queue '{n}'"))?;
-                    }
-                    if let Some(n) = flags.get("max-conns") {
-                        opts.max_connections =
-                            n.parse().map_err(|_| format!("bad --max-conns '{n}'"))?;
-                    }
-                    if let Some(ms) = flags.get("drain-ms") {
-                        let ms: u64 =
-                            ms.parse().map_err(|_| format!("bad --drain-ms '{ms}'"))?;
-                        opts.drain = std::time::Duration::from_millis(ms);
-                    }
+                    let defaults = pas2p::ServeOptions::default();
+                    let opts = pas2p::ServeOptions {
+                        workers: parsed(&flags, "workers")?.unwrap_or(defaults.workers),
+                        queue_capacity: parsed(&flags, "queue")?.unwrap_or(defaults.queue_capacity),
+                        max_connections: parsed(&flags, "max-conns")?
+                            .unwrap_or(defaults.max_connections),
+                        drain: parsed(&flags, "drain-ms")?
+                            .map_or(defaults.drain, Duration::from_millis),
+                    };
                     eprintln!(
                         "listening on unix socket {path} ({} workers, queue {})",
                         opts.workers, opts.queue_capacity
@@ -788,40 +768,15 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
             }
         }
         "bench-report" => {
-            let nprocs: u32 = match flags.get("nprocs") {
-                Some(s) => s.parse().map_err(|_| format!("bad --nprocs '{s}'"))?,
-                None => 8,
-            };
+            let nprocs: u32 = parsed(&flags, "nprocs")?.unwrap_or(8);
             let base = match flags.get("base") {
                 Some(_) => machine(&flags, "base")?,
                 None => cluster_a(),
-            };
-            let workers = match flags.get("workers") {
-                Some(w) => Some(
-                    w.parse::<usize>()
-                        .ok()
-                        .filter(|&w| w > 0)
-                        .ok_or_else(|| format!("bad --workers '{w}'"))?,
-                ),
-                None => None,
             };
             let label = flags
                 .get("label")
                 .cloned()
                 .unwrap_or_else(|| "local".into());
-            const SUITE: &[&str] = &[
-                "cg",
-                "bt",
-                "sp",
-                "lu",
-                "ft",
-                "sweep3d",
-                "smg2000",
-                "pop",
-                "moldy",
-                "gromacs",
-                "masterworker",
-            ];
             let jobs: Vec<pas2p::BatchJob> = SUITE
                 .iter()
                 .map(|n| {
@@ -832,7 +787,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                 })
                 .collect();
             let opts = pas2p::BatchOptions {
-                workers,
+                workers: workers(&flags)?,
                 ..pas2p::BatchOptions::default()
             };
             let report = pas2p::run_batch_with(&pas2p, jobs, opts);
@@ -884,16 +839,8 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                     diagnostics,
                     sequential_seconds,
                     parallel_seconds,
-                    diagnostics_per_sec: if sequential_seconds > 0.0 {
-                        diagnostics as f64 / sequential_seconds
-                    } else {
-                        0.0
-                    },
-                    speedup: if parallel_seconds > 0.0 {
-                        sequential_seconds / parallel_seconds
-                    } else {
-                        0.0
-                    },
+                    diagnostics_per_sec: rate(diagnostics as f64, sequential_seconds),
+                    speedup: rate(sequential_seconds, parallel_seconds),
                 };
                 eprintln!(
                     "check-engine: {} diagnostics over {} in {:.4}s sequential, \
@@ -908,9 +855,9 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                 record.check = Some(stat);
             }
             // Similarity-kernel timing: the same logical trace extracted
-            // with the scalar reference walk and with the SoA kernel,
-            // sequentially and over a worker pool. The outputs are
-            // byte-identical by construction (tests/kernel_equivalence.rs);
+            // with the scalar reference walk and with the SoA kernel. The
+            // outputs are byte-identical by construction
+            // (tests/kernel_equivalence.rs);
             // the record tracks the wall clock and the prefilter skip
             // counters.
             {
@@ -967,66 +914,50 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                         .into_trace();
                     pas2p_order(&trace)
                 };
-                let kernel_workers = record.batch_workers.max(2);
-                let cfg_of = |kernel, parallelism| SimilarityConfig {
-                    kernel,
-                    parallelism,
-                    ..pas2p.similarity
-                };
-                let timed = |cfg: &SimilarityConfig| {
+                let timed = |kernel| {
+                    let cfg = SimilarityConfig {
+                        kernel,
+                        ..pas2p.similarity
+                    };
                     let t = std::time::Instant::now();
-                    let analysis = extract_phases(&logical, cfg);
+                    let analysis = extract_phases(&logical, &cfg);
                     (t.elapsed().as_secs_f64(), analysis)
                 };
-                let (scalar_seconds, scalar) = timed(&cfg_of(SimilarityKernel::Scalar, Some(1)));
+                let (scalar_seconds, scalar) = timed(SimilarityKernel::Scalar);
                 // The skip counters come from the metrics registry:
-                // enable it around the sequential SoA run and diff the
-                // counter snapshots, restoring the prior state after.
+                // enable it around the SoA run and diff the counter
+                // snapshots, restoring the prior state after.
                 let was_enabled = pas2p_obs::enabled();
                 pas2p_obs::set_enabled(true);
                 let before = pas2p_obs::global().snapshot().counters;
-                let (soa_seconds, soa) = timed(&cfg_of(SimilarityKernel::Soa, Some(1)));
+                let (soa_seconds, soa) = timed(SimilarityKernel::Soa);
                 let after = pas2p_obs::global().snapshot().counters;
                 pas2p_obs::set_enabled(was_enabled);
                 let delta = |key: &str| {
                     after.get(key).copied().unwrap_or(0) - before.get(key).copied().unwrap_or(0)
                 };
-                let (soa_parallel_seconds, soa_par) =
-                    timed(&cfg_of(SimilarityKernel::Soa, Some(kernel_workers)));
                 debug_assert_eq!(
                     scalar.phases, soa.phases,
                     "kernels must produce identical phases"
                 );
-                debug_assert_eq!(
-                    scalar.phases, soa_par.phases,
-                    "the parallel SoA merge must produce identical phases"
-                );
-                let speedup = |den: f64| if den > 0.0 { scalar_seconds / den } else { 0.0 };
                 let stat = pas2p::KernelBenchStat {
                     app: KERNEL_APP.to_string(),
-                    workers: kernel_workers,
                     phases: scalar.total_phases() as u64,
                     scalar_seconds,
                     soa_seconds,
-                    soa_parallel_seconds,
-                    soa_speedup: speedup(soa_seconds),
-                    total_speedup: speedup(soa_parallel_seconds),
+                    soa_speedup: rate(scalar_seconds, soa_seconds),
                     band_rejects: delta("extract.band.rejects"),
                     lsh_skipped: delta("extract.lsh.skipped"),
                     soa_compares: delta("extract.soa.compares"),
                 };
                 eprintln!(
-                    "kernel: {} phases over {} in {:.4}s scalar, {:.4}s soa \
-                     ({:.2}x), {:.4}s soa at {} workers ({:.2}x); \
+                    "kernel: {} phases over {} in {:.4}s scalar, {:.4}s soa ({:.2}x); \
                      prefilters skipped {} (band {}, lsh {}), {} full compares",
                     stat.phases,
                     stat.app,
                     stat.scalar_seconds,
                     stat.soa_seconds,
                     stat.soa_speedup,
-                    stat.soa_parallel_seconds,
-                    stat.workers,
-                    stat.total_speedup,
                     stat.band_rejects + stat.lsh_skipped,
                     stat.band_rejects,
                     stat.lsh_skipped,

@@ -141,6 +141,27 @@ fn malformed_flags_name_the_culprit() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("'--app' given twice"), "{}", stderr);
+
+    // A flag the usage text does not spell is a typo, not an option to
+    // ignore; a value of the wrong type names its flag.
+    for (args, message) in [
+        ("serve --store s --wokers 8", "unknown flag '--wokers'"),
+        (
+            "batch --apps cg --nprocs 4 --base A --retries few",
+            "bad --retries 'few'",
+        ),
+        (
+            "batch --apps cg --nprocs 4 --base A --workers 0",
+            "bad --workers '0'",
+        ),
+        ("analyze --app cg --nprocs -1", "bad --nprocs '-1'"),
+        ("analyze --app cg", "missing --nprocs"),
+    ] {
+        let out = cli().args(args.split(' ')).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args}: {stderr}");
+    }
 }
 
 #[test]
