@@ -12,13 +12,15 @@
 //! The driver is hardened against misbehaving jobs: a panic inside one
 //! analysis is caught at the worker boundary and classified, never
 //! propagated ([`BatchStatus::Failed`]); a job can carry a per-job
-//! deadline after which it is abandoned ([`BatchStatus::TimedOut`]);
+//! deadline past which it stops at its next cancellation checkpoint
+//! ([`BatchStatus::TimedOut`], on its own worker — see [`crate::cancel`]);
 //! transient failures can be retried with exponential backoff
 //! ([`BatchStatus::Retried`]). Jobs may also carry a seeded
 //! [`FaultPlan`] injected into their trace byte stream, driving the
 //! analysis through the recovering ingest path — the fault-matrix
 //! acceptance suite is built on this.
 
+use crate::cancel::{with_cancel, CancelToken};
 use crate::pipeline::{Analysis, Pas2p};
 use pas2p_faults::FaultPlan;
 use pas2p_machine::{MachineModel, MappingPolicy};
@@ -72,7 +74,7 @@ pub enum BatchStatus {
     Retried,
     /// Every attempt failed (typed error or panic); `error` says why.
     Failed,
-    /// The per-job deadline expired; the job was abandoned.
+    /// The per-job deadline expired; the job was stopped.
     TimedOut,
 }
 
@@ -222,9 +224,10 @@ pub struct BatchOptions {
     /// the job count either way.
     pub workers: Option<usize>,
     /// Per-job wall-clock deadline. A job still running when it expires
-    /// is abandoned ([`BatchStatus::TimedOut`]) and its worker slot
-    /// freed; the runaway attempt finishes (or not) on a detached
-    /// thread whose result is discarded.
+    /// stops at its next cancellation checkpoint (stage boundaries,
+    /// simulator communication events, extraction windows) and is
+    /// reported [`BatchStatus::TimedOut`]; a job that finishes before
+    /// any checkpoint noticed keeps its result.
     pub deadline: Option<Duration>,
     /// Retries after a failed attempt (0 = single attempt).
     pub max_retries: u32,
@@ -339,8 +342,8 @@ fn attempt_loop(pas2p: &Pas2p, job: &BatchJob, opts: &BatchOptions) -> Outcome {
                 attempts,
             };
         }
-        // An abandoned (deadline-expired) run stops here: no retry, no
-        // retry accounting — nobody is listening for the outcome.
+        // A deadline-expired job stops here: no retry, no retry
+        // accounting — it is about to be reported timed out.
         if crate::cancel::cancelled() {
             return Outcome {
                 result: Err(last_err),
@@ -377,56 +380,47 @@ fn classify(outcome: &Outcome) -> BatchStatus {
     }
 }
 
-/// Run one job, enforcing the deadline if there is one. With a deadline
-/// the retry loop runs on a detached thread so the worker can abandon
-/// it; `Pas2p` is `Copy` and the job moves in whole.
+/// Run one job, enforcing the deadline if there is one: the retry loop
+/// runs right here on the farm worker, under a token that expires with
+/// the deadline. The attempt in flight unwinds at its first checkpoint
+/// past it (caught by the loop's own panic boundary), the loop stops
+/// retrying, and the job is [`BatchStatus::TimedOut`] — late by however
+/// long the stretch between two checkpoints was, and over when reported.
 fn run_job(pas2p: &Pas2p, job: BatchJob, opts: &BatchOptions) -> (String, BatchStatus, Outcome) {
     let app_name = job.app.name();
-    let Some(deadline) = opts.deadline else {
-        let outcome = attempt_loop(pas2p, &job, opts);
+    let run = || attempt_loop(pas2p, &job, opts);
+    let (outcome, expired) = match opts.deadline {
+        None => (run(), None),
+        Some(deadline) => {
+            let token = CancelToken::with_deadline(deadline);
+            let outcome = with_cancel(&token, run);
+            let stopped = outcome.result.is_err() && token.tripped();
+            (outcome, stopped.then_some(deadline))
+        }
+    };
+    let Some(deadline) = expired else {
         let status = classify(&outcome);
         return (app_name, status, outcome);
     };
-    let pas2p = *pas2p;
-    let opts = *opts;
-    // The shared abandonable runner owns the detached thread, the
-    // cancel token, and the events flush/discard discipline; expiry
-    // cancels the runner at its next stage boundary instead of letting
-    // it mutate counters and timelines after this report line is
-    // sealed.
-    let outcome = crate::cancel::run_abandonable("host.batch", deadline, move || {
-        attempt_loop(&pas2p, &job, &opts)
-    });
-    match outcome {
-        Some(outcome) => {
-            let status = classify(&outcome);
-            (app_name, status, outcome)
-        }
-        None => {
-            if pas2p_obs::tracing_enabled() {
-                pas2p_obs::instant(
-                    "host.batch",
-                    "deadline expired",
-                    vec![
-                        ("app", app_name.clone()),
-                        ("deadline_s", format!("{:.3}", deadline.as_secs_f64())),
-                    ],
-                );
-            }
-            (
-                app_name,
-                BatchStatus::TimedOut,
-                Outcome {
-                    result: Err(format!(
-                        "deadline of {:.3}s expired",
-                        deadline.as_secs_f64()
-                    )),
-                    ingest: None,
-                    attempts: 1,
-                },
-            )
-        }
+    if pas2p_obs::tracing_enabled() {
+        pas2p_obs::instant(
+            "host.batch",
+            "deadline expired",
+            vec![
+                ("app", app_name.clone()),
+                ("deadline_s", format!("{:.3}", deadline.as_secs_f64())),
+            ],
+        );
     }
+    let outcome = Outcome {
+        result: Err(format!(
+            "deadline of {:.3}s expired",
+            deadline.as_secs_f64()
+        )),
+        ingest: None,
+        attempts: 1,
+    };
+    (app_name, BatchStatus::TimedOut, outcome)
 }
 
 /// Analyze every job over a pool of worker threads, with panic

@@ -1,217 +1,24 @@
-//! Cooperative cancellation for abandoned pipeline runs.
+//! Deadlines and cancellation for batch jobs and service requests.
 //!
-//! The batch driver abandons a job when its deadline expires
-//! ([`crate::batch::BatchStatus::TimedOut`]), but the detached thread
-//! actually running the analysis used to keep going to completion —
-//! writing obs counters, stage profiles and trace events long after the
-//! batch report was sealed, skewing `batch.job_micros` and exported
-//! timelines. A [`CancelToken`] closes that hole: the deadline watcher
-//! flips the token, and the pipeline checks it at every stage boundary
-//! via a thread-local, unwinding out of the run (the unwind is caught at
-//! the existing panic boundary in the retry loop) instead of running on.
+//! The mechanism lives in [`pas2p_obs::cancel`], below every layer that
+//! has to ask: a [`CancelToken`] carries a flag and an optional
+//! deadline, the thread that runs a job or a request installs it with
+//! [`with_cancel`], and the work itself checks it — the pipeline at
+//! every stage boundary (`cancel::enter`), phase extraction once per
+//! candidate window, the simulator on every rank's communication
+//! events (an expired token takes the run's abort path, which wakes
+//! parked ranks), gated store IO and the batch retry loop through
+//! [`cancelled`]. A check past the deadline unwinds with [`CANCELLED`]
+//! to the panic boundary of whoever installed the token: the batch
+//! driver's per-attempt `catch_unwind`, the service's per-request one.
 //!
-//! Cancellation is cooperative and stage-granular by design: a stage in
-//! flight finishes, but no *new* stage starts and no retry is attempted
-//! once the token is set. Code outside a [`with_cancel`] scope never
-//! pays more than a thread-local read that finds `None`.
+//! No thread is started and nothing is abandoned: the job or request
+//! stops on the thread it ran on, answers
+//! [`TimedOut`](crate::batch::BatchStatus::TimedOut) / `code:"timeout"`
+//! at the first checkpoint past its deadline, and is over when it has
+//! answered. The cost is that a stretch which never checks overruns;
+//! `cancel.checkpoint_gap_us.*` and `serve.timeout_overrun_us` measure
+//! by how much.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-/// The panic payload used to unwind a cancelled run. The retry loop
-/// catches it like any other panic; the message makes the classification
-/// self-describing if it ever surfaces in an error string.
-pub const CANCELLED: &str = "pas2p: run cancelled";
-
-/// A shared cancellation flag. Clone it freely: all clones observe the
-/// same flag.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
-    /// Request cancellation. Idempotent.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-
-    /// True once [`CancelToken::cancel`] has been called on any clone.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
-}
-
-thread_local! {
-    static CURRENT: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
-}
-
-/// Run `f` with `token` installed as this thread's cancellation token;
-/// the previous token (if any) is restored afterwards, even on unwind.
-pub fn with_cancel<T>(token: &CancelToken, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<CancelToken>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            CURRENT.with(|c| *c.borrow_mut() = self.0.take());
-        }
-    }
-    let previous = CURRENT.with(|c| c.borrow_mut().replace(token.clone()));
-    let _restore = Restore(previous);
-    f()
-}
-
-/// True when the current thread runs under a cancelled token.
-pub fn cancelled() -> bool {
-    CURRENT.with(|c| c.borrow().as_ref().is_some_and(|t| t.is_cancelled()))
-}
-
-/// Stage-boundary checkpoint: unwind out of a cancelled run. A no-op on
-/// threads without an installed token — i.e. everywhere except detached
-/// deadline runners.
-pub(crate) fn checkpoint() {
-    if cancelled() {
-        std::panic::panic_any(CANCELLED);
-    }
-}
-
-/// Run `f` on a detached thread under a fresh [`CancelToken`] and wait
-/// at most `deadline` for its result. On expiry the token is cancelled
-/// and `None` returned: the runner observes the token at its next
-/// stage boundary (or through [`cancelled`] probes) and unwinds instead
-/// of running to completion against a sealed report.
-///
-/// This is the one deadline mechanism in the crate — the batch driver
-/// uses it per job, the prediction service per request — so the
-/// abandonment semantics (obs events of an abandoned run are discarded,
-/// a finished run's events are flushed before the result is handed
-/// over) cannot drift between the two.
-///
-/// `category` names the obs flow arrow drawn from the waiting thread to
-/// the runner (e.g. `"host.batch"`, `"host.serve"`).
-pub fn run_abandonable<T: Send + 'static>(
-    category: &'static str,
-    deadline: std::time::Duration,
-    f: impl FnOnce() -> T + Send + 'static,
-) -> Option<T> {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let token = CancelToken::new();
-    let runner_token = token.clone();
-    // Flow arrow from the waiting thread to the detached runner, so the
-    // timeline shows where the work actually executed.
-    let flow = pas2p_obs::flow_start(category, "deadline handoff", None);
-    std::thread::spawn(move || {
-        pas2p_obs::flow_end(category, "deadline handoff", flow);
-        let out = with_cancel(&runner_token, f);
-        if runner_token.is_cancelled() {
-            // Abandoned: the caller already gave up. Discard the partial
-            // timeline this thread buffered — the exit-time drain would
-            // otherwise publish it into a later take().
-            pas2p_obs::events::discard_local();
-            return;
-        }
-        // Hand buffered events over before signalling completion: the
-        // waiting thread resumes the moment the send lands, and this
-        // detached thread's exit-time drain would race any take() after
-        // that.
-        pas2p_obs::events::flush();
-        let _ = tx.send(out);
-    });
-    match rx.recv_timeout(deadline) {
-        Ok(out) => Some(out),
-        Err(_) => {
-            token.cancel();
-            None
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    #[test]
-    fn token_is_shared_across_clones() {
-        let t = CancelToken::new();
-        let c = t.clone();
-        assert!(!t.is_cancelled());
-        c.cancel();
-        assert!(t.is_cancelled());
-        t.cancel(); // idempotent
-        assert!(c.is_cancelled());
-    }
-
-    #[test]
-    fn checkpoint_is_a_noop_without_a_token() {
-        assert!(!cancelled());
-        checkpoint(); // must not panic
-    }
-
-    #[test]
-    fn checkpoint_unwinds_under_a_cancelled_token() {
-        let token = CancelToken::new();
-        token.cancel();
-        let result = catch_unwind(AssertUnwindSafe(|| with_cancel(&token, checkpoint)));
-        let payload = result.expect_err("cancelled checkpoint must unwind");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&CANCELLED));
-        // The token is uninstalled again after the unwind.
-        assert!(!cancelled());
-    }
-
-    #[test]
-    fn run_abandonable_returns_a_finished_result() {
-        let out = super::run_abandonable("host.test", std::time::Duration::from_secs(5), || 41 + 1);
-        assert_eq!(out, Some(42));
-    }
-
-    #[test]
-    fn run_abandonable_cancels_an_overrunning_runner() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        let observed_cancel = Arc::new(AtomicBool::new(false));
-        let probe = Arc::clone(&observed_cancel);
-        let out = super::run_abandonable(
-            "host.test",
-            std::time::Duration::from_millis(20),
-            move || {
-                // Simulate a stage loop that polls the installed token.
-                for _ in 0..500 {
-                    if cancelled() {
-                        probe.store(true, Ordering::SeqCst);
-                        return 0;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-                1
-            },
-        );
-        assert_eq!(out, None, "deadline expiry abandons the runner");
-        // The runner keeps going briefly; give it time to see the token.
-        for _ in 0..200 {
-            if observed_cancel.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        panic!("runner never observed the cancelled token");
-    }
-
-    #[test]
-    fn previous_token_is_restored() {
-        let outer = CancelToken::new();
-        let inner = CancelToken::new();
-        with_cancel(&outer, || {
-            with_cancel(&inner, || {
-                inner.cancel();
-                assert!(cancelled());
-            });
-            // Back under the (live) outer token.
-            assert!(!cancelled());
-        });
-        assert!(!cancelled());
-    }
-}
+pub use pas2p_obs::cancel::{cancelled, with_cancel, CancelToken, CANCELLED};
+pub(crate) use pas2p_obs::cancel::{checkpoint, enter, remaining, Stage};

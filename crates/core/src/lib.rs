@@ -51,7 +51,7 @@ pub use benchrec::{
     append_record, bench_record, BenchAppStat, BenchRecord, CheckBenchStat, KernelBenchStat,
     BENCH_SCHEMA_VERSION,
 };
-pub use cancel::{cancelled, run_abandonable, with_cancel, CancelToken};
+pub use cancel::{cancelled, with_cancel, CancelToken};
 pub use pipeline::{Analysis, AnalysisError, Pas2p};
 #[cfg(unix)]
 pub use server::{serve_unix_with, ServeOptions};

@@ -1,5 +1,6 @@
 //! The end-to-end PAS2P pipeline (Fig 1 / Fig 2 of the paper).
 
+use crate::cancel::{enter, Stage};
 use pas2p_check::{Artifacts, CheckEngine, CheckReport};
 use pas2p_machine::{MachineModel, MappingPolicy};
 use pas2p_model::pas2p_order;
@@ -239,7 +240,7 @@ impl Pas2p {
         st.items(trace.total_events() as u64);
         let ingest_seconds = st.finish();
 
-        crate::cancel::checkpoint();
+        enter(Stage::Pas2pOrder);
         let mut st = pas2p_obs::stage("pas2p_order");
         let logical = match pas2p_model::try_pas2p_order(&trace) {
             Ok(l) => l,
@@ -254,7 +255,7 @@ impl Pas2p {
         st.items(trace.total_events() as u64);
         let order_seconds = st.finish();
 
-        crate::cancel::checkpoint();
+        enter(Stage::ExtractPhases);
         let analysis = extract_phases(&logical, &self.similarity);
         let tfat_seconds = ingest_seconds + order_seconds + analysis.analysis_seconds;
 
@@ -355,23 +356,22 @@ impl Pas2p {
     ) -> (Analysis, pas2p_trace::Trace, pas2p_model::LogicalTrace) {
         let _span = pas2p_obs::span("pas2p.pipeline", "analyze");
 
-        // Stage-boundary cancellation checkpoints: a run abandoned by
-        // the batch driver's deadline watcher unwinds at the next
-        // boundary instead of completing (and mutating obs state) on a
-        // detached thread after its report was sealed.
-        crate::cancel::checkpoint();
+        // Stage boundaries are cancellation checkpoints: a job or
+        // request past its deadline unwinds here at the latest (the
+        // stages with long loops also ask inside).
+        enter(Stage::RunTraced);
         let mut st = pas2p_obs::stage("run_traced");
         let (trace, report) = run_traced(app, base, policy, self.instrumentation);
         st.items(trace.total_events() as u64);
         st.finish();
 
-        crate::cancel::checkpoint();
+        enter(Stage::Pas2pOrder);
         let mut st = pas2p_obs::stage("pas2p_order");
         let logical = pas2p_order(&trace);
         st.items(trace.total_events() as u64);
         let order_seconds = st.finish();
 
-        crate::cancel::checkpoint();
+        enter(Stage::ExtractPhases);
 
         // `extract_phases` records its own stage profile and returns the
         // same profiler reading as `analysis_seconds`, so TFAT and the
@@ -437,6 +437,7 @@ impl Pas2p {
         policy: MappingPolicy,
     ) -> (Signature, ConstructionStats) {
         let _span = pas2p_obs::span("pas2p.pipeline", "construct");
+        enter(Stage::ConstructSignature);
         let mut st = pas2p_obs::stage("construct");
         let (mut signature, stats) =
             construct_signature(app, &analysis.table, base, policy, self.signature);
@@ -458,6 +459,7 @@ impl Pas2p {
         policy: MappingPolicy,
     ) -> Result<Prediction, ExecError> {
         let _span = pas2p_obs::span("pas2p.pipeline", "execute");
+        enter(Stage::ExecuteSignature);
         let mut st = pas2p_obs::stage("execute");
         let mut prediction = execute_signature(app, signature, target, policy)?;
         st.items(prediction.measurements.len() as u64);

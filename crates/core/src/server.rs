@@ -26,8 +26,9 @@
 //!   — also when `accept` itself failed.
 //!
 //! Per-request deadlines are the service's own
-//! ([`crate::service::PredictionService::with_deadline`]) and the only
-//! reason a request ever leaves its connection thread.
+//! ([`crate::service::PredictionService::with_deadline`]) and start
+//! nothing here: the request checks its deadline where it runs, on its
+//! connection's thread.
 //!
 //! Observability: `serve.shed` / `serve.timeout` counters and
 //! `serve.inflight` / `serve.queue` gauges, all maintained by the
@@ -145,8 +146,9 @@ pub fn serve_unix_with(
         connections.push(std::thread::spawn(move || {
             handle_connection(stream, &svc, &stop);
             svc.serve_stats().connections.fetch_sub(1, Ordering::SeqCst);
-            // Deadline runners may outlive the connection; events
-            // buffered on this thread are handed over before it exits.
+            // Shutdown stops waiting for this thread once the counter
+            // above drops, which is before its exit-time drain: hand
+            // the buffered events over now.
             pas2p_obs::events::flush();
         }));
         connections.retain(|h| !h.is_finished());

@@ -44,11 +44,15 @@
 //! `queue_capacity`, shed with `code:"busy"` beyond it — and then
 //! executes on the calling thread under a panic boundary
 //! (`code:"panic"`). The permit state *is* the `inflight` /
-//! `queue_depth` counters `health` reports. Only a service with a
-//! deadline hands `submit`/`predict` to another thread — the one
-//! [`crate::cancel::run_abandonable`] runner batch jobs also use: an
-//! expired request answers `code:"timeout"` and returns its permit while
-//! the abandoned runner unwinds at its next stage boundary.
+//! `queue_depth` counters `health` reports. A service deadline changes
+//! none of that: `submit`/`predict` run under a
+//! [`CancelToken`](crate::cancel::CancelToken) that expires with it, the
+//! work asks the token at its checkpoints (see [`crate::cancel`]), and a
+//! request that was stopped by one — an unwind, an interrupted store
+//! operation, a single-flight wait cut short — answers `code:"timeout"`
+//! from the thread it ran on, at the first checkpoint past the
+//! deadline. Nothing keeps running after the answer; the permit goes
+//! back through the same `Drop` as ever.
 //!
 //! All methods take `&self` and clones share one interior: the store
 //! sits behind a mutex that is held only for lookups and publishes
@@ -59,11 +63,14 @@
 //!
 //! Observability: a `serve.requests` counter, per-request stage
 //! profiles (`serve.submit` / `serve.predict` / `serve.batch` /
-//! `serve.stats`), `serve.shed` / `serve.timeout` counters,
-//! `serve.inflight` / `serve.queue` gauges, and the store's
+//! `serve.stats`), `serve.shed` / `serve.timeout` counters, the
+//! `serve.timeout_overrun_us` histogram (how far past its deadline a
+//! `timeout` answer left), `serve.inflight` / `serve.queue` gauges, and
+//! the store's
 //! `store.hit` / `store.miss` / `store.evict` counters.
 
 use crate::batch::{panic_message, run_batch_with, BatchJob, BatchOptions};
+use crate::cancel::{enter, remaining, with_cancel, CancelToken, Stage};
 use crate::pipeline::{Analysis, Pas2p};
 use parking_lot::{Condvar, Mutex};
 use pas2p_machine::{preset_by_name, MachineModel, MappingPolicy};
@@ -393,6 +400,10 @@ struct Shared {
     store: Mutex<SignatureStore>,
     resolve: AppResolver,
     policy: MappingPolicy,
+    /// `policy` as it enters prediction keys.
+    policy_label: String,
+    /// [`config_fingerprint`] of `pas2p`, which never changes.
+    fingerprint: String,
     deadline: Option<Duration>,
     stats: ServeStats,
     pending: Mutex<HashSet<String>>,
@@ -402,8 +413,8 @@ struct Shared {
 }
 
 /// Removes its alias from the single-flight set on drop — including the
-/// unwind of a deadline-cancelled run — so waiters never starve behind
-/// a computation that is no longer happening.
+/// unwind of a request past its deadline — so waiters never starve
+/// behind a computation that is no longer happening.
 struct PendingGuard<'a> {
     shared: &'a Shared,
     alias: String,
@@ -434,7 +445,6 @@ impl Drop for Permit<'_> {
 struct Resolved {
     app: Box<dyn MpiApp>,
     base: MachineModel,
-    fingerprint: String,
     /// The signature's store alias ([`signature_alias`]).
     alias: String,
 }
@@ -454,12 +464,19 @@ impl PredictionService {
         let stats = ServeStats::default();
         stats.entries.store(store.len() as u64, Ordering::SeqCst);
         stats.accepting.store(true, Ordering::SeqCst);
+        let policy = MappingPolicy::Block;
         PredictionService {
             shared: Arc::new(Shared {
+                policy_label: serde_json::to_string(&policy).expect("policies serialize"),
+                fingerprint: config_fingerprint(
+                    &pas2p.similarity,
+                    &pas2p.signature,
+                    pas2p.instrumentation.per_event_seconds,
+                ),
                 pas2p,
                 store: Mutex::new(store),
                 resolve,
-                policy: MappingPolicy::Block,
+                policy,
                 deadline: None,
                 stats,
                 pending: Mutex::new(HashSet::new()),
@@ -471,7 +488,9 @@ impl PredictionService {
     }
 
     /// Set the per-request deadline for `submit`/`predict` (builder
-    /// style; `None` disables). Must be called before the service is
+    /// style; `None` disables): a request still running that long after
+    /// it got its permit answers `code:"timeout"` at its next
+    /// cancellation checkpoint. Must be called before the service is
     /// shared with a server.
     pub fn with_deadline(mut self, deadline: Option<Duration>) -> PredictionService {
         Arc::get_mut(&mut self.shared)
@@ -483,12 +502,7 @@ impl PredictionService {
     /// The service's configuration fingerprint (see
     /// [`config_fingerprint`]).
     pub fn fingerprint(&self) -> String {
-        let pas2p = &self.shared.pas2p;
-        config_fingerprint(
-            &pas2p.similarity,
-            &pas2p.signature,
-            pas2p.instrumentation.per_event_seconds,
-        )
+        self.shared.fingerprint.clone()
     }
 
     /// Snapshot of the store's open-time repair report.
@@ -509,10 +523,6 @@ impl PredictionService {
     /// Live serving counters (shed, timeouts, …).
     pub fn serve_stats(&self) -> &ServeStats {
         &self.shared.stats
-    }
-
-    fn policy_label(&self) -> String {
-        serde_json::to_string(&self.shared.policy).expect("policies serialize")
     }
 
     fn resolve_app(&self, name: &str, nprocs: u32) -> Result<Box<dyn MpiApp>, String> {
@@ -542,14 +552,8 @@ impl PredictionService {
     fn resolve(&self, app_name: &str, nprocs: u32, base_name: &str) -> Result<Resolved, String> {
         let app = self.resolve_app(app_name, nprocs)?;
         let base = Self::resolve_machine(base_name)?;
-        let fingerprint = self.fingerprint();
-        let alias = Self::alias_of(app.as_ref(), &base, &fingerprint);
-        Ok(Resolved {
-            app,
-            base,
-            fingerprint,
-            alias,
-        })
+        let alias = Self::alias_of(app.as_ref(), &base, &self.shared.fingerprint);
+        Ok(Resolved { app, base, alias })
     }
 
     /// Mirror the store's entry count into the lock-free stats while
@@ -600,6 +604,7 @@ impl PredictionService {
             tfat_seconds: analysis.tfat_seconds,
             metrics: analysis.metrics,
         };
+        enter(Stage::Store);
         let mut store = self.shared.store.lock();
         store
             .put_signature(&key, &payload, sidecar)
@@ -617,14 +622,12 @@ impl PredictionService {
         &self,
         resolved: &Resolved,
     ) -> Result<(StoreKey, StoredSignature, bool), String> {
-        let Resolved {
-            app,
-            base,
-            fingerprint,
-            alias,
-        } = resolved;
+        let Resolved { app, base, alias } = resolved;
         let shared = &*self.shared;
         loop {
+            // A waiter whose deadline passed behind the leader stops
+            // here, without starting a Stage A of its own.
+            enter(Stage::Store);
             {
                 let mut store = shared.store.lock();
                 if let Some(key) = store.lookup_alias(alias) {
@@ -642,9 +645,13 @@ impl PredictionService {
                 break;
             }
             // Another request is computing exactly this signature.
-            // Wait for it to finish (or fail), then re-check the store
+            // Wait for it to finish (or fail) — no longer than this
+            // request's deadline allows — then re-check the store
             // instead of duplicating the expensive Stage-A run.
-            shared.pending_cv.wait(&mut pending);
+            match remaining() {
+                Some(left) => drop(shared.pending_cv.wait_for(&mut pending, left)),
+                None => shared.pending_cv.wait(&mut pending),
+            }
         }
         let _guard = PendingGuard {
             shared,
@@ -654,7 +661,7 @@ impl PredictionService {
             shared
                 .pas2p
                 .analyze_full(app.as_ref(), base, shared.policy.clone());
-        let key = Self::content_key(trace, base, fingerprint);
+        let key = Self::content_key(trace, base, &shared.fingerprint);
         let (key, payload) = self.persist(app.as_ref(), analysis, base, key)?;
         Ok((key, payload, false))
     }
@@ -688,8 +695,7 @@ impl PredictionService {
         target_name: &str,
     ) -> Result<PredictOutcome, String> {
         let target = Self::resolve_machine(target_name)?;
-        let policy_label = self.policy_label();
-
+        let policy_label = &self.shared.policy_label;
         let resolved = self.resolve(app_name, nprocs, base_name)?;
 
         // Fast path: alias → signature key → prediction key, without
@@ -697,7 +703,7 @@ impl PredictionService {
         {
             let mut store = self.shared.store.lock();
             if let Some(sig_key) = store.lookup_alias(&resolved.alias) {
-                let pkey = prediction_key(&sig_key, &target, &policy_label);
+                let pkey = prediction_key(&sig_key, &target, policy_label);
                 if let Some(json) = store.get_prediction_json(&pkey) {
                     return Ok(PredictOutcome {
                         app: resolved.app.name(),
@@ -714,7 +720,7 @@ impl PredictionService {
         // a fresh analysis), execute it on the target, canonicalize and
         // persist the prediction.
         let (sig_key, stored, signature_cached) = self.ensure_signature(&resolved)?;
-        let pkey = prediction_key(&sig_key, &target, &policy_label);
+        let pkey = prediction_key(&sig_key, &target, policy_label);
         let mut prediction = self
             .shared
             .pas2p
@@ -738,6 +744,7 @@ impl PredictionService {
             target: Some(target.name.clone()),
         };
         {
+            enter(Stage::Store);
             let mut store = self.shared.store.lock();
             store
                 .put_prediction_json(&pkey, entry, &json)
@@ -769,13 +776,13 @@ impl PredictionService {
         retries: Option<u32>,
     ) -> Result<Value, String> {
         let base = Self::resolve_machine(base_name)?;
-        let fingerprint = self.fingerprint();
+        let fingerprint = &self.shared.fingerprint;
 
         let aliases: Vec<String> = apps
             .iter()
             .map(|name| {
                 let app = self.resolve_app(name, nprocs)?;
-                Ok(Self::alias_of(app.as_ref(), &base, &fingerprint))
+                Ok(Self::alias_of(app.as_ref(), &base, fingerprint))
             })
             .collect::<Result<_, String>>()?;
 
@@ -817,7 +824,7 @@ impl PredictionService {
                     let app = self.resolve_app(name, nprocs)?;
                     let (trace, _) =
                         run_traced(app.as_ref(), &base, policy.clone(), pas2p.instrumentation);
-                    let key = Self::content_key(trace, &base, &fingerprint);
+                    let key = Self::content_key(trace, &base, fingerprint);
                     self.persist(app.as_ref(), analysis, &base, key)?;
                 }
             }
@@ -870,7 +877,7 @@ impl PredictionService {
             "timeouts": stats.timeouts.load(Ordering::SeqCst),
             "entries": store.len(),
             "format_version": STORE_FORMAT_VERSION,
-            "fingerprint": self.fingerprint(),
+            "fingerprint": self.shared.fingerprint,
             "store_report": report.to_value(),
             "store_diagnostics": diagnostics,
         })
@@ -955,18 +962,18 @@ impl PredictionService {
         }
     }
 
-    /// Answer one compute op: permit, stage profile, panic boundary and
-    /// — with a `deadline` — the abandonable runner, which is the only
-    /// case where `work` leaves the calling thread. A panicking request
-    /// answers `code:"panic"`; an expired one answers `code:"timeout"`
-    /// while the runner unwinds at its next stage boundary.
+    /// Answer one compute op on the calling thread: permit, stage
+    /// profile, panic boundary and — with a `deadline` — a token that
+    /// expires with it. A request that failed after a checkpoint found
+    /// the token expired answers `code:"timeout"` (one that finished
+    /// anyway keeps its result); any other panic answers `code:"panic"`.
     fn compute(
         &self,
         op: &'static str,
         stage: &'static str,
         items: u64,
         deadline: Option<Duration>,
-        work: impl FnOnce(&PredictionService) -> Result<Value, String> + Send + 'static,
+        work: impl FnOnce() -> Result<Value, String>,
     ) -> Response {
         let _permit = match self.admit(op) {
             Ok(permit) => permit,
@@ -975,28 +982,29 @@ impl PredictionService {
         self.count_request();
         let mut st = pas2p_obs::stage(stage);
         st.items(items);
-        let svc = self.clone();
-        let guarded = move || match catch_unwind(AssertUnwindSafe(|| work(&svc))) {
-            Ok(result) => result.map_err(|error| ("error", error)),
-            Err(payload) => Err(("panic", panic_message(payload))),
-        };
-        let outcome = match deadline {
+        let guarded = || catch_unwind(AssertUnwindSafe(work));
+        let deadline = deadline.map(|d| (d, CancelToken::with_deadline(d)));
+        let caught = match &deadline {
+            Some((_, token)) => with_cancel(token, guarded),
             None => guarded(),
-            Some(deadline) => crate::cancel::run_abandonable("host.serve", deadline, guarded)
-                .unwrap_or_else(|| {
-                    self.shared.stats.timeouts.fetch_add(1, Ordering::SeqCst);
-                    if pas2p_obs::enabled() {
-                        pas2p_obs::counter("serve.timeout").add(1);
-                    }
-                    let secs = deadline.as_secs_f64();
-                    Err(("timeout", format!("deadline of {secs:.3}s expired")))
-                }),
         };
         st.finish();
-        match outcome {
-            Ok(result) => Response::success(op, result),
-            Err((code, error)) => Response::failure(op, code, error),
-        }
+        let (code, error) = match (caught, deadline) {
+            (Ok(Ok(result)), _) => return Response::success(op, result),
+            (_, Some((deadline, token))) if token.tripped() => {
+                self.shared.stats.timeouts.fetch_add(1, Ordering::SeqCst);
+                if pas2p_obs::enabled() {
+                    pas2p_obs::counter("serve.timeout").add(1);
+                    pas2p_obs::histogram("serve.timeout_overrun_us")
+                        .record(token.overrun().unwrap_or_default().as_micros() as u64);
+                }
+                let secs = deadline.as_secs_f64();
+                ("timeout", format!("deadline of {secs:.3}s expired"))
+            }
+            (Ok(Err(error)), _) => ("error", error),
+            (Err(payload), _) => ("panic", panic_message(payload)),
+        };
+        Response::failure(op, code, error)
     }
 
     /// Decode and execute one protocol line: malformed lines and the
@@ -1022,8 +1030,8 @@ impl PredictionService {
         }
         let response = match request {
             Request::Submit { app, nprocs, base } => {
-                self.compute(op, "serve.submit", 1, deadline, move |svc| {
-                    let outcome = svc.submit(&app, nprocs, &base)?;
+                self.compute(op, "serve.submit", 1, deadline, || {
+                    let outcome = self.submit(&app, nprocs, &base)?;
                     serde_json::to_value(outcome).map_err(|e| e.to_string())
                 })
             }
@@ -1032,10 +1040,10 @@ impl PredictionService {
                 nprocs,
                 base,
                 target,
-            } => self.compute(op, "serve.predict", 1, deadline, move |svc| {
-                let outcome = svc.predict(&app, nprocs, &base, &target)?;
-                let prediction: Value =
-                    serde_json::from_str(&outcome.prediction_json).unwrap_or_default();
+            } => self.compute(op, "serve.predict", 1, deadline, || {
+                let outcome = self.predict(&app, nprocs, &base, &target)?;
+                let prediction: Value = serde_json::from_str(&outcome.prediction_json)
+                    .map_err(|e| format!("stored prediction does not parse: {e}"))?;
                 Ok(json!({
                     "app": outcome.app,
                     "target": outcome.target,
@@ -1054,8 +1062,8 @@ impl PredictionService {
                 workers,
                 deadline_ms,
                 retries,
-            } => self.compute(op, "serve.batch", apps.len() as u64, None, move |svc| {
-                svc.batch(
+            } => self.compute(op, "serve.batch", apps.len() as u64, None, || {
+                self.batch(
                     &apps,
                     nprocs,
                     &base,
@@ -1065,7 +1073,7 @@ impl PredictionService {
                     retries,
                 )
             }),
-            Request::Stats => self.compute(op, "serve.stats", 1, None, |svc| Ok(svc.stats())),
+            Request::Stats => self.compute(op, "serve.stats", 1, None, || Ok(self.stats())),
             Request::Ping => Response::success(op, json!({"pong": true})),
             Request::Health => Response::success(op, self.health()),
             Request::Shutdown => Response::success(op, json!({"stopping": true})),
@@ -1199,6 +1207,207 @@ mod tests {
         let error = response.error.expect("the report");
         assert!(
             error.contains("rank 0 in recv(src=Some(1), tag=Some(0))"),
+            "{error}"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_request_stopped_at_a_checkpoint_answers_timeout_and_a_panic_stays_a_panic() {
+        let root = temp_root("checkpoint");
+        // Expired from the start: the first checkpoint of the cold path
+        // stops the request.
+        let svc = service(&root).with_deadline(Some(Duration::ZERO));
+        let submit = r#"{"op":"submit","app":"cg","nprocs":4}"#;
+        let (response, stop) = svc.handle_line(submit);
+        assert!(!response.ok && !stop);
+        assert_eq!(response.code, Some("timeout"), "{:?}", response.error);
+        assert_eq!(
+            response.error.as_deref(),
+            Some("deadline of 0.000s expired")
+        );
+        assert_eq!(svc.serve_stats().timeouts(), 1);
+        assert_eq!(svc.store_len(), 0, "nothing was published");
+        let _ = std::fs::remove_dir_all(&root);
+
+        // A panic under a deadline nobody found expired is a panic.
+        let root = temp_root("genuine-panic");
+        let store = SignatureStore::open(&root).expect("open store");
+        let resolve: AppResolver = Box::new(|_, _| panic!("resolver bug"));
+        let svc = PredictionService::new(Pas2p::default(), store, resolve)
+            .with_deadline(Some(Duration::from_secs(3600)));
+        let (response, _) = svc.handle_line(submit);
+        assert_eq!(response.code, Some("panic"));
+        assert_eq!(response.error.as_deref(), Some("panicked: resolver bug"));
+        assert_eq!(svc.serve_stats().timeouts(), 0, "not counted as a timeout");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A catalog app whose rank 0 counts its runs and, until the gate is
+    /// opened, blocks each of them inside the simulator.
+    struct GatedApp {
+        inner: Box<dyn MpiApp>,
+        gate: Arc<Gate>,
+    }
+
+    struct Gate {
+        runs: AtomicU32,
+        open: std::sync::Mutex<bool>,
+        opened: std::sync::Condvar,
+        blocked: std::sync::Mutex<std::sync::mpsc::Sender<()>>,
+    }
+
+    impl MpiApp for GatedApp {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn nprocs(&self) -> u32 {
+            self.inner.nprocs()
+        }
+        fn workload(&self) -> String {
+            self.inner.workload()
+        }
+        fn make_rank(&self, rank: u32) -> Box<dyn pas2p_signature::RankProgram> {
+            if rank == 0 {
+                self.gate.runs.fetch_add(1, Ordering::SeqCst);
+                let mut open = self.gate.open.lock().expect("gate");
+                if !*open {
+                    self.gate
+                        .blocked
+                        .lock()
+                        .expect("gate")
+                        .send(())
+                        .expect("test listens");
+                }
+                while !*open {
+                    open = self.gate.opened.wait(open).expect("gate");
+                }
+            }
+            self.inner.make_rank(rank)
+        }
+    }
+
+    #[test]
+    fn a_single_flight_waiter_past_its_deadline_times_out_without_a_second_stage_a() {
+        let root = temp_root("waiter");
+        let (blocked_tx, blocked_rx) = std::sync::mpsc::channel();
+        let gate = Arc::new(Gate {
+            runs: AtomicU32::new(0),
+            open: std::sync::Mutex::new(false),
+            opened: std::sync::Condvar::new(),
+            blocked: std::sync::Mutex::new(blocked_tx),
+        });
+        let store = SignatureStore::open(&root).expect("open store");
+        let resolver_gate = Arc::clone(&gate);
+        let resolve: AppResolver = Box::new(move |name, nprocs| {
+            Some(Box::new(GatedApp {
+                inner: pas2p_apps::by_name(name, nprocs)?,
+                gate: Arc::clone(&resolver_gate),
+            }))
+        });
+        let svc = PredictionService::new(Pas2p::default(), store, resolve)
+            .with_deadline(Some(Duration::from_millis(100)));
+
+        // The leader calls `submit` itself — no request, so no deadline —
+        // and is held inside its traced run.
+        let leader_svc = svc.clone();
+        let leader = std::thread::spawn(move || leader_svc.submit("cg", 4, "A"));
+        blocked_rx.recv().expect("the leader reached Stage A");
+
+        // The waiter's deadline passes behind it.
+        let (response, _) = svc.handle_line(r#"{"op":"submit","app":"cg","nprocs":4}"#);
+        assert_eq!(response.code, Some("timeout"), "{:?}", response.error);
+        assert_eq!(svc.serve_stats().timeouts(), 1);
+        assert_eq!(gate.runs.load(Ordering::SeqCst), 1, "no duplicate Stage A");
+
+        *gate.open.lock().expect("gate") = true;
+        gate.opened.notify_all();
+        let led = leader
+            .join()
+            .expect("leader thread")
+            .expect("leader's submit");
+        assert!(!led.cached);
+        assert_eq!(
+            gate.runs.load(Ordering::SeqCst),
+            2,
+            "the leader's traced run and its checkpointing re-run"
+        );
+        let after = svc.submit("cg", 4, "A").expect("published");
+        assert!(after.cached);
+        assert_eq!(after.digest, led.digest);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_simulated_run_under_an_expired_token_unwinds_with_cancelled() {
+        use pas2p_mpisim::{run_app, Mpi, SimConfig};
+        struct Live<'a>(&'a AtomicU32);
+        impl Drop for Live<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let live = AtomicU32::new(0);
+        let cfg = SimConfig::new(pas2p_machine::cluster_a(), 3, MappingPolicy::Block);
+        let token = CancelToken::with_deadline(Duration::ZERO);
+        // Left alone this program deadlocks: nobody sends what ranks 1
+        // and 2 wait for, and rank 0 ends up waiting for them.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            with_cancel(&token, || {
+                run_app(&cfg, |ctx| {
+                    live.fetch_add(1, Ordering::SeqCst);
+                    let _live = Live(&live);
+                    if ctx.rank() == 0 {
+                        ctx.send(1, 7, b"only message");
+                    }
+                    ctx.recv(Some((ctx.rank() + 1) % 3), Some(9));
+                })
+            })
+        }));
+        let payload = result.expect_err("a cancelled run returns no report");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&crate::cancel::CANCELLED),
+            "cancelled, not deadlocked"
+        );
+        assert!(token.tripped());
+        assert_eq!(live.load(Ordering::SeqCst), 0, "every rank has unwound");
+    }
+
+    #[test]
+    fn a_stored_prediction_that_does_not_parse_is_an_error_not_a_null() {
+        let root = temp_root("unparsable");
+        let svc = service(&root);
+        svc.submit("cg", 4, "A").expect("submit");
+        // A payload that passes its checksum but is not JSON, under the
+        // key the service will look up.
+        let resolved = svc.resolve("cg", 4, "A").expect("resolve");
+        let target = PredictionService::resolve_machine("B").expect("preset");
+        {
+            let mut store = svc.shared.store.lock();
+            let sig_key = store.lookup_alias(&resolved.alias).expect("alias");
+            let pkey = prediction_key(&sig_key, &target, &svc.shared.policy_label);
+            let entry = IndexEntry {
+                kind: ArtifactKind::Prediction,
+                format_version: STORE_FORMAT_VERSION,
+                fingerprint: pkey.fingerprint.clone(),
+                app: resolved.app.name(),
+                workload: resolved.app.workload(),
+                nprocs: 4,
+                base: "A".into(),
+                target: Some(target.name.clone()),
+            };
+            store
+                .put_prediction_json(&pkey, entry, "{truncated")
+                .expect("put");
+        }
+        let (response, _) =
+            svc.handle_line(r#"{"op":"predict","app":"cg","nprocs":4,"target":"B"}"#);
+        assert!(!response.ok, "{:?}", response.result);
+        assert_eq!(response.code, Some("error"));
+        let error = response.error.expect("the reason");
+        assert!(
+            error.starts_with("stored prediction does not parse"),
             "{error}"
         );
         let _ = std::fs::remove_dir_all(&root);

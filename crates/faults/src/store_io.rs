@@ -162,8 +162,8 @@ impl StoreFaultStats {
 }
 
 /// Callback polled while an operation is gate-blocked; returning `true`
-/// aborts the wait with an `Interrupted` error so a deadline-cancelled
-/// request fails classified instead of hanging a worker forever.
+/// aborts the wait with an `Interrupted` error so a request past its
+/// deadline fails classified instead of holding its permit forever.
 pub type CancelCheck = Box<dyn Fn() -> bool + Send + Sync>;
 
 /// A [`StoreIo`] that injects the faults of a plan into a wrapped

@@ -16,6 +16,10 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
+/// A running rank reads the caller's cancellation deadline once per
+/// this many communication events (and whenever it is about to park).
+const CANCEL_CHECK_EVERY: u64 = 64;
+
 /// The execution context handed to each rank's closure: implements [`Mpi`]
 /// directly against the simulated machine.
 pub struct RankCtx {
@@ -95,7 +99,25 @@ impl RankCtx {
         }
     }
 
+    /// Abort the run — waking the parked ranks — if the caller's token
+    /// has been cancelled. Reads the clock, waits for nothing.
+    fn check_cancel(&self) {
+        let shared = &self.shared;
+        if shared.cancel.as_ref().is_some_and(|t| t.is_cancelled())
+            && !shared.cancelled.swap(true, Ordering::SeqCst)
+        {
+            shared.park.abort();
+        }
+    }
+
     fn after_comm_event(&mut self) {
+        // A rank asks the token before it parks and on every
+        // `CANCEL_CHECK_EVERY`th event in between: often enough that
+        // one noticing is soon, rarely enough that the clock reads
+        // cost a cold run nothing measurable.
+        if self.counters.comm_ops().is_multiple_of(CANCEL_CHECK_EVERY) {
+            self.check_cancel();
+        }
         self.check_abort();
         if let Some(h) = &self.shared.harness {
             if h.on_comm_event(self.rank, &self.counters, self.clock) == HarnessAction::AbortAll {
@@ -128,6 +150,9 @@ impl RankCtx {
     /// it waits for. If this park completes an application deadlock,
     /// panics with the report naming every rank's wait.
     fn park(&self, seen: u64, wait: Wait) {
+        // An abort issues this rank a token, so the park below returns
+        // at once and the caller's loop unwinds.
+        self.check_cancel();
         if let Err(deadlock) = self.shared.park.park(self.rank, seen, wait) {
             panic!("{deadlock}");
         }

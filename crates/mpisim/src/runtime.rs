@@ -10,6 +10,7 @@ use crate::report::RunReport;
 use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 use pas2p_machine::{MachineModel, Mapping, MappingPolicy};
+use pas2p_obs::cancel::{CancelToken, CANCELLED};
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,6 +46,10 @@ pub(crate) struct Shared {
     pub park: Registry,
     pub slots: Mutex<HashMap<Group, Arc<CollSlot>>>,
     pub harness: Option<Arc<dyn SimHarness>>,
+    /// The cancellation token `run_app`'s caller ran under, if any.
+    pub cancel: Option<CancelToken>,
+    /// Set by the rank that found `cancel` cancelled and aborted the run.
+    pub cancelled: AtomicBool,
     pub total_msgs: AtomicU64,
     pub total_bytes: AtomicU64,
     pub total_colls: AtomicU64,
@@ -86,6 +91,12 @@ impl SimConfig {
 /// application deadlock — propagates with its own payload once every
 /// rank has unwound; [`SimAbort`] unwinds are converted into
 /// `aborted = true`.
+///
+/// A caller running under a [`CancelToken`] hands it to the ranks: the
+/// first rank to find it cancelled — each asks before it parks and every
+/// few communication events — aborts the run (parked ranks are woken
+/// like on any abort), and `run_app` then unwinds the caller with
+/// [`CANCELLED`] instead of returning a report.
 pub fn run_app<F>(cfg: &SimConfig, f: F) -> RunReport
 where
     F: Fn(&mut RankCtx) + Send + Sync,
@@ -110,6 +121,8 @@ where
         park: Registry::new(n as usize),
         slots: Mutex::new(HashMap::new()),
         harness: cfg.harness.clone(),
+        cancel: pas2p_obs::cancel::current(),
+        cancelled: AtomicBool::new(false),
         total_msgs: AtomicU64::new(0),
         total_bytes: AtomicU64::new(0),
         total_colls: AtomicU64::new(0),
@@ -172,6 +185,9 @@ where
 
     if let Some(payload) = first_panic.into_inner() {
         panic::resume_unwind(payload);
+    }
+    if shared.cancelled.load(Ordering::SeqCst) {
+        panic::panic_any(CANCELLED);
     }
     let rank_clocks = clocks.into_inner();
     let makespan = rank_clocks.iter().cloned().fold(0.0f64, f64::max);

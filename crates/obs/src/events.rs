@@ -210,8 +210,8 @@ pub fn instant(cat: &'static str, name: &str, args: Vec<(&'static str, String)>)
     }
 }
 
-/// Record the start of a flow arrow (e.g. a batch job handed to a
-/// deadline runner); pair it with [`flow_end`] using the same id.
+/// Record the start of a flow arrow (work handed from this thread to
+/// another); pair it with [`flow_end`] using the same id.
 /// Returns the flow id (freshly allocated when `id` is `None`), or 0
 /// when tracing is off.
 pub fn flow_start(cat: &'static str, name: &str, id: Option<u64>) -> u64 {
@@ -306,26 +306,6 @@ impl Drop for EventSpan {
 /// drain would race a [`take()`] on the spawning thread.
 pub fn flush() {
     RING.with(|ring| ring.borrow_mut().drain());
-}
-
-/// Throw away the calling thread's buffered events — and forget its
-/// open spans — without draining them into the sink. Returns how many
-/// events were discarded.
-///
-/// This is for abandoned runner threads: when a batch job is cancelled
-/// after its deadline expired, the partial timeline it recorded must
-/// not land in the report, but the exit-time `Drop` drain would publish
-/// it anyway (possibly long after the report was sealed). Events the
-/// thread already drained into the sink — a full ring, an earlier
-/// [`flush`] — are out of reach and stay.
-pub fn discard_local() -> usize {
-    RING.with(|ring| {
-        let mut ring = ring.borrow_mut();
-        let n = ring.buf.len();
-        ring.buf.clear();
-        ring.open_spans.clear();
-        n
-    })
 }
 
 /// Flush the calling thread's buffer and drain every event recorded so
@@ -439,26 +419,6 @@ mod tests {
         let events = take();
         assert_eq!(events.len(), 2, "exit drain must land before join returns");
         assert_eq!(events[0].name, "w1");
-    }
-
-    #[test]
-    fn discard_local_suppresses_the_exit_drain() {
-        let _g = test_guard();
-        set_tracing(true);
-        clear();
-        std::thread::spawn(|| {
-            let span = trace_span("host.worker", "abandoned");
-            drop(span);
-            let discarded = discard_local();
-            assert_eq!(discarded, 2, "begin + end were buffered");
-        })
-        .join()
-        .expect("worker thread");
-        set_tracing(false);
-        assert!(
-            take().is_empty(),
-            "discarded events must never reach the sink"
-        );
     }
 
     #[test]

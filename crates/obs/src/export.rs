@@ -198,7 +198,7 @@ impl ChromeTrace {
     /// timeline events under `pid`.
     ///
     /// Span begin/end pairs become complete (`X`) slices; a begin whose
-    /// end never arrived (an abandoned deadline runner, a panicking
+    /// end never arrived (a run unwound past its deadline, a panicking
     /// worker) becomes a zero-length slice flagged `unfinished`. Parent
     /// links are resolved to the parent span's *name* — span ids are
     /// allocated from a process-global counter whose values depend on

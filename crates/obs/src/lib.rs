@@ -25,6 +25,10 @@
 //! * **[`export`]** — …the Chrome Trace Event / Perfetto-compatible
 //!   [`ChromeTrace`] JSON exporter behind `pas2p-cli timeline` and the
 //!   `--trace-out` flags.
+//! * **[`cancel`]** — cooperative cancellation: a [`cancel::CancelToken`] is a
+//!   flag beside an optional deadline, installed per thread and asked
+//!   at checkpoints by the work itself; the gap between consecutive
+//!   checks is a histogram per pipeline stage.
 //! * **[`farm`]** — the one fan-out of the workspace: an
 //!   ordered map over scoped workers, which is also where worker lanes,
 //!   the worker-exit [`events::flush`], panic re-raise and "one worker
@@ -63,6 +67,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cancel;
 pub mod events;
 pub mod export;
 pub mod farm;

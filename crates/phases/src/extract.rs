@@ -371,6 +371,7 @@ impl Merger<'_> {
     /// the known phases, cell by cell.
     fn merge_scalar(&mut self, windows: &[(usize, usize)]) {
         for &(s, e) in windows {
+            pas2p_obs::cancel::checkpoint();
             let pattern = self.pattern_of(s, e);
             let occurrence = self.occurrence_of(s, e);
             let hit = self
@@ -389,6 +390,7 @@ impl Merger<'_> {
         // The columnar mirror of `self.phases`.
         let mut index = SoaIndex::new();
         for &(s, e) in windows {
+            pas2p_obs::cancel::checkpoint();
             let occurrence = self.occurrence_of(s, e);
             let candidate = SoaPattern::from_ticks(self.lt, s, e);
             let (hit, stats) = index.first_match(self.cfg, &candidate);

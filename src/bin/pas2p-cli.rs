@@ -59,7 +59,10 @@ batch: one Stage-A analysis per listed application over a worker pool
                    recovering ingest path
   --faults FILE    fault plans from a spec file (see pas2p-faults), one
                    batch job per app x plan
-  --deadline-ms N  abandon any job still running after N milliseconds
+  --deadline-ms N  time out a job still running after N milliseconds: it
+                   stops on its worker at its next checkpoint (stage
+                   boundary, simulated communication event, extraction
+                   window); no runner thread
   --retries N      retry a failed job up to N times (exponential backoff)
   --strict         exit 1 if any job failed or timed out (default exit 0)
 timeline: export a Chrome Trace / Perfetto JSON timeline (open at
@@ -87,8 +90,10 @@ serve: long-running prediction service over newline-delimited JSON on
   --queue N        socket mode: requests that may wait for their turn; beyond
                    that new ones get a retryable \"busy\" error (default 64)
   --max-conns N    socket mode: concurrent connection cap (default 64)
-  --deadline-ms N  per-request compute deadline; an overrunning request is
-                   abandoned and answered with a \"timeout\" error
+  --deadline-ms N  per-request compute deadline, cooperative: the request
+                   runs on its connection's thread (no runner thread) and
+                   is answered with a \"timeout\" error at the first
+                   checkpoint past N ms; a cached predict is never cut
   --drain-ms N     socket mode: graceful-shutdown drain budget (default 5000)
   socket-mode extras: ops ping and health answer inline (never queued), so
   liveness probes work even when every compute slot is taken
