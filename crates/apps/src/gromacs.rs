@@ -8,9 +8,8 @@
 //! load-balancing broadcast.
 
 use crate::util::{near_square_grid, SplitMix, StateReader, StateWriter};
-use bytes::Bytes;
 use pas2p_machine::Work;
-use pas2p_mpisim::{Group, Mpi};
+use pas2p_mpisim::{Group, Mpi, Payload};
 use pas2p_signature::{MpiApp, RankProgram};
 
 /// The GROMACS-like application.
@@ -99,9 +98,9 @@ impl GromacsRank {
         // Neighbour halo (ring along the row; GROMACS DD pulses).
         let (e, w) = (self.east(), self.west());
         if e != self.rank {
-            ctx.send(e, 10, &vec![1u8; self.halo_bytes]);
+            ctx.send_sized(e, 10, self.halo_bytes);
             ctx.recv(Some(w), Some(10));
-            ctx.send(w, 11, &vec![1u8; self.halo_bytes]);
+            ctx.send_sized(w, 11, self.halo_bytes);
             ctx.recv(Some(e), Some(11));
         }
         // Nonbonded kernels.
@@ -116,12 +115,12 @@ impl GromacsRank {
     fn pme(&mut self, ctx: &mut dyn Mpi) {
         let rg = Group::grid_row(self.rank, self.rows, self.cols);
         let cg = Group::grid_col(self.rank, self.rows, self.cols);
-        let blocks = |g: &Group, fill: u8, bytes: usize| -> Vec<Bytes> {
-            (0..g.len()).map(|_| Bytes::from(vec![fill; bytes])).collect()
+        let blocks = |g: &Group| -> Vec<Payload> {
+            (0..g.len()).map(|_| Payload::sized(self.pme_block)).collect()
         };
-        ctx.alltoall_in(&rg, blocks(&rg, 4, self.pme_block));
+        ctx.alltoall_in(&rg, blocks(&rg));
         ctx.compute(Work::flops(self.pme_flops));
-        ctx.alltoall_in(&cg, blocks(&cg, 5, self.pme_block));
+        ctx.alltoall_in(&cg, blocks(&cg));
         ctx.compute(Work::flops(self.pme_flops * 0.5));
     }
 }
@@ -129,7 +128,7 @@ impl GromacsRank {
 impl RankProgram for GromacsRank {
     fn prologue(&mut self, ctx: &mut dyn Mpi) {
         // Topology distribution.
-        let data = (self.rank == 0).then(|| Bytes::from(vec![9u8; 4096]));
+        let data = (self.rank == 0).then(|| Payload::sized(4096));
         ctx.bcast(0, data);
         ctx.compute(Work::new(self.force_flops, self.mem_bytes));
         ctx.barrier();
@@ -148,14 +147,14 @@ impl RankProgram for GromacsRank {
         ctx.allreduce_f64(&[self.q[0]], pas2p_mpisim::ReduceOp::Sum);
         ctx.compute(Work::flops(self.force_flops * 0.05));
         if (s + 1).is_multiple_of(self.dlb_every) {
-            let data = (self.rank == 0).then(|| Bytes::from(vec![8u8; 512]));
+            let data = (self.rank == 0).then(|| Payload::sized(512));
             ctx.bcast(0, data);
         }
         self.step_no += 1;
     }
 
     fn epilogue(&mut self, ctx: &mut dyn Mpi) {
-        ctx.gather(0, Bytes::from(vec![7u8; 256]));
+        ctx.gather(0, Payload::sized(256));
     }
 
     fn snapshot(&self) -> Vec<u8> {

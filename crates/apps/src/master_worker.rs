@@ -77,7 +77,7 @@ impl RankProgram for MwRank {
             // ANY_SOURCE receives: the nondeterministic pattern §3.2
             // motivates.
             for w in 1..self.nprocs {
-                ctx.send(w, 1, &vec![1u8; 4096]);
+                ctx.send_sized(w, 1, 4096);
             }
             for _ in 1..self.nprocs {
                 let m = ctx.recv(None, Some(2));
@@ -89,7 +89,7 @@ impl RankProgram for MwRank {
             ctx.compute(Work::flops(self.task_flops * self.rank as f64
                 / self.nprocs as f64));
             self.result = self.result * 0.5 + self.rank as f64;
-            ctx.send(0, 2, &vec![2u8; 1024]);
+            ctx.send_sized(0, 2, 1024);
         }
         self.step_no += 1;
     }

@@ -123,7 +123,7 @@ impl AdiRank {
         for s in 0..self.sweeps_per_dim {
             let t = tag + s;
             if fwd != self.rank {
-                ctx.send(fwd, t, &vec![1u8; self.msg_bytes]);
+                ctx.send_sized(fwd, t, self.msg_bytes);
                 ctx.recv(Some(bwd), Some(t));
             }
             ctx.compute(Work::new(
@@ -131,7 +131,7 @@ impl AdiRank {
                 self.mem_bytes * 0.2 / self.sweeps_per_dim as f64,
             ));
             if bwd != self.rank {
-                ctx.send(bwd, t + 100, &vec![2u8; self.msg_bytes]);
+                ctx.send_sized(bwd, t + 100, self.msg_bytes);
                 ctx.recv(Some(fwd), Some(t + 100));
             }
             ctx.compute(Work::flops(self.solve_flops * 0.5 / self.sweeps_per_dim as f64));

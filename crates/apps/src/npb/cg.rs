@@ -144,15 +144,14 @@ impl RankProgram for CgRank {
         let stages = 31 - self.cols.leading_zeros();
         for stage in 0..stages {
             if let Some(peer) = self.row_partner(stage) {
-                let payload = vec![1u8; self.msg_bytes >> stage.min(4)];
-                ctx.send(peer, 10 + stage, &payload);
+                ctx.send_sized(peer, 10 + stage, self.msg_bytes >> stage.min(4));
                 ctx.recv(Some(peer), Some(10 + stage));
                 ctx.compute(Work::flops(self.axpy_flops * 0.1));
             }
         }
         let tp = self.transpose_partner();
         if tp != self.rank {
-            ctx.send(tp, 20, &vec![2u8; self.msg_bytes]);
+            ctx.send_sized(tp, 20, self.msg_bytes);
             ctx.recv(Some(tp), Some(20));
         }
         // Two dot products + vector updates.

@@ -9,9 +9,8 @@
 
 use crate::npb::Class;
 use crate::util::{near_square_grid, SplitMix, StateReader, StateWriter};
-use bytes::Bytes;
 use pas2p_machine::Work;
-use pas2p_mpisim::{Group, Mpi};
+use pas2p_mpisim::{Group, Mpi, Payload};
 use pas2p_signature::{MpiApp, RankProgram};
 
 /// The FT application.
@@ -99,8 +98,8 @@ impl FtRank {
     }
 
     fn transpose(&mut self, ctx: &mut dyn Mpi, group: &Group) {
-        let blocks: Vec<Bytes> = (0..group.len())
-            .map(|_| Bytes::from(vec![3u8; self.block_bytes]))
+        let blocks = (0..group.len())
+            .map(|_| Payload::sized(self.block_bytes))
             .collect();
         ctx.alltoall_in(group, blocks);
     }

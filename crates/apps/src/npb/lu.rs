@@ -134,10 +134,10 @@ impl LuRank {
             }
             ctx.compute(Work::new(self.block_flops, self.mem_bytes / self.k_blocks as f64));
             if let Some(p) = down_r {
-                ctx.send(p, t, &vec![1u8; self.msg_bytes]);
+                ctx.send_sized(p, t, self.msg_bytes);
             }
             if let Some(p) = down_c {
-                ctx.send(p, t + 1000, &vec![2u8; self.msg_bytes]);
+                ctx.send_sized(p, t + 1000, self.msg_bytes);
             }
         }
     }

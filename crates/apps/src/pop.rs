@@ -109,7 +109,7 @@ impl PopRank {
         }
         for (i, &(dr, dc)) in pairs.iter().enumerate() {
             if let Some(p) = self.neighbour(dr, dc) {
-                ctx.send(p, tag + i as u32, &vec![1u8; bytes]);
+                ctx.send_sized(p, tag + i as u32, bytes);
             }
         }
         ctx.waitall(reqs);

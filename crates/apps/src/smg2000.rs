@@ -104,7 +104,7 @@ impl SmgRank {
         for (i, &(dr, dc)) in pairs.iter().enumerate() {
             if let Some(p) = self.neighbour(dr, dc) {
                 let t = tag + i as u32;
-                ctx.send(p, t, &vec![1u8; bytes]);
+                ctx.send_sized(p, t, bytes);
             }
         }
         for (i, &(dr, dc)) in pairs.iter().enumerate() {

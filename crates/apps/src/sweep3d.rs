@@ -126,10 +126,10 @@ impl SweepRank {
             }
             ctx.compute(Work::new(self.block_flops, self.mem_bytes));
             if let Some(p) = down_i {
-                ctx.send(p, t, &vec![1u8; self.msg_bytes]);
+                ctx.send_sized(p, t, self.msg_bytes);
             }
             if let Some(p) = down_j {
-                ctx.send(p, t + 500, &vec![2u8; self.msg_bytes]);
+                ctx.send_sized(p, t + 500, self.msg_bytes);
             }
         }
     }

@@ -126,7 +126,7 @@ mod tests {
             ctx.compute(Work::flops(2e7));
             let next = (self.rank + 1) % 4;
             let prev = (self.rank + 3) % 4;
-            ctx.send(next, 0, &[0u8; 512]);
+            ctx.send_sized(next, 0, 512);
             ctx.recv(Some(prev), Some(0));
             ctx.allreduce_f64(&[1.0], ReduceOp::Sum);
         }

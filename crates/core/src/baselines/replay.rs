@@ -208,7 +208,7 @@ mod tests {
                 ctx.compute(Work::new(2e7, 8e7));
                 let next = (self.rank + 1) % self.n;
                 let prev = (self.rank + self.n - 1) % self.n;
-                ctx.send(next, 1, &[0u8; 4096]);
+                ctx.send_sized(next, 1, 4096);
                 ctx.recv(Some(prev), Some(1));
                 ctx.allreduce_f64(&[1.0], pas2p_mpisim::ReduceOp::Sum);
             }

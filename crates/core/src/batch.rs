@@ -25,7 +25,7 @@ use crate::pipeline::{Analysis, Pas2p};
 use pas2p_faults::FaultPlan;
 use pas2p_machine::{MachineModel, MappingPolicy};
 use pas2p_signature::{run_traced, MpiApp};
-use pas2p_trace::{Confidence, IngestReport};
+use pas2p_trace::{Confidence, IngestReport, Trace};
 use serde::Serialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -102,6 +102,12 @@ pub struct BatchResult {
     pub status: BatchStatus,
     /// The full Stage-A analysis; absent for `Failed` and `TimedOut`.
     pub analysis: Option<Analysis>,
+    /// The trace a fault-free job analyzed, kept so that a caller who
+    /// addresses the result by content need not run the application
+    /// again. In memory only: no report carries it (`skip_serializing_if`
+    /// with a constant, because the offline serde stand-in has no `skip`).
+    #[serde(skip_serializing_if = "never_serialized")]
+    pub trace: Option<Trace>,
     /// Ingest accounting when the job went through the recovering
     /// decoder (fault jobs and byte-stream jobs), even on failure.
     pub ingest: Option<IngestReport>,
@@ -111,6 +117,10 @@ pub struct BatchResult {
     pub attempts: u32,
     /// Host wall-clock seconds this job took on its worker.
     pub job_seconds: f64,
+}
+
+fn never_serialized<T>(_: &T) -> bool {
+    true
 }
 
 /// The batch driver's output: every job's result plus run-level stats.
@@ -268,9 +278,10 @@ fn retry_backoff_delay(base: Duration, retry: u32) -> Duration {
     base.checked_mul(factor).unwrap_or(Duration::MAX)
 }
 
-/// What one job's retry loop produced.
+/// What one job's retry loop produced: on success the analysis, with
+/// the trace behind it when the job was fault-free.
 struct Outcome {
-    result: Result<Analysis, String>,
+    result: Result<(Analysis, Option<Trace>), String>,
     ingest: Option<IngestReport>,
     attempts: u32,
 }
@@ -289,9 +300,16 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// One attempt: run the job to completion, through fault injection and
 /// recovering ingest when the job carries a plan.
-fn attempt(pas2p: &Pas2p, job: &BatchJob) -> Result<Analysis, (String, Option<IngestReport>)> {
+fn attempt(
+    pas2p: &Pas2p,
+    job: &BatchJob,
+) -> Result<(Analysis, Option<Trace>), (String, Option<IngestReport>)> {
     match &job.fault {
-        None => Ok(pas2p.analyze(job.app.as_ref(), &job.base, job.policy.clone())),
+        None => {
+            let (analysis, trace, _logical) =
+                pas2p.analyze_full(job.app.as_ref(), &job.base, job.policy.clone());
+            Ok((analysis, Some(trace)))
+        }
         Some(plan) => {
             let (trace, _) = run_traced(
                 job.app.as_ref(),
@@ -302,6 +320,7 @@ fn attempt(pas2p: &Pas2p, job: &BatchJob) -> Result<Analysis, (String, Option<In
             let (bytes, _log) = plan.inject(&trace);
             pas2p
                 .analyze_bytes_checked(&job.app.name(), &job.app.workload(), &bytes)
+                .map(|analysis| (analysis, None))
                 .map_err(|e| (e.reason, Some(e.ingest)))
         }
     }
@@ -317,10 +336,10 @@ fn attempt_loop(pas2p: &Pas2p, job: &BatchJob, opts: &BatchOptions) -> Outcome {
     loop {
         attempts += 1;
         match catch_unwind(AssertUnwindSafe(|| attempt(pas2p, job))) {
-            Ok(Ok(analysis)) => {
-                let ingest = analysis.ingest.clone();
+            Ok(Ok(done)) => {
+                let ingest = done.0.ingest.clone();
                 return Outcome {
-                    result: Ok(analysis),
+                    result: Ok(done),
                     ingest,
                     attempts,
                 };
@@ -373,7 +392,7 @@ fn attempt_loop(pas2p: &Pas2p, job: &BatchJob, opts: &BatchOptions) -> Outcome {
 
 fn classify(outcome: &Outcome) -> BatchStatus {
     match &outcome.result {
-        Ok(a) if a.confidence == Confidence::Degraded => BatchStatus::Degraded,
+        Ok((a, _)) if a.confidence == Confidence::Degraded => BatchStatus::Degraded,
         Ok(_) if outcome.attempts > 1 => BatchStatus::Retried,
         Ok(_) => BatchStatus::Ok,
         Err(_) => BatchStatus::Failed,
@@ -463,9 +482,9 @@ pub fn run_batch_with(pas2p: &Pas2p, jobs: Vec<BatchJob>, opts: BatchOptions) ->
                 _ => {}
             }
         }
-        let (analysis, error) = match outcome.result {
-            Ok(a) => (Some(a), None),
-            Err(e) => (None, Some(e)),
+        let (analysis, trace, error) = match outcome.result {
+            Ok((a, t)) => (Some(a), t, None),
+            Err(e) => (None, None, Some(e)),
         };
         let job_seconds = started.elapsed().as_secs_f64();
         if pas2p_obs::enabled() {
@@ -483,6 +502,7 @@ pub fn run_batch_with(pas2p: &Pas2p, jobs: Vec<BatchJob>, opts: BatchOptions) ->
             app_name,
             status,
             analysis,
+            trace,
             ingest: outcome.ingest,
             error,
             attempts: outcome.attempts,

@@ -233,6 +233,7 @@ mod tests {
                 app_name: "cg".into(),
                 status: BatchStatus::Failed,
                 analysis: None,
+                trace: None,
                 ingest: None,
                 error: Some("boom".into()),
                 attempts: 1,

@@ -74,7 +74,7 @@ use crate::cancel::{enter, remaining, with_cancel, CancelToken, Stage};
 use crate::pipeline::{Analysis, Pas2p};
 use parking_lot::{Condvar, Mutex};
 use pas2p_machine::{preset_by_name, MachineModel, MappingPolicy};
-use pas2p_signature::{run_traced, MpiApp, Prediction};
+use pas2p_signature::{MpiApp, Prediction};
 use pas2p_store::{
     config_fingerprint, prediction_key, signature_alias, signature_key, ArtifactKind, IndexEntry,
     Sidecar, SignatureStore, StoreKey, StoreReport, StoredSignature, STORE_FORMAT_VERSION,
@@ -812,18 +812,14 @@ impl PredictionService {
                 max_retries: retries.unwrap_or(0),
                 ..BatchOptions::default()
             };
-            let Shared { pas2p, policy, .. } = &*self.shared;
-            let report = run_batch_with(pas2p, jobs?, opts);
+            let report = run_batch_with(&self.shared.pas2p, jobs?, opts);
             for (name, result) in missing.iter().zip(report.results) {
                 statuses.insert(name.clone(), json!(result.status.to_string()));
-                if let Some(analysis) = result.analysis {
-                    // The batch driver keeps no trace: re-run the
-                    // deterministic collection for the content address.
-                    // Phase extraction, the expensive part, is not
-                    // repeated.
+                // These jobs carry no fault plan, so a completed one
+                // comes back with the trace its analysis was built from:
+                // the content address costs no further run.
+                if let (Some(analysis), Some(trace)) = (result.analysis, result.trace) {
                     let app = self.resolve_app(name, nprocs)?;
-                    let (trace, _) =
-                        run_traced(app.as_ref(), &base, policy.clone(), pas2p.instrumentation);
                     let key = Self::content_key(trace, &base, fingerprint);
                     self.persist(app.as_ref(), analysis, &base, key)?;
                 }

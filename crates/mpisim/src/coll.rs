@@ -13,7 +13,7 @@
 //! thread scheduling cannot influence the result.
 
 use crate::group::Group;
-use bytes::Bytes;
+use crate::msg::Payload;
 use parking_lot::Mutex;
 use pas2p_machine::CollectiveKind;
 use serde::{Deserialize, Serialize};
@@ -87,10 +87,10 @@ impl CollOp {
 pub enum CollInput {
     /// No payload (barrier, non-root bcast/scatter).
     None,
-    /// A single byte block.
-    Bytes(Bytes),
+    /// A single block.
+    Block(Payload),
     /// One block per group member (alltoall, root scatter).
-    Blocks(Vec<Bytes>),
+    Blocks(Vec<Payload>),
     /// Numeric vector for reductions.
     F64(Vec<f64>),
 }
@@ -100,9 +100,19 @@ impl CollInput {
     fn byte_len(&self) -> u64 {
         match self {
             CollInput::None => 0,
-            CollInput::Bytes(b) => b.len() as u64,
+            CollInput::Block(b) => b.len() as u64,
             CollInput::Blocks(bs) => bs.iter().map(|b| b.len() as u64).max().unwrap_or(0),
             CollInput::F64(xs) => (xs.len() * 8) as u64,
+        }
+    }
+
+    /// Block bytes this participant holds in memory (0 for size-only
+    /// blocks; a reduction vector is values, not payload).
+    pub(crate) fn held(&self) -> u64 {
+        match self {
+            CollInput::None | CollInput::F64(_) => 0,
+            CollInput::Block(b) => b.held(),
+            CollInput::Blocks(bs) => bs.iter().map(Payload::held).sum(),
         }
     }
 }
@@ -112,10 +122,10 @@ impl CollInput {
 pub enum CollOutput {
     /// No payload delivered to this member.
     None,
-    /// A single byte block.
-    Bytes(Bytes),
+    /// A single block.
+    Block(Payload),
     /// One block per group member.
-    Blocks(Vec<Bytes>),
+    Blocks(Vec<Payload>),
     /// Numeric vector.
     F64(Vec<f64>),
 }
@@ -134,10 +144,10 @@ pub(crate) fn complete(op: CollOp, group: &Group, inputs: &[CollInput]) -> Vec<C
         CollOp::Bcast { root } => {
             let rp = root_pos(root);
             let payload = match &inputs[rp] {
-                CollInput::Bytes(b) => b.clone(),
-                other => panic!("bcast root must supply Bytes, got {:?}", other),
+                CollInput::Block(b) => b.clone(),
+                other => panic!("bcast root must supply a block, got {:?}", other),
             };
-            (0..n).map(|_| CollOutput::Bytes(payload.clone())).collect()
+            (0..n).map(|_| CollOutput::Block(payload.clone())).collect()
         }
         CollOp::Reduce { root, op } => {
             let acc = reduce_inputs(inputs, op);
@@ -157,11 +167,11 @@ pub(crate) fn complete(op: CollOp, group: &Group, inputs: &[CollInput]) -> Vec<C
             (0..n).map(|_| CollOutput::F64(acc.clone())).collect()
         }
         CollOp::Allgather => {
-            let blocks: Vec<Bytes> = inputs
+            let blocks: Vec<Payload> = inputs
                 .iter()
                 .map(|i| match i {
-                    CollInput::Bytes(b) => b.clone(),
-                    other => panic!("allgather members must supply Bytes, got {:?}", other),
+                    CollInput::Block(b) => b.clone(),
+                    other => panic!("allgather members must supply a block, got {:?}", other),
                 })
                 .collect();
             (0..n)
@@ -169,7 +179,7 @@ pub(crate) fn complete(op: CollOp, group: &Group, inputs: &[CollInput]) -> Vec<C
                 .collect()
         }
         CollOp::Alltoall => {
-            let matrix: Vec<&Vec<Bytes>> = inputs
+            let matrix: Vec<&Vec<Payload>> = inputs
                 .iter()
                 .map(|i| match i {
                     CollInput::Blocks(bs) => {
@@ -189,11 +199,11 @@ pub(crate) fn complete(op: CollOp, group: &Group, inputs: &[CollInput]) -> Vec<C
         }
         CollOp::Gather { root } => {
             let rp = root_pos(root);
-            let blocks: Vec<Bytes> = inputs
+            let blocks: Vec<Payload> = inputs
                 .iter()
                 .map(|i| match i {
-                    CollInput::Bytes(b) => b.clone(),
-                    other => panic!("gather members must supply Bytes, got {:?}", other),
+                    CollInput::Block(b) => b.clone(),
+                    other => panic!("gather members must supply a block, got {:?}", other),
                 })
                 .collect();
             (0..n)
@@ -215,7 +225,7 @@ pub(crate) fn complete(op: CollOp, group: &Group, inputs: &[CollInput]) -> Vec<C
                 }
                 other => panic!("scatter root must supply Blocks, got {:?}", other),
             };
-            blocks.into_iter().map(CollOutput::Bytes).collect()
+            blocks.into_iter().map(CollOutput::Block).collect()
         }
     }
 }
@@ -372,8 +382,8 @@ impl CollSlot {
 mod tests {
     use super::*;
 
-    fn b(s: &[u8]) -> Bytes {
-        Bytes::copy_from_slice(s)
+    fn b(s: &[u8]) -> Payload {
+        s.into()
     }
 
     #[test]
@@ -389,13 +399,13 @@ mod tests {
         let g = Group::new(vec![0, 1, 2]);
         let inputs = vec![
             CollInput::None,
-            CollInput::Bytes(b(b"hi")),
+            CollInput::Block(b(b"hi")),
             CollInput::None,
         ];
         let out = complete(CollOp::Bcast { root: 1 }, &g, &inputs);
         for o in out {
             match o {
-                CollOutput::Bytes(p) => assert_eq!(&p[..], b"hi"),
+                CollOutput::Block(p) => assert_eq!(&p[..], b"hi"),
                 other => panic!("unexpected {:?}", other),
             }
         }
@@ -469,7 +479,7 @@ mod tests {
         let expect = [b"a", b"b", b"c"];
         for (o, e) in out.iter().zip(expect) {
             match o {
-                CollOutput::Bytes(p) => assert_eq!(&p[..], *e),
+                CollOutput::Block(p) => assert_eq!(&p[..], *e),
                 other => panic!("unexpected {:?}", other),
             }
         }
@@ -478,7 +488,7 @@ mod tests {
     #[test]
     fn complete_gather_collects_in_group_order() {
         let g = Group::new(vec![0, 1]);
-        let inputs = vec![CollInput::Bytes(b(b"x")), CollInput::Bytes(b(b"y"))];
+        let inputs = vec![CollInput::Block(b(b"x")), CollInput::Block(b(b"y"))];
         let out = complete(CollOp::Gather { root: 0 }, &g, &inputs);
         match &out[0] {
             CollOutput::Blocks(bs) => {
@@ -488,6 +498,53 @@ mod tests {
             other => panic!("unexpected {:?}", other),
         }
         assert!(matches!(out[1], CollOutput::None));
+    }
+
+    #[test]
+    fn complete_delivers_size_only_blocks_by_position() {
+        let g = Group::new(vec![0, 1]);
+        let lens = |o: &CollOutput| match o {
+            CollOutput::Blocks(bs) => bs.iter().map(Payload::len).collect::<Vec<_>>(),
+            CollOutput::Block(b) => vec![b.len()],
+            other => panic!("unexpected {:?}", other),
+        };
+        let rows = vec![
+            CollInput::Blocks(vec![Payload::sized(1), Payload::sized(2)]),
+            CollInput::Blocks(vec![Payload::sized(3), Payload::sized(4)]),
+        ];
+        let out = complete(CollOp::Alltoall, &g, &rows);
+        assert_eq!((lens(&out[0]), lens(&out[1])), (vec![1, 3], vec![2, 4]));
+        let out = complete(
+            CollOp::Scatter { root: 1 },
+            &g,
+            &[CollInput::None, rows[1].clone()],
+        );
+        assert_eq!((lens(&out[0]), lens(&out[1])), (vec![3], vec![4]));
+        let singles = vec![
+            CollInput::Block(Payload::sized(5)),
+            CollInput::Block(Payload::sized(6)),
+        ];
+        let out = complete(CollOp::Allgather, &g, &singles);
+        assert_eq!((lens(&out[0]), lens(&out[1])), (vec![5, 6], vec![5, 6]));
+        let out = complete(CollOp::Gather { root: 1 }, &g, &singles);
+        assert!(matches!(out[0], CollOutput::None));
+        assert_eq!(lens(&out[1]), vec![5, 6]);
+        let out = complete(
+            CollOp::Bcast { root: 0 },
+            &g,
+            &[singles[0].clone(), CollInput::None],
+        );
+        assert_eq!((lens(&out[0]), lens(&out[1])), (vec![5], vec![5]));
+    }
+
+    #[test]
+    fn inputs_cost_by_length_and_hold_only_contents() {
+        let mixed = CollInput::Blocks(vec![Payload::sized(100), b(b"abc")]);
+        assert_eq!((mixed.byte_len(), mixed.held()), (100, 3));
+        let sized = CollInput::Block(Payload::sized(64));
+        assert_eq!((sized.byte_len(), sized.held()), (64, 0));
+        let values = CollInput::F64(vec![0.0; 4]);
+        assert_eq!((values.byte_len(), values.held()), (32, 0));
     }
 
     #[test]

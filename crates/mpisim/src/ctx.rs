@@ -3,11 +3,10 @@
 use crate::coll::{keyed_unit_noise, Arrival, CollInput, CollOp, CollOutput, CollSlot, ReduceOp};
 use crate::group::Group;
 use crate::harness::{Counters, HarnessAction};
-use crate::msg::{Envelope, Message, PendingQueue, Tag};
+use crate::msg::{Envelope, Message, Payload, PendingQueue, Tag};
 use crate::park::Wait;
 use crate::runtime::{Shared, SimAbort};
 use crate::Mpi;
-use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 use pas2p_machine::jitter::JitterStream;
 use pas2p_machine::Work;
@@ -260,6 +259,7 @@ impl RankCtx {
             .unwrap_or_else(|| panic!("rank {} is not in group {:?}", self.rank, group.ranks()));
         let slot = self.coll_slot(group);
         let shared = self.shared.clone();
+        shared.bytes_copied.fetch_add(input.held(), Ordering::Relaxed);
         let group_hash = {
             let mut h = DefaultHasher::new();
             group.ranks().hash(&mut h);
@@ -333,13 +333,14 @@ impl Mpi for RankCtx {
         self.publish_clock();
     }
 
-    fn send(&mut self, dest: u32, tag: Tag, data: &[u8]) -> u64 {
+    fn send_payload(&mut self, dest: u32, tag: Tag, payload: Payload) -> u64 {
         assert!(dest < self.size, "send to rank {} of {}", dest, self.size);
         self.check_abort();
         let msg_id = self.alloc_msg_id();
+        let len = payload.len() as u64;
         let machine = &self.shared.machine;
         let mapping = &self.shared.mapping;
-        let base = machine.p2p_cost(mapping, self.rank, dest, data.len() as u64);
+        let base = machine.p2p_cost(mapping, self.rank, dest, len);
         let wire_cost = base * self.jitter.comm_factor();
         // Sender-side CPU overhead: injecting the message costs roughly the
         // per-message overhead of the link used.
@@ -349,19 +350,18 @@ impl Mpi for RankCtx {
             machine.network.per_msg_overhead
         };
         self.clock += overhead;
+        self.shared.total_msgs.fetch_add(1, Ordering::Relaxed);
+        self.shared.total_bytes.fetch_add(len, Ordering::Relaxed);
+        self.shared.bytes_copied.fetch_add(payload.held(), Ordering::Relaxed);
         let env = Envelope {
             src: self.rank,
             dest,
             tag,
-            data: Bytes::copy_from_slice(data),
+            data: payload,
             depart: self.clock,
             msg_id,
             wire_cost,
         };
-        self.shared.total_msgs.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .total_bytes
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
         // Unbounded channels: an eager send never blocks. A hung-up
         // receiver during a harness abort just means the peer unwound
         // first; propagate the abort instead of failing.
@@ -382,7 +382,7 @@ impl Mpi for RankCtx {
             static MSG_BYTES: OnceLock<Arc<pas2p_obs::Histogram>> = OnceLock::new();
             MSG_BYTES
                 .get_or_init(|| pas2p_obs::histogram("mpisim.msg_bytes"))
-                .record(data.len() as u64);
+                .record(len);
         }
         self.after_comm_event();
         msg_id
@@ -449,14 +449,14 @@ impl Mpi for RankCtx {
         self.collective(group, CollOp::Barrier, CollInput::None);
     }
 
-    fn bcast_in(&mut self, group: &Group, root: u32, data: Option<Bytes>) -> Bytes {
+    fn bcast_in(&mut self, group: &Group, root: u32, data: Option<Payload>) -> Payload {
         let input = if self.rank == root {
-            CollInput::Bytes(data.expect("bcast root must supply the payload"))
+            CollInput::Block(data.expect("bcast root must supply the payload"))
         } else {
             CollInput::None
         };
         match self.collective(group, CollOp::Bcast { root }, input) {
-            CollOutput::Bytes(b) => b,
+            CollOutput::Block(b) => b,
             other => panic!("bcast returned {:?}", other),
         }
     }
@@ -487,36 +487,36 @@ impl Mpi for RankCtx {
         }
     }
 
-    fn allgather_in(&mut self, group: &Group, data: Bytes) -> Vec<Bytes> {
-        match self.collective(group, CollOp::Allgather, CollInput::Bytes(data)) {
+    fn allgather_in(&mut self, group: &Group, data: Payload) -> Vec<Payload> {
+        match self.collective(group, CollOp::Allgather, CollInput::Block(data)) {
             CollOutput::Blocks(bs) => bs,
             other => panic!("allgather returned {:?}", other),
         }
     }
 
-    fn alltoall_in(&mut self, group: &Group, blocks: Vec<Bytes>) -> Vec<Bytes> {
+    fn alltoall_in(&mut self, group: &Group, blocks: Vec<Payload>) -> Vec<Payload> {
         match self.collective(group, CollOp::Alltoall, CollInput::Blocks(blocks)) {
             CollOutput::Blocks(bs) => bs,
             other => panic!("alltoall returned {:?}", other),
         }
     }
 
-    fn gather_in(&mut self, group: &Group, root: u32, data: Bytes) -> Option<Vec<Bytes>> {
-        match self.collective(group, CollOp::Gather { root }, CollInput::Bytes(data)) {
+    fn gather_in(&mut self, group: &Group, root: u32, data: Payload) -> Option<Vec<Payload>> {
+        match self.collective(group, CollOp::Gather { root }, CollInput::Block(data)) {
             CollOutput::Blocks(bs) => Some(bs),
             CollOutput::None => None,
             other => panic!("gather returned {:?}", other),
         }
     }
 
-    fn scatter_in(&mut self, group: &Group, root: u32, blocks: Option<Vec<Bytes>>) -> Bytes {
+    fn scatter_in(&mut self, group: &Group, root: u32, blocks: Option<Vec<Payload>>) -> Payload {
         let input = if self.rank == root {
             CollInput::Blocks(blocks.expect("scatter root must supply the blocks"))
         } else {
             CollInput::None
         };
         match self.collective(group, CollOp::Scatter { root }, input) {
-            CollOutput::Bytes(b) => b,
+            CollOutput::Block(b) => b,
             other => panic!("scatter returned {:?}", other),
         }
     }

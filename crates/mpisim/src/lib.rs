@@ -9,6 +9,15 @@
 //!   messages travel over channels and collectives rendezvous through
 //!   shared state, so message matching, `ANY_SOURCE` nondeterminism and
 //!   collective synchronization are genuine, not simulated formulas.
+//! * **A message is a length, and bytes only when someone reads them** —
+//!   what travels is a [`Payload`]. Costs, `RunReport::total_bytes` and
+//!   the trace's `size` fields are functions of its length, which is all
+//!   the PAS2P method consumes, so a program whose receivers never read
+//!   contents sends sizes ([`Mpi::send_sized`], [`Payload::sized`] for
+//!   collective blocks) and the run allocates and copies no payload
+//!   (`RunReport::bytes_copied` = 0). Use [`Mpi::send`] /
+//!   `Payload::from(bytes)` when a receiver reads the bytes; reading a
+//!   size-only payload panics.
 //! * **Virtual time** — each rank carries a virtual clock advanced by the
 //!   [`pas2p_machine::MachineModel`] cost models: computation is charged
 //!   via declared [`Work`], communication via latency/bandwidth models, and
@@ -50,11 +59,10 @@ pub use coll::{CollOp, ReduceOp};
 pub use ctx::RankCtx;
 pub use group::Group;
 pub use harness::{Counters, HarnessAction, SimHarness};
-pub use msg::{Message, RecvRequest, Tag, ANY_TAG};
+pub use msg::{Message, Payload, RecvRequest, Tag, ANY_TAG};
 pub use report::RunReport;
 pub use runtime::{run_app, SimConfig};
 
-use bytes::Bytes;
 use pas2p_machine::Work;
 
 /// The MPI-like interface applications program against.
@@ -80,10 +88,25 @@ pub trait Mpi {
     /// trace layer to charge instrumentation overhead).
     fn elapse(&mut self, seconds: f64);
 
-    /// Blocking standard-mode send (eager: never blocks on the receiver).
+    /// Blocking standard-mode send (eager: never blocks on the receiver)
+    /// — the one send primitive; [`send`](Mpi::send) and
+    /// [`send_sized`](Mpi::send_sized) are its two constructors.
     /// Returns the globally unique message id — the paper's *relation*
     /// field linking this Send event to its Receive event.
-    fn send(&mut self, dest: u32, tag: Tag, data: &[u8]) -> u64;
+    fn send_payload(&mut self, dest: u32, tag: Tag, payload: Payload) -> u64;
+    /// Send a copy of `data`: for a message whose receiver reads the
+    /// bytes ([`Message::bytes`], `m.data[..]`, [`recv_f64`](Mpi::recv_f64)).
+    fn send(&mut self, dest: u32, tag: Tag, data: &[u8]) -> u64 {
+        self.send_payload(dest, tag, data.into())
+    }
+    /// Send `len` bytes without contents: for a message whose receiver
+    /// looks at most at its length — every message of the application
+    /// catalog. Costs, counters and the trace are those of
+    /// [`send`](Mpi::send) with `len` bytes; nothing is allocated or
+    /// copied, and a receiver that does read the bytes panics.
+    fn send_sized(&mut self, dest: u32, tag: Tag, len: usize) -> u64 {
+        self.send_payload(dest, tag, Payload::sized(len))
+    }
     /// Blocking receive. `src = None` is `MPI_ANY_SOURCE`; `tag = None` is
     /// `MPI_ANY_TAG`.
     fn recv(&mut self, src: Option<u32>, tag: Option<Tag>) -> Message;
@@ -113,8 +136,10 @@ pub trait Mpi {
     /// Barrier over an arbitrary group.
     fn barrier_in(&mut self, group: &Group);
     /// Broadcast `data` from `root` (world rank) to every group member;
-    /// returns the broadcast payload on every rank.
-    fn bcast_in(&mut self, group: &Group, root: u32, data: Option<Bytes>) -> Bytes;
+    /// returns the broadcast payload on every rank. Like every block a
+    /// collective takes, `data` is [`Payload::sized`] unless a member
+    /// reads what it receives.
+    fn bcast_in(&mut self, group: &Group, root: u32, data: Option<Payload>) -> Payload;
     /// Element-wise reduction of `xs` to `root`; `Some(result)` on root,
     /// `None` elsewhere.
     fn reduce_f64_in(
@@ -128,14 +153,14 @@ pub trait Mpi {
     fn allreduce_f64_in(&mut self, group: &Group, xs: &[f64], op: ReduceOp) -> Vec<f64>;
     /// Every member contributes a block; every member receives all blocks
     /// ordered by group position.
-    fn allgather_in(&mut self, group: &Group, data: Bytes) -> Vec<Bytes>;
+    fn allgather_in(&mut self, group: &Group, data: Payload) -> Vec<Payload>;
     /// Personalized all-to-all: `blocks[i]` goes to group member `i`;
     /// returns the blocks addressed to this rank, ordered by group position.
-    fn alltoall_in(&mut self, group: &Group, blocks: Vec<Bytes>) -> Vec<Bytes>;
+    fn alltoall_in(&mut self, group: &Group, blocks: Vec<Payload>) -> Vec<Payload>;
     /// Gather every member's block to `root`.
-    fn gather_in(&mut self, group: &Group, root: u32, data: Bytes) -> Option<Vec<Bytes>>;
+    fn gather_in(&mut self, group: &Group, root: u32, data: Payload) -> Option<Vec<Payload>>;
     /// Scatter `root`'s blocks to members; returns this rank's block.
-    fn scatter_in(&mut self, group: &Group, root: u32, blocks: Option<Vec<Bytes>>) -> Bytes;
+    fn scatter_in(&mut self, group: &Group, root: u32, blocks: Option<Vec<Payload>>) -> Payload;
 
     /// Communication-event counters for this rank (used by the signature
     /// machinery to locate phase start/endpoints).
@@ -149,7 +174,7 @@ pub trait Mpi {
         self.barrier_in(&g);
     }
     /// World-group broadcast.
-    fn bcast(&mut self, root: u32, data: Option<Bytes>) -> Bytes {
+    fn bcast(&mut self, root: u32, data: Option<Payload>) -> Payload {
         let g = Group::world(self.size());
         self.bcast_in(&g, root, data)
     }
@@ -164,22 +189,22 @@ pub trait Mpi {
         self.allreduce_f64_in(&g, xs, op)
     }
     /// World-group allgather.
-    fn allgather(&mut self, data: Bytes) -> Vec<Bytes> {
+    fn allgather(&mut self, data: Payload) -> Vec<Payload> {
         let g = Group::world(self.size());
         self.allgather_in(&g, data)
     }
     /// World-group all-to-all.
-    fn alltoall(&mut self, blocks: Vec<Bytes>) -> Vec<Bytes> {
+    fn alltoall(&mut self, blocks: Vec<Payload>) -> Vec<Payload> {
         let g = Group::world(self.size());
         self.alltoall_in(&g, blocks)
     }
     /// World-group gather.
-    fn gather(&mut self, root: u32, data: Bytes) -> Option<Vec<Bytes>> {
+    fn gather(&mut self, root: u32, data: Payload) -> Option<Vec<Payload>> {
         let g = Group::world(self.size());
         self.gather_in(&g, root, data)
     }
     /// World-group scatter.
-    fn scatter(&mut self, root: u32, blocks: Option<Vec<Bytes>>) -> Bytes {
+    fn scatter(&mut self, root: u32, blocks: Option<Vec<Payload>>) -> Payload {
         let g = Group::world(self.size());
         self.scatter_in(&g, root, blocks)
     }
@@ -189,10 +214,10 @@ pub trait Mpi {
     fn send_f64(&mut self, dest: u32, tag: Tag, xs: &[f64]) -> u64 {
         self.send(dest, tag, &f64s_to_bytes(xs))
     }
-    /// Receive a slice of `f64` values.
+    /// Receive a slice of `f64` values. Panics on a size-only message.
     fn recv_f64(&mut self, src: Option<u32>, tag: Option<Tag>) -> (Message, Vec<f64>) {
         let m = self.recv(src, tag);
-        let xs = bytes_to_f64s(&m.data);
+        let xs = bytes_to_f64s(m.bytes());
         (m, xs)
     }
 }

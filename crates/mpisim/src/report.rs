@@ -15,8 +15,15 @@ pub struct RunReport {
     pub makespan: f64,
     /// Total point-to-point messages delivered.
     pub total_msgs: u64,
-    /// Total point-to-point payload bytes.
+    /// Total point-to-point payload bytes, by message length — whether
+    /// or not the messages carried contents.
     pub total_bytes: u64,
+    /// Payload bytes the run actually held in memory: the contents of
+    /// data-carrying sends and collective blocks. 0 when every payload
+    /// was size-only. (Reduction vectors are values, not payload, and
+    /// count in neither figure.)
+    #[serde(default)]
+    pub bytes_copied: u64,
     /// Total collective participations (counted per rank per collective).
     pub total_colls: u64,
     /// True if the run was terminated early by a harness abort. The
@@ -61,6 +68,7 @@ mod tests {
             makespan,
             total_msgs: 0,
             total_bytes: 0,
+            bytes_copied: 0,
             total_colls: 0,
             aborted: false,
             wall_seconds: 0.0,

@@ -52,6 +52,7 @@ pub(crate) struct Shared {
     pub cancelled: AtomicBool,
     pub total_msgs: AtomicU64,
     pub total_bytes: AtomicU64,
+    pub bytes_copied: AtomicU64,
     pub total_colls: AtomicU64,
 }
 
@@ -125,6 +126,7 @@ where
         cancelled: AtomicBool::new(false),
         total_msgs: AtomicU64::new(0),
         total_bytes: AtomicU64::new(0),
+        bytes_copied: AtomicU64::new(0),
         total_colls: AtomicU64::new(0),
     });
 
@@ -196,6 +198,7 @@ where
         pas2p_obs::counter("mpisim.rank_threads").add(n as u64);
         pas2p_obs::counter("mpisim.messages").add(shared.total_msgs.load(Ordering::Relaxed));
         pas2p_obs::counter("mpisim.bytes").add(shared.total_bytes.load(Ordering::Relaxed));
+        pas2p_obs::counter("mpisim.bytes_copied").add(shared.bytes_copied.load(Ordering::Relaxed));
         pas2p_obs::counter("mpisim.collectives").add(shared.total_colls.load(Ordering::Relaxed));
     }
     RunReport {
@@ -204,6 +207,7 @@ where
         makespan,
         total_msgs: shared.total_msgs.load(Ordering::Relaxed),
         total_bytes: shared.total_bytes.load(Ordering::Relaxed),
+        bytes_copied: shared.bytes_copied.load(Ordering::Relaxed),
         total_colls: shared.total_colls.load(Ordering::Relaxed),
         aborted: any_aborted.load(Ordering::Relaxed),
         wall_seconds: start.elapsed().as_secs_f64(),

@@ -1,9 +1,9 @@
 //! Integration tests for the message-passing runtime.
 
-use bytes::Bytes;
 use pas2p_machine::{cluster_a, cluster_b, cluster_c, JitterModel, MappingPolicy, Work};
 use pas2p_mpisim::{
-    run_app, Counters, Group, HarnessAction, Mpi, ReduceOp, RunReport, SimConfig, SimHarness,
+    run_app, Counters, Group, HarnessAction, Mpi, Payload, ReduceOp, RunReport, SimConfig,
+    SimHarness,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -195,7 +195,7 @@ fn collectives_synchronize_clocks() {
 fn bcast_from_nonzero_root() {
     run4(|ctx| {
         let data = if ctx.rank() == 2 {
-            Some(Bytes::copy_from_slice(b"hello"))
+            Some(Payload::from(&b"hello"[..]))
         } else {
             None
         };
@@ -207,7 +207,7 @@ fn bcast_from_nonzero_root() {
 #[test]
 fn gather_and_scatter_roundtrip() {
     run4(|ctx| {
-        let mine = Bytes::from(vec![ctx.rank() as u8]);
+        let mine = Payload::from(vec![ctx.rank() as u8]);
         let gathered = ctx.gather(0, mine);
         if ctx.rank() == 0 {
             let blocks = gathered.unwrap();
@@ -228,8 +228,8 @@ fn gather_and_scatter_roundtrip() {
 #[test]
 fn alltoall_transposes() {
     run4(|ctx| {
-        let blocks: Vec<Bytes> = (0..4)
-            .map(|d| Bytes::from(vec![ctx.rank() as u8, d as u8]))
+        let blocks: Vec<Payload> = (0..4)
+            .map(|d| Payload::from(vec![ctx.rank() as u8, d as u8]))
             .collect();
         let got = ctx.alltoall(blocks);
         for (s, b) in got.iter().enumerate() {
@@ -242,7 +242,7 @@ fn alltoall_transposes() {
 #[test]
 fn allgather_orders_by_rank() {
     run4(|ctx| {
-        let got = ctx.allgather(Bytes::from(vec![ctx.rank() as u8 * 10]));
+        let got = ctx.allgather(Payload::from(vec![ctx.rank() as u8 * 10]));
         let vals: Vec<u8> = got.iter().map(|b| b[0]).collect();
         assert_eq!(vals, vec![0, 10, 20, 30]);
     });
@@ -610,7 +610,7 @@ fn single_rank_world_runs_collectives() {
         ctx.barrier();
         let s = ctx.allreduce_f64(&[5.0], ReduceOp::Sum);
         assert_eq!(s, vec![5.0]);
-        let b = ctx.bcast(0, Some(bytes::Bytes::copy_from_slice(b"solo")));
+        let b = ctx.bcast(0, Some(Payload::from(&b"solo"[..])));
         assert_eq!(&b[..], b"solo");
     });
     assert_eq!(r.nprocs, 1);
@@ -644,4 +644,131 @@ fn rank_clocks_reflect_load_imbalance() {
         assert!(w[1] > w[0]);
     }
     assert!(r.imbalance() > 0.5);
+}
+
+// ---- A message is a length, and bytes only when someone reads them ----
+
+/// A block of `len` bytes, with contents or size-only.
+fn block(len: usize, carry: bool) -> Payload {
+    if carry {
+        vec![1u8; len].into()
+    } else {
+        Payload::sized(len)
+    }
+}
+
+/// One program — ring sends of growing size, a wildcard fan-in at rank
+/// 0, every block collective — run on the jittered machine with
+/// data-carrying (`carry`) or size-only payloads. Returns the report and,
+/// per rank, every msg id it sent or matched, in program order.
+fn twin_run(carry: bool) -> (RunReport, Vec<Vec<u64>>) {
+    let ids = parking_lot::Mutex::new(vec![Vec::new(); 4]);
+    let cfg = SimConfig::new(cluster_a(), 4, MappingPolicy::Block);
+    let report = run_app(&cfg, |ctx| {
+        let (rank, n) = (ctx.rank(), ctx.size());
+        let mut mine = Vec::new();
+        for step in 0..6usize {
+            ctx.compute(Work::flops(1e6 * (rank + 1) as f64));
+            let len = 64 << step;
+            mine.push(if carry {
+                ctx.send((rank + 1) % n, 1, &vec![1u8; len])
+            } else {
+                ctx.send_sized((rank + 1) % n, 1, len)
+            });
+            let m = ctx.recv(Some((rank + n - 1) % n), Some(1));
+            assert_eq!(m.data.len(), len);
+            mine.push(m.msg_id);
+            if rank == 0 {
+                for _ in 1..n {
+                    mine.push(ctx.recv(None, Some(2)).msg_id);
+                }
+            } else {
+                mine.push(ctx.send_payload(0, 2, block(100 * rank as usize, carry)));
+            }
+            ctx.bcast(1, (rank == 1).then(|| block(len, carry)));
+            ctx.allgather(block(8 + rank as usize, carry));
+            ctx.alltoall((0..n).map(|d| block(len + d as usize, carry)).collect());
+            ctx.gather(2, block(16, carry));
+            ctx.scatter(3, (rank == 3).then(|| vec![block(len, carry); n as usize]));
+        }
+        ids.lock()[rank as usize] = mine;
+    });
+    (report, ids.into_inner())
+}
+
+#[test]
+fn size_only_twin_is_the_same_run() {
+    let (data, data_ids) = twin_run(true);
+    let (sized, sized_ids) = twin_run(false);
+    let bits = |r: &RunReport| {
+        r.rank_clocks
+            .iter()
+            .map(|c| c.to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(&data), bits(&sized), "rank clocks must be bit-equal");
+    // Sent ids, and which candidate each wildcard receive committed.
+    assert_eq!(data_ids, sized_ids);
+    assert_eq!(data.total_msgs, sized.total_msgs);
+    assert_eq!(data.total_bytes, sized.total_bytes);
+    assert_eq!(data.total_colls, sized.total_colls);
+    assert_eq!(sized.bytes_copied, 0, "a size-only run holds no payload");
+    assert!(
+        data.bytes_copied > data.total_bytes,
+        "sends and collective blocks"
+    );
+}
+
+#[test]
+fn size_only_collectives_deliver_lengths_by_group_position() {
+    run4(|ctx| {
+        let rank = ctx.rank() as usize;
+        let got = ctx.alltoall((0..4).map(|d| Payload::sized(10 * rank + d + 1)).collect());
+        for (s, b) in got.iter().enumerate() {
+            assert_eq!(b.len(), 10 * s + rank + 1, "block from rank {s}");
+            assert!(b.contents().is_none());
+        }
+        let got = ctx.allgather(Payload::sized(rank + 1));
+        assert_eq!(
+            got.iter().map(Payload::len).collect::<Vec<_>>(),
+            [1, 2, 3, 4]
+        );
+        let got = ctx.gather(2, Payload::sized(20 + rank));
+        assert_eq!(got.is_some(), rank == 2);
+        if let Some(blocks) = got {
+            assert_eq!(
+                blocks.iter().map(Payload::len).collect::<Vec<_>>(),
+                [20, 21, 22, 23]
+            );
+        }
+        let blocks = (rank == 1).then(|| (0..4).map(|i| Payload::sized(5 + i)).collect());
+        assert_eq!(ctx.scatter(1, blocks).len(), 5 + rank);
+        let out = ctx.bcast(3, (rank == 3).then(|| Payload::sized(77)));
+        assert_eq!(out, Payload::sized(77));
+    });
+}
+
+#[test]
+#[should_panic(expected = "read of a size-only message (src 0, tag 3, len 16)")]
+fn recv_f64_of_a_size_only_message_panics() {
+    run4(|ctx| {
+        if ctx.rank() == 0 {
+            ctx.send_sized(1, 3, 16);
+        } else if ctx.rank() == 1 {
+            ctx.recv_f64(Some(0), Some(3));
+        }
+    });
+}
+
+#[test]
+#[should_panic(expected = "read of a size-only payload (len 16)")]
+fn indexing_a_size_only_payload_panics() {
+    run4(|ctx| {
+        if ctx.rank() == 0 {
+            ctx.send_sized(1, 3, 16);
+        } else if ctx.rank() == 1 {
+            let m = ctx.recv(Some(0), Some(3));
+            let _ = m.data[0];
+        }
+    });
 }

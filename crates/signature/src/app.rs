@@ -98,7 +98,6 @@ pub(crate) mod testutil {
     //! and a reduce epilogue — the canonical shape PAS2P targets.
 
     use super::*;
-    use bytes::Bytes;
     use pas2p_machine::Work;
     use pas2p_mpisim::ReduceOp;
 
@@ -144,11 +143,9 @@ pub(crate) mod testutil {
 
     impl RankProgram for RingRank {
         fn prologue(&mut self, ctx: &mut dyn Mpi) {
-            let data = if self.rank == 0 {
-                Some(Bytes::from(vec![7u8; 16]))
-            } else {
-                None
-            };
+            // Both the broadcast and the ring message are read below,
+            // so both carry their bytes.
+            let data = (self.rank == 0).then(|| vec![7u8; 16].into());
             let got = ctx.bcast(0, data);
             self.acc = got[0] as f64;
         }

@@ -65,6 +65,9 @@ struct MeasureState {
     end_clock: Vec<Vec<Option<f64>>>,
     /// Ranks that have not yet finished their last window.
     remaining: usize,
+    /// The last of them left its last window by a crossing: the
+    /// measurement is complete and the run is to be terminated.
+    terminated: bool,
 }
 
 impl MeasureHarness {
@@ -80,6 +83,7 @@ impl MeasureHarness {
                 start_clock: vec![vec![None; n]; w],
                 end_clock: vec![vec![None; n]; w],
                 remaining: n,
+                terminated: false,
             }),
         }
     }
@@ -101,6 +105,7 @@ impl MeasureHarness {
                 if st.win_idx[r] == self.windows.len() {
                     st.remaining -= 1;
                     if st.remaining == 0 {
+                        st.terminated = true;
                         return HarnessAction::AbortAll;
                     }
                 }
@@ -112,7 +117,10 @@ impl MeasureHarness {
     }
 
     /// Record crossings already satisfied at the checkpoint boundary (a
-    /// phase can begin right where the restart begins).
+    /// phase can begin right where the restart begins). A rank whose
+    /// windows all end at the boundary may be the last to leave — its
+    /// thread started after the others crossed — and cannot abort from
+    /// here: the next communication event of any rank does.
     fn prime(&self, rank: u32, clock: f64) {
         let r = rank as usize;
         let mut st = self.state.lock();
@@ -143,6 +151,12 @@ impl MeasureHarness {
         self.state.lock().remaining == 0
     }
 
+    /// True once the measurement completed by a crossing — whichever
+    /// rank's, and whether or not the run went on to unwind a thread.
+    fn terminated(&self) -> bool {
+        self.state.lock().terminated
+    }
+
     /// Virtual time at which the last rank left the last window — the
     /// instant the measurement run is terminated.
     fn terminated_at(&self) -> f64 {
@@ -160,7 +174,11 @@ impl SimHarness for MeasureHarness {
         {
             let st = self.state.lock();
             if st.win_idx[r] >= self.windows.len() {
-                return HarnessAction::Continue;
+                return if st.terminated {
+                    HarnessAction::AbortAll
+                } else {
+                    HarnessAction::Continue
+                };
             }
             let w = st.win_idx[r];
             if st.start_clock[w][r].is_some() {
@@ -261,10 +279,10 @@ pub fn execute_signature(
             harness.all_measured() || !report.aborted,
             "aborted without completing measurement"
         );
-        // An aborted run's rank clocks record how far each thread happened
-        // to get before it noticed the abort; the span of the run is the
-        // virtual instant the abort was decided.
-        let measured_span = if report.aborted {
+        // A terminated run's rank clocks record how far each thread
+        // happened to get before it noticed the abort; the span of the
+        // run is the virtual instant the termination was decided.
+        let measured_span = if harness.terminated() {
             harness.terminated_at()
         } else {
             report.makespan
@@ -352,6 +370,20 @@ mod tests {
             }
         }
         aborted
+    }
+
+    #[test]
+    fn a_late_prime_still_terminates_the_run() {
+        // Rank 1's window ends where its restart begins (end == base).
+        let h = MeasureHarness::new(vec![0, 7], vec![win(&[2, 7], &[4, 7])]);
+        // Rank 0 crosses its whole window before rank 1's thread primes.
+        assert!(!feed(&h, 0, &[(2, 1.0), (4, 2.0)]));
+        assert!(!h.terminated());
+        h.prime(1, 0.5);
+        assert!(h.all_measured() && h.terminated());
+        // Whichever rank communicates next stops the run.
+        assert!(feed(&h, 0, &[(5, 2.5)]));
+        assert_eq!(h.terminated_at(), 2.0);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! End-to-end pipeline tests: trace → model → phases → signature →
 //! prediction, on a small iterative application.
 
-use bytes::Bytes;
 use pas2p_machine::{cluster_a, cluster_b, cluster_d, JitterModel, MachineModel, MappingPolicy, Work};
-use pas2p_mpisim::{Mpi, ReduceOp};
+use pas2p_mpisim::{Mpi, Payload, ReduceOp};
 use pas2p_model::pas2p_order;
 use pas2p_phases::{extract_phases, PhaseTable, SimilarityConfig};
 use pas2p_signature::{
@@ -48,7 +47,7 @@ struct RingRank {
 
 impl RankProgram for RingRank {
     fn prologue(&mut self, ctx: &mut dyn Mpi) {
-        let data = (self.rank == 0).then(|| Bytes::from(vec![1u8; 64]));
+        let data = (self.rank == 0).then(|| Payload::sized(64));
         let got = ctx.bcast(0, data);
         self.acc = got.len() as f64;
     }

@@ -4,8 +4,12 @@
 //! must be stable across platforms, endianness and releases — a
 //! `DefaultHasher` guarantees none of that. The workspace forbids
 //! unsafe code and adds no external crates, so the compression function
-//! is written out here; throughput is irrelevant next to the pipeline
-//! work the store exists to avoid.
+//! is written out here. Its throughput is no longer irrelevant: since
+//! the simulator stopped copying payloads, hashing the encoded trace
+//! for a signature's content key (`signature_key`, the ledger's
+//! `store.key_ms`) is about 1 ms of a 19–24 ms cold `submit` (5 %,
+//! EXPERIMENTS.md "PR 17") — small beside the store's fsyncs, no longer
+//! nothing.
 
 /// Round constants: first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes.

@@ -1,10 +1,9 @@
 //! The interposition wrapper and trace collection.
 
 use crate::event::{EventKind, ProcessTrace, Trace, TraceEvent};
-use bytes::Bytes;
 use parking_lot::Mutex;
 use pas2p_machine::Work;
-use pas2p_mpisim::{Counters, Group, Message, Mpi, ReduceOp, Tag};
+use pas2p_mpisim::{Counters, Group, Message, Mpi, Payload, ReduceOp, Tag};
 
 /// Cost model of the instrumentation itself.
 ///
@@ -244,15 +243,16 @@ impl<'a, C: Mpi> Mpi for Traced<'a, C> {
         self.inner.elapse(seconds);
     }
 
-    fn send(&mut self, dest: u32, tag: Tag, data: &[u8]) -> u64 {
+    fn send_payload(&mut self, dest: u32, tag: Tag, payload: Payload) -> u64 {
         let t_post = self.inner.now();
-        let msg_id = self.inner.send(dest, tag, data);
+        let size = payload.len() as u64;
+        let msg_id = self.inner.send_payload(dest, tag, payload);
         self.record(
             t_post,
             EventKind::Send,
             Some(dest),
             tag,
-            data.len() as u64,
+            size,
             1,
             msg_id,
             0,
@@ -315,7 +315,7 @@ impl<'a, C: Mpi> Mpi for Traced<'a, C> {
         );
     }
 
-    fn bcast_in(&mut self, group: &Group, root: u32, data: Option<Bytes>) -> Bytes {
+    fn bcast_in(&mut self, group: &Group, root: u32, data: Option<Payload>) -> Payload {
         let t_post = self.inner.now();
         let size = data.as_ref().map(|d| d.len() as u64).unwrap_or(0);
         let out = self.inner.bcast_in(group, root, data);
@@ -374,7 +374,7 @@ impl<'a, C: Mpi> Mpi for Traced<'a, C> {
         out
     }
 
-    fn allgather_in(&mut self, group: &Group, data: Bytes) -> Vec<Bytes> {
+    fn allgather_in(&mut self, group: &Group, data: Payload) -> Vec<Payload> {
         let t_post = self.inner.now();
         let size = data.len() as u64;
         let out = self.inner.allgather_in(group, data);
@@ -392,7 +392,7 @@ impl<'a, C: Mpi> Mpi for Traced<'a, C> {
         out
     }
 
-    fn alltoall_in(&mut self, group: &Group, blocks: Vec<Bytes>) -> Vec<Bytes> {
+    fn alltoall_in(&mut self, group: &Group, blocks: Vec<Payload>) -> Vec<Payload> {
         let t_post = self.inner.now();
         let size = blocks.iter().map(|b| b.len() as u64).max().unwrap_or(0);
         let out = self.inner.alltoall_in(group, blocks);
@@ -410,7 +410,7 @@ impl<'a, C: Mpi> Mpi for Traced<'a, C> {
         out
     }
 
-    fn gather_in(&mut self, group: &Group, root: u32, data: Bytes) -> Option<Vec<Bytes>> {
+    fn gather_in(&mut self, group: &Group, root: u32, data: Payload) -> Option<Vec<Payload>> {
         let t_post = self.inner.now();
         let size = data.len() as u64;
         let out = self.inner.gather_in(group, root, data);
@@ -428,7 +428,7 @@ impl<'a, C: Mpi> Mpi for Traced<'a, C> {
         out
     }
 
-    fn scatter_in(&mut self, group: &Group, root: u32, blocks: Option<Vec<Bytes>>) -> Bytes {
+    fn scatter_in(&mut self, group: &Group, root: u32, blocks: Option<Vec<Payload>>) -> Payload {
         let t_post = self.inner.now();
         let size = blocks
             .as_ref()

@@ -2,7 +2,7 @@
 //! layer.
 
 use pas2p_machine::{cluster_a, JitterModel, MappingPolicy, Work};
-use pas2p_mpisim::{run_app, Mpi, ReduceOp, SimConfig};
+use pas2p_mpisim::{run_app, Mpi, Payload, ReduceOp, SimConfig};
 use pas2p_trace::{format, EventKind, InstrumentationModel, Trace, TraceCollector, Traced};
 use std::sync::Arc;
 
@@ -145,4 +145,60 @@ fn sizes_recorded_in_bytes() {
         .find(|e| e.kind.is_collective())
         .unwrap();
     assert_eq!(coll.size, 8); // one f64
+}
+
+/// The trace records sizes, never contents: a program sending
+/// `send(&vec![1u8; n])` and data blocks, and its size-only twin, encode
+/// to the same bytes — on the jittered machine, wildcard receives and
+/// every block collective included.
+#[test]
+fn size_only_twin_encodes_to_the_same_trace() {
+    let traced = |carry: bool| -> Vec<u8> {
+        let block = move |len: usize| -> Payload {
+            if carry {
+                vec![1u8; len].into()
+            } else {
+                Payload::sized(len)
+            }
+        };
+        let n = 4;
+        let collector = Arc::new(TraceCollector::new(
+            n,
+            "cluster-A",
+            InstrumentationModel::default(),
+        ));
+        let cfg = SimConfig::new(cluster_a(), n, MappingPolicy::Block);
+        let col = collector.clone();
+        run_app(&cfg, move |ctx| {
+            let rank = ctx.rank();
+            let mut t = Traced::new(ctx, &col);
+            for step in 0..5usize {
+                t.compute(Work::flops(1e6 * (rank + 1) as f64));
+                let len = 100 << step;
+                if carry {
+                    t.send((rank + 1) % n, 1, &vec![1u8; len]);
+                } else {
+                    t.send_sized((rank + 1) % n, 1, len);
+                }
+                t.recv(Some((rank + n - 1) % n), Some(1));
+                if rank == 0 {
+                    for _ in 1..n {
+                        t.recv(None, Some(2));
+                    }
+                } else {
+                    t.send_payload(0, 2, block(10 * rank as usize));
+                }
+                t.bcast(1, (rank == 1).then(|| block(len)));
+                t.allgather(block(8 + rank as usize));
+                t.alltoall((0..n).map(|d| block(len + d as usize)).collect());
+                t.gather(2, block(16));
+                t.scatter(3, (rank == 3).then(|| vec![block(len); n as usize]));
+            }
+            t.finish();
+        });
+        format::encode(&Arc::into_inner(collector).unwrap().into_trace())
+    };
+    let (data, sized) = (traced(true), traced(false));
+    assert!(data.len() > 1000);
+    assert!(data == sized, "encoded traces differ");
 }

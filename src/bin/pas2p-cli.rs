@@ -895,7 +895,6 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                         let mut t = Traced::new(ctx, &col);
                         let next = (rank + 1) % size;
                         let prev = (rank + size - 1) % size;
-                        let payload = vec![0u8; (16 << 12) + 16 * 16];
                         for rep in 0..REPS {
                             let v = rep % VARIANTS;
                             let bytes = 16usize << (v % 12);
@@ -907,7 +906,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                             // distinct phases under the event fraction.
                             for s in 0..16u32 {
                                 t.compute(Work::flops(1e4 * 1.2f64.powi(v as i32)));
-                                t.send(next, s, &payload[..bytes + 16 * s as usize]);
+                                t.send_sized(next, s, bytes + 16 * s as usize);
                                 t.recv(Some(prev), Some(s));
                             }
                             t.allreduce_f64(&[1.0], ReduceOp::Sum);

@@ -80,7 +80,7 @@ fn run_rounds(n: u32, rounds: &[Round]) -> Trace {
                 Round::Gather { root } => {
                     // The strategy draws roots for the largest size; clamp
                     // into this run's world.
-                    t.gather(*root % size, bytes::Bytes::from(vec![rank as u8]));
+                    t.gather(*root % size, vec![rank as u8].into());
                 }
                 Round::Compute { flops } => t.compute(Work::flops(*flops)),
             }
