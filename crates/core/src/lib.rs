@@ -35,7 +35,6 @@
 
 pub mod baselines;
 pub mod batch;
-pub mod benchrec;
 pub mod cancel;
 pub mod experiment;
 pub mod pipeline;
@@ -46,10 +45,6 @@ pub mod workload;
 
 pub use batch::{
     run_batch, run_batch_with, BatchJob, BatchOptions, BatchReport, BatchResult, BatchStatus,
-};
-pub use benchrec::{
-    append_record, bench_record, BenchAppStat, BenchRecord, CheckBenchStat, KernelBenchStat,
-    BENCH_SCHEMA_VERSION,
 };
 pub use cancel::{cancelled, with_cancel, CancelToken};
 pub use pipeline::{Analysis, AnalysisError, Pas2p};

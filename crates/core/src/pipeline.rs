@@ -3,7 +3,7 @@
 use crate::cancel::{enter, Stage};
 use pas2p_check::{Artifacts, CheckEngine, CheckReport};
 use pas2p_machine::{MachineModel, MappingPolicy};
-use pas2p_model::pas2p_order;
+use pas2p_model::{pas2p_order, try_pas2p_order, ModelError};
 use pas2p_obs::{Level, MetricsSnapshot};
 use pas2p_phases::{extract_phases, PhaseAnalysis, PhaseTable, SimilarityConfig};
 use pas2p_signature::{
@@ -138,44 +138,7 @@ impl Pas2p {
         policy: MappingPolicy,
         engine: &CheckEngine,
     ) -> Analysis {
-        let (mut analysis, trace, logical) = self.analyze_full(app, base, policy);
-        let mut st = pas2p_obs::stage("check");
-        let artifacts = Artifacts {
-            trace: Some(&trace),
-            logical: Some(&logical),
-            analysis: Some(&analysis.analysis),
-            table: Some(&analysis.table),
-            similarity: self.similarity,
-            ingest: None,
-        };
-        let report = engine.run(&artifacts);
-        st.items(report.diagnostics.len() as u64);
-        st.finish();
-        // An order-sensitive signature is a weaker claim than a full one:
-        // the phases exist, but their timings depend on which race
-        // outcome the traced run happened to commit.
-        if analysis.confidence == Confidence::Full && report.has_code("SIG-STAB-001") {
-            analysis.confidence = Confidence::OrderSensitive;
-        }
-        if !report.is_clean() {
-            pas2p_obs::log(
-                Level::Warn,
-                "pas2p.pipeline",
-                "check found issues",
-                &[
-                    ("app", analysis.app_name.clone()),
-                    ("errors", report.errors().to_string()),
-                    ("warnings", report.warnings().to_string()),
-                ],
-            );
-        }
-        // Refresh the snapshot so the check stage and rule hit counters
-        // are part of the recorded metrics.
-        if pas2p_obs::enabled() {
-            analysis.metrics = Some(pas2p_obs::global().snapshot());
-        }
-        analysis.check = Some(report);
-        analysis
+        self.analyze_live(app, base, policy, Some(engine)).0
     }
 
     /// Stage A from a serialized trace buffer instead of a live run,
@@ -195,7 +158,7 @@ impl Pas2p {
         workload: &str,
         buf: &[u8],
     ) -> Result<Analysis, AnalysisError> {
-        self.analyze_bytes_inner(app_name, workload, buf, false)
+        self.analyze_bytes_with(app_name, workload, buf, None)
     }
 
     /// [`Pas2p::analyze_bytes`], then run the `pas2p-check` engine over
@@ -208,15 +171,16 @@ impl Pas2p {
         workload: &str,
         buf: &[u8],
     ) -> Result<Analysis, AnalysisError> {
-        self.analyze_bytes_inner(app_name, workload, buf, true)
+        let engine = CheckEngine::with_default_rules();
+        self.analyze_bytes_with(app_name, workload, buf, Some(&engine))
     }
 
-    fn analyze_bytes_inner(
+    fn analyze_bytes_with(
         &self,
         app_name: &str,
         workload: &str,
         buf: &[u8],
-        checked: bool,
+        engine: Option<&CheckEngine>,
     ) -> Result<Analysis, AnalysisError> {
         let _span = pas2p_obs::span("pas2p.pipeline", "analyze_bytes");
 
@@ -240,92 +204,14 @@ impl Pas2p {
         st.items(trace.total_events() as u64);
         let ingest_seconds = st.finish();
 
-        enter(Stage::Pas2pOrder);
-        let mut st = pas2p_obs::stage("pas2p_order");
-        let logical = match pas2p_model::try_pas2p_order(&trace) {
-            Ok(l) => l,
-            Err(e) => {
-                st.finish();
-                return Err(AnalysisError {
-                    reason: format!("ordering failed on recovered trace: {}", e),
-                    ingest: report,
-                });
-            }
-        };
-        st.items(trace.total_events() as u64);
-        let order_seconds = st.finish();
-
-        enter(Stage::ExtractPhases);
-        let analysis = extract_phases(&logical, &self.similarity);
-        let tfat_seconds = ingest_seconds + order_seconds + analysis.analysis_seconds;
-
-        let mut st = pas2p_obs::stage("table");
-        let table = PhaseTable::from_analysis(
-            &analysis,
-            self.signature.relevance_threshold,
-            self.signature.warmup_occurrences,
-            self.signature.measure_occurrences,
-        );
-        st.items(table.rows.len() as u64);
-        st.finish();
-
-        let check = if checked {
-            let mut st = pas2p_obs::stage("check");
-            let artifacts = Artifacts {
-                trace: Some(&trace),
-                logical: Some(&logical),
-                analysis: Some(&analysis),
-                table: Some(&table),
-                similarity: self.similarity,
-                ingest: Some(&report),
-            };
-            let r = CheckEngine::with_default_rules().run(&artifacts);
-            st.items(r.diagnostics.len() as u64);
-            st.finish();
-            Some(r)
-        } else {
-            None
-        };
-
-        let mut confidence = report.confidence();
-        if confidence == Confidence::Full
-            && check.as_ref().is_some_and(|r| r.has_code("SIG-STAB-001"))
-        {
-            confidence = Confidence::OrderSensitive;
+        let ingest = Some(&report);
+        match self.stage_a(app_name, workload, &trace, ingest, ingest_seconds, engine) {
+            Ok((analysis, _logical)) => Ok(analysis),
+            Err(e) => Err(AnalysisError {
+                reason: format!("ordering failed on recovered trace: {}", e),
+                ingest: report,
+            }),
         }
-        if confidence == Confidence::Degraded {
-            pas2p_obs::log(
-                Level::Warn,
-                "pas2p.pipeline",
-                "degraded analysis",
-                &[
-                    ("app", app_name.to_string()),
-                    ("missing_ranks", report.missing_ranks().len().to_string()),
-                    ("quarantined", report.records_quarantined().to_string()),
-                ],
-            );
-        }
-        let metrics = if pas2p_obs::enabled() {
-            Some(pas2p_obs::global().snapshot())
-        } else {
-            None
-        };
-        Ok(Analysis {
-            app_name: app_name.to_string(),
-            workload: workload.to_string(),
-            nprocs: trace.nprocs,
-            base_machine: trace.machine.clone(),
-            trace_bytes: buf.len() as u64,
-            trace_events: trace.total_events(),
-            tfat_seconds,
-            aet_instrumented: trace.elapsed(),
-            analysis,
-            table,
-            metrics,
-            check,
-            confidence,
-            ingest: Some(report),
-        })
     }
 
     /// Stage A up to the machine-independent model only (§3.1–§3.2):
@@ -354,6 +240,16 @@ impl Pas2p {
         base: &MachineModel,
         policy: MappingPolicy,
     ) -> (Analysis, pas2p_trace::Trace, pas2p_model::LogicalTrace) {
+        self.analyze_live(app, base, policy, None)
+    }
+
+    fn analyze_live(
+        &self,
+        app: &dyn MpiApp,
+        base: &MachineModel,
+        policy: MappingPolicy,
+        engine: Option<&CheckEngine>,
+    ) -> (Analysis, pas2p_trace::Trace, pas2p_model::LogicalTrace) {
         let _span = pas2p_obs::span("pas2p.pipeline", "analyze");
 
         // Stage boundaries are cancellation checkpoints: a job or
@@ -361,15 +257,42 @@ impl Pas2p {
         // stages with long loops also ask inside).
         enter(Stage::RunTraced);
         let mut st = pas2p_obs::stage("run_traced");
-        let (trace, report) = run_traced(app, base, policy, self.instrumentation);
+        let (trace, _) = run_traced(app, base, policy, self.instrumentation);
         st.items(trace.total_events() as u64);
         st.finish();
 
+        // A trace this process just recorded is structurally sound; one
+        // that does not order is a bug, raised as `pas2p_order` does.
+        let (analysis, logical) = self
+            .stage_a(&app.name(), &app.workload(), &trace, None, 0.0, engine)
+            .unwrap_or_else(|e| panic!("{}", e));
+        (analysis, trace, logical)
+    }
+
+    /// Stage A proper, the same for every source of `trace`: order →
+    /// extract → table → (check) → confidence. `ingest` is the decoder's
+    /// report, and `ingest_seconds` the host time decoding took, when
+    /// the trace came from bytes; `None` and zero for a live run — whose
+    /// recorded trace says the same about itself (size, events, elapsed
+    /// time, machine) as its encoding decoded back, which
+    /// `tests/stage_a_paths.rs` pins.
+    fn stage_a(
+        &self,
+        app_name: &str,
+        workload: &str,
+        trace: &pas2p_trace::Trace,
+        ingest: Option<&IngestReport>,
+        ingest_seconds: f64,
+        engine: Option<&CheckEngine>,
+    ) -> Result<(Analysis, pas2p_model::LogicalTrace), ModelError> {
         enter(Stage::Pas2pOrder);
         let mut st = pas2p_obs::stage("pas2p_order");
-        let logical = pas2p_order(&trace);
-        st.items(trace.total_events() as u64);
+        let logical = try_pas2p_order(trace);
+        if logical.is_ok() {
+            st.items(trace.total_events() as u64);
+        }
         let order_seconds = st.finish();
+        let logical = logical?;
 
         enter(Stage::ExtractPhases);
 
@@ -377,7 +300,7 @@ impl Pas2p {
         // same profiler reading as `analysis_seconds`, so TFAT and the
         // analysis timing are a single measurement and cannot diverge.
         let analysis = extract_phases(&logical, &self.similarity);
-        let tfat_seconds = order_seconds + analysis.analysis_seconds;
+        let tfat_seconds = ingest_seconds + order_seconds + analysis.analysis_seconds;
 
         let mut st = pas2p_obs::stage("table");
         let table = PhaseTable::from_analysis(
@@ -389,9 +312,59 @@ impl Pas2p {
         st.items(table.rows.len() as u64);
         st.finish();
 
+        let check = engine.map(|engine| {
+            let mut st = pas2p_obs::stage("check");
+            let report = engine.run(&Artifacts {
+                trace: Some(trace),
+                logical: Some(&logical),
+                analysis: Some(&analysis),
+                table: Some(&table),
+                similarity: self.similarity,
+                ingest,
+            });
+            st.items(report.diagnostics.len() as u64);
+            st.finish();
+            report
+        });
+
+        // An order-sensitive signature is a weaker claim than a full one:
+        // the phases exist, but their timings depend on which race
+        // outcome the traced run happened to commit.
+        let mut confidence = ingest.map_or(Confidence::Full, IngestReport::confidence);
+        if confidence == Confidence::Full
+            && check.as_ref().is_some_and(|r| r.has_code("SIG-STAB-001"))
+        {
+            confidence = Confidence::OrderSensitive;
+        }
+        if let Some(report) = check.as_ref().filter(|r| !r.is_clean()) {
+            pas2p_obs::log(
+                Level::Warn,
+                "pas2p.pipeline",
+                "check found issues",
+                &[
+                    ("app", app_name.to_string()),
+                    ("errors", report.errors().to_string()),
+                    ("warnings", report.warnings().to_string()),
+                ],
+            );
+        }
+        if let Some(report) = ingest.filter(|_| confidence == Confidence::Degraded) {
+            pas2p_obs::log(
+                Level::Warn,
+                "pas2p.pipeline",
+                "degraded analysis",
+                &[
+                    ("app", app_name.to_string()),
+                    ("missing_ranks", report.missing_ranks().len().to_string()),
+                    ("quarantined", report.records_quarantined().to_string()),
+                ],
+            );
+        }
+        // Taken last, so the check stage and rule hit counters are part
+        // of the recorded metrics.
         let metrics = if pas2p_obs::enabled() {
             pas2p_obs::gauge("pipeline.tfat_seconds").set(tfat_seconds);
-            pas2p_obs::gauge("pipeline.aet_instrumented").set(report.makespan);
+            pas2p_obs::gauge("pipeline.aet_instrumented").set(trace.elapsed());
             Some(pas2p_obs::global().snapshot())
         } else {
             None
@@ -401,30 +374,30 @@ impl Pas2p {
             "pas2p.pipeline",
             "analysis complete",
             &[
-                ("app", app.name()),
-                ("nprocs", app.nprocs().to_string()),
+                ("app", app_name.to_string()),
+                ("nprocs", trace.nprocs.to_string()),
                 ("events", trace.total_events().to_string()),
                 ("phases", analysis.total_phases().to_string()),
                 ("tfat_seconds", format!("{tfat_seconds:.6}")),
             ],
         );
         let analysis = Analysis {
-            app_name: app.name(),
-            workload: app.workload(),
-            nprocs: app.nprocs(),
-            base_machine: base.name.clone(),
-            trace_bytes: trace.size_bytes(),
+            app_name: app_name.to_string(),
+            workload: workload.to_string(),
+            nprocs: trace.nprocs,
+            base_machine: trace.machine.clone(),
+            trace_bytes: ingest.map_or_else(|| trace.size_bytes(), |r| r.bytes_total),
             trace_events: trace.total_events(),
             tfat_seconds,
-            aet_instrumented: report.makespan,
+            aet_instrumented: trace.elapsed(),
             analysis,
             table,
             metrics,
-            check: None,
-            confidence: Confidence::Full,
-            ingest: None,
+            check,
+            confidence,
+            ingest: ingest.cloned(),
         };
-        (analysis, trace, logical)
+        Ok((analysis, logical))
     }
 
     /// Build the signature from an analysis by re-running the application

@@ -37,7 +37,7 @@
 #![cfg(unix)]
 
 use crate::service::PredictionService;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,6 +70,12 @@ impl Default for ServeOptions {
         }
     }
 }
+
+/// Longest request line a connection may send, newline included. The
+/// largest legitimate request is a `batch` app list of a few hundred
+/// bytes; without a cap, one client that never sends a newline grows
+/// the server's memory until it dies.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// The stop flag, and the way to make a blocked acceptor look at it.
 struct Stop {
@@ -187,6 +193,12 @@ fn handle_connection(stream: UnixStream, service: &PredictionService, stop: &Sto
     let mut writer = stream;
     let mut line = String::new();
     while read_line_patiently(&mut reader, &mut line, stop) {
+        if line.len() > MAX_LINE_BYTES {
+            // Nowhere to resynchronise: answer once and hang up.
+            let why = format!("line longer than {MAX_LINE_BYTES} bytes");
+            let _ = writeln!(writer, "{}", service.invalid(&why).render());
+            return;
+        }
         match service.respond(&line, &mut writer) {
             Ok(false) => line.clear(),
             // Ack flushed; now stop the accept loop. The listener
@@ -205,10 +217,13 @@ fn handle_connection(stream: UnixStream, service: &PredictionService, stop: &Sto
 /// stops (`false`). A tick leaves any partial line in `line`, so a
 /// slow-loris client's bytes accumulate across ticks while the loop
 /// keeps polling the stop flag; a final unterminated fragment at EOF is
-/// surfaced as a line (it will parse — or classify — normally).
+/// surfaced as a line (it will parse — or classify — normally). So is
+/// one that passed [`MAX_LINE_BYTES`] without a newline: no read takes
+/// the line more than one byte beyond the cap.
 fn read_line_patiently(reader: &mut BufReader<UnixStream>, line: &mut String, stop: &Stop) -> bool {
     loop {
-        match reader.read_line(line) {
+        let room = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
+        match reader.by_ref().take(room).read_line(line) {
             Ok(0) => return !line.is_empty(),
             Ok(_) => return true,
             // Drain in progress: drop the partial line — the client
@@ -378,6 +393,49 @@ mod tests {
         let bye = roundtrip(&mut polite, r#"{"op":"shutdown"}"#);
         assert_eq!(bye["ok"], serde_json::json!(true));
         server.join().expect("server thread");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A request line is bounded. One byte past the cap with no newline
+    /// in sight is answered once, as a malformed line, and the
+    /// connection is closed — there is no way to resynchronise. A line
+    /// of exactly the cap is a request like any other, and the server
+    /// goes on serving.
+    #[test]
+    fn an_overlong_line_gets_one_invalid_answer_and_is_hung_up_on() {
+        let root = temp_root("overlong");
+        let socket = root.join("pas2p.sock");
+        let svc = service(&root);
+        let server_svc = svc.clone();
+        let server_socket = socket.clone();
+        let server = std::thread::spawn(move || {
+            serve_unix_with(&server_svc, &server_socket, ServeOptions::default()).expect("serve");
+        });
+        let mut flood = connect(&socket);
+        flood
+            .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+            .expect("the server reads as fast as this writes");
+        let mut reader = BufReader::new(flood);
+        let mut answer = String::new();
+        reader.read_line(&mut answer).expect("one answer");
+        let answer: serde_json::Value = serde_json::from_str(&answer).expect("answer parses");
+        assert_eq!(answer["code"], serde_json::json!("invalid"));
+        let error = answer["error"].as_str().expect("error text");
+        assert!(error.contains(&MAX_LINE_BYTES.to_string()), "{error}");
+        let mut rest = String::new();
+        let closed = reader.read_line(&mut rest).expect("clean close");
+        assert_eq!(closed, 0, "nothing after the one answer: {rest}");
+
+        // `roundtrip` appends the newline that makes it exactly the cap.
+        let mut polite = connect(&socket);
+        let ping = r#"{"op":"ping"}"#;
+        let padded = format!("{ping}{}", " ".repeat(MAX_LINE_BYTES - 1 - ping.len()));
+        let pong = roundtrip(&mut polite, &padded);
+        assert_eq!(pong["result"]["pong"], serde_json::json!(true));
+        roundtrip(&mut polite, r#"{"op":"shutdown"}"#);
+        server.join().expect("server thread");
+        // The refused line counts like any malformed one.
+        assert_eq!(svc.serve_stats().requests.load(Ordering::SeqCst), 3);
         let _ = std::fs::remove_dir_all(&root);
     }
 

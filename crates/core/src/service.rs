@@ -907,6 +907,13 @@ impl PredictionService {
         }
     }
 
+    /// Count one malformed line and build its classified `invalid`
+    /// answer.
+    pub(crate) fn invalid(&self, why: &dyn std::fmt::Display) -> Response {
+        self.count_request();
+        Response::failure("invalid", "invalid", format!("malformed request: {why}"))
+    }
+
     /// Count one refusal and build its classified `busy` answer.
     pub(crate) fn shed(&self, op: &'static str, why: &str) -> Response {
         self.shared.stats.shed.fetch_add(1, Ordering::SeqCst);
@@ -1011,11 +1018,7 @@ impl PredictionService {
     pub fn handle_line(&self, line: &str) -> (Response, bool) {
         let request = match Request::from_line(line) {
             Ok(request) => request,
-            Err(e) => {
-                self.count_request();
-                let error = format!("malformed request: {e}");
-                return (Response::failure("invalid", "invalid", error), false);
-            }
+            Err(e) => return (self.invalid(&e), false),
         };
         let op = request.op();
         let deadline = self.shared.deadline;

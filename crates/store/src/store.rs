@@ -75,6 +75,22 @@ pub struct IndexEntry {
     pub target: Option<String>,
 }
 
+impl IndexEntry {
+    /// The alias a signature's entry answers to (see [`signature_alias`]);
+    /// predictions have none.
+    fn alias(&self) -> Option<String> {
+        (self.kind == ArtifactKind::Signature).then(|| {
+            signature_alias(
+                &self.app,
+                &self.workload,
+                self.nprocs,
+                &self.base,
+                &self.fingerprint,
+            )
+        })
+    }
+}
+
 /// The byte-stable signature payload: everything Stage A + construction
 /// produced that is deterministic for the key's inputs. Host timings
 /// live in the [`Sidecar`], not here.
@@ -237,6 +253,12 @@ fn object_from_value(v: &Value) -> Option<StoredObject> {
     })
 }
 
+/// A store file's text through one of the `*_from_value` readers above:
+/// parsed, not yet verified.
+fn parse<T>(text: &str, from_value: fn(&Value) -> Option<T>) -> Option<T> {
+    from_value(&serde_json::from_str::<Value>(text).ok()?)
+}
+
 fn index_to_value(index: &StoreIndex) -> Value {
     let mut entries = Map::new();
     for (digest, entry) in &index.entries {
@@ -295,6 +317,21 @@ fn io_err(context: &str, e: std::io::Error) -> StoreError {
     StoreError::Io(format!("{context}: {e}"))
 }
 
+/// Why an entry leaves the index (see `SignatureStore::forget`).
+#[derive(Clone, Copy, PartialEq)]
+enum Evicted {
+    /// Written under another store format version.
+    Version,
+    /// The object is torn or tampered with.
+    Corrupt,
+    /// The index points at a file that cannot be read.
+    Missing,
+    /// Another configuration's entry (`evict_stale_configs`).
+    Config,
+    /// The caller asked (`evict`): not a repair, so not in the report.
+    Asked,
+}
+
 /// The content-addressed signature repository.
 pub struct SignatureStore {
     root: PathBuf,
@@ -329,56 +366,81 @@ impl SignatureStore {
             .map_err(|e| io_err("creating store directories", e))?;
         let mut report = StoreReport::default();
         let index_path = root.join("index.json");
-        let mut index = match io.read_to_string(&index_path) {
-            Ok(text) => match serde_json::from_str::<Value>(&text)
-                .ok()
-                .as_ref()
-                .and_then(index_from_value)
-            {
+        let index = match io.read_to_string(&index_path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => StoreIndex::default(),
+            // Unreadable, or read and not an index: rebuild, and say so.
+            read => match read.ok().and_then(|text| parse(&text, index_from_value)) {
                 Some(index) => index,
                 None => {
                     report.index_rebuilt = true;
                     Self::rebuild_index(&root, io.as_ref())
                 }
             },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => StoreIndex::default(),
-            Err(_) => {
-                report.index_rebuilt = true;
-                Self::rebuild_index(&root, io.as_ref())
-            }
         };
-
-        // Format-version invalidation: entries written under any other
-        // version are dropped wholesale — the key derivation itself is
-        // versioned, so they could never be addressed again anyway.
-        let stale: Vec<String> = index
-            .entries
-            .iter()
-            .filter(|(_, e)| e.format_version != STORE_FORMAT_VERSION)
-            .map(|(d, _)| d.clone())
-            .collect();
-        for digest in &stale {
-            index.entries.remove(digest);
-            index.aliases.retain(|_, d| d != digest);
-            let _ = io.remove_file(&root.join("objects").join(format!("{digest}.json")));
-            report.evicted_version += 1;
-            report.log_eviction(digest, "stale format version");
-            count_evict();
-        }
-        index.format_version = STORE_FORMAT_VERSION;
-
         let mut store = SignatureStore {
             root,
             index,
             report,
             io,
         };
+
+        // Format-version invalidation: entries written under any other
+        // version are dropped wholesale — the key derivation itself is
+        // versioned, so they could never be addressed again anyway.
+        let stale: Vec<String> = store
+            .index
+            .entries
+            .iter()
+            .filter(|(_, e)| e.format_version != STORE_FORMAT_VERSION)
+            .map(|(d, _)| d.clone())
+            .collect();
+        for digest in &stale {
+            store.forget(digest, Evicted::Version, "stale format version");
+        }
+        store.index.format_version = STORE_FORMAT_VERSION;
+
         let recovered = store.recover();
         store.report.entries_loaded = store.index.entries.len();
         if store.report.index_rebuilt || !stale.is_empty() || recovered {
             store.flush_index()?;
         }
         Ok(store)
+    }
+
+    /// The one way an entry leaves the index: its aliases go with it,
+    /// its object file is removed unless that is what is missing, and
+    /// the eviction is counted and classified in the report. The caller
+    /// flushes the index, once for however many entries it forgot.
+    fn forget(&mut self, digest: &str, why: Evicted, reason: &str) {
+        self.index.entries.remove(digest);
+        self.index.aliases.retain(|_, d| d != digest);
+        if why != Evicted::Missing {
+            let _ = self.io.remove_file(&self.object_path(digest));
+        }
+        count_evict();
+        match why {
+            Evicted::Version => self.report.evicted_version += 1,
+            Evicted::Corrupt => self.report.evicted_corrupt += 1,
+            Evicted::Missing => self.report.evicted_missing += 1,
+            Evicted::Config => {}
+            Evicted::Asked => return,
+        }
+        self.report.log_eviction(digest, reason);
+    }
+
+    /// Read one object and verify it end to end: the envelope parses,
+    /// names `digest`, and carries the payload its checksum covers. The
+    /// error is how the entry should leave the index, and why.
+    fn read_object(&self, digest: &str) -> Result<StoredObject, (Evicted, &'static str)> {
+        let Ok(text) = self.io.read_to_string(&self.object_path(digest)) else {
+            return Err((Evicted::Missing, "object file missing"));
+        };
+        let obj =
+            parse(&text, object_from_value).ok_or((Evicted::Corrupt, "object did not parse"))?;
+        if obj.digest != digest || obj.checksum != sha256_hex(obj.payload.as_bytes()) {
+            return Err((Evicted::Corrupt, "payload checksum mismatch"));
+        }
+        Ok(obj)
     }
 
     /// Startup recovery: remove stale temp files left by crashed writes
@@ -393,10 +455,10 @@ impl SignatureStore {
                 continue;
             };
             for path in entries {
-                if path.extension().and_then(|e| e.to_str()) == Some("tmp") {
-                    if self.io.remove_file(&path).is_ok() {
-                        self.report.temps_removed += 1;
-                    }
+                if path.extension().and_then(|e| e.to_str()) == Some("tmp")
+                    && self.io.remove_file(&path).is_ok()
+                {
+                    self.report.temps_removed += 1;
                 }
             }
         }
@@ -406,46 +468,13 @@ impl SignatureStore {
         // published by a crash or a lying disk is caught here instead of
         // surfacing as a latent read failure.
         let digests: Vec<String> = self.index.entries.keys().cloned().collect();
-        let mut changed = false;
+        let before = digests.len();
         for digest in digests {
-            let path = self.object_path(&digest);
-            let reason = match self.io.read_to_string(&path) {
-                Err(_) => {
-                    self.index.entries.remove(&digest);
-                    self.index.aliases.retain(|_, d| d != &digest);
-                    self.report.evicted_missing += 1;
-                    self.report
-                        .log_eviction(&digest, "startup recovery: object file missing");
-                    count_evict();
-                    changed = true;
-                    continue;
-                }
-                Ok(text) => match serde_json::from_str::<Value>(&text)
-                    .ok()
-                    .as_ref()
-                    .and_then(object_from_value)
-                {
-                    None => Some("startup recovery: torn object (did not parse)"),
-                    Some(obj)
-                        if obj.digest != digest
-                            || obj.checksum != sha256_hex(obj.payload.as_bytes()) =>
-                    {
-                        Some("startup recovery: torn object (checksum mismatch)")
-                    }
-                    Some(_) => None,
-                },
-            };
-            if let Some(reason) = reason {
-                self.index.entries.remove(&digest);
-                self.index.aliases.retain(|_, d| d != &digest);
-                let _ = self.io.remove_file(&path);
-                self.report.evicted_corrupt += 1;
-                self.report.log_eviction(&digest, reason);
-                count_evict();
-                changed = true;
+            if let Err((why, reason)) = self.read_object(&digest) {
+                self.forget(&digest, why, &format!("startup recovery: {reason}"));
             }
         }
-        changed
+        self.index.entries.len() != before
     }
 
     /// Reconstruct an index by scanning `objects/*.json`. Objects that
@@ -463,11 +492,9 @@ impl SignatureStore {
             let Ok(text) = io.read_to_string(&path) else {
                 continue;
             };
-            let Some(obj) = serde_json::from_str::<Value>(&text)
-                .ok()
-                .as_ref()
-                .and_then(object_from_value)
-            else {
+            // Parsed, not verified: the recovery pass that follows
+            // evicts a torn one, and says so in the report.
+            let Some(obj) = parse(&text, object_from_value) else {
                 continue;
             };
             // The filename must agree with the embedded digest, or the
@@ -475,14 +502,7 @@ impl SignatureStore {
             if path.file_stem().and_then(|s| s.to_str()) != Some(obj.digest.as_str()) {
                 continue;
             }
-            if obj.entry.kind == ArtifactKind::Signature {
-                let alias = signature_alias(
-                    &obj.entry.app,
-                    &obj.entry.workload,
-                    obj.entry.nprocs,
-                    &obj.entry.base,
-                    &obj.entry.fingerprint,
-                );
+            if let Some(alias) = obj.entry.alias() {
                 index.aliases.insert(alias, obj.digest.clone());
             }
             index.entries.insert(obj.digest.clone(), obj.entry);
@@ -546,8 +566,8 @@ impl SignatureStore {
                 Some((payload, obj.sidecar))
             }
             Err(e) => {
-                self.evict_corrupt(&key.digest, &format!("signature payload: {e}"));
-                count_miss();
+                let reason = format!("signature payload: {e}");
+                self.evict_on_read(&key.digest, Evicted::Corrupt, &reason);
                 None
             }
         }
@@ -580,14 +600,6 @@ impl SignatureStore {
             target: None,
         };
         let text = serde_json::to_string(payload).map_err(|e| StoreError::Encode(e.to_string()))?;
-        let alias = signature_alias(
-            &entry.app,
-            &entry.workload,
-            entry.nprocs,
-            &entry.base,
-            &entry.fingerprint,
-        );
-        self.index.aliases.insert(alias, key.digest.clone());
         self.write_object(key, entry, text, sidecar)
     }
 
@@ -604,11 +616,9 @@ impl SignatureStore {
     /// Remove one entry (index + object file). Returns whether it
     /// existed.
     pub fn evict(&mut self, key: &StoreKey) -> bool {
-        let existed = self.index.entries.remove(&key.digest).is_some();
+        let existed = self.index.entries.contains_key(&key.digest);
         if existed {
-            self.index.aliases.retain(|_, d| d != &key.digest);
-            let _ = self.io.remove_file(&self.object_path(&key.digest));
-            count_evict();
+            self.forget(&key.digest, Evicted::Asked, "");
             let _ = self.flush_index();
         }
         existed
@@ -628,11 +638,7 @@ impl SignatureStore {
             .map(|(d, _)| d.clone())
             .collect();
         for digest in &stale {
-            self.index.entries.remove(digest);
-            self.index.aliases.retain(|_, d| d != digest);
-            let _ = self.io.remove_file(&self.object_path(digest));
-            self.report.log_eviction(digest, "stale config fingerprint");
-            count_evict();
+            self.forget(digest, Evicted::Config, "stale config fingerprint");
         }
         if !stale.is_empty() {
             let _ = self.flush_index();
@@ -651,51 +657,19 @@ impl SignatureStore {
             count_miss();
             return None;
         }
-        let path = self.object_path(&key.digest);
-        let text = match self.io.read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => {
-                self.index.entries.remove(&key.digest);
-                self.index.aliases.retain(|_, d| d != &key.digest);
-                self.report.evicted_missing += 1;
-                self.report.log_eviction(&key.digest, "object file missing");
-                count_evict();
-                count_miss();
-                let _ = self.flush_index();
-                return None;
-            }
-        };
-        let obj = match serde_json::from_str::<Value>(&text)
-            .ok()
-            .as_ref()
-            .and_then(object_from_value)
-        {
-            Some(o) => o,
-            None => {
-                self.evict_corrupt(&key.digest, "object did not parse");
-                count_miss();
-                return None;
-            }
-        };
-        if obj.digest != key.digest || obj.checksum != sha256_hex(obj.payload.as_bytes()) {
-            self.evict_corrupt(&key.digest, "payload checksum mismatch");
-            count_miss();
-            return None;
+        match self.read_object(&key.digest) {
+            Ok(obj) if obj.entry.kind == kind => return Some(obj),
+            Ok(_) => count_miss(),
+            Err((why, reason)) => self.evict_on_read(&key.digest, why, reason),
         }
-        if obj.entry.kind != kind {
-            count_miss();
-            return None;
-        }
-        Some(obj)
+        None
     }
 
-    fn evict_corrupt(&mut self, digest: &str, reason: &str) {
-        self.index.entries.remove(digest);
-        self.index.aliases.retain(|_, d| d != digest);
-        let _ = self.io.remove_file(&self.object_path(digest));
-        self.report.evicted_corrupt += 1;
-        self.report.log_eviction(digest, reason);
-        count_evict();
+    /// An eviction found by a read: that read is a miss, and the index
+    /// is flushed at once.
+    fn evict_on_read(&mut self, digest: &str, why: Evicted, reason: &str) {
+        self.forget(digest, why, reason);
+        count_miss();
         let _ = self.flush_index();
     }
 
@@ -716,6 +690,12 @@ impl SignatureStore {
         let text = serde_json::to_string(&object_to_value(&obj))
             .map_err(|e| StoreError::Encode(e.to_string()))?;
         self.write_atomic(&self.object_path(&key.digest), text.as_bytes())?;
+        // The alias names only what is published: registered before the
+        // write, a failed put would leave it pointing at no entry, and
+        // an older signature it named would be lost to its requests.
+        if let Some(alias) = entry.alias() {
+            self.index.aliases.insert(alias, key.digest.clone());
+        }
         self.index.entries.insert(key.digest.clone(), entry);
         self.flush_index()?;
         if pas2p_obs::enabled() {

@@ -22,7 +22,6 @@
 //! * `--metrics FILE`    — enable metric collection and write the final
 //!   `MetricsSnapshot` JSON to FILE (or set `PAS2P_OBS=1`)
 
-use pas2p::benchrec::rate;
 use pas2p::prelude::*;
 use pas2p::Pas2p;
 use std::collections::HashMap;
@@ -49,7 +48,6 @@ const USAGE: &str = "usage:
   pas2p-cli timeline  --app NAME --nprocs N --base M [--out FILE] [--normalize]
   pas2p-cli timeline  --trace FILE [--out FILE] [--normalize]
   pas2p-cli timeline  --validate FILE
-  pas2p-cli bench-report [--nprocs N] [--base M] [--workers K] [--label S] [--record FILE]
 machines: A, B, C, D (the paper's clusters)
 batch: one Stage-A analysis per listed application over a worker pool
   (--workers defaults to the core count); the report order and content are
@@ -97,13 +95,6 @@ serve: long-running prediction service over newline-delimited JSON on
   --drain-ms N     socket mode: graceful-shutdown drain budget (default 5000)
   socket-mode extras: ops ping and health answer inline (never queued), so
   liveness probes work even when every compute slot is taken
-bench-report: run the full application suite through the batch driver and
-  derive a schema-versioned performance record (TFAT, events/sec,
-  jobs/sec, check-engine diagnostics/sec sequential vs parallel, and
-  similarity-kernel timing: scalar oracle vs SoA extraction with the
-  band/LSH skip counters);
-  --record FILE appends it to a BENCH_*.json trajectory file, otherwise
-  the record prints to stdout (--nprocs defaults to 8, --base to A)
 check: runs the pas2p-check invariant rules over every pipeline artifact;
   exits 0 when clean, 1 on warnings, 2 on errors (--json for machine output);
   --logical-out dumps the logical trace JSON so it can be re-checked with
@@ -116,11 +107,6 @@ check: runs the pas2p-check invariant rules over every pipeline artifact;
   --baseline FILE     suppress findings listed in FILE (exit code reflects
                       the remaining findings only)
   --write-baseline F  capture every current finding into F and exit 0
-analysis (any command):
-  --kernel K          similarity kernel: soa (default: columnar layout with
-                      band prefilters and LSH bucketing) or scalar (the
-                      reference walk, always sequential); both produce
-                      byte-identical output
 observability (any command):
   --log-level LEVEL   off|error|warn|info|debug|trace (default warn; env PAS2P_LOG)
   --log-file FILE     append JSON-lines log records to FILE (env PAS2P_LOG_FILE)
@@ -162,7 +148,7 @@ fn input(msg: String) -> CliError {
     CliError::Input(msg)
 }
 
-/// The application catalog: what `list` shows and `bench-report` runs.
+/// The application catalog, as `list` shows it.
 const SUITE: &[&str] = &[
     "cg",
     "bt",
@@ -316,15 +302,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
     if trace_out.is_some() {
         pas2p_obs::set_tracing(true);
     }
-    let mut pas2p = Pas2p::default();
-    if let Some(kernel) = flags.get("kernel") {
-        pas2p.similarity.kernel = match kernel.as_str() {
-            "soa" => SimilarityKernel::Soa,
-            "scalar" => SimilarityKernel::Scalar,
-            other => return Err(format!("unknown --kernel '{other}' (soa|scalar)").into()),
-        };
-    }
-    let pas2p = pas2p;
+    let pas2p = Pas2p::default();
 
     let result: Result<ExitCode, CliError> = match cmd.as_str() {
         "list" => {
@@ -771,216 +749,6 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                 write_or_print(&flags, &doc.to_json())?;
                 Ok(ExitCode::SUCCESS)
             }
-        }
-        "bench-report" => {
-            let nprocs: u32 = parsed(&flags, "nprocs")?.unwrap_or(8);
-            let base = match flags.get("base") {
-                Some(_) => machine(&flags, "base")?,
-                None => cluster_a(),
-            };
-            let label = flags
-                .get("label")
-                .cloned()
-                .unwrap_or_else(|| "local".into());
-            let jobs: Vec<pas2p::BatchJob> = SUITE
-                .iter()
-                .map(|n| {
-                    pas2p::BatchJob::new(
-                        pas2p_apps::by_name(n, nprocs).expect("catalog app"),
-                        base.clone(),
-                    )
-                })
-                .collect();
-            let opts = pas2p::BatchOptions {
-                workers: workers(&flags)?,
-                ..pas2p::BatchOptions::default()
-            };
-            let report = pas2p::run_batch_with(&pas2p, jobs, opts);
-            let mut record = pas2p::bench_record(&report, &label, nprocs, &base.name);
-            eprintln!(
-                "bench-report: {}/{} jobs ok in {:.2}s ({} workers) — \
-                 {:.0} events/s analysis, {:.2} jobs/s",
-                record.jobs_ok,
-                record.jobs,
-                record.batch_wall_seconds,
-                record.batch_workers,
-                record.events_per_sec,
-                record.jobs_per_sec
-            );
-            // Check-engine throughput: run the full rule set over one
-            // analyzed suite member, sequentially and with a worker
-            // pool, so the trajectory tracks diagnostics/sec alongside
-            // the analysis numbers.
-            {
-                const CHECK_APP: &str = "masterworker";
-                let app = pas2p_apps::by_name(CHECK_APP, nprocs).expect("catalog app");
-                let (analysis, trace, logical) =
-                    pas2p.analyze_full(app.as_ref(), &base, MappingPolicy::Block);
-                let artifacts = Artifacts {
-                    trace: Some(&trace),
-                    logical: Some(&logical),
-                    analysis: Some(&analysis.analysis),
-                    table: Some(&analysis.table),
-                    similarity: pas2p.similarity,
-                    ingest: None,
-                };
-                let check_workers = record.batch_workers.max(2);
-                let sequential = CheckEngine::with_default_rules();
-                let parallel = CheckEngine::with_default_rules().with_workers(check_workers);
-                let t = std::time::Instant::now();
-                let seq_report = sequential.run(&artifacts);
-                let sequential_seconds = t.elapsed().as_secs_f64();
-                let t = std::time::Instant::now();
-                let par_report = parallel.run(&artifacts);
-                let parallel_seconds = t.elapsed().as_secs_f64();
-                debug_assert_eq!(
-                    seq_report.diagnostics, par_report.diagnostics,
-                    "check engine must be worker-count invariant"
-                );
-                let diagnostics = seq_report.diagnostics.len() as u64;
-                let stat = pas2p::CheckBenchStat {
-                    app: CHECK_APP.to_string(),
-                    workers: check_workers,
-                    diagnostics,
-                    sequential_seconds,
-                    parallel_seconds,
-                    diagnostics_per_sec: rate(diagnostics as f64, sequential_seconds),
-                    speedup: rate(sequential_seconds, parallel_seconds),
-                };
-                eprintln!(
-                    "check-engine: {} diagnostics over {} in {:.4}s sequential, \
-                     {:.4}s at {} workers (speedup {:.2}x)",
-                    stat.diagnostics,
-                    stat.app,
-                    stat.sequential_seconds,
-                    stat.parallel_seconds,
-                    stat.workers,
-                    stat.speedup
-                );
-                record.check = Some(stat);
-            }
-            // Similarity-kernel timing: the same logical trace extracted
-            // with the scalar reference walk and with the SoA kernel. The
-            // outputs are byte-identical by construction
-            // (tests/kernel_equivalence.rs);
-            // the record tracks the wall clock and the prefilter skip
-            // counters.
-            {
-                // Catalog apps at suite scale stay under ~12 known
-                // phases — far below the regime where the candidate-vs-
-                // known comparisons dominate TFAT — so the kernel is
-                // timed over a phase-diverse ring workload where the
-                // known-phase list actually grows. Every variant has the
-                // same communication *structure* (the scalar walk's O(1)
-                // length check never helps) but different sizes and
-                // compute, so the scalar path must score the full grid
-                // against known phases while the band prefilter rejects
-                // them from the precomputed stats.
-                const KERNEL_APP: &str = "varied-ring";
-                const VARIANTS: usize = 144;
-                const REPS: usize = 720;
-                let logical = {
-                    let mut machine = base.clone();
-                    machine.jitter = pas2p_machine::JitterModel::none();
-                    let collector = std::sync::Arc::new(TraceCollector::new(
-                        nprocs,
-                        KERNEL_APP,
-                        InstrumentationModel::free(),
-                    ));
-                    let sim = SimConfig::new(machine, nprocs, MappingPolicy::Block);
-                    let col = collector.clone();
-                    run_app(&sim, move |ctx| {
-                        let size = ctx.size();
-                        let rank = ctx.rank();
-                        let mut t = Traced::new(ctx, &col);
-                        let next = (rank + 1) % size;
-                        let prev = (rank + size - 1) % size;
-                        for rep in 0..REPS {
-                            let v = rep % VARIANTS;
-                            let bytes = 16usize << (v % 12);
-                            // Distinct per-send sizes keep the repetition
-                            // scan from cutting the window mid-rep (one
-                            // window per variant body); the per-send
-                            // compute block carries the variant identity
-                            // on every cell, so distinct variants stay
-                            // distinct phases under the event fraction.
-                            for s in 0..16u32 {
-                                t.compute(Work::flops(1e4 * 1.2f64.powi(v as i32)));
-                                t.send_sized(next, s, bytes + 16 * s as usize);
-                                t.recv(Some(prev), Some(s));
-                            }
-                            t.allreduce_f64(&[1.0], ReduceOp::Sum);
-                        }
-                        t.finish();
-                    });
-                    let trace = std::sync::Arc::into_inner(collector)
-                        .expect("sim ranks joined")
-                        .into_trace();
-                    pas2p_order(&trace)
-                };
-                let timed = |kernel| {
-                    let cfg = SimilarityConfig {
-                        kernel,
-                        ..pas2p.similarity
-                    };
-                    let t = std::time::Instant::now();
-                    let analysis = extract_phases(&logical, &cfg);
-                    (t.elapsed().as_secs_f64(), analysis)
-                };
-                let (scalar_seconds, scalar) = timed(SimilarityKernel::Scalar);
-                // The skip counters come from the metrics registry:
-                // enable it around the SoA run and diff the counter
-                // snapshots, restoring the prior state after.
-                let was_enabled = pas2p_obs::enabled();
-                pas2p_obs::set_enabled(true);
-                let before = pas2p_obs::global().snapshot().counters;
-                let (soa_seconds, soa) = timed(SimilarityKernel::Soa);
-                let after = pas2p_obs::global().snapshot().counters;
-                pas2p_obs::set_enabled(was_enabled);
-                let delta = |key: &str| {
-                    after.get(key).copied().unwrap_or(0) - before.get(key).copied().unwrap_or(0)
-                };
-                debug_assert_eq!(
-                    scalar.phases, soa.phases,
-                    "kernels must produce identical phases"
-                );
-                let stat = pas2p::KernelBenchStat {
-                    app: KERNEL_APP.to_string(),
-                    phases: scalar.total_phases() as u64,
-                    scalar_seconds,
-                    soa_seconds,
-                    soa_speedup: rate(scalar_seconds, soa_seconds),
-                    band_rejects: delta("extract.band.rejects"),
-                    lsh_skipped: delta("extract.lsh.skipped"),
-                    soa_compares: delta("extract.soa.compares"),
-                };
-                eprintln!(
-                    "kernel: {} phases over {} in {:.4}s scalar, {:.4}s soa ({:.2}x); \
-                     prefilters skipped {} (band {}, lsh {}), {} full compares",
-                    stat.phases,
-                    stat.app,
-                    stat.scalar_seconds,
-                    stat.soa_seconds,
-                    stat.soa_speedup,
-                    stat.band_rejects + stat.lsh_skipped,
-                    stat.band_rejects,
-                    stat.lsh_skipped,
-                    stat.soa_compares
-                );
-                record.kernel = Some(stat);
-            }
-            match flags.get("record") {
-                Some(path) => {
-                    let len = pas2p::append_record(std::path::Path::new(path), &record)
-                        .map_err(|e| input(e.to_string()))?;
-                    println!("appended record #{len} to {path}");
-                }
-                None => {
-                    let json = serde_json::to_string_pretty(&record).map_err(|e| e.to_string())?;
-                    println!("{json}");
-                }
-            }
-            Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown command '{}'", other).into()),
     };

@@ -7,7 +7,7 @@
 
 use pas2p::{Pas2p, PredictionService};
 use pas2p_faults::{FaultStoreIo, StoreFaultKind, StoreFaultStats};
-use pas2p_store::SignatureStore;
+use pas2p_store::{signature_alias, SignatureStore, StoreKey};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -189,5 +189,54 @@ fn short_index_read_rebuilds_from_objects() {
     let warm = svc.predict("cg", 4, "A", "B").expect("warm predict");
     assert!(warm.cached, "rebuilt aliases still route to the signature");
     assert_eq!(warm.prediction_json, cold.prediction_json);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// An alias names only what is published. A second traced run of the
+/// same (app, workload, nprocs, base, config) has another content
+/// address; when its publish fails, the alias must still answer the
+/// first signature — registered before the write, it would point at a
+/// digest with no entry, and the next request would recompute Stage A
+/// beside a perfectly good object.
+#[test]
+fn failed_put_leaves_the_alias_on_the_published_signature() {
+    let _serial = serial();
+    let root = temp_root("alias");
+    let svc = clean_service(&root);
+    let key = StoreKey {
+        digest: svc.submit("cg", 4, "A").expect("submit").digest,
+        fingerprint: svc.fingerprint(),
+    };
+    drop(svc);
+
+    // Reopening a clean store renames nothing: the first rename is the
+    // publish of the second put's object.
+    let io = FaultStoreIo::new(vec![StoreFaultKind::RenameFail { on_op: 1 }]);
+    let mut store = SignatureStore::open_with_io(&root, Box::new(io)).expect("reopen");
+    let (payload, sidecar) = store.get_signature(&key).expect("published signature");
+    let alias = signature_alias(
+        &payload.app_name,
+        &payload.workload,
+        payload.nprocs,
+        &payload.base_machine,
+        &key.fingerprint,
+    );
+    assert_eq!(store.lookup_alias(&alias).as_ref(), Some(&key));
+
+    let other = StoreKey {
+        digest: pas2p_store::sha256_hex(b"another traced run of the same tuple"),
+        fingerprint: key.fingerprint.clone(),
+    };
+    let err = store
+        .put_signature(&other, &payload, sidecar)
+        .expect_err("failed publish must fail the put");
+    assert!(err.to_string().contains("publishing"), "{err}");
+    assert!(store.entry(&other).is_none(), "nothing was published");
+    assert_eq!(
+        store.lookup_alias(&alias).as_ref(),
+        Some(&key),
+        "the alias still names the signature that is there"
+    );
+    assert!(store.get_signature(&key).is_some(), "and the store serves it");
     let _ = std::fs::remove_dir_all(&root);
 }
