@@ -132,47 +132,6 @@ impl CheckReport {
     }
 }
 
-/// Metric name for a rule code's hit counter. `pas2p-obs` counters take
-/// `&'static str`, so the mapping is a closed table; unknown codes fall
-/// into a shared bucket.
-pub fn hit_metric(code: &str) -> &'static str {
-    match code {
-        "P2P-MATCH-001" => "check.hit.p2p_match_001",
-        "P2P-MATCH-002" => "check.hit.p2p_match_002",
-        "P2P-MATCH-003" => "check.hit.p2p_match_003",
-        "P2P-MATCH-004" => "check.hit.p2p_match_004",
-        "P2P-MATCH-005" => "check.hit.p2p_match_005",
-        "WILD-RECV-001" => "check.hit.wild_recv_001",
-        "WILD-RECV-002" => "check.hit.wild_recv_002",
-        "WFG-CYCLE-001" => "check.hit.wfg_cycle_001",
-        "MSG-RACE-001" => "check.hit.msg_race_001",
-        "MSG-RACE-002" => "check.hit.msg_race_002",
-        "DLK-POT-001" => "check.hit.dlk_pot_001",
-        "SIG-STAB-001" => "check.hit.sig_stab_001",
-        "LT-RECV-001" => "check.hit.lt_recv_001",
-        "LT-COLL-001" => "check.hit.lt_coll_001",
-        "MODEL-TICK-001" => "check.hit.model_tick_001",
-        "MODEL-ORDER-001" => "check.hit.model_order_001",
-        "MODEL-CONS-001" => "check.hit.model_cons_001",
-        "SIG-W-001" => "check.hit.sig_w_001",
-        "SIG-OCC-001" => "check.hit.sig_occ_001",
-        "SIG-SIM-001" => "check.hit.sig_sim_001",
-        "SIG-SIM-002" => "check.hit.sig_sim_002",
-        "SIG-REL-001" => "check.hit.sig_rel_001",
-        "SIG-COV-001" => "check.hit.sig_cov_001",
-        "SIG-ROW-001" => "check.hit.sig_row_001",
-        "PET-EQ-001" => "check.hit.pet_eq_001",
-        "PET-EQ-002" => "check.hit.pet_eq_002",
-        "MODEL-SPAN-001" => "check.hit.model_span_001",
-        "INGEST-FATAL-001" => "check.hit.ingest_fatal_001",
-        "INGEST-RANK-001" => "check.hit.ingest_rank_001",
-        "INGEST-REC-001" => "check.hit.ingest_rec_001",
-        "INGEST-TRUNC-001" => "check.hit.ingest_trunc_001",
-        "INGEST-DUP-001" => "check.hit.ingest_dup_001",
-        _ => "check.hit.other",
-    }
-}
-
 /// The canonical total order of a report: severity descending, then
 /// code, location, message, suggestion. Total (no ties between distinct
 /// diagnostics), so the sorted report is independent of production
@@ -256,7 +215,7 @@ impl CheckEngine {
         let mut diagnostics: Vec<Diagnostic> = slots.into_iter().flatten().collect();
         if pas2p_obs::enabled() {
             for d in &diagnostics {
-                pas2p_obs::counter(hit_metric(&d.code)).add(1);
+                pas2p_obs::counter(crate::rules::hit_metric(&d.code)).add(1);
             }
         }
         diagnostics.sort_by(|a, b| canonical_key(a).cmp(&canonical_key(b)));
@@ -324,13 +283,6 @@ mod tests {
         let r = e.run(&Artifacts::empty());
         assert_eq!(r.exit_code(), 1);
         assert!(r.render().contains("1 warning(s)"));
-    }
-
-    #[test]
-    fn hit_metric_is_total() {
-        assert_eq!(hit_metric("LT-RECV-001"), "check.hit.lt_recv_001");
-        assert_eq!(hit_metric("MSG-RACE-001"), "check.hit.msg_race_001");
-        assert_eq!(hit_metric("NO-SUCH-999"), "check.hit.other");
     }
 
     /// Distinct messages at the same (code, location) collapse to the

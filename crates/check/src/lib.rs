@@ -65,16 +65,18 @@ pub mod hb;
 pub mod ingest_rules;
 pub mod model_rules;
 pub mod race_rules;
+mod rules;
 pub mod sarif;
 pub mod signature_rules;
 pub mod trace_rules;
 
 pub use diag::{Diagnostic, Location, Severity};
-pub use engine::{hit_metric, Artifacts, CheckEngine, CheckReport, Checker};
+pub use engine::{Artifacts, CheckEngine, CheckReport, Checker};
 pub use hb::{HbAnalysis, VectorClock};
 pub use ingest_rules::IngestRules;
 pub use model_rules::ModelRules;
 pub use race_rules::HbRules;
+pub use rules::RULES;
 pub use sarif::{apply_baseline, to_sarif, Baseline, BASELINE_VERSION, SARIF_VERSION};
 pub use signature_rules::{SignatureRuleConfig, SignatureRules};
 pub use trace_rules::TraceRules;

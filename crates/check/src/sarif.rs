@@ -17,75 +17,13 @@
 
 use crate::diag::{Diagnostic, Severity};
 use crate::engine::CheckReport;
+use crate::rules::RULES;
 use pas2p_obs::json_string;
 
 /// The SARIF schema version this module emits.
 pub const SARIF_VERSION: &str = "2.1.0";
 const SARIF_SCHEMA: &str =
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json";
-
-/// Every rule the engine can emit, with the short description SARIF
-/// viewers surface. Closed table, sorted by id; `to_sarif` indexes into
-/// it. Unknown codes (user-supplied rule families) get a synthesized
-/// entry after the table.
-pub const RULE_TABLE: &[(&str, &str)] = &[
-    (
-        "DLK-POT-001",
-        "An alternative wildcard matching wedges: potential deadlock",
-    ),
-    (
-        "INGEST-DUP-001",
-        "Recovering decoder renumbered duplicate records",
-    ),
-    ("INGEST-FATAL-001", "Trace buffer unusable"),
-    ("INGEST-RANK-001", "A rank never appeared in the trace"),
-    ("INGEST-REC-001", "Records quarantined during ingest"),
-    ("INGEST-TRUNC-001", "A trace section was truncated"),
-    ("LT-COLL-001", "A collective is split across logical ticks"),
-    ("LT-RECV-001", "A receive is placed before its send"),
-    ("MODEL-CONS-001", "Events lost or invented by the relayout"),
-    ("MODEL-ORDER-001", "Program order broken on the tick axis"),
-    (
-        "MODEL-SPAN-001",
-        "Phase occurrence with negative global span",
-    ),
-    ("MODEL-TICK-001", "Two events of one process share a tick"),
-    (
-        "MSG-RACE-001",
-        "Wildcard receive race changes the recorded event structure",
-    ),
-    (
-        "MSG-RACE-002",
-        "Wildcard receive can steal a deterministic receive's message",
-    ),
-    ("P2P-MATCH-001", "Send without a matching receive"),
-    ("P2P-MATCH-002", "Receive without a matching send"),
-    ("P2P-MATCH-003", "Matched pair disagrees on peers"),
-    ("P2P-MATCH-004", "Matched pair disagrees on size"),
-    ("P2P-MATCH-005", "Relation id reused"),
-    ("PET-EQ-001", "PET reconstruction identity fails"),
-    ("PET-EQ-002", "PET reconstruction differs beyond tolerance"),
-    ("SIG-COV-001", "Low relevant coverage"),
-    ("SIG-OCC-001", "Occurrences do not tile the trace"),
-    ("SIG-REL-001", "Table rows disagree with the analysis"),
-    ("SIG-ROW-001", "Signature row bookkeeping broken"),
-    ("SIG-SIM-001", "Similarity bookkeeping broken (merge)"),
-    ("SIG-SIM-002", "Similarity bookkeeping broken (split)"),
-    (
-        "SIG-STAB-001",
-        "Phase occurrences overlap a message-race window",
-    ),
-    ("SIG-W-001", "Phase weight disagrees with occurrence count"),
-    (
-        "WFG-CYCLE-001",
-        "The traced order deadlocks under deterministic replay",
-    ),
-    ("WILD-RECV-001", "Wildcard-source receives posted"),
-    (
-        "WILD-RECV-002",
-        "Symmetric wildcard race: order-dependent match, stable structure",
-    ),
-];
 
 fn level_of(s: Severity) -> &'static str {
     match s {
@@ -102,19 +40,16 @@ pub fn to_sarif(report: &CheckReport) -> String {
     // Rule list: the closed table, then any codes the report carries
     // that the table does not (user rule families), in first-appearance
     // order — result ruleIndex entries index the emitted list.
-    let mut rules: Vec<(String, String)> = RULE_TABLE
-        .iter()
-        .map(|(id, d)| ((*id).to_string(), (*d).to_string()))
-        .collect();
+    let mut rules: Vec<(&str, &str)> = RULES.iter().map(|&(id, _, d)| (id, d)).collect();
     for d in &report.diagnostics {
         if !rules.iter().any(|(id, _)| *id == d.code) {
-            rules.push((d.code.clone(), "(rule outside the shipped set)".to_string()));
+            rules.push((&d.code, "(rule outside the shipped set)"));
         }
     }
     let index_of = |code: &str| {
         rules
             .iter()
-            .position(|(id, _)| id == code)
+            .position(|(id, _)| *id == code)
             .expect("every code was indexed")
     };
 
@@ -341,23 +276,6 @@ mod tests {
             run["tool"]["driver"]["rules"].as_array().unwrap()[idx]["id"].as_str(),
             Some("CUSTOM-999")
         );
-    }
-
-    #[test]
-    fn rule_table_is_sorted_and_covers_hit_metrics() {
-        for pair in RULE_TABLE.windows(2) {
-            assert!(pair[0].0 < pair[1].0, "{} out of order", pair[1].0);
-        }
-        // Every tabled rule has a dedicated hit metric (no silent
-        // `other` bucket for shipped codes).
-        for (id, _) in RULE_TABLE {
-            assert_ne!(
-                crate::engine::hit_metric(id),
-                "check.hit.other",
-                "{} missing from hit_metric",
-                id
-            );
-        }
     }
 
     #[test]

@@ -36,8 +36,9 @@
 
 #![cfg(unix)]
 
-use crate::service::PredictionService;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use crate::service::{read_bounded_line, PredictionService};
+use std::io::{BufReader, ErrorKind, Write};
+use std::ops::ControlFlow;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,12 +71,6 @@ impl Default for ServeOptions {
         }
     }
 }
-
-/// Longest request line a connection may send, newline included. The
-/// largest legitimate request is a `batch` app list of a few hundred
-/// bytes; without a cap, one client that never sends a newline grows
-/// the server's memory until it dies.
-const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// The stop flag, and the way to make a blocked acceptor look at it.
 struct Stop {
@@ -193,21 +188,16 @@ fn handle_connection(stream: UnixStream, service: &PredictionService, stop: &Sto
     let mut writer = stream;
     let mut line = String::new();
     while read_line_patiently(&mut reader, &mut line, stop) {
-        if line.len() > MAX_LINE_BYTES {
-            // Nowhere to resynchronise: answer once and hang up.
-            let why = format!("line longer than {MAX_LINE_BYTES} bytes");
-            let _ = writeln!(writer, "{}", service.invalid(&why).render());
-            return;
-        }
         match service.respond(&line, &mut writer) {
-            Ok(false) => line.clear(),
+            Ok(ControlFlow::Continue(())) => line.clear(),
             // Ack flushed; now stop the accept loop. The listener
             // drains the rest.
-            Ok(true) => {
+            Ok(ControlFlow::Break(true)) => {
                 stop.request();
                 return;
             }
-            Err(_) => return,
+            // An over-long line (answered), or a dead socket: hang up.
+            Ok(ControlFlow::Break(false)) | Err(_) => return,
         }
     }
 }
@@ -218,12 +208,11 @@ fn handle_connection(stream: UnixStream, service: &PredictionService, stop: &Sto
 /// slow-loris client's bytes accumulate across ticks while the loop
 /// keeps polling the stop flag; a final unterminated fragment at EOF is
 /// surfaced as a line (it will parse — or classify — normally). So is
-/// one that passed [`MAX_LINE_BYTES`] without a newline: no read takes
-/// the line more than one byte beyond the cap.
+/// one that passed `MAX_LINE_BYTES` without a newline
+/// ([`read_bounded_line`]).
 fn read_line_patiently(reader: &mut BufReader<UnixStream>, line: &mut String, stop: &Stop) -> bool {
     loop {
-        let room = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
-        match reader.by_ref().take(room).read_line(line) {
+        match read_bounded_line(reader, line) {
             Ok(0) => return !line.is_empty(),
             Ok(_) => return true,
             // Drain in progress: drop the partial line — the client
@@ -242,7 +231,9 @@ fn read_line_patiently(reader: &mut BufReader<UnixStream>, line: &mut String, st
 mod tests {
     use super::*;
     use crate::pipeline::Pas2p;
+    use crate::service::MAX_LINE_BYTES;
     use pas2p_store::SignatureStore;
+    use std::io::BufRead;
     use std::path::PathBuf;
     use std::sync::atomic::AtomicU32;
 
@@ -436,6 +427,38 @@ mod tests {
         server.join().expect("server thread");
         // The refused line counts like any malformed one.
         assert_eq!(svc.serve_stats().requests.load(Ordering::SeqCst), 3);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The stdin loop reads through the same bound: a line of exactly
+    /// the cap is answered, one byte more gets the one `invalid` answer
+    /// and ends the loop — what follows is never read, the store index
+    /// is flushed on the way out.
+    #[test]
+    fn an_overlong_stdin_line_gets_one_invalid_answer_and_ends_the_loop() {
+        let root = temp_root("overlong-stdin");
+        let svc = service(&root);
+        let ping = r#"{"op":"ping"}"#;
+        let at_cap = format!("{ping}{}", " ".repeat(MAX_LINE_BYTES - 1 - ping.len()));
+        let input = format!("{at_cap}\n{}\n{ping}\n", "x".repeat(MAX_LINE_BYTES));
+        let mut output = Vec::new();
+        svc.serve(std::io::Cursor::new(input), &mut output)
+            .expect("serve");
+        let answers: Vec<serde_json::Value> = String::from_utf8(output)
+            .expect("utf8")
+            .lines()
+            .map(|l| serde_json::from_str(l).expect("answer parses"))
+            .collect();
+        assert_eq!(answers.len(), 2, "{answers:?}");
+        assert_eq!(answers[0]["result"]["pong"], serde_json::json!(true));
+        assert_eq!(answers[1]["code"], serde_json::json!("invalid"));
+        let error = answers[1]["error"].as_str().expect("error text");
+        assert!(error.contains(&MAX_LINE_BYTES.to_string()), "{error}");
+        assert_eq!(svc.serve_stats().requests.load(Ordering::SeqCst), 2);
+        assert!(
+            root.join("store/index.json").exists(),
+            "index flushed on the way out"
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 

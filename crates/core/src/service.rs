@@ -82,7 +82,8 @@ use pas2p_store::{
 use serde::Serialize;
 use serde_json::{json, Value};
 use std::collections::HashSet;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -874,7 +875,7 @@ impl PredictionService {
             "entries": store.len(),
             "format_version": STORE_FORMAT_VERSION,
             "fingerprint": self.shared.fingerprint,
-            "store_report": report.to_value(),
+            "store_report": report,
             "store_diagnostics": diagnostics,
         })
     }
@@ -1083,32 +1084,65 @@ impl PredictionService {
     /// Protocol line in, response line out: skip a blank line, else
     /// answer it through [`PredictionService::handle_line`] and write
     /// and flush the rendered response. The stdin loop and every socket
-    /// connection call this and differ only in how they read. Returns
-    /// whether the line asked the serve loop to stop.
-    pub(crate) fn respond(&self, line: &str, output: &mut impl Write) -> std::io::Result<bool> {
-        if line.trim().is_empty() {
-            return Ok(false);
-        }
-        let (response, stop) = self.handle_line(line);
+    /// connection call this and differ only in how they read. `Break`
+    /// ends the caller's read loop: with `true` because the line asked
+    /// the serve loop to stop, with `false` because it passed
+    /// [`MAX_LINE_BYTES`] — answered once as malformed, and nowhere to
+    /// resynchronise after it.
+    pub(crate) fn respond(
+        &self,
+        line: &str,
+        output: &mut impl Write,
+    ) -> std::io::Result<ControlFlow<bool>> {
+        let (response, flow) = if line.len() > MAX_LINE_BYTES {
+            let why = format!("line longer than {MAX_LINE_BYTES} bytes");
+            (self.invalid(&why), ControlFlow::Break(false))
+        } else if line.trim().is_empty() {
+            return Ok(ControlFlow::Continue(()));
+        } else {
+            match self.handle_line(line) {
+                (response, true) => (response, ControlFlow::Break(true)),
+                (response, false) => (response, ControlFlow::Continue(())),
+            }
+        };
         writeln!(output, "{}", response.render())?;
         output.flush()?;
-        Ok(stop)
+        Ok(flow)
     }
 
     /// Serve newline-delimited JSON requests from `input`, writing one
-    /// response line each to `output`, until EOF or a `shutdown`. The
-    /// final response is flushed before the loop exits, and the store
-    /// index is flushed to disk on the way out.
-    pub fn serve(&self, input: impl BufRead, mut output: impl Write) -> std::io::Result<()> {
-        for line in input.lines() {
-            if self.respond(&line?, &mut output)? {
+    /// response line each to `output`, until EOF, a `shutdown` or an
+    /// over-long line. The final response is flushed before the loop
+    /// exits, and the store index is flushed to disk on the way out.
+    pub fn serve(&self, mut input: impl BufRead, mut output: impl Write) -> std::io::Result<()> {
+        let mut line = String::new();
+        while read_bounded_line(&mut input, &mut line)? > 0 {
+            if self.respond(&line, &mut output)?.is_break() {
                 break;
             }
+            line.clear();
         }
         self.shared.stats.accepting.store(false, Ordering::SeqCst);
         self.flush_store();
         Ok(())
     }
+}
+
+/// Longest request line either read loop accepts, newline included. The
+/// largest legitimate request is a `batch` app list of a few hundred
+/// bytes; without a cap, one client that never sends a newline grows
+/// the process's memory until it dies.
+pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// `read_line` that never takes `line` more than one byte beyond
+/// [`MAX_LINE_BYTES`] — enough for the caller to see the cap was passed.
+/// Appends, so a socket's partial line survives a read-timeout tick.
+pub(crate) fn read_bounded_line(
+    reader: &mut impl BufRead,
+    line: &mut String,
+) -> std::io::Result<usize> {
+    let room = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
+    reader.by_ref().take(room).read_line(line)
 }
 
 #[cfg(test)]

@@ -56,7 +56,7 @@ pub use store::{ArtifactKind, IndexEntry, Sidecar, SignatureStore, StoreError, S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicU32, Ordering};
 
     /// A unique, throwaway store root per test.
@@ -319,17 +319,121 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    fn object_file(root: &Path, key: &StoreKey) -> PathBuf {
+        root.join("objects").join(format!("{}.json", key.digest))
+    }
+
+    /// No function spells the format any more — the struct declarations
+    /// do — so the bytes are pinned here: a reordered or renamed field of
+    /// `StoredObject`, `IndexEntry`, `Sidecar` or `StoreIndex` fails this.
     #[test]
-    fn explicit_evict_removes_entry_and_object() {
-        let root = temp_root("evict");
+    fn a_put_writes_exactly_these_bytes() {
+        let root = temp_root("bytes");
         let mut store = SignatureStore::open(&root).expect("open");
-        let key = pred_key(9);
+        let key = pred_key(1);
         store
-            .put_prediction_json(&key, pred_entry("sp", "C"), "{}")
+            .put_prediction_json(&key, pred_entry("cg", "B"), r#"{"app":"cg","pet":1.25}"#)
             .expect("put");
-        assert!(store.evict(&key));
-        assert!(!store.evict(&key), "second evict is a no-op");
-        assert!(store.is_empty());
+        let object = std::fs::read_to_string(object_file(&root, &key)).expect("object file");
+        assert_eq!(
+            object,
+            concat!(
+                r#"{"checksum":"d9b62c3e33fa05eae66e8bc98289a1fda773f4e9c88cde918de7d81646b1b0e9","#,
+                r#""digest":"4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a","#,
+                r#""entry":{"app":"cg","base":"A","fingerprint":"fp","format_version":1,"#,
+                r#""kind":"prediction","nprocs":8,"target":"B","workload":"w"},"#,
+                r#""payload":"{\"app\":\"cg\",\"pet\":1.25}","#,
+                r#""sidecar":{"metrics":null,"tfat_seconds":0.0}}"#,
+            )
+        );
+        let index = std::fs::read_to_string(store.index_path()).expect("index file");
+        assert_eq!(
+            index,
+            concat!(
+                r#"{"aliases":{},"entries":{"#,
+                r#""4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a":"#,
+                r#"{"app":"cg","base":"A","fingerprint":"fp","format_version":1,"#,
+                r#""kind":"prediction","nprocs":8,"target":"B","workload":"w"}},"#,
+                r#""format_version":1}"#,
+            )
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Rewrite one object file through `edit` and reopen the store.
+    fn reopen_with_object(
+        root: &Path,
+        key: &StoreKey,
+        edit: impl Fn(&str) -> String,
+    ) -> SignatureStore {
+        let path = object_file(root, key);
+        let text = std::fs::read_to_string(&path).expect("object file");
+        let edited = edit(&text);
+        assert_ne!(edited, text, "the edit must apply");
+        std::fs::write(&path, edited).expect("rewrite object");
+        SignatureStore::open(root).expect("reopen")
+    }
+
+    #[test]
+    fn optional_and_unknown_keys_still_read() {
+        let root = temp_root("lenient");
+        let mut store = SignatureStore::open(&root).expect("open");
+        let key = pred_key(12);
+        let mut entry = pred_entry("cg", "B");
+        entry.target = None;
+        store
+            .put_prediction_json(&key, entry, r#"{"pet":1.0}"#)
+            .expect("put");
+        let object = std::fs::read_to_string(object_file(&root, &key)).expect("object file");
+        assert!(
+            !object.contains("target"),
+            "an absent target is not written: {object}"
+        );
+        drop(store);
+
+        // No sidecar, and a key this version does not know.
+        let mut store = reopen_with_object(&root, &key, |text| {
+            text.replace(
+                r#","sidecar":{"metrics":null,"tfat_seconds":0.0}}"#,
+                r#","written_by":"a later release"}"#,
+            )
+        });
+        assert!(store.report().is_clean(), "{:?}", store.report());
+        assert_eq!(
+            store.get_prediction_json(&key).as_deref(),
+            Some(r#"{"pet":1.0}"#)
+        );
+        assert_eq!(store.entry(&key).expect("entry").target, None);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_sidecar_of_the_wrong_shape_is_corruption() {
+        let root = temp_root("sidecar");
+        let mut store = SignatureStore::open(&root).expect("open");
+        let key = pred_key(13);
+        store
+            .put_prediction_json(&key, pred_entry("cg", "B"), "{}")
+            .expect("put");
+        drop(store);
+
+        let mut store = reopen_with_object(&root, &key, |text| {
+            text.replace(r#""metrics":null"#, r#""metrics":"not a snapshot""#)
+        });
+        assert_eq!(store.report().evicted_corrupt, 1);
+        assert!(
+            store
+                .report()
+                .eviction_log
+                .iter()
+                .any(|l| l.contains("object did not parse")),
+            "{:?}",
+            store.report().eviction_log
+        );
+        assert!(store
+            .diagnostics()
+            .iter()
+            .any(|d| d.code == "STORE-CORRUPT-001"));
         assert!(store.get_prediction_json(&key).is_none());
         let _ = std::fs::remove_dir_all(&root);
     }

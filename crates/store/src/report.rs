@@ -60,19 +60,6 @@ impl StoreReport {
         self.evicted_version + self.evicted_corrupt + self.evicted_missing
     }
 
-    /// The report as a JSON value, for service `stats` responses.
-    pub fn to_value(&self) -> serde_json::Value {
-        serde_json::json!({
-            "index_rebuilt": self.index_rebuilt,
-            "entries_loaded": self.entries_loaded,
-            "evicted_version": self.evicted_version,
-            "evicted_corrupt": self.evicted_corrupt,
-            "evicted_missing": self.evicted_missing,
-            "temps_removed": self.temps_removed,
-            "eviction_log": self.eviction_log.clone(),
-        })
-    }
-
     pub(crate) fn log_eviction(&mut self, digest: &str, reason: &str) {
         let prefix = &digest[..digest.len().min(12)];
         self.eviction_log.push(format!("{prefix}: {reason}"));

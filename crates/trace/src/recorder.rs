@@ -1,6 +1,6 @@
 //! The interposition wrapper and trace collection.
 
-use crate::event::{EventKind, ProcessTrace, Trace, TraceEvent};
+use crate::event::{CollClass, EventKind, ProcessTrace, Trace, TraceEvent};
 use parking_lot::Mutex;
 use pas2p_machine::Work;
 use pas2p_mpisim::{Counters, Group, Message, Mpi, Payload, ReduceOp, Tag};
@@ -208,6 +208,34 @@ impl<'a, C: Mpi> Traced<'a, C> {
         self.inner.elapse(self.per_event);
     }
 
+    /// The one place a collective is recorded: run `call` on the inner
+    /// layer and log one `Coll(class)` event over `group`, sized by the
+    /// operation's own rule (`size` sees the result, for the root-less
+    /// side of bcast/scatter).
+    fn collective<T>(
+        &mut self,
+        class: CollClass,
+        group: &Group,
+        call: impl FnOnce(&mut C) -> T,
+        size: impl FnOnce(&T) -> u64,
+    ) -> T {
+        let t_post = self.inner.now();
+        let out = call(self.inner);
+        let size = size(&out);
+        self.record(
+            t_post,
+            EventKind::Coll(class),
+            None,
+            0,
+            size,
+            group.len() as u32,
+            0,
+            group.comm_id(),
+            false,
+        );
+        out
+    }
+
     /// Deposit this rank's log into the collector. Must be called exactly
     /// once, after the application code finishes.
     pub fn finish(self) {
@@ -300,38 +328,17 @@ impl<'a, C: Mpi> Mpi for Traced<'a, C> {
     }
 
     fn barrier_in(&mut self, group: &Group) {
-        let t_post = self.inner.now();
-        self.inner.barrier_in(group);
-        self.record(
-            t_post,
-            EventKind::Coll(crate::event::CollClass::Barrier),
-            None,
-            0,
-            0,
-            group.len() as u32,
-            0,
-            group.comm_id(),
-            false,
-        );
+        self.collective(CollClass::Barrier, group, |c| c.barrier_in(group), |_| 0)
     }
 
     fn bcast_in(&mut self, group: &Group, root: u32, data: Option<Payload>) -> Payload {
-        let t_post = self.inner.now();
-        let size = data.as_ref().map(|d| d.len() as u64).unwrap_or(0);
-        let out = self.inner.bcast_in(group, root, data);
-        let size = size.max(out.len() as u64);
-        self.record(
-            t_post,
-            EventKind::Coll(crate::event::CollClass::Bcast),
-            None,
-            0,
-            size,
-            group.len() as u32,
-            0,
-            group.comm_id(),
-            false,
-        );
-        out
+        let sent = data.as_ref().map_or(0, |d| d.len() as u64);
+        self.collective(
+            CollClass::Bcast,
+            group,
+            |c| c.bcast_in(group, root, data),
+            |out| sent.max(out.len() as u64),
+        )
     }
 
     fn reduce_f64_in(
@@ -341,116 +348,72 @@ impl<'a, C: Mpi> Mpi for Traced<'a, C> {
         xs: &[f64],
         op: ReduceOp,
     ) -> Option<Vec<f64>> {
-        let t_post = self.inner.now();
-        let out = self.inner.reduce_f64_in(group, root, xs, op);
-        self.record(
-            t_post,
-            EventKind::Coll(crate::event::CollClass::Reduce),
-            None,
-            0,
-            (xs.len() * 8) as u64,
-            group.len() as u32,
-            0,
-            group.comm_id(),
-            false,
-        );
-        out
+        let size = (xs.len() * 8) as u64;
+        self.collective(
+            CollClass::Reduce,
+            group,
+            |c| c.reduce_f64_in(group, root, xs, op),
+            |_| size,
+        )
     }
 
     fn allreduce_f64_in(&mut self, group: &Group, xs: &[f64], op: ReduceOp) -> Vec<f64> {
-        let t_post = self.inner.now();
-        let out = self.inner.allreduce_f64_in(group, xs, op);
-        self.record(
-            t_post,
-            EventKind::Coll(crate::event::CollClass::Allreduce),
-            None,
-            0,
-            (xs.len() * 8) as u64,
-            group.len() as u32,
-            0,
-            group.comm_id(),
-            false,
-        );
-        out
+        let size = (xs.len() * 8) as u64;
+        self.collective(
+            CollClass::Allreduce,
+            group,
+            |c| c.allreduce_f64_in(group, xs, op),
+            |_| size,
+        )
     }
 
     fn allgather_in(&mut self, group: &Group, data: Payload) -> Vec<Payload> {
-        let t_post = self.inner.now();
         let size = data.len() as u64;
-        let out = self.inner.allgather_in(group, data);
-        self.record(
-            t_post,
-            EventKind::Coll(crate::event::CollClass::Allgather),
-            None,
-            0,
-            size,
-            group.len() as u32,
-            0,
-            group.comm_id(),
-            false,
-        );
-        out
+        self.collective(
+            CollClass::Allgather,
+            group,
+            |c| c.allgather_in(group, data),
+            |_| size,
+        )
     }
 
     fn alltoall_in(&mut self, group: &Group, blocks: Vec<Payload>) -> Vec<Payload> {
-        let t_post = self.inner.now();
-        let size = blocks.iter().map(|b| b.len() as u64).max().unwrap_or(0);
-        let out = self.inner.alltoall_in(group, blocks);
-        self.record(
-            t_post,
-            EventKind::Coll(crate::event::CollClass::Alltoall),
-            None,
-            0,
-            size,
-            group.len() as u32,
-            0,
-            group.comm_id(),
-            false,
-        );
-        out
+        let size = max_block(&blocks);
+        self.collective(
+            CollClass::Alltoall,
+            group,
+            |c| c.alltoall_in(group, blocks),
+            |_| size,
+        )
     }
 
     fn gather_in(&mut self, group: &Group, root: u32, data: Payload) -> Option<Vec<Payload>> {
-        let t_post = self.inner.now();
         let size = data.len() as u64;
-        let out = self.inner.gather_in(group, root, data);
-        self.record(
-            t_post,
-            EventKind::Coll(crate::event::CollClass::Gather),
-            None,
-            0,
-            size,
-            group.len() as u32,
-            0,
-            group.comm_id(),
-            false,
-        );
-        out
+        self.collective(
+            CollClass::Gather,
+            group,
+            |c| c.gather_in(group, root, data),
+            |_| size,
+        )
     }
 
     fn scatter_in(&mut self, group: &Group, root: u32, blocks: Option<Vec<Payload>>) -> Payload {
-        let t_post = self.inner.now();
-        let size = blocks
-            .as_ref()
-            .map(|bs| bs.iter().map(|b| b.len() as u64).max().unwrap_or(0))
-            .unwrap_or(0);
-        let out = self.inner.scatter_in(group, root, blocks);
-        let size = size.max(out.len() as u64);
-        self.record(
-            t_post,
-            EventKind::Coll(crate::event::CollClass::Scatter),
-            None,
-            0,
-            size,
-            group.len() as u32,
-            0,
-            group.comm_id(),
-            false,
-        );
-        out
+        let sent = blocks.as_deref().map_or(0, max_block);
+        self.collective(
+            CollClass::Scatter,
+            group,
+            |c| c.scatter_in(group, root, blocks),
+            |out| sent.max(out.len() as u64),
+        )
     }
 
     fn counters(&self) -> Counters {
         self.inner.counters()
     }
+}
+
+/// The recorded size of a per-rank block list (alltoall, scatter): its
+/// largest block.
+fn max_block(blocks: &[Payload]) -> u64 {
+    blocks.iter().map(|b| b.len() as u64).max().unwrap_or(0)
 }
