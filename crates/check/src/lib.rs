@@ -18,11 +18,12 @@
 //!   `INGEST-TRUNC-001` (section truncated), `INGEST-REC-001` (records
 //!   quarantined), `INGEST-DUP-001` (records renumbered) — what the
 //!   recovering decoder had to do to the input.
-//! * **Trace** ([`trace_rules`]) — `P2P-MATCH-001..005` (unmatched and
-//!   mismatched point-to-point pairs), `WILD-RECV-001` (wildcard-source
-//!   receives posted: where to look when a race is reported),
-//!   `WFG-CYCLE-001` (the traced order deadlocks under deterministic
-//!   replay).
+//! * **Trace** ([`trace_rules`]) — `P2P-MATCH-001`/`P2P-MATCH-002` (a
+//!   send or a receive without its partner), `P2P-MATCH-003`/
+//!   `P2P-MATCH-004`/`P2P-MATCH-005` (a matched pair disagrees on size,
+//!   endpoints or tag), `WILD-RECV-001` (wildcard-source receives
+//!   posted: where to look when a race is reported), `WFG-CYCLE-001`
+//!   (the traced order deadlocks under deterministic replay).
 //! * **Happens-before** ([`race_rules`], on the vector clocks of
 //!   [`hb`]) — `MSG-RACE-001` (a wildcard receive's race changes the
 //!   recorded event structure), `MSG-RACE-002` (a wildcard can steal a
@@ -42,8 +43,10 @@
 //!   occurrence count), `SIG-OCC-001` (occurrences do not tile the
 //!   trace), `SIG-SIM-001`/`SIG-SIM-002` (similarity bookkeeping),
 //!   `SIG-REL-001` (table rows disagree with the analysis),
+//!   `SIG-ROW-001` (a table row without a measure window),
 //!   `SIG-COV-001` (low relevant coverage), `PET-EQ-001` (the PET
-//!   reconstruction identity fails).
+//!   reconstruction identity fails), `PET-EQ-002` (the AET is not
+//!   positive: the identity is undefined).
 //!
 //! # Use
 //!

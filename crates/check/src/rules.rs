@@ -124,6 +124,16 @@ mod tests {
         }
     }
 
+    /// The crate documentation lists the rule families by code: a rule
+    /// added to the table is added there.
+    #[test]
+    fn every_code_is_listed_in_the_crate_documentation() {
+        let docs = include_str!("lib.rs");
+        for (code, ..) in RULES {
+            assert!(docs.contains(&format!("`{code}`")), "{code} is not in lib.rs");
+        }
+    }
+
     #[test]
     fn hit_metric_is_total() {
         assert_eq!(hit_metric("LT-RECV-001"), "check.hit.lt_recv_001");

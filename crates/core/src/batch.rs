@@ -528,9 +528,10 @@ pub fn run_batch_with(pas2p: &Pas2p, jobs: Vec<BatchJob>, opts: BatchOptions) ->
     }
 }
 
-/// Stage profiles for only the `SLOWEST_JOBS` slowest jobs of a batch,
-/// keeping the per-job detail that matters (the stragglers) without the
-/// metric-cardinality creep of one profile per job.
+/// The `SLOWEST_JOBS` slowest jobs of each batch, summed under one stage
+/// name: what the stragglers cost (seconds, events, how many) without a
+/// profile per job, or a name per job, for a server to accumulate.
+/// Which job was slow is in its `BatchResult::job_seconds`.
 const SLOWEST_JOBS: usize = 8;
 
 fn record_slowest_jobs(results: &[BatchResult]) {
@@ -546,17 +547,7 @@ fn record_slowest_jobs(results: &[BatchResult]) {
             .as_ref()
             .map(|a| a.trace_events as u64)
             .unwrap_or(0);
-        let items_per_sec = if r.job_seconds > 0.0 {
-            items as f64 / r.job_seconds
-        } else {
-            0.0
-        };
-        pas2p_obs::global().record_stage(pas2p_obs::StageProfile {
-            name: format!("batch.job[{}#{}]", r.app_name, r.index),
-            wall_seconds: r.job_seconds,
-            items,
-            items_per_sec,
-        });
+        pas2p_obs::global().record_stage("batch.job.slowest", r.job_seconds, items);
     }
 }
 

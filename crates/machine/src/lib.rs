@@ -152,15 +152,6 @@ impl MachineModel {
     pub fn compute_time(&self, work: Work, core_share: u32) -> f64 {
         self.compute.time(work) * core_share as f64
     }
-
-    /// Returns a copy of this machine with a different jitter seed; used by
-    /// the experimental harness so base and target runs see independent
-    /// noise streams.
-    pub fn with_seed(&self, seed: u64) -> MachineModel {
-        let mut m = self.clone();
-        m.jitter.seed = seed;
-        m
-    }
 }
 
 #[cfg(test)]

@@ -31,22 +31,6 @@ pub enum CollectiveKind {
     Scatter,
 }
 
-impl CollectiveKind {
-    /// Short uppercase name as it would appear in an MPI trace.
-    pub fn mpi_name(self) -> &'static str {
-        match self {
-            CollectiveKind::Barrier => "MPI_Barrier",
-            CollectiveKind::Bcast => "MPI_Bcast",
-            CollectiveKind::Reduce => "MPI_Reduce",
-            CollectiveKind::Allreduce => "MPI_Allreduce",
-            CollectiveKind::Allgather => "MPI_Allgather",
-            CollectiveKind::Alltoall => "MPI_Alltoall",
-            CollectiveKind::Gather => "MPI_Gather",
-            CollectiveKind::Scatter => "MPI_Scatter",
-        }
-    }
-}
-
 /// A latency/bandwidth link model.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct NetworkModel {
@@ -147,21 +131,5 @@ mod tests {
         let b = n.collective_time(CollectiveKind::Bcast, 64, 4096);
         let a = n.collective_time(CollectiveKind::Alltoall, 64, 4096);
         assert!(b < a);
-    }
-
-    #[test]
-    fn mpi_names_are_mpi_prefixed() {
-        for k in [
-            CollectiveKind::Barrier,
-            CollectiveKind::Bcast,
-            CollectiveKind::Reduce,
-            CollectiveKind::Allreduce,
-            CollectiveKind::Allgather,
-            CollectiveKind::Alltoall,
-            CollectiveKind::Gather,
-            CollectiveKind::Scatter,
-        ] {
-            assert!(k.mpi_name().starts_with("MPI_"));
-        }
     }
 }

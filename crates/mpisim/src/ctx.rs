@@ -7,12 +7,12 @@ use crate::msg::{Envelope, Message, Payload, PendingQueue, Tag};
 use crate::park::Wait;
 use crate::runtime::{Shared, SimAbort};
 use crate::Mpi;
-use crossbeam::channel::{Receiver, Sender};
 use pas2p_machine::jitter::JitterStream;
 use pas2p_machine::Work;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, OnceLock};
 
 /// A running rank reads the caller's cancellation deadline once per

@@ -1,9 +1,9 @@
 //! Point-to-point messages, what they carry, and the per-rank mailbox.
 
 use crate::park::Candidate;
-use bytes::Bytes;
 use std::ops::Index;
 use std::slice::SliceIndex;
+use std::sync::Arc;
 
 /// Message tag (the MPI tag). [`ANY_TAG`] in a receive matches anything.
 pub type Tag = u32;
@@ -18,14 +18,14 @@ pub const ANY_TAG: Option<Tag> = None;
 /// The simulator charges, counts and traces a payload by its length
 /// alone, so a program whose receivers never look at what arrived sends
 /// [`Payload::sized`] and nothing is allocated or copied. A payload made
-/// from bytes (`From<&[u8]>`, `From<Vec<u8>>`, `From<Bytes>`) carries
+/// from bytes (`From<&[u8]>`, `From<Vec<u8>>`, `From<Arc<[u8]>>`) carries
 /// them to the receiver. Reading a size-only payload is a bug in the
 /// program that does it and panics: it never reads as empty or zeroed
 /// data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Payload {
     len: usize,
-    data: Option<Bytes>,
+    data: Option<Arc<[u8]>>,
 }
 
 impl Payload {
@@ -56,8 +56,8 @@ impl Payload {
     }
 }
 
-impl From<Bytes> for Payload {
-    fn from(data: Bytes) -> Payload {
+impl From<Arc<[u8]>> for Payload {
+    fn from(data: Arc<[u8]>) -> Payload {
         Payload {
             len: data.len(),
             data: Some(data),
@@ -67,13 +67,13 @@ impl From<Bytes> for Payload {
 
 impl From<Vec<u8>> for Payload {
     fn from(data: Vec<u8>) -> Payload {
-        Bytes::from(data).into()
+        Arc::<[u8]>::from(data).into()
     }
 }
 
 impl From<&[u8]> for Payload {
     fn from(data: &[u8]) -> Payload {
-        Bytes::copy_from_slice(data).into()
+        Arc::<[u8]>::from(data).into()
     }
 }
 

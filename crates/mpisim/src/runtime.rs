@@ -7,14 +7,13 @@ use crate::harness::SimHarness;
 use crate::msg::Envelope;
 use crate::park::Registry;
 use crate::report::RunReport;
-use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 use pas2p_machine::{MachineModel, Mapping, MappingPolicy};
 use pas2p_obs::cancel::{CancelToken, CANCELLED};
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::{mpsc, Arc, Once};
 use std::time::Instant;
 
 /// Panic payload used to unwind rank threads on a harness abort. Not an
@@ -110,7 +109,7 @@ where
     let mut senders = Vec::with_capacity(n as usize);
     let mut receivers = Vec::with_capacity(n as usize);
     for _ in 0..n {
-        let (tx, rx) = unbounded::<Envelope>();
+        let (tx, rx) = mpsc::channel::<Envelope>();
         senders.push(tx);
         receivers.push(rx);
     }

@@ -79,7 +79,7 @@ pub use events::{
     flow_end, flow_start, instant, set_tracing, trace_span, tracing_enabled, EventSpan,
 };
 pub use export::{json_string, ChromeEvent, ChromeTrace, CAT_HOST_WORKER, PID_APP, PID_HOST};
-pub use logger::{log, log_enabled, logger, span, Level, Logger, Span};
+pub use logger::{log, logger, span, Level, Logger, Span};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary};
 pub use registry::{
     counter, enabled, gauge, global, histogram, set_enabled, stage, MetricsSnapshot, Registry,

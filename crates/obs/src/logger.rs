@@ -171,11 +171,6 @@ pub fn log(level: Level, target: &str, msg: &str, fields: &[(&str, String)]) {
     logger().log(level, target, msg, fields);
 }
 
-/// Convenience: would a record at `level` currently be emitted?
-pub fn log_enabled(level: Level) -> bool {
-    logger().enabled(level)
-}
-
 /// Scoped span: logs `enter <name>` at Debug on creation and
 /// `exit <name> elapsed_us=...` on drop. Inert (no timestamps taken,
 /// nothing logged) when Debug is not enabled at creation time.

@@ -106,12 +106,34 @@ impl Registry {
         }
     }
 
-    /// Record a pre-built stage profile directly, bypassing the
-    /// [`StageGuard`] timer. For aggregated profiles a driver computes
-    /// itself (e.g. the batch driver's bounded top-K of slowest jobs);
-    /// callers gate on [`Registry::enabled`] like every other hot site.
-    pub fn record_stage(&self, profile: StageProfile) {
-        self.stages.lock().unwrap().push(profile);
+    /// Add one finished run of a stage to the aggregate kept under its
+    /// name — one entry per name, and a name is a literal, so the list
+    /// (a few dozen entries, scanned here) and every snapshot of it are
+    /// bounded by the code, not by the uptime. [`StageGuard::finish`]
+    /// ends here; a driver records a run it timed itself (the batch
+    /// driver's slowest jobs) the same way, gated on
+    /// [`Registry::enabled`] like every other hot site.
+    pub fn record_stage(&self, name: &'static str, wall_seconds: f64, items: u64) {
+        let mut stages = self.stages.lock().unwrap();
+        let at = match stages.iter().position(|s| s.name == name) {
+            Some(at) => at,
+            None => {
+                stages.push(StageProfile {
+                    name: name.to_string(),
+                    ..StageProfile::default()
+                });
+                stages.len() - 1
+            }
+        };
+        let total = &mut stages[at];
+        total.calls += 1;
+        total.wall_seconds += wall_seconds;
+        total.items += items;
+        total.items_per_sec = if total.wall_seconds > 0.0 {
+            total.items as f64 / total.wall_seconds
+        } else {
+            0.0
+        };
     }
 
     /// Point-in-time copy of every registered instrument, in
@@ -160,10 +182,15 @@ impl Registry {
     }
 }
 
-/// Wall-clock profile of one pipeline stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Wall-clock profile of one pipeline stage: the total over every run
+/// of it since the registry was last reset.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StageProfile {
     pub name: String,
+    /// Finished runs summed here (absent in snapshots written before
+    /// the registry aggregated, which held one entry per run).
+    #[serde(default)]
+    pub calls: u64,
     pub wall_seconds: f64,
     pub items: u64,
     pub items_per_sec: f64,
@@ -193,17 +220,7 @@ impl StageGuard {
             span.finish_with(vec![("items", self.items.to_string())]);
         }
         if self.registry.enabled() {
-            let items_per_sec = if wall > 0.0 {
-                self.items as f64 / wall
-            } else {
-                0.0
-            };
-            self.registry.record_stage(StageProfile {
-                name: self.name.to_string(),
-                wall_seconds: wall,
-                items: self.items,
-                items_per_sec,
-            });
+            self.registry.record_stage(self.name, wall, self.items);
         }
         wall
     }
@@ -232,8 +249,8 @@ impl MetricsSnapshot {
             out.push_str("\nstages:\n");
             for s in &self.stages {
                 out.push_str(&format!(
-                    "  {:<24} {:>12.6}s  items={:<12} {:>14.1}/s\n",
-                    s.name, s.wall_seconds, s.items, s.items_per_sec
+                    "  {:<24} {:>12.6}s  items={:<12} {:>14.1}/s  calls={}\n",
+                    s.name, s.wall_seconds, s.items, s.items_per_sec, s.calls
                 ));
             }
         }
@@ -265,9 +282,8 @@ impl MetricsSnapshot {
     /// prom`), so the snapshot can be scraped or pushed without custom
     /// tooling: counters and gauges map directly, histograms become
     /// summaries (quantiles + `_sum`/`_count`), and stage profiles
-    /// become `pas2p_stage_*{stage="…"}` gauges. Repeated stage
-    /// profiles are aggregated per stage name — exposition format
-    /// forbids duplicate series.
+    /// become `pas2p_stage_*{stage="…"}` gauges — one series per stage,
+    /// as the registry keeps them.
     pub fn render_prometheus(&self) -> String {
         fn sanitize(name: &str) -> String {
             let mut out = String::with_capacity(name.len() + 6);
@@ -306,26 +322,20 @@ impl MetricsSnapshot {
             out.push_str(&format!("{name}_sum {sum}\n{name}_count {}\n", h.count));
         }
         if !self.stages.is_empty() {
-            // Aggregate repeats (one analysis records e.g. several
-            // `extract_phases` profiles across a batch).
-            let mut agg: BTreeMap<&str, (f64, u64)> = BTreeMap::new();
-            for s in &self.stages {
-                let e = agg.entry(s.name.as_str()).or_insert((0.0, 0));
-                e.0 += s.wall_seconds;
-                e.1 += s.items;
-            }
             out.push_str("# TYPE pas2p_stage_wall_seconds gauge\n");
-            for (name, (wall, _)) in &agg {
+            for s in &self.stages {
                 out.push_str(&format!(
-                    "pas2p_stage_wall_seconds{{stage=\"{}\"}} {wall}\n",
-                    label(name)
+                    "pas2p_stage_wall_seconds{{stage=\"{}\"}} {}\n",
+                    label(&s.name),
+                    s.wall_seconds
                 ));
             }
             out.push_str("# TYPE pas2p_stage_items gauge\n");
-            for (name, (_, items)) in &agg {
+            for s in &self.stages {
                 out.push_str(&format!(
-                    "pas2p_stage_items{{stage=\"{}\"}} {items}\n",
-                    label(name)
+                    "pas2p_stage_items{{stage=\"{}\"}} {}\n",
+                    label(&s.name),
+                    s.items
                 ));
             }
         }
@@ -403,6 +413,23 @@ mod tests {
     }
 
     #[test]
+    fn a_stage_is_one_entry_however_often_it_runs() {
+        let reg = Box::leak(Box::new(Registry::new(true)));
+        for _ in 0..10_000 {
+            let mut g = reg.stage("hot");
+            g.items(3);
+            g.finish();
+        }
+        reg.stage("cold").finish();
+        let stages = reg.snapshot().stages;
+        assert_eq!(stages.len(), 2, "one entry per name, in first-seen order");
+        assert_eq!((stages[0].name.as_str(), stages[0].calls), ("hot", 10_000));
+        assert_eq!(stages[0].items, 30_000);
+        assert_eq!(stages[0].items_per_sec, 30_000.0 / stages[0].wall_seconds);
+        assert_eq!((stages[1].name.as_str(), stages[1].calls), ("cold", 1));
+    }
+
+    #[test]
     fn same_name_returns_same_instrument() {
         let reg = Registry::new(false);
         let a = reg.counter("dup");
@@ -436,18 +463,8 @@ mod tests {
         reg.counter("prom.count").add(3);
         reg.gauge("prom.gauge").set(2.5);
         reg.histogram("prom.hist").record(100);
-        reg.record_stage(StageProfile {
-            name: "prom_stage".to_string(),
-            wall_seconds: 0.5,
-            items: 10,
-            items_per_sec: 20.0,
-        });
-        reg.record_stage(StageProfile {
-            name: "prom_stage".to_string(),
-            wall_seconds: 0.25,
-            items: 5,
-            items_per_sec: 20.0,
-        });
+        reg.record_stage("prom_stage", 0.5, 10);
+        reg.record_stage("prom_stage", 0.25, 5);
         let text = reg.snapshot().render_prometheus();
         assert!(text.contains("# TYPE pas2p_prom_count counter"));
         assert!(text.contains("pas2p_prom_count 3"));
@@ -456,7 +473,7 @@ mod tests {
         assert!(text.contains("# TYPE pas2p_prom_hist summary"));
         assert!(text.contains("pas2p_prom_hist{quantile=\"0.5\"}"));
         assert!(text.contains("pas2p_prom_hist_count 1"));
-        // Duplicate stage profiles aggregate into one series.
+        // Two runs of one stage are one series.
         assert_eq!(text.matches("pas2p_stage_wall_seconds{stage=\"prom_stage\"}").count(), 1);
         assert!(text.contains("pas2p_stage_wall_seconds{stage=\"prom_stage\"} 0.75"));
         assert!(text.contains("pas2p_stage_items{stage=\"prom_stage\"} 15"));

@@ -87,14 +87,6 @@ impl Phase {
     pub fn contribution(&self) -> f64 {
         self.weight as f64 * self.mean_duration()
     }
-
-    /// Number of communication events in one occurrence of the phase.
-    pub fn events_per_occurrence(&self) -> usize {
-        self.pattern
-            .iter()
-            .map(|row| row.iter().filter(|c| c.is_some()).count())
-            .sum()
-    }
 }
 
 /// Result of running phase extraction over a logical trace.
@@ -634,7 +626,8 @@ mod tests {
         let analysis = extract_phases(&lt_of(2, &cells), &SimilarityConfig::default());
         assert_eq!(analysis.nprocs, 2);
         let p = &analysis.phases[0];
-        assert_eq!(p.events_per_occurrence(), 4); // 2 ticks × 2 processes
+        let events = p.pattern.iter().flatten().filter(|c| c.is_some()).count();
+        assert_eq!(events, 4); // 2 ticks × 2 processes
     }
 
     #[test]

@@ -276,6 +276,7 @@ impl SimilarityConfig {
     /// size `≤ size_max` of its side, and there are at most
     /// `na − i_min` / `nb − i_min` of those. Exceeding the summed bound
     /// (with a relative slack for f64 rounding) refutes the match.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // a NaN must abstain, so `!(a > b)` is meant
     pub fn band_admits(&self, a: &SoaPattern, b: &SoaPattern) -> bool {
         if a.ticks != b.ticks {
             return false; // hard length gate: no match is possible

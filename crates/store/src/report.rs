@@ -8,8 +8,9 @@
 //!   rebuilt by scanning the object files (Warning).
 //! * `STORE-VER-001` — entries written under an older store format
 //!   version were evicted at open (Info: expected on upgrades).
-//! * `STORE-CORRUPT-001` — an object failed its checksum or did not
-//!   parse; the entry was evicted and the artifact recomputed (Warning).
+//! * `STORE-CORRUPT-001` — an object failed its checksum, did not
+//!   parse or is not text; the entry was evicted and the artifact
+//!   recomputed (Warning).
 //! * `STORE-OBJ-001` — the index pointed at an object file that no
 //!   longer exists; the dangling entry was evicted (Warning).
 //! * `STORE-TMP-001` — stale temp files from crashed writes were
@@ -53,11 +54,6 @@ impl StoreReport {
             && self.evicted_corrupt == 0
             && self.evicted_missing == 0
             && self.temps_removed == 0
-    }
-
-    /// Total entries evicted for any reason.
-    pub fn evicted(&self) -> usize {
-        self.evicted_version + self.evicted_corrupt + self.evicted_missing
     }
 
     pub(crate) fn log_eviction(&mut self, digest: &str, reason: &str) {
@@ -224,7 +220,6 @@ mod tests {
         };
         report.log_eviction("deadbeefdeadbeefdeadbeef", "checksum mismatch");
         assert!(!report.is_clean());
-        assert_eq!(report.evicted(), 4);
         let codes: Vec<String> = report
             .diagnostics()
             .iter()

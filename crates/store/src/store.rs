@@ -299,8 +299,13 @@ impl SignatureStore {
     /// names `digest`, and carries the payload its checksum covers. The
     /// error is how the entry should leave the index, and why.
     fn read_object(&self, digest: &str) -> Result<StoredObject, (Evicted, &'static str)> {
-        let Ok(text) = self.io.read_to_string(&self.object_path(digest)) else {
-            return Err((Evicted::Missing, "object file missing"));
+        let text = match self.io.read_to_string(&self.object_path(digest)) {
+            Ok(text) => text,
+            // There, and not text: rot, not absence.
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                return Err((Evicted::Corrupt, "object is not UTF-8"));
+            }
+            Err(_) => return Err((Evicted::Missing, "object file missing")),
         };
         let obj: StoredObject =
             serde_json::from_str(&text).map_err(|_| (Evicted::Corrupt, "object did not parse"))?;
@@ -375,11 +380,6 @@ impl SignatureStore {
             index.entries.insert(obj.digest.clone(), obj.entry);
         }
         index
-    }
-
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     /// Path of the index file (CI uploads this as an artifact).

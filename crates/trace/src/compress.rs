@@ -233,6 +233,10 @@ pub fn decompress(buf: &[u8]) -> Result<Trace, TraceDecodeError> {
         });
     }
 
+    // Like the counts below, a corrupted one must not drive allocation.
+    if nprocs as usize > buf.len() {
+        return Err(TraceDecodeError::Truncated);
+    }
     let mut procs = Vec::with_capacity(nprocs as usize);
     for _ in 0..nprocs {
         let process = r.varint()? as u32;

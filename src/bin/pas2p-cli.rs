@@ -148,6 +148,16 @@ fn input(msg: String) -> CliError {
     CliError::Input(msg)
 }
 
+/// What a failed read of the input file `path` becomes.
+fn reading(path: &str) -> impl Fn(std::io::Error) -> CliError + '_ {
+    move |e| input(format!("reading {path}: {e}"))
+}
+
+/// Write an output file whole, or fail naming it.
+fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("writing {path}: {e}"))
+}
+
 /// The application catalog, as `list` shows it.
 const SUITE: &[&str] = &[
     "cg",
@@ -228,7 +238,7 @@ fn apply_obs_flags(flags: &HashMap<String, String>) -> Result<Option<String>, St
 fn write_metrics(path: &str) -> Result<(), String> {
     let snapshot = pas2p_obs::global().snapshot();
     let json = serde_json::to_string_pretty(&snapshot).map_err(|e| e.to_string())?;
-    std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
+    write_file(path, json)?;
     eprintln!("wrote metrics snapshot to {path}");
     Ok(())
 }
@@ -239,7 +249,7 @@ fn write_trace_out(path: &str, label: &str) -> Result<(), String> {
     pas2p_obs::set_tracing(false);
     let events = pas2p_obs::events::take();
     let doc = pas2p::compose_timeline(&events, None, None, label);
-    std::fs::write(path, doc.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
+    write_file(path, doc.to_json())?;
     eprintln!("wrote timeline ({} events) to {path}", doc.events.len());
     Ok(())
 }
@@ -281,15 +291,12 @@ fn app(flags: &HashMap<String, String>) -> Result<Box<dyn MpiApp>, String> {
 fn write_or_print(flags: &HashMap<String, String>, json: &str) -> Result<(), String> {
     match flags.get("out") {
         Some(path) => {
-            std::fs::write(path, json).map_err(|e| format!("writing {}: {}", path, e))?;
-            println!("wrote {}", path);
-            Ok(())
+            write_file(path, json)?;
+            println!("wrote {path}");
         }
-        None => {
-            println!("{}", json);
-            Ok(())
-        }
+        None => println!("{json}"),
     }
+    Ok(())
 }
 
 fn run(argv: &[String]) -> Result<ExitCode, CliError> {
@@ -387,8 +394,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
             let app = app(&flags)?;
             let target = machine(&flags, "target")?;
             let path = flags.get("signature").ok_or("missing --signature")?;
-            let data = std::fs::read_to_string(path)
-                .map_err(|e| input(format!("reading {}: {}", path, e)))?;
+            let data = std::fs::read_to_string(path).map_err(reading(path))?;
             let signature: Signature = serde_json::from_str(&data)
                 .map_err(|e| input(format!("parsing {}: {}", path, e)))?;
             let prediction = pas2p
@@ -426,8 +432,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                 // Recovery mode: decode a binary trace with the
                 // resync-capable ingest path and check whatever
                 // survived; the INGEST-* rules report what was lost.
-                let data =
-                    std::fs::read(path).map_err(|e| input(format!("reading {}: {}", path, e)))?;
+                let data = std::fs::read(path).map_err(reading(path))?;
                 if data.is_empty() {
                     return Err(input(format!("{path} is empty")));
                 }
@@ -445,8 +450,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                 // Artifact mode: check a previously exported logical
                 // trace (model rules only — there is no physical trace
                 // or phase analysis to cross-check against).
-                let data = std::fs::read_to_string(path)
-                    .map_err(|e| input(format!("reading {}: {}", path, e)))?;
+                let data = std::fs::read_to_string(path).map_err(reading(path))?;
                 let logical: LogicalTrace = serde_json::from_str(&data)
                     .map_err(|e| input(format!("parsing {}: {}", path, e)))?;
                 if !flags.contains_key("json") {
@@ -468,7 +472,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                 if let Some(out) = flags.get("logical-out") {
                     let (_, logical) = pas2p.model(app.as_ref(), &base, MappingPolicy::Block);
                     let json = serde_json::to_string(&logical).map_err(|e| e.to_string())?;
-                    std::fs::write(out, json).map_err(|e| format!("writing {}: {}", out, e))?;
+                    write_file(out, json)?;
                     eprintln!("wrote logical trace to {}", out);
                 }
                 let analysis =
@@ -489,8 +493,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
             // the report (and the exit code) before rendering.
             if let Some(path) = flags.get("write-baseline") {
                 let baseline = pas2p_check::Baseline::from_report(&report);
-                std::fs::write(path, baseline.to_json())
-                    .map_err(|e| format!("writing {}: {}", path, e))?;
+                write_file(path, baseline.to_json())?;
                 eprintln!(
                     "wrote baseline ({} finding(s)) to {}",
                     baseline.suppressed.len(),
@@ -500,8 +503,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
             }
             let report = match flags.get("baseline") {
                 Some(path) => {
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| input(format!("reading {}: {}", path, e)))?;
+                    let text = std::fs::read_to_string(path).map_err(reading(path))?;
                     let baseline = pas2p_check::Baseline::from_json(&text)
                         .map_err(|e| input(format!("{}: {}", path, e)))?;
                     let (filtered, absorbed) = pas2p_check::apply_baseline(report, &baseline);
@@ -513,8 +515,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                 None => report,
             };
             if let Some(path) = flags.get("sarif") {
-                std::fs::write(path, pas2p_check::to_sarif(&report))
-                    .map_err(|e| format!("writing {}: {}", path, e))?;
+                write_file(path, pas2p_check::to_sarif(&report))?;
                 eprintln!("wrote SARIF report to {}", path);
             }
             if flags.contains_key("json") {
@@ -541,8 +542,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                         .map(|(label, plan)| (label.to_string(), plan))
                         .collect(),
                     (None, Some(path)) => {
-                        let text = std::fs::read_to_string(path)
-                            .map_err(|e| input(format!("reading {}: {}", path, e)))?;
+                        let text = std::fs::read_to_string(path).map_err(reading(path))?;
                         pas2p_faults::parse_spec(&text)
                             .map_err(|e| input(format!("parsing {}: {}", path, e)))?
                             .into_iter()
@@ -650,8 +650,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
         }
         "metrics" => {
             let path = flags.get("analysis").ok_or("missing --analysis")?;
-            let data = std::fs::read_to_string(path)
-                .map_err(|e| input(format!("reading {}: {}", path, e)))?;
+            let data = std::fs::read_to_string(path).map_err(reading(path))?;
             let analysis: pas2p::Analysis = serde_json::from_str(&data)
                 .map_err(|e| input(format!("parsing {}: {}", path, e)))?;
             let snapshot = analysis.metrics.ok_or_else(|| {
@@ -671,8 +670,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
         }
         "timeline" => {
             if let Some(path) = flags.get("validate") {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| input(format!("reading {}: {}", path, e)))?;
+                let text = std::fs::read_to_string(path).map_err(reading(path))?;
                 let stats = pas2p::validate_chrome_json(&text)
                     .map_err(|e| input(format!("{path}: {e}")))?;
                 println!(
@@ -691,8 +689,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                 // order it, extract phases for the overlay track, and
                 // export the virtual-time domain (no host self-profile —
                 // the run that produced the trace is long gone).
-                let data =
-                    std::fs::read(path).map_err(|e| input(format!("reading {}: {}", path, e)))?;
+                let data = std::fs::read(path).map_err(reading(path))?;
                 let (trace, ingest) = decode_recovering(&data);
                 let trace = trace.ok_or_else(|| {
                     input(format!(

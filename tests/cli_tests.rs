@@ -842,6 +842,68 @@ fn serve_answers_ndjson_and_hits_the_cache() {
     let _ = std::fs::remove_dir_all(&store);
 }
 
+/// With collection on, a signature's sidecar embeds the registry's
+/// snapshot. The registry keeps one aggregate per stage name and a name
+/// is a literal, so once a submit, a predict and a batch have run every
+/// stage, a later sidecar holds no more stage entries than an earlier
+/// one, however many requests — or batches of another shape — ran
+/// between.
+#[test]
+fn serve_sidecars_do_not_grow_with_the_request_count() {
+    use std::io::Write;
+    use std::process::Stdio;
+
+    let store = std::env::temp_dir().join(format!("pas2p-cli-sidecar-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let mut child = cli()
+        .args(["serve", "--store", store.to_str().unwrap()])
+        .env("PAS2P_OBS", "1")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let submit =
+        |nprocs: u32| format!(r#"{{"op":"submit","app":"masterworker","nprocs":{nprocs}}}"#);
+    let predict = r#"{"op":"predict","app":"masterworker","nprocs":2,"target":"B"}"#.to_string();
+    let batch = |apps: &str| format!(r#"{{"op":"batch","apps":[{apps}],"nprocs":2}}"#);
+    let mut session = vec![submit(2), predict.clone(), batch(r#""cg""#), submit(3)];
+    session.extend(std::iter::repeat_n(predict, 20));
+    session.extend([batch(r#""ft","lu""#), submit(4)]);
+    let stdin = child.stdin.as_mut().unwrap();
+    stdin
+        .write_all((session.join("\n") + "\n").as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let replies: Vec<serde_json::Value> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    assert_eq!(replies.len(), 26);
+    let stage_entries = |reply: &serde_json::Value| {
+        let digest = reply["result"]["digest"].as_str().expect("a submit reply");
+        let object = std::fs::read_to_string(store.join(format!("objects/{digest}.json"))).unwrap();
+        let object: serde_json::Value = serde_json::from_str(&object).unwrap();
+        object["sidecar"]["metrics"]["stages"]
+            .as_array()
+            .expect("a snapshot")
+            .len()
+    };
+    let (second, third) = (stage_entries(&replies[3]), stage_entries(&replies[25]));
+    assert!(second > 0);
+    assert!(
+        third <= second,
+        "{second} stage entries, then {third}, twenty predicts and a batch later"
+    );
+    let _ = std::fs::remove_dir_all(&store);
+}
+
 #[test]
 fn predict_with_store_caches_across_invocations() {
     let store = std::env::temp_dir().join(format!("pas2p-cli-predict-{}", std::process::id()));

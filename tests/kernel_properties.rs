@@ -11,101 +11,94 @@
 //! the only shape extraction produces (`width == nprocs`), and the
 //! contract `SoaPattern` documents.
 
-use proptest::prelude::*;
+mod common;
 
+use common::{cases, Gen};
 use pas2p_model::{LogicalEvent, LogicalTrace, Tick};
 use pas2p_phases::{
     extract_phases, CellSig, PhaseAnalysis, SimilarityConfig, SimilarityKernel, SoaIndex,
     SoaPattern,
 };
 use pas2p_trace::{CollClass, EventKind};
+use std::ops::Range;
 use std::sync::Arc;
+
+/// Cases per property (the suite was declared with 48; there is no
+/// shrinking to pay for, and the whole file runs in about a second). The
+/// rare corners need the draws: an SoA comparison that skips the
+/// peer-offset check is first caught at seed 512, a compute band without
+/// its noise-floor allowance at seed 2154 (EXPERIMENTS.md "PR 21").
+const CASES: u64 = 4096;
+/// Seeds that once failed; every property of this file runs them first.
+const REPLAY: &[u64] = &[];
 
 type Pattern = Vec<Vec<Option<CellSig>>>;
 
-fn kind_strategy() -> impl Strategy<Value = EventKind> {
-    prop_oneof![
-        Just(EventKind::Send),
-        Just(EventKind::Recv),
-        Just(EventKind::Coll(CollClass::Barrier)),
-        Just(EventKind::Coll(CollClass::Allreduce)),
-        Just(EventKind::Coll(CollClass::Alltoall)),
-    ]
+const KINDS: [EventKind; 5] = [
+    EventKind::Send,
+    EventKind::Recv,
+    EventKind::Coll(CollClass::Barrier),
+    EventKind::Coll(CollClass::Allreduce),
+    EventKind::Coll(CollClass::Alltoall),
+];
+
+/// One of `corners` or, as often as any one of them, a float from
+/// `dense` — the degenerate values beside the ordinary range.
+fn corner_or(g: &mut Gen, corners: &[f64], dense: Range<f64>) -> f64 {
+    match g.range(0..corners.len() as u64 + 1) as usize {
+        i if i < corners.len() => corners[i],
+        _ => g.float(dense),
+    }
 }
 
-/// One pattern cell: absent, or an event drawn from a pool of sizes and
-/// compute times dense enough that similar, nearly-similar and wildly
-/// dissimilar pairs all occur.
-fn cell_strategy() -> impl Strategy<Value = Option<CellSig>> {
-    let present = (
-        kind_strategy(),
-        prop_oneof![Just(None), (0i64..4).prop_map(Some)],
-        prop_oneof![
-            Just(0u64),
-            Just(8u64),
-            Just(64u64),
-            Just(100u64),
-            Just(1u64 << 40),
-            1u64..4096,
-        ],
-        prop_oneof![
-            Just(0.0f64),
-            Just(1e-9f64),
-            Just(0.01f64),
-            Just(1.0f64),
-            0.0f64..2.0,
-        ],
-    )
-        .prop_map(|(kind, peer_offset, size, compute_before)| {
-            Some(CellSig {
-                kind,
-                peer_offset,
-                size,
-                compute_before,
-            })
-        });
-    prop_oneof![1 => Just(None), 3 => present]
+/// One pattern cell: absent one time in four, or an event drawn from a
+/// pool of sizes and compute times dense enough that similar,
+/// nearly-similar and wildly dissimilar pairs all occur.
+fn cell(g: &mut Gen) -> Option<CellSig> {
+    if g.weighted(&[1, 3]) == 0 {
+        return None;
+    }
+    Some(CellSig {
+        kind: g.pick(&KINDS),
+        peer_offset: (g.range(0..2) == 1).then(|| g.range(0..4) as i64),
+        size: match g.pick(&[
+            Some(0),
+            Some(8),
+            Some(64),
+            Some(100),
+            Some(1u64 << 40),
+            None,
+        ]) {
+            Some(size) => size,
+            None => g.range(1..4096),
+        },
+        compute_before: corner_or(g, &[0.0, 1e-9, 0.01, 1.0], 0.0..2.0),
+    })
 }
 
 /// A rectangular pattern: 1..=max_ticks rows of exactly `width` cells.
-fn pattern_strategy(width: usize, max_ticks: usize) -> impl Strategy<Value = Pattern> {
-    prop::collection::vec(
-        prop::collection::vec(cell_strategy(), width..=width),
-        1..=max_ticks,
-    )
+fn pattern(g: &mut Gen, width: usize, max_ticks: usize) -> Pattern {
+    g.vec(1..max_ticks + 1, |g| g.vec(width..width + 1, cell))
 }
 
 /// Two patterns sharing one width, so the scalar walk and the SoA
 /// comparison see the same cell grid.
-fn pattern_pair() -> impl Strategy<Value = (Pattern, Pattern)> {
-    (1usize..4).prop_flat_map(|w| (pattern_strategy(w, 4), pattern_strategy(w, 4)))
+fn pattern_pair(g: &mut Gen) -> (Pattern, Pattern) {
+    let width = g.range(1..4) as usize;
+    (pattern(g, width, 4), pattern(g, width, 4))
 }
 
 /// Similarity configurations including the paper defaults and the
 /// degenerate corners (zero thresholds, exact-match thresholds, an
 /// unsatisfiable event fraction, a large noise floor).
-fn config_strategy() -> impl Strategy<Value = SimilarityConfig> {
-    (
-        prop_oneof![Just(0.85f64), Just(1.0f64), Just(0.5f64), 0.0f64..1.0],
-        prop_oneof![Just(0.85f64), Just(1.0f64), Just(0.0f64), 0.0f64..1.0],
-        prop_oneof![
-            Just(0.80f64),
-            Just(1.0f64),
-            Just(0.0f64),
-            Just(1.5f64),
-            0.0f64..1.0
-        ],
-        prop_oneof![Just(1e-7f64), Just(0.0f64), Just(0.5f64)],
-    )
-        .prop_map(
-            |(compute_ratio, size_ratio, event_fraction, compute_floor)| SimilarityConfig {
-                compute_ratio,
-                size_ratio,
-                event_fraction,
-                compute_floor,
-                ..SimilarityConfig::default()
-            },
-        )
+fn config(g: &mut Gen) -> SimilarityConfig {
+    SimilarityConfig {
+        compute_ratio: corner_or(g, &[0.85, 1.0, 0.5], 0.0..1.0),
+        size_ratio: corner_or(g, &[0.85, 1.0, 0.0], 0.0..1.0),
+        event_fraction: corner_or(g, &[0.80, 1.0, 0.0, 1.5], 0.0..1.0),
+        compute_floor: g.pick(&[1e-7, 0.0, 0.5]),
+        ..SimilarityConfig::default()
+    }
 }
 
 /// Build a logical trace from (tick, process, kind, size, compute)
@@ -147,103 +140,186 @@ fn strip_timing(mut analysis: PhaseAnalysis) -> PhaseAnalysis {
     analysis
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// SoA similarity == scalar similarity: the boolean verdict and the
+/// exact (similar, total) score.
+fn soa_equals_scalar(cfg: &SimilarityConfig, a: &Pattern, b: &Pattern) {
+    let sa = SoaPattern::from_pattern(a);
+    let sb = SoaPattern::from_pattern(b);
+    assert_eq!(
+        cfg.phases_similar(a, b),
+        cfg.soa_phases_similar(&sa, &sb),
+        "verdict diverged"
+    );
+    assert_eq!(
+        cfg.phase_similarity_score(a, b),
+        cfg.soa_similarity_score(&sa, &sb),
+        "score diverged"
+    );
+}
 
-    /// SoA similarity == scalar similarity: the boolean verdict and the
-    /// exact (similar, total) score.
-    #[test]
-    fn soa_similarity_equals_scalar(
-        cfg in config_strategy(),
-        (a, b) in pattern_pair(),
-    ) {
-        let sa = SoaPattern::from_pattern(&a);
-        let sb = SoaPattern::from_pattern(&b);
-        prop_assert_eq!(
-            cfg.phases_similar(&a, &b),
-            cfg.soa_phases_similar(&sa, &sb),
-            "verdict diverged"
-        );
-        prop_assert_eq!(
-            cfg.phase_similarity_score(&a, &b),
-            cfg.soa_similarity_score(&sa, &sb),
-            "score diverged"
-        );
+/// The band prefilter is a necessary condition: it never rejects a
+/// pair the full comparison would match, in either orientation.
+fn band_keeps_a_true_match(cfg: &SimilarityConfig, a: &Pattern, b: &Pattern) {
+    let sa = SoaPattern::from_pattern(a);
+    let sb = SoaPattern::from_pattern(b);
+    if cfg.soa_phases_similar(&sa, &sb) {
+        assert!(cfg.band_admits(&sa, &sb), "band rejected a true match");
+        assert!(cfg.band_admits(&sb, &sa), "band is orientation-sensitive");
     }
+}
 
-    /// The band prefilter is a necessary condition: it never rejects a
-    /// pair the full comparison would match, in either orientation.
-    #[test]
-    fn banding_never_rejects_a_true_match(
-        cfg in config_strategy(),
-        (a, b) in pattern_pair(),
-    ) {
-        let sa = SoaPattern::from_pattern(&a);
-        let sb = SoaPattern::from_pattern(&b);
-        if cfg.soa_phases_similar(&sa, &sb) {
-            prop_assert!(cfg.band_admits(&sa, &sb), "band rejected a true match");
-            prop_assert!(cfg.band_admits(&sb, &sa), "band is orientation-sensitive");
-        }
+/// LSH buckets never split a matchable pair: the sketch keys exactly
+/// the tick count (the only similarity-invariant feature), so two
+/// patterns share a bucket iff they have equal length — and in
+/// particular identical patterns always share one.
+fn lsh_keeps_a_matchable_pair(cfg: &SimilarityConfig, a: &Pattern, b: &Pattern) {
+    let sa = SoaPattern::from_pattern(a);
+    let sb = SoaPattern::from_pattern(b);
+    assert_eq!(sa.sketch() == sb.sketch(), a.len() == b.len());
+    if cfg.soa_phases_similar(&sa, &sb) {
+        assert_eq!(sa.sketch(), sb.sketch(), "bucket split a matchable pair");
     }
+    assert_eq!(
+        sa.sketch(),
+        SoaPattern::from_pattern(a).sketch(),
+        "identical patterns must share a bucket"
+    );
+}
 
-    /// LSH buckets never split a matchable pair: the sketch keys exactly
-    /// the tick count (the only similarity-invariant feature), so two
-    /// patterns share a bucket iff they have equal length — and in
-    /// particular identical patterns always share one.
-    #[test]
-    fn lsh_buckets_never_split_matchable_patterns(
-        cfg in config_strategy(),
-        (a, b) in pattern_pair(),
-    ) {
-        let sa = SoaPattern::from_pattern(&a);
-        let sb = SoaPattern::from_pattern(&b);
-        prop_assert_eq!(sa.sketch() == sb.sketch(), a.len() == b.len());
-        if cfg.soa_phases_similar(&sa, &sb) {
-            prop_assert_eq!(sa.sketch(), sb.sketch(), "bucket split a matchable pair");
-        }
-        prop_assert_eq!(
-            sa.sketch(),
-            SoaPattern::from_pattern(&a).sketch(),
-            "identical patterns must share a bucket"
-        );
-    }
+#[test]
+fn soa_similarity_equals_scalar() {
+    cases(REPLAY, CASES, |g| {
+        let (cfg, (a, b)) = (config(g), pattern_pair(g));
+        soa_equals_scalar(&cfg, &a, &b);
+    });
+}
 
-    /// The bucketed index returns the same first match as the sequential
-    /// scalar walk over the known list.
-    #[test]
-    fn index_first_match_equals_sequential_scan(
-        cfg in config_strategy(),
-        (known, candidate) in (1usize..3).prop_flat_map(|w| (
-            prop::collection::vec(pattern_strategy(w, 3), 0..8),
-            pattern_strategy(w, 3),
-        )),
-    ) {
+#[test]
+fn banding_never_rejects_a_true_match() {
+    cases(REPLAY, CASES, |g| {
+        let (cfg, (a, b)) = (config(g), pattern_pair(g));
+        band_keeps_a_true_match(&cfg, &a, &b);
+    });
+}
+
+#[test]
+fn lsh_buckets_never_split_matchable_patterns() {
+    cases(REPLAY, CASES, |g| {
+        let (cfg, (a, b)) = (config(g), pattern_pair(g));
+        lsh_keeps_a_matchable_pair(&cfg, &a, &b);
+    });
+}
+
+/// The three pair properties on one fixed pair: the shrunk cases the
+/// property search once found, kept by value.
+fn pair_properties_hold(cfg: &SimilarityConfig, a: &Pattern, b: &Pattern) {
+    soa_equals_scalar(cfg, a, b);
+    band_keeps_a_true_match(cfg, a, b);
+    lsh_keeps_a_matchable_pair(cfg, a, b);
+}
+
+fn send(size: u64, compute_before: f64) -> Option<CellSig> {
+    Some(CellSig {
+        kind: EventKind::Send,
+        peer_offset: Some(1),
+        size,
+        compute_before,
+    })
+}
+
+/// An event fraction above 1 is unsatisfiable: a non-empty pattern is
+/// not similar even to itself, under both kernels, and the band (which
+/// abstains on degenerate fractions) must not turn that into a match.
+#[test]
+fn an_unsatisfiable_event_fraction_matches_no_reflexive_pair() {
+    let cfg = SimilarityConfig {
+        event_fraction: 1.5,
+        ..SimilarityConfig::default()
+    };
+    let a = vec![vec![send(8, 0.01)]];
+    pair_properties_hold(&cfg, &a, &a);
+    assert!(!cfg.phases_similar(&a, &a));
+    let sa = SoaPattern::from_pattern(&a);
+    assert!(!cfg.band_admits(&sa, &sa), "only two empty patterns match");
+}
+
+/// With `size_ratio` 0 every size pair is similar, so 2⁴⁰ bytes against
+/// 8 is a true match the size band has to admit at that magnitude.
+#[test]
+fn the_size_band_admits_a_match_at_extreme_magnitudes() {
+    let cfg = SimilarityConfig {
+        size_ratio: 0.0,
+        ..SimilarityConfig::default()
+    };
+    let (a, b) = (vec![vec![send(1 << 40, 0.0)]], vec![vec![send(8, 0.0)]]);
+    assert!(cfg.phases_similar(&a, &b));
+    pair_properties_hold(&cfg, &a, &b);
+}
+
+/// One cell pair similar through the noise floor (0 against 0.5 under a
+/// floor of 0.5) beside one similar through the ratio: the compute band
+/// has to allow for both routes at once.
+#[test]
+fn the_compute_band_covers_the_floor_and_the_ratio_route_together() {
+    let cfg = SimilarityConfig {
+        compute_ratio: 1.0,
+        event_fraction: 1.0,
+        compute_floor: 0.5,
+        ..SimilarityConfig::default()
+    };
+    let a = vec![vec![send(8, 0.0), send(8, 1.0)]];
+    let b = vec![vec![send(8, 0.5), send(8, 1.0)]];
+    assert!(cfg.phases_similar(&a, &b));
+    pair_properties_hold(&cfg, &a, &b);
+}
+
+/// The bucketed index returns the same first match as the sequential
+/// scalar walk over the known list.
+#[test]
+fn index_first_match_equals_sequential_scan() {
+    cases(REPLAY, CASES, |g| {
+        let cfg = config(g);
+        let width = g.range(1..3) as usize;
+        let known = g.vec(0..8, |g| pattern(g, width, 3));
+        let candidate = pattern(g, width, 3);
         let scalar_hit = known.iter().position(|k| cfg.phases_similar(k, &candidate));
         let mut index = SoaIndex::new();
         for k in &known {
             index.push(Arc::new(SoaPattern::from_pattern(k)));
         }
         let (soa_hit, stats) = index.first_match(&cfg, &SoaPattern::from_pattern(&candidate));
-        prop_assert_eq!(scalar_hit, soa_hit);
-        prop_assert!(
+        assert_eq!(scalar_hit, soa_hit);
+        assert!(
             stats.compares + stats.band_rejects + stats.lsh_skipped <= known.len() as u64,
             "every known phase is compared, band-rejected, or bucket-skipped at most once"
         );
-    }
+    });
+}
 
-    /// Whole-trace extraction is kernel- and parallelism-invariant on
-    /// randomly generated logical traces.
-    #[test]
-    fn extraction_is_kernel_invariant_on_random_traces(
-        nprocs in 1u32..4,
-        cells in prop::collection::vec(
-            (0usize..12, 0u32..4, kind_strategy(), 1u64..512, 0.0f64..0.05),
-            1..40,
-        ),
-    ) {
-        let cells: Vec<(usize, u32, EventKind, u64, f64)> = cells
-            .into_iter()
-            .map(|(t, p, k, s, c)| (t, p % nprocs, k, s, c))
+/// Whole-trace extraction is kernel- and parallelism-invariant on
+/// randomly generated logical traces.
+#[test]
+fn extraction_is_kernel_invariant_on_random_traces() {
+    cases(REPLAY, CASES, |g| {
+        let nprocs = g.range(1..4) as u32;
+        let cells: Vec<(usize, u32, EventKind, u64, f64)> = g.vec(1..40, |g| {
+            (
+                g.range(0..12) as usize,
+                g.range(0..4) as u32 % nprocs,
+                g.pick(&KINDS),
+                g.range(1..512),
+                g.float(0.0..0.05),
+            )
+        });
+        // Lay the block down one to three times, each copy with its
+        // compute times scaled: drawn once, no window ever resembles
+        // another, and a kernel that never matches would pass.
+        let cells: Vec<_> = (0..g.range(1..4) as usize)
+            .flat_map(|copy| {
+                let scale = g.pick(&[1.0, 0.95, 0.5]);
+                let shifted = move |&(t, p, k, s, c)| (t + 12 * copy, p, k, s, c * scale);
+                cells.iter().map(shifted).collect::<Vec<_>>()
+            })
             .collect();
         let lt = lt_of(nprocs, &cells);
         let run = |kernel: SimilarityKernel, parallelism: Option<usize>| {
@@ -255,8 +331,8 @@ proptest! {
             strip_timing(extract_phases(&lt, &cfg))
         };
         let oracle = run(SimilarityKernel::Scalar, Some(1));
-        prop_assert_eq!(&oracle, &run(SimilarityKernel::Soa, Some(1)));
-        prop_assert_eq!(&oracle, &run(SimilarityKernel::Soa, Some(4)));
-        prop_assert_eq!(&oracle, &run(SimilarityKernel::Scalar, Some(4)));
-    }
+        assert_eq!(&oracle, &run(SimilarityKernel::Soa, Some(1)));
+        assert_eq!(&oracle, &run(SimilarityKernel::Soa, Some(4)));
+        assert_eq!(&oracle, &run(SimilarityKernel::Scalar, Some(4)));
+    });
 }

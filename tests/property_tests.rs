@@ -2,14 +2,21 @@
 //! invariants, driven by randomly generated (but deadlock-free) parallel
 //! programs executed on the real runtime.
 
-use proptest::prelude::*;
+mod common;
 
+use common::{cases, Gen};
 use pas2p_machine::{cluster_a, JitterModel, MappingPolicy, Work};
 use pas2p_model::{lamport_order, pas2p_order};
 use pas2p_mpisim::{run_app, Mpi, ReduceOp, SimConfig};
 use pas2p_phases::{extract_phases, CellSig, SimilarityConfig};
 use pas2p_trace::{format, EventKind, InstrumentationModel, Trace, TraceCollector, Traced};
 use std::sync::Arc;
+
+/// Cases per property (four times what the suite was declared with; a
+/// case is a simulated run of at most a dozen rounds).
+const CASES: u64 = 96;
+/// Seeds that once failed; every property of this file runs them first.
+const REPLAY: &[u64] = &[];
 
 /// A deadlock-free communication round, randomly chosen.
 #[derive(Debug, Clone)]
@@ -28,16 +35,27 @@ enum Round {
     Compute { flops: f64 },
 }
 
-fn round_strategy(n: u32) -> impl Strategy<Value = Round> {
-    prop_oneof![
-        (1..n.max(2), 1usize..2048).prop_map(|(k, bytes)| Round::Shift { k, bytes }),
-        (0..ilog2(n).max(1), 1usize..2048)
-            .prop_map(|(b, bytes)| Round::Exchange { mask: 1 << b, bytes }),
-        (1usize..16).prop_map(|len| Round::Allreduce { len }),
-        Just(Round::Barrier),
-        (0..n).prop_map(|root| Round::Gather { root }),
-        (1e5..1e8).prop_map(|flops| Round::Compute { flops }),
-    ]
+/// One round drawn for a world of `n` ranks, each kind as likely as any.
+fn round(g: &mut Gen, n: u32) -> Round {
+    let mut below = |lo: u32, hi: u32| g.range(lo.into()..hi.into()) as u32;
+    match below(0, 6) {
+        0 => Round::Shift {
+            k: below(1, n.max(2)),
+            bytes: below(1, 2048) as usize,
+        },
+        1 => Round::Exchange {
+            mask: 1 << below(0, ilog2(n).max(1)),
+            bytes: below(1, 2048) as usize,
+        },
+        2 => Round::Allreduce {
+            len: below(1, 16) as usize,
+        },
+        3 => Round::Barrier,
+        4 => Round::Gather { root: below(0, n) },
+        _ => Round::Compute {
+            flops: g.float(1e5..1e8),
+        },
+    }
 }
 
 fn ilog2(n: u32) -> u32 {
@@ -90,185 +108,211 @@ fn run_rounds(n: u32, rounds: &[Round]) -> Trace {
     Arc::into_inner(collector).unwrap().into_trace()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Any trace from a real execution orders into a valid logical trace
+/// under both orderings, preserving every event.
+fn ordering_invariants_hold(n: u32, rounds: &[Round]) {
+    let trace = run_rounds(n, rounds);
+    assert!(trace.validate().is_ok());
 
-    /// Any trace from a real execution orders into a valid logical trace
-    /// under both orderings, preserving every event.
-    #[test]
-    fn ordering_invariants_hold_for_random_programs(
-        n in prop_oneof![Just(2u32), Just(3), Just(4), Just(8)],
-        rounds in prop::collection::vec(round_strategy(8), 1..12),
-    ) {
-        let rounds: Vec<Round> = rounds;
-        let trace = run_rounds(n, &rounds);
-        prop_assert!(trace.validate().is_ok());
-
-        for logical in [pas2p_order(&trace), lamport_order(&trace)] {
-            prop_assert!(logical.validate_against(&trace).is_ok());
-            prop_assert_eq!(logical.total_events(), trace.total_events());
-            // Receives never precede their sends on the tick axis.
-            let mut seen_sends = std::collections::HashSet::new();
-            for tick in &logical.ticks {
-                for e in &tick.events {
-                    if e.kind == EventKind::Recv {
-                        prop_assert!(
-                            seen_sends.contains(&e.msg_id),
-                            "recv of msg {} before its send", e.msg_id
-                        );
-                    }
+    for logical in [pas2p_order(&trace), lamport_order(&trace)] {
+        assert!(logical.validate_against(&trace).is_ok());
+        assert_eq!(logical.total_events(), trace.total_events());
+        // Receives never precede their sends on the tick axis.
+        let mut seen_sends = std::collections::HashSet::new();
+        for tick in &logical.ticks {
+            for e in &tick.events {
+                if e.kind == EventKind::Recv {
+                    assert!(
+                        seen_sends.contains(&e.msg_id),
+                        "recv of msg {} before its send",
+                        e.msg_id
+                    );
                 }
-                for e in &tick.events {
-                    if e.kind == EventKind::Send {
-                        seen_sends.insert(e.msg_id);
-                    }
+            }
+            for e in &tick.events {
+                if e.kind == EventKind::Send {
+                    seen_sends.insert(e.msg_id);
                 }
             }
         }
     }
+}
 
-    /// Phase occurrences always tile the logical trace contiguously and
-    /// reconstruct the AET.
-    #[test]
-    fn phase_occurrences_tile_random_traces(
-        n in prop_oneof![Just(2u32), Just(4)],
-        rounds in prop::collection::vec(round_strategy(4), 1..10),
-        repeats in 1usize..6,
-    ) {
-        let rounds: Vec<Round> = rounds;
+/// Phase occurrences always tile the logical trace contiguously and
+/// reconstruct the AET.
+fn phase_occurrences_tile(n: u32, rounds: &[Round]) {
+    let trace = run_rounds(n, rounds);
+    let logical = pas2p_order(&trace);
+    let analysis = extract_phases(&logical, &SimilarityConfig::default());
+
+    let mut spans: Vec<(usize, usize)> = analysis
+        .phases
+        .iter()
+        .flat_map(|p| p.occurrences.iter().map(|o| (o.start_tick, o.end_tick)))
+        .collect();
+    spans.sort_unstable();
+    if !logical.is_empty() {
+        assert_eq!(spans.first().unwrap().0, 0);
+        assert_eq!(spans.last().unwrap().1, logical.len());
+        for w in spans.windows(2) {
+            assert_eq!(w[0].1, w[1].0);
+        }
+        let err = (analysis.reconstructed_aet() - analysis.aet).abs();
+        assert!(err <= 1e-6 * analysis.aet.max(1.0));
+        // Weights sum to the number of occurrences.
+        let occs: usize = analysis.phases.iter().map(|p| p.occurrences.len()).sum();
+        let weights: u64 = analysis.phases.iter().map(|p| p.weight).sum();
+        assert_eq!(occs as u64, weights);
+    }
+}
+
+/// The trace binary codec round-trips arbitrary real traces.
+fn trace_codec_roundtrips(n: u32, rounds: &[Round]) {
+    let trace = run_rounds(n, rounds);
+    let encoded = format::encode(&trace);
+    assert_eq!(encoded.len() as u64, trace.size_bytes());
+    let decoded = format::decode(&encoded).unwrap();
+    assert_eq!(decoded, trace);
+}
+
+/// The compressed codec round-trips arbitrary real traces up to
+/// nanosecond time quantization.
+fn compressed_codec_roundtrips(n: u32, rounds: &[Round]) {
+    let trace = run_rounds(n, rounds);
+    let packed = pas2p_trace::compress(&trace);
+    let back = pas2p_trace::decompress(&packed).unwrap();
+    assert_eq!(back.nprocs, trace.nprocs);
+    assert_eq!(back.total_events(), trace.total_events());
+    for (a, b) in trace.procs.iter().zip(&back.procs) {
+        for (x, y) in a.events.iter().zip(&b.events) {
+            assert_eq!(x.kind, y.kind);
+            assert_eq!(x.peer, y.peer);
+            assert_eq!(x.size, y.size);
+            assert_eq!(x.msg_id, y.msg_id);
+            assert!((x.t_post - y.t_post).abs() < 1e-8);
+            assert!((x.t_complete - y.t_complete).abs() < 1e-8);
+        }
+    }
+}
+
+#[test]
+fn ordering_invariants_hold_for_random_programs() {
+    cases(REPLAY, CASES, |g| {
+        let n = g.pick(&[2, 3, 4, 8]);
+        ordering_invariants_hold(n, &g.vec(1..12, |g| round(g, 8)));
+    });
+}
+
+#[test]
+fn phase_occurrences_tile_random_traces() {
+    cases(REPLAY, CASES, |g| {
+        let n = g.pick(&[2, 4]);
+        let rounds = g.vec(1..10, |g| round(g, 4));
         // Repeat the program to give the extractor something to merge.
-        let repeated: Vec<Round> =
-            std::iter::repeat_n(rounds, repeats).flatten().collect();
-        let trace = run_rounds(n, &repeated);
-        let logical = pas2p_order(&trace);
-        let analysis = extract_phases(&logical, &SimilarityConfig::default());
+        let repeats = g.range(1..6) as usize;
+        let repeated: Vec<Round> = std::iter::repeat_n(rounds, repeats).flatten().collect();
+        phase_occurrences_tile(n, &repeated);
+    });
+}
 
-        let mut spans: Vec<(usize, usize)> = analysis
-            .phases
-            .iter()
-            .flat_map(|p| p.occurrences.iter().map(|o| (o.start_tick, o.end_tick)))
-            .collect();
-        spans.sort_unstable();
-        if !logical.is_empty() {
-            prop_assert_eq!(spans.first().unwrap().0, 0);
-            prop_assert_eq!(spans.last().unwrap().1, logical.len());
-            for w in spans.windows(2) {
-                prop_assert_eq!(w[0].1, w[1].0);
-            }
-            let err = (analysis.reconstructed_aet() - analysis.aet).abs();
-            prop_assert!(err <= 1e-6 * analysis.aet.max(1.0));
-            // Weights sum to the number of occurrences.
-            let occs: usize = analysis.phases.iter().map(|p| p.occurrences.len()).sum();
-            let weights: u64 = analysis.phases.iter().map(|p| p.weight).sum();
-            prop_assert_eq!(occs as u64, weights);
-        }
-    }
+#[test]
+fn trace_codec_roundtrips_random_traces() {
+    cases(REPLAY, CASES, |g| {
+        let n = g.pick(&[2, 4]);
+        trace_codec_roundtrips(n, &g.vec(1..8, |g| round(g, 4)));
+    });
+}
 
-    /// The trace binary codec round-trips arbitrary real traces.
-    #[test]
-    fn trace_codec_roundtrips_random_traces(
-        n in prop_oneof![Just(2u32), Just(4)],
-        rounds in prop::collection::vec(round_strategy(4), 1..8),
-    ) {
-        let rounds: Vec<Round> = rounds;
-        let trace = run_rounds(n, &rounds);
-        let encoded = format::encode(&trace);
-        prop_assert_eq!(encoded.len() as u64, trace.size_bytes());
-        let decoded = format::decode(&encoded).unwrap();
-        prop_assert_eq!(decoded, trace);
-    }
+#[test]
+fn compressed_codec_roundtrips_random_traces() {
+    cases(REPLAY, CASES, |g| {
+        let n = g.pick(&[2, 4]);
+        compressed_codec_roundtrips(n, &g.vec(1..8, |g| round(g, 4)));
+    });
+}
 
-    /// Cell similarity is reflexive and symmetric for arbitrary cells.
-    #[test]
-    fn similarity_is_reflexive_and_symmetric(
-        size_a in 1u64..1_000_000,
-        size_b in 1u64..1_000_000,
-        ca in 0.0f64..10.0,
-        cb in 0.0f64..10.0,
-        kind_a in 0u8..2,
-        kind_b in 0u8..2,
-    ) {
+/// Rounds are drawn for the largest world and run in a smaller one: the
+/// two shrunk programs that once escaped theirs, under every property
+/// that runs a program.
+fn program_properties_hold(n: u32, rounds: &[Round]) {
+    ordering_invariants_hold(n, rounds);
+    phase_occurrences_tile(n, rounds);
+    trace_codec_roundtrips(n, rounds);
+    compressed_codec_roundtrips(n, rounds);
+}
+
+#[test]
+fn a_shift_wider_than_the_world_wraps_into_it() {
+    program_properties_hold(2, &[Round::Shift { k: 3, bytes: 1 }]);
+}
+
+#[test]
+fn a_gather_root_beyond_the_world_wraps_into_it() {
+    program_properties_hold(2, &[Round::Gather { root: 2 }]);
+}
+
+/// Cell similarity is reflexive and symmetric for arbitrary cells.
+#[test]
+fn similarity_is_reflexive_and_symmetric() {
+    cases(REPLAY, CASES, |g| {
         let cfg = SimilarityConfig::default();
-        let mk = |k: u8, size, compute| CellSig {
-            kind: if k == 0 { EventKind::Send } else { EventKind::Recv },
+        let mut cell = || CellSig {
+            kind: g.pick(&[EventKind::Send, EventKind::Recv]),
             peer_offset: Some(1),
-            size,
-            compute_before: compute,
+            size: g.range(1..1_000_000),
+            compute_before: g.float(0.0..10.0),
         };
-        let a = mk(kind_a, size_a, ca);
-        let b = mk(kind_b, size_b, cb);
-        prop_assert!(cfg.cells_similar(Some(&a), Some(&a)), "reflexive");
-        prop_assert_eq!(
+        let (a, b) = (cell(), cell());
+        assert!(cfg.cells_similar(Some(&a), Some(&a)), "reflexive");
+        assert_eq!(
             cfg.cells_similar(Some(&a), Some(&b)),
             cfg.cells_similar(Some(&b), Some(&a)),
             "symmetric"
         );
-    }
+    });
+}
 
-    /// The compressed codec round-trips arbitrary real traces up to
-    /// nanosecond time quantization.
-    #[test]
-    fn compressed_codec_roundtrips_random_traces(
-        n in prop_oneof![Just(2u32), Just(4)],
-        rounds in prop::collection::vec(round_strategy(4), 1..8),
-    ) {
-        let rounds: Vec<Round> = rounds;
-        let trace = run_rounds(n, &rounds);
-        let packed = pas2p_trace::compress(&trace);
-        let back = pas2p_trace::decompress(&packed).unwrap();
-        prop_assert_eq!(back.nprocs, trace.nprocs);
-        prop_assert_eq!(back.total_events(), trace.total_events());
-        for (a, b) in trace.procs.iter().zip(&back.procs) {
-            for (x, y) in a.events.iter().zip(&b.events) {
-                prop_assert_eq!(x.kind, y.kind);
-                prop_assert_eq!(x.peer, y.peer);
-                prop_assert_eq!(x.size, y.size);
-                prop_assert_eq!(x.msg_id, y.msg_id);
-                prop_assert!((x.t_post - y.t_post).abs() < 1e-8);
-                prop_assert!((x.t_complete - y.t_complete).abs() < 1e-8);
-            }
-        }
-    }
-
-    /// The compressed decoder never panics on garbage either.
-    #[test]
-    fn compressed_decoder_rejects_garbage(
-        bytes in prop::collection::vec(any::<u8>(), 0..256),
-    ) {
+/// The compressed decoder never panics on garbage either.
+#[test]
+fn compressed_decoder_rejects_garbage() {
+    cases(REPLAY, CASES, |g| {
+        let bytes = g.vec(0..256, |g| g.range(0..256) as u8);
         let _ = pas2p_trace::decompress(&bytes);
-    }
+    });
+}
 
-    /// The trace decoder never panics on arbitrary byte soup (failure
-    /// injection: corrupted tracefiles must produce errors, not crashes).
-    #[test]
-    fn trace_decoder_rejects_garbage_gracefully(
-        bytes in prop::collection::vec(any::<u8>(), 0..512),
-    ) {
+/// The trace decoder never panics on arbitrary byte soup (failure
+/// injection: corrupted tracefiles must produce errors, not crashes).
+#[test]
+fn trace_decoder_rejects_garbage_gracefully() {
+    cases(REPLAY, CASES, |g| {
+        let bytes = g.vec(0..512, |g| g.range(0..256) as u8);
         let _ = format::decode(&bytes); // Ok or Err, never panic
-    }
+    });
+}
 
-    /// Flipping a single byte of a valid trace either decodes to *some*
-    /// trace or errors — never panics.
-    #[test]
-    fn trace_decoder_survives_single_byte_corruption(
-        pos_frac in 0.0f64..1.0,
-        val in any::<u8>(),
-    ) {
-        let trace = run_rounds(2, &[Round::Allreduce { len: 2 }]);
-        let mut buf = format::encode(&trace);
-        let pos = ((buf.len() - 1) as f64 * pos_frac) as usize;
-        buf[pos] = val;
+/// Flipping a single byte of a valid trace either decodes to *some*
+/// trace or errors — never panics.
+#[test]
+fn trace_decoder_survives_single_byte_corruption() {
+    let trace = run_rounds(2, &[Round::Allreduce { len: 2 }]);
+    let clean = format::encode(&trace);
+    cases(REPLAY, CASES, |g| {
+        let mut buf = clean.clone();
+        let pos = g.range(0..buf.len() as u64) as usize;
+        buf[pos] = g.range(0..256) as u8;
         let _ = format::decode(&buf);
-    }
+    });
+}
 
-    /// Equation 1 is linear in the weights.
-    #[test]
-    fn prediction_is_linear_in_weights(
-        ets in prop::collection::vec(1e-6f64..10.0, 1..8),
-        weights in prop::collection::vec(1u64..100_000, 8),
-        k in 2u64..5,
-    ) {
-        use pas2p_signature::{PhaseMeasurement, Prediction};
+/// Equation 1 is linear in the weights.
+#[test]
+fn prediction_is_linear_in_weights() {
+    use pas2p_signature::{PhaseMeasurement, Prediction};
+    cases(REPLAY, CASES, |g| {
+        let ets = g.vec(1..8, |g| g.float(1e-6..10.0));
+        let weights = g.vec(8..9, |g| g.range(1..100_000));
+        let k = g.range(2..5);
         let mk = |scale: u64| -> f64 {
             let ms: Vec<PhaseMeasurement> = ets
                 .iter()
@@ -281,13 +325,10 @@ proptest! {
                     restart_cost: 0.0,
                 })
                 .collect();
-            Prediction::from_measurements(
-                "p".into(), "a".into(), "b".into(), 1, ms, 0.0,
-            )
-            .pet
+            Prediction::from_measurements("p".into(), "a".into(), "b".into(), 1, ms, 0.0).pet
         };
         let p1 = mk(1);
         let pk = mk(k);
-        prop_assert!((pk - k as f64 * p1).abs() < 1e-6 * pk.abs().max(1.0));
-    }
+        assert!((pk - k as f64 * p1).abs() < 1e-6 * pk.abs().max(1.0));
+    });
 }

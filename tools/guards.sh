@@ -1,0 +1,146 @@
+#!/usr/bin/env bash
+# Structural guards: properties of the source tree that no test can
+# hold, each a few lines of awk or grep. CI runs this file; so can a
+# session, from anywhere in the repository:
+#   tools/guards.sh
+# Every guard runs; each finding is printed as file:line; exit 1 when
+# any guard found something. Comment lines and the #[cfg(test)] tail of
+# a Rust file are exempt where a guard says so.
+set -uo pipefail
+cd "$(git rev-parse --show-toplevel)"
+failed=0
+guard() { # guard NAME FUNCTION
+  if ! "$2"; then echo "guard failed: $1"; failed=1; fi
+}
+
+# Every wait in crates/mpisim/src parks through park.rs; a timed wait
+# outside the #[cfg(test)] tail of a file is a regression.
+no_wall_clock_waits_in_the_simulator() {
+  bad=0
+  for f in crates/mpisim/src/*.rs; do
+    awk '/#\[cfg\(test\)\]/ { exit }
+         /Duration::from_millis|recv_timeout/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+         END { exit bad }' "$f" || bad=1
+  done
+  return $bad
+}
+
+# phases, model and check start no thread, and in core only the server
+# does (one per connection): the fan-outs of check and of the batch
+# driver are calls into pas2p_obs::farm, and a deadline is a clock
+# reading in the cancel token, not a runner thread with a channel back.
+# A thread started anywhere else in those crates, a channel in core, or
+# an events::flush() call outside the farm, the simulator runtime and
+# the server's connection threads, is a regression.
+one_worker_pool() {
+  bad=0
+  for f in crates/phases/src/*.rs crates/model/src/*.rs crates/check/src/*.rs \
+           $(find crates/core/src -name '*.rs' ! -name server.rs); do
+    awk '/#\[cfg\(test\)\]/ { exit }
+         /^[[:space:]]*\/\// { next }
+         /thread::scope|thread::spawn/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+         END { exit bad }' "$f" || bad=1
+  done
+  for f in $(find crates/core/src -name '*.rs'); do
+    awk '/#\[cfg\(test\)\]/ { exit }
+         /^[[:space:]]*\/\// { next }
+         /mpsc::|recv_timeout/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+         END { exit bad }' "$f" || bad=1
+  done
+  for f in $(grep -rl 'events::flush()' src crates/*/src); do
+    case "$f" in
+      crates/obs/src/farm.rs|crates/mpisim/src/runtime.rs) continue ;;
+      crates/core/src/server.rs) continue ;;
+    esac
+    awk '/#\[cfg\(test\)\]/ { exit }
+         /^[[:space:]]*\/\// { next }
+         /events::flush\(\)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+         END { exit bad }' "$f" || bad=1
+  done
+  # The server owns connections, not work: a request runs on the
+  # thread that read it, so outside its test tail server.rs has
+  # no channel, no polled listener, and starts exactly one kind
+  # of thread (the connection's).
+  awk '/#\[cfg\(test\)\]/ { exit }
+       /^[[:space:]]*\/\// { next }
+       /sync_channel|mpsc::|set_nonblocking/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+       /thread::spawn/ { spawns++ }
+       END { if (spawns != 1) { print FILENAME ": " spawns+0 " thread::spawn, expected 1"; bad = 1 }
+             exit bad }' crates/core/src/server.rs || bad=1
+  return $bad
+}
+
+# A measurement lives in benchmark/ or reproduces a paper artefact in
+# crates/bench; nothing else times code. The patterns are bracketed so
+# that a guard never finds itself.
+one_measurement_system() {
+  bad=0
+  if git grep -n 'crit[e]rion' -- 'Cargo.toml' '*/Cargo.toml'; then bad=1; fi
+  if git grep -nE 'bench[r]ec|bench[-]report' -- src crates .github; then bad=1; fi
+  return $bad
+}
+
+# index.json and objects/*.json are written and read by the derives of
+# StoreIndex, StoredObject, IndexEntry and Sidecar, fields in written
+# order (DESIGN.md, "Signature repository"). A `*_to_value(` /
+# `*_from_value(` function or a `json!` outside the #[cfg(test)] tail
+# of a store file is a second spelling of the format that must then
+# agree with the first.
+a_store_file_is_a_struct() {
+  bad=0
+  for f in crates/store/src/*.rs; do
+    awk '/#\[cfg\(test\)\]/ { exit }
+         /^[[:space:]]*\/\// { next }
+         /_to_value\(|_from_value\(|json!/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+         END { exit bad }' "$f" || bad=1
+  done
+  return $bad
+}
+
+# One build world: every external crate of [workspace.dependencies] is
+# a path into benchmark/standins (no version, no registry), so tests,
+# CI and the benchmark build the same packages offline with no flag;
+# and no manifest outside benchmark/ declares one of the three crates
+# that went (DESIGN.md, "Dependency justification").
+every_dependency_is_in_the_tree() {
+  bad=0
+  awk '/^\[/ { deps = ($0 == "[workspace.dependencies]"); next }
+       deps && /^[A-Za-z0-9_-]+ *=/ {
+         ours = ($1 ~ /^pas2p(-|$)/) && /path = "crates\//
+         standin = /path = "benchmark\/standins\/[a-z_]+"/
+         if (!(ours || standin) || /version *=/) { print FILENAME ":" FNR ": " $0; bad = 1 }
+       }
+       END { exit bad }' Cargo.toml || bad=1
+  if git grep -nE '^(crossbeam[a-z-]*|proptest|bytes) *[=.]' -- '*.toml' ':!benchmark'; then bad=1; fi
+  return $bad
+}
+
+# A dependency names its need: every [dependencies] / [dev-dependencies]
+# entry of every manifest occurs as an identifier in that package's
+# src, tests, benches or examples.
+every_declared_dependency_is_used() {
+  bad=0
+  for manifest in $(git ls-files 'Cargo.toml' 'crates/*/Cargo.toml'); do
+    dir=$(dirname "$manifest")
+    dirs=()
+    for d in src tests benches examples; do
+      if [ -d "$dir/$d" ]; then dirs+=("$dir/$d"); fi
+    done
+    for name in $(awk '/^\[/ { deps = ($0 == "[dependencies]" || $0 == "[dev-dependencies]"); next }
+                       deps && /^[A-Za-z0-9_-]+ *=/ { print $1 }' "$manifest"); do
+      if ! grep -rqE "(^|[^A-Za-z0-9_])${name//-/_}([^A-Za-z0-9_]|\$)" --include='*.rs' "${dirs[@]}"; then
+        echo "$manifest: $name is declared and never named"
+        bad=1
+      fi
+    done
+  done
+  return $bad
+}
+
+guard "no wall-clock waits in the simulator" no_wall_clock_waits_in_the_simulator
+guard "one worker pool (threads, lanes and worker-exit flushes live in the farm)" one_worker_pool
+guard "one measurement system (no second harness, no Criterion)" one_measurement_system
+guard "a store file is a struct (no hand-spelled codec beside the derives)" a_store_file_is_a_struct
+guard "every dependency is in the tree (five stand-ins by path, three crates gone)" every_dependency_is_in_the_tree
+guard "every declared dependency is used" every_declared_dependency_is_used
+exit $failed
