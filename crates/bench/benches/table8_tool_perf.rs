@@ -27,32 +27,12 @@ fn main() {
 
     println!("\n{}", ToolPerfRow::header());
     let mut rows = Vec::new();
-    let mut ratios = Vec::new();
     for app in &apps {
         let (analysis, stats, _) = tool_experiment(&pas2p, app.as_ref(), &machine);
         let row = pas2p::experiment::tool_perf_row(&analysis, &stats);
         println!("{}", row);
-        // ScalaTrace-style compression (§2 related work) on the same
-        // trace: repetitive applications compress strongly.
-        let (trace, _) = run_traced(
-            app.as_ref(),
-            &machine,
-            MappingPolicy::Block,
-            pas2p.instrumentation,
-        );
-        let packed = pas2p_trace::compress(&trace).len() as u64;
-        ratios.push((row.app.clone(), row.tf_bytes as f64 / packed as f64));
         rows.push(row);
     }
-    println!("\ncompressed tracefile ratios (dictionary+delta, ScalaTrace-style):");
-    for (app, ratio) in &ratios {
-        println!("  {:<10} {:>6.1}x", app, ratio);
-    }
-    assert!(
-        ratios.iter().all(|(_, r)| *r > 3.0),
-        "iterative traces must compress well: {:?}",
-        ratios
-    );
 
     // Shape checks against the paper's profile: LU produces by far the
     // largest trace, FT by far the smallest.

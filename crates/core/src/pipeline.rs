@@ -182,8 +182,6 @@ impl Pas2p {
         buf: &[u8],
         engine: Option<&CheckEngine>,
     ) -> Result<Analysis, AnalysisError> {
-        let _span = pas2p_obs::span("pas2p.pipeline", "analyze_bytes");
-
         crate::cancel::checkpoint();
         let mut st = pas2p_obs::stage("ingest");
         let (trace, mut report) = ingest::decode_recovering(buf);
@@ -250,8 +248,6 @@ impl Pas2p {
         policy: MappingPolicy,
         engine: Option<&CheckEngine>,
     ) -> (Analysis, pas2p_trace::Trace, pas2p_model::LogicalTrace) {
-        let _span = pas2p_obs::span("pas2p.pipeline", "analyze");
-
         // Stage boundaries are cancellation checkpoints: a job or
         // request past its deadline unwinds here at the latest (the
         // stages with long loops also ask inside).
@@ -409,7 +405,6 @@ impl Pas2p {
         base: &MachineModel,
         policy: MappingPolicy,
     ) -> (Signature, ConstructionStats) {
-        let _span = pas2p_obs::span("pas2p.pipeline", "construct");
         enter(Stage::ConstructSignature);
         let mut st = pas2p_obs::stage("construct");
         let (mut signature, stats) =
@@ -431,7 +426,6 @@ impl Pas2p {
         target: &MachineModel,
         policy: MappingPolicy,
     ) -> Result<Prediction, ExecError> {
-        let _span = pas2p_obs::span("pas2p.pipeline", "execute");
         enter(Stage::ExecuteSignature);
         let mut st = pas2p_obs::stage("execute");
         let mut prediction = execute_signature(app, signature, target, policy)?;
@@ -452,7 +446,6 @@ impl Pas2p {
         target: &MachineModel,
         policy: MappingPolicy,
     ) -> Result<ValidationReport, ExecError> {
-        let _span = pas2p_obs::span("pas2p.pipeline", "validate");
         let prediction = self.predict(app, signature, target, policy.clone())?;
         // The whole-application AET run is profiled under its own name;
         // the `predict` stage covers only the actual prediction.

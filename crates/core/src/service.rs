@@ -28,10 +28,13 @@
 //! Responses carry `ok`, the echoed `op`, and either `result` or
 //! `error` plus a machine-readable `code` (`invalid`, `busy`,
 //! `timeout`, `panic`, `error`) — every failure is classified, never
-//! silent. The batch endpoint fans missing analyses out through the
-//! hardened [`run_batch_with`] driver (panic isolation, deadlines,
-//! retries), then serves every (app, target) prediction through the
-//! same cache path as single requests.
+//! silent. A signature enters the store one way: `ensure_signature`,
+//! which a `submit` calls once and a `batch` once per missing app, as
+//! the tasks of a [`pas2p_obs::farm`], each under the same panic
+//! boundary and deadline token as a request ([`guarded`]) and attempted
+//! once — an analysis is a function of its inputs, so a retry would
+//! fail the same way. `batch` then serves every (app, target)
+//! prediction through the same cache path as single requests.
 //!
 //! # Hardening: permit, then run here
 //!
@@ -69,9 +72,8 @@
 //! the store's
 //! `store.hit` / `store.miss` / `store.evict` counters.
 
-use crate::batch::{panic_message, run_batch_with, BatchJob, BatchOptions};
-use crate::cancel::{enter, remaining, with_cancel, CancelToken, Stage};
-use crate::pipeline::{Analysis, Pas2p};
+use crate::cancel::{enter, guarded, remaining, Stage, Stopped};
+use crate::pipeline::Pas2p;
 use parking_lot::{Condvar, Mutex};
 use pas2p_machine::{preset_by_name, MachineModel, MappingPolicy};
 use pas2p_signature::{MpiApp, Prediction};
@@ -84,7 +86,6 @@ use serde_json::{json, Value};
 use std::collections::HashSet;
 use std::io::{BufRead, Read, Write};
 use std::ops::ControlFlow;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -120,8 +121,8 @@ pub enum Request {
         /// Target machine preset.
         target: String,
     },
-    /// Analyze many apps (via the hardened batch driver) and predict
-    /// each on every target.
+    /// Analyze many apps (each as a `submit` would, in parallel) and
+    /// predict each on every target.
     Batch {
         /// Catalog application names.
         apps: Vec<String>,
@@ -136,8 +137,6 @@ pub enum Request {
         workers: Option<usize>,
         /// Per-job deadline in milliseconds.
         deadline_ms: Option<u64>,
-        /// Retries per failing job.
-        retries: Option<u32>,
     },
     /// Liveness probe: answers immediately, touching no lock.
     Ping,
@@ -169,7 +168,8 @@ impl Request {
     /// Decode one NDJSON protocol line. The wire format is spelled out
     /// explicitly — it is a public contract, and the parser doubles as
     /// its documentation: `op` selects the variant, `nprocs` defaults
-    /// to 8, `base` to `"A"`.
+    /// to 8 and is at most [`MAX_NPROCS`], `base` defaults to `"A"`.
+    /// Only the keys named here are read; any other is ignored.
     pub fn from_line(line: &str) -> Result<Request, String> {
         let v: serde_json::Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
         let op = v
@@ -205,8 +205,12 @@ impl Request {
         };
         let nprocs = match uint_field("nprocs")? {
             None => 8,
-            Some(n) if n >= 1 && n <= u64::from(u32::MAX) => n as u32,
-            Some(_) => return Err("\"nprocs\" must be a positive integer".to_string()),
+            Some(n) if n >= 1 && n <= u64::from(MAX_NPROCS) => n as u32,
+            Some(_) => {
+                return Err(format!(
+                    "\"nprocs\" must be a positive integer, at most {MAX_NPROCS}"
+                ))
+            }
         };
         let base = match v.get("base") {
             None => "A".to_string(),
@@ -236,7 +240,6 @@ impl Request {
                     targets: string_list("targets")?,
                     workers: uint_field("workers")?.map(|n| n as usize),
                     deadline_ms: uint_field("deadline_ms")?,
-                    retries: uint_field("retries")?.map(|n| n.min(u64::from(u32::MAX)) as u32),
                 })
             }
             "ping" => Ok(Request::Ping),
@@ -526,34 +529,24 @@ impl PredictionService {
         &self.shared.stats
     }
 
-    fn resolve_app(&self, name: &str, nprocs: u32) -> Result<Box<dyn MpiApp>, String> {
-        (self.shared.resolve)(name, nprocs)
-            .ok_or_else(|| format!("unknown application '{name}' (nprocs {nprocs})"))
-    }
-
     fn resolve_machine(name: &str) -> Result<MachineModel, String> {
         preset_by_name(name).ok_or_else(|| format!("unknown machine preset '{name}'"))
-    }
-
-    /// The store alias of `app`'s signature on `base` under the
-    /// configuration `fingerprint`.
-    fn alias_of(app: &dyn MpiApp, base: &MachineModel, fingerprint: &str) -> String {
-        signature_alias(
-            &app.name(),
-            &app.workload(),
-            app.nprocs(),
-            &base.name,
-            fingerprint,
-        )
     }
 
     /// Resolve a request's application and base machine and derive the
     /// store alias of their signature under this service's
     /// configuration.
     fn resolve(&self, app_name: &str, nprocs: u32, base_name: &str) -> Result<Resolved, String> {
-        let app = self.resolve_app(app_name, nprocs)?;
+        let app = (self.shared.resolve)(app_name, nprocs)
+            .ok_or_else(|| format!("unknown application '{app_name}' (nprocs {nprocs})"))?;
         let base = Self::resolve_machine(base_name)?;
-        let alias = Self::alias_of(app.as_ref(), &base, &self.shared.fingerprint);
+        let alias = signature_alias(
+            &app.name(),
+            &app.workload(),
+            app.nprocs(),
+            &base.name,
+            &self.shared.fingerprint,
+        );
         Ok(Resolved { app, base, alias })
     }
 
@@ -564,54 +557,6 @@ impl PredictionService {
             .stats
             .entries
             .store(store.len() as u64, Ordering::SeqCst);
-    }
-
-    /// The content address of `trace`'s signature on `base`.
-    fn content_key(trace: pas2p_trace::Trace, base: &MachineModel, fingerprint: &str) -> StoreKey {
-        signature_key(&pas2p_trace::format::encode(&trace), base, fingerprint)
-    }
-
-    /// Construct the signature of `analysis` and persist both under
-    /// `key`. Runs without the store lock; only the final publish takes
-    /// it.
-    fn persist(
-        &self,
-        app: &dyn MpiApp,
-        analysis: Analysis,
-        base: &MachineModel,
-        key: StoreKey,
-    ) -> Result<(StoreKey, StoredSignature), String> {
-        let Shared { pas2p, policy, .. } = &*self.shared;
-        let (signature, _stats) = pas2p.build_signature(app, &analysis, base, policy.clone());
-        // Zero the one host-volatile field inside the payload; the real
-        // value rides in the sidecar. Everything else in the payload is
-        // deterministic for the key's inputs.
-        let mut stored_analysis = analysis.analysis;
-        stored_analysis.analysis_seconds = 0.0;
-        let payload = StoredSignature {
-            app_name: analysis.app_name,
-            workload: analysis.workload,
-            nprocs: analysis.nprocs,
-            base_machine: analysis.base_machine,
-            trace_bytes: analysis.trace_bytes,
-            trace_events: analysis.trace_events,
-            aet_instrumented: analysis.aet_instrumented,
-            confidence: analysis.confidence,
-            analysis: stored_analysis,
-            table: analysis.table,
-            signature,
-        };
-        let sidecar = Sidecar {
-            tfat_seconds: analysis.tfat_seconds,
-            metrics: analysis.metrics,
-        };
-        enter(Stage::Store);
-        let mut store = self.shared.store.lock();
-        store
-            .put_signature(&key, &payload, sidecar)
-            .map_err(|e| e.to_string())?;
-        self.sync_entries(&store);
-        Ok((key, payload))
     }
 
     /// Ensure the signature of a resolved (app, base) pair exists in the
@@ -658,12 +603,47 @@ impl PredictionService {
             shared,
             alias: alias.clone(),
         };
-        let (analysis, trace, _logical) =
-            shared
-                .pas2p
-                .analyze_full(app.as_ref(), base, shared.policy.clone());
-        let key = Self::content_key(trace, base, &shared.fingerprint);
-        let (key, payload) = self.persist(app.as_ref(), analysis, base, key)?;
+        let Shared { pas2p, policy, .. } = shared;
+        let (analysis, trace, _logical) = pas2p.analyze_full(app.as_ref(), base, policy.clone());
+        // The content address: the encoded trace, the base machine and
+        // the configuration.
+        let key = signature_key(
+            &pas2p_trace::format::encode(&trace),
+            base,
+            &shared.fingerprint,
+        );
+        let (signature, _stats) =
+            pas2p.build_signature(app.as_ref(), &analysis, base, policy.clone());
+        // Zero the one host-volatile field inside the payload; the real
+        // value rides in the sidecar. Everything else in the payload is
+        // deterministic for the key's inputs.
+        let mut stored_analysis = analysis.analysis;
+        stored_analysis.analysis_seconds = 0.0;
+        let payload = StoredSignature {
+            app_name: analysis.app_name,
+            workload: analysis.workload,
+            nprocs: analysis.nprocs,
+            base_machine: analysis.base_machine,
+            trace_bytes: analysis.trace_bytes,
+            trace_events: analysis.trace_events,
+            aet_instrumented: analysis.aet_instrumented,
+            confidence: analysis.confidence,
+            analysis: stored_analysis,
+            table: analysis.table,
+            signature,
+        };
+        let sidecar = Sidecar {
+            tfat_seconds: analysis.tfat_seconds,
+            metrics: analysis.metrics,
+        };
+        // Everything above ran without the store lock; only the publish
+        // takes it.
+        enter(Stage::Store);
+        let mut store = shared.store.lock();
+        store
+            .put_signature(&key, &payload, sidecar)
+            .map_err(|e| e.to_string())?;
+        self.sync_entries(&store);
         Ok((key, payload, false))
     }
 
@@ -761,11 +741,11 @@ impl PredictionService {
         })
     }
 
-    /// `batch`: analyze every app not yet in the store through
-    /// [`run_batch_with`] (panic isolation, deadlines, retries),
-    /// persist the completed analyses, then serve the apps × targets
-    /// prediction matrix through the cache path.
-    #[allow(clippy::too_many_arguments)]
+    /// `batch`: put every app not yet in the store through
+    /// `ensure_signature` — the path of a `submit`, single-flighted with
+    /// every other request — as one farm task per app, each under its
+    /// own panic boundary and `deadline_ms` token, then serve the apps ×
+    /// targets prediction matrix through the cache path.
     pub fn batch(
         &self,
         apps: &[String],
@@ -774,57 +754,43 @@ impl PredictionService {
         targets: &[String],
         workers: Option<usize>,
         deadline_ms: Option<u64>,
-        retries: Option<u32>,
     ) -> Result<Value, String> {
-        let base = Self::resolve_machine(base_name)?;
-        let fingerprint = &self.shared.fingerprint;
-
-        let aliases: Vec<String> = apps
+        let resolved: Vec<Resolved> = apps
             .iter()
-            .map(|name| {
-                let app = self.resolve_app(name, nprocs)?;
-                Ok(Self::alias_of(app.as_ref(), &base, fingerprint))
-            })
+            .map(|name| self.resolve(name, nprocs, base_name))
             .collect::<Result<_, String>>()?;
 
         // Which apps still need Stage A? One short lock for the whole
-        // census — no compute happens under it.
-        let mut missing: Vec<String> = Vec::new();
+        // census — no compute happens under it, and a stored signature
+        // is not read just to be called cached.
+        let mut missing: Vec<(&String, Resolved)> = Vec::new();
         let mut statuses = serde_json::Map::new();
         {
             let store = self.shared.store.lock();
-            for (name, alias) in apps.iter().zip(&aliases) {
-                if store.lookup_alias(alias).is_some() {
+            for (name, resolved) in apps.iter().zip(resolved) {
+                if store.lookup_alias(&resolved.alias).is_some() {
                     statuses.insert(name.clone(), json!("cached"));
-                } else {
-                    missing.push(name.clone());
+                } else if !missing.iter().any(|(listed, _)| *listed == name) {
+                    // A name listed twice is one job, with one status.
+                    missing.push((name, resolved));
                 }
             }
         }
 
-        if !missing.is_empty() {
-            let jobs: Result<Vec<BatchJob>, String> = missing
-                .iter()
-                .map(|name| Ok(BatchJob::new(self.resolve_app(name, nprocs)?, base.clone())))
-                .collect();
-            let opts = BatchOptions {
-                workers,
-                deadline: deadline_ms.map(std::time::Duration::from_millis),
-                max_retries: retries.unwrap_or(0),
-                ..BatchOptions::default()
+        let deadline = deadline_ms.map(Duration::from_millis);
+        let workers = pas2p_obs::farm::workers(workers);
+        let jobs = pas2p_obs::farm::map(workers, "batch worker", missing, |(name, resolved)| {
+            let status = match guarded(deadline, || self.ensure_signature(&resolved)) {
+                // Another request published it since the census.
+                Ok((_, _, true)) => "cached",
+                Ok((_, _, false)) => "ok",
+                Err(Stopped::TimedOut { .. }) => "timed-out",
+                Err(Stopped::Failed(_) | Stopped::Panicked(_)) => "failed",
             };
-            let report = run_batch_with(&self.shared.pas2p, jobs?, opts);
-            for (name, result) in missing.iter().zip(report.results) {
-                statuses.insert(name.clone(), json!(result.status.to_string()));
-                // These jobs carry no fault plan, so a completed one
-                // comes back with the trace its analysis was built from:
-                // the content address costs no further run.
-                if let (Some(analysis), Some(trace)) = (result.analysis, result.trace) {
-                    let app = self.resolve_app(name, nprocs)?;
-                    let key = Self::content_key(trace, &base, fingerprint);
-                    self.persist(app.as_ref(), analysis, &base, key)?;
-                }
-            }
+            (name, status)
+        });
+        for (name, status) in jobs {
+            statuses.insert(name.clone(), json!(status));
         }
 
         let mut predictions = Vec::new();
@@ -967,10 +933,10 @@ impl PredictionService {
     }
 
     /// Answer one compute op on the calling thread: permit, stage
-    /// profile, panic boundary and — with a `deadline` — a token that
-    /// expires with it. A request that failed after a checkpoint found
-    /// the token expired answers `code:"timeout"` (one that finished
-    /// anyway keeps its result); any other panic answers `code:"panic"`.
+    /// profile, and the work under [`guarded`]. A request that failed
+    /// after a checkpoint found its deadline passed answers
+    /// `code:"timeout"` (one that finished anyway keeps its result); any
+    /// other panic answers `code:"panic"`.
     fn compute(
         &self,
         op: &'static str,
@@ -986,27 +952,21 @@ impl PredictionService {
         self.count_request();
         let mut st = pas2p_obs::stage(stage);
         st.items(items);
-        let guarded = || catch_unwind(AssertUnwindSafe(work));
-        let deadline = deadline.map(|d| (d, CancelToken::with_deadline(d)));
-        let caught = match &deadline {
-            Some((_, token)) => with_cancel(token, guarded),
-            None => guarded(),
-        };
+        let outcome = guarded(deadline, work);
         st.finish();
-        let (code, error) = match (caught, deadline) {
-            (Ok(Ok(result)), _) => return Response::success(op, result),
-            (_, Some((deadline, token))) if token.tripped() => {
+        let (code, error) = match outcome {
+            Ok(result) => return Response::success(op, result),
+            Err(Stopped::TimedOut { error, overrun }) => {
                 self.shared.stats.timeouts.fetch_add(1, Ordering::SeqCst);
                 if pas2p_obs::enabled() {
                     pas2p_obs::counter("serve.timeout").add(1);
                     pas2p_obs::histogram("serve.timeout_overrun_us")
-                        .record(token.overrun().unwrap_or_default().as_micros() as u64);
+                        .record(overrun.as_micros() as u64);
                 }
-                let secs = deadline.as_secs_f64();
-                ("timeout", format!("deadline of {secs:.3}s expired"))
+                ("timeout", error)
             }
-            (Ok(Err(error)), _) => ("error", error),
-            (Err(payload), _) => ("panic", panic_message(payload)),
+            Err(Stopped::Failed(error)) => ("error", error),
+            Err(Stopped::Panicked(error)) => ("panic", error),
         };
         Response::failure(op, code, error)
     }
@@ -1061,17 +1021,8 @@ impl PredictionService {
                 targets,
                 workers,
                 deadline_ms,
-                retries,
             } => self.compute(op, "serve.batch", apps.len() as u64, None, || {
-                self.batch(
-                    &apps,
-                    nprocs,
-                    &base,
-                    &targets,
-                    workers,
-                    deadline_ms,
-                    retries,
-                )
+                self.batch(&apps, nprocs, &base, &targets, workers, deadline_ms)
             }),
             Request::Stats => self.compute(op, "serve.stats", 1, None, || Ok(self.stats())),
             Request::Ping => Response::success(op, json!({"pong": true})),
@@ -1134,6 +1085,12 @@ impl PredictionService {
 /// the process's memory until it dies.
 pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
 
+/// Largest `nprocs` a request line may carry: four times the paper's
+/// largest run (Table 6, 256 processes). A simulated rank is an OS
+/// thread and thread start-up has no cancellation checkpoint, so an
+/// unbounded count lets one line stall the server past any deadline.
+pub(crate) const MAX_NPROCS: u32 = 1024;
+
 /// `read_line` that never takes `line` more than one byte beyond
 /// [`MAX_LINE_BYTES`] — enough for the caller to see the cap was passed.
 /// Appends, so a socket's partial line survives a read-timeout tick.
@@ -1191,6 +1148,54 @@ mod tests {
         assert!(svc.submit("nosuchapp", 4, "A").is_err());
         assert!(svc.predict("cg", 4, "A", "Z").is_err());
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn nprocs_above_the_bound_is_invalid_before_anything_is_resolved() {
+        let root = temp_root("nprocs");
+        let store = SignatureStore::open(&root).expect("open store");
+        let resolve: AppResolver = Box::new(|name, nprocs| panic!("resolved {name} x {nprocs}"));
+        let svc = PredictionService::new(Pas2p::default(), store, resolve);
+        for op in ["submit", "predict", "batch"] {
+            let line = format!(
+                r#"{{"op":"{op}","app":"masterworker","apps":["cg"],"target":"B","nprocs":70000}}"#
+            );
+            let (response, stop) = svc.handle_line(&line);
+            assert!(!response.ok && !stop);
+            assert_eq!(response.code, Some("invalid"), "{op}");
+            let error = response.error.expect("the reason");
+            assert!(error.contains("at most 1024"), "{error}");
+        }
+        let (response, _) = svc.handle_line(r#"{"op":"ping"}"#);
+        assert!(response.ok, "the line behind it is answered");
+        let at =
+            |n: u64| Request::from_line(&format!(r#"{{"op":"submit","app":"cg","nprocs":{n}}}"#));
+        assert!(at(u64::from(MAX_NPROCS)).is_ok());
+        assert!(at(u64::from(MAX_NPROCS) + 1).is_err());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// `from_line` reads named keys only: a client that still sends the
+    /// retired `retries` is served, not refused.
+    #[test]
+    fn a_batch_line_that_still_carries_retries_is_answered_as_one_without() {
+        let reply = |tag: &str, line: &str| {
+            let root = temp_root(tag);
+            let (response, _) = service(&root).handle_line(line);
+            let _ = std::fs::remove_dir_all(&root);
+            assert!(response.ok, "{:?}", response.error);
+            response.render()
+        };
+        let with = reply(
+            "with-retries",
+            r#"{"op":"batch","apps":["cg"],"nprocs":2,"targets":["B"],"retries":1}"#,
+        );
+        let without = reply(
+            "without-retries",
+            r#"{"op":"batch","apps":["cg"],"nprocs":2,"targets":["B"]}"#,
+        );
+        assert_eq!(with, without);
+        assert!(with.contains(r#""jobs":{"cg":"ok"}"#), "{with}");
     }
 
     /// Two ranks that each receive from the other: a deadlock.
@@ -1373,7 +1378,9 @@ mod tests {
 
     #[test]
     fn a_simulated_run_under_an_expired_token_unwinds_with_cancelled() {
+        use crate::cancel::{with_cancel, CancelToken};
         use pas2p_mpisim::{run_app, Mpi, SimConfig};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
         struct Live<'a>(&'a AtomicU32);
         impl Drop for Live<'_> {
             fn drop(&mut self) {
@@ -1499,7 +1506,6 @@ mod tests {
                 &["B".to_string()],
                 Some(2),
                 None,
-                Some(1),
             )
             .expect("batch");
         assert_eq!(result["jobs"]["cg"], serde_json::json!("cached"));
@@ -1517,7 +1523,6 @@ mod tests {
                 4,
                 "A",
                 &["B".to_string()],
-                None,
                 None,
                 None,
             )

@@ -5,7 +5,7 @@
 //!
 //! * **host** ([`PID_HOST`]) — what the *tool* did, in wall-clock
 //!   microseconds: pipeline stages ([`pas2p_obs::stage`] spans), phase
-//!   extraction workers, batch jobs, retries, deadline handoffs. Built
+//!   extraction workers, batch jobs, expired deadlines. Built
 //!   from the live [`pas2p_obs::events`] stream.
 //! * **app** ([`PID_APP`]) — what the *simulated application* did, in
 //!   virtual microseconds: per-rank compute/send/recv/collective

@@ -311,102 +311,6 @@ pub fn fault_matrix(seed: u64) -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
-/// Parse a fault-plan spec: a line-oriented text format so plans can be
-/// shipped to the CLI without a JSON dependency.
-///
-/// ```text
-/// # one plan per `plan` line; faults attach to the latest plan
-/// plan seed=42
-/// truncate keep=850
-/// corrupt flips=128
-/// plan seed=43
-/// drop rank=1
-/// duplicate rank=0 copies=3
-/// skew rank=2 seconds=0.5
-/// ```
-pub fn parse_spec(text: &str) -> Result<Vec<FaultPlan>, String> {
-    fn field<T: std::str::FromStr>(
-        parts: &[&str],
-        key: &str,
-        line_no: usize,
-    ) -> Result<T, String> {
-        for p in parts {
-            if let Some(v) = p.strip_prefix(key).and_then(|r| r.strip_prefix('=')) {
-                return v
-                    .parse::<T>()
-                    .map_err(|_| format!("line {}: bad value for '{}'", line_no, key));
-            }
-        }
-        Err(format!("line {}: missing '{}='", line_no, key))
-    }
-
-    let mut plans: Vec<FaultPlan> = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        let (word, rest) = (parts[0], &parts[1..]);
-        if word == "plan" {
-            plans.push(FaultPlan::new(field::<u64>(rest, "seed", line_no)?));
-            continue;
-        }
-        let plan = plans
-            .last_mut()
-            .ok_or_else(|| format!("line {}: fault before any 'plan seed=N' line", line_no))?;
-        let fault = match word {
-            "truncate" => FaultKind::Truncate {
-                keep_per_mille: field(rest, "keep", line_no)?,
-            },
-            "corrupt" => FaultKind::CorruptBits {
-                flips: field(rest, "flips", line_no)?,
-            },
-            "drop" => FaultKind::DropRank {
-                rank: field(rest, "rank", line_no)?,
-            },
-            "duplicate" => FaultKind::DuplicateEvents {
-                rank: field(rest, "rank", line_no)?,
-                copies: field(rest, "copies", line_no)?,
-            },
-            "skew" => FaultKind::SkewClock {
-                rank: field(rest, "rank", line_no)?,
-                seconds: field(rest, "seconds", line_no)?,
-            },
-            other => return Err(format!("line {}: unknown fault '{}'", line_no, other)),
-        };
-        plan.faults.push(fault);
-    }
-    Ok(plans)
-}
-
-/// Render plans back into the [`parse_spec`] format.
-pub fn render_spec(plans: &[FaultPlan]) -> String {
-    let mut out = String::new();
-    for p in plans {
-        out.push_str(&format!("plan seed={}\n", p.seed));
-        for f in &p.faults {
-            let line = match *f {
-                FaultKind::Truncate { keep_per_mille } => {
-                    format!("truncate keep={}", keep_per_mille)
-                }
-                FaultKind::CorruptBits { flips } => format!("corrupt flips={}", flips),
-                FaultKind::DropRank { rank } => format!("drop rank={}", rank),
-                FaultKind::DuplicateEvents { rank, copies } => {
-                    format!("duplicate rank={} copies={}", rank, copies)
-                }
-                FaultKind::SkewClock { rank, seconds } => {
-                    format!("skew rank={} seconds={}", rank, seconds)
-                }
-            };
-            out.push_str(&line);
-            out.push('\n');
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,32 +452,5 @@ mod tests {
         let mut seeds: Vec<u64> = m.iter().map(|(_, p)| p.seed).collect();
         seeds.dedup();
         assert_eq!(seeds.len(), 4);
-    }
-
-    #[test]
-    fn spec_roundtrips() {
-        let plans = vec![
-            FaultPlan::new(42)
-                .with(FaultKind::Truncate { keep_per_mille: 850 })
-                .with(FaultKind::CorruptBits { flips: 128 }),
-            FaultPlan::new(43)
-                .with(FaultKind::DropRank { rank: 1 })
-                .with(FaultKind::DuplicateEvents { rank: 0, copies: 3 })
-                .with(FaultKind::SkewClock { rank: 2, seconds: 0.5 }),
-        ];
-        let text = render_spec(&plans);
-        assert_eq!(parse_spec(&text).unwrap(), plans);
-    }
-
-    #[test]
-    fn spec_errors_name_the_line() {
-        assert!(parse_spec("truncate keep=5").unwrap_err().contains("line 1"));
-        assert!(parse_spec("plan seed=1\nwobble x=1")
-            .unwrap_err()
-            .contains("unknown fault 'wobble'"));
-        assert!(parse_spec("plan seed=1\ntruncate")
-            .unwrap_err()
-            .contains("missing 'keep='"));
-        assert!(parse_spec("# only comments\n\n").unwrap().is_empty());
     }
 }

@@ -58,7 +58,7 @@ pub enum EventPhase {
 /// One timestamped tracing event.
 #[derive(Debug, Clone)]
 pub struct Event {
-    /// Span or marker name (e.g. `"extract_phases"`, `"retry"`).
+    /// Span or marker name (e.g. `"extract_phases"`, `"deadline expired"`).
     pub name: String,
     /// Dot-separated category; everything recorded live is under
     /// `host.*` (wall-clock domain), e.g. `host.stage`, `host.worker`.

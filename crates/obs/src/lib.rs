@@ -6,7 +6,7 @@
 //! for that self-observation — every pipeline layer feeds one shared,
 //! process-wide instrumentation path instead of ad-hoc `Instant` math:
 //!
-//! * **[`logger`]** — a leveled, structured logger with scoped [`Span`]s.
+//! * **[`logger`]** — a leveled, structured logger.
 //!   Human-readable lines go to stderr; JSON lines optionally to a file.
 //!   Configured via the `PAS2P_LOG` / `PAS2P_LOG_FILE` environment
 //!   variables or programmatically (`pas2p-cli --log-level/--log-file`).
@@ -79,7 +79,7 @@ pub use events::{
     flow_end, flow_start, instant, set_tracing, trace_span, tracing_enabled, EventSpan,
 };
 pub use export::{json_string, ChromeEvent, ChromeTrace, CAT_HOST_WORKER, PID_APP, PID_HOST};
-pub use logger::{log, logger, span, Level, Logger, Span};
+pub use logger::{log, logger, Level, Logger};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary};
 pub use registry::{
     counter, enabled, gauge, global, histogram, set_enabled, stage, MetricsSnapshot, Registry,

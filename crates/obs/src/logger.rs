@@ -1,4 +1,4 @@
-//! Leveled structured logger with scoped spans.
+//! Leveled structured logger.
 //!
 //! One global [`Logger`] per process. Human-readable lines go to stderr
 //! (`[LEVEL target] msg key=value ...`); when a file sink is attached
@@ -16,7 +16,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Log verbosity, ordered: a record is emitted when its level is at or
 /// below the logger's configured level.
@@ -169,56 +169,6 @@ pub fn logger() -> &'static Logger {
 /// Convenience: emit a record through the global logger.
 pub fn log(level: Level, target: &str, msg: &str, fields: &[(&str, String)]) {
     logger().log(level, target, msg, fields);
-}
-
-/// Scoped span: logs `enter <name>` at Debug on creation and
-/// `exit <name> elapsed_us=...` on drop. Inert (no timestamps taken,
-/// nothing logged) when Debug is not enabled at creation time.
-pub struct Span {
-    target: &'static str,
-    name: &'static str,
-    start: Option<Instant>,
-}
-
-impl Span {
-    pub fn new(target: &'static str, name: &'static str) -> Span {
-        let active = logger().enabled(Level::Debug);
-        if active {
-            logger().log(
-                Level::Debug,
-                target,
-                "enter",
-                &[("span", name.to_string())],
-            );
-        }
-        Span {
-            target,
-            name,
-            start: if active { Some(Instant::now()) } else { None },
-        }
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let us = start.elapsed().as_micros() as u64;
-            logger().log(
-                Level::Debug,
-                self.target,
-                "exit",
-                &[
-                    ("span", self.name.to_string()),
-                    ("elapsed_us", us.to_string()),
-                ],
-            );
-        }
-    }
-}
-
-/// Open a scoped span on the global logger.
-pub fn span(target: &'static str, name: &'static str) -> Span {
-    Span::new(target, name)
 }
 
 #[cfg(test)]

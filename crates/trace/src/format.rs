@@ -53,16 +53,6 @@ pub fn encoded_size(trace: &Trace) -> u64 {
     header + per_proc
 }
 
-/// Public alias of the kind→tag mapping for sibling modules.
-pub(crate) fn kind_tags_pub(kind: EventKind) -> (u8, u8) {
-    kind_tags(kind)
-}
-
-/// Public alias of the tag→kind mapping for sibling modules.
-pub(crate) fn kind_from_tags_pub(k: u8, c: u8) -> Result<EventKind, TraceDecodeError> {
-    kind_from_tags(k, c)
-}
-
 fn kind_tags(kind: EventKind) -> (u8, u8) {
     match kind {
         EventKind::Send => (0, 0),

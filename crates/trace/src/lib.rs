@@ -24,7 +24,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod compress;
 pub mod event;
 pub mod format;
 pub mod ingest;
@@ -33,7 +32,6 @@ pub mod recorder;
 
 pub use event::{CollClass, EventKind, ProcessTrace, Trace, TraceEvent};
 pub use format::{TraceDecodeError, EVENT_RECORD_BYTES};
-pub use compress::{compress, decompress};
 pub use ingest::{
     decode_recovering, repair_collectives, Confidence, IngestReport, RankHealth, RankIngest,
 };

@@ -44,7 +44,7 @@ const USAGE: &str = "usage:
                        [--baseline FILE] [--write-baseline FILE])
   pas2p-cli metrics   --analysis FILE [--format text|prom]
   pas2p-cli batch     --apps NAME[,NAME...] --nprocs N --base M [--workers K] [--out FILE]
-                      [--fault-seed N | --faults FILE] [--deadline-ms N] [--retries N] [--strict]
+                      [--fault-seed N] [--deadline-ms N] [--strict]
   pas2p-cli timeline  --app NAME --nprocs N --base M [--out FILE] [--normalize]
   pas2p-cli timeline  --trace FILE [--out FILE] [--normalize]
   pas2p-cli timeline  --validate FILE
@@ -55,13 +55,10 @@ batch: one Stage-A analysis per listed application over a worker pool
   --fault-seed N   run each app under the seeded fault matrix (truncation,
                    corruption, dropped rank, duplicated events) through the
                    recovering ingest path
-  --faults FILE    fault plans from a spec file (see pas2p-faults), one
-                   batch job per app x plan
   --deadline-ms N  time out a job still running after N milliseconds: it
                    stops on its worker at its next checkpoint (stage
                    boundary, simulated communication event, extraction
                    window); no runner thread
-  --retries N      retry a failed job up to N times (exponential backoff)
   --strict         exit 1 if any job failed or timed out (default exit 0)
 timeline: export a Chrome Trace / Perfetto JSON timeline (open at
   ui.perfetto.dev). With --app, runs Stage A under event tracing and emits
@@ -77,8 +74,8 @@ predict --store DIR: serve the prediction through the signature
   (--base defaults to A)
 serve: long-running prediction service over newline-delimited JSON on
   stdin/stdout (one request per line, one response line each) or, with
-  --socket PATH, a unix socket; ops: submit, predict, batch, stats,
-  shutdown — e.g. {\"op\":\"predict\",\"app\":\"cg\",\"target\":\"B\"}
+  --socket PATH, a unix socket; ops: submit, predict, batch, stats, ping,
+  health, shutdown — e.g. {\"op\":\"predict\",\"app\":\"cg\",\"target\":\"B\"}
   --store DIR      the signature repository backing the service
   --socket PATH    listen on a unix socket instead of stdin
   --evict-stale    drop entries whose config fingerprint no longer
@@ -530,34 +527,11 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
             let names = flags.get("apps").ok_or("missing --apps")?;
             let nprocs = nprocs(&flags)?;
             let base = machine(&flags, "base")?;
-            // Fault injection: --fault-seed runs the built-in matrix,
-            // --faults loads plans from a spec file. Mutually exclusive.
-            let plans: Vec<(String, FaultPlan)> =
-                match (parsed(&flags, "fault-seed")?, flags.get("faults")) {
-                    (Some(_), Some(_)) => {
-                        return Err("--fault-seed and --faults are mutually exclusive".into());
-                    }
-                    (Some(seed), None) => fault_matrix(seed)
-                        .into_iter()
-                        .map(|(label, plan)| (label.to_string(), plan))
-                        .collect(),
-                    (None, Some(path)) => {
-                        let text = std::fs::read_to_string(path).map_err(reading(path))?;
-                        pas2p_faults::parse_spec(&text)
-                            .map_err(|e| input(format!("parsing {}: {}", path, e)))?
-                            .into_iter()
-                            .enumerate()
-                            .map(|(i, plan)| (format!("plan{i}"), plan))
-                            .collect()
-                    }
-                    (None, None) => Vec::new(),
-                };
-            let defaults = pas2p::BatchOptions::default();
+            // Fault injection: --fault-seed runs the built-in matrix.
+            let plans = parsed(&flags, "fault-seed")?.map_or_else(Vec::new, fault_matrix);
             let opts = pas2p::BatchOptions {
                 workers: workers(&flags)?,
                 deadline: parsed(&flags, "deadline-ms")?.map(Duration::from_millis),
-                max_retries: parsed(&flags, "retries")?.unwrap_or(defaults.max_retries),
-                ..defaults
             };
             let apps: Vec<(&str, Box<dyn MpiApp>)> = names
                 .split(',')

@@ -106,8 +106,8 @@ fn malformed_flags_name_the_culprit() {
     for (args, message) in [
         ("serve --store s --wokers 8", "unknown flag '--wokers'"),
         (
-            "batch --apps cg --nprocs 4 --base A --retries few",
-            "bad --retries 'few'",
+            "batch --apps cg --nprocs 4 --base A --deadline-ms soon",
+            "bad --deadline-ms 'soon'",
         ),
         (
             "batch --apps cg --nprocs 4 --base A --workers 0",
@@ -123,6 +123,15 @@ fn malformed_flags_name_the_culprit() {
         (
             "analyze --app cg --nprocs 4 --base A --kernel scalar",
             "unknown flag '--kernel'",
+        ),
+        // A job is attempted once, and fault plans come from a seed.
+        (
+            "batch --apps cg --nprocs 4 --base A --retries 1",
+            "unknown flag '--retries'",
+        ),
+        (
+            "batch --apps cg --nprocs 4 --base A --faults plans.txt",
+            "unknown flag '--faults'",
         ),
     ] {
         let out = cli().args(args.split(' ')).output().unwrap();

@@ -175,26 +175,6 @@ fn trace_codec_roundtrips(n: u32, rounds: &[Round]) {
     assert_eq!(decoded, trace);
 }
 
-/// The compressed codec round-trips arbitrary real traces up to
-/// nanosecond time quantization.
-fn compressed_codec_roundtrips(n: u32, rounds: &[Round]) {
-    let trace = run_rounds(n, rounds);
-    let packed = pas2p_trace::compress(&trace);
-    let back = pas2p_trace::decompress(&packed).unwrap();
-    assert_eq!(back.nprocs, trace.nprocs);
-    assert_eq!(back.total_events(), trace.total_events());
-    for (a, b) in trace.procs.iter().zip(&back.procs) {
-        for (x, y) in a.events.iter().zip(&b.events) {
-            assert_eq!(x.kind, y.kind);
-            assert_eq!(x.peer, y.peer);
-            assert_eq!(x.size, y.size);
-            assert_eq!(x.msg_id, y.msg_id);
-            assert!((x.t_post - y.t_post).abs() < 1e-8);
-            assert!((x.t_complete - y.t_complete).abs() < 1e-8);
-        }
-    }
-}
-
 #[test]
 fn ordering_invariants_hold_for_random_programs() {
     cases(REPLAY, CASES, |g| {
@@ -223,14 +203,6 @@ fn trace_codec_roundtrips_random_traces() {
     });
 }
 
-#[test]
-fn compressed_codec_roundtrips_random_traces() {
-    cases(REPLAY, CASES, |g| {
-        let n = g.pick(&[2, 4]);
-        compressed_codec_roundtrips(n, &g.vec(1..8, |g| round(g, 4)));
-    });
-}
-
 /// Rounds are drawn for the largest world and run in a smaller one: the
 /// two shrunk programs that once escaped theirs, under every property
 /// that runs a program.
@@ -238,7 +210,6 @@ fn program_properties_hold(n: u32, rounds: &[Round]) {
     ordering_invariants_hold(n, rounds);
     phase_occurrences_tile(n, rounds);
     trace_codec_roundtrips(n, rounds);
-    compressed_codec_roundtrips(n, rounds);
 }
 
 #[test]
@@ -269,15 +240,6 @@ fn similarity_is_reflexive_and_symmetric() {
             cfg.cells_similar(Some(&b), Some(&a)),
             "symmetric"
         );
-    });
-}
-
-/// The compressed decoder never panics on garbage either.
-#[test]
-fn compressed_decoder_rejects_garbage() {
-    cases(REPLAY, CASES, |g| {
-        let bytes = g.vec(0..256, |g| g.range(0..256) as u8);
-        let _ = pas2p_trace::decompress(&bytes);
     });
 }
 

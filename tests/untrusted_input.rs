@@ -146,7 +146,6 @@ const LINES: [&[(&str, &str)]; 7] = [
         ("targets", r#"["B"]"#),
         ("workers", "2"),
         ("deadline_ms", "1000"),
-        ("retries", "1"),
     ],
     &[("op", r#""ping""#)],
     &[("op", r#""health""#)],
@@ -162,11 +161,15 @@ fn object(fields: &[(&str, &str)]) -> String {
     format!("{{{}}}", fields.join(","))
 }
 
+/// The mutation class none of whose cases may be accepted: a rank is an
+/// OS thread, so one such line would start that many.
+const ABOVE_THE_BOUND: &str = "nprocs above the bound";
+
 /// One request line and the mutation class it came from.
 fn request_line(g: &mut Gen) -> (&'static str, String) {
     let mut fields = g.pick(&LINES).to_vec();
     let at = g.range(0..fields.len() as u64) as usize;
-    match g.range(0..8) {
+    match g.range(0..9) {
         0 => {
             let bytes = g.vec(0..64, |g| g.range(0..256) as u8);
             ("random bytes", String::from_utf8_lossy(&bytes).into_owned())
@@ -194,6 +197,19 @@ fn request_line(g: &mut Gen) -> (&'static str, String) {
             let keep = g.range(0..line.len() as u64) as usize;
             ("truncated", line[..keep].to_string())
         }
+        7 => {
+            // Just past the service's bound of 1 024 up to past `u32::MAX`,
+            // on one of the three lines that carry a count.
+            let bits = g.range(0..53);
+            let nprocs = (1025 + g.range(0..1 << bits)).to_string();
+            let mut fields: Vec<(&str, &str)> = LINES[g.range(0..3) as usize].to_vec();
+            for field in &mut fields {
+                if field.0 == "nprocs" {
+                    field.1 = &nprocs;
+                }
+            }
+            (ABOVE_THE_BOUND, object(&fields))
+        }
         _ => {
             let depth = g.range(1..300) as usize;
             ("deep nesting", format!(r#"{{"op":{}"#, "[".repeat(depth)))
@@ -211,6 +227,7 @@ fn a_request_line_is_parsed_or_answered_invalid() {
             Ok(request) => {
                 let sent: serde_json::Value = serde_json::from_str(&line).expect("accepted JSON");
                 assert_eq!(sent["op"].as_str(), Some(request.op()), "{class}: {line}");
+                assert_ne!(class, ABOVE_THE_BOUND, "accepted: {line}");
                 tally.count(class, true);
             }
             Err(_) => {
@@ -228,6 +245,8 @@ fn a_request_line_is_parsed_or_answered_invalid() {
         }
     });
     tally.report("request", "unknown field added", "truncated");
+    let above = tally.0.borrow()[ABOVE_THE_BOUND];
+    assert!(above.0 == 0 && above.1 > 0, "above the bound: {above:?}");
 }
 
 /// The store after one `submit` and one `predict`: its three files, the

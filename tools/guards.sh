@@ -137,10 +137,32 @@ every_declared_dependency_is_used() {
   return $bad
 }
 
+# A signature enters the store one way: `ensure_signature`, which a
+# submit runs once and a batch once per missing app. A second
+# `put_signature(` call in crates/core/src, or service.rs going through
+# the batch driver again, is a second path that the single-flight set
+# does not see.
+one_way_into_the_store() {
+  bad=0
+  puts=$(for f in $(find crates/core/src -name '*.rs'); do
+           awk '/#\[cfg\(test\)\]/ { exit }
+                /^[[:space:]]*\/\// { next }
+                /put_signature\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
+         done)
+  if [ "$(printf '%s' "$puts" | grep -c .)" -ne 1 ]; then
+    echo "put_signature( call sites in crates/core/src, expected 1:"; echo "$puts"; bad=1
+  fi
+  awk '/#\[cfg\(test\)\]/ { exit }
+       /run_batch_with|BatchJob/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+       END { exit bad }' crates/core/src/service.rs || bad=1
+  return $bad
+}
+
 guard "no wall-clock waits in the simulator" no_wall_clock_waits_in_the_simulator
 guard "one worker pool (threads, lanes and worker-exit flushes live in the farm)" one_worker_pool
 guard "one measurement system (no second harness, no Criterion)" one_measurement_system
 guard "a store file is a struct (no hand-spelled codec beside the derives)" a_store_file_is_a_struct
+guard "one way into the store (one put_signature call; service.rs does not name the batch driver)" one_way_into_the_store
 guard "every dependency is in the tree (five stand-ins by path, three crates gone)" every_dependency_is_in_the_tree
 guard "every declared dependency is used" every_declared_dependency_is_used
 exit $failed
