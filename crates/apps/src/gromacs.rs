@@ -28,7 +28,12 @@ impl GromacsApp {
     /// A scaled configuration comparable to the paper's GROMACS runs
     /// (Appendix D).
     pub fn benchmark(nprocs: u32) -> GromacsApp {
-        GromacsApp { nprocs, steps: 80, pme_every: 4, dlb_every: 20 }
+        GromacsApp {
+            nprocs,
+            steps: 80,
+            pme_every: 4,
+            dlb_every: 20,
+        }
     }
 }
 
@@ -116,7 +121,9 @@ impl GromacsRank {
         let rg = Group::grid_row(self.rank, self.rows, self.cols);
         let cg = Group::grid_col(self.rank, self.rows, self.cols);
         let blocks = |g: &Group| -> Vec<Payload> {
-            (0..g.len()).map(|_| Payload::sized(self.pme_block)).collect()
+            (0..g.len())
+                .map(|_| Payload::sized(self.pme_block))
+                .collect()
         };
         ctx.alltoall_in(&rg, blocks(&rg));
         ctx.compute(Work::flops(self.pme_flops));
@@ -180,7 +187,12 @@ mod tests {
     fn gromacs_mixes_phase_families() {
         let mut m = cluster_a();
         m.jitter = JitterModel::none();
-        let app = GromacsApp { nprocs: 8, steps: 8, pme_every: 2, dlb_every: 4 };
+        let app = GromacsApp {
+            nprocs: 8,
+            steps: 8,
+            pme_every: 2,
+            dlb_every: 4,
+        };
         let r = run_plain(&app, &m, MappingPolicy::Block);
         assert!(!r.aborted);
         // Collectives: prologue (bcast+barrier)=2; per step allreduce=8;

@@ -52,9 +52,7 @@ pub fn by_name(name: &str, nprocs: u32) -> Option<Box<dyn MpiApp>> {
         "pop" => Box::new(PopApp::synthetic(nprocs)),
         "moldy" => Box::new(MoldyApp::tip4p(nprocs)),
         "gromacs" => Box::new(GromacsApp::benchmark(nprocs)),
-        "masterworker" | "master_worker" | "mw" => {
-            Box::new(MasterWorkerApp::one_shot(nprocs))
-        }
+        "masterworker" | "master_worker" | "mw" => Box::new(MasterWorkerApp::one_shot(nprocs)),
         _ => return None,
     })
 }
@@ -95,8 +93,18 @@ mod tests {
     #[test]
     fn by_name_resolves_all_applications() {
         for n in [
-            "CG", "bt", "SP", "lu", "FT", "Sweep3D", "SMG2000", "smg2k", "POP", "moldy",
-            "GROMACS", "masterworker",
+            "CG",
+            "bt",
+            "SP",
+            "lu",
+            "FT",
+            "Sweep3D",
+            "SMG2000",
+            "smg2k",
+            "POP",
+            "moldy",
+            "GROMACS",
+            "masterworker",
         ] {
             let app = by_name(n, 16).unwrap_or_else(|| panic!("{} missing", n));
             assert_eq!(app.nprocs(), 16);

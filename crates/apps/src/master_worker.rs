@@ -29,7 +29,11 @@ pub struct MasterWorkerApp {
 impl MasterWorkerApp {
     /// The paper's one-shot scenario.
     pub fn one_shot(nprocs: u32) -> MasterWorkerApp {
-        MasterWorkerApp { nprocs, rounds: 1, task_flops: 5e9 }
+        MasterWorkerApp {
+            nprocs,
+            rounds: 1,
+            task_flops: 5e9,
+        }
     }
 }
 
@@ -86,8 +90,9 @@ impl RankProgram for MwRank {
         } else {
             ctx.recv(Some(0), Some(1));
             // Unbalanced tasks: worker w computes w units.
-            ctx.compute(Work::flops(self.task_flops * self.rank as f64
-                / self.nprocs as f64));
+            ctx.compute(Work::flops(
+                self.task_flops * self.rank as f64 / self.nprocs as f64,
+            ));
             self.result = self.result * 0.5 + self.rank as f64;
             ctx.send_sized(0, 2, 1024);
         }

@@ -95,7 +95,11 @@ struct MoldyRank {
 impl MoldyRank {
     fn coords(&self) -> (u32, u32, u32) {
         let xy = self.px * self.py;
-        (self.rank % self.px, (self.rank / self.px) % self.py, self.rank / xy)
+        (
+            self.rank % self.px,
+            (self.rank / self.px) % self.py,
+            self.rank / xy,
+        )
     }
 
     /// Periodic 3-D neighbour in direction `(dx, dy, dz)`.
@@ -218,7 +222,12 @@ mod tests {
     fn moldy_runs_with_rebuild_phases() {
         let mut m = cluster_a();
         m.jitter = JitterModel::none();
-        let app = MoldyApp { nprocs: 8, steps: 12, rebuild_every: 4, atoms_per_proc: 64 };
+        let app = MoldyApp {
+            nprocs: 8,
+            steps: 12,
+            rebuild_every: 4,
+            atoms_per_proc: 64,
+        };
         let r = run_plain(&app, &m, MappingPolicy::Block);
         assert!(!r.aborted);
         // 8 ranks × (prologue allgather+barrier + 12 allreduce + 3 rebuild
@@ -235,7 +244,12 @@ mod tests {
         // Drive via the simulator for the full path:
         let mut m = cluster_a();
         m.jitter = JitterModel::none();
-        let small = MoldyApp { nprocs: 2, steps: 3, rebuild_every: 2, atoms_per_proc: 32 };
+        let small = MoldyApp {
+            nprocs: 2,
+            steps: 3,
+            rebuild_every: 2,
+            atoms_per_proc: 32,
+        };
         let r = run_plain(&small, &m, MappingPolicy::Block);
         assert!(!r.aborted);
         p.restore(&s0);
@@ -247,7 +261,12 @@ mod tests {
         let mut m = cluster_a();
         m.jitter = JitterModel::none();
         // 2 processes → grid (1,1,2): x and y axes degenerate.
-        let app = MoldyApp { nprocs: 2, steps: 2, rebuild_every: 2, atoms_per_proc: 32 };
+        let app = MoldyApp {
+            nprocs: 2,
+            steps: 2,
+            rebuild_every: 2,
+            atoms_per_proc: 32,
+        };
         let r = run_plain(&app, &m, MappingPolicy::Block);
         assert!(!r.aborted);
     }

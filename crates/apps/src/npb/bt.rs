@@ -26,12 +26,20 @@ pub struct BtApp {
 impl BtApp {
     /// Table 4 configuration: Class C, 64 processes.
     pub fn class_c(nprocs: u32) -> BtApp {
-        BtApp { class: Class::C, nprocs, iters: 40 }
+        BtApp {
+            class: Class::C,
+            nprocs,
+            iters: 40,
+        }
     }
 
     /// Table 6 configuration: Class D, 256 processes.
     pub fn class_d(nprocs: u32) -> BtApp {
-        BtApp { class: Class::D, nprocs, iters: 30 }
+        BtApp {
+            class: Class::D,
+            nprocs,
+            iters: 30,
+        }
     }
 }
 
@@ -134,7 +142,9 @@ impl AdiRank {
                 ctx.send_sized(bwd, t + 100, self.msg_bytes);
                 ctx.recv(Some(fwd), Some(t + 100));
             }
-            ctx.compute(Work::flops(self.solve_flops * 0.5 / self.sweeps_per_dim as f64));
+            ctx.compute(Work::flops(
+                self.solve_flops * 0.5 / self.sweeps_per_dim as f64,
+            ));
         }
     }
 }
@@ -195,7 +205,11 @@ mod tests {
     fn bt_runs_on_square_grid() {
         let mut m = cluster_a();
         m.jitter = JitterModel::none();
-        let app = BtApp { class: Class::A, nprocs: 16, iters: 3 };
+        let app = BtApp {
+            class: Class::A,
+            nprocs: 16,
+            iters: 3,
+        };
         let r = run_plain(&app, &m, MappingPolicy::Block);
         assert!(r.makespan > 0.0);
         assert!(!r.aborted);
@@ -206,7 +220,11 @@ mod tests {
 
     #[test]
     fn bt_snapshot_roundtrips() {
-        let app = BtApp { class: Class::A, nprocs: 4, iters: 1 };
+        let app = BtApp {
+            class: Class::A,
+            nprocs: 4,
+            iters: 1,
+        };
         let p = app.make_rank(3);
         let snap = p.snapshot();
         let mut q = app.make_rank(3);
@@ -218,7 +236,11 @@ mod tests {
     fn bt_is_deterministic() {
         let mut m = cluster_a();
         m.jitter = JitterModel::none();
-        let app = BtApp { class: Class::A, nprocs: 4, iters: 4 };
+        let app = BtApp {
+            class: Class::A,
+            nprocs: 4,
+            iters: 4,
+        };
         let a = run_plain(&app, &m, MappingPolicy::Block);
         let b = run_plain(&app, &m, MappingPolicy::Block);
         assert_eq!(a.rank_clocks, b.rank_clocks);

@@ -28,12 +28,20 @@ impl CgApp {
     /// The paper's Table 4 configuration (Class C, 64 processes), with a
     /// scaled iteration count.
     pub fn class_c(nprocs: u32) -> CgApp {
-        CgApp { class: Class::C, nprocs, iters: 60 }
+        CgApp {
+            class: Class::C,
+            nprocs,
+            iters: 60,
+        }
     }
 
     /// The paper's Table 6 configuration (Class D, 256 processes).
     pub fn class_d(nprocs: u32) -> CgApp {
-        CgApp { class: Class::D, nprocs, iters: 40 }
+        CgApp {
+            class: Class::D,
+            nprocs,
+            iters: 40,
+        }
     }
 }
 
@@ -159,7 +167,11 @@ impl RankProgram for CgRank {
         ctx.compute(Work::flops(self.axpy_flops));
         let d2 = ctx.allreduce_f64(&[self.x[0] * self.p[0]], pas2p_mpisim::ReduceOp::Sum);
         ctx.compute(Work::flops(self.axpy_flops));
-        let alpha = if d2[0].abs() > 1e-300 { d1[0] / d2[0] } else { 0.0 };
+        let alpha = if d2[0].abs() > 1e-300 {
+            d1[0] / d2[0]
+        } else {
+            0.0
+        };
         for (xi, pi) in self.x.iter_mut().zip(&self.p) {
             *xi += 1e-3 * alpha.clamp(-10.0, 10.0) * pi;
         }
@@ -175,7 +187,10 @@ impl RankProgram for CgRank {
 
     fn snapshot(&self) -> Vec<u8> {
         let mut w = StateWriter::new();
-        w.u64(self.step_no).f64(self.rho).f64s(&self.x).f64s(&self.p);
+        w.u64(self.step_no)
+            .f64(self.rho)
+            .f64s(&self.x)
+            .f64s(&self.p);
         w.finish()
     }
 
@@ -198,7 +213,11 @@ mod tests {
     fn cg_runs_and_is_deterministic() {
         let mut m = cluster_a();
         m.jitter = JitterModel::none();
-        let app = CgApp { class: Class::A, nprocs: 8, iters: 5 };
+        let app = CgApp {
+            class: Class::A,
+            nprocs: 8,
+            iters: 5,
+        };
         let a = run_plain(&app, &m, MappingPolicy::Block);
         let b = run_plain(&app, &m, MappingPolicy::Block);
         assert_eq!(a.rank_clocks, b.rank_clocks);
@@ -208,7 +227,11 @@ mod tests {
 
     #[test]
     fn cg_snapshot_roundtrips() {
-        let app = CgApp { class: Class::A, nprocs: 4, iters: 5 };
+        let app = CgApp {
+            class: Class::A,
+            nprocs: 4,
+            iters: 5,
+        };
         let p = app.make_rank(1);
         let snap = p.snapshot();
         let mut q = app.make_rank(1);
@@ -218,7 +241,11 @@ mod tests {
 
     #[test]
     fn transpose_partner_is_stable_under_grid() {
-        let app = CgApp { class: Class::A, nprocs: 16, iters: 1 };
+        let app = CgApp {
+            class: Class::A,
+            nprocs: 16,
+            iters: 1,
+        };
         for r in 0..16 {
             let prog = app.make_rank(r);
             // Exercise snapshot to confirm construction works per rank.

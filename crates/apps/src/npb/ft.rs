@@ -27,7 +27,11 @@ pub struct FtApp {
 impl FtApp {
     /// Table 8 configuration: Class D-like, scaled.
     pub fn class_d(nprocs: u32) -> FtApp {
-        FtApp { class: Class::D, nprocs, iters: 20 }
+        FtApp {
+            class: Class::D,
+            nprocs,
+            iters: 20,
+        }
     }
 }
 
@@ -161,7 +165,11 @@ mod tests {
     fn ft_runs_with_few_events() {
         let mut m = cluster_a();
         m.jitter = JitterModel::none();
-        let app = FtApp { class: Class::A, nprocs: 16, iters: 3 };
+        let app = FtApp {
+            class: Class::A,
+            nprocs: 16,
+            iters: 3,
+        };
         let r = run_plain(&app, &m, MappingPolicy::Block);
         assert!(!r.aborted);
         // FT is collective-only: no p2p messages at all.
@@ -171,7 +179,11 @@ mod tests {
 
     #[test]
     fn ft_snapshot_roundtrips() {
-        let app = FtApp { class: Class::A, nprocs: 4, iters: 1 };
+        let app = FtApp {
+            class: Class::A,
+            nprocs: 4,
+            iters: 1,
+        };
         let p = app.make_rank(1);
         let snap = p.snapshot();
         let mut q = app.make_rank(1);
@@ -183,7 +195,11 @@ mod tests {
     fn ft_state_evolves_across_steps() {
         let mut m = cluster_a();
         m.jitter = JitterModel::none();
-        let app = FtApp { class: Class::A, nprocs: 4, iters: 2 };
+        let app = FtApp {
+            class: Class::A,
+            nprocs: 4,
+            iters: 2,
+        };
         // Drive two ranks' programs manually through the simulator.
         let before = app.make_rank(0).snapshot();
         let after = std::sync::Mutex::new(Vec::new());

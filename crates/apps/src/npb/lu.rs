@@ -31,12 +31,22 @@ pub struct LuApp {
 impl LuApp {
     /// Table 8 configuration: Class D-like, scaled.
     pub fn class_d(nprocs: u32) -> LuApp {
-        LuApp { class: Class::D, nprocs, iters: 25, k_blocks: 8 }
+        LuApp {
+            class: Class::D,
+            nprocs,
+            iters: 25,
+            k_blocks: 8,
+        }
     }
 
     /// Smaller preset for cross-machine prediction runs.
     pub fn class_c(nprocs: u32) -> LuApp {
-        LuApp { class: Class::C, nprocs, iters: 30, k_blocks: 6 }
+        LuApp {
+            class: Class::C,
+            nprocs,
+            iters: 30,
+            k_blocks: 6,
+        }
     }
 }
 
@@ -132,7 +142,10 @@ impl LuRank {
             if let Some(p) = up_c {
                 ctx.recv(Some(p), Some(t + 1000));
             }
-            ctx.compute(Work::new(self.block_flops, self.mem_bytes / self.k_blocks as f64));
+            ctx.compute(Work::new(
+                self.block_flops,
+                self.mem_bytes / self.k_blocks as f64,
+            ));
             if let Some(p) = down_r {
                 ctx.send_sized(p, t, self.msg_bytes);
             }
@@ -198,7 +211,12 @@ mod tests {
     fn lu_wavefront_completes_without_deadlock() {
         let mut m = cluster_a();
         m.jitter = JitterModel::none();
-        let app = LuApp { class: Class::A, nprocs: 16, iters: 2, k_blocks: 4 };
+        let app = LuApp {
+            class: Class::A,
+            nprocs: 16,
+            iters: 2,
+            k_blocks: 4,
+        };
         let r = run_plain(&app, &m, MappingPolicy::Block);
         assert!(!r.aborted);
         assert!(r.makespan > 0.0);
@@ -209,8 +227,17 @@ mod tests {
         // The property behind Table 8/9: LU's trace dwarfs the others.
         let mut m = cluster_a();
         m.jitter = JitterModel::none();
-        let lu = LuApp { class: Class::A, nprocs: 16, iters: 3, k_blocks: 8 };
-        let cg = crate::npb::cg::CgApp { class: Class::A, nprocs: 16, iters: 3 };
+        let lu = LuApp {
+            class: Class::A,
+            nprocs: 16,
+            iters: 3,
+            k_blocks: 8,
+        };
+        let cg = crate::npb::cg::CgApp {
+            class: Class::A,
+            nprocs: 16,
+            iters: 3,
+        };
         let rl = run_plain(&lu, &m, MappingPolicy::Block);
         let rc = run_plain(&cg, &m, MappingPolicy::Block);
         assert!(
@@ -223,7 +250,12 @@ mod tests {
 
     #[test]
     fn lu_snapshot_roundtrips() {
-        let app = LuApp { class: Class::A, nprocs: 4, iters: 1, k_blocks: 2 };
+        let app = LuApp {
+            class: Class::A,
+            nprocs: 4,
+            iters: 1,
+            k_blocks: 2,
+        };
         let p = app.make_rank(2);
         let snap = p.snapshot();
         let mut q = app.make_rank(2);

@@ -23,12 +23,20 @@ pub struct SpApp {
 impl SpApp {
     /// Table 4 configuration: Class C, 64 processes.
     pub fn class_c(nprocs: u32) -> SpApp {
-        SpApp { class: Class::C, nprocs, iters: 50 }
+        SpApp {
+            class: Class::C,
+            nprocs,
+            iters: 50,
+        }
     }
 
     /// Table 6 configuration: Class D, 256 processes.
     pub fn class_d(nprocs: u32) -> SpApp {
-        SpApp { class: Class::D, nprocs, iters: 35 }
+        SpApp {
+            class: Class::D,
+            nprocs,
+            iters: 35,
+        }
     }
 }
 
@@ -75,16 +83,33 @@ mod tests {
     fn sp_runs_with_more_messages_than_bt() {
         let mut m = cluster_a();
         m.jitter = JitterModel::none();
-        let sp = SpApp { class: Class::A, nprocs: 16, iters: 3 };
-        let bt = crate::npb::bt::BtApp { class: Class::A, nprocs: 16, iters: 3 };
+        let sp = SpApp {
+            class: Class::A,
+            nprocs: 16,
+            iters: 3,
+        };
+        let bt = crate::npb::bt::BtApp {
+            class: Class::A,
+            nprocs: 16,
+            iters: 3,
+        };
         let rs = run_plain(&sp, &m, MappingPolicy::Block);
         let rb = run_plain(&bt, &m, MappingPolicy::Block);
-        assert!(rs.total_msgs > rb.total_msgs, "{} !> {}", rs.total_msgs, rb.total_msgs);
+        assert!(
+            rs.total_msgs > rb.total_msgs,
+            "{} !> {}",
+            rs.total_msgs,
+            rb.total_msgs
+        );
     }
 
     #[test]
     fn sp_snapshot_roundtrips() {
-        let app = SpApp { class: Class::A, nprocs: 4, iters: 1 };
+        let app = SpApp {
+            class: Class::A,
+            nprocs: 4,
+            iters: 1,
+        };
         let p = app.make_rank(0);
         let snap = p.snapshot();
         let mut q = app.make_rank(0);

@@ -30,7 +30,11 @@ pub struct PopApp {
 impl PopApp {
     /// Table 4 configuration: synthetic, 150 iterations (scaled to 50).
     pub fn synthetic(nprocs: u32) -> PopApp {
-        PopApp { nprocs, iters: 50, inner: 4 }
+        PopApp {
+            nprocs,
+            iters: 50,
+            inner: 4,
+        }
     }
 }
 
@@ -180,7 +184,11 @@ mod tests {
     fn pop_runs_both_regimes() {
         let mut m = cluster_a();
         m.jitter = JitterModel::none();
-        let app = PopApp { nprocs: 16, iters: 3, inner: 2 };
+        let app = PopApp {
+            nprocs: 16,
+            iters: 3,
+            inner: 2,
+        };
         let r = run_plain(&app, &m, MappingPolicy::Block);
         assert!(!r.aborted);
         // 2 allreduces per inner iter per step per rank + prologue barrier
@@ -190,14 +198,26 @@ mod tests {
 
     #[test]
     fn pop_periodic_east_west() {
-        let app = PopApp { nprocs: 4, iters: 1, inner: 1 };
+        let app = PopApp {
+            nprocs: 4,
+            iters: 1,
+            inner: 1,
+        };
         let prog = app.make_rank(0);
         assert!(!prog.snapshot().is_empty());
         // Indirect check: the app runs on a 1-row grid where east-west
         // wraps; a bounded grid would deadlock on mismatched sends.
         let mut m = cluster_a();
         m.jitter = JitterModel::none();
-        let r = run_plain(&PopApp { nprocs: 2, iters: 2, inner: 1 }, &m, MappingPolicy::Block);
+        let r = run_plain(
+            &PopApp {
+                nprocs: 2,
+                iters: 2,
+                inner: 1,
+            },
+            &m,
+            MappingPolicy::Block,
+        );
         assert!(!r.aborted);
     }
 

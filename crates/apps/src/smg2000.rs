@@ -27,12 +27,22 @@ impl Smg2000App {
     /// Table 4 configuration: `-n 200 solver 3`, 64 processes (scaled
     /// iterations).
     pub fn n200(nprocs: u32) -> Smg2000App {
-        Smg2000App { nprocs, n: 200, levels: 4, iters: 30 }
+        Smg2000App {
+            nprocs,
+            n: 200,
+            levels: 4,
+            iters: 30,
+        }
     }
 
     /// Table 6 configuration: `-n 200 solver 3`, 1200 iterations (scaled).
     pub fn n200_long(nprocs: u32) -> Smg2000App {
-        Smg2000App { nprocs, n: 200, levels: 4, iters: 60 }
+        Smg2000App {
+            nprocs,
+            n: 200,
+            levels: 4,
+            iters: 60,
+        }
     }
 }
 
@@ -125,7 +135,10 @@ impl SmgRank {
             let b = self.x[(i + 1) % n];
             self.x[i] = 0.8 * self.x[i] + 0.1 * (a + b);
         }
-        ctx.compute(Work::new(self.relax_flops / shrink, self.mem_bytes / shrink));
+        ctx.compute(Work::new(
+            self.relax_flops / shrink,
+            self.mem_bytes / shrink,
+        ));
     }
 }
 
@@ -186,7 +199,12 @@ mod tests {
     fn smg_vcycle_completes() {
         let mut m = cluster_a();
         m.jitter = JitterModel::none();
-        let app = Smg2000App { nprocs: 16, n: 40, levels: 3, iters: 2 };
+        let app = Smg2000App {
+            nprocs: 16,
+            n: 40,
+            levels: 3,
+            iters: 2,
+        };
         let r = run_plain(&app, &m, MappingPolicy::Block);
         assert!(!r.aborted);
         assert!(r.makespan > 0.0);
@@ -196,8 +214,18 @@ mod tests {
     fn more_levels_means_more_messages() {
         let mut m = cluster_a();
         m.jitter = JitterModel::none();
-        let shallow = Smg2000App { nprocs: 9, n: 40, levels: 2, iters: 2 };
-        let deep = Smg2000App { nprocs: 9, n: 40, levels: 4, iters: 2 };
+        let shallow = Smg2000App {
+            nprocs: 9,
+            n: 40,
+            levels: 2,
+            iters: 2,
+        };
+        let deep = Smg2000App {
+            nprocs: 9,
+            n: 40,
+            levels: 4,
+            iters: 2,
+        };
         let rs = run_plain(&shallow, &m, MappingPolicy::Block);
         let rd = run_plain(&deep, &m, MappingPolicy::Block);
         assert!(rd.total_msgs > rs.total_msgs);

@@ -27,17 +27,32 @@ pub struct Sweep3dApp {
 impl Sweep3dApp {
     /// `sweep.250`, 13 iterations — Table 4 (32 processes).
     pub fn sweep250(nprocs: u32) -> Sweep3dApp {
-        Sweep3dApp { nprocs, grid_n: 250, iters: 13, k_blocks: 4 }
+        Sweep3dApp {
+            nprocs,
+            grid_n: 250,
+            iters: 13,
+            k_blocks: 4,
+        }
     }
 
     /// `sweep.200`, 13 iterations — Table 6 (256 processes).
     pub fn sweep200(nprocs: u32) -> Sweep3dApp {
-        Sweep3dApp { nprocs, grid_n: 200, iters: 13, k_blocks: 4 }
+        Sweep3dApp {
+            nprocs,
+            grid_n: 200,
+            iters: 13,
+            k_blocks: 4,
+        }
     }
 
     /// `sweep.150` — the §6 tool-performance workload.
     pub fn sweep150(nprocs: u32) -> Sweep3dApp {
-        Sweep3dApp { nprocs, grid_n: 150, iters: 13, k_blocks: 4 }
+        Sweep3dApp {
+            nprocs,
+            grid_n: 150,
+            iters: 13,
+            k_blocks: 4,
+        }
     }
 }
 
@@ -138,7 +153,10 @@ impl SweepRank {
 impl RankProgram for SweepRank {
     fn prologue(&mut self, ctx: &mut dyn Mpi) {
         // Input decks + flux initialization.
-        ctx.compute(Work::new(self.block_flops * self.k_blocks as f64, self.mem_bytes));
+        ctx.compute(Work::new(
+            self.block_flops * self.k_blocks as f64,
+            self.mem_bytes,
+        ));
         ctx.barrier();
     }
 
@@ -187,7 +205,12 @@ mod tests {
     fn sweep_pipelines_without_deadlock() {
         let mut m = cluster_a();
         m.jitter = JitterModel::none();
-        let app = Sweep3dApp { nprocs: 16, grid_n: 50, iters: 2, k_blocks: 2 };
+        let app = Sweep3dApp {
+            nprocs: 16,
+            grid_n: 50,
+            iters: 2,
+            k_blocks: 2,
+        };
         let r = run_plain(&app, &m, MappingPolicy::Block);
         assert!(!r.aborted);
         assert!(r.makespan > 0.0);
@@ -198,7 +221,12 @@ mod tests {
         let mut m = cluster_a();
         m.jitter = JitterModel::none();
         // 1-D degenerate grids also work.
-        let app = Sweep3dApp { nprocs: 2, grid_n: 30, iters: 1, k_blocks: 2 };
+        let app = Sweep3dApp {
+            nprocs: 2,
+            grid_n: 30,
+            iters: 1,
+            k_blocks: 2,
+        };
         let r = run_plain(&app, &m, MappingPolicy::Block);
         assert!(!r.aborted);
     }
@@ -207,8 +235,18 @@ mod tests {
     fn larger_input_means_longer_run() {
         let mut m = cluster_a();
         m.jitter = JitterModel::none();
-        let small = Sweep3dApp { nprocs: 4, grid_n: 40, iters: 2, k_blocks: 2 };
-        let large = Sweep3dApp { nprocs: 4, grid_n: 80, iters: 2, k_blocks: 2 };
+        let small = Sweep3dApp {
+            nprocs: 4,
+            grid_n: 40,
+            iters: 2,
+            k_blocks: 2,
+        };
+        let large = Sweep3dApp {
+            nprocs: 4,
+            grid_n: 80,
+            iters: 2,
+            k_blocks: 2,
+        };
         let rs = run_plain(&small, &m, MappingPolicy::Block);
         let rl = run_plain(&large, &m, MappingPolicy::Block);
         assert!(rl.makespan > rs.makespan * 2.0);

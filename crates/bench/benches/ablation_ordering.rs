@@ -23,14 +23,7 @@ use pas2p_model::{lamport_order, pas2p_order};
 use pas2p_phases::{extract_phases, SimilarityConfig};
 use pas2p_trace::{EventKind, ProcessTrace, Trace, TraceEvent};
 
-fn ev(
-    number: u64,
-    process: u32,
-    kind: EventKind,
-    peer: u32,
-    msg_id: u64,
-    t: f64,
-) -> TraceEvent {
+fn ev(number: u64, process: u32, kind: EventKind, peer: u32, msg_id: u64, t: f64) -> TraceEvent {
     TraceEvent {
         number,
         process,
@@ -78,8 +71,16 @@ fn noisy_trace(rounds: u64) -> Trace {
         nprocs: 2,
         machine: "ablation".into(),
         procs: vec![
-            ProcessTrace { process: 0, end_time: t, events: p0 },
-            ProcessTrace { process: 1, end_time: t, events: p1 },
+            ProcessTrace {
+                process: 0,
+                end_time: t,
+                events: p0,
+            },
+            ProcessTrace {
+                process: 1,
+                end_time: t,
+                events: p1,
+            },
         ],
     }
 }
@@ -110,10 +111,22 @@ fn main() {
     let w_pas2p = report("PAS2P", &pas2p_analysis);
     let w_lamport = report("Lamport", &lamport_analysis);
 
-    println!("\nPAS2P phase weights  : {:?}",
-        pas2p_analysis.phases.iter().map(|p| p.weight).collect::<Vec<_>>());
-    println!("Lamport phase weights: {:?}",
-        lamport_analysis.phases.iter().map(|p| p.weight).collect::<Vec<_>>());
+    println!(
+        "\nPAS2P phase weights  : {:?}",
+        pas2p_analysis
+            .phases
+            .iter()
+            .map(|p| p.weight)
+            .collect::<Vec<_>>()
+    );
+    println!(
+        "Lamport phase weights: {:?}",
+        lamport_analysis
+            .phases
+            .iter()
+            .map(|p| p.weight)
+            .collect::<Vec<_>>()
+    );
     println!(
         "\n=> Under PAS2P the dominant phase repeats exactly once per round\n\
          (weight {} = 40 rounds): the flipped deliveries collapse onto one\n\

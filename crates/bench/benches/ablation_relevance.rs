@@ -16,7 +16,12 @@ fn main() {
     let base = cluster_a();
     banner("Ablation: relevance cut-off (the 1% rule)", &base, None);
 
-    let app = MoldyApp { nprocs: 16, steps: 60, rebuild_every: 10, atoms_per_proc: 512 };
+    let app = MoldyApp {
+        nprocs: 16,
+        steps: 60,
+        rebuild_every: 10,
+        atoms_per_proc: 512,
+    };
     let (trace, _) = run_traced(
         &app,
         &base,
@@ -45,8 +50,7 @@ fn main() {
             MappingPolicy::Block,
             SignatureConfig::default(),
         );
-        let prediction =
-            execute_signature(&app, &signature, &base, MappingPolicy::Block).unwrap();
+        let prediction = execute_signature(&app, &signature, &base, MappingPolicy::Block).unwrap();
         let pete = 100.0 * (prediction.pet - aet).abs() / aet;
         println!(
             "{:>10.3} {:>9} {:>11.1} {:>9.2} {:>8.2} {:>11.2}{}",
@@ -56,7 +60,11 @@ fn main() {
             pete,
             prediction.set,
             100.0 * prediction.set / aet,
-            if threshold == 0.01 { "   <- paper setting" } else { "" }
+            if threshold == 0.01 {
+                "   <- paper setting"
+            } else {
+                ""
+            }
         );
         results.push((threshold, table.relevant_phases(), pete, prediction.set));
     }

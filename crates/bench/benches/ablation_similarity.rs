@@ -15,11 +15,20 @@ use pas2p_signature::construct_signature;
 
 fn main() {
     let base = cluster_a();
-    banner("Ablation: similarity thresholds (85% compute / 80% events)", &base, None);
+    banner(
+        "Ablation: similarity thresholds (85% compute / 80% events)",
+        &base,
+        None,
+    );
 
     // GROMACS mixes phase families (PME vs non-PME steps): sensitive to
     // similarity settings.
-    let app = GromacsApp { nprocs: 16, steps: 40, pme_every: 4, dlb_every: 20 };
+    let app = GromacsApp {
+        nprocs: 16,
+        steps: 40,
+        pme_every: 4,
+        dlb_every: 20,
+    };
     let (trace, _) = run_traced(
         &app,
         &base,
@@ -55,8 +64,7 @@ fn main() {
             MappingPolicy::Block,
             SignatureConfig::default(),
         );
-        let prediction =
-            execute_signature(&app, &signature, &base, MappingPolicy::Block).unwrap();
+        let prediction = execute_signature(&app, &signature, &base, MappingPolicy::Block).unwrap();
         let pete = 100.0 * (prediction.pet - aet).abs() / aet;
         println!(
             "{:>13.3} {:>13.3} {:>8} {:>9} {:>9.2} {:>8.2}{}",

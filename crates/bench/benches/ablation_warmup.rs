@@ -27,7 +27,12 @@ fn main() {
         None,
     );
 
-    let app = Sweep3dApp { nprocs: 8, grid_n: 250, iters: 13, k_blocks: 4 };
+    let app = Sweep3dApp {
+        nprocs: 8,
+        grid_n: 250,
+        iters: 13,
+        k_blocks: 4,
+    };
     let aet = run_plain(&app, &base, MappingPolicy::Block).makespan;
     let (trace, _) = run_traced(
         &app,
@@ -56,8 +61,7 @@ fn main() {
             MappingPolicy::Block,
             SignatureConfig::default(),
         );
-        let prediction =
-            execute_signature(&app, &signature, &base, MappingPolicy::Block).unwrap();
+        let prediction = execute_signature(&app, &signature, &base, MappingPolicy::Block).unwrap();
         let pete = 100.0 * (prediction.pet - aet).abs() / aet;
         println!(
             "{:<26} {:>7} {:>8} {:>9.2} {:>9.2}",

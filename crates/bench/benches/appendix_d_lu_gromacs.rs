@@ -9,7 +9,12 @@ use pas2p_bench::{banner, paper_reference, shrink};
 
 fn show(pas2p: &Pas2p, app: &dyn MpiApp, base: &pas2p_machine::MachineModel) {
     let analysis = pas2p.analyze(app, base, MappingPolicy::Block);
-    println!("\n== {} ({} procs, {}) ==", app.name(), app.nprocs(), app.workload());
+    println!(
+        "\n== {} ({} procs, {}) ==",
+        app.name(),
+        app.nprocs(),
+        app.workload()
+    );
     println!(
         "trace {} | TFAT {:.3}s | {} phases / {} relevant",
         human_bytes(analysis.trace_bytes),
@@ -38,7 +43,10 @@ fn show(pas2p: &Pas2p, app: &dyn MpiApp, base: &pas2p_machine::MachineModel) {
         .unwrap();
     println!(
         "prediction on {}: PET {:.2}s vs AET {:.2}s -> PETE {:.2}%",
-        base.name, report.prediction.pet, report.aet, report.pete_or_inf()
+        base.name,
+        report.prediction.pet,
+        report.aet,
+        report.pete_or_inf()
     );
     assert!(report.pete_or_inf() < 15.0);
 }

@@ -38,7 +38,14 @@ fn main() {
         let err = pas2p
             .predict(app.as_ref(), &signature, &itanium, MappingPolicy::Block)
             .unwrap_err();
-        println!("{:<10} {:>10} {:>10} {:>9}   refused: {}", app.name(), "-", "-", "-", err);
+        println!(
+            "{:<10} {:>10} {:>10} {:>9}   refused: {}",
+            app.name(),
+            "-",
+            "-",
+            "-",
+            err
+        );
 
         // Reconstruct on the target from the ported phase table.
         let (rebuilt, stats) =

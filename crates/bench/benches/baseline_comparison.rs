@@ -35,8 +35,17 @@ fn main() {
 
     let pas2p = Pas2p::default();
     let apps: Vec<Box<dyn MpiApp>> = vec![
-        Box::new(CgApp { class: Class::B, nprocs: 16, iters: 60 }),
-        Box::new(MoldyApp { nprocs: 16, steps: 200, rebuild_every: 10, atoms_per_proc: 1024 }),
+        Box::new(CgApp {
+            class: Class::B,
+            nprocs: 16,
+            iters: 60,
+        }),
+        Box::new(MoldyApp {
+            nprocs: 16,
+            steps: 200,
+            rebuild_every: 10,
+            atoms_per_proc: 1024,
+        }),
     ];
 
     let mut rows: Vec<Row> = Vec::new();
@@ -96,7 +105,14 @@ fn main() {
             "{:<20} {:>10} {:>9} {:>18}",
             "method", "PET(s)", "err(%)", "target-time cost(s)"
         );
-        for r in rows.iter().rev().take(3).collect::<Vec<_>>().into_iter().rev() {
+        for r in rows
+            .iter()
+            .rev()
+            .take(3)
+            .collect::<Vec<_>>()
+            .into_iter()
+            .rev()
+        {
             println!(
                 "{:<20} {:>10.2} {:>9.2} {:>18.2}",
                 r.method, r.pet, r.err, r.cost
@@ -125,7 +141,11 @@ fn main() {
     );
     // The signature stays within the paper's band everywhere.
     for app in ["CG", "Moldy"] {
-        assert!(err_of(app, "PAS2P") < 10.0, "{} signature err out of band", app);
+        assert!(
+            err_of(app, "PAS2P") < 10.0,
+            "{} signature err out of band",
+            app
+        );
     }
 
     paper_reference(&[

@@ -43,10 +43,24 @@ fn example_trace() -> Trace {
                     let prev = (p + 3) % 4;
                     if i % 2 == 0 {
                         let msg = (p as u64) * 10 + i / 2 + 1;
-                        ev(i, p, EventKind::Send, Some(next), msg, i as f64 + p as f64 * 0.1)
+                        ev(
+                            i,
+                            p,
+                            EventKind::Send,
+                            Some(next),
+                            msg,
+                            i as f64 + p as f64 * 0.1,
+                        )
                     } else {
                         let msg = (prev as u64) * 10 + i / 2 + 1;
-                        ev(i, p, EventKind::Recv, Some(prev), msg, i as f64 + p as f64 * 0.1)
+                        ev(
+                            i,
+                            p,
+                            EventKind::Recv,
+                            Some(prev),
+                            msg,
+                            i as f64 + p as f64 * 0.1,
+                        )
                     }
                 })
                 .collect()
@@ -78,7 +92,13 @@ fn main() {
     println!("\nTable 1 analog - dequeue order (paper ids = 6*process+number+1):");
     println!("{:<6} {:<10} {:<10}", "step", "drop-off", "paper id");
     for (step, &(p, n)) in log.iter().enumerate().take(12) {
-        println!("{:<6} P{}#{:<7} {:<10}", step + 1, p, n, p as u64 * 6 + n + 1);
+        println!(
+            "{:<6} P{}#{:<7} {:<10}",
+            step + 1,
+            p,
+            n,
+            p as u64 * 6 + n + 1
+        );
     }
 
     println!("\nFig 5 analog - final logical trace (one row per tick):");
@@ -99,7 +119,9 @@ fn main() {
     }
 
     // Invariants the figures demonstrate.
-    logical.validate_against(&trace).expect("valid logical trace");
+    logical
+        .validate_against(&trace)
+        .expect("valid logical trace");
     let recv_after_send = logical.ticks.iter().enumerate().all(|(t, tick)| {
         tick.events
             .iter()

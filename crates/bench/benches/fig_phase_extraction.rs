@@ -54,7 +54,11 @@ fn main() {
     );
 
     // A repeated master/worker: the same code becomes a weighted phase.
-    let repeated = MasterWorkerApp { nprocs: 4, rounds: 12, task_flops: 5e8 };
+    let repeated = MasterWorkerApp {
+        nprocs: 4,
+        rounds: 12,
+        task_flops: 5e8,
+    };
     let analysis = analyze(&repeated);
     println!("\nrepeated master/worker (12 rounds):");
     println!("  phases: {}", analysis.total_phases());

@@ -6,7 +6,7 @@
 use pas2p::experiment::first_cores_mapping;
 use pas2p::prelude::*;
 use pas2p::Pas2p;
-use pas2p_apps::{Class, CgApp, Smg2000App};
+use pas2p_apps::{CgApp, Class, Smg2000App};
 use pas2p_bench::{banner, paper_reference};
 
 fn main() {
@@ -22,8 +22,17 @@ fn main() {
     let apps: Vec<Box<dyn MpiApp>> = vec![
         // SMG2000's halo pattern is placement-sensitive: neighbours on the
         // same node talk over shared memory under Block.
-        Box::new(Smg2000App { nprocs: 16, n: 80, levels: 3, iters: 20 }),
-        Box::new(CgApp { class: Class::B, nprocs: 16, iters: 40 }),
+        Box::new(Smg2000App {
+            nprocs: 16,
+            n: 80,
+            levels: 3,
+            iters: 20,
+        }),
+        Box::new(CgApp {
+            class: Class::B,
+            nprocs: 16,
+            iters: 40,
+        }),
     ];
 
     for app in &apps {
@@ -50,12 +59,13 @@ fn main() {
             ),
         ];
         for (label, policy) in placements {
-            let report = pas2p
-                .validate(app.as_ref(), &sig, &target, policy)
-                .unwrap();
+            let report = pas2p.validate(app.as_ref(), &sig, &target, policy).unwrap();
             println!(
                 "{:<26} {:>10.2} {:>10.2} {:>9.2}",
-                label, report.prediction.pet, report.aet, report.pete_or_inf()
+                label,
+                report.prediction.pet,
+                report.aet,
+                report.pete_or_inf()
             );
             results.push((label, report));
         }

@@ -9,7 +9,11 @@ use pas2p_bench::{banner, paper_reference, shrink};
 
 fn main() {
     let base = cluster_a();
-    banner("§5 summary: accuracy and SET/AET across applications x clusters", &base, None);
+    banner(
+        "§5 summary: accuracy and SET/AET across applications x clusters",
+        &base,
+        None,
+    );
 
     let pas2p = Pas2p::default();
     let targets = [cluster_a(), cluster_b(), cluster_c()];
@@ -44,7 +48,10 @@ fn main() {
     let avg_pete = petes.iter().sum::<f64>() / petes.len() as f64;
     let avg_set = set_ratios.iter().sum::<f64>() / set_ratios.len() as f64;
     let max_pete = petes.iter().cloned().fold(0.0f64, f64::max);
-    println!("\n=> average accuracy {:.2}% (paper: > 97%)", 100.0 - avg_pete);
+    println!(
+        "\n=> average accuracy {:.2}% (paper: > 97%)",
+        100.0 - avg_pete
+    );
     println!("=> average error {:.2}% (paper: ~3%)", avg_pete);
     println!("=> max error {:.2}% (paper: 6.4%)", max_pete);
     println!("=> average SET/AET {:.2}% (paper: 1.74%)", avg_set);
@@ -59,7 +66,10 @@ fn main() {
     // 1.74% as the weights grow, because the signature measures a fixed
     // number of occurrences regardless of the iteration count.
     println!("\nSET/AET scaling with workload length (Moldy, cluster A):");
-    println!("{:>8} {:>12} {:>11} {:>9}", "steps", "weight", "SET/AET(%)", "PETE(%)");
+    println!(
+        "{:>8} {:>12} {:>11} {:>9}",
+        "steps", "weight", "SET/AET(%)", "PETE(%)"
+    );
     let mut ratios = Vec::new();
     for steps in [100u64, 400, 1600] {
         let app = pas2p_apps::MoldyApp {
@@ -82,7 +92,10 @@ fn main() {
             .unwrap_or(0);
         println!(
             "{:>8} {:>12} {:>11.2} {:>9.2}",
-            steps, max_weight, report.set_vs_aet_percent, report.pete_or_inf()
+            steps,
+            max_weight,
+            report.set_vs_aet_percent,
+            report.pete_or_inf()
         );
         ratios.push(report.set_vs_aet_percent);
         assert!(report.pete_or_inf() < 10.0);

@@ -22,7 +22,12 @@ fn main() {
 
     println!("\nTable 4 workloads:");
     for app in &apps {
-        println!("  {:<10} {:>4} procs  {}", app.name(), app.nprocs(), app.workload());
+        println!(
+            "  {:<10} {:>4} procs  {}",
+            app.name(),
+            app.nprocs(),
+            app.workload()
+        );
     }
 
     println!("\n{}", PredictionRow::header());
@@ -55,7 +60,11 @@ fn main() {
          demonstration; PAS2P_BENCH_SHRINK=1 with full iteration counts\n\
          approaches the paper's 1.74%)."
     );
-    assert!(100.0 - avg_pete > 90.0, "avg accuracy {:.2}%", 100.0 - avg_pete);
+    assert!(
+        100.0 - avg_pete > 90.0,
+        "avg accuracy {:.2}%",
+        100.0 - avg_pete
+    );
     assert!(avg_set < 60.0, "avg SET/AET {:.2}%", avg_set);
 
     paper_reference(&[

@@ -23,7 +23,12 @@ fn main() {
 
     println!("\nTable 6 workloads:");
     for app in &apps {
-        println!("  {:<10} {:>4} procs  {}", app.name(), app.nprocs(), app.workload());
+        println!(
+            "  {:<10} {:>4} procs  {}",
+            app.name(),
+            app.nprocs(),
+            app.workload()
+        );
     }
 
     println!("\n{}", PredictionRow::header());

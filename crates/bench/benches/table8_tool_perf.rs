@@ -11,7 +11,11 @@ use pas2p_bench::{banner, paper_reference, shrink};
 
 fn main() {
     let machine = cluster_c();
-    banner("Table 8: PAS2P tool performance (cluster C)", &machine, None);
+    banner(
+        "Table 8: PAS2P tool performance (cluster C)",
+        &machine,
+        None,
+    );
 
     let pas2p = Pas2p::default();
     let k = shrink();

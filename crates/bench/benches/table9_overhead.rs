@@ -10,7 +10,11 @@ use pas2p_bench::{banner, paper_reference, shrink};
 
 fn main() {
     let machine = cluster_c();
-    banner("Table 9: time required to obtain the signature and predict", &machine, None);
+    banner(
+        "Table 9: time required to obtain the signature and predict",
+        &machine,
+        None,
+    );
 
     let pas2p = Pas2p::default();
     let k = shrink();
@@ -49,7 +53,12 @@ fn main() {
             r.aet
         );
         let o = r.overhead();
-        assert!((1.0..5.0).contains(&o), "{}: overhead {:.2}X out of band", r.app, o);
+        assert!(
+            (1.0..5.0).contains(&o),
+            "{}: overhead {:.2}X out of band",
+            r.app,
+            o
+        );
     }
     let below = rows.iter().filter(|r| r.set < r.aet).count();
     assert!(

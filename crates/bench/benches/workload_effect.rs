@@ -41,13 +41,15 @@ fn main() {
     let model = WorkloadModel::fit(&obs).expect("same phase structure");
     println!("\nfitted on {:?} steps:", fit_points);
     for f in &model.fits {
-        println!("  phase {}: weight(w) = {:.3}·w + {:.2}", f.phase_id, f.a, f.b);
+        println!(
+            "  phase {}: weight(w) = {:.3}·w + {:.2}",
+            f.phase_id, f.a, f.b
+        );
     }
 
     // One signature (at the larger fitted workload) measured on the target.
     let ref_app = moldy(fit_points[1]);
-    let (signature, _) =
-        pas2p.build_signature(&ref_app, &tables[1].1, &base, MappingPolicy::Block);
+    let (signature, _) = pas2p.build_signature(&ref_app, &tables[1].1, &base, MappingPolicy::Block);
     let measured = pas2p
         .predict(&ref_app, &signature, &target, MappingPolicy::Block)
         .unwrap();

@@ -130,7 +130,10 @@ mod tests {
     fn every_code_is_listed_in_the_crate_documentation() {
         let docs = include_str!("lib.rs");
         for (code, ..) in RULES {
-            assert!(docs.contains(&format!("`{code}`")), "{code} is not in lib.rs");
+            assert!(
+                docs.contains(&format!("`{code}`")),
+                "{code} is not in lib.rs"
+            );
         }
     }
 

@@ -162,11 +162,17 @@ mod tests {
             clients: vec![
                 ChaosBehavior::Clean,
                 ChaosBehavior::Disconnect { after_bytes: 3 },
-                ChaosBehavior::SlowLoris { chunk: 1, delay_ms: 5 },
+                ChaosBehavior::SlowLoris {
+                    chunk: 1,
+                    delay_ms: 5,
+                },
                 ChaosBehavior::Garbage { line: "x".into() },
             ],
         };
-        assert_eq!(plan.describe(), "seed=9 clean disconnect slow-loris garbage");
+        assert_eq!(
+            plan.describe(),
+            "seed=9 clean disconnect slow-loris garbage"
+        );
         assert_eq!(plan.census(), (1, 1, 1, 1));
     }
 }

@@ -234,8 +234,7 @@ impl FaultPlan {
             match *fault {
                 FaultKind::Truncate { keep_per_mille } => {
                     if keep_per_mille < 1000 {
-                        let keep =
-                            (buf.len() as u64 * keep_per_mille as u64 / 1000) as usize;
+                        let keep = (buf.len() as u64 * keep_per_mille as u64 / 1000) as usize;
                         log.bytes_truncated += (buf.len() - keep) as u64;
                         buf.truncate(keep);
                     }
@@ -303,10 +302,8 @@ pub fn fault_matrix(seed: u64) -> Vec<(&'static str, FaultPlan)> {
         ),
         (
             "duplicate",
-            FaultPlan::new(seed.wrapping_add(3)).with(FaultKind::DuplicateEvents {
-                rank: 0,
-                copies: 3,
-            }),
+            FaultPlan::new(seed.wrapping_add(3))
+                .with(FaultKind::DuplicateEvents { rank: 0, copies: 3 }),
         ),
     ]
 }
@@ -366,12 +363,18 @@ mod tests {
         let t = trace(4, 20);
         let plan = FaultPlan::new(42)
             .with(FaultKind::CorruptBits { flips: 32 })
-            .with(FaultKind::Truncate { keep_per_mille: 900 });
+            .with(FaultKind::Truncate {
+                keep_per_mille: 900,
+            });
         let (a, la) = plan.inject(&t);
         let (b, lb) = plan.inject(&t);
         assert_eq!(a, b, "injection must be byte-for-byte reproducible");
         assert_eq!(la, lb);
-        let (c, _) = FaultPlan { seed: 43, ..plan.clone() }.inject(&t);
+        let (c, _) = FaultPlan {
+            seed: 43,
+            ..plan.clone()
+        }
+        .inject(&t);
         assert_ne!(a, c, "a different seed must flip different bits");
     }
 
@@ -379,7 +382,9 @@ mod tests {
     fn truncate_cuts_the_tail() {
         let t = trace(2, 10);
         let clean = format::encode(&t);
-        let plan = FaultPlan::new(1).with(FaultKind::Truncate { keep_per_mille: 500 });
+        let plan = FaultPlan::new(1).with(FaultKind::Truncate {
+            keep_per_mille: 500,
+        });
         let (buf, log) = plan.inject(&t);
         assert_eq!(buf.len(), clean.len() / 2);
         assert_eq!(log.bytes_truncated as usize, clean.len() - buf.len());
@@ -422,10 +427,7 @@ mod tests {
         assert_eq!(p.events.len(), 10);
         assert_eq!(log.events_duplicated, 2);
         // At least one adjacent pair shares an event number.
-        assert!(p
-            .events
-            .windows(2)
-            .any(|w| w[0].number == w[1].number));
+        assert!(p.events.windows(2).any(|w| w[0].number == w[1].number));
     }
 
     #[test]
@@ -433,7 +435,10 @@ mod tests {
         let t = trace(2, 4);
         let mut log = FaultLog::default();
         let out = FaultPlan::new(0)
-            .with(FaultKind::SkewClock { rank: 1, seconds: 2.5 })
+            .with(FaultKind::SkewClock {
+                rank: 1,
+                seconds: 2.5,
+            })
             .apply_trace(&t, &mut log);
         assert_eq!(log.clocks_skewed, 1);
         for (a, b) in t.procs[1].events.iter().zip(&out.procs[1].events) {

@@ -288,7 +288,10 @@ impl StoreIo for FaultStoreIo {
             self.inner.write(path, &bytes[..keep])?;
             return Err(io::Error::new(
                 io::ErrorKind::WriteZero,
-                format!("injected torn write: {keep}/{} bytes persisted", bytes.len()),
+                format!(
+                    "injected torn write: {keep}/{} bytes persisted",
+                    bytes.len()
+                ),
             ));
         }
         self.inner.write(path, bytes)
@@ -377,7 +380,10 @@ mod tests {
         let p = dir.join("p");
         io.write(&p, b"0123456789").expect("write");
         assert_eq!(io.read_to_string(&p).expect("short but Ok"), "012");
-        assert_eq!(io.read_to_string(&p).expect("second read clean"), "0123456789");
+        assert_eq!(
+            io.read_to_string(&p).expect("second read clean"),
+            "0123456789"
+        );
         assert_eq!(io.stats().short_reads.load(Ordering::SeqCst), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

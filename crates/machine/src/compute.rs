@@ -20,12 +20,18 @@ pub struct Work {
 impl Work {
     /// Pure floating-point work.
     pub fn flops(flops: f64) -> Work {
-        Work { flops, mem_bytes: 0.0 }
+        Work {
+            flops,
+            mem_bytes: 0.0,
+        }
     }
 
     /// Pure memory-bound work.
     pub fn mem(bytes: f64) -> Work {
-        Work { flops: 0.0, mem_bytes: bytes }
+        Work {
+            flops: 0.0,
+            mem_bytes: bytes,
+        }
     }
 
     /// Combined compute and memory work.

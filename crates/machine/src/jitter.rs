@@ -99,7 +99,11 @@ mod tests {
 
     #[test]
     fn same_seed_same_stream() {
-        let j = JitterModel { compute_sigma: 0.02, comm_sigma: 0.05, seed: 42 };
+        let j = JitterModel {
+            compute_sigma: 0.02,
+            comm_sigma: 0.05,
+            seed: 42,
+        };
         let a: Vec<f64> = {
             let mut s = j.stream(3);
             (0..50).map(|_| s.compute_factor()).collect()
@@ -113,7 +117,11 @@ mod tests {
 
     #[test]
     fn different_ranks_different_streams() {
-        let j = JitterModel { compute_sigma: 0.02, comm_sigma: 0.05, seed: 42 };
+        let j = JitterModel {
+            compute_sigma: 0.02,
+            comm_sigma: 0.05,
+            seed: 42,
+        };
         let mut s0 = j.stream(0);
         let mut s1 = j.stream(1);
         let a: Vec<f64> = (0..20).map(|_| s0.compute_factor()).collect();
@@ -123,7 +131,11 @@ mod tests {
 
     #[test]
     fn factors_center_near_one() {
-        let j = JitterModel { compute_sigma: 0.02, comm_sigma: 0.05, seed: 7 };
+        let j = JitterModel {
+            compute_sigma: 0.02,
+            comm_sigma: 0.05,
+            seed: 7,
+        };
         let mut s = j.stream(0);
         let n = 10_000;
         let mean: f64 = (0..n).map(|_| s.compute_factor()).sum::<f64>() / n as f64;
@@ -132,7 +144,11 @@ mod tests {
 
     #[test]
     fn factors_stay_positive_even_with_huge_sigma() {
-        let j = JitterModel { compute_sigma: 5.0, comm_sigma: 5.0, seed: 1 };
+        let j = JitterModel {
+            compute_sigma: 5.0,
+            comm_sigma: 5.0,
+            seed: 1,
+        };
         let mut s = j.stream(0);
         for _ in 0..1000 {
             assert!(s.compute_factor() > 0.0);

@@ -143,7 +143,11 @@ impl MachineModel {
             .collect::<std::collections::HashSet<_>>()
             .len()
             > 1;
-        let link = if spans_nodes { &self.network } else { &self.intra };
+        let link = if spans_nodes {
+            &self.network
+        } else {
+            &self.intra
+        };
         link.collective_time(kind, procs.len() as u32, bytes)
     }
 

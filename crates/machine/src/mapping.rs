@@ -178,8 +178,16 @@ mod tests {
     fn explicit_mapping_respected() {
         let m = cluster_a();
         let locs = vec![
-            CoreLoc { node: 5, socket: 0, core: 1 },
-            CoreLoc { node: 5, socket: 0, core: 1 },
+            CoreLoc {
+                node: 5,
+                socket: 0,
+                core: 1,
+            },
+            CoreLoc {
+                node: 5,
+                socket: 0,
+                core: 1,
+            },
         ];
         let map = m.map(2, MappingPolicy::Explicit(locs));
         assert_eq!(map.loc(0).node, 5);
@@ -191,7 +199,14 @@ mod tests {
     #[should_panic(expected = "explicit mapping must cover every rank")]
     fn explicit_mapping_wrong_len_panics() {
         let m = cluster_a();
-        m.map(3, MappingPolicy::Explicit(vec![CoreLoc { node: 0, socket: 0, core: 0 }]));
+        m.map(
+            3,
+            MappingPolicy::Explicit(vec![CoreLoc {
+                node: 0,
+                socket: 0,
+                core: 0,
+            }]),
+        );
     }
 
     #[test]

@@ -61,8 +61,16 @@ mod tests {
             nprocs: 2,
             machine: "test".into(),
             procs: vec![
-                ProcessTrace { process: 0, events: p0, end_time: 1.1 },
-                ProcessTrace { process: 1, events: p1, end_time: 3.1 },
+                ProcessTrace {
+                    process: 0,
+                    events: p0,
+                    end_time: 1.1,
+                },
+                ProcessTrace {
+                    process: 1,
+                    events: p1,
+                    end_time: 3.1,
+                },
             ],
         }
     }
@@ -83,7 +91,11 @@ mod tests {
         let tick_of = |proc: u32, number: u64| {
             l.ticks
                 .iter()
-                .position(|tk| tk.events.iter().any(|e| e.process == proc && e.number == number))
+                .position(|tk| {
+                    tk.events
+                        .iter()
+                        .any(|e| e.process == proc && e.number == number)
+                })
                 .unwrap()
         };
         assert!(tick_of(1, 0) > tick_of(0, 0));

@@ -102,7 +102,10 @@ impl LogicalTrace {
             let mut procs_here = std::collections::HashSet::new();
             for e in &tick.events {
                 if !procs_here.insert(e.process) {
-                    return Err(format!("tick {} holds two events of process {}", t, e.process));
+                    return Err(format!(
+                        "tick {} holds two events of process {}",
+                        t, e.process
+                    ));
                 }
                 let p = e.process as usize;
                 if counts[p] > 0 && e.number <= seen[p] {
@@ -175,7 +178,7 @@ mod tests {
             (0, 0, ev(0, 0)),
             (1, 1, ev(0, 1)),
             (1, 0, ev(0, 2)), // same (lt,sub) as first → same tick. (out of
-                               // program order; assemble doesn't validate)
+                              // program order; assemble doesn't validate)
         ];
         let lt = assemble(2, keyed);
         assert_eq!(lt.len(), 3);

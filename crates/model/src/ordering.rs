@@ -540,7 +540,11 @@ mod tests {
             logical
                 .ticks
                 .iter()
-                .position(|tk| tk.events.iter().any(|e| e.process == proc && e.number == number))
+                .position(|tk| {
+                    tk.events
+                        .iter()
+                        .any(|e| e.process == proc && e.number == number)
+                })
                 .unwrap()
         };
         assert!(tick_of(1, 5) > tick_of(0, 3));
@@ -563,7 +567,16 @@ mod tests {
     #[test]
     fn collective_takes_biggest_lt_plus_one() {
         let coll = |p: u32, n: u64, t: f64| {
-            ev(n, p, EventKind::Coll(CollClass::Allreduce), None, 0, 99, 3, t)
+            ev(
+                n,
+                p,
+                EventKind::Coll(CollClass::Allreduce),
+                None,
+                0,
+                99,
+                3,
+                t,
+            )
         };
         // P0 has 2 sends first; P1 and P2 go straight to the collective.
         let p0 = vec![

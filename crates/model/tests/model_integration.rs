@@ -1,8 +1,8 @@
 //! Model tests against traces produced by real simulated runs.
 
 use pas2p_machine::{cluster_a, JitterModel, MappingPolicy, Work};
-use pas2p_mpisim::{run_app, Mpi, ReduceOp, SimConfig};
 use pas2p_model::{lamport_order, pas2p_order};
+use pas2p_mpisim::{run_app, Mpi, ReduceOp, SimConfig};
 use pas2p_trace::{EventKind, InstrumentationModel, Trace, TraceCollector, Traced};
 use std::sync::Arc;
 

@@ -174,20 +174,14 @@ pub(crate) fn complete(op: CollOp, group: &Group, inputs: &[CollInput]) -> Vec<C
                     other => panic!("allgather members must supply a block, got {:?}", other),
                 })
                 .collect();
-            (0..n)
-                .map(|_| CollOutput::Blocks(blocks.clone()))
-                .collect()
+            (0..n).map(|_| CollOutput::Blocks(blocks.clone())).collect()
         }
         CollOp::Alltoall => {
             let matrix: Vec<&Vec<Payload>> = inputs
                 .iter()
                 .map(|i| match i {
                     CollInput::Blocks(bs) => {
-                        assert_eq!(
-                            bs.len(),
-                            n,
-                            "alltoall requires one block per group member"
-                        );
+                        assert_eq!(bs.len(), n, "alltoall requires one block per group member");
                         bs
                     }
                     other => panic!("alltoall members must supply Blocks, got {:?}", other),
@@ -334,7 +328,8 @@ impl CollSlot {
         match st.op {
             None => st.op = Some(op),
             Some(existing) => assert_eq!(
-                existing, op,
+                existing,
+                op,
                 "collective mismatch in group {:?}: {:?} vs {:?}",
                 group.ranks(),
                 existing,
@@ -397,11 +392,7 @@ mod tests {
     #[test]
     fn complete_bcast_copies_root_payload() {
         let g = Group::new(vec![0, 1, 2]);
-        let inputs = vec![
-            CollInput::None,
-            CollInput::Block(b(b"hi")),
-            CollInput::None,
-        ];
+        let inputs = vec![CollInput::None, CollInput::Block(b(b"hi")), CollInput::None];
         let out = complete(CollOp::Bcast { root: 1 }, &g, &inputs);
         for o in out {
             match o {
@@ -432,7 +423,10 @@ mod tests {
         let g = Group::new(vec![3, 5]);
         let inputs = vec![CollInput::F64(vec![1.0]), CollInput::F64(vec![4.0])];
         let out = complete(
-            CollOp::Reduce { root: 5, op: ReduceOp::Max },
+            CollOp::Reduce {
+                root: 5,
+                op: ReduceOp::Max,
+            },
             &g,
             &inputs,
         );

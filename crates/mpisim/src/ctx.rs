@@ -259,7 +259,9 @@ impl RankCtx {
             .unwrap_or_else(|| panic!("rank {} is not in group {:?}", self.rank, group.ranks()));
         let slot = self.coll_slot(group);
         let shared = self.shared.clone();
-        shared.bytes_copied.fetch_add(input.held(), Ordering::Relaxed);
+        shared
+            .bytes_copied
+            .fetch_add(input.held(), Ordering::Relaxed);
         let group_hash = {
             let mut h = DefaultHasher::new();
             group.ranks().hash(&mut h);
@@ -352,7 +354,9 @@ impl Mpi for RankCtx {
         self.clock += overhead;
         self.shared.total_msgs.fetch_add(1, Ordering::Relaxed);
         self.shared.total_bytes.fetch_add(len, Ordering::Relaxed);
-        self.shared.bytes_copied.fetch_add(payload.held(), Ordering::Relaxed);
+        self.shared
+            .bytes_copied
+            .fetch_add(payload.held(), Ordering::Relaxed);
         let env = Envelope {
             src: self.rank,
             dest,

@@ -65,7 +65,11 @@ mod tests {
 
     #[test]
     fn comm_ops_sums_all_classes() {
-        let c = Counters { sends: 3, recvs: 2, colls: 4 };
+        let c = Counters {
+            sends: 3,
+            recvs: 2,
+            colls: 4,
+        };
         assert_eq!(c.comm_ops(), 9);
     }
 

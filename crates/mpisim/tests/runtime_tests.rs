@@ -382,8 +382,8 @@ fn harness_abort_terminates_all_ranks() {
         events: AtomicU64::new(0),
         limit: 40,
     });
-    let cfg = SimConfig::new(quiet_machine(), 4, MappingPolicy::Block)
-        .with_harness(harness.clone());
+    let cfg =
+        SimConfig::new(quiet_machine(), 4, MappingPolicy::Block).with_harness(harness.clone());
     let r = run_app(&cfg, |ctx| {
         // Endless ring: can only finish by abort.
         let n = ctx.size();

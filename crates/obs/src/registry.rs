@@ -474,7 +474,11 @@ mod tests {
         assert!(text.contains("pas2p_prom_hist{quantile=\"0.5\"}"));
         assert!(text.contains("pas2p_prom_hist_count 1"));
         // Two runs of one stage are one series.
-        assert_eq!(text.matches("pas2p_stage_wall_seconds{stage=\"prom_stage\"}").count(), 1);
+        assert_eq!(
+            text.matches("pas2p_stage_wall_seconds{stage=\"prom_stage\"}")
+                .count(),
+            1
+        );
         assert!(text.contains("pas2p_stage_wall_seconds{stage=\"prom_stage\"} 0.75"));
         assert!(text.contains("pas2p_stage_items{stage=\"prom_stage\"} 15"));
     }

@@ -75,7 +75,11 @@ pub fn run_traced(
     policy: MappingPolicy,
     model: InstrumentationModel,
 ) -> (Trace, RunReport) {
-    let collector = Arc::new(TraceCollector::new(app.nprocs(), machine.name.clone(), model));
+    let collector = Arc::new(TraceCollector::new(
+        app.nprocs(),
+        machine.name.clone(),
+        model,
+    ));
     let cfg = SimConfig::new(machine.clone(), app.nprocs(), policy);
     let col = collector.clone();
     let report = run_app(&cfg, move |ctx| {
@@ -249,7 +253,9 @@ mod tests {
             &app(),
             &quiet(),
             MappingPolicy::Block,
-            InstrumentationModel { per_event_seconds: 1e-3 },
+            InstrumentationModel {
+                per_event_seconds: 1e-3,
+            },
         );
         assert!(traced.makespan > plain.makespan);
     }

@@ -238,14 +238,8 @@ mod tests {
     #[test]
     fn non_finite_aet_is_undefined_too() {
         let p = |aet| {
-            let pred = Prediction::from_measurements(
-                "x".into(),
-                "A".into(),
-                "B".into(),
-                1,
-                vec![],
-                0.0,
-            );
+            let pred =
+                Prediction::from_measurements("x".into(), "A".into(), "B".into(), 1, vec![], 0.0);
             report_from(pred, aet)
         };
         assert_eq!(p(f64::NAN).pete_percent, None);

@@ -1,9 +1,11 @@
 //! End-to-end pipeline tests: trace → model → phases → signature →
 //! prediction, on a small iterative application.
 
-use pas2p_machine::{cluster_a, cluster_b, cluster_d, JitterModel, MachineModel, MappingPolicy, Work};
-use pas2p_mpisim::{Mpi, Payload, ReduceOp};
+use pas2p_machine::{
+    cluster_a, cluster_b, cluster_d, JitterModel, MachineModel, MappingPolicy, Work,
+};
 use pas2p_model::pas2p_order;
+use pas2p_mpisim::{Mpi, Payload, ReduceOp};
 use pas2p_phases::{extract_phases, PhaseTable, SimilarityConfig};
 use pas2p_signature::{
     construct_signature, execute_signature, predict, rebuild_signature, run_plain, run_traced,
@@ -90,7 +92,12 @@ fn app() -> RingApp {
 
 /// Run analysis on the base machine and return the phase table.
 fn analyze(app: &dyn MpiApp, base: &MachineModel) -> PhaseTable {
-    let (trace, _) = run_traced(app, base, MappingPolicy::Block, InstrumentationModel::free());
+    let (trace, _) = run_traced(
+        app,
+        base,
+        MappingPolicy::Block,
+        InstrumentationModel::free(),
+    );
     let logical = pas2p_order(&trace);
     let analysis = extract_phases(&logical, &SimilarityConfig::default());
     PhaseTable::from_analysis(&analysis, 0.01, 1, 24)
@@ -100,16 +107,21 @@ fn analyze(app: &dyn MpiApp, base: &MachineModel) -> PhaseTable {
 fn analysis_finds_the_iterative_phase() {
     let base = machine_quiet(cluster_a());
     let a = app();
-    let (trace, _) = run_traced(&a, &base, MappingPolicy::Block, InstrumentationModel::free());
+    let (trace, _) = run_traced(
+        &a,
+        &base,
+        MappingPolicy::Block,
+        InstrumentationModel::free(),
+    );
     let logical = pas2p_order(&trace);
     let analysis = extract_phases(&logical, &SimilarityConfig::default());
     assert!(analysis.total_phases() >= 1);
-    assert!(analysis.total_phases() <= 6, "{} phases", analysis.total_phases());
-    let dominant = analysis
-        .phases
-        .iter()
-        .max_by_key(|p| p.weight)
-        .unwrap();
+    assert!(
+        analysis.total_phases() <= 6,
+        "{} phases",
+        analysis.total_phases()
+    );
+    let dominant = analysis.phases.iter().max_by_key(|p| p.weight).unwrap();
     assert!(dominant.weight >= 35, "weight {}", dominant.weight);
     // Reconstructed AET tiles the trace.
     let err = (analysis.reconstructed_aet() - analysis.aet).abs() / analysis.aet;
@@ -208,7 +220,11 @@ fn prediction_tracks_machine_with_jitter() {
         SignatureConfig::default(),
     );
     let report = predict::validate(&a, &sig, &target, MappingPolicy::Block).unwrap();
-    assert!(report.pete_or_inf() < 15.0, "PETE {}%", report.pete_or_inf());
+    assert!(
+        report.pete_or_inf() < 15.0,
+        "PETE {}%",
+        report.pete_or_inf()
+    );
 }
 
 #[test]
@@ -255,7 +271,11 @@ fn isa_mismatch_is_rejected_and_rebuild_works() {
     // Appendix E: rebuild on the new ISA from the ported phase table.
     let (sig_d, _) = rebuild_signature(&a, &sig, &itanium, MappingPolicy::Block);
     let report = predict::validate(&a, &sig_d, &itanium, MappingPolicy::Block).unwrap();
-    assert!(report.pete_or_inf() < 10.0, "PETE {}%", report.pete_or_inf());
+    assert!(
+        report.pete_or_inf() < 10.0,
+        "PETE {}%",
+        report.pete_or_inf()
+    );
 }
 
 #[test]
@@ -281,8 +301,16 @@ fn prediction_scales_with_weights() {
     // Doubling the iteration count should roughly double both AET and PET:
     // the signature measures the same phases, only the weights change.
     let base = machine_quiet(cluster_a());
-    let short = RingApp { nprocs: 4, iters: 40, flops: 5e7 };
-    let long = RingApp { nprocs: 4, iters: 80, flops: 5e7 };
+    let short = RingApp {
+        nprocs: 4,
+        iters: 40,
+        flops: 5e7,
+    };
+    let long = RingApp {
+        nprocs: 4,
+        iters: 80,
+        flops: 5e7,
+    };
 
     let pet_of = |a: &RingApp| {
         let table = analyze(a, &base);

@@ -282,9 +282,17 @@ mod tests {
             peer,
             tag: 3,
             size: 1024,
-            involved: if matches!(kind, EventKind::Coll(_)) { 4 } else { 1 },
+            involved: if matches!(kind, EventKind::Coll(_)) {
+                4
+            } else {
+                1
+            },
             msg_id: number * 7,
-            comm_id: if matches!(kind, EventKind::Coll(_)) { 99 } else { 0 },
+            comm_id: if matches!(kind, EventKind::Coll(_)) {
+                99
+            } else {
+                0
+            },
             wildcard: kind == EventKind::Recv && number % 2 == 1,
         };
         Trace {

@@ -330,7 +330,10 @@ pub fn decode_recovering(buf: &[u8]) -> (Option<Trace>, IngestReport) {
         // A corrupted end_time is repaired from the events themselves.
         let end_ok = end_time.is_finite()
             && end_time.abs() < 1e12
-            && events.last().map(|e| end_time >= e.t_complete).unwrap_or(true);
+            && events
+                .last()
+                .map(|e| end_time >= e.t_complete)
+                .unwrap_or(true);
         let end_time = if end_ok {
             end_time
         } else {
@@ -338,10 +341,7 @@ pub fn decode_recovering(buf: &[u8]) -> (Option<Trace>, IngestReport) {
         };
         account.health = if truncated {
             RankHealth::Truncated
-        } else if account.records_quarantined > 0
-            || account.records_renumbered > 0
-            || !end_ok
-        {
+        } else if account.records_quarantined > 0 || account.records_renumbered > 0 || !end_ok {
             RankHealth::Recovered
         } else {
             RankHealth::Intact
@@ -445,9 +445,17 @@ mod tests {
             },
             tag: 1,
             size: 64,
-            involved: if matches!(kind, EventKind::Coll(_)) { 2 } else { 1 },
+            involved: if matches!(kind, EventKind::Coll(_)) {
+                2
+            } else {
+                1
+            },
             msg_id: number + 1,
-            comm_id: if matches!(kind, EventKind::Coll(_)) { 7 } else { 0 },
+            comm_id: if matches!(kind, EventKind::Coll(_)) {
+                7
+            } else {
+                0
+            },
             wildcard: false,
         }
     }
@@ -583,7 +591,7 @@ mod tests {
     #[test]
     fn repair_clamps_collectives_to_survivors() {
         let mut t = sample(3, 9); // involved is wrong (2) but > survivors? use custom
-        // Make the collectives claim all 3 ranks, then drop rank 2.
+                                  // Make the collectives claim all 3 ranks, then drop rank 2.
         for p in &mut t.procs {
             for e in &mut p.events {
                 if matches!(e.kind, EventKind::Coll(_)) {

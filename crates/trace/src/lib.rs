@@ -35,7 +35,9 @@ pub use format::{TraceDecodeError, EVENT_RECORD_BYTES};
 pub use ingest::{
     decode_recovering, repair_collectives, Confidence, IngestReport, RankHealth, RankIngest,
 };
-pub use matchset::{match_sets, CandidateSend, ChannelStat, CommittedRecv, MatchSets, WildcardMatch};
+pub use matchset::{
+    match_sets, CandidateSend, ChannelStat, CommittedRecv, MatchSets, WildcardMatch,
+};
 pub use recorder::{InstrumentationModel, TraceBuildError, TraceCollector, Traced};
 
 #[cfg(test)]

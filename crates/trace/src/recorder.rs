@@ -85,8 +85,7 @@ impl TraceCollector {
     /// Assemble the full trace. Panics if any rank never deposited; use
     /// [`TraceCollector::try_into_trace`] to diagnose instead.
     pub fn into_trace(self) -> Trace {
-        self.try_into_trace()
-            .unwrap_or_else(|e| panic!("{}", e))
+        self.try_into_trace().unwrap_or_else(|e| panic!("{}", e))
     }
 
     /// Assemble the full trace, reporting a missing rank as an error

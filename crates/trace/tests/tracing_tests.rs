@@ -90,7 +90,12 @@ fn collective_involves_whole_group() {
 #[test]
 fn instrumentation_overhead_inflates_elapsed_time() {
     let free = traced_ring(20, InstrumentationModel::free());
-    let paid = traced_ring(20, InstrumentationModel { per_event_seconds: 1e-3 });
+    let paid = traced_ring(
+        20,
+        InstrumentationModel {
+            per_event_seconds: 1e-3,
+        },
+    );
     assert!(
         paid.elapsed() > free.elapsed() + 0.02,
         "paid {} vs free {}",

@@ -16,8 +16,17 @@ fn main() {
     let targets = [cluster_b(), cluster_c(), cluster_d()];
 
     let apps: Vec<Box<dyn MpiApp>> = vec![
-        Box::new(CgApp { class: Class::B, nprocs: 16, iters: 30 }),
-        Box::new(Sweep3dApp { nprocs: 16, grid_n: 60, iters: 6, k_blocks: 2 }),
+        Box::new(CgApp {
+            class: Class::B,
+            nprocs: 16,
+            iters: 30,
+        }),
+        Box::new(Sweep3dApp {
+            nprocs: 16,
+            grid_n: 60,
+            iters: 6,
+            k_blocks: 2,
+        }),
     ];
 
     println!(

@@ -14,16 +14,18 @@ use pas2p_phases::{extract_phases, PhaseTable, SimilarityConfig};
 fn main() {
     let mut args = std::env::args().skip(1);
     let app_name = args.next().unwrap_or_else(|| "gromacs".to_string());
-    let nprocs: u32 = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16);
+    let nprocs: u32 = args.next().and_then(|s| s.parse().ok()).unwrap_or(16);
 
     let app = pas2p_apps::by_name(&app_name, nprocs)
         .unwrap_or_else(|| panic!("unknown application '{}'", app_name));
     let base = cluster_a();
 
-    println!("tracing {} ({}) on {}…", app.name(), app.workload(), base.name);
+    println!(
+        "tracing {} ({}) on {}…",
+        app.name(),
+        app.workload(),
+        base.name
+    );
     let (trace, report) = run_traced(
         app.as_ref(),
         &base,

@@ -23,9 +23,21 @@ fn main() {
     let pas2p = Pas2p::default();
     let base = cluster_a();
     let jobs = [
-        Job { app: Box::new(PopApp { nprocs: 16, iters: 20, inner: 3 }), label: "ocean-16" },
         Job {
-            app: Box::new(Smg2000App { nprocs: 16, n: 60, levels: 3, iters: 12 }),
+            app: Box::new(PopApp {
+                nprocs: 16,
+                iters: 20,
+                inner: 3,
+            }),
+            label: "ocean-16",
+        },
+        Job {
+            app: Box::new(Smg2000App {
+                nprocs: 16,
+                n: 60,
+                levels: 3,
+                iters: 12,
+            }),
             label: "multigrid-16",
         },
     ];
@@ -64,9 +76,6 @@ fn main() {
         let cluster = clusters.iter().find(|c| c.name == name).unwrap();
         let policy = first_cores_mapping(cluster, jobs[0].app.nprocs(), cores);
         let mapping = cluster.map(jobs[0].app.nprocs(), policy);
-        println!(
-            "   (oversubscribed: {})\n",
-            mapping.is_oversubscribed()
-        );
+        println!("   (oversubscribed: {})\n", mapping.is_oversubscribed());
     }
 }

@@ -9,10 +9,10 @@
 
 pub use pas2p;
 pub use pas2p_apps as apps;
-pub use pas2p_obs as obs;
 pub use pas2p_machine as machine;
 pub use pas2p_model as model;
 pub use pas2p_mpisim as mpisim;
+pub use pas2p_obs as obs;
 pub use pas2p_phases as phases;
 pub use pas2p_signature as signature;
 pub use pas2p_trace as trace;

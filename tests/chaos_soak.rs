@@ -95,11 +95,18 @@ fn assert_classified(response: &serde_json::Value) {
     if response["ok"] == serde_json::json!(true) {
         return;
     }
-    assert_eq!(response["ok"], serde_json::json!(false), "bad frame: {response}");
+    assert_eq!(
+        response["ok"],
+        serde_json::json!(false),
+        "bad frame: {response}"
+    );
     let code = response["code"].as_str().unwrap_or_default();
     assert!(!code.is_empty(), "unclassified failure: {response}");
     assert!(
-        response["error"].as_str().map(|e| !e.is_empty()).unwrap_or(false),
+        response["error"]
+            .as_str()
+            .map(|e| !e.is_empty())
+            .unwrap_or(false),
         "failure without message: {response}"
     );
 }
@@ -166,7 +173,11 @@ fn chaos_client(socket: &Path, i: usize, behavior: &ChaosBehavior) -> Option<ser
                 .set_read_timeout(Some(Duration::from_secs(60)))
                 .expect("read timeout");
             let response = roundtrip(&mut stream, line);
-            assert_eq!(response["ok"], serde_json::json!(false), "garbage must fail");
+            assert_eq!(
+                response["ok"],
+                serde_json::json!(false),
+                "garbage must fail"
+            );
             assert_eq!(response["code"], serde_json::json!("invalid"));
             Some(response)
         }
@@ -234,7 +245,11 @@ fn soak_survives_chaos_clients_and_store_faults() {
 
     let plan = chaos_plan(7, 10);
     let (clean, disconnect, loris, garbage) = plan.census();
-    assert!(clean >= 5, "at least half the plan is clean: {}", plan.describe());
+    assert!(
+        clean >= 5,
+        "at least half the plan is clean: {}",
+        plan.describe()
+    );
     assert!(
         disconnect + loris + garbage >= 3,
         "the plan actually misbehaves: {}",
@@ -252,7 +267,10 @@ fn soak_survives_chaos_clients_and_store_faults() {
                 scope.spawn(move || chaos_client(&socket, i, behavior))
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client"))
+            .collect()
     });
 
     // The injected store fault fired, and the clean clients all
@@ -274,7 +292,11 @@ fn soak_survives_chaos_clients_and_store_faults() {
     // is served from the store, byte-identical.
     for (i, cold_response) in &cold {
         let warm = clean_client(&socket, *i);
-        assert_eq!(warm["result"]["cached"], serde_json::json!(true), "warm: {warm}");
+        assert_eq!(
+            warm["result"]["cached"],
+            serde_json::json!(true),
+            "warm: {warm}"
+        );
         assert_eq!(
             warm["result"]["prediction"], cold_response["result"]["prediction"],
             "warm prediction must be byte-identical for client {i}"
@@ -374,7 +396,8 @@ fn full_queue_sheds_exactly_one_request() {
         let socket = socket.clone();
         move || {
             let mut s = connect(&socket);
-            s.set_read_timeout(Some(Duration::from_secs(120))).expect("timeout");
+            s.set_read_timeout(Some(Duration::from_secs(120)))
+                .expect("timeout");
             roundtrip(&mut s, r#"{"op":"submit","app":"cg","nprocs":4}"#)
         }
     });
@@ -385,8 +408,12 @@ fn full_queue_sheds_exactly_one_request() {
         let socket = socket.clone();
         move || {
             let mut s = connect(&socket);
-            s.set_read_timeout(Some(Duration::from_secs(120))).expect("timeout");
-            roundtrip(&mut s, r#"{"op":"predict","app":"ft","nprocs":4,"target":"B"}"#)
+            s.set_read_timeout(Some(Duration::from_secs(120)))
+                .expect("timeout");
+            roundtrip(
+                &mut s,
+                r#"{"op":"predict","app":"ft","nprocs":4,"target":"B"}"#,
+            )
         }
     });
     poll_health(&mut probe, &|h| h["queue_depth"] == serde_json::json!(1));
@@ -401,7 +428,11 @@ fn full_queue_sheds_exactly_one_request() {
     assert_eq!(shed["code"], serde_json::json!("busy"), "shed: {shed}");
     assert_eq!(shed["op"], serde_json::json!("submit"));
     let health = poll_health(&mut probe, &|h| h["shed"] == serde_json::json!(1));
-    assert_eq!(health["result"]["shed"], serde_json::json!(1), "exactly one shed");
+    assert_eq!(
+        health["result"]["shed"],
+        serde_json::json!(1),
+        "exactly one shed"
+    );
 
     // Open the gate: the wedged request and the queued one both finish.
     std::fs::write(&gate, b"open").expect("open gate");
@@ -463,7 +494,11 @@ fn deadline_expiry_answers_timeout_and_frees_the_worker() {
         .expect("read timeout");
     let answer = roundtrip(&mut client, r#"{"op":"submit","app":"cg","nprocs":4}"#);
     assert_eq!(answer["ok"], serde_json::json!(false));
-    assert_eq!(answer["code"], serde_json::json!("timeout"), "answer: {answer}");
+    assert_eq!(
+        answer["code"],
+        serde_json::json!("timeout"),
+        "answer: {answer}"
+    );
     assert_eq!(svc.serve_stats().timeouts(), 1, "exactly one timeout");
 
     // The worker is free again: the control plane answers, and a

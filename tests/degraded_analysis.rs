@@ -81,7 +81,8 @@ fn degraded_confidence_rides_into_signature_and_prediction() {
         .expect("cg survives a dropped rank");
     assert_eq!(analysis.confidence, Confidence::Degraded);
 
-    let (signature, _) = pas2p.build_signature(app.as_ref(), &analysis, &base, MappingPolicy::Block);
+    let (signature, _) =
+        pas2p.build_signature(app.as_ref(), &analysis, &base, MappingPolicy::Block);
     assert_eq!(
         signature.confidence,
         Confidence::Degraded,

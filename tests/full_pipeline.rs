@@ -18,11 +18,7 @@ fn every_catalog_app_completes_the_pipeline() {
         let (analysis, report) = pas2p
             .analyze_and_validate(app.as_ref(), &base, &base, MappingPolicy::Block)
             .unwrap_or_else(|e| panic!("{}: {}", name, e));
-        assert!(
-            analysis.total_phases() >= 1,
-            "{}: no phases found",
-            name
-        );
+        assert!(analysis.total_phases() >= 1, "{}: no phases found", name);
         assert!(
             report.pete_or_inf() < 25.0,
             "{}: PETE {:.1}% out of band",
@@ -38,12 +34,20 @@ fn prediction_differentiates_machines() {
     // faster-network cluster should be predicted (and measured) faster.
     let pas2p = Pas2p::default();
     let base = cluster_a();
-    let app = CgApp { class: Class::B, nprocs: 16, iters: 30 };
+    let app = CgApp {
+        class: Class::B,
+        nprocs: 16,
+        iters: 30,
+    };
     let analysis = pas2p.analyze(&app, &base, MappingPolicy::Block);
     let (sig, _) = pas2p.build_signature(&app, &analysis, &base, MappingPolicy::Block);
 
-    let ra = pas2p.validate(&app, &sig, &cluster_a(), MappingPolicy::Block).unwrap();
-    let rc = pas2p.validate(&app, &sig, &cluster_c(), MappingPolicy::Block).unwrap();
+    let ra = pas2p
+        .validate(&app, &sig, &cluster_a(), MappingPolicy::Block)
+        .unwrap();
+    let rc = pas2p
+        .validate(&app, &sig, &cluster_c(), MappingPolicy::Block)
+        .unwrap();
     // The two machines genuinely differ for this app…
     assert!(
         (rc.aet - ra.aet).abs() / ra.aet > 0.02,
@@ -67,7 +71,12 @@ fn prediction_differentiates_machines() {
 fn signature_construction_is_cheaper_than_full_run_for_repetitive_apps() {
     let pas2p = Pas2p::default();
     let base = cluster_a();
-    let app = MoldyApp { nprocs: 8, steps: 400, rebuild_every: 10, atoms_per_proc: 512 };
+    let app = MoldyApp {
+        nprocs: 8,
+        steps: 400,
+        rebuild_every: 10,
+        atoms_per_proc: 512,
+    };
     let aet = run_plain(&app, &base, MappingPolicy::Block).makespan;
     let analysis = pas2p.analyze(&app, &base, MappingPolicy::Block);
     let (_, stats) = pas2p.build_signature(&app, &analysis, &base, MappingPolicy::Block);
@@ -87,7 +96,11 @@ fn oversubscribed_prediction_tracks_oversubscribed_reality() {
     let pas2p = Pas2p::default();
     let base = cluster_c();
     let target = cluster_a();
-    let app = PopApp { nprocs: 16, iters: 25, inner: 3 };
+    let app = PopApp {
+        nprocs: 16,
+        iters: 25,
+        inner: 3,
+    };
     let analysis = pas2p.analyze(&app, &base, MappingPolicy::Block);
     let (sig, _) = pas2p.build_signature(&app, &analysis, &base, MappingPolicy::Block);
 
@@ -102,7 +115,11 @@ fn oversubscribed_prediction_tracks_oversubscribed_reality() {
 fn analysis_is_deterministic_end_to_end() {
     let pas2p = Pas2p::default();
     let base = cluster_b();
-    let app = CgApp { class: Class::A, nprocs: 8, iters: 20 };
+    let app = CgApp {
+        class: Class::A,
+        nprocs: 8,
+        iters: 20,
+    };
     let a1 = pas2p.analyze(&app, &base, MappingPolicy::Block);
     let a2 = pas2p.analyze(&app, &base, MappingPolicy::Block);
     assert_eq!(a1.trace_events, a2.trace_events);
@@ -120,7 +137,11 @@ fn phase_table_json_is_portable() {
     // ISAs (paper Appendix E).
     let pas2p = Pas2p::default();
     let base = cluster_a();
-    let app = CgApp { class: Class::A, nprocs: 8, iters: 15 };
+    let app = CgApp {
+        class: Class::A,
+        nprocs: 8,
+        iters: 15,
+    };
     let analysis = pas2p.analyze(&app, &base, MappingPolicy::Block);
     let json = analysis.table.to_json();
     let back = pas2p_phases::PhaseTable::from_json(&json).unwrap();
@@ -134,11 +155,22 @@ fn workload_change_requires_reanalysis() {
     // for a small workload must underpredict a larger one.
     let pas2p = Pas2p::default();
     let base = cluster_a();
-    let small = CgApp { class: Class::A, nprocs: 8, iters: 20 };
-    let large = CgApp { class: Class::A, nprocs: 8, iters: 60 };
+    let small = CgApp {
+        class: Class::A,
+        nprocs: 8,
+        iters: 20,
+    };
+    let large = CgApp {
+        class: Class::A,
+        nprocs: 8,
+        iters: 60,
+    };
     let analysis = pas2p.analyze(&small, &base, MappingPolicy::Block);
     let (sig, _) = pas2p.build_signature(&small, &analysis, &base, MappingPolicy::Block);
-    let pet_small = pas2p.predict(&small, &sig, &base, MappingPolicy::Block).unwrap().pet;
+    let pet_small = pas2p
+        .predict(&small, &sig, &base, MappingPolicy::Block)
+        .unwrap()
+        .pet;
     let aet_large = run_plain(&large, &base, MappingPolicy::Block).makespan;
     assert!(
         pet_small < 0.6 * aet_large,

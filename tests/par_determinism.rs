@@ -139,8 +139,7 @@ fn timeline_export_is_parallelism_invariant() {
         let app = pas2p_apps::by_name("cg", 8).expect("catalog app");
         let ((analysis, trace, _), events) =
             traced(|| tool.analyze_full(app.as_ref(), &base, MappingPolicy::Block));
-        let doc =
-            pas2p::compose_timeline(&events, Some(&trace), Some(&analysis.analysis), "cg");
+        let doc = pas2p::compose_timeline(&events, Some(&trace), Some(&analysis.analysis), "cg");
         doc.normalized().to_json()
     };
     let baseline = export(Some(1));

@@ -68,7 +68,8 @@ fn scan_objects(root: &Path) -> (usize, usize) {
         let Ok(value) = serde_json::from_str::<serde_json::Value>(&text) else {
             continue;
         };
-        let (Some(payload), Some(checksum)) = (value["payload"].as_str(), value["checksum"].as_str())
+        let (Some(payload), Some(checksum)) =
+            (value["payload"].as_str(), value["checksum"].as_str())
         else {
             continue;
         };
@@ -94,7 +95,9 @@ fn torn_write_is_classified_and_the_retry_recovers() {
         }],
     );
 
-    let err = svc.submit("cg", 4, "A").expect_err("torn write must fail the submit");
+    let err = svc
+        .submit("cg", 4, "A")
+        .expect_err("torn write must fail the submit");
     assert!(!err.is_empty(), "failure carries a message");
     assert!(stats.faults_fired() >= 1, "the fault actually fired");
     let (published, well_formed) = scan_objects(&root);
@@ -126,8 +129,13 @@ fn rename_failure_never_publishes_a_partial_object() {
     let root = temp_root("rename");
     let (svc, stats) = faulty_service(&root, vec![StoreFaultKind::RenameFail { on_op: 1 }]);
 
-    let err = svc.submit("ft", 4, "A").expect_err("failed publish must fail the submit");
-    assert!(err.contains("publishing"), "classified as a publish failure: {err}");
+    let err = svc
+        .submit("ft", 4, "A")
+        .expect_err("failed publish must fail the submit");
+    assert!(
+        err.contains("publishing"),
+        "classified as a publish failure: {err}"
+    );
     assert_eq!(stats.faults_fired(), 1);
     let (published, _) = scan_objects(&root);
     assert_eq!(published, 0, "nothing may appear without its rename");
@@ -148,8 +156,13 @@ fn fsync_failure_is_surfaced_not_swallowed() {
     let root = temp_root("fsync");
     let (svc, stats) = faulty_service(&root, vec![StoreFaultKind::FsyncFail { on_op: 1 }]);
 
-    let err = svc.submit("cg", 4, "A").expect_err("failed fsync must fail the submit");
-    assert!(err.contains("fsync"), "classified as an fsync failure: {err}");
+    let err = svc
+        .submit("cg", 4, "A")
+        .expect_err("failed fsync must fail the submit");
+    assert!(
+        err.contains("fsync"),
+        "classified as an fsync failure: {err}"
+    );
     assert_eq!(stats.faults_fired(), 1);
 
     let retry = svc.submit("cg", 4, "A").expect("retry succeeds");
@@ -237,6 +250,9 @@ fn failed_put_leaves_the_alias_on_the_published_signature() {
         Some(&key),
         "the alias still names the signature that is there"
     );
-    assert!(store.get_signature(&key).is_some(), "and the store serves it");
+    assert!(
+        store.get_signature(&key).is_some(),
+        "and the store serves it"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
