@@ -370,3 +370,218 @@ fn a_store_file_is_served_right_or_evicted_and_reported() {
     });
     tally.report("store", "unknown key added", "truncated");
 }
+
+/// Cases of the payload fuzz: each decodes a signature, and the served
+/// ones run Stage B.
+const PAYLOAD_CASES: u64 = 128;
+
+/// The object of a signature with several entries on one checkpoint (the
+/// catalog's lu/4), and the store around it.
+struct PristineSignature {
+    files: BTreeMap<PathBuf, Vec<u8>>,
+    key: StoreKey,
+    object: PathBuf,
+    payload: String,
+}
+
+fn pristine_signature() -> PristineSignature {
+    let io = MemIo::default();
+    let service = service_over(&io);
+    let digest = service.submit("lu", 4, "A").expect("submit").digest;
+    let object = PathBuf::from(format!("/store/objects/{digest}.json"));
+    let files = io.files().clone();
+    let text = std::str::from_utf8(&files[&object]).expect("UTF-8");
+    let envelope: serde_json::Value = serde_json::from_str(text).expect("JSON");
+    let payload = envelope["payload"].as_str().expect("payload").to_string();
+    let stored: serde_json::Value = serde_json::from_str(&payload).expect("payload JSON");
+    let named: Vec<&serde_json::Value> = (stored["signature"]["entries"].as_array())
+        .expect("entries")
+        .iter()
+        .map(|e| &e["checkpoint"])
+        .collect();
+    assert!(
+        named
+            .iter()
+            .any(|c| !c.is_null() && named.iter().filter(|d| d == &c).count() >= 2),
+        "two entries on one checkpoint: {named:?}"
+    );
+    PristineSignature {
+        key: StoreKey {
+            digest,
+            fingerprint: service.fingerprint(),
+        },
+        files,
+        object,
+        payload,
+    }
+}
+
+impl PristineSignature {
+    /// The store's files with the signature's payload replaced by
+    /// `payload` under a checksum that matches it.
+    fn with_payload(&self, payload: &str) -> MemIo {
+        let io = MemIo::default();
+        *io.files() = self.files.clone();
+        let text = std::str::from_utf8(&self.files[&self.object]).expect("UTF-8");
+        let mut envelope: serde_json::Value = serde_json::from_str(text).expect("JSON");
+        envelope["payload"] = serde_json::json!(payload);
+        envelope["checksum"] = serde_json::json!(pas2p_store::sha256_hex(payload.as_bytes()));
+        let text = serde_json::to_string(&envelope).expect("encodes");
+        io.files().insert(self.object.clone(), text.into_bytes());
+        io
+    }
+
+    /// Open the rewritten store and read the signature: whether it was
+    /// served; a refusal must be exactly one `STORE-CORRUPT-001`.
+    fn served(&self, io: &MemIo, what: &str) -> bool {
+        let mut store = SignatureStore::open_with_io("/store", Box::new(io.clone())).expect("open");
+        assert!(store.report().is_clean(), "{what}: the checksum matches");
+        if store.get_signature(&self.key).is_some() {
+            return true;
+        }
+        let codes: Vec<String> = store.diagnostics().into_iter().map(|d| d.code).collect();
+        assert_eq!(codes, ["STORE-CORRUPT-001"], "{what}: {:?}", store.report());
+        false
+    }
+
+    /// Stage B on the served signature: the reply line of a `predict`.
+    fn predict(&self, io: &MemIo) -> serde_json::Value {
+        let line = r#"{"op":"predict","app":"lu","nprocs":4,"base":"A","target":"B"}"#;
+        let (response, _) = service_over(io).handle_line(line);
+        serde_json::from_str(&response.render()).expect("the reply is JSON")
+    }
+}
+
+/// The byte ranges of every rank state (the hex inside the quotes) in a
+/// signature payload.
+fn state_spans(payload: &str) -> Vec<std::ops::Range<usize>> {
+    let mut spans = Vec::new();
+    for (at, _) in payload.match_indices(r#""states":["#) {
+        let mut from = at + r#""states":["#.len();
+        while payload.as_bytes()[from] == b'"' {
+            let end = from + 1 + payload[from + 1..].find('"').expect("a closing quote");
+            spans.push(from + 1..end);
+            from = end + 1 + usize::from(payload.as_bytes()[end + 1] == b',');
+        }
+    }
+    spans
+}
+
+/// Classes whose every case must be refused by the decoder.
+const NEVER_SERVED: [&str; 4] = [
+    "state of odd length",
+    "state byte outside [0-9a-f]",
+    "state as a number array",
+    "checkpoints key renamed",
+];
+
+/// A payload rewritten inside one state, checkpoint index or key, and
+/// the rewrite's class.
+fn rewritten(g: &mut Gen, payload: &str) -> (&'static str, String) {
+    let spans = state_spans(payload);
+    let state = spans[g.range(0..spans.len() as u64) as usize].clone();
+    let at = g.range(state.start as u64..state.end as u64) as usize;
+    let mut out = payload.to_string();
+    match g.range(0..6) {
+        0 => {
+            out.remove(at);
+            (NEVER_SERVED[0], out)
+        }
+        1 => {
+            let byte = g.pick(&["A", "F", "G", "x", " ", "-", "\u{e9}"]);
+            out.replace_range(at..at + 1, byte);
+            (NEVER_SERVED[1], out)
+        }
+        2 => {
+            out.replace_range(state.start - 1..state.end + 1, "[1,2]");
+            (NEVER_SERVED[2], out)
+        }
+        3 => (
+            NEVER_SERVED[3],
+            out.replacen(r#""checkpoints":"#, r#""checkpointz":"#, 1),
+        ),
+        4 => {
+            let marks: Vec<usize> = out
+                .match_indices(r#""checkpoint":"#)
+                .map(|(i, _)| i)
+                .collect();
+            let from = g.pick(&marks) + r#""checkpoint":"#.len();
+            let end = from + out[from..].find(['}', ',']).expect("a value");
+            let value = g.pick(&["0", "1", "2", "3", "null", "-1", "1.5", r#""0""#, "[]"]);
+            out.replace_range(from..end, value);
+            ("checkpoint index replaced", out)
+        }
+        _ => {
+            out.truncate(g.range(0..out.len() as u64) as usize);
+            ("truncated", out)
+        }
+    }
+}
+
+#[test]
+fn a_rewritten_payload_is_decoded_or_evicted_and_stage_b_answers() {
+    let pristine = pristine_signature();
+    let tally = Tally::default();
+    cases(REPLAY, PAYLOAD_CASES, |g| {
+        let (class, payload) = rewritten(g, &pristine.payload);
+        let io = pristine.with_payload(&payload);
+        let served = pristine.served(&io, class);
+        assert!(
+            !(served && NEVER_SERVED.contains(&class)),
+            "{class}: served"
+        );
+        if served {
+            let reply = pristine.predict(&io);
+            assert!(
+                reply["ok"] == true || reply["code"] == "error",
+                "{class}: {reply}"
+            );
+        }
+        tally.count(class, served);
+    });
+    tally.report(
+        "payload",
+        "checkpoint index replaced",
+        "state of odd length",
+    );
+}
+
+#[test]
+fn named_payload_rewrites_are_refused() {
+    let pristine = pristine_signature();
+    let payload = &pristine.payload;
+    let state = state_spans(payload)[0].clone();
+    let edit = |at: usize, with: &str| {
+        let mut out = payload.clone();
+        out.replace_range(at..at + 1, with);
+        out
+    };
+    let stored: serde_json::Value = serde_json::from_str(payload).expect("payload JSON");
+    let len = stored["signature"]["checkpoints"]
+        .as_array()
+        .expect("list")
+        .len();
+    let refused = [
+        ("an odd-length state", edit(state.start, "")),
+        ("an uppercase byte", edit(state.start, "A")),
+        ("a non-hex byte", edit(state.start, "g")),
+        (
+            "no checkpoints key",
+            payload.replacen(r#""checkpoints":"#, r#""checkpointz":"#, 1),
+        ),
+    ];
+    for (what, payload) in refused {
+        assert!(
+            !pristine.served(&pristine.with_payload(&payload), what),
+            "{what}"
+        );
+    }
+    // An index one past the end decodes; Stage B refuses the entry.
+    let past_the_end = payload.replacen(r#""checkpoint":0"#, &format!(r#""checkpoint":{len}"#), 1);
+    let io = pristine.with_payload(&past_the_end);
+    assert!(pristine.served(&io, "an index past the end"));
+    let reply = pristine.predict(&io);
+    assert_eq!(reply["code"], "error", "{reply}");
+    let error = reply["error"].as_str().expect("error text");
+    assert!(error.contains("names a checkpoint past the end"), "{error}");
+}
