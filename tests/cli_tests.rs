@@ -322,6 +322,47 @@ fn isa_mismatch_is_reported() {
     assert!(stderr.contains("cannot run on"), "{}", stderr);
 }
 
+/// A signature file that decodes but cannot run, or that is not of this
+/// version's shape, is a bad input: exit 2, one line, no usage dump.
+#[test]
+fn a_signature_file_that_cannot_run_is_refused() {
+    let dir = std::env::temp_dir().join(format!("pas2p-cli-sig-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sig_path = dir.join("lu.sig.json");
+    let sig_str = sig_path.to_str().unwrap();
+    let out = cli()
+        .args(["signature", "--app", "lu", "--nprocs", "4", "--base", "A"])
+        .args(["--out", sig_str])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let text = std::fs::read_to_string(&sig_path).unwrap();
+    let mut windowless: serde_json::Value = serde_json::from_str(&text).unwrap();
+    windowless["entries"][1]["row"]["windows"] = serde_json::json!([]);
+    for (file, says) in [
+        (
+            serde_json::to_string(&windowless).unwrap(),
+            "signature entry 1 has no measurement window",
+        ),
+        (
+            text.replacen(r#""checkpoints":"#, r#""checkpointz":"#, 1),
+            "missing field `checkpoints`",
+        ),
+    ] {
+        std::fs::write(&sig_path, file).unwrap();
+        let out = cli()
+            .args(["predict", "--app", "lu", "--nprocs", "4"])
+            .args(["--signature", sig_str, "--target", "B"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(says), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn check_reports_clean_apps_and_json_mode() {
     let out = cli()
