@@ -7,9 +7,10 @@
 //! is written out here. Its throughput is no longer irrelevant: since
 //! the simulator stopped copying payloads, hashing the encoded trace
 //! for a signature's content key (`signature_key`, the ledger's
-//! `store.key_ms`) is about 1 ms of a 19–24 ms cold `submit` (5 %,
-//! EXPERIMENTS.md "PR 17") — small beside the store's fsyncs, no longer
-//! nothing.
+//! `store.key_ms`) is about 1.5 ms of an 18–19 ms cold `submit` on a
+//! two-vCPU box (8 %, the traced ledger's `store.key_ms` beside
+//! `service.submit_inproc_ms`), at 122–133 MB/s — small beside the
+//! store's fsyncs, no longer nothing.
 
 /// Round constants: first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes.
