@@ -519,6 +519,8 @@ mod tests {
     use crate::engine::CheckEngine;
     use pas2p_trace::{ProcessTrace, TraceEvent};
 
+    /// One event, each field the tests vary an argument.
+    #[allow(clippy::too_many_arguments)]
     fn ev(
         number: u64,
         process: u32,

@@ -594,7 +594,6 @@ mod tests {
             // Between the sleeper's 400 ms and what `cg` needs on a
             // loaded two-core box in a debug build (60 ms was not).
             deadline: Some(Duration::from_millis(250)),
-            ..BatchOptions::default()
         };
         let jobs = vec![
             BatchJob::new(Box::new(SleepyApp), cluster_a()),

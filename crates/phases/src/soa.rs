@@ -454,7 +454,7 @@ mod tests {
     fn length_mismatch_is_a_hard_gate() {
         let cfg = SimilarityConfig::default();
         let row = vec![sig(EventKind::Send, Some(1), 8, 0.1)];
-        let a = SoaPattern::from_pattern(&pattern(&[row.clone()]));
+        let a = SoaPattern::from_pattern(&pattern(std::slice::from_ref(&row)));
         let b = SoaPattern::from_pattern(&pattern(&[row.clone(), row]));
         assert!(!cfg.soa_phases_similar(&a, &b));
         assert!(!cfg.band_admits(&a, &b));
@@ -504,7 +504,7 @@ mod tests {
     #[test]
     fn band_abstains_on_degenerate_configs() {
         let row = vec![sig(EventKind::Send, Some(1), 100, 1.0); 2];
-        let a = SoaPattern::from_pattern(&pattern(&[row.clone()]));
+        let a = SoaPattern::from_pattern(&pattern(std::slice::from_ref(&row)));
         let far = vec![sig(EventKind::Send, Some(1), 1 << 40, 1000.0); 2];
         let b = SoaPattern::from_pattern(&pattern(&[far]));
         for f in [0.0, -1.0, f64::NAN, 2.0] {

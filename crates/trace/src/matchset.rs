@@ -175,6 +175,8 @@ mod tests {
     use super::*;
     use crate::event::{ProcessTrace, TraceEvent};
 
+    /// One event, each field the tests vary an argument.
+    #[allow(clippy::too_many_arguments)]
     fn ev(
         number: u64,
         process: u32,
