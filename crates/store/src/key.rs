@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 
 /// Version of the store's on-disk layout and key derivation. Bumping it
 /// invalidates every existing entry (they are evicted at open).
-pub const STORE_FORMAT_VERSION: u32 = 2;
+pub const STORE_FORMAT_VERSION: u32 = 3;
 
 /// The address of one stored artifact.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
