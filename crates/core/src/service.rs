@@ -614,11 +614,9 @@ impl PredictionService {
         );
         let (signature, _stats) =
             pas2p.build_signature(app.as_ref(), &analysis, base, policy.clone());
-        // Zero the one host-volatile field inside the payload; the real
-        // value rides in the sidecar. Everything else in the payload is
-        // deterministic for the key's inputs.
-        let mut stored_analysis = analysis.analysis;
-        stored_analysis.analysis_seconds = 0.0;
+        // The analysis is not stored (a host-timed TFAT rides in the
+        // sidecar); everything the payload writes is deterministic for
+        // the key's inputs.
         let payload = StoredSignature {
             app_name: analysis.app_name,
             workload: analysis.workload,
@@ -628,7 +626,7 @@ impl PredictionService {
             trace_events: analysis.trace_events,
             aet_instrumented: analysis.aet_instrumented,
             confidence: analysis.confidence,
-            analysis: stored_analysis,
+            analysis: analysis.analysis,
             table: analysis.table,
             signature,
         };
@@ -660,7 +658,7 @@ impl PredictionService {
             digest: key.digest,
             cached,
             app: payload.app_name.clone(),
-            phases: payload.analysis.total_phases(),
+            phases: payload.table.total_phases,
             relevant: payload.table.relevant_phases(),
             confidence: payload.confidence.to_string(),
         })
@@ -1460,9 +1458,29 @@ mod tests {
         let cold = svc.submit("cg", 4, "A").expect("cold submit");
         assert!(!cold.cached);
         assert!(cold.relevant > 0, "cg has relevant phases");
+        // A cached submit answers from the stored payload alone, which
+        // holds no phase analysis: every field must still be the cold one.
+        let answer = |s: &SubmitOutcome| {
+            let SubmitOutcome {
+                app,
+                phases,
+                relevant,
+                confidence,
+                ..
+            } = s.clone();
+            (app, phases, relevant, confidence)
+        };
         let warm = svc.submit("cg", 4, "A").expect("warm submit");
         assert!(warm.cached, "second submit must hit the store");
         assert_eq!(warm.digest, cold.digest, "same inputs, same address");
+        assert_eq!(answer(&warm), answer(&cold));
+        // So must a fresh service's, over the reopened store.
+        let reopened = service(&root)
+            .submit("cg", 4, "A")
+            .expect("reopened submit");
+        assert!(reopened.cached);
+        assert_eq!(reopened.digest, cold.digest);
+        assert_eq!(answer(&reopened), answer(&cold));
         let _ = std::fs::remove_dir_all(&root);
     }
 

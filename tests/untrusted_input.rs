@@ -561,7 +561,13 @@ fn named_payload_rewrites_are_refused() {
         .as_array()
         .expect("list")
         .len();
+    let last_key = payload.rfind(r#","trace_events":"#).expect("the last key");
     let refused = [
+        (
+            "no signature key",
+            payload.replacen(r#""signature":"#, r#""signaturz":"#, 1),
+        ),
+        ("no trace_events key", format!("{}}}", &payload[..last_key])),
         ("an odd-length state", edit(state.start, "")),
         ("an uppercase byte", edit(state.start, "A")),
         ("a non-hex byte", edit(state.start, "g")),
