@@ -4,13 +4,12 @@
 //! must be stable across platforms, endianness and releases — a
 //! `DefaultHasher` guarantees none of that. The workspace forbids
 //! unsafe code and adds no external crates, so the compression function
-//! is written out here. Its throughput is no longer irrelevant: since
-//! the simulator stopped copying payloads, hashing the encoded trace
-//! for a signature's content key (`signature_key`, the ledger's
-//! `store.key_ms`) is about 1.5 ms of an 18–19 ms cold `submit` on a
-//! two-vCPU box (8 %, the traced ledger's `store.key_ms` beside
-//! `service.submit_inproc_ms`), at 122–133 MB/s — small beside the
-//! store's fsyncs, no longer nothing.
+//! is written out here. Keying a signature (`store.key_ms`) is about
+//! 1.3 ms of a 12–14 ms cold `submit` on a two-vCPU box (traced ledger
+//! medians), at about 240 MB/s over a 4 MB buffer. A safe rewrite of
+//! `compress` (16-word rolling schedule, macro-unrolled rounds; FIPS
+//! vectors pass) ran ×1.15 (about 284 MB/s): some 0.2 ms of a cold
+//! `submit`, inside the spread of its latency, so the plain form stays.
 
 /// Round constants: first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes.
