@@ -31,9 +31,14 @@
 //! survives a crash, and a crash mid-write leaves only the old object
 //! plus a stray temp file that the next open removes. Corruption is
 //! handled twice: a startup recovery pass verifies every indexed object
-//! and evicts torn ones, and checksums are re-verified lazily on access;
-//! every eviction is reported ([`crate::StoreReport`]) and the caller
-//! recomputes.
+//! and evicts torn ones, and a read from the file verifies that object
+//! again; every eviction is reported ([`crate::StoreReport`]) and the
+//! caller recomputes.
+//!
+//! A handle keeps each prediction payload it has read and verified in
+//! memory, up to `RESIDENT_BUDGET` bytes, and answers a repeat get from
+//! there without touching the file. So a file that rots after that read
+//! is caught by the next open's recovery pass, not by the next get.
 //!
 //! All filesystem access goes through a [`StoreIo`] (see [`crate::io`]),
 //! so the fault-injection harness can tear writes, shorten reads and
@@ -48,8 +53,12 @@ use pas2p_phases::{PhaseAnalysis, PhaseTable};
 use pas2p_signature::Signature;
 use pas2p_trace::Confidence;
 use serde::{Deserialize, Error, Serialize, Sink, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
+
+/// Bytes of verified prediction payload one handle keeps in memory:
+/// about 10 000 catalog predictions of ~0.8 KB each.
+const RESIDENT_BUDGET: usize = 8 << 20;
 
 /// What kind of artifact an entry holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -259,12 +268,46 @@ enum Evicted {
     Config,
 }
 
+/// Prediction payloads that passed their checksum on a read, by digest.
+/// Each one is indexed: `forget` and `write_object` drop a digest's
+/// copy. An insert that would go over `RESIDENT_BUDGET` clears the set
+/// first.
+#[derive(Default)]
+struct Resident {
+    payloads: HashMap<String, String>,
+    bytes: usize,
+}
+
+impl Resident {
+    /// Keep `payload` for a digest that is not resident (a get that
+    /// missed the set).
+    fn insert(&mut self, digest: &str, payload: &str) {
+        if payload.len() > RESIDENT_BUDGET {
+            return;
+        }
+        if self.bytes + payload.len() > RESIDENT_BUDGET {
+            self.payloads.clear();
+            self.bytes = 0;
+        }
+        self.bytes += payload.len();
+        self.payloads
+            .insert(digest.to_string(), payload.to_string());
+    }
+
+    fn remove(&mut self, digest: &str) {
+        if let Some(payload) = self.payloads.remove(digest) {
+            self.bytes -= payload.len();
+        }
+    }
+}
+
 /// The content-addressed signature repository.
 pub struct SignatureStore {
     root: PathBuf,
     index: StoreIndex,
     report: StoreReport,
     io: Box<dyn StoreIo>,
+    resident: Resident,
 }
 
 impl SignatureStore {
@@ -282,8 +325,9 @@ impl SignatureStore {
     /// scanning the object files, stale temp files from crashed writes
     /// are removed, torn or missing objects are evicted by a recovery
     /// pass, and everything done is recorded in
-    /// [`SignatureStore::report`]. Checksums are additionally
-    /// re-verified lazily on every access.
+    /// [`SignatureStore::report`]. A get that reads the file verifies
+    /// the object again; a repeat get of a prediction is answered from
+    /// the verified copy this handle kept, without reading the file.
     pub fn open_with_io(
         root: impl Into<PathBuf>,
         io: Box<dyn StoreIo>,
@@ -308,6 +352,7 @@ impl SignatureStore {
             index,
             report,
             io,
+            resident: Resident::default(),
         };
 
         // Format-version invalidation: entries written under any other
@@ -333,12 +378,14 @@ impl SignatureStore {
         Ok(store)
     }
 
-    /// The one way an entry leaves the index: its aliases go with it,
-    /// its object file is removed unless that is what is missing, and
-    /// the eviction is counted and classified in the report. The caller
-    /// flushes the index, once for however many entries it forgot.
+    /// The one way an entry leaves the index: its aliases and resident
+    /// copy go with it, its object file is removed unless that is what
+    /// is missing, and the eviction is counted and classified in the
+    /// report. The caller flushes the index, once for however many
+    /// entries it forgot.
     fn forget(&mut self, digest: &str, why: Evicted, reason: &str) {
         self.index.entries.remove(digest);
+        self.resident.remove(digest);
         self.index.aliases.retain(|_, d| d != digest);
         if why != Evicted::Missing {
             let _ = self.io.remove_file(&self.object_path(digest));
@@ -499,10 +546,17 @@ impl SignatureStore {
     }
 
     /// Load a stored prediction's canonical JSON, byte-for-byte as it
-    /// was put. `None` is a miss.
+    /// was put. `None` is a miss. The first get reads and verifies the
+    /// object; the payload then stays resident, and a repeat get
+    /// answers from memory.
     pub fn get_prediction_json(&mut self, key: &StoreKey) -> Option<String> {
+        if let Some(payload) = self.resident.payloads.get(&key.digest) {
+            count("store.hit");
+            return Some(payload.clone());
+        }
         let obj = self.load_object(key, ArtifactKind::Prediction)?;
         count("store.hit");
+        self.resident.insert(&key.digest, &obj.payload);
         Some(obj.payload)
     }
 
@@ -596,6 +650,9 @@ impl SignatureStore {
         payload: String,
         sidecar: Sidecar,
     ) -> Result<(), StoreError> {
+        // Nothing is made resident at put time: the next get reads back
+        // what was published.
+        self.resident.remove(&key.digest);
         let obj = StoredObject {
             checksum: sha256_hex(payload.as_bytes()),
             digest: key.digest.clone(),
@@ -758,5 +815,220 @@ mod tests {
         }
         assert_eq!(count, 32, "every write published exactly one object");
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// Real files with every read counted; the fsyncs are skipped.
+    struct CountingIo(Arc<AtomicU64>);
+
+    impl StoreIo for CountingIo {
+        fn read_to_string(&self, path: &Path) -> std::io::Result<String> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            RealIo.read_to_string(path)
+        }
+        fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            RealIo.write(path, bytes)
+        }
+        fn sync_file(&self, _: &Path) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn sync_dir(&self, _: &Path) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            RealIo.rename(from, to)
+        }
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            RealIo.remove_file(path)
+        }
+        fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            RealIo.create_dir_all(path)
+        }
+        fn list_dir(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+            RealIo.list_dir(dir)
+        }
+    }
+
+    /// A store over a fresh root, and its read counter.
+    struct Counted {
+        root: PathBuf,
+        store: SignatureStore,
+        reads: Arc<AtomicU64>,
+    }
+
+    impl Counted {
+        fn new(tag: &str) -> Counted {
+            let root = std::env::temp_dir()
+                .join(format!("pas2p-store-resident-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&root);
+            let reads = Arc::new(AtomicU64::new(0));
+            let store = SignatureStore::open_with_io(&root, Box::new(CountingIo(reads.clone())))
+                .expect("open");
+            Counted { root, store, reads }
+        }
+
+        fn put(&mut self, key: &StoreKey, json: &str) {
+            let mut entry = prediction_entry();
+            entry.fingerprint = key.fingerprint.clone();
+            self.store
+                .put_prediction_json(key, entry, json)
+                .expect("put");
+        }
+
+        /// A get, and how many files it read.
+        fn get(&mut self, key: &StoreKey) -> (Option<String>, u64) {
+            let before = self.reads.load(Ordering::Relaxed);
+            let got = self.store.get_prediction_json(key);
+            (got, self.reads.load(Ordering::Relaxed) - before)
+        }
+
+        fn object(&self, key: &StoreKey) -> PathBuf {
+            self.root
+                .join("objects")
+                .join(format!("{}.json", key.digest))
+        }
+
+        fn reopen(&mut self) {
+            self.store =
+                SignatureStore::open_with_io(&self.root, Box::new(CountingIo(self.reads.clone())))
+                    .expect("reopen");
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.root);
+        }
+    }
+
+    fn prediction_entry() -> IndexEntry {
+        IndexEntry {
+            kind: ArtifactKind::Prediction,
+            format_version: STORE_FORMAT_VERSION,
+            fingerprint: "fp".into(),
+            app: "cg".into(),
+            workload: "w".into(),
+            nprocs: 8,
+            base: "A".into(),
+            target: Some("B".into()),
+        }
+    }
+
+    fn key(n: u8, fingerprint: &str) -> StoreKey {
+        StoreKey {
+            digest: sha256_hex(&[n]),
+            fingerprint: fingerprint.into(),
+        }
+    }
+
+    const JSON: &str = r#"{"app":"cg","pet":1.25}"#;
+
+    #[test]
+    fn the_first_get_after_a_put_reads_once_and_the_second_reads_nothing() {
+        let mut s = Counted::new("warm");
+        let k = key(1, "fp");
+        s.put(&k, JSON);
+        assert_eq!(s.get(&k), (Some(JSON.to_string()), 1));
+        assert_eq!(s.get(&k), (Some(JSON.to_string()), 0));
+        assert_eq!(s.store.resident.bytes, JSON.len());
+    }
+
+    #[test]
+    fn every_eviction_drops_the_resident_copy() {
+        // A stale configuration.
+        let mut s = Counted::new("evict-config");
+        let (keep, stale) = (key(1, "fp"), key(2, "old-fp"));
+        s.put(&keep, JSON);
+        s.put(&stale, JSON);
+        s.get(&keep);
+        s.get(&stale);
+        assert_eq!(s.store.evict_stale_configs("fp"), 1);
+        assert_eq!(s.get(&stale), (None, 0), "not indexed: no read");
+        assert_eq!(s.get(&keep), (Some(JSON.to_string()), 0));
+        assert_eq!(s.store.resident.bytes, JSON.len());
+
+        // A corrupt read: the signature getter reads the same object.
+        let mut s = Counted::new("evict-corrupt");
+        let k = key(3, "fp");
+        s.put(&k, JSON);
+        s.get(&k);
+        let text = std::fs::read_to_string(s.object(&k)).expect("object");
+        std::fs::write(s.object(&k), text.replace("1.25", "9.99")).expect("tamper");
+        assert!(s.store.get_signature(&k).is_none());
+        assert_eq!(s.store.report().evicted_corrupt, 1);
+        assert_eq!(s.get(&k), (None, 0), "evicted: no read");
+        assert_eq!(s.store.resident.bytes, 0);
+
+        // Another format version, found at open.
+        let mut s = Counted::new("evict-version");
+        let k = key(4, "fp");
+        s.put(&k, JSON);
+        s.get(&k);
+        let index = std::fs::read_to_string(s.store.index_path()).expect("index");
+        std::fs::write(
+            s.store.index_path(),
+            index.replace(
+                &format!(r#""format_version":{STORE_FORMAT_VERSION},"kind""#),
+                r#""format_version":0,"kind""#,
+            ),
+        )
+        .expect("rewrite index");
+        s.reopen();
+        assert_eq!(s.store.report().evicted_version, 1);
+        assert_eq!(s.get(&k), (None, 0), "evicted: no read");
+        assert_eq!(s.store.resident.bytes, 0);
+    }
+
+    #[test]
+    fn a_re_put_replaces_the_resident_copy() {
+        let mut s = Counted::new("reput");
+        let k = key(1, "fp");
+        s.put(&k, JSON);
+        s.get(&k);
+        let other = r#"{"app":"cg","pet":2.5}"#;
+        s.put(&k, other);
+        assert_eq!(s.get(&k), (Some(other.to_string()), 1), "read back");
+        assert_eq!(s.get(&k), (Some(other.to_string()), 0));
+        assert_eq!(s.store.resident.bytes, other.len());
+    }
+
+    /// What a resident copy trades: a file that rots after the verified
+    /// read is served from memory by that handle and caught by the next
+    /// open.
+    #[test]
+    fn a_tamper_after_a_warm_read_is_caught_by_the_next_open() {
+        let mut s = Counted::new("tamper");
+        let k = key(1, "fp");
+        s.put(&k, JSON);
+        s.get(&k);
+        let text = std::fs::read_to_string(s.object(&k)).expect("object");
+        std::fs::write(s.object(&k), text.replace("1.25", "9.99")).expect("tamper");
+        assert_eq!(s.get(&k), (Some(JSON.to_string()), 0), "the verified bytes");
+        s.reopen();
+        let codes: Vec<String> = s.store.diagnostics().into_iter().map(|d| d.code).collect();
+        assert_eq!(codes, ["STORE-CORRUPT-001"]);
+        assert_eq!(s.get(&k), (None, 0));
+    }
+
+    #[test]
+    fn resident_bytes_never_exceed_the_budget() {
+        let mut s = Counted::new("budget");
+        let third = format!("\"{}\"", "x".repeat(RESIDENT_BUDGET / 3));
+        let keys: Vec<StoreKey> = (0..3).map(|n| key(n, "fp")).collect();
+        for k in &keys {
+            s.put(k, &third);
+            assert_eq!(s.get(k), (Some(third.clone()), 1));
+            assert!(s.store.resident.bytes <= RESIDENT_BUDGET);
+        }
+        // The third insert went over: the set was cleared first.
+        assert_eq!(s.store.resident.bytes, third.len());
+        assert_eq!(s.get(&keys[2]).1, 0);
+        assert_eq!(s.get(&keys[0]).1, 1, "cleared, so read again");
+        // A payload over the budget is not kept.
+        let mut resident = Resident::default();
+        resident.insert("d", &"x".repeat(RESIDENT_BUDGET + 1));
+        assert_eq!((resident.payloads.len(), resident.bytes), (0, 0));
     }
 }
