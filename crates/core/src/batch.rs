@@ -293,7 +293,8 @@ fn run_job(
 /// Each job is one farm task — no job is run twice, no job is skipped —
 /// and results come back in submission order. The analyses themselves
 /// are deterministic, so [`BatchReport::digest`] is byte-identical for
-/// any worker count and any claiming order.
+/// any worker count and any claiming order. With obs on, the farm's
+/// worker count is the `batch.workers` gauge.
 pub fn run_batch_with(pas2p: &Pas2p, jobs: Vec<BatchJob>, opts: BatchOptions) -> BatchReport {
     let njobs = jobs.len();
     let workers = batch_workers(opts.workers, njobs);
@@ -301,7 +302,7 @@ pub fn run_batch_with(pas2p: &Pas2p, jobs: Vec<BatchJob>, opts: BatchOptions) ->
     st.items(njobs as u64);
     if pas2p_obs::enabled() {
         pas2p_obs::counter("batch.jobs").add(njobs as u64);
-        pas2p_obs::gauge("pipeline.par.workers").set(workers as f64);
+        pas2p_obs::gauge("batch.workers").set(workers as f64);
     }
 
     let run_one = |(index, job): (usize, BatchJob)| {
