@@ -6,7 +6,10 @@
 //! are re-timed with the target's latency/bandwidth through the message
 //! *relation*, and collectives are re-costed with the target's collective
 //! model. The result is a predicted makespan without executing anything
-//! on the target.
+//! on the target. The events are walked by [`pas2p_trace::replay`], the
+//! one replay the checker's deadlock and happens-before rules use too: a
+//! receive runs once its send has departed, a collective once all its
+//! members arrived.
 //!
 //! The structural weakness (and the paper's argument for signatures): the
 //! compute rescale factor must be assumed. A replay cannot know each
@@ -16,7 +19,7 @@
 //! code.
 
 use pas2p_machine::{CollectiveKind, MachineModel, Mapping, MappingPolicy, Work};
-use pas2p_trace::{CollClass, EventKind, Trace};
+use pas2p_trace::{replay, CollClass, EventKind, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -54,111 +57,70 @@ pub fn predict_by_replay(
     policy: MappingPolicy,
 ) -> ReplayPrediction {
     let started = std::time::Instant::now();
-    let n = trace.nprocs as usize;
     let mapping: Mapping = target.map(trace.nprocs, policy);
     let scale = compute_scale(base, target);
 
-    // Per-process replay cursors.
-    let mut clock = vec![0.0f64; n];
-    let mut next_event = vec![0usize; n];
     // Send completions by relation id: msg_id → departure time on target.
     let mut departures: HashMap<u64, f64> = HashMap::new();
-    // Collective staging: comm_id → (arrived members, max clock, bytes).
-    #[derive(Default)]
-    struct CollRound {
-        arrived: Vec<usize>,
-        max_clock: f64,
-        bytes: u64,
-        kind: Option<CollClass>,
-    }
-    let mut colls: HashMap<u64, CollRound> = HashMap::new();
-
-    let total_events = trace.total_events();
-    let mut replayed = 0usize;
-    // Deadlock-free scheduling: repeatedly advance any process whose next
-    // event is ready (sends always are; receives need their departure;
-    // collectives need all members).
-    while replayed < total_events {
-        let mut progressed = false;
-        for p in 0..n {
-            loop {
-                let i = next_event[p];
-                let events = &trace.procs[p].events;
-                if i >= events.len() {
-                    break;
-                }
-                let e = &events[i];
-                // Compute segment preceding the event, rescaled.
-                let compute = trace.procs[p].compute_before(i) * scale;
-                match e.kind {
-                    EventKind::Send => {
-                        clock[p] += compute;
-                        let overhead = target.network.per_msg_overhead;
-                        clock[p] += overhead;
-                        departures.insert(e.msg_id, clock[p]);
-                    }
-                    EventKind::Recv => {
-                        let Some(&depart) = departures.get(&e.msg_id) else {
-                            break; // sender not replayed yet
-                        };
-                        clock[p] += compute;
-                        let src = e.peer.unwrap_or(p as u32);
-                        let wire = target.p2p_cost(&mapping, src, p as u32, e.size);
-                        clock[p] = clock[p].max(depart + wire);
-                    }
-                    EventKind::Coll(class) => {
-                        let round = colls.entry(e.comm_id).or_default();
-                        if round.arrived.contains(&p) {
-                            // Already registered in this round; still
-                            // blocked until the last member arrives.
-                            break;
-                        }
-                        clock[p] += compute;
-                        round.arrived.push(p);
-                        round.max_clock = round.max_clock.max(clock[p]);
-                        round.bytes = round.bytes.max(e.size);
-                        round.kind = Some(class);
-                        if round.arrived.len() == e.involved as usize {
-                            let round = colls.remove(&e.comm_id).unwrap();
-                            let kind = match round.kind.unwrap() {
-                                CollClass::Barrier => CollectiveKind::Barrier,
-                                CollClass::Bcast => CollectiveKind::Bcast,
-                                CollClass::Reduce => CollectiveKind::Reduce,
-                                CollClass::Allreduce => CollectiveKind::Allreduce,
-                                CollClass::Allgather => CollectiveKind::Allgather,
-                                CollClass::Alltoall => CollectiveKind::Alltoall,
-                                CollClass::Gather => CollectiveKind::Gather,
-                                CollClass::Scatter => CollectiveKind::Scatter,
-                            };
-                            let members: Vec<u32> =
-                                round.arrived.iter().map(|&q| q as u32).collect();
-                            let cost =
-                                target.collective_cost(&mapping, kind, &members, round.bytes);
-                            let out = round.max_clock + cost;
-                            for &q in &round.arrived {
-                                clock[q] = out;
-                                next_event[q] += 1;
-                                replayed += 1;
-                            }
-                            progressed = true;
-                            continue; // p's cursor already advanced
-                        } else {
-                            // Blocked until the round completes; the cursor
-                            // advances when the last member arrives.
-                            break;
-                        }
-                    }
-                }
-                next_event[p] += 1;
-                replayed += 1;
-                progressed = true;
+    let mut clock = vec![0.0f64; trace.procs.len()];
+    let stop = replay(
+        trace,
+        &mut clock,
+        |clock, p, i, e| {
+            // Compute segment preceding the event, rescaled.
+            let compute = trace.procs[p].compute_before(i) * scale;
+            if e.kind == EventKind::Send {
+                clock[p] += compute;
+                clock[p] += target.network.per_msg_overhead;
+                departures.insert(e.msg_id, clock[p]);
+                return true;
             }
-        }
-        assert!(
-            progressed,
-            "replay deadlocked: inconsistent trace (unmatched receive or split collective)"
-        );
-    }
+            let Some(&depart) = departures.get(&e.msg_id) else {
+                return false; // sender not replayed yet
+            };
+            clock[p] += compute;
+            let src = e.peer.unwrap_or(p as u32);
+            let wire = target.p2p_cost(&mapping, src, p as u32, e.size);
+            clock[p] = clock[p].max(depart + wire);
+            true
+        },
+        |clock, members, pos| {
+            // Everyone leaves when the last member arrives, plus the
+            // target's cost of the collective.
+            let mut arrived = 0.0f64;
+            let mut bytes = 0;
+            for &q in members {
+                clock[q] += trace.procs[q].compute_before(pos[q]) * scale;
+                arrived = arrived.max(clock[q]);
+                bytes = bytes.max(trace.procs[q].events[pos[q]].size);
+            }
+            let EventKind::Coll(class) = trace.procs[members[0]].events[pos[members[0]]].kind
+            else {
+                unreachable!("replay fires collectives only");
+            };
+            let kind = match class {
+                CollClass::Barrier => CollectiveKind::Barrier,
+                CollClass::Bcast => CollectiveKind::Bcast,
+                CollClass::Reduce => CollectiveKind::Reduce,
+                CollClass::Allreduce => CollectiveKind::Allreduce,
+                CollClass::Allgather => CollectiveKind::Allgather,
+                CollClass::Alltoall => CollectiveKind::Alltoall,
+                CollClass::Gather => CollectiveKind::Gather,
+                CollClass::Scatter => CollectiveKind::Scatter,
+            };
+            let ranks: Vec<u32> = members.iter().map(|&q| q as u32).collect();
+            let out = arrived + target.collective_cost(&mapping, kind, &ranks, bytes);
+            for &q in members {
+                clock[q] = out;
+            }
+        },
+    );
+    let replayed: usize = stop.iter().sum();
+    assert_eq!(
+        replayed,
+        trace.total_events(),
+        "replay deadlocked: inconsistent trace (unmatched receive or split collective)"
+    );
 
     ReplayPrediction {
         pet: clock.iter().cloned().fold(0.0, f64::max),
