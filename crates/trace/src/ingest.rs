@@ -1,12 +1,11 @@
 //! Recovering trace ingest: decode as much as possible, quarantine the
 //! rest, and report exactly what happened.
 //!
-//! The strict decoder ([`crate::format::decode`]) treats the first bad
-//! byte as fatal — correct for a checker, useless for a service that
-//! must analyze whatever a half-dead run left behind. This module is the
-//! resilient entry path: [`decode_recovering`] walks the same binary
-//! format but *resyncs* instead of aborting. The format makes that
-//! possible by construction: event records are fixed-size
+//! A service must analyze whatever a half-dead run left behind, so
+//! [`decode_recovering`], the only decoder of the binary format that
+//! [`crate::format::encode`] writes, *resyncs* instead of aborting at
+//! the first bad byte: only an unusable header is fatal. The format
+//! makes that possible by construction: event records are fixed-size
 //! ([`crate::format::EVENT_RECORD_BYTES`]), so after an undecodable or
 //! implausible record the decoder can skip exactly one record slot and
 //! try the next — corruption stays local to the record it hit. Whatever

@@ -3,7 +3,9 @@
 
 use pas2p_machine::{cluster_a, JitterModel, MappingPolicy, Work};
 use pas2p_mpisim::{run_app, Mpi, Payload, ReduceOp, SimConfig};
-use pas2p_trace::{format, EventKind, InstrumentationModel, Trace, TraceCollector, Traced};
+use pas2p_trace::{
+    decode_recovering, format, EventKind, InstrumentationModel, Trace, TraceCollector, Traced,
+};
 use std::sync::Arc;
 
 fn quiet_machine() -> pas2p_machine::MachineModel {
@@ -119,8 +121,9 @@ fn trace_binary_roundtrip_of_real_run() {
     let t = traced_ring(4, InstrumentationModel::default());
     let buf = format::encode(&t);
     assert_eq!(buf.len() as u64, t.size_bytes());
-    let back = format::decode(&buf).unwrap();
-    assert_eq!(back, t);
+    let (back, report) = decode_recovering(&buf);
+    assert!(!report.is_degraded(), "{}", report.render());
+    assert_eq!(back, Some(t));
 }
 
 #[test]

@@ -9,7 +9,9 @@ use pas2p_machine::{cluster_a, JitterModel, MappingPolicy, Work};
 use pas2p_model::{lamport_order, pas2p_order};
 use pas2p_mpisim::{run_app, Mpi, ReduceOp, SimConfig};
 use pas2p_phases::{extract_phases, CellSig, SimilarityConfig};
-use pas2p_trace::{format, EventKind, InstrumentationModel, Trace, TraceCollector, Traced};
+use pas2p_trace::{
+    decode_recovering, format, EventKind, InstrumentationModel, Trace, TraceCollector, Traced,
+};
 use std::sync::Arc;
 
 /// Cases per property (four times what the suite was declared with; a
@@ -171,8 +173,9 @@ fn trace_codec_roundtrips(n: u32, rounds: &[Round]) {
     let trace = run_rounds(n, rounds);
     let encoded = format::encode(&trace);
     assert_eq!(encoded.len() as u64, trace.size_bytes());
-    let decoded = format::decode(&encoded).unwrap();
-    assert_eq!(decoded, trace);
+    let (decoded, report) = decode_recovering(&encoded);
+    assert!(!report.is_degraded(), "{}", report.render());
+    assert_eq!(decoded, Some(trace));
 }
 
 #[test]
@@ -244,17 +247,17 @@ fn similarity_is_reflexive_and_symmetric() {
 }
 
 /// The trace decoder never panics on arbitrary byte soup (failure
-/// injection: corrupted tracefiles must produce errors, not crashes).
+/// injection: corrupted tracefiles must produce reports, not crashes).
 #[test]
 fn trace_decoder_rejects_garbage_gracefully() {
     cases(REPLAY, CASES, |g| {
         let bytes = g.vec(0..512, |g| g.range(0..256) as u8);
-        let _ = format::decode(&bytes); // Ok or Err, never panic
+        let _ = decode_recovering(&bytes); // a report, never a panic
     });
 }
 
 /// Flipping a single byte of a valid trace either decodes to *some*
-/// trace or errors — never panics.
+/// trace or is fatal — never panics.
 #[test]
 fn trace_decoder_survives_single_byte_corruption() {
     let trace = run_rounds(2, &[Round::Allreduce { len: 2 }]);
@@ -263,7 +266,7 @@ fn trace_decoder_survives_single_byte_corruption() {
         let mut buf = clean.clone();
         let pos = g.range(0..buf.len() as u64) as usize;
         buf[pos] = g.range(0..256) as u8;
-        let _ = format::decode(&buf);
+        let _ = decode_recovering(&buf);
     });
 }
 
