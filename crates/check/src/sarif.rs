@@ -163,11 +163,11 @@ impl Baseline {
     pub fn from_json(s: &str) -> Result<Baseline, String> {
         let v: serde_json::Value =
             serde_json::from_str(s).map_err(|e| format!("baseline parse error: {}", e))?;
-        let version =
-            v.get("version")
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| "baseline missing \"version\"".to_string())? as u32;
-        if version != BASELINE_VERSION {
+        let version = v
+            .get("version")
+            .and_then(|x| x.as_u64())
+            .ok_or_else(|| "baseline missing \"version\"".to_string())?;
+        if version != u64::from(BASELINE_VERSION) {
             return Err(format!(
                 "baseline version {} unsupported (expected {})",
                 version, BASELINE_VERSION
@@ -187,7 +187,7 @@ impl Baseline {
         suppressed.sort();
         suppressed.dedup();
         Ok(Baseline {
-            version,
+            version: BASELINE_VERSION,
             suppressed,
         })
     }
@@ -292,6 +292,8 @@ mod tests {
     #[test]
     fn baseline_rejects_future_versions() {
         assert!(Baseline::from_json("{\"version\": 99, \"suppressed\": []}").is_err());
+        // 2^32 + 1 is not version 1 read through a wrapping cast.
+        assert!(Baseline::from_json("{\"version\": 4294967297, \"suppressed\": []}").is_err());
     }
 
     #[test]
