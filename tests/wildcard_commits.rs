@@ -43,9 +43,13 @@ fn masterworker_commit_counters_are_pinned() {
         pas2p.build_signature(app.as_ref(), &analysis, &base, MappingPolicy::Block);
         assert_eq!(commits(), (0, workers), "construct_signature at {n} ranks");
 
-        // How often a thread actually slept depends on the schedule, so
-        // `mpisim.parks` has no pinned value; each sleep is timed once.
+        // How often a rank parked, and how many of those parks slept on
+        // the condvar rather than being woken while yielding, depend on
+        // the schedule, so neither count is pinned; each park is timed
+        // once.
         let parks = pas2p_obs::counter("mpisim.parks").get();
+        let sleeps = pas2p_obs::counter("mpisim.park_sleeps").get();
+        assert!(sleeps <= parks, "{sleeps} sleeps > {parks} parks");
         assert_eq!(pas2p_obs::histogram("mpisim.park_wait_us").count(), parks);
     }
     pas2p_obs::set_enabled(false);
