@@ -363,7 +363,12 @@ mod tests {
         let coll = |p: u32| LogicalEvent {
             involved: 2,
             comm_id: 9,
-            ..le(p, 0, EventKind::Coll(pas2p_trace::CollClass::Barrier), 0)
+            ..le(
+                p,
+                0,
+                EventKind::Coll(pas2p_machine::CollectiveKind::Barrier),
+                0,
+            )
         };
         let l = LogicalTrace {
             nprocs: 2,

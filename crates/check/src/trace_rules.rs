@@ -494,7 +494,7 @@ mod tests {
             ..ev(
                 n,
                 p,
-                EventKind::Coll(pas2p_trace::CollClass::Barrier),
+                EventKind::Coll(pas2p_machine::CollectiveKind::Barrier),
                 None,
                 0,
                 t,
@@ -515,7 +515,7 @@ mod tests {
             ..ev(
                 n,
                 p,
-                EventKind::Coll(pas2p_trace::CollClass::Barrier),
+                EventKind::Coll(pas2p_machine::CollectiveKind::Barrier),
                 None,
                 0,
                 t,

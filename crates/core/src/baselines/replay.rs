@@ -18,8 +18,8 @@
 //! memory bandwidth. The signature sidesteps this by running the real
 //! code.
 
-use pas2p_machine::{CollectiveKind, MachineModel, Mapping, MappingPolicy, Work};
-use pas2p_trace::{replay, CollClass, EventKind, Trace};
+use pas2p_machine::{MachineModel, Mapping, MappingPolicy, Work};
+use pas2p_trace::{replay, EventKind, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -94,19 +94,8 @@ pub fn predict_by_replay(
                 arrived = arrived.max(clock[q]);
                 bytes = bytes.max(trace.procs[q].events[pos[q]].size);
             }
-            let EventKind::Coll(class) = trace.procs[members[0]].events[pos[members[0]]].kind
-            else {
+            let EventKind::Coll(kind) = trace.procs[members[0]].events[pos[members[0]]].kind else {
                 unreachable!("replay fires collectives only");
-            };
-            let kind = match class {
-                CollClass::Barrier => CollectiveKind::Barrier,
-                CollClass::Bcast => CollectiveKind::Bcast,
-                CollClass::Reduce => CollectiveKind::Reduce,
-                CollClass::Allreduce => CollectiveKind::Allreduce,
-                CollClass::Allgather => CollectiveKind::Allgather,
-                CollClass::Alltoall => CollectiveKind::Alltoall,
-                CollClass::Gather => CollectiveKind::Gather,
-                CollClass::Scatter => CollectiveKind::Scatter,
             };
             let ranks: Vec<u32> = members.iter().map(|&q| q as u32).collect();
             let out = arrived + target.collective_cost(&mapping, kind, &ranks, bytes);

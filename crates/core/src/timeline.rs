@@ -26,10 +26,11 @@
 
 use std::collections::HashMap;
 
+use pas2p_machine::CollectiveKind;
 use pas2p_obs::events::Event;
 use pas2p_obs::{ChromeTrace, PID_APP, PID_HOST};
 use pas2p_phases::PhaseAnalysis;
-use pas2p_trace::{CollClass, EventKind, Trace};
+use pas2p_trace::{EventKind, Trace};
 
 /// Compose a timeline document from any subset of sources: recorded
 /// host events (`pas2p_obs::events::take()`), a recorded application
@@ -58,16 +59,16 @@ pub fn compose_timeline(
     doc
 }
 
-fn coll_name(c: CollClass) -> &'static str {
+fn coll_name(c: CollectiveKind) -> &'static str {
     match c {
-        CollClass::Barrier => "barrier",
-        CollClass::Bcast => "bcast",
-        CollClass::Reduce => "reduce",
-        CollClass::Allreduce => "allreduce",
-        CollClass::Allgather => "allgather",
-        CollClass::Alltoall => "alltoall",
-        CollClass::Gather => "gather",
-        CollClass::Scatter => "scatter",
+        CollectiveKind::Barrier => "barrier",
+        CollectiveKind::Bcast => "bcast",
+        CollectiveKind::Reduce => "reduce",
+        CollectiveKind::Allreduce => "allreduce",
+        CollectiveKind::Allgather => "allgather",
+        CollectiveKind::Alltoall => "alltoall",
+        CollectiveKind::Gather => "gather",
+        CollectiveKind::Scatter => "scatter",
     }
 }
 

@@ -10,7 +10,10 @@ use serde::{Deserialize, Serialize};
 
 /// Which collective operation is being costed. Mirrors the MPI collectives
 /// the paper's trace layer intercepts (`MPI_Bcast`, `MPI_Allreduce`,
-/// `MPI_Alltoall`, barriers, …).
+/// `MPI_Alltoall`, barriers, …), and is also the trace's collective class:
+/// `pas2p_trace::EventKind::Coll` carries it, so its variant names are the
+/// trace's JSON names and its variant order the phase table's key codes.
+/// The binary trace format spells its codes out (`pas2p_trace::format`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CollectiveKind {
     /// Synchronization only; no payload.

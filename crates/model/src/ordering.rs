@@ -414,7 +414,8 @@ fn key_rank_ticks(pt: &ProcessTrace, lts: &[u64]) -> (u64, Vec<(u64, u64, Logica
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pas2p_trace::{CollClass, ProcessTrace};
+    use pas2p_machine::CollectiveKind;
+    use pas2p_trace::ProcessTrace;
 
     /// Build an event quickly for synthetic traces.
     #[allow(clippy::too_many_arguments)]
@@ -570,7 +571,7 @@ mod tests {
             ev(
                 n,
                 p,
-                EventKind::Coll(CollClass::Allreduce),
+                EventKind::Coll(CollectiveKind::Allreduce),
                 None,
                 0,
                 99,

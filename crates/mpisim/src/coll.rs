@@ -96,8 +96,9 @@ pub enum CollInput {
 }
 
 impl CollInput {
-    /// Payload bytes this participant contributes (for costing).
-    fn byte_len(&self) -> u64 {
+    /// Payload bytes this participant contributes (for costing): its
+    /// block, its largest block, or its reduction vector.
+    pub fn byte_len(&self) -> u64 {
         match self {
             CollInput::None => 0,
             CollInput::Block(b) => b.len() as u64,

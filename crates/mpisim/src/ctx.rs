@@ -1,6 +1,6 @@
 //! The per-rank execution context.
 
-use crate::coll::{keyed_unit_noise, Arrival, CollInput, CollOp, CollOutput, CollSlot, ReduceOp};
+use crate::coll::{keyed_unit_noise, Arrival, CollInput, CollOp, CollOutput, CollSlot};
 use crate::group::Group;
 use crate::harness::{Counters, HarnessAction};
 use crate::msg::{Envelope, Message, Payload, PendingQueue, Tag};
@@ -250,60 +250,6 @@ impl RankCtx {
             .or_insert_with(|| Arc::new(CollSlot::new(group.len())))
             .clone()
     }
-
-    /// Perform one collective round; returns this rank's output.
-    fn collective(&mut self, group: &Group, op: CollOp, input: CollInput) -> CollOutput {
-        self.check_abort();
-        let pos = group
-            .position(self.rank)
-            .unwrap_or_else(|| panic!("rank {} is not in group {:?}", self.rank, group.ranks()));
-        let slot = self.coll_slot(group);
-        let shared = self.shared.clone();
-        shared
-            .bytes_copied
-            .fetch_add(input.held(), Ordering::Relaxed);
-        let group_hash = {
-            let mut h = DefaultHasher::new();
-            group.ranks().hash(&mut h);
-            h.finish()
-        };
-        let machine = &shared.machine;
-        let mapping = &shared.mapping;
-        let sigma = machine.jitter.comm_sigma;
-        let seed = machine.jitter.seed;
-        let cost_of = |generation: u64, max_bytes: u64| -> f64 {
-            let base = machine.collective_cost(mapping, op.kind(), group.ranks(), max_bytes);
-            let factor = (1.0 + sigma * keyed_unit_noise(seed, group_hash, generation)).max(0.05);
-            base * factor
-        };
-        let res = match slot.arrive(group, pos, op, input, self.clock, cost_of) {
-            Arrival::Completed(res) => {
-                // Last arrival: the round's result is in the slot, so
-                // the members parked on it can be woken.
-                for &member in group.ranks() {
-                    if member != self.rank {
-                        shared.park.wake(member);
-                    }
-                }
-                res
-            }
-            Arrival::Pending(round) => loop {
-                let seen = shared.park.tokens(self.rank);
-                self.check_abort();
-                if let Some(res) = slot.result(pos, round) {
-                    break res;
-                }
-                let members = group.len();
-                self.park(seen, Wait::Coll { op, members });
-            },
-        };
-        self.clock = res.out_clock;
-        self.publish_clock();
-        self.counters.colls += 1;
-        self.shared.total_colls.fetch_add(1, Ordering::Relaxed);
-        self.after_comm_event();
-        res.output
-    }
 }
 
 impl Mpi for RankCtx {
@@ -449,80 +395,59 @@ impl Mpi for RankCtx {
         msg
     }
 
-    fn barrier_in(&mut self, group: &Group) {
-        self.collective(group, CollOp::Barrier, CollInput::None);
-    }
-
-    fn bcast_in(&mut self, group: &Group, root: u32, data: Option<Payload>) -> Payload {
-        let input = if self.rank == root {
-            CollInput::Block(data.expect("bcast root must supply the payload"))
-        } else {
-            CollInput::None
+    /// One collective round: arrive at the group's slot, park until the
+    /// last member completes the round, and return this rank's output.
+    fn collective_in(&mut self, group: &Group, op: CollOp, input: CollInput) -> CollOutput {
+        self.check_abort();
+        let pos = group
+            .position(self.rank)
+            .unwrap_or_else(|| panic!("rank {} is not in group {:?}", self.rank, group.ranks()));
+        let slot = self.coll_slot(group);
+        let shared = self.shared.clone();
+        shared
+            .bytes_copied
+            .fetch_add(input.held(), Ordering::Relaxed);
+        let group_hash = {
+            let mut h = DefaultHasher::new();
+            group.ranks().hash(&mut h);
+            h.finish()
         };
-        match self.collective(group, CollOp::Bcast { root }, input) {
-            CollOutput::Block(b) => b,
-            other => panic!("bcast returned {:?}", other),
-        }
-    }
-
-    fn reduce_f64_in(
-        &mut self,
-        group: &Group,
-        root: u32,
-        xs: &[f64],
-        op: ReduceOp,
-    ) -> Option<Vec<f64>> {
-        let out = self.collective(
-            group,
-            CollOp::Reduce { root, op },
-            CollInput::F64(xs.to_vec()),
-        );
-        match out {
-            CollOutput::F64(v) => Some(v),
-            CollOutput::None => None,
-            other => panic!("reduce returned {:?}", other),
-        }
-    }
-
-    fn allreduce_f64_in(&mut self, group: &Group, xs: &[f64], op: ReduceOp) -> Vec<f64> {
-        match self.collective(group, CollOp::Allreduce { op }, CollInput::F64(xs.to_vec())) {
-            CollOutput::F64(v) => v,
-            other => panic!("allreduce returned {:?}", other),
-        }
-    }
-
-    fn allgather_in(&mut self, group: &Group, data: Payload) -> Vec<Payload> {
-        match self.collective(group, CollOp::Allgather, CollInput::Block(data)) {
-            CollOutput::Blocks(bs) => bs,
-            other => panic!("allgather returned {:?}", other),
-        }
-    }
-
-    fn alltoall_in(&mut self, group: &Group, blocks: Vec<Payload>) -> Vec<Payload> {
-        match self.collective(group, CollOp::Alltoall, CollInput::Blocks(blocks)) {
-            CollOutput::Blocks(bs) => bs,
-            other => panic!("alltoall returned {:?}", other),
-        }
-    }
-
-    fn gather_in(&mut self, group: &Group, root: u32, data: Payload) -> Option<Vec<Payload>> {
-        match self.collective(group, CollOp::Gather { root }, CollInput::Block(data)) {
-            CollOutput::Blocks(bs) => Some(bs),
-            CollOutput::None => None,
-            other => panic!("gather returned {:?}", other),
-        }
-    }
-
-    fn scatter_in(&mut self, group: &Group, root: u32, blocks: Option<Vec<Payload>>) -> Payload {
-        let input = if self.rank == root {
-            CollInput::Blocks(blocks.expect("scatter root must supply the blocks"))
-        } else {
-            CollInput::None
+        let machine = &shared.machine;
+        let mapping = &shared.mapping;
+        let sigma = machine.jitter.comm_sigma;
+        let seed = machine.jitter.seed;
+        let cost_of = |generation: u64, max_bytes: u64| -> f64 {
+            let base = machine.collective_cost(mapping, op.kind(), group.ranks(), max_bytes);
+            let factor = (1.0 + sigma * keyed_unit_noise(seed, group_hash, generation)).max(0.05);
+            base * factor
         };
-        match self.collective(group, CollOp::Scatter { root }, input) {
-            CollOutput::Block(b) => b,
-            other => panic!("scatter returned {:?}", other),
-        }
+        let res = match slot.arrive(group, pos, op, input, self.clock, cost_of) {
+            Arrival::Completed(res) => {
+                // Last arrival: the round's result is in the slot, so
+                // the members parked on it can be woken.
+                for &member in group.ranks() {
+                    if member != self.rank {
+                        shared.park.wake(member);
+                    }
+                }
+                res
+            }
+            Arrival::Pending(round) => loop {
+                let seen = shared.park.tokens(self.rank);
+                self.check_abort();
+                if let Some(res) = slot.result(pos, round) {
+                    break res;
+                }
+                let members = group.len();
+                self.park(seen, Wait::Coll { op, members });
+            },
+        };
+        self.clock = res.out_clock;
+        self.publish_clock();
+        self.counters.colls += 1;
+        self.shared.total_colls.fetch_add(1, Ordering::Relaxed);
+        self.after_comm_event();
+        res.output
     }
 
     fn counters(&self) -> Counters {

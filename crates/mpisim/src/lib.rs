@@ -55,7 +55,7 @@ mod park;
 pub mod report;
 pub mod runtime;
 
-pub use coll::{CollOp, ReduceOp};
+pub use coll::{CollInput, CollOp, CollOutput, ReduceOp};
 pub use ctx::RankCtx;
 pub use group::Group;
 pub use harness::{Counters, HarnessAction, SimHarness};
@@ -74,7 +74,8 @@ use pas2p_machine::Work;
 ///
 /// Collectives come in `_in` variants taking an explicit [`Group`] (a
 /// sorted set of world ranks, the analog of an MPI communicator) plus
-/// convenience methods over the world group.
+/// convenience methods over the world group. All of them are provided
+/// methods over one required one, [`collective_in`](Mpi::collective_in).
 pub trait Mpi {
     /// This process's rank in the world group.
     fn rank(&self) -> u32;
@@ -133,13 +134,32 @@ pub trait Mpi {
         reqs.into_iter().map(|r| self.wait(r)).collect()
     }
 
+    /// The one collective a layer implements: this rank's participation
+    /// in `op` over `group`, contributing `input`. The eight `_in`
+    /// methods below pack their arguments into a [`CollInput`], call
+    /// this, and unpack the [`CollOutput`]; a layer that intercepts
+    /// collectives (the trace's `Traced`) implements only this method.
+    fn collective_in(&mut self, group: &Group, op: CollOp, input: CollInput) -> CollOutput;
+
     /// Barrier over an arbitrary group.
-    fn barrier_in(&mut self, group: &Group);
+    fn barrier_in(&mut self, group: &Group) {
+        self.collective_in(group, CollOp::Barrier, CollInput::None);
+    }
     /// Broadcast `data` from `root` (world rank) to every group member;
     /// returns the broadcast payload on every rank. Like every block a
     /// collective takes, `data` is [`Payload::sized`] unless a member
     /// reads what it receives.
-    fn bcast_in(&mut self, group: &Group, root: u32, data: Option<Payload>) -> Payload;
+    fn bcast_in(&mut self, group: &Group, root: u32, data: Option<Payload>) -> Payload {
+        let input = if self.rank() == root {
+            CollInput::Block(data.expect("bcast root must supply the payload"))
+        } else {
+            CollInput::None
+        };
+        match self.collective_in(group, CollOp::Bcast { root }, input) {
+            CollOutput::Block(b) => b,
+            other => panic!("bcast returned {:?}", other),
+        }
+    }
     /// Element-wise reduction of `xs` to `root`; `Some(result)` on root,
     /// `None` elsewhere.
     fn reduce_f64_in(
@@ -148,19 +168,58 @@ pub trait Mpi {
         root: u32,
         xs: &[f64],
         op: ReduceOp,
-    ) -> Option<Vec<f64>>;
+    ) -> Option<Vec<f64>> {
+        let input = CollInput::F64(xs.to_vec());
+        match self.collective_in(group, CollOp::Reduce { root, op }, input) {
+            CollOutput::F64(v) => Some(v),
+            CollOutput::None => None,
+            other => panic!("reduce returned {:?}", other),
+        }
+    }
     /// Element-wise reduction delivered to every group member.
-    fn allreduce_f64_in(&mut self, group: &Group, xs: &[f64], op: ReduceOp) -> Vec<f64>;
+    fn allreduce_f64_in(&mut self, group: &Group, xs: &[f64], op: ReduceOp) -> Vec<f64> {
+        let input = CollInput::F64(xs.to_vec());
+        match self.collective_in(group, CollOp::Allreduce { op }, input) {
+            CollOutput::F64(v) => v,
+            other => panic!("allreduce returned {:?}", other),
+        }
+    }
     /// Every member contributes a block; every member receives all blocks
     /// ordered by group position.
-    fn allgather_in(&mut self, group: &Group, data: Payload) -> Vec<Payload>;
+    fn allgather_in(&mut self, group: &Group, data: Payload) -> Vec<Payload> {
+        match self.collective_in(group, CollOp::Allgather, CollInput::Block(data)) {
+            CollOutput::Blocks(bs) => bs,
+            other => panic!("allgather returned {:?}", other),
+        }
+    }
     /// Personalized all-to-all: `blocks[i]` goes to group member `i`;
     /// returns the blocks addressed to this rank, ordered by group position.
-    fn alltoall_in(&mut self, group: &Group, blocks: Vec<Payload>) -> Vec<Payload>;
+    fn alltoall_in(&mut self, group: &Group, blocks: Vec<Payload>) -> Vec<Payload> {
+        match self.collective_in(group, CollOp::Alltoall, CollInput::Blocks(blocks)) {
+            CollOutput::Blocks(bs) => bs,
+            other => panic!("alltoall returned {:?}", other),
+        }
+    }
     /// Gather every member's block to `root`.
-    fn gather_in(&mut self, group: &Group, root: u32, data: Payload) -> Option<Vec<Payload>>;
+    fn gather_in(&mut self, group: &Group, root: u32, data: Payload) -> Option<Vec<Payload>> {
+        match self.collective_in(group, CollOp::Gather { root }, CollInput::Block(data)) {
+            CollOutput::Blocks(bs) => Some(bs),
+            CollOutput::None => None,
+            other => panic!("gather returned {:?}", other),
+        }
+    }
     /// Scatter `root`'s blocks to members; returns this rank's block.
-    fn scatter_in(&mut self, group: &Group, root: u32, blocks: Option<Vec<Payload>>) -> Payload;
+    fn scatter_in(&mut self, group: &Group, root: u32, blocks: Option<Vec<Payload>>) -> Payload {
+        let input = if self.rank() == root {
+            CollInput::Blocks(blocks.expect("scatter root must supply the blocks"))
+        } else {
+            CollInput::None
+        };
+        match self.collective_in(group, CollOp::Scatter { root }, input) {
+            CollOutput::Block(b) => b,
+            other => panic!("scatter returned {:?}", other),
+        }
+    }
 
     /// Communication-event counters for this rank (used by the signature
     /// machinery to locate phase start/endpoints).

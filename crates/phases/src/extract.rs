@@ -479,7 +479,7 @@ mod tests {
             (
                 0,
                 0,
-                EventKind::Coll(pas2p_trace::CollClass::Bcast),
+                EventKind::Coll(pas2p_machine::CollectiveKind::Bcast),
                 8,
                 0.02,
             ),

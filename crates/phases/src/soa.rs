@@ -39,8 +39,8 @@ use std::sync::Arc;
 /// Bit set in [`SoaPattern::key`] when the cell's peer offset is present.
 const KEY_PEER_PRESENT: u32 = 1 << 8;
 
-/// Dense communication-kind code for the key column. `CollClass` is a
-/// fieldless enum, so its discriminant is stable within a build.
+/// Dense communication-kind code for the key column. `CollectiveKind`
+/// is a fieldless enum, so its discriminant is stable within a build.
 fn kind_code(kind: EventKind) -> u32 {
     match kind {
         EventKind::Send => 0,

@@ -3,43 +3,6 @@
 use pas2p_machine::CollectiveKind;
 use serde::{Deserialize, Serialize};
 
-/// Sub-class of a collective event, mirroring which MPI collective was
-/// intercepted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CollClass {
-    /// `MPI_Barrier`
-    Barrier,
-    /// `MPI_Bcast`
-    Bcast,
-    /// `MPI_Reduce`
-    Reduce,
-    /// `MPI_Allreduce`
-    Allreduce,
-    /// `MPI_Allgather`
-    Allgather,
-    /// `MPI_Alltoall`
-    Alltoall,
-    /// `MPI_Gather`
-    Gather,
-    /// `MPI_Scatter`
-    Scatter,
-}
-
-impl From<CollectiveKind> for CollClass {
-    fn from(k: CollectiveKind) -> CollClass {
-        match k {
-            CollectiveKind::Barrier => CollClass::Barrier,
-            CollectiveKind::Bcast => CollClass::Bcast,
-            CollectiveKind::Reduce => CollClass::Reduce,
-            CollectiveKind::Allreduce => CollClass::Allreduce,
-            CollectiveKind::Allgather => CollClass::Allgather,
-            CollectiveKind::Alltoall => CollClass::Alltoall,
-            CollectiveKind::Gather => CollClass::Gather,
-            CollectiveKind::Scatter => CollClass::Scatter,
-        }
-    }
-}
-
 /// The paper's *type of event*: `+K` for a Send, `-K` for a Receive, where
 /// `K` is the number of involved processes; collectives involve the whole
 /// group and are ordered specially by the model.
@@ -49,8 +12,9 @@ pub enum EventKind {
     Send,
     /// A point-to-point receive (`-1`).
     Recv,
-    /// A collective participation (`±K`, K = group size).
-    Coll(CollClass),
+    /// A collective participation (`±K`, K = group size), of the class
+    /// the trace layer intercepted.
+    Coll(CollectiveKind),
 }
 
 impl EventKind {
@@ -240,8 +204,8 @@ mod tests {
     fn signed_k_encoding() {
         assert_eq!(EventKind::Send.signed_k(1), 1);
         assert_eq!(EventKind::Recv.signed_k(1), -1);
-        assert_eq!(EventKind::Coll(CollClass::Bcast).signed_k(16), 16);
-        assert!(EventKind::Coll(CollClass::Barrier).is_collective());
+        assert_eq!(EventKind::Coll(CollectiveKind::Bcast).signed_k(16), 16);
+        assert!(EventKind::Coll(CollectiveKind::Barrier).is_collective());
         assert!(!EventKind::Send.is_collective());
     }
 

@@ -7,7 +7,8 @@
 //! records. `Trace::size_bytes` reports the encoded size without
 //! materializing the buffer.
 
-use crate::event::{CollClass, EventKind, Trace, TraceEvent};
+use crate::event::{EventKind, Trace, TraceEvent};
+use pas2p_machine::CollectiveKind;
 
 /// Magic bytes opening every trace file.
 pub const MAGIC: &[u8; 8] = b"PAS2PTRC";
@@ -59,14 +60,14 @@ fn kind_tags(kind: EventKind) -> (u8, u8) {
         EventKind::Coll(c) => (
             2,
             match c {
-                CollClass::Barrier => 0,
-                CollClass::Bcast => 1,
-                CollClass::Reduce => 2,
-                CollClass::Allreduce => 3,
-                CollClass::Allgather => 4,
-                CollClass::Alltoall => 5,
-                CollClass::Gather => 6,
-                CollClass::Scatter => 7,
+                CollectiveKind::Barrier => 0,
+                CollectiveKind::Bcast => 1,
+                CollectiveKind::Reduce => 2,
+                CollectiveKind::Allreduce => 3,
+                CollectiveKind::Allgather => 4,
+                CollectiveKind::Alltoall => 5,
+                CollectiveKind::Gather => 6,
+                CollectiveKind::Scatter => 7,
             },
         ),
     }
@@ -77,14 +78,14 @@ fn kind_from_tags(k: u8, c: u8) -> Result<EventKind, TraceDecodeError> {
         0 => EventKind::Send,
         1 => EventKind::Recv,
         2 => EventKind::Coll(match c {
-            0 => CollClass::Barrier,
-            1 => CollClass::Bcast,
-            2 => CollClass::Reduce,
-            3 => CollClass::Allreduce,
-            4 => CollClass::Allgather,
-            5 => CollClass::Alltoall,
-            6 => CollClass::Gather,
-            7 => CollClass::Scatter,
+            0 => CollectiveKind::Barrier,
+            1 => CollectiveKind::Bcast,
+            2 => CollectiveKind::Reduce,
+            3 => CollectiveKind::Allreduce,
+            4 => CollectiveKind::Allgather,
+            5 => CollectiveKind::Alltoall,
+            6 => CollectiveKind::Gather,
+            7 => CollectiveKind::Scatter,
             other => return Err(TraceDecodeError::BadTag(other)),
         }),
         other => return Err(TraceDecodeError::BadTag(other)),
@@ -275,7 +276,7 @@ mod tests {
                     events: vec![
                         mk(0, EventKind::Send, Some(1)),
                         mk(1, EventKind::Recv, Some(1)),
-                        mk(2, EventKind::Coll(CollClass::Allreduce), None),
+                        mk(2, EventKind::Coll(CollectiveKind::Allreduce), None),
                     ],
                     end_time: 3.0,
                 },
@@ -316,14 +317,14 @@ mod tests {
     #[test]
     fn all_coll_classes_roundtrip() {
         for (i, c) in [
-            CollClass::Barrier,
-            CollClass::Bcast,
-            CollClass::Reduce,
-            CollClass::Allreduce,
-            CollClass::Allgather,
-            CollClass::Alltoall,
-            CollClass::Gather,
-            CollClass::Scatter,
+            CollectiveKind::Barrier,
+            CollectiveKind::Bcast,
+            CollectiveKind::Reduce,
+            CollectiveKind::Allreduce,
+            CollectiveKind::Allgather,
+            CollectiveKind::Alltoall,
+            CollectiveKind::Gather,
+            CollectiveKind::Scatter,
         ]
         .into_iter()
         .enumerate()

@@ -31,7 +31,7 @@ pub mod matchset;
 pub mod recorder;
 mod replay;
 
-pub use event::{CollClass, EventKind, ProcessTrace, Trace, TraceEvent};
+pub use event::{EventKind, ProcessTrace, Trace, TraceEvent};
 pub use format::EVENT_RECORD_BYTES;
 pub use ingest::{
     decode_recovering, repair_collectives, Confidence, IngestReport, RankHealth, RankIngest,

@@ -1,9 +1,9 @@
 //! The interposition wrapper and trace collection.
 
-use crate::event::{CollClass, EventKind, ProcessTrace, Trace, TraceEvent};
+use crate::event::{EventKind, ProcessTrace, Trace, TraceEvent};
 use parking_lot::Mutex;
 use pas2p_machine::Work;
-use pas2p_mpisim::{Counters, Group, Message, Mpi, Payload, ReduceOp, Tag};
+use pas2p_mpisim::{CollInput, CollOp, CollOutput, Counters, Group, Message, Mpi, Payload, Tag};
 
 /// Cost model of the instrumentation itself.
 ///
@@ -207,34 +207,6 @@ impl<'a, C: Mpi> Traced<'a, C> {
         self.inner.elapse(self.per_event);
     }
 
-    /// The one place a collective is recorded: run `call` on the inner
-    /// layer and log one `Coll(class)` event over `group`, sized by the
-    /// operation's own rule (`size` sees the result, for the root-less
-    /// side of bcast/scatter).
-    fn collective<T>(
-        &mut self,
-        class: CollClass,
-        group: &Group,
-        call: impl FnOnce(&mut C) -> T,
-        size: impl FnOnce(&T) -> u64,
-    ) -> T {
-        let t_post = self.inner.now();
-        let out = call(self.inner);
-        let size = size(&out);
-        self.record(
-            t_post,
-            EventKind::Coll(class),
-            None,
-            0,
-            size,
-            group.len() as u32,
-            0,
-            group.comm_id(),
-            false,
-        );
-        out
-    }
-
     /// Deposit this rank's log into the collector. Must be called exactly
     /// once, after the application code finishes.
     pub fn finish(self) {
@@ -326,93 +298,32 @@ impl<'a, C: Mpi> Mpi for Traced<'a, C> {
         m
     }
 
-    fn barrier_in(&mut self, group: &Group) {
-        self.collective(CollClass::Barrier, group, |c| c.barrier_in(group), |_| 0)
-    }
-
-    fn bcast_in(&mut self, group: &Group, root: u32, data: Option<Payload>) -> Payload {
-        let sent = data.as_ref().map_or(0, |d| d.len() as u64);
-        self.collective(
-            CollClass::Bcast,
-            group,
-            |c| c.bcast_in(group, root, data),
-            |out| sent.max(out.len() as u64),
-        )
-    }
-
-    fn reduce_f64_in(
-        &mut self,
-        group: &Group,
-        root: u32,
-        xs: &[f64],
-        op: ReduceOp,
-    ) -> Option<Vec<f64>> {
-        let size = (xs.len() * 8) as u64;
-        self.collective(
-            CollClass::Reduce,
-            group,
-            |c| c.reduce_f64_in(group, root, xs, op),
-            |_| size,
-        )
-    }
-
-    fn allreduce_f64_in(&mut self, group: &Group, xs: &[f64], op: ReduceOp) -> Vec<f64> {
-        let size = (xs.len() * 8) as u64;
-        self.collective(
-            CollClass::Allreduce,
-            group,
-            |c| c.allreduce_f64_in(group, xs, op),
-            |_| size,
-        )
-    }
-
-    fn allgather_in(&mut self, group: &Group, data: Payload) -> Vec<Payload> {
-        let size = data.len() as u64;
-        self.collective(
-            CollClass::Allgather,
-            group,
-            |c| c.allgather_in(group, data),
-            |_| size,
-        )
-    }
-
-    fn alltoall_in(&mut self, group: &Group, blocks: Vec<Payload>) -> Vec<Payload> {
-        let size = max_block(&blocks);
-        self.collective(
-            CollClass::Alltoall,
-            group,
-            |c| c.alltoall_in(group, blocks),
-            |_| size,
-        )
-    }
-
-    fn gather_in(&mut self, group: &Group, root: u32, data: Payload) -> Option<Vec<Payload>> {
-        let size = data.len() as u64;
-        self.collective(
-            CollClass::Gather,
-            group,
-            |c| c.gather_in(group, root, data),
-            |_| size,
-        )
-    }
-
-    fn scatter_in(&mut self, group: &Group, root: u32, blocks: Option<Vec<Payload>>) -> Payload {
-        let sent = blocks.as_deref().map_or(0, max_block);
-        self.collective(
-            CollClass::Scatter,
-            group,
-            |c| c.scatter_in(group, root, blocks),
-            |out| sent.max(out.len() as u64),
-        )
+    /// One `Coll` event over `group` per participation. Its size is what
+    /// this rank contributed or, when it gets back a single block (the
+    /// non-root side of bcast and scatter), that block if larger.
+    fn collective_in(&mut self, group: &Group, op: CollOp, input: CollInput) -> CollOutput {
+        let t_post = self.inner.now();
+        let sent = input.byte_len();
+        let out = self.inner.collective_in(group, op, input);
+        let received = match &out {
+            CollOutput::Block(b) => b.len() as u64,
+            _ => 0,
+        };
+        self.record(
+            t_post,
+            EventKind::Coll(op.kind()),
+            None,
+            0,
+            sent.max(received),
+            group.len() as u32,
+            0,
+            group.comm_id(),
+            false,
+        );
+        out
     }
 
     fn counters(&self) -> Counters {
         self.inner.counters()
     }
-}
-
-/// The recorded size of a per-rank block list (alltoall, scatter): its
-/// largest block.
-fn max_block(blocks: &[Payload]) -> u64 {
-    blocks.iter().map(|b| b.len() as u64).max().unwrap_or(0)
 }

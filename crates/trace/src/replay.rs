@@ -70,7 +70,8 @@ pub fn replay<S>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CollClass, EventKind, ProcessTrace};
+    use crate::event::{EventKind, ProcessTrace};
+    use pas2p_machine::CollectiveKind;
 
     fn ev(process: u32, kind: EventKind, msg_id: u64, comm_id: u64, involved: u32) -> TraceEvent {
         TraceEvent {
@@ -96,7 +97,7 @@ mod tests {
     fn barrier(process: u32, comm_id: u64, involved: u32) -> TraceEvent {
         ev(
             process,
-            EventKind::Coll(CollClass::Barrier),
+            EventKind::Coll(CollectiveKind::Barrier),
             0,
             comm_id,
             involved,

@@ -5,7 +5,8 @@
 mod common;
 
 use common::{cases, Gen};
-use pas2p_trace::{format, ingest, CollClass, EventKind};
+use pas2p_machine::CollectiveKind;
+use pas2p_trace::{format, ingest, EventKind};
 use pas2p_trace::{ProcessTrace, Trace, TraceEvent};
 
 /// Cases per property (eight times what the suite was declared with:
@@ -51,7 +52,7 @@ fn sample(nprocs: u32, events_per_rank: u64) -> Trace {
                             match i % 3 {
                                 0 => EventKind::Send,
                                 1 => EventKind::Recv,
-                                _ => EventKind::Coll(CollClass::Allreduce),
+                                _ => EventKind::Coll(CollectiveKind::Allreduce),
                             },
                             nprocs,
                         )

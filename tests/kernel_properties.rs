@@ -14,12 +14,13 @@
 mod common;
 
 use common::{cases, Gen};
+use pas2p_machine::CollectiveKind;
 use pas2p_model::{LogicalEvent, LogicalTrace, Tick};
 use pas2p_phases::{
     extract_phases, CellSig, PhaseAnalysis, SimilarityConfig, SimilarityKernel, SoaIndex,
     SoaPattern,
 };
-use pas2p_trace::{CollClass, EventKind};
+use pas2p_trace::EventKind;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -37,9 +38,9 @@ type Pattern = Vec<Vec<Option<CellSig>>>;
 const KINDS: [EventKind; 5] = [
     EventKind::Send,
     EventKind::Recv,
-    EventKind::Coll(CollClass::Barrier),
-    EventKind::Coll(CollClass::Allreduce),
-    EventKind::Coll(CollClass::Alltoall),
+    EventKind::Coll(CollectiveKind::Barrier),
+    EventKind::Coll(CollectiveKind::Allreduce),
+    EventKind::Coll(CollectiveKind::Alltoall),
 ];
 
 /// One of `corners` or, as often as any one of them, a float from
