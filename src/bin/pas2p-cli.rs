@@ -173,10 +173,32 @@ const SUITE: &[&str] = &[
 /// Flags that take no value; their presence maps to "true".
 const BOOL_FLAGS: &[&str] = &["json", "strict", "normalize", "evict-stale"];
 
-/// Parse `--flag value` pairs (and bare boolean flags), reporting exactly
-/// which flag is malformed. The usage text is the list of flags: one it
-/// does not spell is a typo, not something to ignore.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The lines of the usage text that list `cmd`'s flags: its synopsis
+/// lines (continuation lines included) and the observability block.
+fn usage_of(cmd: &str) -> Vec<&'static str> {
+    let mut section = "";
+    USAGE
+        .lines()
+        .filter(|line| {
+            if let Some(synopsis) = line.strip_prefix("  pas2p-cli ") {
+                section = synopsis.split(' ').next().unwrap_or("");
+            } else if !line.starts_with(' ') {
+                section = line;
+            }
+            section == cmd || section == "observability (any command):"
+        })
+        .collect()
+}
+
+/// Parse `cmd`'s `--flag value` pairs (and bare boolean flags), reporting
+/// exactly which flag is malformed. The usage text is the list of flags:
+/// one that `cmd`'s lines do not spell is a typo, or belongs to another
+/// command, and either way not something to ignore.
+fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+    let usage = usage_of(cmd);
+    if !usage.iter().any(|line| line.starts_with("  pas2p-cli ")) {
+        return Err(format!("unknown command '{cmd}'"));
+    }
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -187,10 +209,10 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         if key.is_empty() {
             return Err("bare '--' is not a flag".into());
         }
-        if !USAGE
-            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-            .any(|word| word == arg)
-        {
+        if !usage.iter().any(|line| {
+            line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .any(|word| word == arg)
+        }) {
             return Err(format!("unknown flag '--{key}'"));
         }
         if BOOL_FLAGS.contains(&key) {
@@ -300,7 +322,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
     let Some((cmd, rest)) = argv.split_first() else {
         return Err("no command".into());
     };
-    let flags = parse_flags(rest)?;
+    let flags = parse_flags(cmd, rest)?;
     let metrics_out = apply_obs_flags(&flags)?;
     let trace_out = flags.get("trace-out").cloned();
     if trace_out.is_some() {

@@ -133,6 +133,19 @@ fn malformed_flags_name_the_culprit() {
             "batch --apps cg --nprocs 4 --base A --faults plans.txt",
             "unknown flag '--faults'",
         ),
+        // A flag of another command is refused too, not ignored.
+        ("list --socket /tmp/nowhere", "unknown flag '--socket'"),
+        ("list --fault-seed 3", "unknown flag '--fault-seed'"),
+        ("list --normalize", "unknown flag '--normalize'"),
+        (
+            "analyze --app cg --nprocs 4 --base A --store s",
+            "unknown flag '--store'",
+        ),
+        (
+            "validate --app cg --nprocs 4 --base A --target B --workers 2",
+            "unknown flag '--workers'",
+        ),
+        ("frob --app cg", "unknown command 'frob'"),
     ] {
         let out = cli().args(args.split(' ')).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args}");
@@ -140,6 +153,12 @@ fn malformed_flags_name_the_culprit() {
         assert!(stderr.contains(message), "{args}: {stderr}");
         assert!(stderr.contains("usage:"), "{args}: {stderr}");
     }
+    // An observability flag belongs to every command.
+    let out = cli()
+        .args(["list", "--log-level", "warn"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
 }
 
 #[test]
