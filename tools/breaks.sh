@@ -14,14 +14,37 @@
 # applies reads "stale", one that no longer builds "no-build", a filter
 # that selects no test "no-test"; these and "survived" make the exit
 # status 1.
-#   tools/breaks.sh           every break
-#   tools/breaks.sh NAME...   the named ones
-# Runs locally; CI does not run it, because every break rebuilds its
-# test crate in the worktree (one worktree and one target directory,
-# shared by the breaks, in a temporary directory removed at exit).
+#   tools/breaks.sh                every break
+#   tools/breaks.sh NAME...        the named ones
+#   tools/breaks.sh --changed REF  every break whose diff touches a file
+#                                  that differs between REF and HEAD, or
+#                                  whose own diff file does
+# CI runs the --changed form on a pull request, against the merge base;
+# every break rebuilds its test crate in the worktree (one worktree and
+# one target directory, shared by the breaks, in a temporary directory
+# removed at exit), so the full catalogue runs locally.
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 repo=$PWD
+
+if [ "${1:-}" = --changed ]; then
+  [ $# -eq 2 ] || { echo "usage: tools/breaks.sh --changed REF" >&2; exit 2; }
+  ref=$2
+  changed=$(git diff --name-only "$ref" HEAD)
+  set --
+  for f in tools/breaks/*.diff; do
+    for path in "$f" $(sed -n 's|^+++ b/||p' "$f"); do
+      if grep -qxF "$path" <<<"$changed"; then
+        set -- "$@" "$(basename "$f" .diff)"
+        break
+      fi
+    done
+  done
+  if [ $# -eq 0 ]; then echo "no break touches a file changed since $ref"; exit 0; fi
+elif [ $# -eq 0 ]; then
+  set -- $(for f in tools/breaks/*.diff; do basename "$f" .diff; done)
+fi
+
 tmp=$(mktemp -d)
 tree=$tmp/tree
 cleanup() {
@@ -32,9 +55,6 @@ trap cleanup EXIT
 git worktree add --quiet --detach "$tree" HEAD
 export CARGO_TARGET_DIR=$tmp/target
 
-if [ $# -eq 0 ]; then
-  set -- $(for f in tools/breaks/*.diff; do basename "$f" .diff; done)
-fi
 status=0
 echo "break | test | result | seconds"
 for name in "$@"; do

@@ -75,6 +75,16 @@ one_worker_pool() {
   return $bad
 }
 
+# A collective is one call: the Mpi trait (crates/mpisim/src/lib.rs)
+# provides the eight `_in` collectives over `collective_in`, the one
+# method a layer implements (RankCtx runs a round, Traced records it).
+# A `fn barrier_in` ... `fn scatter_in` anywhere else is a second place
+# where a collective is packed, unpacked or recorded.
+one_collective_seam() {
+  ! git grep -nE 'fn (barrier|bcast|reduce_f64|allreduce_f64|allgather|alltoall|gather|scatter)_in[(<]' \
+    -- '*.rs' ':!crates/mpisim/src/lib.rs'
+}
+
 # A measurement lives in benchmark/ or reproduces a paper artefact in
 # crates/bench; nothing else times code. The patterns are bracketed so
 # that a guard never finds itself.
@@ -165,6 +175,7 @@ one_way_into_the_store() {
 
 guard "no wall-clock waits in the simulator" no_wall_clock_waits_in_the_simulator
 guard "one worker pool (threads, lanes and worker-exit flushes live in the farm)" one_worker_pool
+guard "one collective seam (the eight _in collectives are provided by the Mpi trait only)" one_collective_seam
 guard "one measurement system (no second harness, no Criterion)" one_measurement_system
 guard "a store file is a struct (no hand-spelled codec beside the derives)" a_store_file_is_a_struct
 guard "one way into the store (one put_signature call; service.rs does not name the batch driver)" one_way_into_the_store
