@@ -93,7 +93,8 @@ fn digest_and_payload_are_stable_across_worker_counts() {
 /// (trace, machine, config) is served from the store — `store.hit`
 /// grows, phase extraction does not run again (no new `extract_phases`
 /// run in the stage profiles, no new similarity comparisons), and the
-/// prediction JSON is byte-identical to the cold run's.
+/// prediction JSON is byte-identical to the cold run's. A third is the
+/// service's kept reply: `store.hit` grows again and no file is read.
 #[test]
 fn warm_predict_does_no_stage_a_work_and_matches_cold_bytes() {
     let _serial = serial();
@@ -101,15 +102,28 @@ fn warm_predict_does_no_stage_a_work_and_matches_cold_bytes() {
     pas2p_obs::global().reset();
     pas2p_obs::set_enabled(true);
 
-    let svc = service(&root);
+    let io = pas2p_faults::FaultStoreIo::new(Vec::new());
+    let reads = io.stats();
+    let store = SignatureStore::open_with_io(&root, Box::new(io)).expect("open store");
+    let svc = PredictionService::new(Pas2p::default(), store, Box::new(pas2p_apps::by_name));
     let cold = svc.predict("cg", 4, "A", "B").expect("cold predict");
     assert!(!cold.cached);
     let before = pas2p_obs::global().snapshot();
 
     let warm = svc.predict("cg", 4, "A", "B").expect("warm predict");
     let after = pas2p_obs::global().snapshot();
+    let read = reads.reads.load(std::sync::atomic::Ordering::SeqCst);
+    let kept = svc.predict("cg", 4, "A", "B").expect("kept reply");
+    let last = pas2p_obs::global().snapshot();
     pas2p_obs::set_enabled(false);
     pas2p_obs::global().reset();
+    assert_eq!(
+        reads.reads.load(std::sync::atomic::Ordering::SeqCst),
+        read,
+        "the kept reply reads no file"
+    );
+    assert!(kept.cached);
+    assert_eq!(kept.prediction_json, cold.prediction_json);
 
     assert!(warm.cached, "second predict must be a store hit");
     assert_eq!(
@@ -124,6 +138,12 @@ fn warm_predict_does_no_stage_a_work_and_matches_cold_bytes() {
         hits(&before),
         hits(&after)
     );
+    assert!(
+        hits(&last) > hits(&after),
+        "store.hit must grow on the kept reply ({} -> {})",
+        hits(&after),
+        hits(&last)
+    );
 
     // The registry keeps one profile per stage name: count runs, not
     // entries.
@@ -136,7 +156,7 @@ fn warm_predict_does_no_stage_a_work_and_matches_cold_bytes() {
     };
     assert!(extracts(&before) > 0, "the cold predict extracts phases");
     assert_eq!(
-        extracts(&after),
+        extracts(&last),
         extracts(&before),
         "no phase extraction may run on the warm path"
     );
@@ -147,7 +167,7 @@ fn warm_predict_does_no_stage_a_work_and_matches_cold_bytes() {
             .unwrap_or(0)
     };
     assert_eq!(
-        comparisons(&after),
+        comparisons(&last),
         comparisons(&before),
         "no similarity comparisons may run on the warm path"
     );
