@@ -772,3 +772,36 @@ fn indexing_a_size_only_payload_panics() {
         }
     });
 }
+
+/// A wake that lands between a waiter's look and its park is not lost:
+/// `park_until` reads the rank's token count before it looks, so the
+/// token of a change it missed makes the park return at once. Rank 1
+/// sets the flag and wakes rank 0 from inside rank 0's first look,
+/// which then answers "not ready" as a look taken just before the
+/// change would.
+#[test]
+fn a_wake_between_the_look_and_the_park_is_not_lost() {
+    use std::sync::atomic::AtomicBool;
+    let flag = AtomicBool::new(false);
+    let looks = AtomicU64::new(0);
+    let step = std::sync::Barrier::new(2);
+    let cfg = SimConfig::new(quiet_machine(), 2, MappingPolicy::Block);
+    run_app(&cfg, |ctx| {
+        if ctx.rank() == 0 {
+            ctx.park_until("the flag", || {
+                if looks.fetch_add(1, Ordering::SeqCst) == 0 {
+                    step.wait();
+                    step.wait();
+                    return false;
+                }
+                flag.load(Ordering::SeqCst)
+            });
+        } else {
+            step.wait();
+            flag.store(true, Ordering::SeqCst);
+            ctx.wake(0);
+            step.wait();
+        }
+    });
+    assert_eq!(looks.load(Ordering::SeqCst), 2, "woken once, then ready");
+}

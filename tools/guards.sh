@@ -173,12 +173,29 @@ one_way_into_the_store() {
   return $bad
 }
 
+# A stored prediction becomes a Value in one place, `Reply::new` in
+# crates/core/src/service.rs, which renders the predict response once: a
+# warm hit replays that reply and `batch` reads its Value. A second
+# parse of a prediction payload in crates/core/src is a second render
+# path, whose bytes must then agree with the first.
+one_reply_render() {
+  sites=$(for f in $(find crates/core/src -name '*.rs'); do
+            awk '/#\[cfg\(test\)\]/ { exit }
+                 /^[[:space:]]*\/\// { next }
+                 /from_str.*prediction_json/ { print FILENAME ":" FNR ": " $0 }' "$f"
+          done)
+  if [ "$(printf '%s' "$sites" | grep -c .)" -ne 1 ]; then
+    echo "parses of a stored prediction in crates/core/src, expected 1:"; echo "$sites"; return 1
+  fi
+}
+
 guard "no wall-clock waits in the simulator" no_wall_clock_waits_in_the_simulator
 guard "one worker pool (threads, lanes and worker-exit flushes live in the farm)" one_worker_pool
 guard "one collective seam (the eight _in collectives are provided by the Mpi trait only)" one_collective_seam
 guard "one measurement system (no second harness, no Criterion)" one_measurement_system
 guard "a store file is a struct (no hand-spelled codec beside the derives)" a_store_file_is_a_struct
 guard "one way into the store (one put_signature call; service.rs does not name the batch driver)" one_way_into_the_store
+guard "one reply render (a stored prediction is parsed into a Value at one site in crates/core/src)" one_reply_render
 guard "every dependency is in the tree (five stand-ins by path, three crates gone)" every_dependency_is_in_the_tree
 guard "every declared dependency is used" every_declared_dependency_is_used
 exit $failed
