@@ -150,6 +150,16 @@ fn reading(path: &str) -> impl Fn(std::io::Error) -> CliError + '_ {
     move |e| input(format!("reading {path}: {e}"))
 }
 
+/// Open the store at `dir`, printing what opening it repaired.
+fn open_store(dir: &str) -> Result<pas2p_store::SignatureStore, CliError> {
+    let store = pas2p_store::SignatureStore::open(std::path::Path::new(dir))
+        .map_err(|e| input(format!("opening store {dir}: {e}")))?;
+    if !store.report().is_clean() {
+        eprint!("{}", store.report().render());
+    }
+    Ok(store)
+}
+
 /// Write an output file whole, or fail naming it.
 fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("writing {path}: {e}"))
@@ -380,31 +390,19 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
             let nprocs = nprocs(&flags)?;
             let base = flags.get("base").map(String::as_str).unwrap_or("A");
             let target = flags.get("target").ok_or("missing --target")?.clone();
-            let dir = flags.get("store").expect("guarded by match arm");
-            let store = pas2p_store::SignatureStore::open(std::path::Path::new(dir))
-                .map_err(|e| input(format!("opening store {dir}: {e}")))?;
-            if !store.report().is_clean() {
-                eprint!("{}", store.report().render());
-            }
+            let store = open_store(flags.get("store").expect("guarded by match arm"))?;
             let svc = pas2p::PredictionService::new(pas2p, store, Box::new(pas2p_apps::by_name));
             let outcome = svc.predict(&name, nprocs, base, &target).map_err(input)?;
             let value: serde_json::Value =
                 serde_json::from_str(&outcome.prediction_json).map_err(|e| e.to_string())?;
+            let how = |hit: bool| if hit { "cache hit" } else { "computed" };
             println!(
                 "PET {:.3} s on {} (SET {:.3} s) [prediction: {}, signature: {}]",
                 value["pet"].as_f64().unwrap_or(f64::NAN),
                 outcome.target,
                 value["set"].as_f64().unwrap_or(f64::NAN),
-                if outcome.cached {
-                    "cache hit"
-                } else {
-                    "computed"
-                },
-                if outcome.signature_cached {
-                    "cache hit"
-                } else {
-                    "computed"
-                },
+                how(outcome.cached),
+                how(outcome.signature_cached),
             );
             Ok(ExitCode::SUCCESS)
         }
@@ -590,11 +588,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
         }
         "serve" => {
             let dir = flags.get("store").ok_or("missing --store")?;
-            let mut store = pas2p_store::SignatureStore::open(std::path::Path::new(dir))
-                .map_err(|e| input(format!("opening store {dir}: {e}")))?;
-            if !store.report().is_clean() {
-                eprint!("{}", store.report().render());
-            }
+            let mut store = open_store(dir)?;
             if flags.contains_key("evict-stale") {
                 let fingerprint = pas2p_store::config_fingerprint(
                     &pas2p.similarity,
