@@ -3,12 +3,12 @@
 //! [`to_sarif`] renders a [`CheckReport`] as a SARIF 2.1.0 log so the
 //! checker plugs into anything that speaks the format (GitHub code
 //! scanning, IDE problem matchers, result diffing tools). The output is
-//! **byte-stable**: the JSON is emitted by hand in a fixed field order
-//! (the same discipline as the Chrome Trace exporter in `pas2p-obs`),
-//! rules come from a closed sorted table, results keep the report's
-//! canonical order, and nothing nondeterministic (timestamps, absolute
-//! paths, machine names) appears. The same report always renders the
-//! same bytes — CI snapshots it.
+//! **byte-stable**: the log is a `json!` value (object keys sorted)
+//! written by `serde_json`, rules come from a closed sorted table,
+//! results keep the report's canonical order, and nothing
+//! nondeterministic (timestamps, absolute paths, machine names)
+//! appears. The same report always renders the same bytes — CI
+//! snapshots it.
 //!
 //! [`Baseline`] is the suppression side: a sorted list of
 //! [`Diagnostic::fingerprint`]s. [`apply_baseline`] drops findings whose
@@ -18,7 +18,8 @@
 use crate::diag::{Diagnostic, Severity};
 use crate::engine::CheckReport;
 use crate::rules::RULES;
-use pas2p_obs::json_string;
+use serde::{Deserialize, Serialize};
+use serde_json::{json, Value};
 
 /// The SARIF schema version this module emits.
 pub const SARIF_VERSION: &str = "2.1.0";
@@ -53,60 +54,49 @@ pub fn to_sarif(report: &CheckReport) -> String {
             .expect("every code was indexed")
     };
 
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"$schema\": ");
-    json_string(&mut s, SARIF_SCHEMA);
-    s.push_str(",\n  \"version\": ");
-    json_string(&mut s, SARIF_VERSION);
-    s.push_str(",\n  \"runs\": [\n    {\n");
-    s.push_str("      \"tool\": {\n        \"driver\": {\n");
-    s.push_str("          \"name\": \"pas2p-check\",\n");
-    s.push_str("          \"informationUri\": \"https://example.org/pas2p-rs\",\n");
-    s.push_str("          \"rules\": [\n");
-    for (i, (id, desc)) in rules.iter().enumerate() {
-        s.push_str("            { \"id\": ");
-        json_string(&mut s, id);
-        s.push_str(", \"shortDescription\": { \"text\": ");
-        json_string(&mut s, desc);
-        s.push_str(" } }");
-        if i + 1 < rules.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("          ]\n        }\n      },\n");
-    s.push_str("      \"results\": [\n");
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        let mut message = d.message.clone();
-        if let Some(hint) = &d.suggestion {
-            message.push_str(" (hint: ");
-            message.push_str(hint);
-            message.push(')');
-        }
-        s.push_str("        {\n          \"ruleId\": ");
-        json_string(&mut s, &d.code);
-        s.push_str(&format!(
-            ",\n          \"ruleIndex\": {}",
-            index_of(&d.code)
-        ));
-        s.push_str(",\n          \"level\": ");
-        json_string(&mut s, level_of(d.severity));
-        s.push_str(",\n          \"message\": { \"text\": ");
-        json_string(&mut s, &message);
-        s.push_str(" },\n          \"locations\": [\n");
-        s.push_str("            { \"logicalLocations\": [ { \"fullyQualifiedName\": ");
-        json_string(&mut s, &d.location.to_string());
-        s.push_str(", \"kind\": \"element\" } ] }\n          ],\n");
-        s.push_str("          \"fingerprints\": { \"pas2p/v1\": ");
-        json_string(&mut s, &d.fingerprint());
-        s.push_str(" }\n        }");
-        if i + 1 < report.diagnostics.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("      ]\n    }\n  ]\n}\n");
+    let rules: Vec<Value> = rules
+        .iter()
+        .map(|(id, desc)| json!({"id": id, "shortDescription": {"text": desc}}))
+        .collect();
+    let results: Vec<Value> = report
+        .diagnostics
+        .iter()
+        .map(|d| {
+            let mut message = d.message.clone();
+            if let Some(hint) = &d.suggestion {
+                message.push_str(&format!(" (hint: {hint})"));
+            }
+            json!({
+                "ruleId": d.code,
+                "ruleIndex": index_of(&d.code),
+                "level": level_of(d.severity),
+                "message": {"text": message},
+                "locations": [{"logicalLocations": [
+                    {"fullyQualifiedName": d.location.to_string(), "kind": "element"}
+                ]}],
+                "fingerprints": {"pas2p/v1": d.fingerprint()},
+            })
+        })
+        .collect();
+    let log = json!({
+        "$schema": SARIF_SCHEMA,
+        "version": SARIF_VERSION,
+        "runs": [{
+            "tool": {"driver": {
+                "name": "pas2p-check",
+                "informationUri": "https://example.org/pas2p-rs",
+                "rules": rules,
+            }},
+            "results": results,
+        }],
+    });
+    pretty(&log)
+}
+
+/// `value` as two-space-indented JSON with a trailing newline.
+fn pretty<T: Serialize>(value: &T) -> String {
+    let mut s = serde_json::to_string_pretty(value).expect("serializing to a string cannot fail");
+    s.push('\n');
     s
 }
 
@@ -114,7 +104,7 @@ pub fn to_sarif(report: &CheckReport) -> String {
 ///
 /// Stored sorted and deduplicated so the file diffs cleanly under
 /// version control.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Baseline {
     /// Format version of the baseline file.
     pub version: u32,
@@ -143,53 +133,22 @@ impl Baseline {
 
     /// Serialize to the on-disk JSON form (sorted, trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"version\": ");
-        s.push_str(&self.version.to_string());
-        s.push_str(",\n  \"suppressed\": [\n");
-        for (i, f) in self.suppressed.iter().enumerate() {
-            s.push_str("    ");
-            json_string(&mut s, f);
-            if i + 1 < self.suppressed.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ]\n}\n");
-        s
+        pretty(self)
     }
 
     /// Parse the on-disk JSON form.
     pub fn from_json(s: &str) -> Result<Baseline, String> {
-        let v: serde_json::Value =
-            serde_json::from_str(s).map_err(|e| format!("baseline parse error: {}", e))?;
-        let version = v
-            .get("version")
-            .and_then(|x| x.as_u64())
-            .ok_or_else(|| "baseline missing \"version\"".to_string())?;
-        if version != u64::from(BASELINE_VERSION) {
+        let mut baseline: Baseline =
+            serde_json::from_str(s).map_err(|e| format!("baseline parse error: {e}"))?;
+        if baseline.version != BASELINE_VERSION {
             return Err(format!(
-                "baseline version {} unsupported (expected {})",
-                version, BASELINE_VERSION
+                "baseline version {} unsupported (expected {BASELINE_VERSION})",
+                baseline.version
             ));
         }
-        let mut suppressed: Vec<String> = v
-            .get("suppressed")
-            .and_then(|x| x.as_array())
-            .ok_or_else(|| "baseline missing \"suppressed\" list".to_string())?
-            .iter()
-            .map(|x| {
-                x.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "non-string fingerprint in baseline".to_string())
-            })
-            .collect::<Result<_, _>>()?;
-        suppressed.sort();
-        suppressed.dedup();
-        Ok(Baseline {
-            version: BASELINE_VERSION,
-            suppressed,
-        })
+        baseline.suppressed.sort();
+        baseline.suppressed.dedup();
+        Ok(baseline)
     }
 
     /// True when the finding is suppressed.
