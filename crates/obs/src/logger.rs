@@ -10,7 +10,6 @@
 //! * programmatic: [`Logger::set_level`] / [`Logger::set_file`]
 //!   (the CLI's `--log-level` / `--log-file` flags call these)
 
-use crate::export::json_string;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
@@ -136,23 +135,16 @@ impl Logger {
                 .duration_since(UNIX_EPOCH)
                 .map(|d| d.as_micros() as u64)
                 .unwrap_or(0);
-            let mut json = String::with_capacity(96);
-            json.push_str("{\"ts_us\":");
-            json.push_str(&ts_us.to_string());
-            json.push_str(",\"level\":\"");
-            json.push_str(level.as_str());
-            json.push_str("\",\"target\":");
-            json_string(&mut json, target);
-            json.push_str(",\"msg\":");
-            json_string(&mut json, msg);
+            let mut record = serde_json::json!({
+                "ts_us": ts_us,
+                "level": level.as_str(),
+                "target": target,
+                "msg": msg,
+            });
             for (k, v) in fields {
-                json.push(',');
-                json_string(&mut json, k);
-                json.push(':');
-                json_string(&mut json, v);
+                record[*k] = serde_json::json!(v);
             }
-            json.push('}');
-            let _ = writeln!(w, "{json}");
+            let _ = writeln!(w, "{record}");
             let _ = w.flush();
         }
     }
@@ -202,5 +194,29 @@ mod tests {
         assert!(!logger.enabled(Level::Debug));
         logger.set_level(Level::Off);
         assert!(!logger.enabled(Level::Error));
+    }
+
+    #[test]
+    fn the_file_sink_writes_each_record_as_one_json_line() {
+        let path = std::env::temp_dir().join(format!("pas2p-log-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let logger = Logger {
+            level: AtomicU8::new(Level::Info as u8),
+            sink: Mutex::new(None),
+        };
+        logger.set_file(path.to_str().unwrap()).unwrap();
+        let msg = "a \"quoted\"\nline\u{1}";
+        let fields = [("app", "cg".to_string()), ("nprocs", "8".to_string())];
+        logger.log(Level::Warn, "store", msg, &fields);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(text.lines().count(), 1, "{text}");
+        let v: serde_json::Value = serde_json::from_str(&text).unwrap();
+        assert!(v["ts_us"].as_u64().is_some(), "{text}");
+        assert_eq!(v["level"].as_str(), Some("warn"));
+        assert_eq!(v["target"].as_str(), Some("store"));
+        assert_eq!(v["msg"].as_str(), Some(msg));
+        assert_eq!(v["app"].as_str(), Some("cg"));
+        assert_eq!(v["nprocs"].as_str(), Some("8"));
     }
 }
