@@ -78,7 +78,7 @@ pub mod registry;
 pub use events::{
     flow_end, flow_start, instant, set_tracing, trace_span, tracing_enabled, EventSpan,
 };
-pub use export::{json_string, ChromeEvent, ChromeTrace, CAT_HOST_WORKER, PID_APP, PID_HOST};
+pub use export::{ChromeEvent, ChromeTrace, CAT_HOST_WORKER, PID_APP, PID_HOST};
 pub use logger::{log, logger, Level, Logger};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary};
 pub use registry::{
