@@ -81,5 +81,5 @@ pub use model_rules::ModelRules;
 pub use race_rules::HbRules;
 pub use rules::RULES;
 pub use sarif::{apply_baseline, to_sarif, Baseline, BASELINE_VERSION, SARIF_VERSION};
-pub use signature_rules::{SignatureRuleConfig, SignatureRules};
+pub use signature_rules::SignatureRules;
 pub use trace_rules::TraceRules;

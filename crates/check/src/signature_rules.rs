@@ -10,7 +10,6 @@ use crate::diag::{Diagnostic, Location, Severity};
 use crate::engine::{Artifacts, Checker};
 use pas2p_model::LogicalTrace;
 use pas2p_phases::{CellSig, Phase, PhaseAnalysis, SimilarityConfig};
-use serde::{Deserialize, Serialize};
 
 /// Coverage below this fraction of the AET is worth a note: the signature
 /// will represent too little of the application for the prediction to be
@@ -21,24 +20,6 @@ const COVERAGE_FLOOR: f64 = 0.9;
 /// tile the trace, so Σ weight × mean duration must reproduce the AET up
 /// to float summation error.
 const PET_TOLERANCE: f64 = 1e-6;
-
-/// Marker so the constants are part of the documented API surface.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SignatureRuleConfig {
-    /// See [`COVERAGE_FLOOR`].
-    pub coverage_floor: f64,
-    /// See [`PET_TOLERANCE`].
-    pub pet_tolerance: f64,
-}
-
-impl Default for SignatureRuleConfig {
-    fn default() -> Self {
-        SignatureRuleConfig {
-            coverage_floor: COVERAGE_FLOOR,
-            pet_tolerance: PET_TOLERANCE,
-        }
-    }
-}
 
 /// The signature-level rule family (`SIG-*`, `PET-EQ-001`).
 pub struct SignatureRules;

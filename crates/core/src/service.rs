@@ -284,8 +284,7 @@ impl Response {
         if let Some(line) = &self.line {
             return line.to_string();
         }
-        serde_json::to_string(self)
-            .unwrap_or_else(|e| format!(r#"{{"ok":false,"op":"invalid","error":"encode: {e}"}}"#))
+        serde_json::to_string(self).expect("a response always serializes")
     }
 }
 
