@@ -61,41 +61,15 @@ impl StoreReport {
         self.eviction_log.push(format!("{prefix}: {reason}"));
     }
 
-    /// Human-readable accounting, one finding per line.
+    /// Human-readable accounting: the entries loaded, one line per
+    /// [`StoreReport::diagnostics`] finding, then the eviction log.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        if self.index_rebuilt {
-            out.push_str("index rebuilt from object files\n");
-        }
-        out.push_str(&format!("{} entr(ies) loaded\n", self.entries_loaded));
-        if self.evicted_version > 0 {
-            out.push_str(&format!(
-                "{} entr(ies) evicted: stale format version\n",
-                self.evicted_version
-            ));
-        }
-        if self.evicted_corrupt > 0 {
-            out.push_str(&format!(
-                "{} entr(ies) evicted: corrupt object\n",
-                self.evicted_corrupt
-            ));
-        }
-        if self.evicted_missing > 0 {
-            out.push_str(&format!(
-                "{} entr(ies) evicted: missing object file\n",
-                self.evicted_missing
-            ));
-        }
-        if self.temps_removed > 0 {
-            out.push_str(&format!(
-                "{} stale temp file(s) from crashed writes removed\n",
-                self.temps_removed
-            ));
+        let mut out = format!("{} entr(ies) loaded\n", self.entries_loaded);
+        for d in self.diagnostics() {
+            out.push_str(&format!("{d}\n"));
         }
         for line in &self.eviction_log {
-            out.push_str("  ");
-            out.push_str(line);
-            out.push('\n');
+            out.push_str(&format!("  {line}\n"));
         }
         out
     }
@@ -234,6 +208,11 @@ mod tests {
                 "STORE-OBJ-001"
             ]
         );
-        assert!(report.render().contains("deadbeefdead: checksum mismatch"));
+        let render = report.render();
+        assert!(render.contains("deadbeefdead: checksum mismatch"));
+        assert!(
+            render.contains("STORE-CORRUPT-001 [-] 1 corrupt object(s) evicted"),
+            "{render}"
+        );
     }
 }
