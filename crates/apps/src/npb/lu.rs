@@ -10,7 +10,7 @@
 //! and the mirrored upper-triangular sweep, plus a residual allreduce.
 
 use crate::npb::Class;
-use crate::util::{near_square_grid, SplitMix, StateReader, StateWriter};
+use crate::util::{grid_neighbour, near_square_grid, SplitMix, StateReader, StateWriter};
 use pas2p_machine::Work;
 use pas2p_mpisim::Mpi;
 use pas2p_signature::{MpiApp, RankProgram};
@@ -101,17 +101,8 @@ struct LuRank {
 }
 
 impl LuRank {
-    fn row(&self) -> u32 {
-        self.rank / self.cols
-    }
-    fn col(&self) -> u32 {
-        self.rank % self.cols
-    }
     fn neighbour(&self, dr: i64, dc: i64) -> Option<u32> {
-        let r = self.row() as i64 + dr;
-        let c = self.col() as i64 + dc;
-        (r >= 0 && r < self.rows as i64 && c >= 0 && c < self.cols as i64)
-            .then(|| (r as u32) * self.cols + c as u32)
+        grid_neighbour(self.rank, self.rows, self.cols, dr, dc)
     }
 
     fn smooth_local(&mut self) {

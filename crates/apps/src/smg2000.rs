@@ -6,7 +6,7 @@
 //! a residual allreduce. The paper runs `-n 200 solver 3` on 64 and 256
 //! processes.
 
-use crate::util::{near_square_grid, SplitMix, StateReader, StateWriter};
+use crate::util::{grid_neighbour, near_square_grid, SplitMix, StateReader, StateWriter};
 use pas2p_machine::Work;
 use pas2p_mpisim::Mpi;
 use pas2p_signature::{MpiApp, RankProgram};
@@ -90,17 +90,8 @@ struct SmgRank {
 }
 
 impl SmgRank {
-    fn row(&self) -> u32 {
-        self.rank / self.cols
-    }
-    fn col(&self) -> u32 {
-        self.rank % self.cols
-    }
     fn neighbour(&self, dr: i64, dc: i64) -> Option<u32> {
-        let r = self.row() as i64 + dr;
-        let c = self.col() as i64 + dc;
-        (r >= 0 && r < self.rows as i64 && c >= 0 && c < self.cols as i64)
-            .then(|| (r as u32) * self.cols + c as u32)
+        grid_neighbour(self.rank, self.rows, self.cols, dr, dc)
     }
 
     /// Halo exchange at level `level` (semicoarsening halves one

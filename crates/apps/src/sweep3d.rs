@@ -7,7 +7,7 @@
 //! downstream — the classic diagonal pipeline the paper analyzes
 //! (workloads `sweep.250`/`sweep.200`/`sweep.150`, 13 iterations).
 
-use crate::util::{near_square_grid, SplitMix, StateReader, StateWriter};
+use crate::util::{grid_neighbour, near_square_grid, SplitMix, StateReader, StateWriter};
 use pas2p_machine::Work;
 use pas2p_mpisim::Mpi;
 use pas2p_signature::{MpiApp, RankProgram};
@@ -103,17 +103,8 @@ struct SweepRank {
 }
 
 impl SweepRank {
-    fn row(&self) -> u32 {
-        self.rank / self.cols
-    }
-    fn col(&self) -> u32 {
-        self.rank % self.cols
-    }
     fn neighbour(&self, dr: i64, dc: i64) -> Option<u32> {
-        let r = self.row() as i64 + dr;
-        let c = self.col() as i64 + dc;
-        (r >= 0 && r < self.rows as i64 && c >= 0 && c < self.cols as i64)
-            .then(|| (r as u32) * self.cols + c as u32)
+        grid_neighbour(self.rank, self.rows, self.cols, dr, dc)
     }
 
     fn relax(&mut self) {

@@ -15,6 +15,13 @@ pub fn near_square_grid(n: u32) -> (u32, u32) {
     best
 }
 
+/// The rank `(dr, dc)` away from `rank` on a row-major `rows × cols`
+/// grid, or `None` off its edge.
+pub fn grid_neighbour(rank: u32, rows: u32, cols: u32, dr: i64, dc: i64) -> Option<u32> {
+    let (r, c) = ((rank / cols) as i64 + dr, (rank % cols) as i64 + dc);
+    (r >= 0 && r < rows as i64 && c >= 0 && c < cols as i64).then(|| (r as u32) * cols + c as u32)
+}
+
 /// Factor `n` into a 3-D grid `(px, py, pz)` with px ≤ py ≤ pz.
 pub fn near_cube_grid(n: u32) -> (u32, u32, u32) {
     let mut best = (1, 1, n);

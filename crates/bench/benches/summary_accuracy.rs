@@ -117,7 +117,8 @@ fn main() {
         "represents 1.74 percent of the total application execution time\";",
         "\"we obtained an overall prediction error of 3 percent\"",
         "(our scaled runs carry proportionally heavier restart overheads,",
-        " so SET/AET is larger; it shrinks toward the paper's ratio at",
-        " PAS2P_BENCH_SHRINK=1 with full iteration counts)",
+        " so SET/AET is larger; only more iterations shrink it, as the Moldy",
+        " curve above shows. PAS2P_BENCH_SHRINK divides process counts only,",
+        " and at 1 the average SET/AET above is higher than at the default)",
     ]);
 }

@@ -57,8 +57,9 @@ fn main() {
         "note: SET/AET scales with 1/weight — these scaled workloads run 13-60\n\
          iterations vs the paper's 10^4-10^5, so each restart+measurement is a\n\
          far larger fraction of the run (see summary_accuracy for the scaling\n\
-         demonstration; PAS2P_BENCH_SHRINK=1 with full iteration counts\n\
-         approaches the paper's 1.74%)."
+         demonstration). No setting restores the paper's iteration counts:\n\
+         PAS2P_BENCH_SHRINK divides process counts only, and does not bring\n\
+         this ratio toward the paper's 1.74%."
     );
     assert!(
         100.0 - avg_pete > 90.0,

@@ -117,11 +117,6 @@ impl ToolPerfRow {
             "Appl.", "TFSize", "TFAT(s)", "Phases", "Relevant", "SCT(s)"
         )
     }
-
-    /// Human-readable tracefile size.
-    pub fn tf_size_human(&self) -> String {
-        human_bytes(self.tf_bytes)
-    }
 }
 
 impl std::fmt::Display for ToolPerfRow {
@@ -130,7 +125,7 @@ impl std::fmt::Display for ToolPerfRow {
             f,
             "{:<10} {:>12} {:>10.3} {:>8} {:>9} {:>10.2}",
             self.app,
-            self.tf_size_human(),
+            human_bytes(self.tf_bytes),
             self.tfat,
             self.total_phases,
             self.relevant_phases,

@@ -33,27 +33,29 @@
 
 #![forbid(unsafe_code)]
 
+mod admission;
 pub mod baselines;
 pub mod batch;
 pub mod cancel;
 pub mod experiment;
 pub mod pipeline;
+mod protocol;
+mod replies;
 pub mod server;
 pub mod service;
 pub mod timeline;
 pub mod workload;
 
+pub use admission::ServeStats;
 pub use batch::{
     run_batch, run_batch_with, BatchJob, BatchOptions, BatchReport, BatchResult, BatchStatus,
 };
 pub use cancel::{cancelled, with_cancel, CancelToken};
 pub use pipeline::{Analysis, AnalysisError, Pas2p};
+pub use protocol::{PredictOutcome, Request, Response, SubmitOutcome};
 #[cfg(unix)]
 pub use server::{serve_unix_with, ServeOptions};
-pub use service::{
-    canonicalize_prediction, AppResolver, PredictOutcome, PredictionService, Request, Response,
-    ServeStats, SubmitOutcome,
-};
+pub use service::{canonicalize_prediction, AppResolver, PredictionService};
 pub use timeline::{compose_timeline, validate_chrome_json, TimelineStats};
 
 /// Convenient re-exports of the whole PAS2P stack.

@@ -2,15 +2,15 @@
 //!
 //! The server owns connections, not work: one acceptor, one thread per
 //! connection, and every request runs on the thread that read it
-//! (`PredictionService::respond` — the same line handler the stdin
-//! loop uses). It stays deterministic enough to chaos-test:
+//! (`PredictionService::respond` in `protocol.rs`, the line handler of
+//! the stdin loop too). It stays deterministic enough to chaos-test:
 //!
 //! * **N simultaneous connections.** The acceptor blocks in `accept`
 //!   and hands each connection to its own thread (bounded by
 //!   `max_connections`; excess connections get a classified `busy`
 //!   response and are closed). An idle server runs no other thread.
 //! * **Bounded compute, bounded line.** `workers` and `queue_capacity`
-//!   are the service's admission bounds: a compute op
+//!   are the bounds of the service's admission (`admission.rs`): a compute op
 //!   (`submit`/`predict`/`batch`/`stats`) takes one of `workers`
 //!   permits on its connection thread, at most `queue_capacity` wait
 //!   for one, and beyond that the request is *shed* — a `code:"busy"`
@@ -33,11 +33,12 @@
 //!
 //! Observability: `serve.shed` / `serve.timeout` counters and
 //! `serve.inflight` / `serve.queue` gauges, all maintained by the
-//! service, plus its per-request counters.
+//! service and its admission, plus its per-request counters.
 
 #![cfg(unix)]
 
-use crate::service::{read_bounded_line, PredictionService};
+use crate::protocol::read_bounded_line;
+use crate::service::PredictionService;
 use std::io::{BufReader, ErrorKind, Write};
 use std::ops::ControlFlow;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -101,12 +102,9 @@ pub fn serve_unix_with(
     opts: ServeOptions,
 ) -> std::io::Result<()> {
     let stats = service.serve_stats();
-    stats
-        .workers
-        .store(opts.workers.max(1) as u64, Ordering::SeqCst);
-    stats
-        .queue_capacity
-        .store(opts.queue_capacity.max(1) as u64, Ordering::SeqCst);
+    let (workers, queue) = (opts.workers.max(1), opts.queue_capacity.max(1));
+    stats.workers.store(workers as u64, Ordering::SeqCst);
+    stats.queue_capacity.store(queue as u64, Ordering::SeqCst);
 
     let _ = std::fs::remove_file(socket_path);
     let listener = UnixListener::bind(socket_path)?;
@@ -138,7 +136,7 @@ pub fn serve_unix_with(
         }
         if stats.connections.load(Ordering::SeqCst) >= opts.max_connections as u64 {
             // Shed the connection itself: classified, closed.
-            let busy = service.shed("busy", "connection limit reached");
+            let busy = stats.busy("busy", "connection limit reached");
             let _ = writeln!(&stream, "{}", busy.render());
             continue;
         }
@@ -232,7 +230,7 @@ fn read_line_patiently(reader: &mut BufReader<UnixStream>, line: &mut String, st
 mod tests {
     use super::*;
     use crate::pipeline::Pas2p;
-    use crate::service::MAX_LINE_BYTES;
+    use crate::protocol::MAX_LINE_BYTES;
     use pas2p_store::SignatureStore;
     use std::io::BufRead;
     use std::path::PathBuf;

@@ -10,48 +10,24 @@
 //! (app, target machine) pair are canonical JSON artifacts served
 //! byte-identically from cache on repeat queries.
 //!
-//! # Protocol
-//!
-//! Newline-delimited JSON over stdin/stdout or a unix socket; one
-//! request per line, one response line per request:
-//!
-//! ```text
-//! {"op":"submit","app":"cg","nprocs":8,"base":"A"}
-//! {"op":"predict","app":"cg","nprocs":8,"base":"A","target":"B"}
-//! {"op":"batch","apps":["cg","lu"],"base":"A","targets":["B","C"],"workers":2}
-//! {"op":"ping"}
-//! {"op":"health"}
-//! {"op":"stats"}
-//! {"op":"shutdown"}
-//! ```
-//!
-//! Responses carry `ok`, the echoed `op`, and either `result` or
-//! `error` plus a machine-readable `code` (`invalid`, `busy`,
-//! `timeout`, `panic`, `error`) — every failure is classified, never
-//! silent. A signature enters the store one way, `ensure_signature`
-//! (see [`PredictionService::batch`]), and every prediction is served
-//! through the one path of a `predict`.
+//! A signature enters the store one way, `ensure_signature` (see
+//! [`PredictionService::batch`]), and every prediction is served
+//! through the one path of a `predict`. The wire is `protocol.rs`, the
+//! permits `admission.rs`, and the warm replies `replies.rs`.
 //!
 //! A request runs on the thread that read it, behind a permit, a panic
 //! boundary and the service deadline's
 //! [`CancelToken`](crate::cancel::CancelToken) (`respond`, `compute`;
 //! DESIGN.md, "Permit, then run here").
 //!
-//! A warm predict replays a reply rendered once: the service keeps one
-//! per (signature digest, target), built from a verified read, served
-//! while its prediction is indexed, dropped by a put, within
-//! `RESIDENT_BUDGET` (DESIGN.md, "A warm prediction is answered from
-//! memory, by the service"). A request line such a reply answered is
-//! kept too, with the alias and target it names, and found again before
-//! any parse. Locks: `replies` may be taken alone or under `store`,
-//! `store` is never taken under `replies`, and `replies` is held for a
-//! lookup or an insert only, never across store I/O, a parse or a render.
-//!
 //! Observability: the `serve.*` counters, gauges, histogram and stage
 //! profiles and the store's `store.*` counters that DESIGN.md lists.
 
+use crate::admission::ServeStats;
 use crate::cancel::{enter, guarded, remaining, Stage, Stopped};
 use crate::pipeline::Pas2p;
+use crate::protocol::{PredictOutcome, Request, Response, SubmitOutcome};
+use crate::replies::{Replies, Reply};
 use parking_lot::{Condvar, Mutex};
 use pas2p_machine::{preset_by_name, MachineModel, MappingPolicy};
 use pas2p_signature::{MpiApp, Prediction};
@@ -59,12 +35,9 @@ use pas2p_store::{
     config_fingerprint, prediction_key, signature_alias, signature_key, ArtifactKind, IndexEntry,
     Sidecar, SignatureStore, StoreKey, StoreReport, StoredSignature, STORE_FORMAT_VERSION,
 };
-use serde::Serialize;
 use serde_json::{json, Value};
-use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, Read, Write};
-use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::HashSet;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -75,351 +48,6 @@ use std::time::Duration;
 /// concurrently through a shared service.
 pub type AppResolver = Box<dyn Fn(&str, u32) -> Option<Box<dyn MpiApp>> + Send + Sync>;
 
-/// One service request, as decoded from a protocol line.
-#[derive(Debug)]
-pub enum Request {
-    /// Analyze an app on a base machine and store its signature.
-    Submit {
-        /// Catalog application name.
-        app: String,
-        /// Process count (default 8).
-        nprocs: u32,
-        /// Base machine preset (default "A").
-        base: String,
-    },
-    /// Predict an app's execution time on a target machine, serving
-    /// from the store whenever possible.
-    Predict {
-        /// Catalog application name.
-        app: String,
-        /// Process count (default 8).
-        nprocs: u32,
-        /// Base machine preset (default "A").
-        base: String,
-        /// Target machine preset.
-        target: String,
-    },
-    /// Analyze many apps (each as a `submit` would, in parallel) and
-    /// predict each on every target.
-    Batch {
-        /// Catalog application names.
-        apps: Vec<String>,
-        /// Process count (default 8).
-        nprocs: u32,
-        /// Base machine preset (default "A").
-        base: String,
-        /// Target machine presets to predict on (may be empty:
-        /// analyze/persist only).
-        targets: Vec<String>,
-        /// Batch worker threads.
-        workers: Option<usize>,
-        /// Per-job deadline in milliseconds.
-        deadline_ms: Option<u64>,
-    },
-    /// Liveness probe: answers immediately; the one lock on its path is
-    /// the line probe's, held for one lookup.
-    Ping,
-    /// Serving-state probe: queue, in-flight, shed/timeout counters and
-    /// store entry count, all read from atomics (no lock but the line
-    /// probe's, so health stays answerable while every permit holder is
-    /// wedged).
-    Health,
-    /// Service and store statistics.
-    Stats,
-    /// Stop the serve loop after responding.
-    Shutdown,
-}
-
-impl Request {
-    /// The protocol name of this request's operation, echoed as the
-    /// response's `op`.
-    pub fn op(&self) -> &'static str {
-        match self {
-            Request::Submit { .. } => "submit",
-            Request::Predict { .. } => "predict",
-            Request::Batch { .. } => "batch",
-            Request::Ping => "ping",
-            Request::Health => "health",
-            Request::Stats => "stats",
-            Request::Shutdown => "shutdown",
-        }
-    }
-
-    /// Decode one NDJSON protocol line. The wire format is spelled out
-    /// explicitly — it is a public contract, and the parser doubles as
-    /// its documentation: `op` selects the variant, `nprocs` defaults
-    /// to 8 and is at most [`MAX_NPROCS`], `base` defaults to `"A"`.
-    /// Only the keys named here are read; any other is ignored.
-    pub fn from_line(line: &str) -> Result<Request, String> {
-        let v: serde_json::Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
-        let op = v
-            .get("op")
-            .and_then(serde_json::Value::as_str)
-            .ok_or_else(|| "missing string field \"op\"".to_string())?;
-        let string_field = |name: &str| -> Result<String, String> {
-            v.get(name)
-                .and_then(serde_json::Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("\"{op}\" requires a string field \"{name}\""))
-        };
-        let string_list = |name: &str| -> Result<Vec<String>, String> {
-            let bad = || format!("\"{name}\" must be an array of strings");
-            match v.get(name) {
-                None => Ok(Vec::new()),
-                Some(items) => items
-                    .as_array()
-                    .ok_or_else(bad)?
-                    .iter()
-                    .map(|item| item.as_str().map(str::to_string).ok_or_else(bad))
-                    .collect(),
-            }
-        };
-        let uint_field = |name: &str| -> Result<Option<u64>, String> {
-            match v.get(name) {
-                None => Ok(None),
-                Some(n) => n
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| format!("\"{name}\" must be a non-negative integer")),
-            }
-        };
-        let nprocs = match uint_field("nprocs")? {
-            None => 8,
-            Some(n) if n >= 1 && n <= u64::from(MAX_NPROCS) => n as u32,
-            Some(_) => {
-                return Err(format!(
-                    "\"nprocs\" must be a positive integer, at most {MAX_NPROCS}"
-                ))
-            }
-        };
-        let base = match v.get("base") {
-            None => "A".to_string(),
-            Some(_) => string_field("base")?,
-        };
-        match op {
-            "submit" => Ok(Request::Submit {
-                app: string_field("app")?,
-                nprocs,
-                base,
-            }),
-            "predict" => Ok(Request::Predict {
-                app: string_field("app")?,
-                nprocs,
-                base,
-                target: string_field("target")?,
-            }),
-            "batch" => {
-                let apps = string_list("apps")?;
-                if apps.is_empty() {
-                    return Err("\"batch\" requires a non-empty \"apps\" array".to_string());
-                }
-                Ok(Request::Batch {
-                    apps,
-                    nprocs,
-                    base,
-                    targets: string_list("targets")?,
-                    workers: uint_field("workers")?.map(|n| n as usize),
-                    deadline_ms: uint_field("deadline_ms")?,
-                })
-            }
-            "ping" => Ok(Request::Ping),
-            "health" => Ok(Request::Health),
-            "stats" => Ok(Request::Stats),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown op '{other}'")),
-        }
-    }
-}
-
-/// One protocol response line. The fields are declared in the order
-/// they are rendered (sorted keys); absent ones are omitted, not `null`.
-#[derive(Debug, Default, Serialize)]
-pub struct Response {
-    /// Machine-readable failure class when `ok` is false: `invalid`
-    /// (malformed request), `busy` (load shed), `timeout` (deadline
-    /// expired), `panic` (isolated panic) or `error` (everything else).
-    /// Clients dispatch on this; `error` is for humans.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub code: Option<&'static str>,
-    /// Failure description when `ok` is false.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub error: Option<String>,
-    /// Whether the request succeeded.
-    pub ok: bool,
-    /// The request's operation (or `"invalid"`).
-    pub op: &'static str,
-    /// Operation result when `ok` is true.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub result: Option<Value>,
-    /// A replayed reply's line, which `render` returns; never a key.
-    #[serde(skip_serializing_if = "never")]
-    line: Option<Arc<str>>,
-}
-
-fn never<T>(_: &T) -> bool {
-    true
-}
-
-impl Response {
-    fn success(op: &'static str, result: Value) -> Response {
-        Response {
-            ok: true,
-            op,
-            result: Some(result),
-            ..Response::default()
-        }
-    }
-
-    fn failure(op: &'static str, code: &'static str, error: String) -> Response {
-        Response {
-            op,
-            code: Some(code),
-            error: Some(error),
-            ..Response::default()
-        }
-    }
-
-    /// The response as one NDJSON line (no trailing newline).
-    pub fn render(&self) -> String {
-        if let Some(line) = &self.line {
-            return line.to_string();
-        }
-        serde_json::to_string(self).expect("a response always serializes")
-    }
-}
-
-/// What a submit produced (or found).
-#[derive(Debug, Clone, Serialize)]
-pub struct SubmitOutcome {
-    /// The signature's content address.
-    pub digest: String,
-    /// True when the signature was already in the store.
-    pub cached: bool,
-    /// Resolved application name.
-    pub app: String,
-    /// Total phases in the analysis.
-    pub phases: usize,
-    /// Relevant phases in the signature.
-    pub relevant: usize,
-    /// Analysis confidence flag.
-    pub confidence: String,
-}
-
-/// What a predict produced (or found).
-#[derive(Debug, Clone)]
-pub struct PredictOutcome {
-    /// Resolved application name.
-    pub app: String,
-    /// Target machine name.
-    pub target: String,
-    /// The canonical prediction JSON — byte-identical between a cold
-    /// compute and every later cache hit.
-    pub prediction_json: String,
-    /// True when the prediction itself came from the store.
-    pub cached: bool,
-    /// True when the signature was served from the store (no Stage-A
-    /// work ran for this request).
-    pub signature_cached: bool,
-}
-
-/// Bytes of payload and line the warm replies may hold (~5 000 replies).
-const RESIDENT_BUDGET: usize = 8 << 20;
-
-/// Bytes the kept request lines may hold, apart from the replies' budget
-/// so that no line clears a reply (~6 000 canonical predict lines).
-const LINE_BUDGET: usize = 1 << 20;
-
-/// The longest request line kept; a canonical predict line is ~70 bytes.
-const MAX_KEPT_LINE: usize = 256;
-
-/// A predict's answer: the prediction's key, the outcome with its
-/// payload, the response's `result` and the rendered line.
-struct Reply {
-    key: StoreKey,
-    outcome: PredictOutcome,
-    value: Value,
-    line: Arc<str>,
-}
-
-impl Reply {
-    /// The one place a stored prediction is parsed and a predict
-    /// response rendered.
-    fn new(key: StoreKey, outcome: PredictOutcome) -> Result<Reply, String> {
-        let prediction: Value = serde_json::from_str(&outcome.prediction_json)
-            .map_err(|e| format!("stored prediction does not parse: {e}"))?;
-        let value = json!({
-            "app": outcome.app,
-            "target": outcome.target,
-            "cached": outcome.cached,
-            "signature_cached": outcome.signature_cached,
-            "prediction": prediction,
-        });
-        let line = Response::success("predict", value.clone()).render().into();
-        Ok(Reply {
-            key,
-            outcome,
-            value,
-            line,
-        })
-    }
-
-    /// The reply as a response, with a deep copy of its `result` only
-    /// when asked for one: the line alone is what goes on the wire.
-    fn response(&self, result: bool) -> Response {
-        Response {
-            ok: true,
-            op: "predict",
-            result: result.then(|| self.value.clone()),
-            line: Some(Arc::clone(&self.line)),
-            ..Response::default()
-        }
-    }
-}
-
-/// The warm replies by (signature digest, target name), and the bytes put
-/// in since the last clear; an insert that would pass the budget clears.
-/// Beside them, the (signature alias, target name) of each request line a
-/// kept or verified reply answered, under a budget of its own.
-#[derive(Default)]
-struct Replies {
-    by_slot: HashMap<(String, String), Arc<Reply>>,
-    bytes: usize,
-    by_line: HashMap<String, (String, String)>,
-    line_bytes: usize,
-}
-
-impl Replies {
-    fn insert(&mut self, slot: (String, String), reply: Arc<Reply>) {
-        let bytes = reply.outcome.prediction_json.len() + reply.line.len();
-        if bytes > RESIDENT_BUDGET {
-            return;
-        }
-        if self.bytes + bytes > RESIDENT_BUDGET {
-            self.by_slot.clear();
-            self.bytes = 0;
-        }
-        self.bytes += bytes;
-        self.by_slot.insert(slot, reply);
-    }
-
-    /// Keep `line` for the alias and target it resolved to, unless it is
-    /// longer than [`MAX_KEPT_LINE`]; one that would pass [`LINE_BUDGET`]
-    /// clears the lines first, never the replies.
-    fn insert_line(&mut self, line: Option<&str>, alias: &str, target: &str) {
-        let Some(line) = line.filter(|line| line.len() <= MAX_KEPT_LINE) else {
-            return;
-        };
-        let bytes = line.len() + alias.len() + target.len();
-        if self.line_bytes + bytes > LINE_BUDGET {
-            self.by_line.clear();
-            self.line_bytes = 0;
-        }
-        self.line_bytes += bytes;
-        let named = (alias.to_string(), target.to_string());
-        self.by_line.insert(line.to_string(), named);
-    }
-}
-
 /// Strip host-volatile fields so the serialized prediction is a stable
 /// artifact: wall-clock and the metrics snapshot vary run to run and
 /// would break the byte-identical cache-hit contract.
@@ -428,68 +56,16 @@ pub fn canonicalize_prediction(prediction: &mut Prediction) {
     prediction.metrics = None;
 }
 
-/// Live serving counters, all atomic: `health` reads them without
-/// taking any lock, so it stays answerable while every permit holder is
-/// wedged behind a slow store. `inflight` and `queue_depth` are the
-/// admission state itself (changed only under the service's gate);
-/// the server front end sets the bounds and counts connections.
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    /// Requests decoded (including invalid ones).
-    pub(crate) requests: AtomicU64,
-    /// Requests and connections refused with `code:"busy"`.
-    pub(crate) shed: AtomicU64,
-    /// Requests refused with `code:"timeout"` past their deadline.
-    pub(crate) timeouts: AtomicU64,
-    /// Compute requests holding a permit.
-    pub(crate) inflight: AtomicU64,
-    /// Compute requests waiting in line for a permit.
-    pub(crate) queue_depth: AtomicU64,
-    /// Connections currently open.
-    pub(crate) connections: AtomicU64,
-    /// Store entries (mirrored after every publish so health never
-    /// takes the store lock).
-    pub(crate) entries: AtomicU64,
-    /// Whether new connections/requests are being accepted.
-    pub(crate) accepting: AtomicBool,
-    /// Permits: compute requests that may run at once (0 = unbounded:
-    /// the stdin loop and in-process callers).
-    pub(crate) workers: AtomicU64,
-    /// Bound of the line waiting for a permit (0 with `workers` 0).
-    pub(crate) queue_capacity: AtomicU64,
-}
-
-impl ServeStats {
-    /// Requests shed with `code:"busy"` so far.
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::SeqCst)
-    }
-
-    /// Requests expired with `code:"timeout"` so far.
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts.load(Ordering::SeqCst)
-    }
-}
-
-fn set_gauge(name: &'static str, value: u64) {
-    if pas2p_obs::enabled() {
-        pas2p_obs::gauge(name).set(value as f64);
-    }
-}
-
 /// Everything clones of a [`PredictionService`] share. The store mutex
 /// is held for lookups and publishes only — Stage-A analysis and
 /// Stage-B execution run outside it — and `pending` + its condvar
 /// collapse concurrent Stage-A work on the same signature into a single
 /// computation (the paper's characterize-*once* promise, kept under
-/// concurrency). `gate` + its condvar order every change of
-/// `stats.inflight` / `stats.queue_depth`.
+/// concurrency).
 struct Shared {
     pas2p: Pas2p,
     store: Mutex<SignatureStore>,
-    /// Taken alone or under `store`, for a lookup or an insert only;
-    /// `store` is never taken under it.
-    replies: Mutex<Replies>,
+    replies: Replies,
     resolve: AppResolver,
     policy: MappingPolicy,
     /// `policy` as it enters prediction keys.
@@ -500,8 +76,6 @@ struct Shared {
     stats: ServeStats,
     pending: Mutex<HashSet<String>>,
     pending_cv: Condvar,
-    gate: Mutex<()>,
-    gate_cv: Condvar,
 }
 
 /// Removes its alias from the single-flight set on drop — including the
@@ -517,19 +91,6 @@ impl Drop for PendingGuard<'_> {
         let mut pending = self.shared.pending.lock();
         pending.remove(&self.alias);
         self.shared.pending_cv.notify_all();
-    }
-}
-
-/// One compute permit; handed to the next in line on drop (a panic or
-/// an expired deadline included).
-struct Permit<'a>(&'a Shared);
-
-impl Drop for Permit<'_> {
-    fn drop(&mut self) {
-        let _gate = self.0.gate.lock();
-        let inflight = self.0.stats.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
-        set_gauge("serve.inflight", inflight);
-        self.0.gate_cv.notify_one();
     }
 }
 
@@ -567,15 +128,13 @@ impl PredictionService {
                 ),
                 pas2p,
                 store: Mutex::new(store),
-                replies: Mutex::new(Replies::default()),
+                replies: Replies::default(),
                 resolve,
                 policy,
                 deadline: None,
                 stats,
                 pending: Mutex::new(HashSet::new()),
                 pending_cv: Condvar::new(),
-                gate: Mutex::new(()),
-                gate_cv: Condvar::new(),
             }),
         }
     }
@@ -637,15 +196,6 @@ impl PredictionService {
             &self.shared.fingerprint,
         );
         Ok(Resolved { app, base, alias })
-    }
-
-    /// Mirror the store's entry count into the lock-free stats while
-    /// already holding the store lock.
-    fn sync_entries(&self, store: &SignatureStore) {
-        self.shared
-            .stats
-            .entries
-            .store(store.len() as u64, Ordering::SeqCst);
     }
 
     /// Ensure the signature of a resolved (app, base) pair exists in the
@@ -730,7 +280,8 @@ impl PredictionService {
         store
             .put_signature(&key, &payload, sidecar)
             .map_err(|e| e.to_string())?;
-        self.sync_entries(&store);
+        let entries = store.len() as u64;
+        shared.stats.entries.store(entries, Ordering::SeqCst);
         Ok((key, payload, false))
     }
 
@@ -779,13 +330,13 @@ impl PredictionService {
     ) -> Result<Arc<Reply>, String> {
         let target = Self::resolve_machine(target_name)?;
         let policy_label = &self.shared.policy_label;
+        let replies = &self.shared.replies;
         let resolved = self.resolve(app_name, nprocs, base_name)?;
 
         // Fast path: alias → signature key → reply or prediction key.
         {
             let mut store = self.shared.store.lock();
             if let Some(reply) = self.kept(&store, &resolved.alias, &target.name) {
-                let mut replies = self.shared.replies.lock();
                 replies.insert_line(line, &resolved.alias, &target.name);
                 return Ok(reply);
             }
@@ -800,7 +351,6 @@ impl PredictionService {
                         signature_cached: true,
                     };
                     let reply = Arc::new(Reply::new(pkey, outcome)?);
-                    let mut replies = self.shared.replies.lock();
                     let slot = (sig_key.digest, target.name.clone());
                     replies.insert(slot, Arc::clone(&reply));
                     replies.insert_line(line, &resolved.alias, &target.name);
@@ -843,8 +393,9 @@ impl PredictionService {
             store
                 .put_prediction_json(&pkey, entry, &json)
                 .map_err(|e| e.to_string())?;
-            self.shared.replies.lock().by_slot.remove(&slot);
-            self.sync_entries(&store);
+            replies.remove(&slot);
+            let entries = store.len() as u64;
+            self.shared.stats.entries.store(entries, Ordering::SeqCst);
         }
         let outcome = PredictOutcome {
             app: stored.app_name,
@@ -860,7 +411,7 @@ impl PredictionService {
     /// prediction is indexed; the caller holds the store lock.
     fn kept(&self, store: &SignatureStore, alias: &str, target: &str) -> Option<Arc<Reply>> {
         let slot = (store.lookup_alias(alias)?.digest, target.to_string());
-        let reply = self.shared.replies.lock().by_slot.get(&slot).cloned()?;
+        let reply = self.shared.replies.get(&slot)?;
         store.entry(&reply.key)?;
         if pas2p_obs::enabled() {
             pas2p_obs::counter("store.hit").add(1);
@@ -923,24 +474,15 @@ impl PredictionService {
         let mut predictions = Vec::new();
         for name in apps {
             for target in targets {
-                match self.reply(None, name, nprocs, base_name, target) {
-                    Ok(reply) => {
-                        let outcome = &reply.outcome;
-                        predictions.push(json!({
-                            "app": outcome.app,
-                            "target": outcome.target,
-                            "cached": outcome.cached,
-                            "prediction": reply.value["prediction"],
-                        }));
-                    }
-                    Err(error) => {
-                        predictions.push(json!({
-                            "app": name,
-                            "target": target,
-                            "error": error,
-                        }));
-                    }
-                }
+                predictions.push(match self.reply(None, name, nprocs, base_name, target) {
+                    Ok(reply) => json!({
+                        "app": reply.outcome.app,
+                        "target": reply.outcome.target,
+                        "cached": reply.outcome.cached,
+                        "prediction": reply.value["prediction"],
+                    }),
+                    Err(error) => json!({"app": name, "target": target, "error": error}),
+                });
             }
         }
         Ok(json!({
@@ -972,89 +514,11 @@ impl PredictionService {
         })
     }
 
-    /// `health`: serving state from atomics only — no lock on this path
-    /// but the line probe's one lookup, so it answers even while every
-    /// permit holder is wedged behind a gated store or a long Stage-A run.
-    fn health(&self) -> Value {
-        let stats = &self.shared.stats;
-        json!({
-            "accepting": stats.accepting.load(Ordering::SeqCst),
-            "workers": stats.workers.load(Ordering::SeqCst),
-            "queue_capacity": stats.queue_capacity.load(Ordering::SeqCst),
-            "queue_depth": stats.queue_depth.load(Ordering::SeqCst),
-            "inflight": stats.inflight.load(Ordering::SeqCst),
-            "connections": stats.connections.load(Ordering::SeqCst),
-            "requests": stats.requests.load(Ordering::SeqCst),
-            "shed": stats.shed.load(Ordering::SeqCst),
-            "timeouts": stats.timeouts.load(Ordering::SeqCst),
-            "entries": stats.entries.load(Ordering::SeqCst),
-            "deadline_ms": self.shared.deadline.map(|d| d.as_millis() as u64),
-        })
-    }
-
     /// Flush the store index to disk (graceful-shutdown step).
     pub(crate) fn flush_store(&self) {
         let mut store = self.shared.store.lock();
         if let Err(e) = store.flush_index() {
             eprintln!("pas2p serve: flushing store index on shutdown: {e}");
-        }
-    }
-
-    /// Count one malformed line and build its classified `invalid`
-    /// answer.
-    pub(crate) fn invalid(&self, why: &dyn std::fmt::Display) -> Response {
-        self.count_request();
-        Response::failure("invalid", "invalid", format!("malformed request: {why}"))
-    }
-
-    /// Count one refusal and build its classified `busy` answer.
-    pub(crate) fn shed(&self, op: &'static str, why: &str) -> Response {
-        self.shared.stats.shed.fetch_add(1, Ordering::SeqCst);
-        if pas2p_obs::enabled() {
-            pas2p_obs::counter("serve.shed").add(1);
-        }
-        Response::failure(op, "busy", format!("{why}; retry later"))
-    }
-
-    /// Take a compute permit, waiting in line while all `workers` are
-    /// out and the line is shorter than `queue_capacity`; a full line
-    /// sheds at once, so a saturated service answers `busy` fast
-    /// instead of accumulating unbounded work. The line is bounded, not
-    /// ordered: whoever the condvar wakes goes next.
-    fn admit(&self, op: &'static str) -> Result<Permit<'_>, Response> {
-        let Shared {
-            stats,
-            gate,
-            gate_cv,
-            ..
-        } = &*self.shared;
-        let mut held = gate.lock();
-        let full = || {
-            let workers = stats.workers.load(Ordering::SeqCst);
-            workers > 0 && stats.inflight.load(Ordering::SeqCst) >= workers
-        };
-        if full() {
-            let capacity = stats.queue_capacity.load(Ordering::SeqCst);
-            if stats.queue_depth.load(Ordering::SeqCst) >= capacity {
-                return Err(self.shed(op, "request queue full"));
-            }
-            let depth = stats.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
-            set_gauge("serve.queue", depth);
-            while full() {
-                gate_cv.wait(&mut held);
-            }
-            let depth = stats.queue_depth.fetch_sub(1, Ordering::SeqCst) - 1;
-            set_gauge("serve.queue", depth);
-        }
-        let inflight = stats.inflight.fetch_add(1, Ordering::SeqCst) + 1;
-        set_gauge("serve.inflight", inflight);
-        Ok(Permit(&self.shared))
-    }
-
-    fn count_request(&self) {
-        self.shared.stats.requests.fetch_add(1, Ordering::SeqCst);
-        if pas2p_obs::enabled() {
-            pas2p_obs::counter("serve.requests").add(1);
         }
     }
 
@@ -1071,11 +535,12 @@ impl PredictionService {
         deadline: Option<Duration>,
         work: impl FnOnce() -> Result<Response, String>,
     ) -> Response {
-        let _permit = match self.admit(op) {
+        let stats = &self.shared.stats;
+        let _permit = match stats.admit(op) {
             Ok(permit) => permit,
             Err(busy) => return busy,
         };
-        self.count_request();
+        stats.count_request();
         let mut st = pas2p_obs::stage(stage);
         st.items(items);
         let outcome = guarded(deadline, work);
@@ -1083,7 +548,7 @@ impl PredictionService {
         let (code, error) = match outcome {
             Ok(response) => return response,
             Err(Stopped::TimedOut { error, overrun }) => {
-                self.shared.stats.timeouts.fetch_add(1, Ordering::SeqCst);
+                stats.timeouts.fetch_add(1, Ordering::SeqCst);
                 if pas2p_obs::enabled() {
                     pas2p_obs::counter("serve.timeout").add(1);
                     pas2p_obs::histogram("serve.timeout_overrun_us")
@@ -1110,10 +575,10 @@ impl PredictionService {
     /// line is found as read, under `replies` alone, and admitted like any
     /// predict; it is answered by what its alias and target keep now, else
     /// parsed as a predict. Every other line is parsed.
-    fn answer(&self, line: &str, result: bool) -> (Response, bool) {
+    pub(crate) fn answer(&self, line: &str, result: bool) -> (Response, bool) {
         let deadline = self.shared.deadline;
-        let kept = self.shared.replies.lock().by_line.get(line).cloned();
-        if let Some((alias, target)) = kept {
+        let stats = &self.shared.stats;
+        if let Some((alias, target)) = self.shared.replies.line(line) {
             let response = self.compute("predict", "serve.predict", 1, deadline, || {
                 let hit = self.kept(&self.shared.store.lock(), &alias, &target);
                 if let Some(reply) = hit {
@@ -1135,13 +600,13 @@ impl PredictionService {
         }
         let request = match Request::from_line(line) {
             Ok(request) => request,
-            Err(e) => return (self.invalid(&e), false),
+            Err(e) => return (stats.invalid(&e), false),
         };
         let op = request.op();
         let stop = matches!(request, Request::Shutdown);
         if matches!(request, Request::Ping | Request::Health | Request::Shutdown) {
             // Counted here: a compute op counts once it holds a permit.
-            self.count_request();
+            stats.count_request();
         }
         let response = match request {
             Request::Submit { app, nprocs, base } => {
@@ -1177,90 +642,19 @@ impl PredictionService {
                 Ok(Response::success(op, self.stats()))
             }),
             Request::Ping => Response::success(op, json!({"pong": true})),
-            Request::Health => Response::success(op, self.health()),
+            Request::Health => Response::success(op, stats.health(deadline)),
             Request::Shutdown => Response::success(op, json!({"stopping": true})),
         };
         (response, stop)
     }
-
-    /// Protocol line in, response line out: skip a blank line, else
-    /// answer it as [`PredictionService::handle_line`] does, without a
-    /// deep copy of a predict's `result`, and write the rendered response
-    /// and its newline in one write, then flush. The stdin loop and every
-    /// socket connection call this and differ only in how they read. `Break`
-    /// ends the caller's read loop: with `true` because the line asked
-    /// the serve loop to stop, with `false` because it passed
-    /// [`MAX_LINE_BYTES`] — answered once as malformed, and nowhere to
-    /// resynchronise after it.
-    pub(crate) fn respond(
-        &self,
-        line: &str,
-        output: &mut impl Write,
-    ) -> std::io::Result<ControlFlow<bool>> {
-        let (response, flow) = if line.len() > MAX_LINE_BYTES {
-            let why = format!("line longer than {MAX_LINE_BYTES} bytes");
-            (self.invalid(&why), ControlFlow::Break(false))
-        } else if line.trim().is_empty() {
-            return Ok(ControlFlow::Continue(()));
-        } else {
-            match self.answer(line, false) {
-                (response, true) => (response, ControlFlow::Break(true)),
-                (response, false) => (response, ControlFlow::Continue(())),
-            }
-        };
-        let mut text = response.render();
-        text.push('\n');
-        output.write_all(text.as_bytes())?;
-        output.flush()?;
-        Ok(flow)
-    }
-
-    /// Serve newline-delimited JSON requests from `input`, writing one
-    /// response line each to `output`, until EOF, a `shutdown` or an
-    /// over-long line. The final response is flushed before the loop
-    /// exits, and the store index is flushed to disk on the way out.
-    pub fn serve(&self, mut input: impl BufRead, mut output: impl Write) -> std::io::Result<()> {
-        let mut line = String::new();
-        while read_bounded_line(&mut input, &mut line)? > 0 {
-            if self.respond(&line, &mut output)?.is_break() {
-                break;
-            }
-            line.clear();
-        }
-        self.shared.stats.accepting.store(false, Ordering::SeqCst);
-        self.flush_store();
-        Ok(())
-    }
-}
-
-/// Longest request line either read loop accepts, newline included. The
-/// largest legitimate request is a `batch` app list of a few hundred
-/// bytes; without a cap, one client that never sends a newline grows
-/// the process's memory until it dies.
-pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
-
-/// Largest `nprocs` a request line may carry: four times the paper's
-/// largest run (Table 6, 256 processes). A simulated rank is an OS
-/// thread and thread start-up has no cancellation checkpoint, so an
-/// unbounded count lets one line stall the server past any deadline.
-pub(crate) const MAX_NPROCS: u32 = 1024;
-
-/// `read_line` that never takes `line` more than one byte beyond
-/// [`MAX_LINE_BYTES`] — enough for the caller to see the cap was passed.
-/// Appends, so a socket's partial line survives a read-timeout tick.
-pub(crate) fn read_bounded_line(
-    reader: &mut impl BufRead,
-    line: &mut String,
-) -> std::io::Result<usize> {
-    let room = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
-    reader.by_ref().take(room).read_line(line)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::Pas2p;
-    use std::io::Cursor;
+    use crate::protocol::MAX_NPROCS;
+    use std::io::{Cursor, Write};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -1791,8 +1185,8 @@ mod tests {
         fn warm(&self) -> String {
             let (cold, _) = self.predict();
             assert!(cold.contains(r#""cached":false"#), "{cold}");
-            let lines = self.svc.shared.replies.lock().by_line.len();
-            assert_eq!(lines, 0, "a cold reply keeps no line");
+            let (_, _, lines, _) = self.svc.shared.replies.census();
+            assert!(lines.is_empty(), "a cold reply keeps no line");
             let (warm, reads) = self.predict();
             assert_eq!(reads, 1, "the first warm predict reads the object");
             warm
@@ -1827,8 +1221,8 @@ mod tests {
 
         /// Replies kept, and the bytes put in since the last clear.
         fn kept(&self) -> (usize, usize) {
-            let replies = self.svc.shared.replies.lock();
-            (replies.by_slot.len(), replies.bytes)
+            let (slots, bytes, _, _) = self.svc.shared.replies.census();
+            (slots, bytes)
         }
     }
 
@@ -1850,11 +1244,11 @@ mod tests {
         assert_eq!(s.kept(), (1, bytes));
         // The request line is kept apart, with the alias and target it names.
         let alias = s.svc.resolve("cg", 4, "A").expect("resolve").alias;
-        let replies = s.svc.shared.replies.lock();
+        let (_, _, lines, line_bytes) = s.svc.shared.replies.census();
         let named = (alias, "cluster-B".to_string());
-        assert_eq!(replies.by_line[PREDICT], named);
+        assert_eq!(lines[PREDICT], named);
         let bytes = PREDICT.len() + named.0.len() + named.1.len();
-        assert_eq!(replies.line_bytes, bytes);
+        assert_eq!(line_bytes, bytes);
     }
 
     #[test]
@@ -1960,16 +1354,16 @@ mod tests {
         }
         assert_eq!(s.io.reads.load(Ordering::SeqCst), reads, "no file read");
         let alias = s.svc.resolve("cg", 4, "A").expect("resolve").alias;
-        let replies = s.svc.shared.replies.lock();
-        let mut lines: Vec<&str> = replies.by_line.keys().map(String::as_str).collect();
+        let (slots, _, kept, line_bytes) = s.svc.shared.replies.census();
+        let mut lines: Vec<&str> = kept.keys().map(String::as_str).collect();
         lines.sort_unstable();
         let mut want = [PREDICT, spellings[0], spellings[1]];
         want.sort_unstable();
         assert_eq!(lines, want);
         let named = (alias, "cluster-B".to_string());
-        assert!(replies.by_line.values().all(|kept| *kept == named));
+        assert!(kept.values().all(|kept| *kept == named));
         let bytes = want.concat().len() + want.len() * (named.0.len() + named.1.len());
-        assert_eq!((replies.by_slot.len(), replies.line_bytes), (1, bytes));
+        assert_eq!((slots, line_bytes), (1, bytes));
     }
 
     /// A kept line is probed under `replies` alone: while a writer holds
@@ -2105,61 +1499,6 @@ mod tests {
         let flow = s.svc.respond(PREDICT, &mut out).expect("respond");
         assert!(flow.is_continue());
         assert_eq!(out.bytes, format!("{warm}\n").into_bytes());
-    }
-
-    #[test]
-    fn resident_bytes_never_exceed_the_budget() {
-        let reply = |len: usize| {
-            Arc::new(Reply {
-                key: StoreKey {
-                    digest: String::new(),
-                    fingerprint: String::new(),
-                },
-                outcome: PredictOutcome {
-                    app: String::new(),
-                    target: String::new(),
-                    prediction_json: "x".repeat(len),
-                    cached: true,
-                    signature_cached: true,
-                },
-                value: Value::Null,
-                line: Arc::from("line"),
-            })
-        };
-        let third = RESIDENT_BUDGET / 3;
-        let mut replies = Replies::default();
-        for slot in ["a", "b", "c"] {
-            replies.insert((slot.to_string(), String::new()), reply(third));
-            assert!(replies.bytes <= RESIDENT_BUDGET);
-        }
-        // The third insert went over: the set was cleared first.
-        let c = (String::from("c"), String::new());
-        assert_eq!(replies.by_slot.keys().collect::<Vec<_>>(), [&c]);
-        assert_eq!(replies.bytes, third + 4);
-        // A reply over the budget is not kept, and clears nothing.
-        replies.insert(("d".to_string(), String::new()), reply(RESIDENT_BUDGET));
-        assert_eq!((replies.by_slot.len(), replies.bytes), (1, third + 4));
-
-        // Lines of MAX_KEPT_LINE bytes with alias and target: the one that
-        // would pass LINE_BUDGET clears the lines, and the reply stays.
-        let kept = LINE_BUDGET / MAX_KEPT_LINE;
-        for n in 0..=kept {
-            let line = format!("{n:0width$}", width = MAX_KEPT_LINE - 2);
-            replies.insert_line(Some(&line), "a", "b");
-            assert!(replies.line_bytes <= LINE_BUDGET);
-        }
-        assert_eq!(
-            (replies.by_line.len(), replies.line_bytes),
-            (1, MAX_KEPT_LINE)
-        );
-        assert_eq!((replies.by_slot.len(), replies.bytes), (1, third + 4));
-        // A longer line is not kept, and clears nothing.
-        let long = "x".repeat(MAX_KEPT_LINE + 1);
-        replies.insert_line(Some(&long), "a", "b");
-        assert_eq!(
-            (replies.by_line.len(), replies.line_bytes),
-            (1, MAX_KEPT_LINE)
-        );
     }
 
     #[cfg(unix)]

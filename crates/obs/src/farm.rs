@@ -130,6 +130,7 @@ mod tests {
 
     #[test]
     fn results_come_back_in_task_order_at_any_worker_count() {
+        let _g = events::test_guard();
         let expected: Vec<u64> = (0..12).map(|i| i * 10).collect();
         for workers in [1, 2, 3, 8] {
             let got = map(workers, "test worker", (0..12).collect(), uneven(12));
@@ -141,6 +142,7 @@ mod tests {
 
     #[test]
     fn one_worker_or_one_task_runs_on_the_calling_thread() {
+        let _g = events::test_guard();
         let me = std::thread::current().id();
         let ids = map(1, "test worker", vec![0u8, 1, 2], |_| {
             std::thread::current().id()
@@ -152,6 +154,7 @@ mod tests {
 
     #[test]
     fn map_on_workers_never_runs_on_the_calling_thread() {
+        let _g = events::test_guard();
         let me = std::thread::current().id();
         let ids = map_on_workers(1, "test worker", vec![0u8, 1, 2], |_| {
             std::thread::current().id()
@@ -162,6 +165,7 @@ mod tests {
 
     #[test]
     fn a_panicking_task_re_raises_its_own_payload() {
+        let _g = events::test_guard();
         let ran = std::sync::atomic::AtomicUsize::new(0);
         let caught = catch_unwind(AssertUnwindSafe(|| {
             map(3, "test worker", (0..6u32).collect(), |i| {

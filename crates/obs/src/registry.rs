@@ -383,6 +383,7 @@ mod tests {
 
     #[test]
     fn registry_snapshot_and_reset() {
+        let _g = crate::events::test_guard();
         let reg = Box::leak(Box::new(Registry::new(true)));
         let c = reg.counter("t.count");
         c.add(7);
@@ -414,6 +415,7 @@ mod tests {
 
     #[test]
     fn a_stage_is_one_entry_however_often_it_runs() {
+        let _g = crate::events::test_guard();
         let reg = Box::leak(Box::new(Registry::new(true)));
         for _ in 0..10_000 {
             let mut g = reg.stage("hot");
@@ -440,6 +442,7 @@ mod tests {
 
     #[test]
     fn disabled_stage_still_times_but_records_nothing() {
+        let _g = crate::events::test_guard();
         let reg = Box::leak(Box::new(Registry::new(false)));
         let wall = reg.stage("quiet").finish();
         assert!(wall >= 0.0);

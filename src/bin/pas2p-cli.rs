@@ -626,9 +626,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                         .map_err(|e| input(format!("serving on {path}: {e}")))?;
                 }
                 #[cfg(not(unix))]
-                Some(_) => {
-                    return Err("--socket requires a unix platform".into());
-                }
+                Some(_) => return Err("--socket requires a unix platform".into()),
                 None => {
                     let stdin = std::io::stdin();
                     svc.serve(stdin.lock(), std::io::stdout())
@@ -651,29 +649,24 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
             match flags.get("format").map(String::as_str).unwrap_or("text") {
                 "text" => print!("{}", snapshot.render()),
                 "prom" | "prometheus" => print!("{}", snapshot.render_prometheus()),
-                other => {
-                    return Err(format!("bad --format '{other}' (text|prom)").into());
-                }
+                other => return Err(format!("bad --format '{other}' (text|prom)").into()),
             }
             Ok(ExitCode::SUCCESS)
         }
+        "timeline" if flags.contains_key("validate") => {
+            let path = &flags["validate"];
+            let text = std::fs::read_to_string(path).map_err(reading(path))?;
+            let stats =
+                pas2p::validate_chrome_json(&text).map_err(|e| input(format!("{path}: {e}")))?;
+            println!(
+                "{path}: valid Chrome Trace JSON — {} events ({} slices, {} instants, \
+                 {} flows, {} metadata) across {} process lanes",
+                stats.events, stats.slices, stats.instants, stats.flows, stats.metadata, stats.pids
+            );
+            Ok(ExitCode::SUCCESS)
+        }
         "timeline" => {
-            if let Some(path) = flags.get("validate") {
-                let text = std::fs::read_to_string(path).map_err(reading(path))?;
-                let stats = pas2p::validate_chrome_json(&text)
-                    .map_err(|e| input(format!("{path}: {e}")))?;
-                println!(
-                    "{path}: valid Chrome Trace JSON — {} events ({} slices, {} instants, \
-                     {} flows, {} metadata) across {} process lanes",
-                    stats.events,
-                    stats.slices,
-                    stats.instants,
-                    stats.flows,
-                    stats.metadata,
-                    stats.pids
-                );
-                Ok(ExitCode::SUCCESS)
-            } else if let Some(path) = flags.get("trace") {
+            let mut doc = if let Some(path) = flags.get("trace") {
                 // Rebuild the application timeline from a binary trace:
                 // order it, extract phases for the overlay track, and
                 // export the virtual-time domain (no host self-profile —
@@ -692,18 +685,14 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                 let logical = try_pas2p_order(&trace)
                     .map_err(|e| input(format!("{path}: ordering failed: {e}")))?;
                 let analysis = extract_phases(&logical, &pas2p.similarity);
-                let mut doc = pas2p::compose_timeline(&[], Some(&trace), Some(&analysis), path);
-                if flags.contains_key("normalize") {
-                    doc = doc.normalized();
-                }
+                let doc = pas2p::compose_timeline(&[], Some(&trace), Some(&analysis), path);
                 eprintln!(
                     "timeline: {} ranks, {} events, {} phases",
                     trace.nprocs,
                     trace.total_events(),
                     analysis.total_phases()
                 );
-                write_or_print(&flags, &doc.to_json())?;
-                Ok(ExitCode::SUCCESS)
+                doc
             } else {
                 // Live mode: run Stage A under event tracing and compose
                 // both domains — the pipeline self-profile on the wall
@@ -716,15 +705,12 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                     pas2p.analyze_full(app.as_ref(), &base, MappingPolicy::Block);
                 pas2p_obs::set_tracing(false);
                 let events = pas2p_obs::events::take();
-                let mut doc = pas2p::compose_timeline(
+                let doc = pas2p::compose_timeline(
                     &events,
                     Some(&trace),
                     Some(&analysis.analysis),
                     &analysis.app_name,
                 );
-                if flags.contains_key("normalize") {
-                    doc = doc.normalized();
-                }
                 eprintln!(
                     "timeline: {} host events, {} ranks, {} app events, {} phases",
                     events.len(),
@@ -732,9 +718,13 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                     trace.total_events(),
                     analysis.total_phases()
                 );
-                write_or_print(&flags, &doc.to_json())?;
-                Ok(ExitCode::SUCCESS)
+                doc
+            };
+            if flags.contains_key("normalize") {
+                doc = doc.normalized();
             }
+            write_or_print(&flags, &doc.to_json())?;
+            Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown command '{}'", other).into()),
     };

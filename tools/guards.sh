@@ -174,7 +174,7 @@ one_way_into_the_store() {
 }
 
 # A stored prediction becomes a Value in one place, `Reply::new` in
-# crates/core/src/service.rs, which renders the predict response once: a
+# crates/core/src/replies.rs, which renders the predict response once: a
 # warm hit replays that reply and `batch` reads its Value. A second
 # parse of a prediction payload in crates/core/src is a second render
 # path, whose bytes must then agree with the first.
