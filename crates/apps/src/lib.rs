@@ -37,9 +37,8 @@ pub use sweep3d::Sweep3dApp;
 use pas2p_signature::MpiApp;
 
 /// Instantiate an application by name at a given process count, using the
-/// paper's workload presets (scaled). Names are case-insensitive:
-/// `cg`, `bt`, `sp`, `lu`, `ft`, `sweep3d`, `smg2000`, `pop`, `moldy`,
-/// `gromacs`, `masterworker`.
+/// paper's workload presets (scaled). Names are case-insensitive;
+/// [`CATALOG`] lists one per application.
 pub fn by_name(name: &str, nprocs: u32) -> Option<Box<dyn MpiApp>> {
     Some(match name.to_ascii_lowercase().as_str() {
         "cg" => Box::new(CgApp::class_c(nprocs)),
@@ -56,6 +55,22 @@ pub fn by_name(name: &str, nprocs: u32) -> Option<Box<dyn MpiApp>> {
         _ => return None,
     })
 }
+
+/// The catalog: every application [`by_name`] resolves, once each, in
+/// the order `pas2p-cli list` shows them.
+pub const CATALOG: [&str; 11] = [
+    "cg",
+    "bt",
+    "sp",
+    "lu",
+    "ft",
+    "sweep3d",
+    "smg2000",
+    "pop",
+    "moldy",
+    "gromacs",
+    "masterworker",
+];
 
 /// The paper's Table 4 application set (base-machine cluster A analysis):
 /// CG/BT/SP class C at 64 processes, Sweep3D sweep.250 at 32, SMG2000 at
@@ -110,6 +125,14 @@ mod tests {
             assert_eq!(app.nprocs(), 16);
         }
         assert!(by_name("nonesuch", 4).is_none());
+    }
+
+    #[test]
+    fn catalog_names_resolve_and_are_distinct() {
+        for (i, name) in CATALOG.iter().enumerate() {
+            assert!(by_name(name, 4).is_some(), "{name} does not resolve");
+            assert!(!CATALOG[..i].contains(name), "{name} listed twice");
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@
 
 use crate::cancel::{guarded, Stopped};
 use crate::pipeline::{Analysis, Pas2p};
+use pas2p_check::CheckEngine;
 use pas2p_faults::FaultPlan;
 use pas2p_machine::{MachineModel, MappingPolicy};
 use pas2p_signature::{run_traced, MpiApp};
@@ -248,8 +249,10 @@ fn analyze(pas2p: &Pas2p, job: &BatchJob) -> Result<Analysis, Failure> {
                 pas2p.instrumentation,
             );
             let (bytes, _log) = plan.inject(&trace);
+            let engine = CheckEngine::with_default_rules();
             pas2p
-                .analyze_bytes_checked(&job.app.name(), &job.app.workload(), &bytes)
+                .analyze_buffer(&job.app.name(), &job.app.workload(), &bytes, Some(&engine))
+                .map(|(analysis, _trace)| analysis)
                 .map_err(|e| (e.reason, Some(e.ingest)))
         }
     }
@@ -394,25 +397,18 @@ fn record_slowest_jobs(results: &[BatchResult]) {
     }
 }
 
-/// [`run_batch_with`] under default options: no deadlines — but still
-/// panic-isolated. Kept as the simple entry point for sweeps of
-/// well-behaved jobs.
-pub fn run_batch(pas2p: &Pas2p, jobs: Vec<BatchJob>, workers: Option<usize>) -> BatchReport {
-    run_batch_with(
-        pas2p,
-        jobs,
-        BatchOptions {
-            workers,
-            ..BatchOptions::default()
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pas2p_machine::cluster_a;
     use pas2p_signature::RankProgram;
+
+    fn at(workers: Option<usize>) -> BatchOptions {
+        BatchOptions {
+            workers,
+            ..BatchOptions::default()
+        }
+    }
 
     fn jobs_of(names: &[&str]) -> Vec<BatchJob> {
         names
@@ -438,7 +434,7 @@ mod tests {
     fn batch_results_are_worker_count_invariant() {
         let pas2p = Pas2p::default();
         let names = ["cg", "moldy", "masterworker", "ft"];
-        let baseline = run_batch(&pas2p, jobs_of(&names), Some(1));
+        let baseline = run_batch_with(&pas2p, jobs_of(&names), at(Some(1)));
         assert_eq!(baseline.results.len(), names.len());
         for (i, r) in baseline.results.iter().enumerate() {
             assert_eq!(r.index, i, "results must be in submission order");
@@ -446,7 +442,7 @@ mod tests {
             assert_eq!(r.app_name.to_lowercase(), names[i]);
         }
         for workers in [2, 3, 8] {
-            let par = run_batch(&pas2p, jobs_of(&names), Some(workers));
+            let par = run_batch_with(&pas2p, jobs_of(&names), at(Some(workers)));
             assert_eq!(par.workers, workers.min(names.len()));
             let a: Vec<_> = baseline.results.iter().map(key).collect();
             let b: Vec<_> = par.results.iter().map(key).collect();
@@ -462,8 +458,8 @@ mod tests {
     #[test]
     fn batch_results_are_submission_order_invariant() {
         let pas2p = Pas2p::default();
-        let forward = run_batch(&pas2p, jobs_of(&["cg", "moldy"]), Some(2));
-        let reverse = run_batch(&pas2p, jobs_of(&["moldy", "cg"]), Some(2));
+        let forward = run_batch_with(&pas2p, jobs_of(&["cg", "moldy"]), at(Some(2)));
+        let reverse = run_batch_with(&pas2p, jobs_of(&["moldy", "cg"]), at(Some(2)));
         // Same jobs, opposite submission order: each result follows its
         // job, so the reports are mirror images of each other.
         let body = |r: &BatchResult| {
@@ -484,7 +480,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let report = run_batch(&Pas2p::default(), Vec::new(), None);
+        let report = run_batch_with(&Pas2p::default(), Vec::new(), at(None));
         assert!(report.results.is_empty());
         assert_eq!(report.workers, 1);
         assert!(report.render().contains("0 job(s)"));
@@ -570,7 +566,7 @@ mod tests {
                 cluster_a(),
             ),
         ];
-        let report = run_batch(&pas2p, jobs, Some(2));
+        let report = run_batch_with(&pas2p, jobs, at(Some(2)));
         assert_eq!(report.results[0].status, BatchStatus::Failed);
         assert!(report.results[0].analysis.is_none());
         assert!(
@@ -638,7 +634,7 @@ mod tests {
             cluster_a(),
         )
         .with_fault(plan)];
-        let report = run_batch(&pas2p, jobs, Some(1));
+        let report = run_batch_with(&pas2p, jobs, at(Some(1)));
         let r = &report.results[0];
         assert!(
             matches!(r.status, BatchStatus::Degraded | BatchStatus::Failed),

@@ -47,9 +47,7 @@ pub mod timeline;
 pub mod workload;
 
 pub use admission::ServeStats;
-pub use batch::{
-    run_batch, run_batch_with, BatchJob, BatchOptions, BatchReport, BatchResult, BatchStatus,
-};
+pub use batch::{run_batch_with, BatchJob, BatchOptions, BatchReport, BatchResult, BatchStatus};
 pub use cancel::{cancelled, with_cancel, CancelToken};
 pub use pipeline::{Analysis, AnalysisError, Pas2p};
 pub use protocol::{PredictOutcome, Request, Response, SubmitOutcome};

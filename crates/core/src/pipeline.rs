@@ -3,14 +3,14 @@
 use crate::cancel::{enter, Stage};
 use pas2p_check::{Artifacts, CheckEngine, CheckReport};
 use pas2p_machine::{MachineModel, MappingPolicy};
-use pas2p_model::{pas2p_order, try_pas2p_order, ModelError};
+use pas2p_model::{try_pas2p_order, LogicalTrace, ModelError};
 use pas2p_obs::{Level, MetricsSnapshot};
 use pas2p_phases::{extract_phases, PhaseAnalysis, PhaseTable, SimilarityConfig};
 use pas2p_signature::{
     construct_signature, execute_signature, predict, run_plain, run_traced, ConstructionStats,
     ExecError, MpiApp, Prediction, Signature, SignatureConfig, ValidationReport,
 };
-use pas2p_trace::{ingest, Confidence, IngestReport, InstrumentationModel};
+use pas2p_trace::{ingest, Confidence, IngestReport, InstrumentationModel, Trace};
 use serde::{Deserialize, Serialize};
 
 /// Stage-A output: everything the analysis of one application run on the
@@ -44,7 +44,8 @@ pub struct Analysis {
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub metrics: Option<MetricsSnapshot>,
     /// Invariant-check report over the produced artifacts (absent unless
-    /// the analysis ran through [`Pas2p::analyze_checked`]).
+    /// the analysis ran with a check engine, [`Pas2p::analyze_run`] or
+    /// [`Pas2p::analyze_buffer`]).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub check: Option<CheckReport>,
     /// Whether the whole run's data reached the analysis. `Degraded`
@@ -111,34 +112,58 @@ impl Pas2p {
         base: &MachineModel,
         policy: MappingPolicy,
     ) -> Analysis {
-        self.analyze_full(app, base, policy).0
+        self.analyze_run(app, base, policy, None).0
     }
 
-    /// [`Pas2p::analyze`], then run the `pas2p-check` diagnostics engine
-    /// over every artifact of the stage (physical trace, logical trace,
-    /// phase analysis, phase table) and attach the [`CheckReport`] to the
-    /// result. The intermediate trace and logical trace are kept alive
-    /// only for the check and dropped afterwards.
-    pub fn analyze_checked(
+    /// [`Pas2p::analyze`], keeping the physical and logical traces.
+    pub fn analyze_full(
         &self,
         app: &dyn MpiApp,
         base: &MachineModel,
         policy: MappingPolicy,
-    ) -> Analysis {
-        self.analyze_checked_with(app, base, policy, &CheckEngine::with_default_rules())
+    ) -> (Analysis, Trace, LogicalTrace) {
+        self.analyze_run(app, base, policy, None)
     }
 
-    /// [`Pas2p::analyze_checked`] with a caller-supplied engine — the
-    /// CLI passes one configured with `--workers`; tests pass engines at
-    /// several worker counts to pin report invariance.
-    pub fn analyze_checked_with(
+    /// [`Pas2p::analyze_buffer`] without a check, keeping the analysis.
+    pub fn analyze_bytes(
+        &self,
+        app_name: &str,
+        workload: &str,
+        buf: &[u8],
+    ) -> Result<Analysis, AnalysisError> {
+        self.analyze_buffer(app_name, workload, buf, None)
+            .map(|(analysis, _)| analysis)
+    }
+
+    /// Stage A over a live run: run the instrumented application on
+    /// `base`, then order, extract and tabulate its trace. With an
+    /// `engine`, the `pas2p-check` rules run over every artifact of the
+    /// stage and the [`CheckReport`] rides on the analysis. Returns the
+    /// physical and logical traces alongside, for the timeline exporter
+    /// and `pas2p-cli check --logical-out`.
+    pub fn analyze_run(
         &self,
         app: &dyn MpiApp,
         base: &MachineModel,
         policy: MappingPolicy,
-        engine: &CheckEngine,
-    ) -> Analysis {
-        self.analyze_live(app, base, policy, Some(engine)).0
+        engine: Option<&CheckEngine>,
+    ) -> (Analysis, Trace, LogicalTrace) {
+        // Stage boundaries are cancellation checkpoints: a job or
+        // request past its deadline unwinds here at the latest (the
+        // stages with long loops also ask inside).
+        enter(Stage::RunTraced);
+        let mut st = pas2p_obs::stage("run_traced");
+        let (trace, _) = run_traced(app, base, policy, self.instrumentation);
+        st.items(trace.total_events() as u64);
+        st.finish();
+
+        // A trace this process just recorded is structurally sound; one
+        // that does not order is a bug, raised as `pas2p_order` does.
+        let (analysis, logical) = self
+            .stage_a(&app.name(), &app.workload(), &trace, None, 0.0, engine)
+            .unwrap_or_else(|e| panic!("{}", e));
+        (analysis, trace, logical)
     }
 
     /// Stage A from a serialized trace buffer instead of a live run,
@@ -146,42 +171,22 @@ impl Pas2p {
     /// proceed with the surviving ranks, and mark the result
     /// [`Confidence::Degraded`] when anything was lost. Collective
     /// `involved` counts are clamped to the surviving participants so
-    /// the PAS2P ordering can complete without the missing ranks.
+    /// the PAS2P ordering can complete without the missing ranks. With
+    /// an `engine`, the check includes the ingest report, so `INGEST-*`
+    /// findings appear alongside the usual families. Returns the
+    /// recovered trace alongside (`pas2p-cli timeline --trace`).
     ///
     /// Errors carry the [`IngestReport`] alongside the reason: an
     /// unusable buffer or an ordering that still cannot complete
     /// (e.g. a truncated collective tail) is a classified failure, not
     /// a panic.
-    pub fn analyze_bytes(
-        &self,
-        app_name: &str,
-        workload: &str,
-        buf: &[u8],
-    ) -> Result<Analysis, AnalysisError> {
-        self.analyze_bytes_with(app_name, workload, buf, None)
-    }
-
-    /// [`Pas2p::analyze_bytes`], then run the `pas2p-check` engine over
-    /// the recovered artifacts — including the ingest report, so
-    /// `INGEST-*` findings appear alongside the usual families — and
-    /// attach the [`CheckReport`].
-    pub fn analyze_bytes_checked(
-        &self,
-        app_name: &str,
-        workload: &str,
-        buf: &[u8],
-    ) -> Result<Analysis, AnalysisError> {
-        let engine = CheckEngine::with_default_rules();
-        self.analyze_bytes_with(app_name, workload, buf, Some(&engine))
-    }
-
-    fn analyze_bytes_with(
+    pub fn analyze_buffer(
         &self,
         app_name: &str,
         workload: &str,
         buf: &[u8],
         engine: Option<&CheckEngine>,
-    ) -> Result<Analysis, AnalysisError> {
+    ) -> Result<(Analysis, Trace), AnalysisError> {
         crate::cancel::checkpoint();
         let mut st = pas2p_obs::stage("ingest");
         let (trace, mut report) = ingest::decode_recovering(buf);
@@ -204,7 +209,7 @@ impl Pas2p {
 
         let ingest = Some(&report);
         match self.stage_a(app_name, workload, &trace, ingest, ingest_seconds, engine) {
-            Ok((analysis, _logical)) => Ok(analysis),
+            Ok((analysis, _logical)) => Ok((analysis, trace)),
             Err(e) => Err(AnalysisError {
                 reason: format!("ordering failed on recovered trace: {}", e),
                 ingest: report,
@@ -212,57 +217,14 @@ impl Pas2p {
         }
     }
 
-    /// Stage A up to the machine-independent model only (§3.1–§3.2):
-    /// run the instrumented application and apply the PAS2P ordering,
-    /// returning both the physical trace and its logical trace. Useful
-    /// for exporting the model so it can be inspected or re-checked
-    /// (`pas2p-cli check --logical`).
-    pub fn model(
-        &self,
-        app: &dyn MpiApp,
-        base: &MachineModel,
-        policy: MappingPolicy,
-    ) -> (pas2p_trace::Trace, pas2p_model::LogicalTrace) {
-        let (trace, _) = run_traced(app, base, policy, self.instrumentation);
-        let logical = pas2p_order(&trace);
-        (trace, logical)
-    }
-
-    /// [`Pas2p::analyze`], keeping the intermediate artifacts: the
-    /// physical trace and the logical trace alongside the analysis.
-    /// This is what the timeline exporter builds the application's
-    /// virtual-time tracks from (`pas2p-cli timeline`).
-    pub fn analyze_full(
-        &self,
-        app: &dyn MpiApp,
-        base: &MachineModel,
-        policy: MappingPolicy,
-    ) -> (Analysis, pas2p_trace::Trace, pas2p_model::LogicalTrace) {
-        self.analyze_live(app, base, policy, None)
-    }
-
-    fn analyze_live(
-        &self,
-        app: &dyn MpiApp,
-        base: &MachineModel,
-        policy: MappingPolicy,
-        engine: Option<&CheckEngine>,
-    ) -> (Analysis, pas2p_trace::Trace, pas2p_model::LogicalTrace) {
-        // Stage boundaries are cancellation checkpoints: a job or
-        // request past its deadline unwinds here at the latest (the
-        // stages with long loops also ask inside).
-        enter(Stage::RunTraced);
-        let mut st = pas2p_obs::stage("run_traced");
-        let (trace, _) = run_traced(app, base, policy, self.instrumentation);
-        st.items(trace.total_events() as u64);
-        st.finish();
-
-        // A trace this process just recorded is structurally sound; one
-        // that does not order is a bug, raised as `pas2p_order` does.
-        let (analysis, logical) = self
-            .stage_a(&app.name(), &app.workload(), &trace, None, 0.0, engine)
-            .unwrap_or_else(|e| panic!("{}", e));
-        (analysis, trace, logical)
+    /// The configuration's fingerprint, which keys every stored
+    /// signature and prediction ([`pas2p_store::config_fingerprint`]).
+    pub fn fingerprint(&self) -> String {
+        pas2p_store::config_fingerprint(
+            &self.similarity,
+            &self.signature,
+            self.instrumentation.per_event_seconds,
+        )
     }
 
     /// Stage A proper, the same for every source of `trace`: order →
@@ -276,11 +238,11 @@ impl Pas2p {
         &self,
         app_name: &str,
         workload: &str,
-        trace: &pas2p_trace::Trace,
+        trace: &Trace,
         ingest: Option<&IngestReport>,
         ingest_seconds: f64,
         engine: Option<&CheckEngine>,
-    ) -> Result<(Analysis, pas2p_model::LogicalTrace), ModelError> {
+    ) -> Result<(Analysis, LogicalTrace), ModelError> {
         enter(Stage::Pas2pOrder);
         let mut st = pas2p_obs::stage("pas2p_order");
         let logical = try_pas2p_order(trace);

@@ -32,8 +32,8 @@ use parking_lot::{Condvar, Mutex};
 use pas2p_machine::{preset_by_name, MachineModel, MappingPolicy};
 use pas2p_signature::{MpiApp, Prediction};
 use pas2p_store::{
-    config_fingerprint, prediction_key, signature_alias, signature_key, ArtifactKind, IndexEntry,
-    Sidecar, SignatureStore, StoreKey, StoreReport, StoredSignature, STORE_FORMAT_VERSION,
+    prediction_key, signature_alias, signature_key, ArtifactKind, IndexEntry, Sidecar,
+    SignatureStore, StoreKey, StoreReport, StoredSignature, STORE_FORMAT_VERSION,
 };
 use serde_json::{json, Value};
 use std::collections::HashSet;
@@ -70,7 +70,7 @@ struct Shared {
     policy: MappingPolicy,
     /// `policy` as it enters prediction keys.
     policy_label: String,
-    /// [`config_fingerprint`] of `pas2p`, which never changes.
+    /// [`Pas2p::fingerprint`] of `pas2p`, which never changes.
     fingerprint: String,
     deadline: Option<Duration>,
     stats: ServeStats,
@@ -121,11 +121,7 @@ impl PredictionService {
         PredictionService {
             shared: Arc::new(Shared {
                 policy_label: serde_json::to_string(&policy).expect("policies serialize"),
-                fingerprint: config_fingerprint(
-                    &pas2p.similarity,
-                    &pas2p.signature,
-                    pas2p.instrumentation.per_event_seconds,
-                ),
+                fingerprint: pas2p.fingerprint(),
                 pas2p,
                 store: Mutex::new(store),
                 replies: Replies::default(),
@@ -152,7 +148,7 @@ impl PredictionService {
     }
 
     /// The service's configuration fingerprint (see
-    /// [`config_fingerprint`]).
+    /// [`Pas2p::fingerprint`]).
     pub fn fingerprint(&self) -> String {
         self.shared.fingerprint.clone()
     }

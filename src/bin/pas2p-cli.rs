@@ -24,6 +24,7 @@
 
 use pas2p::prelude::*;
 use pas2p::Pas2p;
+use pas2p_obs::events::Event;
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -40,8 +41,8 @@ const USAGE: &str = "usage:
   pas2p-cli check     --app NAME --nprocs N --base M [--json] [--logical-out FILE]
   pas2p-cli check     --logical FILE [--json]
   pas2p-cli check     --trace FILE [--json]
-                      (any form also takes [--workers K] [--sarif FILE]
-                       [--baseline FILE] [--write-baseline FILE])
+                      (any form also takes [--sarif FILE] [--baseline FILE]
+                       [--write-baseline FILE])
   pas2p-cli metrics   --analysis FILE [--format text|prom]
   pas2p-cli batch     --apps NAME[,NAME...] --nprocs N --base M [--workers K] [--out FILE]
                       [--fault-seed N] [--deadline-ms N] [--strict]
@@ -98,8 +99,6 @@ check: runs the pas2p-check invariant rules over every pipeline artifact;
   --logical FILE (model rules only); --trace FILE decodes a binary trace
   with the recovering ingest path and checks the salvaged trace (INGEST-*
   rules report what was lost)
-  --workers K         fan the rule families over K threads (the report is
-                      byte-identical at any K)
   --sarif FILE        also write the report as a byte-stable SARIF 2.1.0 log
   --baseline FILE     suppress findings listed in FILE (exit code reflects
                       the remaining findings only)
@@ -164,21 +163,6 @@ fn open_store(dir: &str) -> Result<pas2p_store::SignatureStore, CliError> {
 fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("writing {path}: {e}"))
 }
-
-/// The application catalog, as `list` shows it.
-const SUITE: &[&str] = &[
-    "cg",
-    "bt",
-    "sp",
-    "lu",
-    "ft",
-    "sweep3d",
-    "smg2000",
-    "pop",
-    "moldy",
-    "gromacs",
-    "masterworker",
-];
 
 /// Flags that take no value; their presence maps to "true".
 const BOOL_FLAGS: &[&str] = &["json", "strict", "normalize", "evict-stale"];
@@ -272,12 +256,15 @@ fn write_metrics(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `--trace-out`: drain the event stream recorded during the command
-/// and write the pipeline self-profile as Chrome Trace JSON.
-fn write_trace_out(path: &str, label: &str) -> Result<(), String> {
+/// Close the command's recording bracket: the events it recorded.
+fn stop_recording() -> Vec<Event> {
     pas2p_obs::set_tracing(false);
-    let events = pas2p_obs::events::take();
-    let doc = pas2p::compose_timeline(&events, None, None, label);
+    pas2p_obs::events::take()
+}
+
+/// `--trace-out`: write the pipeline self-profile as Chrome Trace JSON.
+fn write_trace_out(path: &str, label: &str, events: &[Event]) -> Result<(), String> {
+    let doc = pas2p::compose_timeline(events, None, None, label);
     write_file(path, doc.to_json())?;
     eprintln!("wrote timeline ({} events) to {path}", doc.events.len());
     Ok(())
@@ -335,15 +322,18 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
     let flags = parse_flags(cmd, rest)?;
     let metrics_out = apply_obs_flags(&flags)?;
     let trace_out = flags.get("trace-out").cloned();
-    if trace_out.is_some() {
+    // One recording bracket for the command: the live timeline and
+    // `--trace-out` are given the same events, taken once.
+    if trace_out.is_some() || (cmd == "timeline" && flags.contains_key("app")) {
         pas2p_obs::set_tracing(true);
     }
+    let mut recorded = None;
     let pas2p = Pas2p::default();
 
     let result: Result<ExitCode, CliError> = match cmd.as_str() {
         "list" => {
             println!("applications (--app):");
-            for name in SUITE {
+            for name in pas2p_apps::CATALOG {
                 let a = pas2p_apps::by_name(name, 16).unwrap();
                 println!("  {:<12} {}", name, a.workload());
             }
@@ -442,8 +432,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
             Ok(ExitCode::SUCCESS)
         }
         "check" => {
-            let engine =
-                CheckEngine::with_default_rules().with_workers(workers(&flags)?.unwrap_or(1));
+            let engine = CheckEngine::with_default_rules();
             let report = if let Some(path) = flags.get("trace") {
                 // Recovery mode: decode a binary trace with the
                 // resync-capable ingest path and check whatever
@@ -485,14 +474,13 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
             } else {
                 let app = app(&flags)?;
                 let base = machine(&flags, "base")?;
+                let (analysis, _trace, logical) =
+                    pas2p.analyze_run(app.as_ref(), &base, MappingPolicy::Block, Some(&engine));
                 if let Some(out) = flags.get("logical-out") {
-                    let (_, logical) = pas2p.model(app.as_ref(), &base, MappingPolicy::Block);
                     let json = serde_json::to_string(&logical).map_err(|e| e.to_string())?;
                     write_file(out, json)?;
                     eprintln!("wrote logical trace to {}", out);
                 }
-                let analysis =
-                    pas2p.analyze_checked_with(app.as_ref(), &base, MappingPolicy::Block, &engine);
                 if !flags.contains_key("json") {
                     eprintln!(
                         "{}: checked {} events, {} phases (confidence: {})",
@@ -502,7 +490,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                         analysis.confidence
                     );
                 }
-                analysis.check.expect("analyze_checked attaches a report")
+                analysis.check.expect("an engine attaches a report")
             };
             // Baseline handling: --write-baseline captures the current
             // findings and exits clean; --baseline filters them out of
@@ -590,12 +578,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
             let dir = flags.get("store").ok_or("missing --store")?;
             let mut store = open_store(dir)?;
             if flags.contains_key("evict-stale") {
-                let fingerprint = pas2p_store::config_fingerprint(
-                    &pas2p.similarity,
-                    &pas2p.signature,
-                    pas2p.instrumentation.per_event_seconds,
-                );
-                let evicted = store.evict_stale_configs(&fingerprint);
+                let evicted = store.evict_stale_configs(&pas2p.fingerprint());
                 if evicted > 0 {
                     eprintln!("evicted {evicted} entr(ies) with stale config fingerprints");
                 }
@@ -667,25 +650,16 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
         }
         "timeline" => {
             let mut doc = if let Some(path) = flags.get("trace") {
-                // Rebuild the application timeline from a binary trace:
-                // order it, extract phases for the overlay track, and
-                // export the virtual-time domain (no host self-profile —
-                // the run that produced the trace is long gone).
+                // Rebuild the application timeline from a binary trace
+                // through Stage A's byte path, and export the
+                // virtual-time domain (no host self-profile — the run
+                // that produced the trace is long gone).
                 let data = std::fs::read(path).map_err(reading(path))?;
-                let (trace, ingest) = decode_recovering(&data);
-                let trace = trace.ok_or_else(|| {
-                    input(format!(
-                        "{path}: {}",
-                        ingest
-                            .fatal
-                            .clone()
-                            .unwrap_or_else(|| "trace unusable".into())
-                    ))
-                })?;
-                let logical = try_pas2p_order(&trace)
-                    .map_err(|e| input(format!("{path}: ordering failed: {e}")))?;
-                let analysis = extract_phases(&logical, &pas2p.similarity);
-                let doc = pas2p::compose_timeline(&[], Some(&trace), Some(&analysis), path);
+                let (analysis, trace) = pas2p
+                    .analyze_buffer(path, "", &data, None)
+                    .map_err(|e| input(format!("{path}: {e}")))?;
+                let doc =
+                    pas2p::compose_timeline(&[], Some(&trace), Some(&analysis.analysis), path);
                 eprintln!(
                     "timeline: {} ranks, {} events, {} phases",
                     trace.nprocs,
@@ -699,14 +673,11 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                 // clock and the simulated application in virtual time.
                 let app = app(&flags)?;
                 let base = machine(&flags, "base")?;
-                pas2p_obs::events::clear();
-                pas2p_obs::set_tracing(true);
                 let (analysis, trace, _logical) =
                     pas2p.analyze_full(app.as_ref(), &base, MappingPolicy::Block);
-                pas2p_obs::set_tracing(false);
-                let events = pas2p_obs::events::take();
+                let events: &[_] = recorded.insert(stop_recording());
                 let doc = pas2p::compose_timeline(
-                    &events,
+                    events,
                     Some(&trace),
                     Some(&analysis.analysis),
                     &analysis.app_name,
@@ -734,7 +705,7 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
             write_metrics(&path)?;
         }
         if let Some(path) = trace_out {
-            write_trace_out(&path, cmd)?;
+            write_trace_out(&path, cmd, &recorded.unwrap_or_else(stop_recording))?;
         }
     }
     result

@@ -6,24 +6,10 @@
 //! needs a reason, not a regenerated file.
 
 use pas2p::{Pas2p, PredictionService};
+use pas2p_apps::CATALOG;
 use pas2p_machine::{cluster_a, MappingPolicy};
 use pas2p_signature::run_plain;
 use pas2p_store::{SignatureStore, StoreKey};
-
-/// The catalog, in `pas2p-cli list` order.
-const APPS: [&str; 11] = [
-    "cg",
-    "bt",
-    "sp",
-    "lu",
-    "ft",
-    "sweep3d",
-    "smg2000",
-    "pop",
-    "moldy",
-    "gromacs",
-    "masterworker",
-];
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -42,7 +28,7 @@ fn catalog_submits_land_on_the_golden_content_addresses() {
     let svc = PredictionService::new(Pas2p::default(), store, Box::new(pas2p_apps::by_name));
     let fingerprint = svc.fingerprint();
     let mut digests = Vec::new();
-    for app in APPS {
+    for app in CATALOG {
         for nprocs in [4u32, 8] {
             let outcome = svc.submit(app, nprocs, "A").expect("submit");
             assert!(!outcome.cached, "{app}/{nprocs}: fresh store");

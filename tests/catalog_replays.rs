@@ -4,11 +4,11 @@
 //! `tests/golden/catalog_replays.txt` records:
 //!
 //! * for each catalog (app, nprocs) on base A, the rendered check report
-//!   of `analyze_checked` and the baseline's A → B replay (`pet`,
+//!   of `analyze_run` with the default engine and the baseline's A → B replay (`pet`,
 //!   `events`) over a trace recorded without instrumentation overhead;
 //! * for each plan of `fault_matrix(42)` over cg, moldy and masterworker
-//!   at 8 ranks, the rendered report of `analyze_bytes_checked` on the
-//!   injected bytes, or its error reason and ingest report followed by
+//!   at 8 ranks, the rendered report of `analyze_buffer` with the
+//!   default engine on the injected bytes, or its error reason and ingest report followed by
 //!   the engine's report over the recovered trace itself. Damaged traces
 //!   are where a replay wedges and the clocks stop short.
 //!
@@ -18,21 +18,7 @@
 use pas2p::baselines::predict_by_replay;
 use pas2p::prelude::*;
 use pas2p::Pas2p;
-
-/// The catalog, in `pas2p-cli list` order.
-const APPS: [&str; 11] = [
-    "cg",
-    "bt",
-    "sp",
-    "lu",
-    "ft",
-    "sweep3d",
-    "smg2000",
-    "pop",
-    "moldy",
-    "gromacs",
-    "masterworker",
-];
+use pas2p_apps::CATALOG;
 
 const FAULTED: [&str; 3] = ["cg", "moldy", "masterworker"];
 
@@ -42,13 +28,15 @@ const GOLDEN: &str = concat!(
 );
 
 fn catalog(pas2p: &Pas2p, out: &mut String) {
+    let engine = CheckEngine::with_default_rules();
     let base = cluster_a();
     let target = cluster_b();
-    for app in APPS {
+    for app in CATALOG {
         for nprocs in [4u32, 8] {
             let program = pas2p_apps::by_name(app, nprocs).expect("catalog app");
-            let analysis = pas2p.analyze_checked(program.as_ref(), &base, MappingPolicy::Block);
-            let report = analysis.check.expect("analyze_checked attaches a report");
+            let (analysis, _, _) =
+                pas2p.analyze_run(program.as_ref(), &base, MappingPolicy::Block, Some(&engine));
+            let report = analysis.check.expect("an engine attaches a report");
             out.push_str(&format!("== {app} {nprocs} A check\n{}", report.render()));
             let (trace, _) = run_traced(
                 program.as_ref(),
@@ -66,6 +54,7 @@ fn catalog(pas2p: &Pas2p, out: &mut String) {
 }
 
 fn faulted(pas2p: &Pas2p, out: &mut String) {
+    let engine = CheckEngine::with_default_rules();
     let base = cluster_a();
     for app in FAULTED {
         let program = pas2p_apps::by_name(app, 8).expect("catalog app");
@@ -78,8 +67,8 @@ fn faulted(pas2p: &Pas2p, out: &mut String) {
         for (label, plan) in fault_matrix(42) {
             let (bytes, _log) = plan.inject(&clean);
             out.push_str(&format!("== {app} 8 A fault {label} analyze\n"));
-            let e = match pas2p.analyze_bytes_checked(app, label, &bytes) {
-                Ok(analysis) => {
+            let e = match pas2p.analyze_buffer(app, label, &bytes, Some(&engine)) {
+                Ok((analysis, _)) => {
                     out.push_str(&analysis.check.expect("checked").render());
                     continue;
                 }

@@ -8,26 +8,12 @@
 //! stored, cached or rendered must leave every byte of it alone.
 
 use pas2p::{serve_unix_with, Pas2p, PredictionService, ServeOptions};
+use pas2p_apps::CATALOG;
 use pas2p_store::SignatureStore;
 use std::io::{BufRead, BufReader, Cursor, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-
-/// The catalog, in `pas2p-cli list` order.
-const APPS: [&str; 11] = [
-    "cg",
-    "bt",
-    "sp",
-    "lu",
-    "ft",
-    "sweep3d",
-    "smg2000",
-    "pop",
-    "moldy",
-    "gromacs",
-    "masterworker",
-];
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -36,7 +22,7 @@ const GOLDEN: &str = concat!(
 
 /// The session's request lines, in order.
 fn session() -> Vec<String> {
-    let tuples = || APPS.iter().flat_map(|app| [4u32, 8].map(|n| (*app, n)));
+    let tuples = || CATALOG.iter().flat_map(|app| [4u32, 8].map(|n| (*app, n)));
     let mut lines: Vec<String> = tuples()
         .map(|(app, n)| format!(r#"{{"op":"submit","app":"{app}","nprocs":{n},"base":"A"}}"#))
         .collect();

@@ -4,6 +4,7 @@
 
 use pas2p::prelude::*;
 use pas2p::Pas2p;
+use pas2p_apps::CATALOG;
 use pas2p_check::{Artifacts, CheckEngine};
 use pas2p_phases::extract_phases;
 use pas2p_trace::{EventKind, TraceEvent};
@@ -12,8 +13,10 @@ use pas2p_trace::{EventKind, TraceEvent};
 fn checked_report(name: &str, nprocs: u32) -> CheckReport {
     let app = pas2p_apps::by_name(name, nprocs).unwrap_or_else(|| panic!("unknown app {}", name));
     let base = cluster_a();
-    let analysis = Pas2p::default().analyze_checked(app.as_ref(), &base, MappingPolicy::Block);
-    analysis.check.expect("analyze_checked attaches a report")
+    let engine = CheckEngine::with_default_rules();
+    let (analysis, _, _) =
+        Pas2p::default().analyze_run(app.as_ref(), &base, MappingPolicy::Block, Some(&engine));
+    analysis.check.expect("an engine attaches a report")
 }
 
 /// Assert `report` carries none of the happens-before warning codes.
@@ -39,7 +42,7 @@ fn assert_no_hb_warnings(name: &str, report: &CheckReport) {
 /// and in particular no message-race or potential-deadlock findings.
 #[test]
 fn npb_apps_check_clean() {
-    for name in ["bt", "cg", "ft", "lu", "sp"] {
+    for name in &CATALOG[..5] {
         let report = checked_report(name, 8);
         assert!(
             report.is_clean(),
@@ -54,14 +57,7 @@ fn npb_apps_check_clean() {
 /// Every other shipped application also checks clean.
 #[test]
 fn remaining_apps_check_clean() {
-    for name in [
-        "sweep3d",
-        "smg2000",
-        "pop",
-        "moldy",
-        "gromacs",
-        "masterworker",
-    ] {
+    for name in &CATALOG[5..] {
         let report = checked_report(name, 8);
         assert!(
             report.is_clean(),
@@ -311,7 +307,9 @@ fn seeded_race_app_is_order_sensitive() {
         rounds: 5,
     };
     let base = cluster_a();
-    let analysis = Pas2p::default().analyze_checked(&app, &base, MappingPolicy::Block);
+    let engine = CheckEngine::with_default_rules();
+    let (analysis, _, _) =
+        Pas2p::default().analyze_run(&app, &base, MappingPolicy::Block, Some(&engine));
     let report = analysis.check.as_ref().expect("report");
     assert!(
         report.has_code("MSG-RACE-001"),

@@ -145,6 +145,11 @@ fn malformed_flags_name_the_culprit() {
             "validate --app cg --nprocs 4 --base A --target B --workers 2",
             "unknown flag '--workers'",
         ),
+        // The check engine's fan-out only ever slowed a check down.
+        (
+            "check --app cg --nprocs 4 --base A --workers 2",
+            "unknown flag '--workers'",
+        ),
         ("frob --app cg", "unknown command 'frob'"),
     ] {
         let out = cli().args(args.split(' ')).output().unwrap();
@@ -414,49 +419,43 @@ fn check_reports_clean_apps_and_json_mode() {
 
 /// `check --sarif` reproduces the golden SARIF snapshot byte for byte
 /// (the simulator, the deterministic wildcard commit, and the SARIF
-/// writer are all stable), and the export is the same at any worker
-/// count.
+/// writer are all stable).
 #[test]
 fn check_sarif_matches_golden_snapshot() {
     let dir = std::env::temp_dir().join("pas2p-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
     let sarif_path = dir.join("mw.sarif");
-    let sarif_str = sarif_path.to_str().unwrap();
 
-    for workers in ["1", "4"] {
-        let out = cli()
-            .args([
-                "check",
-                "--app",
-                "masterworker",
-                "--nprocs",
-                "8",
-                "--base",
-                "A",
-                "--workers",
-                workers,
-                "--sarif",
-                sarif_str,
-            ])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let got = std::fs::read_to_string(&sarif_path).unwrap();
-        let golden = std::fs::read_to_string(
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("tests/golden/masterworker_check.sarif"),
-        )
+    let out = cli()
+        .args([
+            "check",
+            "--app",
+            "masterworker",
+            "--nprocs",
+            "8",
+            "--base",
+            "A",
+            "--sarif",
+            sarif_path.to_str().unwrap(),
+        ])
+        .output()
         .unwrap();
-        assert_eq!(
-            got, golden,
-            "SARIF output diverged from the golden snapshot at {workers} worker(s); \
-             regenerate tests/golden/masterworker_check.sarif if the change is intended"
-        );
-    }
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let got = std::fs::read_to_string(&sarif_path).unwrap();
+    let golden = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden/masterworker_check.sarif"),
+    )
+    .unwrap();
+    assert_eq!(
+        got, golden,
+        "SARIF output diverged from the golden snapshot; \
+         regenerate tests/golden/masterworker_check.sarif if the change is intended"
+    );
 }
 
 /// `--write-baseline` captures the current findings; a subsequent run
@@ -686,6 +685,74 @@ fn timeline_exports_validate_and_carry_both_domains() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(!String::from_utf8_lossy(&out.stderr).contains("usage:"));
+}
+
+/// A trace file that lost a rank goes through Stage A's byte path, so
+/// its collectives are repaired and the timeline still exports.
+#[test]
+fn timeline_from_a_trace_missing_a_rank_exports_and_validates() {
+    use pas2p::prelude::*;
+    let dir = std::env::temp_dir().join("pas2p-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace_path = dir.join("cg8.drop1.trace");
+    let path = dir.join("cg8.drop1.timeline.json");
+
+    let app = pas2p_apps::by_name("cg", 8).unwrap();
+    let (trace, _) = run_traced(
+        app.as_ref(),
+        &cluster_a(),
+        MappingPolicy::Block,
+        InstrumentationModel::default(),
+    );
+    let plan = FaultPlan::new(7).with(FaultKind::DropRank { rank: 1 });
+    std::fs::write(&trace_path, plan.inject(&trace).0).unwrap();
+
+    let out = cli()
+        .args(["timeline", "--trace", trace_path.to_str().unwrap()])
+        .args(["--out", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = cli()
+        .args(["timeline", "--validate", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// The live timeline and `--trace-out` record in one bracket: both get
+/// the command's events.
+#[test]
+fn timeline_with_trace_out_writes_the_recorded_events() {
+    let dir = std::env::temp_dir().join("pas2p-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cg8.selfprofile.json");
+
+    let out = cli()
+        .args(["timeline", "--app", "cg", "--nprocs", "8", "--base", "A"])
+        .args([
+            "--out",
+            dir.join("cg8.tout.timeline.json").to_str().unwrap(),
+        ])
+        .args(["--trace-out", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(&path).unwrap();
+    let stats = pas2p::validate_chrome_json(&json).expect("self-profile is valid");
+    assert!(stats.slices > 0, "no events in {json}");
 }
 
 /// `--trace-out` on an ordinary command records the pipeline

@@ -7,21 +7,8 @@
 
 use pas2p::prelude::*;
 use pas2p::Pas2p;
+use pas2p_apps::CATALOG;
 use pas2p_trace::RankHealth;
-
-const APPS: &[&str] = &[
-    "cg",
-    "bt",
-    "sp",
-    "lu",
-    "ft",
-    "sweep3d",
-    "smg2000",
-    "pop",
-    "moldy",
-    "gromacs",
-    "masterworker",
-];
 
 const DROPPED: u32 = 1;
 
@@ -29,7 +16,7 @@ const DROPPED: u32 = 1;
 fn dropping_one_rank_degrades_but_never_kills_any_app() {
     let pas2p = Pas2p::default();
     let base = cluster_a();
-    for name in APPS {
+    for name in CATALOG {
         let app = pas2p_apps::by_name(name, 8).expect("catalog app");
         let (trace, _) = run_traced(
             app.as_ref(),

@@ -12,21 +12,8 @@
 
 use pas2p::prelude::*;
 use pas2p::Pas2p;
+use pas2p_apps::CATALOG;
 use pas2p_phases::SimilarityKernel;
-
-const APPS: &[&str] = &[
-    "cg",
-    "bt",
-    "sp",
-    "lu",
-    "ft",
-    "sweep3d",
-    "smg2000",
-    "pop",
-    "moldy",
-    "gromacs",
-    "masterworker",
-];
 
 const PARALLELISM: &[Option<usize>] = &[None, Some(1), Some(4), Some(8)];
 const NPROCS: u32 = 8;
@@ -92,7 +79,7 @@ fn assert_kernels_equivalent(label: &str, lt: &LogicalTrace) -> PhaseAnalysis {
 fn soa_kernel_is_byte_identical_to_oracle_on_all_apps() {
     let base = cluster_a();
     let pas2p = Pas2p::default();
-    for name in APPS {
+    for name in CATALOG {
         let app = pas2p_apps::by_name(name, NPROCS).expect("catalog app");
         let (trace, _) = run_traced(
             app.as_ref(),
@@ -117,7 +104,7 @@ fn soa_kernel_is_byte_identical_to_oracle_on_fault_recovered_traces() {
     let base = cluster_a();
     let pas2p = Pas2p::default();
     let mut salvaged = 0usize;
-    for name in APPS {
+    for name in CATALOG {
         let app = pas2p_apps::by_name(name, NPROCS).expect("catalog app");
         let (clean, _) = run_traced(
             app.as_ref(),
@@ -139,7 +126,7 @@ fn soa_kernel_is_byte_identical_to_oracle_on_fault_recovered_traces() {
         }
     }
     assert!(
-        salvaged >= APPS.len(),
+        salvaged >= CATALOG.len(),
         "the fault matrix must salvage at least one orderable trace per \
          app on average, got {salvaged}"
     );

@@ -5,7 +5,8 @@
 //! count and submission order).
 
 use pas2p::prelude::*;
-use pas2p::{run_batch, BatchJob, Pas2p};
+use pas2p::{run_batch_with, BatchJob, BatchOptions, Pas2p};
+use pas2p_apps::CATALOG;
 use pas2p_phases::PhaseAnalysis;
 
 /// Event tracing is process-global: while a timeline test has it
@@ -17,20 +18,6 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
-
-const APPS: &[&str] = &[
-    "cg",
-    "bt",
-    "sp",
-    "lu",
-    "ft",
-    "sweep3d",
-    "smg2000",
-    "pop",
-    "moldy",
-    "gromacs",
-    "masterworker",
-];
 
 /// Zero the host-clock field so the comparison covers only
 /// simulation-derived structure.
@@ -49,7 +36,7 @@ fn tool_with_parallelism(parallelism: Option<usize>) -> Pas2p {
 fn extraction_is_parallelism_invariant_for_every_app() {
     let _serial = serial();
     let base = cluster_a();
-    for name in APPS {
+    for name in CATALOG {
         let app = pas2p_apps::by_name(name, 8).expect("catalog app");
         let sequential = tool_with_parallelism(Some(1));
         let baseline = sequential.analyze(app.as_ref(), &base, MappingPolicy::Block);
@@ -71,6 +58,14 @@ fn extraction_is_parallelism_invariant_for_every_app() {
                 "{name}: parallelism {parallelism:?} changed the virtual clock"
             );
         }
+    }
+}
+
+/// Batch options at `workers`, otherwise the defaults.
+fn at(workers: Option<usize>) -> BatchOptions {
+    BatchOptions {
+        workers,
+        ..BatchOptions::default()
     }
 }
 
@@ -97,14 +92,15 @@ fn batch_is_worker_count_invariant_over_the_catalog() {
     let _serial = serial();
     let pas2p = Pas2p::default();
     let jobs = || -> Vec<BatchJob> {
-        APPS.iter()
+        CATALOG
+            .iter()
             .map(|n| BatchJob::new(pas2p_apps::by_name(n, 8).expect("catalog app"), cluster_a()))
             .collect()
     };
-    let baseline = run_batch(&pas2p, jobs(), Some(1));
-    assert_eq!(baseline.results.len(), APPS.len());
+    let baseline = run_batch_with(&pas2p, jobs(), at(Some(1)));
+    assert_eq!(baseline.results.len(), CATALOG.len());
     for workers in [4, 11] {
-        let par = run_batch(&pas2p, jobs(), Some(workers));
+        let par = run_batch_with(&pas2p, jobs(), at(Some(workers)));
         assert_eq!(
             batch_keys(&baseline),
             batch_keys(&par),
@@ -172,7 +168,7 @@ fn batch_timeline_is_worker_count_invariant() {
             .iter()
             .map(|n| BatchJob::new(pas2p_apps::by_name(n, 8).expect("catalog app"), cluster_a()))
             .collect();
-        let (_, events) = traced(|| run_batch(&pas2p, jobs, Some(workers)));
+        let (_, events) = traced(|| run_batch_with(&pas2p, jobs, at(Some(workers))));
         let doc = pas2p::compose_timeline(&events, None, None, "batch");
         doc.normalized().to_json()
     };
@@ -198,8 +194,8 @@ fn batch_is_submission_order_invariant() {
             .map(|n| BatchJob::new(pas2p_apps::by_name(n, 8).expect("catalog app"), cluster_a()))
             .collect()
     };
-    let forward = run_batch(&pas2p, jobs(&["cg", "ft", "moldy"]), Some(3));
-    let reverse = run_batch(&pas2p, jobs(&["moldy", "ft", "cg"]), Some(3));
+    let forward = run_batch_with(&pas2p, jobs(&["cg", "ft", "moldy"]), at(Some(3)));
+    let reverse = run_batch_with(&pas2p, jobs(&["moldy", "ft", "cg"]), at(Some(3)));
     let fwd = batch_keys(&forward);
     let rev = batch_keys(&reverse);
     for (f, r) in fwd.iter().zip(rev.iter().rev()) {

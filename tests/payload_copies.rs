@@ -7,21 +7,7 @@
 //! One test in a file of its own: the obs registry is process-global.
 
 use pas2p::prelude::*;
-use pas2p_apps::by_name;
-
-const APPS: [&str; 11] = [
-    "cg",
-    "bt",
-    "sp",
-    "lu",
-    "ft",
-    "sweep3d",
-    "smg2000",
-    "pop",
-    "moldy",
-    "gromacs",
-    "masterworker",
-];
+use pas2p_apps::{by_name, CATALOG};
 
 #[test]
 fn no_payload_is_materialised_by_a_catalog_app() {
@@ -29,7 +15,7 @@ fn no_payload_is_materialised_by_a_catalog_app() {
     pas2p_obs::set_enabled(true);
     pas2p_obs::global().reset();
     let mut logical = 0;
-    for name in APPS {
+    for name in CATALOG {
         for nprocs in [4u32, 8] {
             let app = by_name(name, nprocs).expect("catalog app");
             let plain = run_plain(app.as_ref(), &base, MappingPolicy::Block);

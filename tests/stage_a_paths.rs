@@ -5,29 +5,15 @@
 //! so the live path and the byte path produce the same analysis.
 
 use pas2p::Pas2p;
+use pas2p_apps::CATALOG;
 use pas2p_machine::{cluster_a, MappingPolicy};
 use pas2p_trace::format::encode;
-
-/// The catalog, in `pas2p-cli list` order.
-const APPS: [&str; 11] = [
-    "cg",
-    "bt",
-    "sp",
-    "lu",
-    "ft",
-    "sweep3d",
-    "smg2000",
-    "pop",
-    "moldy",
-    "gromacs",
-    "masterworker",
-];
 
 #[test]
 fn live_and_byte_paths_agree_over_the_catalog() {
     let pas2p = Pas2p::default();
     let base = cluster_a();
-    for name in APPS {
+    for name in CATALOG {
         for nprocs in [4u32, 8] {
             let app = pas2p_apps::by_name(name, nprocs).expect("catalog app");
             let (live, trace, _logical) =
