@@ -1,22 +1,16 @@
 //! The rule engine: artifacts in, report out.
 //!
-//! Rule families are independent — none reads another's findings — so
-//! the engine fans them out over the workspace's farm
-//! ([`CheckEngine::with_workers`]). Determinism is non-negotiable for a
-//! linter (CI diffs reports byte-for-byte), and it is guaranteed
-//! structurally rather than by scheduling luck:
+//! [`CheckEngine::run`] calls the five rule families — ingest, trace,
+//! happens-before, model, signature — in that order on the calling
+//! thread; none reads another's findings. Determinism is non-negotiable
+//! for a linter (CI diffs reports byte-for-byte), and it does not rest
+//! on the production order either:
 //!
-//! 1. every family is one farm task producing its own findings list, so
-//!    no interleaving of worker progress mixes outputs;
-//! 2. the lists come back, and merge, in family-insertion order;
-//! 3. the merged list gets a **canonical total sort** — severity
+//! 1. the findings get a **canonical total sort** — severity
 //!    (descending), then code, location, message, suggestion — under
-//!    which any merge order yields the same bytes;
-//! 4. duplicate findings (same code, same location) collapse to the
+//!    which any production order yields the same bytes;
+//! 2. duplicate findings (same code, same location) collapse to the
 //!    canonically first one.
-//!
-//! The same report comes out at 1 worker or 8; `tests/checker_tests.rs`
-//! locks that in.
 
 use crate::diag::{Diagnostic, Severity};
 use pas2p_model::LogicalTrace;
@@ -58,18 +52,6 @@ impl<'a> Artifacts<'a> {
             ingest: None,
         }
     }
-}
-
-/// One family of related rules, run as a unit over the artifacts.
-///
-/// `Send + Sync` because families run concurrently on borrowed
-/// artifacts; rules are pure functions of their inputs, so this costs
-/// nothing in practice.
-pub trait Checker: Send + Sync {
-    /// Stable name of the rule family (shows up in metrics).
-    fn name(&self) -> &'static str;
-    /// Inspect the artifacts, pushing one diagnostic per finding.
-    fn check(&self, artifacts: &Artifacts<'_>, out: &mut Vec<Diagnostic>);
 }
 
 /// The result of one engine run.
@@ -135,7 +117,7 @@ impl CheckReport {
 /// The canonical total order of a report: severity descending, then
 /// code, location, message, suggestion. Total (no ties between distinct
 /// diagnostics), so the sorted report is independent of production
-/// order — the keystone of worker-count invariance.
+/// order.
 fn canonical_key(d: &Diagnostic) -> impl Ord + '_ {
     (
         std::cmp::Reverse(d.severity),
@@ -149,94 +131,56 @@ fn canonical_key(d: &Diagnostic) -> impl Ord + '_ {
     )
 }
 
-/// The diagnostics engine: an ordered list of rule families and a
-/// worker count.
-pub struct CheckEngine {
-    checkers: Vec<Box<dyn Checker>>,
-    workers: usize,
-}
+/// The diagnostics engine: the shipped rule families, run in order.
+#[derive(Default)]
+pub struct CheckEngine;
 
 impl CheckEngine {
-    /// An engine with no rules (add with [`CheckEngine::push`]) running
-    /// single-threaded.
-    pub fn new() -> CheckEngine {
-        CheckEngine {
-            checkers: Vec::new(),
-            workers: 1,
-        }
-    }
-
     /// The full shipped rule set: ingest, trace, happens-before, model,
     /// and signature families.
     pub fn with_default_rules() -> CheckEngine {
-        let mut e = CheckEngine::new();
-        e.push(Box::new(crate::ingest_rules::IngestRules));
-        e.push(Box::new(crate::trace_rules::TraceRules));
-        e.push(Box::new(crate::race_rules::HbRules));
-        e.push(Box::new(crate::model_rules::ModelRules));
-        e.push(Box::new(crate::signature_rules::SignatureRules));
-        e
+        CheckEngine
     }
 
-    /// Set the number of worker threads (clamped to at least 1). The
-    /// report is byte-identical at any setting; workers only change
-    /// wall-clock time.
-    pub fn with_workers(mut self, workers: usize) -> CheckEngine {
-        self.workers = workers.max(1);
+    /// Accepted and ignored: the families run on the calling thread.
+    /// The benchmark harness still spells it.
+    pub fn with_workers(self, _workers: usize) -> CheckEngine {
         self
-    }
-
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Append a rule family; families run in insertion order.
-    pub fn push(&mut self, c: Box<dyn Checker>) {
-        self.checkers.push(c);
     }
 
     /// Run every rule family over the artifacts.
     ///
     /// When `pas2p-obs` is enabled, bumps a `check.hit.*` counter per
-    /// finding, `check.runs` once, and the `check.par.workers` gauge.
+    /// finding and `check.runs` once.
     pub fn run(&self, artifacts: &Artifacts<'_>) -> CheckReport {
-        // One task per family, results in family order: the farm's task
-        // order — not worker identity or finish order — carries the
-        // merge order, so scheduling cannot leak into the report.
-        let families = self.checkers.iter().map(|c| c.as_ref()).collect();
-        let slots =
-            pas2p_obs::farm::map(self.workers, "check worker", families, |c: &dyn Checker| {
-                let mut out = Vec::new();
-                c.check(artifacts, &mut out);
-                out
-            });
-
-        let mut diagnostics: Vec<Diagnostic> = slots.into_iter().flatten().collect();
-        if pas2p_obs::enabled() {
-            for d in &diagnostics {
-                pas2p_obs::counter(crate::rules::hit_metric(&d.code)).add(1);
-            }
-        }
-        diagnostics.sort_by(|a, b| canonical_key(a).cmp(&canonical_key(b)));
-        // Identical (code, severity, location) triples are one finding
-        // reported twice — e.g. two rule paths seeing the same broken
-        // event; the canonical sort makes "first" deterministic.
-        let mut seen: HashSet<(String, Severity, crate::diag::Location)> = HashSet::new();
-        diagnostics.retain(|d| seen.insert((d.code.clone(), d.severity, d.location.clone())));
-        if pas2p_obs::enabled() {
-            pas2p_obs::counter("check.runs").add(1);
-            pas2p_obs::counter("check.findings").add(diagnostics.len() as u64);
-            pas2p_obs::gauge("check.par.workers").set(self.workers as f64);
-        }
-        CheckReport { diagnostics }
+        let mut diagnostics = Vec::new();
+        crate::ingest_rules::check(artifacts, &mut diagnostics);
+        crate::trace_rules::check(artifacts, &mut diagnostics);
+        crate::race_rules::check(artifacts, &mut diagnostics);
+        crate::model_rules::check(artifacts, &mut diagnostics);
+        crate::signature_rules::check(artifacts, &mut diagnostics);
+        canonical_report(diagnostics)
     }
 }
 
-impl Default for CheckEngine {
-    fn default() -> Self {
-        CheckEngine::with_default_rules()
+/// Sort the findings canonically and collapse duplicates.
+fn canonical_report(mut diagnostics: Vec<Diagnostic>) -> CheckReport {
+    if pas2p_obs::enabled() {
+        for d in &diagnostics {
+            pas2p_obs::counter(crate::rules::hit_metric(&d.code)).add(1);
+        }
     }
+    diagnostics.sort_by(|a, b| canonical_key(a).cmp(&canonical_key(b)));
+    // Identical (code, severity, location) triples are one finding
+    // reported twice — e.g. two rule paths seeing the same broken
+    // event; the canonical sort makes "first" deterministic.
+    let mut seen: HashSet<(String, Severity, crate::diag::Location)> = HashSet::new();
+    diagnostics.retain(|d| seen.insert((d.code.clone(), d.severity, d.location.clone())));
+    if pas2p_obs::enabled() {
+        pas2p_obs::counter("check.runs").add(1);
+        pas2p_obs::counter("check.findings").add(diagnostics.len() as u64);
+    }
+    CheckReport { diagnostics }
 }
 
 #[cfg(test)]
@@ -244,14 +188,8 @@ mod tests {
     use super::*;
     use crate::diag::Location;
 
-    struct Fixed(Severity);
-    impl Checker for Fixed {
-        fn name(&self) -> &'static str {
-            "fixed"
-        }
-        fn check(&self, _a: &Artifacts<'_>, out: &mut Vec<Diagnostic>) {
-            out.push(Diagnostic::new("X-001", self.0, Location::none(), "x"));
-        }
+    fn fixed(severity: Severity) -> Diagnostic {
+        Diagnostic::new("X-001", severity, Location::none(), "x")
     }
 
     #[test]
@@ -263,11 +201,11 @@ mod tests {
 
     #[test]
     fn report_sorts_and_counts_by_severity() {
-        let mut e = CheckEngine::new();
-        e.push(Box::new(Fixed(Severity::Info)));
-        e.push(Box::new(Fixed(Severity::Error)));
-        e.push(Box::new(Fixed(Severity::Warning)));
-        let r = e.run(&Artifacts::empty());
+        let r = canonical_report(vec![
+            fixed(Severity::Info),
+            fixed(Severity::Error),
+            fixed(Severity::Warning),
+        ]);
         assert_eq!(r.diagnostics[0].severity, Severity::Error);
         assert_eq!(r.errors(), 1);
         assert_eq!(r.warnings(), 1);
@@ -278,9 +216,7 @@ mod tests {
 
     #[test]
     fn warning_only_exit_code_is_one() {
-        let mut e = CheckEngine::new();
-        e.push(Box::new(Fixed(Severity::Warning)));
-        let r = e.run(&Artifacts::empty());
+        let r = canonical_report(vec![fixed(Severity::Warning)]);
         assert_eq!(r.exit_code(), 1);
         assert!(r.render().contains("1 warning(s)"));
     }
@@ -289,55 +225,13 @@ mod tests {
     /// canonically first; distinct locations survive.
     #[test]
     fn dedup_collapses_same_code_and_location() {
-        struct Dup;
-        impl Checker for Dup {
-            fn name(&self) -> &'static str {
-                "dup"
-            }
-            fn check(&self, _a: &Artifacts<'_>, out: &mut Vec<Diagnostic>) {
-                out.push(Diagnostic::new(
-                    "D-001",
-                    Severity::Warning,
-                    Location::rank(1),
-                    "b",
-                ));
-                out.push(Diagnostic::new(
-                    "D-001",
-                    Severity::Warning,
-                    Location::rank(1),
-                    "a",
-                ));
-                out.push(Diagnostic::new(
-                    "D-001",
-                    Severity::Warning,
-                    Location::rank(2),
-                    "c",
-                ));
-            }
-        }
-        let mut e = CheckEngine::new();
-        e.push(Box::new(Dup));
-        let r = e.run(&Artifacts::empty());
+        let r = canonical_report(vec![
+            Diagnostic::new("D-001", Severity::Warning, Location::rank(1), "b"),
+            Diagnostic::new("D-001", Severity::Warning, Location::rank(1), "a"),
+            Diagnostic::new("D-001", Severity::Warning, Location::rank(2), "c"),
+        ]);
         assert_eq!(r.diagnostics.len(), 2);
         assert_eq!(r.diagnostics[0].message, "a");
         assert_eq!(r.diagnostics[1].message, "c");
-    }
-
-    /// The fan-out path produces the same report as sequential for any
-    /// worker count, including more workers than families.
-    #[test]
-    fn worker_count_does_not_change_report() {
-        fn build() -> CheckEngine {
-            let mut e = CheckEngine::new();
-            e.push(Box::new(Fixed(Severity::Info)));
-            e.push(Box::new(Fixed(Severity::Error)));
-            e.push(Box::new(Fixed(Severity::Warning)));
-            e
-        }
-        let base = build().run(&Artifacts::empty());
-        for w in [2, 3, 8] {
-            let r = build().with_workers(w).run(&Artifacts::empty());
-            assert_eq!(base, r, "report changed at {} workers", w);
-        }
     }
 }

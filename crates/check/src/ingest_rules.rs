@@ -19,88 +19,80 @@
 //!   out-of-sequence numbers and were renumbered.
 
 use crate::diag::{Diagnostic, Location, Severity};
-use crate::engine::{Artifacts, Checker};
+use crate::engine::Artifacts;
 use pas2p_trace::RankHealth;
 
 /// The ingest rule family. Skips silently when no [`Artifacts::ingest`]
 /// report is present (the trace came through the strict decoder).
-pub struct IngestRules;
-
-impl Checker for IngestRules {
-    fn name(&self) -> &'static str {
-        "ingest"
+pub(crate) fn check(artifacts: &Artifacts<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(report) = artifacts.ingest else {
+        return;
+    };
+    if let Some(why) = &report.fatal {
+        out.push(Diagnostic::new(
+            "INGEST-FATAL-001",
+            Severity::Error,
+            Location::none(),
+            format!("trace buffer unusable: {}", why),
+        ));
+        return;
     }
-
-    fn check(&self, artifacts: &Artifacts<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(report) = artifacts.ingest else {
-            return;
-        };
-        if let Some(why) = &report.fatal {
-            out.push(Diagnostic::new(
-                "INGEST-FATAL-001",
-                Severity::Error,
-                Location::none(),
-                format!("trace buffer unusable: {}", why),
-            ));
-            return;
-        }
-        for r in &report.ranks {
-            match r.health {
-                RankHealth::Intact => {}
-                RankHealth::Missing => {
-                    out.push(
-                        Diagnostic::new(
-                            "INGEST-RANK-001",
-                            Severity::Error,
-                            Location::rank(r.rank),
-                            format!(
-                                "rank {} never appeared in the trace; analysis proceeds \
-                                 with the surviving ranks",
-                                r.rank
-                            ),
-                        )
-                        .with_suggestion(
-                            "results are degraded-confidence; re-collect the trace to \
-                             restore the full run",
-                        ),
-                    );
-                }
-                RankHealth::Truncated => {
-                    out.push(Diagnostic::new(
-                        "INGEST-TRUNC-001",
-                        Severity::Warning,
+    for r in &report.ranks {
+        match r.health {
+            RankHealth::Intact => {}
+            RankHealth::Missing => {
+                out.push(
+                    Diagnostic::new(
+                        "INGEST-RANK-001",
+                        Severity::Error,
                         Location::rank(r.rank),
                         format!(
-                            "rank {} section truncated: {}/{} records recovered",
-                            r.rank, r.records_recovered, r.records_expected
+                            "rank {} never appeared in the trace; analysis proceeds \
+                             with the surviving ranks",
+                            r.rank
                         ),
-                    ));
-                }
-                RankHealth::Recovered => {}
+                    )
+                    .with_suggestion(
+                        "results are degraded-confidence; re-collect the trace to \
+                         restore the full run",
+                    ),
+                );
             }
-            if r.records_quarantined > 0 {
+            RankHealth::Truncated => {
                 out.push(Diagnostic::new(
-                    "INGEST-REC-001",
+                    "INGEST-TRUNC-001",
                     Severity::Warning,
                     Location::rank(r.rank),
                     format!(
-                        "rank {}: {} record(s) quarantined as undecodable",
-                        r.rank, r.records_quarantined
+                        "rank {} section truncated: {}/{} records recovered",
+                        r.rank, r.records_recovered, r.records_expected
                     ),
                 ));
             }
-            if r.records_renumbered > 0 {
-                out.push(Diagnostic::new(
-                    "INGEST-DUP-001",
-                    Severity::Warning,
-                    Location::rank(r.rank),
-                    format!(
-                        "rank {}: {} record(s) renumbered (duplicate or out-of-sequence \
-                         event numbers)",
-                        r.rank, r.records_renumbered
-                    ),
-                ));
-            }
+            RankHealth::Recovered => {}
+        }
+        if r.records_quarantined > 0 {
+            out.push(Diagnostic::new(
+                "INGEST-REC-001",
+                Severity::Warning,
+                Location::rank(r.rank),
+                format!(
+                    "rank {}: {} record(s) quarantined as undecodable",
+                    r.rank, r.records_quarantined
+                ),
+            ));
+        }
+        if r.records_renumbered > 0 {
+            out.push(Diagnostic::new(
+                "INGEST-DUP-001",
+                Severity::Warning,
+                Location::rank(r.rank),
+                format!(
+                    "rank {}: {} record(s) renumbered (duplicate or out-of-sequence \
+                     event numbers)",
+                    r.rank, r.records_renumbered
+                ),
+            ));
         }
     }
 }

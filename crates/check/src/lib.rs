@@ -13,6 +13,11 @@
 //!
 //! # Rule families
 //!
+//! [`CheckEngine::run`] calls the five families below in this order on
+//! the calling thread, then sorts the findings canonically and drops
+//! duplicates ([`engine`]); the set is closed, and a new rule joins a
+//! family and the [`RULES`] table.
+//!
 //! * **Ingest** ([`ingest_rules`]) — `INGEST-FATAL-001` (unusable trace
 //!   buffer), `INGEST-RANK-001` (a rank never appeared),
 //!   `INGEST-TRUNC-001` (section truncated), `INGEST-REC-001` (records
@@ -74,12 +79,7 @@ pub mod signature_rules;
 pub mod trace_rules;
 
 pub use diag::{Diagnostic, Location, Severity};
-pub use engine::{Artifacts, CheckEngine, CheckReport, Checker};
+pub use engine::{Artifacts, CheckEngine, CheckReport};
 pub use hb::{HbAnalysis, VectorClock};
-pub use ingest_rules::IngestRules;
-pub use model_rules::ModelRules;
-pub use race_rules::HbRules;
 pub use rules::RULES;
 pub use sarif::{apply_baseline, to_sarif, Baseline, BASELINE_VERSION, SARIF_VERSION};
-pub use signature_rules::SignatureRules;
-pub use trace_rules::TraceRules;

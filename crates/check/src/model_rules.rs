@@ -8,33 +8,25 @@
 //! event was lost or invented.
 
 use crate::diag::{Diagnostic, Location, Severity};
-use crate::engine::{Artifacts, Checker};
+use crate::engine::Artifacts;
 use pas2p_model::LogicalTrace;
 use pas2p_trace::EventKind;
 use std::collections::HashMap;
 
 /// The model-level rule family (`MODEL-*`, `LT-RECV-001`, `LT-COLL-001`).
-pub struct ModelRules;
-
-impl Checker for ModelRules {
-    fn name(&self) -> &'static str {
-        "model"
+pub(crate) fn check(artifacts: &Artifacts<'_>, out: &mut Vec<Diagnostic>) {
+    if let Some(analysis) = artifacts.analysis {
+        check_negative_spans(analysis, out);
     }
-
-    fn check(&self, artifacts: &Artifacts<'_>, out: &mut Vec<Diagnostic>) {
-        if let Some(analysis) = artifacts.analysis {
-            check_negative_spans(analysis, out);
-        }
-        let Some(logical) = artifacts.logical else {
-            return;
-        };
-        check_tick_exclusivity(logical, out);
-        check_program_order(logical, out);
-        check_causality(logical, out);
-        check_collective_alignment(logical, out);
-        if let Some(trace) = artifacts.trace {
-            check_conservation(logical, trace, out);
-        }
+    let Some(logical) = artifacts.logical else {
+        return;
+    };
+    check_tick_exclusivity(logical, out);
+    check_program_order(logical, out);
+    check_causality(logical, out);
+    check_collective_alignment(logical, out);
+    if let Some(trace) = artifacts.trace {
+        check_conservation(logical, trace, out);
     }
 }
 

@@ -31,7 +31,7 @@
 //!   this fires.
 
 use crate::diag::{Diagnostic, Location, Severity};
-use crate::engine::{Artifacts, Checker};
+use crate::engine::Artifacts;
 use crate::hb::HbAnalysis;
 use pas2p_trace::{
     match_sets, replay, CandidateSend, EventKind, MatchSets, Trace, TraceEvent, WildcardMatch,
@@ -40,35 +40,27 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// The happens-before rule family (`MSG-RACE-00x`, `DLK-POT-001`,
 /// `WILD-RECV-002`, `SIG-STAB-001`).
-pub struct HbRules;
-
-impl Checker for HbRules {
-    fn name(&self) -> &'static str {
-        "hb"
+pub(crate) fn check(artifacts: &Artifacts<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(trace) = artifacts.trace else {
+        return;
+    };
+    let sets = match_sets(trace);
+    if sets.is_deterministic() {
+        // No wildcard receives: the committed order is the only
+        // order; nothing here can fire and the (quadratic in
+        // match-set size) clock analysis is skipped entirely.
+        return;
     }
-
-    fn check(&self, artifacts: &Artifacts<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(trace) = artifacts.trace else {
-            return;
-        };
-        let sets = match_sets(trace);
-        if sets.is_deterministic() {
-            // No wildcard receives: the committed order is the only
-            // order; nothing here can fire and the (quadratic in
-            // match-set size) clock analysis is skipped entirely.
-            return;
-        }
-        if pas2p_obs::enabled() {
-            pas2p_obs::counter("check.hb.wildcards").add(sets.wildcards.len() as u64);
-            pas2p_obs::counter("check.hb.candidates").add(sets.total_candidates() as u64);
-        }
-        let hb = HbAnalysis::compute(trace);
-        let race_events = check_races(trace, &sets, &hb, out);
-        if hb.complete {
-            check_potential_deadlock(trace, &sets, out);
-        }
-        check_sig_stability(artifacts, &race_events, out);
+    if pas2p_obs::enabled() {
+        pas2p_obs::counter("check.hb.wildcards").add(sets.wildcards.len() as u64);
+        pas2p_obs::counter("check.hb.candidates").add(sets.total_candidates() as u64);
     }
+    let hb = HbAnalysis::compute(trace);
+    let race_events = check_races(trace, &sets, &hb, out);
+    if hb.complete {
+        check_potential_deadlock(trace, &sets, out);
+    }
+    check_sig_stability(artifacts, &race_events, out);
 }
 
 /// A structure-changing race at one wildcard receive: the receive plus

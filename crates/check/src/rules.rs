@@ -41,8 +41,8 @@ pub const RULES: &[(&str, &str, &str)] = &[
     ("WILD-RECV-002",    "check.hit.wild_recv_002",    "Symmetric wildcard race: order-dependent match, stable structure"),
 ];
 
-/// Metric name of a code's hit counter; codes outside the table (user
-/// rule families) share one bucket.
+/// Metric name of a code's hit counter; a code outside the table
+/// shares one bucket.
 pub(crate) fn hit_metric(code: &str) -> &'static str {
     RULES
         .iter()

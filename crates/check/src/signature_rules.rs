@@ -7,7 +7,7 @@
 //! the table rows agree with the analysis they were derived from.
 
 use crate::diag::{Diagnostic, Location, Severity};
-use crate::engine::{Artifacts, Checker};
+use crate::engine::Artifacts;
 use pas2p_model::LogicalTrace;
 use pas2p_phases::{CellSig, Phase, PhaseAnalysis, SimilarityConfig};
 
@@ -22,29 +22,21 @@ const COVERAGE_FLOOR: f64 = 0.9;
 const PET_TOLERANCE: f64 = 1e-6;
 
 /// The signature-level rule family (`SIG-*`, `PET-EQ-001`).
-pub struct SignatureRules;
-
-impl Checker for SignatureRules {
-    fn name(&self) -> &'static str {
-        "signature"
+pub(crate) fn check(artifacts: &Artifacts<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(analysis) = artifacts.analysis else {
+        return;
+    };
+    check_weights(analysis, out);
+    check_tiling(analysis, artifacts.logical, out);
+    check_mutual_similarity(analysis, &artifacts.similarity, out);
+    if let Some(logical) = artifacts.logical {
+        check_patterns_match_trace(analysis, logical, &artifacts.similarity, out);
     }
-
-    fn check(&self, artifacts: &Artifacts<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(analysis) = artifacts.analysis else {
-            return;
-        };
-        check_weights(analysis, out);
-        check_tiling(analysis, artifacts.logical, out);
-        check_mutual_similarity(analysis, &artifacts.similarity, out);
-        if let Some(logical) = artifacts.logical {
-            check_patterns_match_trace(analysis, logical, &artifacts.similarity, out);
-        }
-        check_coverage(analysis, artifacts, out);
-        check_pet_identity(analysis, out);
-        if let Some(table) = artifacts.table {
-            check_table_consistency(analysis, table, out);
-            check_table_rows(table, out);
-        }
+    check_coverage(analysis, artifacts, out);
+    check_pet_identity(analysis, out);
+    if let Some(table) = artifacts.table {
+        check_table_consistency(analysis, table, out);
+        check_table_rows(table, out);
     }
 }
 

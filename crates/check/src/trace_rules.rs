@@ -9,28 +9,20 @@
 //! with the happens-before clocks (`Committed`).
 
 use crate::diag::{Diagnostic, Location, Severity};
-use crate::engine::{Artifacts, Checker};
+use crate::engine::Artifacts;
 use crate::hb::Committed;
 use pas2p_trace::{replay, EventKind, Trace, TraceEvent};
 use std::collections::HashMap;
 
 /// The trace-level rule family (`P2P-MATCH-*`, `WILD-RECV-001`,
 /// `WFG-CYCLE-001`).
-pub struct TraceRules;
-
-impl Checker for TraceRules {
-    fn name(&self) -> &'static str {
-        "trace"
-    }
-
-    fn check(&self, artifacts: &Artifacts<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(trace) = artifacts.trace else {
-            return;
-        };
-        check_p2p_matching(trace, out);
-        check_wildcards(trace, out);
-        check_deadlock(trace, out);
-    }
+pub(crate) fn check(artifacts: &Artifacts<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(trace) = artifacts.trace else {
+        return;
+    };
+    check_p2p_matching(trace, out);
+    check_wildcards(trace, out);
+    check_deadlock(trace, out);
 }
 
 /// A p2p event's matching-relevant fields.

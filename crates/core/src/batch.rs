@@ -309,9 +309,8 @@ pub fn run_batch_with(pas2p: &Pas2p, jobs: Vec<BatchJob>, opts: BatchOptions) ->
     }
 
     let run_one = |(index, job): (usize, BatchJob)| {
-        // One aggregated histogram for all jobs plus a bounded top-K of
-        // stage profiles after the pool drains — NOT one stage profile
-        // per job, which made snapshot size grow with batch size.
+        // One aggregated histogram for all jobs, not a stage profile per
+        // job, which would grow the snapshot with the batch size.
         let app_name = job.app.name();
         let job_span = if pas2p_obs::tracing_enabled() {
             Some(pas2p_obs::trace_span(
@@ -356,44 +355,15 @@ pub fn run_batch_with(pas2p: &Pas2p, jobs: Vec<BatchJob>, opts: BatchOptions) ->
         }
     };
 
-    // Always on worker threads, even with one worker: a job must see
-    // the same thread environment (fresh thread under a worker lane, no
-    // enclosing span of the caller's) regardless of the worker count,
-    // or the exported timelines would nest differently for workers = 1
-    // vs. workers > 1.
+    // The farm runs every job on a worker thread, even with one worker,
+    // so the exported timelines nest the same at any worker count.
     let jobs = jobs.into_iter().enumerate().collect();
-    let results = pas2p_obs::farm::map_on_workers(workers, "batch worker", jobs, run_one);
-    if pas2p_obs::enabled() {
-        record_slowest_jobs(&results);
-    }
+    let results = pas2p_obs::farm::map(workers, "batch worker", jobs, run_one);
     let wall_seconds = st.finish();
     BatchReport {
         results,
         workers,
         wall_seconds,
-    }
-}
-
-/// The `SLOWEST_JOBS` slowest jobs of each batch, summed under one stage
-/// name: what the stragglers cost (seconds, events, how many) without a
-/// profile per job, or a name per job, for a server to accumulate.
-/// Which job was slow is in its `BatchResult::job_seconds`.
-const SLOWEST_JOBS: usize = 8;
-
-fn record_slowest_jobs(results: &[BatchResult]) {
-    let mut order: Vec<&BatchResult> = results.iter().collect();
-    order.sort_by(|a, b| {
-        b.job_seconds
-            .total_cmp(&a.job_seconds)
-            .then(a.index.cmp(&b.index))
-    });
-    for r in order.iter().take(SLOWEST_JOBS) {
-        let items = r
-            .analysis
-            .as_ref()
-            .map(|a| a.trace_events as u64)
-            .unwrap_or(0);
-        pas2p_obs::global().record_stage("batch.job.slowest", r.job_seconds, items);
     }
 }
 

@@ -32,6 +32,4 @@ pub mod ordering;
 
 pub use lamport::lamport_order;
 pub use logical::{LogicalEvent, LogicalTrace, Tick};
-pub use ordering::{
-    pas2p_order, pas2p_order_logged, try_pas2p_order, try_pas2p_order_logged, ModelError,
-};
+pub use ordering::{pas2p_order, pas2p_order_logged, try_pas2p_order, ModelError};

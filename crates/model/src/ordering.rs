@@ -92,24 +92,16 @@ pub fn pas2p_order(trace: &Trace) -> LogicalTrace {
 
 /// Fallible form of [`pas2p_order`].
 pub fn try_pas2p_order(trace: &Trace) -> Result<LogicalTrace, ModelError> {
-    try_pas2p_order_logged(trace).map(|(l, _)| l)
+    try_order_with_rule(trace, Rule::Pas2p).map(|(l, _)| l)
 }
 
 /// Apply the PAS2P ordering, also returning the dequeue log as
 /// `(process, event number)` pairs — the first column of the paper's
 /// Table 1.
 ///
-/// Panics on a structurally broken trace; use [`try_pas2p_order_logged`]
-/// when the input is untrusted.
+/// Panics on a structurally broken trace.
 pub fn pas2p_order_logged(trace: &Trace) -> (LogicalTrace, Vec<(u32, u64)>) {
     order_with_rule(trace, Rule::Pas2p)
-}
-
-/// Fallible form of [`pas2p_order_logged`].
-pub fn try_pas2p_order_logged(
-    trace: &Trace,
-) -> Result<(LogicalTrace, Vec<(u32, u64)>), ModelError> {
-    try_order_with_rule(trace, Rule::Pas2p)
 }
 
 pub(crate) fn order_with_rule(trace: &Trace, rule: Rule) -> (LogicalTrace, Vec<(u32, u64)>) {

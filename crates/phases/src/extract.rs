@@ -6,10 +6,11 @@
 //! in discovery order. The candidate×known-phase comparisons inside the
 //! merge are the TFAT hot loop (Table 8). There are two merge loops, one
 //! per [`SimilarityKernel`]: the scalar walk — the differential oracle —
-//! and the SoA loop, which scans only the candidate's LSH bucket. Both
-//! take the first match in discovery order and both run on the calling
-//! thread: splitting a bucket scan across workers was measured and beat
-//! the inline scan at no bucket length (EXPERIMENTS.md "PR 14"), so
+//! and the SoA loop, which scans only the candidate's tick-count
+//! bucket. Both take the first match in discovery order and both run on
+//! the calling thread: splitting a bucket scan across workers was
+//! measured and beat the inline scan at no bucket length
+//! (EXPERIMENTS.md "PR 14"), so
 //! [`SimilarityConfig::parallelism`] is accepted and has no effect here.
 //! Output is byte-identical for either kernel.
 
@@ -288,9 +289,9 @@ struct Merger<'a> {
     /// Candidate×known pairs the band prefilter rejected (SoA kernel).
     band_rejects: u64,
     /// Candidate×known pairs never examined because the known phase sits
-    /// in a different LSH bucket (SoA kernel).
+    /// in a different tick-count bucket (SoA kernel).
     lsh_skipped: u64,
-    /// Full SoA comparisons actually executed (after band + LSH skips).
+    /// Full SoA comparisons actually executed (after band + bucket skips).
     soa_compares: u64,
     /// Windows absorbed into an existing phase instead of creating one.
     dedupe_hits: u64,
@@ -376,7 +377,7 @@ impl Merger<'_> {
 
     /// Step 5 on the SoA kernel: bucket lookup, band prefilter, columnar
     /// compare — same first match as the scalar walk. Only the
-    /// candidate's LSH bucket is ever scanned (other buckets cannot
+    /// candidate's tick-count bucket is ever scanned (other buckets cannot
     /// match).
     fn merge_soa(&mut self, windows: &[(usize, usize)]) {
         // The columnar mirror of `self.phases`.
@@ -643,7 +644,7 @@ mod tests {
     }
 
     /// A trace of `blocks` *distinct* phases of one length (so they all
-    /// share one LSH bucket), each occurring twice.
+    /// share one tick-count bucket), each occurring twice.
     fn varied_trace(blocks: u64) -> LogicalTrace {
         let mut cells = Vec::new();
         let mut t = 0;

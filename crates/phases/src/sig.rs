@@ -56,7 +56,7 @@ pub enum SimilarityKernel {
     /// The reference cell-by-cell walk over `Vec<Vec<Option<CellSig>>>`
     /// patterns — slow, obviously correct, kept as the oracle.
     Scalar,
-    /// Structure-of-arrays columns with banded prefilters and LSH
+    /// Structure-of-arrays columns with banded prefilters and tick-count
     /// bucketing (`crate::soa`) — the production kernel.
     #[default]
     Soa,

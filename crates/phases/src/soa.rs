@@ -1,5 +1,5 @@
 //! Structure-of-arrays similarity kernel: columnar phase patterns,
-//! O(1)-summary banding, and LSH-style bucketing of phase sketches.
+//! O(1)-summary banding, and bucketing by tick count.
 //!
 //! The scalar similarity walk ([`SimilarityConfig::phases_similar`])
 //! chases `Vec<Vec<Option<CellSig>>>` pointers per cell. For the merge
@@ -15,15 +15,15 @@
 //!   a strict over-approximation of the similarity criterion (see
 //!   DESIGN.md "Similarity kernel"), so a band rejection can never drop
 //!   a pair the scalar walk would have matched.
-//! * **LSH bucketing** ([`SoaIndex`]): known phases are bucketed by a
-//!   sketch of the only similarity-*invariant* feature a match requires
-//!   — the tick count (`phases_similar` returns `false` outright on
-//!   length mismatch, and *no* cell-derived feature is invariant,
-//!   because a fully-populated pattern is similar to an all-empty one
-//!   of the same length). The sketch is a bijective mix, so buckets
-//!   neither merge different lengths nor split equal ones, and scanning
-//!   one bucket in ascending insertion order reproduces the sequential
-//!   first-match walk exactly.
+//! * **Bucketing** ([`SoaIndex`]): known phases are bucketed by the
+//!   only similarity-*invariant* feature a match requires — the tick
+//!   count (`phases_similar` returns `false` outright on length
+//!   mismatch, and *no* cell-derived feature is invariant, because a
+//!   fully-populated pattern is similar to an all-empty one of the same
+//!   length). Buckets neither merge different lengths nor split equal
+//!   ones, and scanning one bucket in ascending insertion order
+//!   reproduces the sequential first-match walk exactly. (The skip
+//!   counter keeps its historical name, `extract.lsh.skipped`.)
 //!
 //! Both mechanisms preserve the kernel's output contract: the resulting
 //! `PhaseTable` is byte-identical to the scalar oracle at any worker
@@ -67,21 +67,8 @@ pub struct BandStats {
     pub compute_ok: bool,
 }
 
-/// Bijective 64-bit mix (splitmix64 finalizer) of a pattern's tick
-/// count — the bucket key of [`SoaIndex`]. Bijectivity means two
-/// patterns land in the same bucket *iff* they have the same length,
-/// which is exactly the reach of the similarity criterion's hard
-/// length gate.
-pub fn sketch_of(ticks: usize) -> u64 {
-    let mut z = (ticks as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A phase pattern in structure-of-arrays layout: five parallel columns
-/// of `ticks × width` cells (tick-major), plus precomputed band stats
-/// and the bucket sketch.
+/// of `ticks × width` cells (tick-major), plus precomputed band stats.
 ///
 /// Comparisons require both sides to share the same `width` — always
 /// true inside one extraction, where `width == nprocs`.
@@ -101,7 +88,6 @@ pub struct SoaPattern {
     /// Compute time preceding the event.
     compute: Vec<f64>,
     stats: BandStats,
-    sketch: u64,
 }
 
 impl SoaPattern {
@@ -119,7 +105,6 @@ impl SoaPattern {
                 compute_ok: true,
                 ..BandStats::default()
             },
-            sketch: sketch_of(ticks),
         }
     }
 
@@ -189,7 +174,7 @@ impl SoaPattern {
         p
     }
 
-    /// Phase length in ticks.
+    /// Phase length in ticks: the bucket key of [`SoaIndex`].
     pub fn ticks(&self) -> usize {
         self.ticks
     }
@@ -197,11 +182,6 @@ impl SoaPattern {
     /// Row width (process count).
     pub fn width(&self) -> usize {
         self.width
-    }
-
-    /// The LSH bucket key.
-    pub fn sketch(&self) -> u64 {
-        self.sketch
     }
 
     /// The band-prefilter summaries.
@@ -343,18 +323,19 @@ pub struct MatchStats {
     pub compares: u64,
     /// Candidates rejected by the band prefilter before a full compare.
     pub band_rejects: u64,
-    /// Known phases never looked at because they live in other buckets.
+    /// Known phases never looked at because they live in other buckets
+    /// (other tick counts).
     pub lsh_skipped: u64,
 }
 
 /// The known-phase index of the SoA merge path: phases in discovery
-/// order plus LSH buckets keyed by sketch. Bucket entries are global
+/// order plus buckets keyed by tick count. Bucket entries are global
 /// phase indices in ascending order (insertion order), so a bucket scan
 /// visits candidates exactly as the sequential first-match walk would.
 #[derive(Debug, Default)]
 pub struct SoaIndex {
     known: Vec<Arc<SoaPattern>>,
-    buckets: HashMap<u64, Vec<u32>>,
+    buckets: HashMap<usize, Vec<u32>>,
 }
 
 impl SoaIndex {
@@ -379,13 +360,13 @@ impl SoaIndex {
     /// Append a newly discovered phase; its global index is `len() − 1`.
     pub fn push(&mut self, pattern: Arc<SoaPattern>) {
         let idx = self.known.len() as u32;
-        self.buckets.entry(pattern.sketch()).or_default().push(idx);
+        self.buckets.entry(pattern.ticks()).or_default().push(idx);
         self.known.push(pattern);
     }
 
-    /// Global indices of the known phases sharing `sketch`, ascending.
-    pub fn bucket(&self, sketch: u64) -> &[u32] {
-        self.buckets.get(&sketch).map_or(&[], |v| v.as_slice())
+    /// Global indices of the known phases `ticks` long, ascending.
+    pub fn bucket(&self, ticks: usize) -> &[u32] {
+        self.buckets.get(&ticks).map_or(&[], |v| v.as_slice())
     }
 
     /// First match of `candidate` among the known phases — the same
@@ -396,7 +377,7 @@ impl SoaIndex {
         cfg: &SimilarityConfig,
         candidate: &SoaPattern,
     ) -> (Option<usize>, MatchStats) {
-        let bucket = self.bucket(candidate.sketch());
+        let bucket = self.bucket(candidate.ticks());
         let mut stats = MatchStats {
             lsh_skipped: (self.known.len() - bucket.len()) as u64,
             ..MatchStats::default()
@@ -458,7 +439,7 @@ mod tests {
         let b = SoaPattern::from_pattern(&pattern(&[row.clone(), row]));
         assert!(!cfg.soa_phases_similar(&a, &b));
         assert!(!cfg.band_admits(&a, &b));
-        assert_ne!(a.sketch(), b.sketch(), "sketch mix is bijective");
+        assert_ne!(a.ticks(), b.ticks(), "different buckets");
     }
 
     #[test]
@@ -550,15 +531,18 @@ mod tests {
         assert!(stats.compares >= 1);
     }
 
+    /// The bucket is the tick count alone: patterns of one length but
+    /// different populations (4, 4 and 2 events at two ticks) share it.
     #[test]
     fn bucket_entries_stay_ascending() {
         let mut index = SoaIndex::new();
-        for ticks in [2usize, 3, 2, 2, 3] {
-            let rows = vec![vec![sig(EventKind::Send, Some(1), 8, 0.1)]; ticks];
-            index.push(Arc::new(SoaPattern::from_pattern(&rows)));
+        for (k, ticks) in [2usize, 3, 2, 2, 3].into_iter().enumerate() {
+            let cell = sig(EventKind::Send, Some(1), 8, 0.1);
+            let row = vec![cell, if k == 3 { None } else { cell }];
+            index.push(Arc::new(SoaPattern::from_pattern(&vec![row; ticks])));
         }
-        assert_eq!(index.bucket(sketch_of(2)), &[0, 2, 3]);
-        assert_eq!(index.bucket(sketch_of(3)), &[1, 4]);
-        assert_eq!(index.bucket(sketch_of(7)), &[] as &[u32]);
+        assert_eq!(index.bucket(2), &[0, 2, 3]);
+        assert_eq!(index.bucket(3), &[1, 4]);
+        assert_eq!(index.bucket(7), &[] as &[u32]);
     }
 }
