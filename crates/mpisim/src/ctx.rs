@@ -219,6 +219,15 @@ impl RankCtx {
                 let by_clock = park.clocks_past(me, c.depart);
                 if by_clock || park.take_grant(me) == c.msg_id {
                     park.unwatch(me);
+                    // The clocks were read after the drain above, and a
+                    // clock is published only after the sends before it:
+                    // a message that departs before `c` may have reached
+                    // the channel in between. Take it in; if it beats
+                    // `c`, match again.
+                    self.drain_arrivals();
+                    if self.pending.find_match(None, tag) != Some(i) {
+                        continue;
+                    }
                     if pas2p_obs::enabled() {
                         pas2p_obs::counter(if by_clock {
                             "mpisim.wildcard.clock_commits"
