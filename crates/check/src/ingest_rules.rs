@@ -1,4 +1,5 @@
-//! Ingest rules: findings over an [`IngestReport`] from the recovering
+//! Ingest rules: findings over an
+//! [`IngestReport`](pas2p_trace::IngestReport) from the recovering
 //! decoder (`pas2p_trace::decode_recovering`).
 //!
 //! These rules inspect what ingest *did* rather than what the artifacts

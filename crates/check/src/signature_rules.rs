@@ -9,7 +9,7 @@
 use crate::diag::{Diagnostic, Location, Severity};
 use crate::engine::Artifacts;
 use pas2p_model::LogicalTrace;
-use pas2p_phases::{CellSig, Phase, PhaseAnalysis, SimilarityConfig};
+use pas2p_phases::{pattern_of, Phase, PhaseAnalysis, SimilarityConfig};
 
 /// Coverage below this fraction of the AET is worth a note: the signature
 /// will represent too little of the application for the prediction to be
@@ -177,24 +177,6 @@ fn check_mutual_similarity(
     }
 }
 
-/// Rebuild the `[tick][process]` cell pattern of a tick span from the
-/// logical trace — the same construction the extractor uses.
-fn pattern_of(
-    logical: &LogicalTrace,
-    start: usize,
-    end: usize,
-    nprocs: u32,
-) -> Vec<Vec<Option<CellSig>>> {
-    logical.ticks[start..end.min(logical.ticks.len())]
-        .iter()
-        .map(|tick| {
-            (0..nprocs)
-                .map(|p| tick.event_of(p).map(|e| CellSig::of(e, nprocs)))
-                .collect()
-        })
-        .collect()
-}
-
 /// SIG-SIM-002: each recorded occurrence, re-read from the logical trace,
 /// must still be similar to its phase's representative pattern — the
 /// weight is otherwise counting ticks that do not repeat the phase.
@@ -222,7 +204,7 @@ fn check_patterns_match_trace(
                 ));
                 continue;
             }
-            let pat = pattern_of(logical, o.start_tick, o.end_tick, analysis.nprocs);
+            let pat = pattern_of(logical, o.start_tick, o.end_tick);
             if !cfg.phases_similar(&p.pattern, &pat) {
                 out.push(Diagnostic::new(
                     "SIG-SIM-002",

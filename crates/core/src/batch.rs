@@ -581,8 +581,7 @@ mod tests {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let pas2p = Pas2p::default();
         let app = pas2p_apps::by_name("cg", 8).expect("catalog app");
-        let token = crate::cancel::CancelToken::new();
-        token.cancel();
+        let token = crate::cancel::CancelToken::with_deadline(std::time::Duration::ZERO);
         let result = catch_unwind(AssertUnwindSafe(|| {
             crate::cancel::with_cancel(&token, || {
                 pas2p.analyze(app.as_ref(), &cluster_a(), MappingPolicy::Block)

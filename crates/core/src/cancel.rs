@@ -1,28 +1,29 @@
-//! Deadlines and cancellation for batch jobs and service requests.
+//! Deadlines for batch jobs and service requests.
 //!
 //! The mechanism lives in [`pas2p_obs::cancel`], below every layer that
-//! has to ask: a [`CancelToken`] carries a flag and an optional
-//! deadline, the thread that runs a job or a request installs it with
-//! [`with_cancel`], and the work itself checks it — the pipeline at
-//! every stage boundary (`cancel::enter`), phase extraction once per
-//! candidate window, the simulator on every rank's communication
-//! events (an expired token takes the run's abort path, which wakes
-//! parked ranks) and gated store IO through [`cancelled`]. A check past
-//! the deadline unwinds with [`CANCELLED`] to the panic boundary of
-//! whoever installed the token — `guarded`, which a batch job, a
-//! service request and each task of a service `batch` all run under,
-//! and which alone decides between timed out, failed and panicked.
+//! has to ask: a [`CancelToken`] is a deadline, the thread that runs a
+//! job or a request installs it with [`with_cancel`], and the work
+//! itself checks it — the pipeline at every stage boundary (entering a
+//! `pas2p_obs::stage` is one), phase extraction once per candidate
+//! window, the simulator on every rank's communication events (an
+//! expired token takes the run's abort path, which wakes parked ranks)
+//! and gated store IO through
+//! [`cancelled`](pas2p_obs::cancel::cancelled). A check past the deadline
+//! unwinds with [`CANCELLED`] to the panic boundary of whoever
+//! installed the token — `guarded`, which a batch job, a service
+//! request and each task of a service `batch` all run under, and which
+//! alone decides between timed out, failed and panicked.
 //!
 //! No thread is started and nothing is abandoned: the job or request
 //! stops on the thread it ran on, answers
 //! [`TimedOut`](crate::batch::BatchStatus::TimedOut) / `code:"timeout"`
 //! at the first checkpoint past its deadline, and is over when it has
 //! answered. The cost is that a stretch which never checks overruns;
-//! `cancel.checkpoint_gap_us.*` and `serve.timeout_overrun_us` measure
-//! by how much.
+//! `cancel.checkpoint_gap_us.<stage>` and `serve.timeout_overrun_us`
+//! measure by how much.
 
-pub use pas2p_obs::cancel::{cancelled, with_cancel, CancelToken, CANCELLED};
-pub(crate) use pas2p_obs::cancel::{checkpoint, enter, remaining, Stage};
+pub(crate) use pas2p_obs::cancel::remaining;
+pub use pas2p_obs::cancel::{with_cancel, CancelToken, CANCELLED};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -55,7 +56,7 @@ pub(crate) fn guarded<T, E>(
         (Ok(Ok(done)), _) => Ok(done),
         (_, Some((deadline, token))) if token.tripped() => Err(Stopped::TimedOut {
             error: format!("deadline of {:.3}s expired", deadline.as_secs_f64()),
-            overrun: token.overrun().unwrap_or_default(),
+            overrun: token.overrun(),
         }),
         (Ok(Err(error)), _) => Err(Stopped::Failed(error)),
         (Err(payload), _) => Err(Stopped::Panicked(panic_message(payload))),

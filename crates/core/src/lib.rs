@@ -48,7 +48,7 @@ pub mod workload;
 
 pub use admission::ServeStats;
 pub use batch::{run_batch_with, BatchJob, BatchOptions, BatchReport, BatchResult, BatchStatus};
-pub use cancel::{cancelled, with_cancel, CancelToken};
+pub use cancel::{with_cancel, CancelToken};
 pub use pipeline::{Analysis, AnalysisError, Pas2p};
 pub use protocol::{PredictOutcome, Request, Response, SubmitOutcome};
 #[cfg(unix)]

@@ -1,6 +1,5 @@
 //! The end-to-end PAS2P pipeline (Fig 1 / Fig 2 of the paper).
 
-use crate::cancel::{enter, Stage};
 use pas2p_check::{Artifacts, CheckEngine, CheckReport};
 use pas2p_machine::{MachineModel, MappingPolicy};
 use pas2p_model::{try_pas2p_order, LogicalTrace, ModelError};
@@ -149,10 +148,9 @@ impl Pas2p {
         policy: MappingPolicy,
         engine: Option<&CheckEngine>,
     ) -> (Analysis, Trace, LogicalTrace) {
-        // Stage boundaries are cancellation checkpoints: a job or
-        // request past its deadline unwinds here at the latest (the
+        // Entering a stage is a cancellation checkpoint: a job or
+        // request past its deadline unwinds there at the latest (the
         // stages with long loops also ask inside).
-        enter(Stage::RunTraced);
         let mut st = pas2p_obs::stage("run_traced");
         let (trace, _) = run_traced(app, base, policy, self.instrumentation);
         st.items(trace.total_events() as u64);
@@ -187,7 +185,6 @@ impl Pas2p {
         buf: &[u8],
         engine: Option<&CheckEngine>,
     ) -> Result<(Analysis, Trace), AnalysisError> {
-        crate::cancel::checkpoint();
         let mut st = pas2p_obs::stage("ingest");
         let (trace, mut report) = ingest::decode_recovering(buf);
         let Some(mut trace) = trace else {
@@ -243,7 +240,6 @@ impl Pas2p {
         ingest_seconds: f64,
         engine: Option<&CheckEngine>,
     ) -> Result<(Analysis, LogicalTrace), ModelError> {
-        enter(Stage::Pas2pOrder);
         let mut st = pas2p_obs::stage("pas2p_order");
         let logical = try_pas2p_order(trace);
         if logical.is_ok() {
@@ -251,8 +247,6 @@ impl Pas2p {
         }
         let order_seconds = st.finish();
         let logical = logical?;
-
-        enter(Stage::ExtractPhases);
 
         // `extract_phases` records its own stage profile and returns the
         // same profiler reading as `analysis_seconds`, so TFAT and the
@@ -367,7 +361,6 @@ impl Pas2p {
         base: &MachineModel,
         policy: MappingPolicy,
     ) -> (Signature, ConstructionStats) {
-        enter(Stage::ConstructSignature);
         let mut st = pas2p_obs::stage("construct");
         let (mut signature, stats) =
             construct_signature(app, &analysis.table, base, policy, self.signature);
@@ -388,7 +381,6 @@ impl Pas2p {
         target: &MachineModel,
         policy: MappingPolicy,
     ) -> Result<Prediction, ExecError> {
-        enter(Stage::ExecuteSignature);
         let mut st = pas2p_obs::stage("execute");
         let mut prediction = execute_signature(app, signature, target, policy)?;
         st.items(prediction.measurements.len() as u64);

@@ -100,7 +100,7 @@ impl Request {
     /// Decode one NDJSON protocol line. The wire format is spelled out
     /// explicitly — it is a public contract, and the parser doubles as
     /// its documentation: `op` selects the variant, `nprocs` defaults
-    /// to 8 and is at most [`MAX_NPROCS`], `base` defaults to `"A"`.
+    /// to 8 and is at most `MAX_NPROCS` (1 024), `base` defaults to `"A"`.
     /// Only the keys named here are read; any other is ignored.
     pub fn from_line(line: &str) -> Result<Request, String> {
         let v: serde_json::Value = serde_json::from_str(line).map_err(|e| e.to_string())?;

@@ -24,7 +24,7 @@
 //! profiles and the store's `store.*` counters that DESIGN.md lists.
 
 use crate::admission::ServeStats;
-use crate::cancel::{enter, guarded, remaining, Stage, Stopped};
+use crate::cancel::{guarded, remaining, Stopped};
 use crate::pipeline::Pas2p;
 use crate::protocol::{PredictOutcome, Request, Response, SubmitOutcome};
 use crate::replies::{Replies, Reply};
@@ -207,18 +207,16 @@ impl PredictionService {
         let shared = &*self.shared;
         loop {
             // A waiter whose deadline passed behind the leader stops
-            // here, without starting a Stage A of its own.
-            enter(Stage::Store);
-            {
-                let mut store = shared.store.lock();
-                if let Some(key) = store.lookup_alias(alias) {
-                    if let Some((payload, _sidecar)) = store.get_signature(&key) {
-                        return Ok((key, payload, true));
-                    }
-                    // The entry was just evicted as corrupt/missing —
-                    // fall through and recompute; the store already
-                    // reported it.
-                }
+            // here, without starting a Stage A of its own. An entry
+            // just evicted as corrupt/missing falls through and is
+            // recomputed; the store already reported it.
+            let cached = self.with_store(|store| {
+                let key = store.lookup_alias(alias)?;
+                let (payload, _sidecar) = store.get_signature(&key)?;
+                Some((key, payload))
+            });
+            if let Some((key, payload)) = cached {
+                return Ok((key, payload, true));
             }
             let mut pending = shared.pending.lock();
             if !pending.contains(alias) {
@@ -271,13 +269,14 @@ impl PredictionService {
         };
         // Everything above ran without the store lock; only the publish
         // takes it.
-        enter(Stage::Store);
-        let mut store = shared.store.lock();
-        store
-            .put_signature(&key, &payload, sidecar)
-            .map_err(|e| e.to_string())?;
-        let entries = store.len() as u64;
-        shared.stats.entries.store(entries, Ordering::SeqCst);
+        self.with_store(|store| {
+            store
+                .put_signature(&key, &payload, sidecar)
+                .map_err(|e| e.to_string())?;
+            let entries = store.len() as u64;
+            shared.stats.entries.store(entries, Ordering::SeqCst);
+            Ok::<_, String>(())
+        })?;
         Ok((key, payload, false))
     }
 
@@ -383,16 +382,15 @@ impl PredictionService {
             target: Some(target.name.clone()),
         };
         let slot = (sig_key.digest, target.name.clone());
-        {
-            enter(Stage::Store);
-            let mut store = self.shared.store.lock();
+        self.with_store(|store| {
             store
                 .put_prediction_json(&pkey, entry, &json)
                 .map_err(|e| e.to_string())?;
             replies.remove(&slot);
             let entries = store.len() as u64;
             self.shared.stats.entries.store(entries, Ordering::SeqCst);
-        }
+            Ok::<_, String>(())
+        })?;
         let outcome = PredictOutcome {
             app: stored.app_name,
             target: target.name,
@@ -413,6 +411,15 @@ impl PredictionService {
             pas2p_obs::counter("store.hit").add(1);
         }
         Some(reply)
+    }
+
+    /// `f` under the store lock, as the `store` stage: profiled, and the
+    /// cancellation boundary of a request about to wait for the lock.
+    fn with_store<T>(&self, f: impl FnOnce(&mut SignatureStore) -> T) -> T {
+        let st = pas2p_obs::stage("store");
+        let out = f(&mut self.shared.store.lock());
+        st.finish();
+        out
     }
 
     /// `batch`: put every app not yet in the store through

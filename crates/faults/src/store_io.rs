@@ -83,10 +83,10 @@ pub enum StoreFaultKind {
         on_op: u64,
     },
     /// Every operation of `op` from the `on_op`th onward blocks until
-    /// the `gate` file exists (or the cancel check trips). This is the
-    /// deterministic stand-in for "a slow disk": tests use it to hold a
-    /// worker mid-request and observe queue depth, shedding and
-    /// deadlines without racing wall-clock sleeps.
+    /// the `gate` file exists (or the blocked thread's deadline
+    /// passes). This is the deterministic stand-in for "a slow disk":
+    /// tests use it to hold a worker mid-request and observe queue
+    /// depth, shedding and deadlines without racing wall-clock sleeps.
     BlockOnGate {
         /// Operation family to stall.
         op: StoreOp,
@@ -161,18 +161,12 @@ impl StoreFaultStats {
     }
 }
 
-/// Callback polled while an operation is gate-blocked; returning `true`
-/// aborts the wait with an `Interrupted` error so a request past its
-/// deadline fails classified instead of holding its permit forever.
-pub type CancelCheck = Box<dyn Fn() -> bool + Send + Sync>;
-
 /// A [`StoreIo`] that injects the faults of a plan into a wrapped
 /// [`RealIo`], deterministically by operation index.
 pub struct FaultStoreIo {
     inner: RealIo,
     faults: Vec<StoreFaultKind>,
     stats: Arc<StoreFaultStats>,
-    cancel_check: Option<CancelCheck>,
 }
 
 impl std::fmt::Debug for FaultStoreIo {
@@ -195,7 +189,6 @@ impl FaultStoreIo {
             inner: RealIo,
             faults,
             stats: Arc::new(StoreFaultStats::default()),
-            cancel_check: None,
         }
     }
 
@@ -205,16 +198,11 @@ impl FaultStoreIo {
         Arc::clone(&self.stats)
     }
 
-    /// Install a cancellation probe for gate-blocked operations.
-    pub fn with_cancel_check(mut self, check: CancelCheck) -> FaultStoreIo {
-        self.cancel_check = Some(check);
-        self
-    }
-
     /// Block while a matching [`StoreFaultKind::BlockOnGate`] holds
-    /// `op`'s `index`th call. Polls the gate path (and the cancel
-    /// check) every 2ms; a tripped cancel check surfaces as
-    /// `ErrorKind::Interrupted`.
+    /// `op`'s `index`th call. Polls the gate path (and the calling
+    /// thread's deadline, [`pas2p_obs::cancel::cancelled`]) every 2ms; a
+    /// passed deadline surfaces as `ErrorKind::Interrupted`, so a
+    /// request fails classified instead of holding its permit forever.
     fn gate(&self, op: StoreOp, index: u64) -> io::Result<()> {
         for fault in &self.faults {
             let (fop, on_op, gate) = match fault {
@@ -229,13 +217,11 @@ impl FaultStoreIo {
                 self.stats.gated_ops.fetch_add(1, Ordering::SeqCst);
             }
             while !gate.exists() {
-                if let Some(check) = &self.cancel_check {
-                    if check() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::Interrupted,
-                            format!("gated {} cancelled before release", op.label()),
-                        ));
-                    }
+                if pas2p_obs::cancel::cancelled() {
+                    return Err(io::Error::new(
+                        io::ErrorKind::Interrupted,
+                        format!("gated {} cancelled before release", op.label()),
+                    ));
                 }
                 std::thread::sleep(Duration::from_millis(2));
             }
@@ -433,18 +419,18 @@ mod tests {
     }
 
     #[test]
-    fn gated_op_cancel_check_aborts_with_interrupted() {
+    fn gated_op_under_a_passed_deadline_aborts_with_interrupted() {
+        use pas2p_obs::cancel::{with_cancel, CancelToken};
         let dir = tmp_dir("gate-cancel");
         let gate = dir.join("never-opened");
         let io = FaultStoreIo::new(vec![StoreFaultKind::BlockOnGate {
             op: StoreOp::Read,
             on_op: 1,
             gate: gate.to_string_lossy().into_owned(),
-        }])
-        .with_cancel_check(Box::new(|| true));
-        let err = io
-            .read_to_string(&dir.join("missing"))
-            .expect_err("cancel check trips");
+        }]);
+        let expired = CancelToken::with_deadline(Duration::ZERO);
+        let err = with_cancel(&expired, || io.read_to_string(&dir.join("missing")))
+            .expect_err("the passed deadline trips");
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,29 +1,29 @@
-//! Cooperative cancellation: a flag and a deadline, checked where the
-//! work runs.
+//! Cooperative cancellation: a deadline, checked where the work runs.
 //!
-//! A [`CancelToken`] is a shared flag beside an optional clock reading.
-//! Nothing watches it from outside: the thread doing the work installs
-//! it ([`with_cancel`]) and asks at *checkpoints* — [`enter`] at every
-//! pipeline stage boundary, [`checkpoint`] inside the long loops,
-//! [`cancelled`] where an error return suits better than an unwind, and
-//! the simulator's rank threads through the token [`current`] hands
-//! them. A check past the deadline latches the flag and unwinds the run
-//! with the [`CANCELLED`] payload; whoever installed the token catches
-//! it at the panic boundary it already has. A deadline therefore costs
-//! no thread, no channel and no hand-over of buffered trace events — and
-//! an expired request is answered *late rather than never*: at the
-//! first checkpoint past the deadline.
+//! A [`CancelToken`] is a clock reading beside a latch. Nothing watches
+//! it from outside: the thread doing the work installs it
+//! ([`with_cancel`]) and asks at *checkpoints* — every stage boundary
+//! (entering a [`stage`](crate::stage) is one), [`checkpoint`] inside
+//! the long loops, [`cancelled`] where an error return suits better
+//! than an unwind, and the simulator's rank threads through the token
+//! [`current`] hands them. A check past the deadline latches the token
+//! and unwinds the run with the [`CANCELLED`] payload; whoever
+//! installed the token catches it at the panic boundary it already has.
+//! A deadline therefore costs no thread, no channel and no hand-over of
+//! buffered trace events — and an expired request is answered *late
+//! rather than never*: at the first checkpoint past the deadline.
 //!
 //! That lateness is measured, not assumed. While metrics are
 //! [`enabled`](crate::enabled), every check records the time since the
-//! token was last checked — by any thread — into the log2 histogram of
-//! the [`Stage`] the run is in, so a stretch that never asks shows up as
-//! a long gap under its stage's name. Code outside a [`with_cancel`]
+//! token was last checked — by any thread — into
+//! `cancel.checkpoint_gap_us.<stage>`, named after the stage the run
+//! last entered, so a stretch that never asks shows up as a long gap
+//! under the name its stage profile has. Code outside a [`with_cancel`]
 //! scope pays one thread-local read that finds `None`.
 
 use crate::metrics::Histogram;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -32,135 +32,91 @@ use std::time::{Duration, Instant};
 /// self-describing if it ever surfaces in an error string.
 pub const CANCELLED: &str = "pas2p: run cancelled";
 
-/// The pipeline stage a run is in — the label of its
-/// `cancel.checkpoint_gap_us.*` histogram.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Stage {
-    /// The instrumented application run (checked on every rank's
-    /// communication events).
-    RunTraced = 1,
-    /// The PAS2P logical ordering.
-    Pas2pOrder,
-    /// Phase extraction (checked once per candidate window).
-    ExtractPhases,
-    /// The checkpointing re-run.
-    ConstructSignature,
-    /// Stage B: the signature's phases on a target machine.
-    ExecuteSignature,
-    /// Store lookups and publishes (checked by gated IO).
-    Store,
-}
+/// Gap histograms by stage name, a slot filled the first time a stage
+/// is entered under a token with metrics on. Stage names are literals,
+/// so the code bounds the table; a check reads its slot without a lock.
+static GAPS: [OnceLock<(&str, Arc<Histogram>)>; 64] = [const { OnceLock::new() }; 64];
 
-/// Gap histogram names, indexed by `Stage as usize - 1`.
-const GAP_HISTOGRAMS: [&str; 6] = [
-    "cancel.checkpoint_gap_us.run_traced",
-    "cancel.checkpoint_gap_us.pas2p_order",
-    "cancel.checkpoint_gap_us.extract_phases",
-    "cancel.checkpoint_gap_us.construct_signature",
-    "cancel.checkpoint_gap_us.execute_signature",
-    "cancel.checkpoint_gap_us.store",
-];
+/// The slot of a token that has entered no stage (or one past a full
+/// table): its gaps are not recorded.
+const NO_STAGE: usize = usize::MAX;
 
-fn gap_histogram(stage: u8) -> Option<&'static Histogram> {
-    static GAPS: OnceLock<[Arc<Histogram>; 6]> = OnceLock::new();
-    let index = usize::from(stage).checked_sub(1)?;
-    Some(&*GAPS.get_or_init(|| GAP_HISTOGRAMS.map(crate::histogram))[index])
+/// The [`GAPS`] slot of `stage`, registering its histogram on first use.
+fn gap_slot(stage: &'static str) -> usize {
+    GAPS.iter()
+        .position(|slot| {
+            let (name, _) = slot.get_or_init(|| {
+                let histogram = format!("cancel.checkpoint_gap_us.{stage}");
+                (
+                    stage,
+                    crate::histogram(Box::leak(histogram.into_boxed_str())),
+                )
+            });
+            *name == stage
+        })
+        .unwrap_or(NO_STAGE)
 }
 
 #[derive(Debug)]
 struct Inner {
-    /// Set by [`CancelToken::cancel`], or by the first check that found
-    /// the deadline passed.
-    flag: AtomicBool,
-    deadline: Option<Instant>,
+    /// Set by the first check that found the deadline passed.
+    tripped: AtomicBool,
+    deadline: Instant,
     created: Instant,
     /// When the token was last checked by any thread, in nanoseconds
     /// after `created`. Maintained only while metrics are enabled.
     checked_ns: AtomicU64,
-    /// `Stage as u8` of the stage the run is in; 0 before the first
-    /// [`enter`] (gaps are not recorded there).
-    stage: AtomicU8,
+    /// The [`GAPS`] slot of the stage the run last entered (Relaxed:
+    /// the slot's `OnceLock` publishes its histogram).
+    stage: AtomicUsize,
 }
 
-/// A shared cancellation flag with an optional deadline. Clone it
-/// freely: all clones observe the same flag, deadline and stage.
+/// A shared deadline. Clone it freely: all clones observe the same
+/// deadline, latch and stage.
 #[derive(Clone, Debug)]
 pub struct CancelToken(Arc<Inner>);
 
-impl Default for CancelToken {
-    fn default() -> CancelToken {
-        CancelToken::new()
-    }
-}
-
 impl CancelToken {
-    fn build(created: Instant, deadline: Option<Instant>) -> CancelToken {
+    /// A fresh token that counts as cancelled from `after` from now on.
+    pub fn with_deadline(after: Duration) -> CancelToken {
+        let created = Instant::now();
         CancelToken(Arc::new(Inner {
-            flag: AtomicBool::new(false),
-            deadline,
+            tripped: AtomicBool::new(false),
+            deadline: created + after,
             created,
             checked_ns: AtomicU64::new(0),
-            stage: AtomicU8::new(0),
+            stage: AtomicUsize::new(NO_STAGE),
         }))
     }
 
-    /// A fresh token that is cancelled only by [`CancelToken::cancel`].
-    pub fn new() -> CancelToken {
-        CancelToken::build(Instant::now(), None)
-    }
-
-    /// A fresh token that also counts as cancelled from `after` from now
-    /// on.
-    pub fn with_deadline(after: Duration) -> CancelToken {
-        let now = Instant::now();
-        CancelToken::build(now, Some(now + after))
-    }
-
-    /// Request cancellation. Idempotent.
-    pub fn cancel(&self) {
-        self.0.flag.store(true, Ordering::SeqCst);
-    }
-
-    /// One check: true once [`CancelToken::cancel`] has been called on
-    /// any clone or the deadline has passed. Reads the clock only when
-    /// there is a deadline (or a gap to record).
+    /// One check: true once the deadline has passed.
     pub fn is_cancelled(&self) -> bool {
-        let inner = &*self.0;
-        let measured = crate::enabled();
-        if inner.deadline.is_none() && !measured {
-            return inner.flag.load(Ordering::SeqCst);
-        }
         let now = Instant::now();
-        if measured {
+        if crate::enabled() {
             self.record_gap(now);
         }
-        if inner.flag.load(Ordering::SeqCst) {
-            return true;
-        }
-        let expired = inner.deadline.is_some_and(|deadline| now >= deadline);
+        let expired = now >= self.0.deadline;
         if expired {
-            inner.flag.store(true, Ordering::SeqCst);
+            self.0.tripped.store(true, Ordering::SeqCst);
         }
         expired
     }
 
-    /// True once a check has found the token cancelled (or `cancel` was
-    /// called): the run was told to stop, as opposed to merely running
-    /// past its deadline unasked. Never reads the clock.
+    /// True once a check has found the deadline passed: the run was
+    /// told to stop, as opposed to merely running past its deadline
+    /// unasked. Never reads the clock.
     pub fn tripped(&self) -> bool {
-        self.0.flag.load(Ordering::SeqCst)
+        self.0.tripped.load(Ordering::SeqCst)
     }
 
-    /// How far past the deadline it is (zero before it, `None` without
-    /// one).
-    pub fn overrun(&self) -> Option<Duration> {
-        self.0.deadline.map(|deadline| deadline.elapsed())
+    /// How far past the deadline it is (zero before it).
+    pub fn overrun(&self) -> Duration {
+        self.0.deadline.elapsed()
     }
 
-    /// Time left until the deadline (zero past it, `None` without one).
-    pub fn remaining(&self) -> Option<Duration> {
-        let deadline = self.0.deadline?;
-        Some(deadline.saturating_duration_since(Instant::now()))
+    /// Time left until the deadline (zero past it).
+    pub fn remaining(&self) -> Duration {
+        self.0.deadline.saturating_duration_since(Instant::now())
     }
 
     /// Charge the time since the previous check to the current stage.
@@ -168,7 +124,8 @@ impl CancelToken {
         let inner = &*self.0;
         let now_ns = now.saturating_duration_since(inner.created).as_nanos() as u64;
         let before_ns = inner.checked_ns.swap(now_ns, Ordering::Relaxed);
-        if let Some(gaps) = gap_histogram(inner.stage.load(Ordering::Relaxed)) {
+        let slot = GAPS.get(inner.stage.load(Ordering::Relaxed));
+        if let Some((_, gaps)) = slot.and_then(OnceLock::get) {
             gaps.record(now_ns.saturating_sub(before_ns) / 1_000);
         }
     }
@@ -212,7 +169,7 @@ pub fn cancelled() -> bool {
 /// Time left until the current thread's deadline, for waits that must
 /// not outlast it.
 pub fn remaining() -> Option<Duration> {
-    CURRENT.with(|c| c.borrow().as_ref().and_then(CancelToken::remaining))
+    CURRENT.with(|c| c.borrow().as_ref().map(CancelToken::remaining))
 }
 
 /// Unwind out of a cancelled run. A no-op on threads without an
@@ -223,13 +180,19 @@ pub fn checkpoint() {
     }
 }
 
-/// [`checkpoint`] at a stage boundary: the time up to here belongs to
-/// the stage being left, what follows to `stage`.
-pub fn enter(stage: Stage) {
+/// [`checkpoint`] at the boundary into `stage`, which
+/// [`Registry::stage`](crate::Registry::stage) takes: the time up to
+/// here belongs to the stage being left, what follows to `stage`.
+pub(crate) fn enter(stage: &'static str) {
     let hit = CURRENT.with(|c| {
         c.borrow().as_ref().is_some_and(|token| {
             let hit = token.is_cancelled();
-            token.0.stage.store(stage as u8, Ordering::Relaxed);
+            let slot = if crate::enabled() {
+                gap_slot(stage)
+            } else {
+                NO_STAGE
+            };
+            token.0.stage.store(slot, Ordering::Relaxed);
             hit
         })
     });
@@ -243,14 +206,15 @@ mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
+    const FAR: Duration = Duration::from_secs(3600);
+
     #[test]
     fn token_is_shared_across_clones() {
-        let t = CancelToken::new();
+        let t = CancelToken::with_deadline(Duration::ZERO);
         let c = t.clone();
-        assert!(!t.is_cancelled());
-        c.cancel();
+        assert!(!c.tripped());
         assert!(t.is_cancelled());
-        t.cancel(); // idempotent
+        assert!(c.tripped(), "a check through one clone latches them all");
         assert!(c.is_cancelled());
     }
 
@@ -259,13 +223,12 @@ mod tests {
         assert!(!cancelled());
         assert_eq!(remaining(), None);
         checkpoint(); // must not panic
-        enter(Stage::Store);
+        enter("store");
     }
 
     #[test]
     fn checkpoint_unwinds_under_a_cancelled_token() {
-        let token = CancelToken::new();
-        token.cancel();
+        let token = CancelToken::with_deadline(Duration::ZERO);
         let result = catch_unwind(AssertUnwindSafe(|| with_cancel(&token, checkpoint)));
         let payload = result.expect_err("cancelled checkpoint must unwind");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&CANCELLED));
@@ -276,31 +239,31 @@ mod tests {
 
     #[test]
     fn a_passed_deadline_cancels_at_the_first_check_and_not_before() {
-        let token = CancelToken::with_deadline(Duration::from_secs(3600));
+        let token = CancelToken::with_deadline(FAR);
         assert!(!token.is_cancelled());
-        assert!(token.remaining().expect("has a deadline") > Duration::from_secs(3000));
-        assert_eq!(token.overrun(), Some(Duration::ZERO));
+        assert!(token.remaining() > Duration::from_secs(3000));
+        assert_eq!(token.overrun(), Duration::ZERO);
 
         let token = CancelToken::with_deadline(Duration::ZERO);
         // Past its deadline, but nobody has asked yet.
         assert!(!token.tripped());
-        assert_eq!(token.remaining(), Some(Duration::ZERO));
+        assert_eq!(token.remaining(), Duration::ZERO);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            with_cancel(&token, || enter(Stage::RunTraced))
+            with_cancel(&token, || enter("run_traced"))
         }));
         let payload = result.expect_err("an expired stage boundary must unwind");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&CANCELLED));
-        assert!(token.tripped(), "the check latched the flag");
+        assert!(token.tripped(), "the check latched the token");
         assert!(token.clone().is_cancelled());
     }
 
     #[test]
     fn a_check_charges_the_time_since_the_last_one_to_the_stage_being_left() {
         crate::set_enabled(true);
-        with_cancel(&CancelToken::new(), || {
-            enter(Stage::Pas2pOrder);
+        with_cancel(&CancelToken::with_deadline(FAR), || {
+            enter("pas2p_order");
             std::thread::sleep(Duration::from_millis(5));
-            enter(Stage::ExtractPhases);
+            enter("extract_phases");
         });
         crate::set_enabled(false);
         let order = crate::histogram("cancel.checkpoint_gap_us.pas2p_order").summary();
@@ -312,13 +275,10 @@ mod tests {
 
     #[test]
     fn previous_token_is_restored() {
-        let outer = CancelToken::new();
-        let inner = CancelToken::new();
+        let outer = CancelToken::with_deadline(FAR);
+        let inner = CancelToken::with_deadline(Duration::ZERO);
         with_cancel(&outer, || {
-            with_cancel(&inner, || {
-                inner.cancel();
-                assert!(cancelled());
-            });
+            with_cancel(&inner, || assert!(cancelled()));
             // Back under the (live) outer token.
             assert!(!cancelled());
         });

@@ -6,7 +6,7 @@
 //! for that self-observation — every pipeline layer feeds one shared,
 //! process-wide instrumentation path instead of ad-hoc `Instant` math:
 //!
-//! * **[`logger`]** — a leveled, structured logger.
+//! * **[`logger`](mod@logger)** — a leveled, structured logger.
 //!   Human-readable lines go to stderr; JSON lines optionally to a file.
 //!   Configured via the `PAS2P_LOG` / `PAS2P_LOG_FILE` environment
 //!   variables or programmatically (`pas2p-cli --log-level/--log-file`).
@@ -26,9 +26,9 @@
 //!   [`ChromeTrace`] JSON exporter behind `pas2p-cli timeline` and the
 //!   `--trace-out` flags.
 //! * **[`cancel`]** — cooperative cancellation: a [`cancel::CancelToken`] is a
-//!   flag beside an optional deadline, installed per thread and asked
-//!   at checkpoints by the work itself; the gap between consecutive
-//!   checks is a histogram per pipeline stage.
+//!   deadline, installed per thread and asked at checkpoints by the
+//!   work itself — entering a stage is one — and the gap between
+//!   consecutive checks is a histogram named after the stage.
 //! * **[`farm`]** — the one fan-out of the workspace: an
 //!   ordered map over scoped workers, which is also where worker lanes,
 //!   the worker-exit [`events::flush`], panic re-raise and "one worker

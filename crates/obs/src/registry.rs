@@ -12,7 +12,9 @@
 //! A stage profile is recorded only by a finished [`StageGuard`]
 //! ([`Registry::stage`]), the same guard that opens the stage's
 //! `host.stage` timeline span, so every stage a snapshot lists is also
-//! a span of a traced run.
+//! a span of a traced run. Entering the stage is the same boundary for
+//! cancellation (`crate::cancel`): a stage is the one name shared by its
+//! profile, its span and its `cancel.checkpoint_gap_us.<name>` histogram.
 
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSummary};
 use serde::{Deserialize, Serialize};
@@ -96,7 +98,14 @@ impl Registry {
     /// ([`crate::events::set_tracing`]) the guard additionally opens a
     /// `host.stage` timeline span, so every profiled stage shows up in
     /// the exported timeline with no extra call-site code.
+    ///
+    /// Entering a stage is also its cancellation boundary: on a thread
+    /// running under a [`CancelToken`](crate::cancel::CancelToken) it is
+    /// a checkpoint (an expired token unwinds here), and the gaps
+    /// between checks from here on are recorded under
+    /// `cancel.checkpoint_gap_us.<name>`.
     pub fn stage(&'static self, name: &'static str) -> StageGuard {
+        crate::cancel::enter(name);
         let span = if crate::events::tracing_enabled() {
             Some(crate::events::trace_span("host.stage", name))
         } else {

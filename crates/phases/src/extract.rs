@@ -172,7 +172,6 @@ pub fn extract_phases(lt: &LogicalTrace, cfg: &SimilarityConfig) -> PhaseAnalysi
     let mut merger = Merger {
         lt,
         cfg,
-        nprocs: lt.nprocs as usize,
         boundary,
         running_counts: vec![0u64; lt.nprocs as usize],
         phases: Vec::new(),
@@ -277,7 +276,6 @@ fn scan_windows(lt: &LogicalTrace) -> Vec<(usize, usize)> {
 struct Merger<'a> {
     lt: &'a LogicalTrace,
     cfg: &'a SimilarityConfig,
-    nprocs: usize,
     boundary: Vec<f64>,
     /// Per-process event counts at the current save boundary. Saves are
     /// contiguous, so this always equals the counts at the next start.
@@ -365,7 +363,7 @@ impl Merger<'_> {
     fn merge_scalar(&mut self, windows: &[(usize, usize)]) {
         for &(s, e) in windows {
             pas2p_obs::cancel::checkpoint();
-            let pattern = self.pattern_of(s, e);
+            let pattern = pattern_of(self.lt, s, e);
             let occurrence = self.occurrence_of(s, e);
             let hit = self
                 .phases
@@ -390,24 +388,25 @@ impl Merger<'_> {
             self.soa_compares += stats.compares;
             self.band_rejects += stats.band_rejects;
             self.lsh_skipped += stats.lsh_skipped;
-            if self.commit(hit, occurrence, |m| m.pattern_of(s, e)) {
+            if self.commit(hit, occurrence, |m| pattern_of(m.lt, s, e)) {
                 index.push(Arc::new(candidate));
             }
         }
     }
+}
 
-    fn pattern_of(&self, s: usize, e: usize) -> Pattern {
-        self.lt.ticks[s..e]
-            .iter()
-            .map(|tick| {
-                let mut row = vec![None; self.nprocs];
-                for ev in &tick.events {
-                    row[ev.process as usize] = Some(CellSig::of(ev, self.lt.nprocs));
-                }
-                row
-            })
-            .collect()
-    }
+/// The `[tick][process]` cell pattern of ticks `start..end` of `lt`:
+/// what a phase keeps as its representative, and what the checker's
+/// SIG-SIM-002 re-reads each occurrence as.
+pub fn pattern_of(lt: &LogicalTrace, start: usize, end: usize) -> Pattern {
+    lt.ticks[start..end]
+        .iter()
+        .map(|tick| {
+            (0..lt.nprocs)
+                .map(|p| tick.event_of(p).map(|e| CellSig::of(e, lt.nprocs)))
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ pub mod sig;
 pub mod soa;
 pub mod table;
 
-pub use extract::{extract_phases, Occurrence, Pattern, Phase, PhaseAnalysis};
+pub use extract::{extract_phases, pattern_of, Occurrence, Pattern, Phase, PhaseAnalysis};
 pub use sig::{CellSig, SimilarityConfig, SimilarityKernel};
 pub use soa::{BandStats, MatchStats, SoaIndex, SoaPattern};
 pub use table::{MeasureWindow, PhaseRow, PhaseTable};

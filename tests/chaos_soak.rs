@@ -460,14 +460,13 @@ fn deadline_expiry_answers_timeout_and_frees_the_worker() {
     let socket = root.join("pas2p.sock");
     let gate = root.join("slow-disk-gate");
 
+    // The gate asks the deadline of the request that is blocked on it,
+    // so that request fails instead of blocking forever.
     let io = FaultStoreIo::new(vec![StoreFaultKind::BlockOnGate {
         op: StoreOp::Write,
         on_op: 1,
         gate: gate.to_string_lossy().into_owned(),
-    }])
-    // The gate honors the service's cancel token, so an abandoned
-    // runner unwinds instead of blocking forever.
-    .with_cancel_check(Box::new(pas2p::cancelled));
+    }]);
     let store = SignatureStore::open_with_io(&store_root, Box::new(io)).expect("open store");
     let svc = PredictionService::new(Pas2p::default(), store, Box::new(pas2p_apps::by_name))
         .with_deadline(Some(Duration::from_millis(400)));

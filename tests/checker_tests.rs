@@ -406,11 +406,11 @@ fn seeded_steal_trips_potential_deadlock() {
     assert_eq!(report.exit_code(), 1, "potential, not observed: warning");
 }
 
-/// The parallel check engine is an implementation detail: the rendered
-/// report and the SARIF export are byte-identical at any worker count,
-/// over a real application's full artifact set.
+/// The check report is a function of the artifacts: two runs over a
+/// real application's full artifact set render byte-identical reports
+/// and SARIF exports.
 #[test]
-fn check_report_is_worker_count_invariant_end_to_end() {
+fn check_report_and_sarif_are_reproducible_end_to_end() {
     let app = pas2p_apps::by_name("masterworker", 8).unwrap();
     let base = cluster_a();
     let (trace, _) = run_traced(
@@ -431,23 +431,17 @@ fn check_report_is_worker_count_invariant_end_to_end() {
         similarity: cfg,
         ingest: None,
     };
-    let baseline = CheckEngine::with_default_rules().run(&artifacts);
-    let rendered = baseline.render();
-    let sarif = pas2p_check::to_sarif(&baseline);
-    assert!(!baseline.diagnostics.is_empty(), "wildcard infos expected");
-    for workers in [1usize, 4, 8] {
-        let report = CheckEngine::with_default_rules()
-            .with_workers(workers)
-            .run(&artifacts);
-        assert_eq!(
-            report.render(),
-            rendered,
-            "rendered report differs at {workers} workers"
-        );
-        assert_eq!(
-            pas2p_check::to_sarif(&report),
-            sarif,
-            "SARIF export differs at {workers} workers"
-        );
-    }
+    let first = CheckEngine::with_default_rules().run(&artifacts);
+    assert!(!first.diagnostics.is_empty(), "wildcard infos expected");
+    let second = CheckEngine::with_default_rules().run(&artifacts);
+    assert_eq!(
+        second.render(),
+        first.render(),
+        "rendered report differs between two runs"
+    );
+    assert_eq!(
+        pas2p_check::to_sarif(&second),
+        pas2p_check::to_sarif(&first),
+        "SARIF export differs between two runs"
+    );
 }

@@ -197,6 +197,23 @@ one_reply_render() {
   fi
 }
 
+# A stage is its own cancellation boundary: entering a
+# pas2p_obs::stage is the checkpoint, and its gap histogram carries the
+# stage's name. A stage enum, a separate `enter(` or a bare
+# `checkpoint()` outside the #[cfg(test)] tail of a file in
+# crates/core/src is a second list of stage boundaries that can drift
+# from the stage profiles.
+a_stage_is_its_own_boundary() {
+  bad=0
+  for f in $(find crates/core/src -name '*.rs'); do
+    awk '/#\[cfg\(test\)\]/ { exit }
+         /^[[:space:]]*\/\// { next }
+         /cancel::Stage|(^|[^A-Za-z0-9_])enter\(|(^|[^A-Za-z0-9_])checkpoint\(\)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+         END { exit bad }' "$f" || bad=1
+  done
+  return $bad
+}
+
 guard "no wall-clock waits in the simulator" no_wall_clock_waits_in_the_simulator
 guard "one worker pool (threads, lanes and worker-exit flushes live in the farm)" one_worker_pool
 guard "one collective seam (the eight _in collectives are provided by the Mpi trait only)" one_collective_seam
@@ -204,6 +221,7 @@ guard "one measurement system (no second harness, no Criterion)" one_measurement
 guard "a store file is a struct (no hand-spelled codec beside the derives)" a_store_file_is_a_struct
 guard "one way into the store (one put_signature call; service.rs does not name the batch driver)" one_way_into_the_store
 guard "one reply render (a stored prediction is parsed into a Value at one site in crates/core/src)" one_reply_render
+guard "a stage is its own cancellation boundary (no stage enum, enter( or bare checkpoint() in crates/core/src)" a_stage_is_its_own_boundary
 guard "every dependency is in the tree (five stand-ins by path, three crates gone)" every_dependency_is_in_the_tree
 guard "every declared dependency is used" every_declared_dependency_is_used
 exit $failed
