@@ -58,7 +58,6 @@ impl MpiApp for BtApp {
         let local = 384usize;
         let mut rng = SplitMix::new(0xB7 ^ rank as u64);
         Box::new(AdiRank {
-            name: "BT",
             rank,
             rows,
             cols,
@@ -78,9 +77,6 @@ impl MpiApp for BtApp {
 /// Shared rank program for the ADI-style solvers (BT and SP): they differ
 /// in message sizes, sweep counts and flop balance.
 pub(crate) struct AdiRank {
-    /// Solver family label, surfaced in panics/diagnostics.
-    #[allow(dead_code)]
-    pub name: &'static str,
     pub rank: u32,
     pub rows: u32,
     pub cols: u32,

@@ -55,7 +55,6 @@ impl MpiApp for SpApp {
         let local = 320usize;
         let mut rng = SplitMix::new(0x59 ^ rank as u64);
         Box::new(AdiRank {
-            name: "SP",
             rank,
             rows,
             cols,

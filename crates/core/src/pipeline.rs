@@ -135,12 +135,10 @@ impl Pas2p {
             .map(|(analysis, _)| analysis)
     }
 
-    /// Stage A over a live run: run the instrumented application on
-    /// `base`, then order, extract and tabulate its trace. With an
-    /// `engine`, the `pas2p-check` rules run over every artifact of the
-    /// stage and the [`CheckReport`] rides on the analysis. Returns the
-    /// physical and logical traces alongside, for the timeline exporter
-    /// and `pas2p-cli check --logical-out`.
+    /// Stage A over a live run: [`Pas2p::record`], then
+    /// [`Pas2p::analyze_trace`]. Returns the physical and logical traces
+    /// alongside, for the timeline exporter and `pas2p-cli check
+    /// --logical-out`.
     pub fn analyze_run(
         &self,
         app: &dyn MpiApp,
@@ -148,6 +146,14 @@ impl Pas2p {
         policy: MappingPolicy,
         engine: Option<&CheckEngine>,
     ) -> (Analysis, Trace, LogicalTrace) {
+        let trace = self.record(app, base, policy);
+        let (analysis, logical) = self.analyze_trace(&app.name(), &app.workload(), &trace, engine);
+        (analysis, trace, logical)
+    }
+
+    /// The `run_traced` stage: run the instrumented application on
+    /// `base` and return its trace.
+    pub fn record(&self, app: &dyn MpiApp, base: &MachineModel, policy: MappingPolicy) -> Trace {
         // Entering a stage is a cancellation checkpoint: a job or
         // request past its deadline unwinds there at the latest (the
         // stages with long loops also ask inside).
@@ -155,13 +161,23 @@ impl Pas2p {
         let (trace, _) = run_traced(app, base, policy, self.instrumentation);
         st.items(trace.total_events() as u64);
         st.finish();
+        trace
+    }
 
-        // A trace this process just recorded is structurally sound; one
-        // that does not order is a bug, raised as `pas2p_order` does.
-        let (analysis, logical) = self
-            .stage_a(&app.name(), &app.workload(), &trace, None, 0.0, engine)
-            .unwrap_or_else(|e| panic!("{}", e));
-        (analysis, trace, logical)
+    /// Stage A over a trace this process recorded ([`Pas2p::record`]):
+    /// order, extract and tabulate it. With an `engine`, the
+    /// `pas2p-check` rules run over every artifact of the stage and the
+    /// [`CheckReport`] rides on the analysis. A recorded trace that does
+    /// not order is a bug, and panics as `pas2p_order` does.
+    pub fn analyze_trace(
+        &self,
+        app_name: &str,
+        workload: &str,
+        trace: &Trace,
+        engine: Option<&CheckEngine>,
+    ) -> (Analysis, LogicalTrace) {
+        self.stage_a(app_name, workload, trace, None, 0.0, engine)
+            .unwrap_or_else(|e| panic!("{}", e))
     }
 
     /// Stage A from a serialized trace buffer instead of a live run,

@@ -237,14 +237,26 @@ impl PredictionService {
             alias: alias.clone(),
         };
         let Shared { pas2p, policy, .. } = shared;
-        let (analysis, trace, _logical) = pas2p.analyze_full(app.as_ref(), base, policy.clone());
-        // The content address: the encoded trace, the base machine and
-        // the configuration.
-        let key = signature_key(
-            &pas2p_trace::format::encode(&trace),
-            base,
-            &shared.fingerprint,
+        let trace = pas2p.record(app.as_ref(), base, policy.clone());
+        // The content address (the encoded trace, the base machine and
+        // the configuration) is hashed on the idle core while this
+        // thread runs Stage A; `key.wait` is what Stage A did not hide.
+        let (key, ((analysis, _logical), wait)) = pas2p_obs::farm::beside(
+            "key",
+            || {
+                let mut st = pas2p_obs::stage("key");
+                let bytes = pas2p_trace::format::encode(&trace);
+                st.items(bytes.len() as u64);
+                let key = signature_key(&bytes, base, &shared.fingerprint);
+                st.finish();
+                key
+            },
+            || {
+                let stage_a = pas2p.analyze_trace(&app.name(), &app.workload(), &trace, None);
+                (stage_a, pas2p_obs::stage("key.wait"))
+            },
         );
+        wait.finish();
         let (signature, _stats) =
             pas2p.build_signature(app.as_ref(), &analysis, base, policy.clone());
         // The analysis is not stored (a host-timed TFAT rides in the

@@ -29,10 +29,10 @@
 //!   deadline, installed per thread and asked at checkpoints by the
 //!   work itself — entering a stage is one — and the gap between
 //!   consecutive checks is a histogram named after the stage.
-//! * **[`farm`]** — the one fan-out of the workspace: an
-//!   ordered map over scoped workers, which is also where worker lanes,
-//!   the worker-exit [`events::flush`], panic re-raise and "one worker
-//!   per core" live.
+//! * **[`farm`]** — every fan-out of the workspace: an ordered map over
+//!   scoped workers, and one closure run beside the calling thread; the
+//!   farm is also where worker lanes, the worker-exit [`events::flush`],
+//!   panic re-raise and "one worker per core" live.
 //!
 //! # Cost model
 //!

@@ -70,6 +70,19 @@ one_worker_pool() {
          /events::flush\(\)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
          END { exit bad }' "$f" || bad=1
   done
+  # One closure runs beside the calling thread, once: the content key
+  # of a cold submit, hashed while Stage A runs (a second partner, such
+  # as construct, shares the cores with its own simulated ranks).
+  besides=$(for f in $(find src crates/*/src -name '*.rs'); do
+              awk '/#\[cfg\(test\)\]/ { exit }
+                   /^[[:space:]]*\/\// { next }
+                   /farm::beside/ { print FILENAME ":" FNR ": " $0 }' "$f"
+            done)
+  if [ "$(printf '%s' "$besides" | grep -c .)" -ne 1 ] ||
+     ! grep -q '^crates/core/src/service.rs:' <<<"$besides"; then
+    echo "farm::beside calls outside tests, expected 1 in crates/core/src/service.rs:"
+    echo "$besides"; bad=1
+  fi
   # The server owns connections, not work: a request runs on the
   # thread that read it, so outside its test tail server.rs has
   # no channel, no polled listener, and starts exactly one kind
