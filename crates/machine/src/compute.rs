@@ -39,22 +39,6 @@ impl Work {
         Work { flops, mem_bytes }
     }
 
-    /// Sum of two work descriptors.
-    pub fn plus(self, other: Work) -> Work {
-        Work {
-            flops: self.flops + other.flops,
-            mem_bytes: self.mem_bytes + other.mem_bytes,
-        }
-    }
-
-    /// Scale work by a factor (e.g. problem-size scaling).
-    pub fn scaled(self, k: f64) -> Work {
-        Work {
-            flops: self.flops * k,
-            mem_bytes: self.mem_bytes * k,
-        }
-    }
-
     /// True if this work is empty (costs no time).
     pub fn is_zero(self) -> bool {
         self.flops == 0.0 && self.mem_bytes == 0.0
@@ -112,9 +96,10 @@ mod tests {
 
     #[test]
     fn work_algebra() {
-        let w = Work::flops(10.0).plus(Work::mem(20.0)).scaled(2.0);
-        assert_eq!(w.flops, 20.0);
-        assert_eq!(w.mem_bytes, 40.0);
+        let w = Work::new(20.0, 40.0);
+        assert_eq!((w.flops, w.mem_bytes), (20.0, 40.0));
+        assert_eq!(Work::flops(10.0), Work::new(10.0, 0.0));
+        assert_eq!(Work::mem(20.0), Work::new(0.0, 20.0));
         assert!(!w.is_zero());
         assert!(Work::default().is_zero());
     }

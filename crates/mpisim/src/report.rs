@@ -35,14 +35,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Mean final clock across ranks.
-    pub fn mean_clock(&self) -> f64 {
-        if self.rank_clocks.is_empty() {
-            return 0.0;
-        }
-        self.rank_clocks.iter().sum::<f64>() / self.rank_clocks.len() as f64
-    }
-
     /// Load imbalance: (max − min) / max final clock, 0 for perfectly
     /// balanced runs.
     pub fn imbalance(&self) -> f64 {
@@ -78,7 +70,6 @@ mod tests {
     #[test]
     fn mean_and_imbalance() {
         let r = report(vec![1.0, 2.0, 3.0]);
-        assert!((r.mean_clock() - 2.0).abs() < 1e-12);
         assert!((r.imbalance() - 2.0 / 3.0).abs() < 1e-12);
     }
 
@@ -90,17 +81,15 @@ mod tests {
 
     #[test]
     fn empty_report_yields_zeros() {
-        // No rank clocks at all: both statistics must degrade to 0 rather
-        // than divide by zero or return NaN/-inf from the folds.
+        // No rank clocks at all: the imbalance must degrade to 0 rather
+        // than return NaN/-inf from the folds.
         let r = report(vec![]);
-        assert_eq!(r.mean_clock(), 0.0);
         assert_eq!(r.imbalance(), 0.0);
     }
 
     #[test]
     fn single_rank_is_perfectly_balanced() {
         let r = report(vec![3.5]);
-        assert!((r.mean_clock() - 3.5).abs() < 1e-12);
         assert_eq!(r.imbalance(), 0.0);
     }
 
@@ -109,7 +98,6 @@ mod tests {
         // max == 0 would make (max - min) / max a 0/0; the guard must
         // report 0, not NaN.
         let r = report(vec![0.0, 0.0, 0.0]);
-        assert_eq!(r.mean_clock(), 0.0);
         assert_eq!(r.imbalance(), 0.0);
         assert!(!r.imbalance().is_nan());
     }

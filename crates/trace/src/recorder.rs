@@ -169,11 +169,6 @@ impl<'a, C: Mpi> Traced<'a, C> {
         }
     }
 
-    /// Number of events recorded so far on this rank.
-    pub fn recorded(&self) -> usize {
-        self.events.len()
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn record(
         &mut self,
