@@ -276,13 +276,9 @@ fn run_job(
             (status, Ok(analysis))
         }
         Err(Stopped::TimedOut { error, .. }) => {
-            if pas2p_obs::tracing_enabled() {
-                pas2p_obs::instant(
-                    "host.batch",
-                    "deadline expired",
-                    vec![("app", job.app.name()), ("error", error.clone())],
-                );
-            }
+            pas2p_obs::instant("host.batch", "deadline expired", || {
+                vec![("app", job.app.name()), ("error", error.clone())]
+            });
             (BatchStatus::TimedOut, Err((error, None)))
         }
         Err(Stopped::Failed(failure)) => (BatchStatus::Failed, Err(failure)),
@@ -312,14 +308,7 @@ pub fn run_batch_with(pas2p: &Pas2p, jobs: Vec<BatchJob>, opts: BatchOptions) ->
         // One aggregated histogram for all jobs, not a stage profile per
         // job, which would grow the snapshot with the batch size.
         let app_name = job.app.name();
-        let job_span = if pas2p_obs::tracing_enabled() {
-            Some(pas2p_obs::trace_span(
-                "host.job",
-                &format!("job {index}: {app_name}"),
-            ))
-        } else {
-            None
-        };
+        let job_span = pas2p_obs::trace_span("host.job", format_args!("job {index}: {app_name}"));
         let started = std::time::Instant::now();
         let (status, result) = run_job(pas2p, &job, opts.deadline);
         if pas2p_obs::enabled() {
@@ -334,12 +323,7 @@ pub fn run_batch_with(pas2p: &Pas2p, jobs: Vec<BatchJob>, opts: BatchOptions) ->
         if pas2p_obs::enabled() {
             pas2p_obs::histogram("batch.job_micros").record((job_seconds * 1e6) as u64);
         }
-        if let Some(span) = job_span {
-            span.finish_with(vec![
-                ("app", app_name.clone()),
-                ("status", status.to_string()),
-            ]);
-        }
+        job_span.finish_with(|| vec![("app", app_name.clone()), ("status", status.to_string())]);
         let (ingest, analysis, error) = match result {
             Ok(analysis) => (analysis.ingest.clone(), Some(analysis), None),
             Err((error, ingest)) => (ingest, None, Some(error)),

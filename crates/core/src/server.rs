@@ -146,10 +146,6 @@ pub fn serve_unix_with(
         connections.push(std::thread::spawn(move || {
             handle_connection(stream, &svc, &stop);
             svc.serve_stats().connections.fetch_sub(1, Ordering::SeqCst);
-            // Shutdown stops waiting for this thread once the counter
-            // above drops, which is before its exit-time drain: hand
-            // the buffered events over now.
-            pas2p_obs::events::flush();
         }));
         connections.retain(|h| !h.is_finished());
     };

@@ -146,11 +146,7 @@ where
                 // Timeline span for this rank's host thread (wall-clock
                 // domain; the *virtual* rank timeline is reconstructed
                 // from the recorded trace at export, never sampled here).
-                let rank_span = if pas2p_obs::tracing_enabled() {
-                    Some(pas2p_obs::trace_span("host.rank", &format!("rank {rank}")))
-                } else {
-                    None
-                };
+                let rank_span = pas2p_obs::trace_span("host.rank", format_args!("rank {rank}"));
                 let mut ctx = RankCtx::new(rank as u32, n, rx, senders, shared.clone());
                 let result = panic::catch_unwind(AssertUnwindSafe(|| {
                     f(&mut ctx);
@@ -173,13 +169,8 @@ where
                     }
                 }
                 clocks.lock()[rank] = ctx.final_clock();
-                if let Some(span) = rank_span {
-                    span.finish_with(vec![("virtual_clock", format!("{:.6}", ctx.final_clock()))]);
-                    // Scoped threads unblock the scope before TLS
-                    // destructors run; hand the events over while the
-                    // scope still waits on this closure.
-                    pas2p_obs::events::flush();
-                }
+                rank_span
+                    .finish_with(|| vec![("virtual_clock", format!("{:.6}", ctx.final_clock()))]);
             });
         }
     });

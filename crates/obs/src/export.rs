@@ -221,7 +221,7 @@ impl ChromeTrace {
                 }
                 EventPhase::End => {
                     let Some(begin_idx) = open.remove(&e.id) else {
-                        continue; // end without begin: buffer overflow drop
+                        continue; // end without begin: taken between the two
                     };
                     let b = &events[begin_idx];
                     let mut args: Vec<(String, String)> = Vec::new();

@@ -28,9 +28,7 @@
 //! * **Worker lanes.** Each worker opens one [`CAT_HOST_WORKER`] span
 //!   named `lane` for its lifetime (the worker index rides in the
 //!   span's args, so spans nested under a lane name the same parent at
-//!   any worker count) and calls [`events::flush`] before it returns —
-//!   `std::thread::scope` unblocks before TLS destructors run, so the
-//!   exit-time drain would race a `take()` right after the call.
+//!   any worker count).
 //! * **Panics.** A panicking task is caught on its worker and the other
 //!   tasks still run; afterwards the payload of the lowest-indexed
 //!   panicking task is re-raised on the calling thread — the task's own
@@ -123,14 +121,11 @@ pub fn beside<A: Send, B>(
 }
 
 /// One worker's life: a [`CAT_HOST_WORKER`] span named `lane` around
-/// `work` (closed with the worker index and the tasks `work` ran), then
-/// the worker-exit [`events::flush`].
+/// `work`, closed with the worker index and the tasks `work` ran.
 fn on_lane<R>(lane: &str, worker: usize, work: impl FnOnce() -> (R, usize)) -> R {
     let span = events::trace_span(CAT_HOST_WORKER, lane);
     let (out, tasks) = work();
-    let args = vec![("worker", worker.to_string()), ("tasks", tasks.to_string())];
-    span.finish_with(args);
-    events::flush();
+    span.finish_with(|| vec![("worker", worker.to_string()), ("tasks", tasks.to_string())]);
     out
 }
 

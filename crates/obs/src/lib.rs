@@ -19,9 +19,9 @@
 //!   profiles ([`StageGuard`] wall-clock + events/sec per pipeline stage)
 //!   and the serializable [`MetricsSnapshot`] embedded into
 //!   `Analysis`/`Prediction` JSON and written by `pas2p-cli --metrics`.
-//! * **[`events`]** — timeline tracing: per-thread ring buffers of
-//!   timestamped span/instant/flow events (gated separately via
-//!   [`set_tracing`] / `PAS2P_TRACE=1`), feeding…
+//! * **[`events`]** — timeline tracing: timestamped span/instant/flow
+//!   events recorded straight into one process-wide sink (gated
+//!   separately via [`set_tracing`] / `PAS2P_TRACE=1`), feeding…
 //! * **[`export`]** — …the Chrome Trace Event / Perfetto-compatible
 //!   [`ChromeTrace`] JSON exporter behind `pas2p-cli timeline` and the
 //!   `--trace-out` flags.
@@ -31,8 +31,8 @@
 //!   consecutive checks is a histogram named after the stage.
 //! * **[`farm`]** — every fan-out of the workspace: an ordered map over
 //!   scoped workers, and one closure run beside the calling thread; the
-//!   farm is also where worker lanes, the worker-exit [`events::flush`],
-//!   panic re-raise and "one worker per core" live.
+//!   farm is also where worker lanes, panic re-raise and "one worker
+//!   per core" live.
 //!
 //! # Cost model
 //!
@@ -48,8 +48,10 @@
 //! ```
 //!
 //! Metric collection is **disabled by default**; enable it with
-//! [`set_enabled`] or `PAS2P_OBS=1`. The `obs_overhead` bench guards the
-//! disabled-path cost.
+//! [`set_enabled`] or `PAS2P_OBS=1`. The benchmark ledger's
+//! `obs.enabled_overhead_pct` measures what switching metrics on costs.
+//! Event tracing has its gate inside [`events`]: off, a recording call
+//! formats nothing and allocates nothing.
 //!
 //! # Example
 //!
@@ -75,9 +77,7 @@ pub mod logger;
 pub mod metrics;
 pub mod registry;
 
-pub use events::{
-    flow_end, flow_start, instant, set_tracing, trace_span, tracing_enabled, EventSpan,
-};
+pub use events::{flow_end, flow_start, instant, set_tracing, trace_span, EventSpan};
 pub use export::{ChromeEvent, ChromeTrace, CAT_HOST_WORKER, PID_APP, PID_HOST};
 pub use logger::{log, logger, Level, Logger};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary};

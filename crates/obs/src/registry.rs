@@ -106,17 +106,12 @@ impl Registry {
     /// `cancel.checkpoint_gap_us.<name>`.
     pub fn stage(&'static self, name: &'static str) -> StageGuard {
         crate::cancel::enter(name);
-        let span = if crate::events::tracing_enabled() {
-            Some(crate::events::trace_span("host.stage", name))
-        } else {
-            None
-        };
         StageGuard {
             registry: self,
             name,
             start: Instant::now(),
             items: 0,
-            span,
+            span: crate::events::trace_span("host.stage", name),
         }
     }
 
@@ -215,7 +210,7 @@ pub struct StageGuard {
     name: &'static str,
     start: Instant,
     items: u64,
-    span: Option<crate::events::EventSpan>,
+    span: crate::events::EventSpan,
 }
 
 impl StageGuard {
@@ -227,11 +222,10 @@ impl StageGuard {
 
     /// Stop the clock; returns elapsed seconds unconditionally and
     /// records a [`StageProfile`] when observability is enabled.
-    pub fn finish(mut self) -> f64 {
+    pub fn finish(self) -> f64 {
         let wall = self.start.elapsed().as_secs_f64();
-        if let Some(span) = self.span.take() {
-            span.finish_with(vec![("items", self.items.to_string())]);
-        }
+        self.span
+            .finish_with(|| vec![("items", self.items.to_string())]);
         if self.registry.enabled() {
             self.registry.record_stage(self.name, wall, self.items);
         }

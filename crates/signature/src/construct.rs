@@ -230,18 +230,14 @@ pub fn construct_signature(
         pas2p_obs::counter("signature.checkpoint_bytes").add(ckpt_bytes);
         pas2p_obs::gauge("signature.sct_seconds").set(stats.sct);
     }
-    if pas2p_obs::tracing_enabled() {
-        pas2p_obs::instant(
-            "host.signature",
-            "signature constructed",
-            vec![
-                ("app", signature.app_name.clone()),
-                ("checkpoints", signature.entries.len().to_string()),
-                ("ckpt_bytes", ckpt_bytes.to_string()),
-                ("sct_virtual_s", format!("{:.6}", stats.sct)),
-            ],
-        );
-    }
+    pas2p_obs::instant("host.signature", "signature constructed", || {
+        vec![
+            ("app", signature.app_name.clone()),
+            ("checkpoints", signature.entries.len().to_string()),
+            ("ckpt_bytes", ckpt_bytes.to_string()),
+            ("sct_virtual_s", format!("{:.6}", stats.sct)),
+        ]
+    });
     (signature, stats)
 }
 

@@ -318,18 +318,14 @@ pub fn execute_signature(
             report.makespan
         };
 
-        if pas2p_obs::tracing_enabled() {
-            pas2p_obs::instant(
-                "host.signature",
-                "phase measured",
-                vec![
-                    ("phase", entry.row.phase_id.to_string()),
-                    ("weight", entry.row.weight.to_string()),
-                    ("phase_et_virtual_s", format!("{:.6}", harness.phase_et())),
-                    ("restart_cost_s", format!("{:.6}", restart_cost)),
-                ],
-            );
-        }
+        pas2p_obs::instant("host.signature", "phase measured", || {
+            vec![
+                ("phase", entry.row.phase_id.to_string()),
+                ("weight", entry.row.weight.to_string()),
+                ("phase_et_virtual_s", format!("{:.6}", harness.phase_et())),
+                ("restart_cost_s", format!("{:.6}", restart_cost)),
+            ]
+        });
         measurements.push(PhaseMeasurement {
             phase_id: entry.row.phase_id,
             weight: entry.row.weight,

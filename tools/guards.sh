@@ -34,9 +34,8 @@ no_wall_clock_waits_in_the_simulator() {
 # does (one per connection): the fan-outs of check and of the batch
 # driver are calls into pas2p_obs::farm, and a deadline is a clock
 # reading in the cancel token, not a runner thread with a channel back.
-# A thread started anywhere else in those crates, a channel in core, or
-# an events::flush() call outside the farm, the simulator runtime and
-# the server's connection threads, is a regression.
+# A thread started anywhere else in those crates, or a channel in core,
+# is a regression.
 one_worker_pool() {
   bad=0
   for f in crates/phases/src/*.rs crates/model/src/*.rs crates/check/src/*.rs \
@@ -58,16 +57,6 @@ one_worker_pool() {
     awk '/#\[cfg\(test\)\]/ { exit }
          /^[[:space:]]*\/\// { next }
          /mpsc::|recv_timeout/ { print FILENAME ":" FNR ": " $0; bad = 1 }
-         END { exit bad }' "$f" || bad=1
-  done
-  for f in $(grep -rl 'events::flush()' src crates/*/src); do
-    case "$f" in
-      crates/obs/src/farm.rs|crates/mpisim/src/runtime.rs) continue ;;
-      crates/core/src/server.rs) continue ;;
-    esac
-    awk '/#\[cfg\(test\)\]/ { exit }
-         /^[[:space:]]*\/\// { next }
-         /events::flush\(\)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
          END { exit bad }' "$f" || bad=1
   done
   # One closure runs beside the calling thread, once: the content key
