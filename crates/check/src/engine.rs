@@ -14,10 +14,14 @@
 
 use crate::diag::{Diagnostic, Severity};
 use pas2p_model::LogicalTrace;
+use pas2p_obs::Counter;
 use pas2p_phases::{PhaseAnalysis, PhaseTable, SimilarityConfig};
 use pas2p_trace::{IngestReport, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+
+static RUNS: Counter = Counter::new("check.runs");
+static FINDINGS: Counter = Counter::new("check.findings");
 
 /// Everything a rule may look at. Each stage is optional so the engine
 /// can check whatever subset of the pipeline the caller has — rules skip
@@ -165,10 +169,8 @@ impl CheckEngine {
 
 /// Sort the findings canonically and collapse duplicates.
 fn canonical_report(mut diagnostics: Vec<Diagnostic>) -> CheckReport {
-    if pas2p_obs::enabled() {
-        for d in &diagnostics {
-            pas2p_obs::counter(crate::rules::hit_metric(&d.code)).add(1);
-        }
+    for d in &diagnostics {
+        crate::rules::hits(&d.code).inc();
     }
     diagnostics.sort_by(|a, b| canonical_key(a).cmp(&canonical_key(b)));
     // Identical (code, severity, location) triples are one finding
@@ -176,10 +178,8 @@ fn canonical_report(mut diagnostics: Vec<Diagnostic>) -> CheckReport {
     // event; the canonical sort makes "first" deterministic.
     let mut seen: HashSet<(String, Severity, crate::diag::Location)> = HashSet::new();
     diagnostics.retain(|d| seen.insert((d.code.clone(), d.severity, d.location.clone())));
-    if pas2p_obs::enabled() {
-        pas2p_obs::counter("check.runs").add(1);
-        pas2p_obs::counter("check.findings").add(diagnostics.len() as u64);
-    }
+    RUNS.inc();
+    FINDINGS.add(diagnostics.len() as u64);
     CheckReport { diagnostics }
 }
 

@@ -33,10 +33,17 @@
 use crate::diag::{Diagnostic, Location, Severity};
 use crate::engine::Artifacts;
 use crate::hb::HbAnalysis;
+use pas2p_obs::Counter;
 use pas2p_trace::{
     match_sets, replay, CandidateSend, EventKind, MatchSets, Trace, TraceEvent, WildcardMatch,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
+
+static WILDCARDS: Counter = Counter::new("check.hb.wildcards");
+static CANDIDATES: Counter = Counter::new("check.hb.candidates");
+static RACES: Counter = Counter::new("check.hb.races");
+static POTENTIAL_DEADLOCKS: Counter = Counter::new("check.hb.potential_deadlocks");
+static STEALS: Counter = Counter::new("check.hb.steals");
 
 /// The happens-before rule family (`MSG-RACE-00x`, `DLK-POT-001`,
 /// `WILD-RECV-002`, `SIG-STAB-001`).
@@ -51,10 +58,8 @@ pub(crate) fn check(artifacts: &Artifacts<'_>, out: &mut Vec<Diagnostic>) {
         // match-set size) clock analysis is skipped entirely.
         return;
     }
-    if pas2p_obs::enabled() {
-        pas2p_obs::counter("check.hb.wildcards").add(sets.wildcards.len() as u64);
-        pas2p_obs::counter("check.hb.candidates").add(sets.total_candidates() as u64);
-    }
+    WILDCARDS.add(sets.wildcards.len() as u64);
+    CANDIDATES.add(sets.total_candidates() as u64);
     let hb = HbAnalysis::compute(trace);
     let race_events = check_races(trace, &sets, &hb, out);
     if hb.complete {
@@ -234,8 +239,8 @@ fn check_races(
         );
     }
 
-    if pas2p_obs::enabled() && !windows.is_empty() {
-        pas2p_obs::counter("check.hb.races").add(windows.len() as u64);
+    if !windows.is_empty() {
+        RACES.add(windows.len() as u64);
     }
     windows
 }
@@ -380,10 +385,8 @@ fn check_potential_deadlock(trace: &Trace, sets: &MatchSets, out: &mut Vec<Diagn
              interleaving; order the receives or name their sources",
         ),
     );
-    if pas2p_obs::enabled() {
-        pas2p_obs::counter("check.hb.potential_deadlocks").add(1);
-        pas2p_obs::counter("check.hb.steals").add(steals);
-    }
+    POTENTIAL_DEADLOCKS.inc();
+    STEALS.add(steals);
 }
 
 /// `SIG-STAB-001`: phases whose occurrences overlap a race window.

@@ -1,53 +1,57 @@
 //! Every rule code the shipped families can emit, declared once: the
 //! SARIF rule list and the per-rule hit counters both read [`RULES`].
 
-/// `(code, hit-counter metric, short description)`, sorted by code. The
-/// metric is spelled out because `pas2p-obs` counters take
-/// `&'static str`; the description is what SARIF viewers surface and
-/// names what the rule checks (DESIGN.md, "Invariant rules").
+use pas2p_obs::Counter;
+
+/// `(code, hit counter, short description)`, sorted by code. The
+/// counter is named after the code; the description is what SARIF
+/// viewers surface and names what the rule checks (DESIGN.md,
+/// "Invariant rules").
 #[rustfmt::skip] // one rule per line
-pub const RULES: &[(&str, &str, &str)] = &[
-    ("DLK-POT-001",      "check.hit.dlk_pot_001",      "An alternative wildcard matching wedges: potential deadlock"),
-    ("INGEST-DUP-001",   "check.hit.ingest_dup_001",   "Recovering decoder renumbered duplicate records"),
-    ("INGEST-FATAL-001", "check.hit.ingest_fatal_001", "Trace buffer unusable"),
-    ("INGEST-RANK-001",  "check.hit.ingest_rank_001",  "A rank never appeared in the trace"),
-    ("INGEST-REC-001",   "check.hit.ingest_rec_001",   "Records quarantined during ingest"),
-    ("INGEST-TRUNC-001", "check.hit.ingest_trunc_001", "A trace section was truncated"),
-    ("LT-COLL-001",      "check.hit.lt_coll_001",      "A collective is split across logical ticks"),
-    ("LT-RECV-001",      "check.hit.lt_recv_001",      "A receive is placed before its send"),
-    ("MODEL-CONS-001",   "check.hit.model_cons_001",   "Events lost or invented by the relayout"),
-    ("MODEL-ORDER-001",  "check.hit.model_order_001",  "Program order broken on the tick axis"),
-    ("MODEL-SPAN-001",   "check.hit.model_span_001",   "Phase occurrence with negative global span"),
-    ("MODEL-TICK-001",   "check.hit.model_tick_001",   "Two events of one process share a tick"),
-    ("MSG-RACE-001",     "check.hit.msg_race_001",     "Wildcard receive race changes the recorded event structure"),
-    ("MSG-RACE-002",     "check.hit.msg_race_002",     "Wildcard receive can steal a deterministic receive's message"),
-    ("P2P-MATCH-001",    "check.hit.p2p_match_001",    "Send without a matching receive"),
-    ("P2P-MATCH-002",    "check.hit.p2p_match_002",    "Receive without a matching send"),
-    ("P2P-MATCH-003",    "check.hit.p2p_match_003",    "Matched pair disagrees on size"),
-    ("P2P-MATCH-004",    "check.hit.p2p_match_004",    "Matched pair disagrees on endpoints"),
-    ("P2P-MATCH-005",    "check.hit.p2p_match_005",    "Matched pair disagrees on tag"),
-    ("PET-EQ-001",       "check.hit.pet_eq_001",       "PET reconstruction identity fails"),
-    ("PET-EQ-002",       "check.hit.pet_eq_002",       "AET is not positive: the PET identity is undefined"),
-    ("SIG-COV-001",      "check.hit.sig_cov_001",      "Low relevant coverage"),
-    ("SIG-OCC-001",      "check.hit.sig_occ_001",      "Occurrences do not tile the trace"),
-    ("SIG-REL-001",      "check.hit.sig_rel_001",      "Table rows disagree with the analysis"),
-    ("SIG-ROW-001",      "check.hit.sig_row_001",      "Signature row bookkeeping broken"),
-    ("SIG-SIM-001",      "check.hit.sig_sim_001",      "Similarity bookkeeping broken (merge)"),
-    ("SIG-SIM-002",      "check.hit.sig_sim_002",      "Similarity bookkeeping broken (split)"),
-    ("SIG-STAB-001",     "check.hit.sig_stab_001",     "Phase occurrences overlap a message-race window"),
-    ("SIG-W-001",        "check.hit.sig_w_001",        "Phase weight disagrees with occurrence count"),
-    ("WFG-CYCLE-001",    "check.hit.wfg_cycle_001",    "The traced order deadlocks under deterministic replay"),
-    ("WILD-RECV-001",    "check.hit.wild_recv_001",    "Wildcard-source receives posted"),
-    ("WILD-RECV-002",    "check.hit.wild_recv_002",    "Symmetric wildcard race: order-dependent match, stable structure"),
+pub static RULES: [(&str, Counter, &str); 32] = [
+    ("DLK-POT-001",      Counter::new("check.hit.dlk_pot_001"),       "An alternative wildcard matching wedges: potential deadlock"),
+    ("INGEST-DUP-001",   Counter::new("check.hit.ingest_dup_001"),    "Recovering decoder renumbered duplicate records"),
+    ("INGEST-FATAL-001", Counter::new("check.hit.ingest_fatal_001"),  "Trace buffer unusable"),
+    ("INGEST-RANK-001",  Counter::new("check.hit.ingest_rank_001"),   "A rank never appeared in the trace"),
+    ("INGEST-REC-001",   Counter::new("check.hit.ingest_rec_001"),    "Records quarantined during ingest"),
+    ("INGEST-TRUNC-001", Counter::new("check.hit.ingest_trunc_001"),  "A trace section was truncated"),
+    ("LT-COLL-001",      Counter::new("check.hit.lt_coll_001"),       "A collective is split across logical ticks"),
+    ("LT-RECV-001",      Counter::new("check.hit.lt_recv_001"),       "A receive is placed before its send"),
+    ("MODEL-CONS-001",   Counter::new("check.hit.model_cons_001"),    "Events lost or invented by the relayout"),
+    ("MODEL-ORDER-001",  Counter::new("check.hit.model_order_001"),   "Program order broken on the tick axis"),
+    ("MODEL-SPAN-001",   Counter::new("check.hit.model_span_001"),    "Phase occurrence with negative global span"),
+    ("MODEL-TICK-001",   Counter::new("check.hit.model_tick_001"),    "Two events of one process share a tick"),
+    ("MSG-RACE-001",     Counter::new("check.hit.msg_race_001"),      "Wildcard receive race changes the recorded event structure"),
+    ("MSG-RACE-002",     Counter::new("check.hit.msg_race_002"),      "Wildcard receive can steal a deterministic receive's message"),
+    ("P2P-MATCH-001",    Counter::new("check.hit.p2p_match_001"),     "Send without a matching receive"),
+    ("P2P-MATCH-002",    Counter::new("check.hit.p2p_match_002"),     "Receive without a matching send"),
+    ("P2P-MATCH-003",    Counter::new("check.hit.p2p_match_003"),     "Matched pair disagrees on size"),
+    ("P2P-MATCH-004",    Counter::new("check.hit.p2p_match_004"),     "Matched pair disagrees on endpoints"),
+    ("P2P-MATCH-005",    Counter::new("check.hit.p2p_match_005"),     "Matched pair disagrees on tag"),
+    ("PET-EQ-001",       Counter::new("check.hit.pet_eq_001"),        "PET reconstruction identity fails"),
+    ("PET-EQ-002",       Counter::new("check.hit.pet_eq_002"),        "AET is not positive: the PET identity is undefined"),
+    ("SIG-COV-001",      Counter::new("check.hit.sig_cov_001"),       "Low relevant coverage"),
+    ("SIG-OCC-001",      Counter::new("check.hit.sig_occ_001"),       "Occurrences do not tile the trace"),
+    ("SIG-REL-001",      Counter::new("check.hit.sig_rel_001"),       "Table rows disagree with the analysis"),
+    ("SIG-ROW-001",      Counter::new("check.hit.sig_row_001"),       "Signature row bookkeeping broken"),
+    ("SIG-SIM-001",      Counter::new("check.hit.sig_sim_001"),       "Similarity bookkeeping broken (merge)"),
+    ("SIG-SIM-002",      Counter::new("check.hit.sig_sim_002"),       "Similarity bookkeeping broken (split)"),
+    ("SIG-STAB-001",     Counter::new("check.hit.sig_stab_001"),      "Phase occurrences overlap a message-race window"),
+    ("SIG-W-001",        Counter::new("check.hit.sig_w_001"),         "Phase weight disagrees with occurrence count"),
+    ("WFG-CYCLE-001",    Counter::new("check.hit.wfg_cycle_001"),     "The traced order deadlocks under deterministic replay"),
+    ("WILD-RECV-001",    Counter::new("check.hit.wild_recv_001"),     "Wildcard-source receives posted"),
+    ("WILD-RECV-002",    Counter::new("check.hit.wild_recv_002"),     "Symmetric wildcard race: order-dependent match, stable structure"),
 ];
 
-/// Metric name of a code's hit counter; a code outside the table
-/// shares one bucket.
-pub(crate) fn hit_metric(code: &str) -> &'static str {
+/// The hits of a code outside the table, which share one counter.
+static OTHER_HITS: Counter = Counter::new("check.hit.other");
+
+/// A code's hit counter.
+pub(crate) fn hits(code: &str) -> &'static Counter {
     RULES
         .iter()
         .find(|rule| rule.0 == code)
-        .map_or("check.hit.other", |rule| rule.1)
+        .map_or(&OTHER_HITS, |rule| &rule.1)
 }
 
 #[cfg(test)]
@@ -91,9 +95,9 @@ mod tests {
                 pair[1].0
             );
         }
-        for (code, metric, description) in RULES {
+        for (code, hits, description) in &RULES {
             let implied = format!("check.hit.{}", code.to_lowercase().replace('-', "_"));
-            assert_eq!(*metric, implied, "{code}");
+            assert_eq!(hits.name(), implied, "{code}");
             assert!(!description.is_empty(), "{code}");
         }
         // Quoted literals: every other piece of a split on `"`; checking
@@ -105,12 +109,12 @@ mod tests {
             .collect();
         for code in &emitted {
             assert_ne!(
-                hit_metric(code),
+                hits(code).name(),
                 "check.hit.other",
                 "{code} is not in RULES"
             );
         }
-        for (code, ..) in RULES {
+        for (code, ..) in &RULES {
             assert!(emitted.contains(code), "{code} is emitted by no rule file");
         }
         for (code, checked) in [
@@ -129,7 +133,7 @@ mod tests {
     #[test]
     fn every_code_is_listed_in_the_crate_documentation() {
         let docs = include_str!("lib.rs");
-        for (code, ..) in RULES {
+        for (code, ..) in &RULES {
             assert!(
                 docs.contains(&format!("`{code}`")),
                 "{code} is not in lib.rs"
@@ -138,9 +142,9 @@ mod tests {
     }
 
     #[test]
-    fn hit_metric_is_total() {
-        assert_eq!(hit_metric("LT-RECV-001"), "check.hit.lt_recv_001");
-        assert_eq!(hit_metric("MSG-RACE-001"), "check.hit.msg_race_001");
-        assert_eq!(hit_metric("NO-SUCH-999"), "check.hit.other");
+    fn hits_is_total() {
+        assert_eq!(hits("LT-RECV-001").name(), "check.hit.lt_recv_001");
+        assert_eq!(hits("MSG-RACE-001").name(), "check.hit.msg_race_001");
+        assert_eq!(hits("NO-SUCH-999").name(), "check.hit.other");
     }
 }

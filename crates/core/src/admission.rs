@@ -3,9 +3,15 @@
 
 use crate::protocol::Response;
 use parking_lot::{Condvar, Mutex};
+use pas2p_obs::{Counter, Gauge};
 use serde_json::{json, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
+
+static QUEUE: Gauge = Gauge::new("serve.queue");
+static INFLIGHT: Gauge = Gauge::new("serve.inflight");
+static REQUESTS: Counter = Counter::new("serve.requests");
+static SHED: Counter = Counter::new("serve.shed");
 
 /// Live serving counters, all atomic: `health` reads them without
 /// taking any lock, so it stays answerable while every permit holder is
@@ -69,23 +75,21 @@ impl ServeStats {
                 return Err(self.busy(op, "request queue full"));
             }
             let depth = self.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
-            set_gauge("serve.queue", depth);
+            QUEUE.set(depth as f64);
             while full() {
                 self.gate_cv.wait(&mut held);
             }
             let depth = self.queue_depth.fetch_sub(1, Ordering::SeqCst) - 1;
-            set_gauge("serve.queue", depth);
+            QUEUE.set(depth as f64);
         }
         let inflight = self.inflight.fetch_add(1, Ordering::SeqCst) + 1;
-        set_gauge("serve.inflight", inflight);
+        INFLIGHT.set(inflight as f64);
         Ok(Permit(self))
     }
 
     pub(crate) fn count_request(&self) {
         self.requests.fetch_add(1, Ordering::SeqCst);
-        if pas2p_obs::enabled() {
-            pas2p_obs::counter("serve.requests").add(1);
-        }
+        REQUESTS.inc();
     }
 
     /// Count one malformed line and build its classified `invalid`
@@ -98,9 +102,7 @@ impl ServeStats {
     /// Count one refusal and build its classified `busy` answer.
     pub(crate) fn busy(&self, op: &'static str, why: &str) -> Response {
         self.shed.fetch_add(1, Ordering::SeqCst);
-        if pas2p_obs::enabled() {
-            pas2p_obs::counter("serve.shed").add(1);
-        }
+        SHED.inc();
         Response::failure(op, "busy", format!("{why}; retry later"))
     }
 
@@ -124,12 +126,6 @@ impl ServeStats {
     }
 }
 
-fn set_gauge(name: &'static str, value: u64) {
-    if pas2p_obs::enabled() {
-        pas2p_obs::gauge(name).set(value as f64);
-    }
-}
-
 /// One compute permit; handed to the next in line on drop (a panic or
 /// an expired deadline included).
 pub(crate) struct Permit<'a>(&'a ServeStats);
@@ -138,7 +134,7 @@ impl Drop for Permit<'_> {
     fn drop(&mut self) {
         let _gate = self.0.gate.lock();
         let inflight = self.0.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
-        set_gauge("serve.inflight", inflight);
+        INFLIGHT.set(inflight as f64);
         self.0.gate_cv.notify_one();
     }
 }

@@ -29,10 +29,20 @@ use crate::pipeline::{Analysis, Pas2p};
 use pas2p_check::CheckEngine;
 use pas2p_faults::FaultPlan;
 use pas2p_machine::{MachineModel, MappingPolicy};
+use pas2p_obs::{Counter, Gauge, Histogram};
 use pas2p_signature::{run_traced, MpiApp};
 use pas2p_trace::{Confidence, IngestReport};
 use serde::Serialize;
 use std::time::Duration;
+
+static JOBS: Counter = Counter::new("batch.jobs");
+static WORKERS: Gauge = Gauge::new("batch.workers");
+static FAILED: Counter = Counter::new("batch.failed");
+static TIMED_OUT: Counter = Counter::new("batch.timed_out");
+static DEGRADED: Counter = Counter::new("batch.degraded");
+/// One aggregated histogram for all jobs, not a stage profile per job,
+/// which would grow the snapshot with the batch size.
+static JOB_MICROS: Histogram = Histogram::new("batch.job_micros");
 
 /// One unit of batch work: analyze `app` on `base` under `policy`.
 pub struct BatchJob {
@@ -299,30 +309,22 @@ pub fn run_batch_with(pas2p: &Pas2p, jobs: Vec<BatchJob>, opts: BatchOptions) ->
     let workers = batch_workers(opts.workers, njobs);
     let mut st = pas2p_obs::stage("batch");
     st.items(njobs as u64);
-    if pas2p_obs::enabled() {
-        pas2p_obs::counter("batch.jobs").add(njobs as u64);
-        pas2p_obs::gauge("batch.workers").set(workers as f64);
-    }
+    JOBS.add(njobs as u64);
+    WORKERS.set(workers as f64);
 
     let run_one = |(index, job): (usize, BatchJob)| {
-        // One aggregated histogram for all jobs, not a stage profile per
-        // job, which would grow the snapshot with the batch size.
         let app_name = job.app.name();
         let job_span = pas2p_obs::trace_span("host.job", format_args!("job {index}: {app_name}"));
         let started = std::time::Instant::now();
         let (status, result) = run_job(pas2p, &job, opts.deadline);
-        if pas2p_obs::enabled() {
-            match status {
-                BatchStatus::Failed => pas2p_obs::counter("batch.failed").add(1),
-                BatchStatus::TimedOut => pas2p_obs::counter("batch.timed_out").add(1),
-                BatchStatus::Degraded => pas2p_obs::counter("batch.degraded").add(1),
-                _ => {}
-            }
+        match status {
+            BatchStatus::Failed => FAILED.inc(),
+            BatchStatus::TimedOut => TIMED_OUT.inc(),
+            BatchStatus::Degraded => DEGRADED.inc(),
+            _ => {}
         }
         let job_seconds = started.elapsed().as_secs_f64();
-        if pas2p_obs::enabled() {
-            pas2p_obs::histogram("batch.job_micros").record((job_seconds * 1e6) as u64);
-        }
+        JOB_MICROS.record((job_seconds * 1e6) as u64);
         job_span.finish_with(|| vec![("app", app_name.clone()), ("status", status.to_string())]);
         let (ingest, analysis, error) = match result {
             Ok(analysis) => (analysis.ingest.clone(), Some(analysis), None),

@@ -3,7 +3,7 @@
 use pas2p_check::{Artifacts, CheckEngine, CheckReport};
 use pas2p_machine::{MachineModel, MappingPolicy};
 use pas2p_model::{try_pas2p_order, LogicalTrace, ModelError};
-use pas2p_obs::{Level, MetricsSnapshot};
+use pas2p_obs::{Gauge, Level, MetricsSnapshot};
 use pas2p_phases::{extract_phases, PhaseAnalysis, PhaseTable, SimilarityConfig};
 use pas2p_signature::{
     construct_signature, execute_signature, predict, run_plain, run_traced, ConstructionStats,
@@ -11,6 +11,9 @@ use pas2p_signature::{
 };
 use pas2p_trace::{ingest, Confidence, IngestReport, InstrumentationModel, Trace};
 use serde::{Deserialize, Serialize};
+
+static TFAT_SECONDS: Gauge = Gauge::new("pipeline.tfat_seconds");
+static AET_INSTRUMENTED: Gauge = Gauge::new("pipeline.aet_instrumented");
 
 /// Stage-A output: everything the analysis of one application run on the
 /// base machine produced.
@@ -305,50 +308,37 @@ impl Pas2p {
             confidence = Confidence::OrderSensitive;
         }
         if let Some(report) = check.as_ref().filter(|r| !r.is_clean()) {
-            pas2p_obs::log(
-                Level::Warn,
-                "pas2p.pipeline",
-                "check found issues",
-                &[
+            pas2p_obs::log(Level::Warn, "pas2p.pipeline", "check found issues", || {
+                vec![
                     ("app", app_name.to_string()),
                     ("errors", report.errors().to_string()),
                     ("warnings", report.warnings().to_string()),
-                ],
-            );
+                ]
+            });
         }
         if let Some(report) = ingest.filter(|_| confidence == Confidence::Degraded) {
-            pas2p_obs::log(
-                Level::Warn,
-                "pas2p.pipeline",
-                "degraded analysis",
-                &[
+            pas2p_obs::log(Level::Warn, "pas2p.pipeline", "degraded analysis", || {
+                vec![
                     ("app", app_name.to_string()),
                     ("missing_ranks", report.missing_ranks().len().to_string()),
                     ("quarantined", report.records_quarantined().to_string()),
-                ],
-            );
+                ]
+            });
         }
         // Taken last, so the check stage and rule hit counters are part
         // of the recorded metrics.
-        let metrics = if pas2p_obs::enabled() {
-            pas2p_obs::gauge("pipeline.tfat_seconds").set(tfat_seconds);
-            pas2p_obs::gauge("pipeline.aet_instrumented").set(trace.elapsed());
-            Some(pas2p_obs::global().snapshot())
-        } else {
-            None
-        };
-        pas2p_obs::log(
-            Level::Info,
-            "pas2p.pipeline",
-            "analysis complete",
-            &[
+        TFAT_SECONDS.set(tfat_seconds);
+        AET_INSTRUMENTED.set(trace.elapsed());
+        let metrics = pas2p_obs::enabled().then(|| pas2p_obs::global().snapshot());
+        pas2p_obs::log(Level::Info, "pas2p.pipeline", "analysis complete", || {
+            vec![
                 ("app", app_name.to_string()),
                 ("nprocs", trace.nprocs.to_string()),
                 ("events", trace.total_events().to_string()),
                 ("phases", analysis.total_phases().to_string()),
                 ("tfat_seconds", format!("{tfat_seconds:.6}")),
-            ],
-        );
+            ]
+        });
         let analysis = Analysis {
             app_name: app_name.to_string(),
             workload: workload.to_string(),
@@ -427,16 +417,13 @@ impl Pas2p {
         let report = predict::report_from(prediction, aet);
         st.items(1);
         st.finish();
-        pas2p_obs::log(
-            Level::Info,
-            "pas2p.pipeline",
-            "validation complete",
-            &[
+        pas2p_obs::log(Level::Info, "pas2p.pipeline", "validation complete", || {
+            vec![
                 ("pet", format!("{:.6}", report.prediction.pet)),
                 ("aet", format!("{aet:.6}")),
                 ("pete_percent", format!("{:.3}", report.pete_or_inf())),
-            ],
-        );
+            ]
+        });
         Ok(report)
     }
 

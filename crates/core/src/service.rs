@@ -30,6 +30,7 @@ use crate::protocol::{PredictOutcome, Request, Response, SubmitOutcome};
 use crate::replies::{Replies, Reply};
 use parking_lot::{Condvar, Mutex};
 use pas2p_machine::{preset_by_name, MachineModel, MappingPolicy};
+use pas2p_obs::{Counter, Histogram};
 use pas2p_signature::{MpiApp, Prediction};
 use pas2p_store::{
     prediction_key, signature_alias, signature_key, ArtifactKind, IndexEntry, Sidecar,
@@ -40,6 +41,9 @@ use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
+
+static TIMEOUTS: Counter = Counter::new("serve.timeout");
+static TIMEOUT_OVERRUN_US: Histogram = Histogram::new("serve.timeout_overrun_us");
 
 /// Resolves an application name + process count to a runnable app. The
 /// catalog lives in `pas2p-apps`, which sits above this crate in the
@@ -419,9 +423,7 @@ impl PredictionService {
         let slot = (store.lookup_alias(alias)?.digest, target.to_string());
         let reply = self.shared.replies.get(&slot)?;
         store.entry(&reply.key)?;
-        if pas2p_obs::enabled() {
-            pas2p_obs::counter("store.hit").add(1);
-        }
+        pas2p_store::HITS.inc();
         Some(reply)
     }
 
@@ -564,11 +566,8 @@ impl PredictionService {
             Ok(response) => return response,
             Err(Stopped::TimedOut { error, overrun }) => {
                 stats.timeouts.fetch_add(1, Ordering::SeqCst);
-                if pas2p_obs::enabled() {
-                    pas2p_obs::counter("serve.timeout").add(1);
-                    pas2p_obs::histogram("serve.timeout_overrun_us")
-                        .record(overrun.as_micros() as u64);
-                }
+                TIMEOUTS.inc();
+                TIMEOUT_OVERRUN_US.record(overrun.as_micros() as u64);
                 ("timeout", error)
             }
             Err(Stopped::Failed(error)) => ("error", error),

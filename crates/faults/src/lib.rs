@@ -23,8 +23,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use pas2p_obs::Counter;
 use pas2p_trace::{format, Trace};
 use serde::{Deserialize, Serialize};
+
+static PLANS_APPLIED: Counter = Counter::new("fault.plans_applied");
+static TRUNCATED_BYTES: Counter = Counter::new("fault.truncated_bytes");
+static BITS_FLIPPED: Counter = Counter::new("fault.bits_flipped");
+static RANKS_DROPPED: Counter = Counter::new("fault.ranks_dropped");
+static EVENTS_DUPLICATED: Counter = Counter::new("fault.events_duplicated");
+static CLOCKS_SKEWED: Counter = Counter::new("fault.clocks_skewed");
 
 pub mod chaos;
 pub mod store_io;
@@ -269,14 +277,12 @@ impl FaultPlan {
         // per-process sections so the file stays recognizably a trace.
         let header = 8 + 4 + 4 + 4 + faulted.machine.len();
         self.apply_bytes(&mut buf, header, &mut log);
-        if pas2p_obs::enabled() {
-            pas2p_obs::counter("fault.plans_applied").add(1);
-            pas2p_obs::counter("fault.truncated_bytes").add(log.bytes_truncated);
-            pas2p_obs::counter("fault.bits_flipped").add(log.bits_flipped);
-            pas2p_obs::counter("fault.ranks_dropped").add(log.ranks_dropped);
-            pas2p_obs::counter("fault.events_duplicated").add(log.events_duplicated);
-            pas2p_obs::counter("fault.clocks_skewed").add(log.clocks_skewed);
-        }
+        PLANS_APPLIED.inc();
+        TRUNCATED_BYTES.add(log.bytes_truncated);
+        BITS_FLIPPED.add(log.bits_flipped);
+        RANKS_DROPPED.add(log.ranks_dropped);
+        EVENTS_DUPLICATED.add(log.events_duplicated);
+        CLOCKS_SKEWED.add(log.clocks_skewed);
         (buf, log)
     }
 }

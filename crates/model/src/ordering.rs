@@ -19,8 +19,16 @@
 //! event, producing the final [`LogicalTrace`].
 
 use crate::logical::{assemble, LogicalEvent, LogicalTrace};
+use pas2p_obs::Counter;
 use pas2p_trace::{EventKind, ProcessTrace, Trace, TraceEvent};
 use std::collections::{HashMap, VecDeque};
+
+static EVENTS_ORDERED: Counter = Counter::new("model.events_ordered");
+static DEFERRED_RECVS: Counter = Counter::new("model.deferred_recvs");
+static UNMATCHED_RECVS: Counter = Counter::new("model.unmatched_recvs");
+static RECV_PERMUTATIONS: Counter = Counter::new("model.recv_permutations");
+static TICK_SPLITS: Counter = Counter::new("model.tick_splits");
+static TICKS: Counter = Counter::new("model.ticks");
 
 /// Which logical-clock rule the engine applies to receives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -253,14 +261,12 @@ pub(crate) fn try_order_with_rule(
 
     let (permuted, splits, keyed) = finish_ranks(trace, &mut lt, rule);
     let logical = assemble(trace.nprocs, keyed);
-    if pas2p_obs::enabled() {
-        pas2p_obs::counter("model.events_ordered").add(log.len() as u64);
-        pas2p_obs::counter("model.deferred_recvs").add(deferred);
-        pas2p_obs::counter("model.unmatched_recvs").add(unmatched);
-        pas2p_obs::counter("model.recv_permutations").add(permuted);
-        pas2p_obs::counter("model.tick_splits").add(splits);
-        pas2p_obs::counter("model.ticks").add(logical.len() as u64);
-    }
+    EVENTS_ORDERED.add(log.len() as u64);
+    DEFERRED_RECVS.add(deferred);
+    UNMATCHED_RECVS.add(unmatched);
+    RECV_PERMUTATIONS.add(permuted);
+    TICK_SPLITS.add(splits);
+    TICKS.add(logical.len() as u64);
     Ok((logical, log))
 }
 

@@ -9,11 +9,19 @@ use crate::runtime::{Shared, SimAbort};
 use crate::Mpi;
 use pas2p_machine::jitter::JitterStream;
 use pas2p_machine::Work;
+use pas2p_obs::{Counter, Histogram};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
+
+static CLOCK_COMMITS: Counter = Counter::new("mpisim.wildcard.clock_commits");
+static QUIESCENCE_COMMITS: Counter = Counter::new("mpisim.wildcard.quiescence_commits");
+static MSG_BYTES: Histogram = Histogram::new("mpisim.msg_bytes");
+/// Depth of the unexpected-message queue at match time — the
+/// asynchrony signal Afzal et al. analyze.
+static QUEUE_DEPTH: Histogram = Histogram::new("mpisim.unexpected_queue_depth");
 
 /// A running rank reads the caller's cancellation deadline once per
 /// this many communication events (and whenever it is about to park).
@@ -228,13 +236,10 @@ impl RankCtx {
                     if self.pending.find_match(None, tag) != Some(i) {
                         continue;
                     }
-                    if pas2p_obs::enabled() {
-                        pas2p_obs::counter(if by_clock {
-                            "mpisim.wildcard.clock_commits"
-                        } else {
-                            "mpisim.wildcard.quiescence_commits"
-                        })
-                        .inc();
+                    if by_clock {
+                        CLOCK_COMMITS.inc();
+                    } else {
+                        QUIESCENCE_COMMITS.inc();
                     }
                     return self.pending.remove(i);
                 }
@@ -337,12 +342,7 @@ impl Mpi for RankCtx {
         self.shared.park.wake(dest);
         self.publish_clock();
         self.counters.sends += 1;
-        if pas2p_obs::enabled() {
-            static MSG_BYTES: OnceLock<Arc<pas2p_obs::Histogram>> = OnceLock::new();
-            MSG_BYTES
-                .get_or_init(|| pas2p_obs::histogram("mpisim.msg_bytes"))
-                .record(len);
-        }
+        MSG_BYTES.record(len);
         self.after_comm_event();
         msg_id
     }
@@ -383,14 +383,7 @@ impl Mpi for RankCtx {
         self.clock = arrive;
         self.publish_clock();
         self.counters.recvs += 1;
-        if pas2p_obs::enabled() {
-            // Depth of the unexpected-message queue at match time — the
-            // asynchrony signal Afzal et al. analyze.
-            static QUEUE_DEPTH: OnceLock<Arc<pas2p_obs::Histogram>> = OnceLock::new();
-            QUEUE_DEPTH
-                .get_or_init(|| pas2p_obs::histogram("mpisim.unexpected_queue_depth"))
-                .record(self.pending.len() as u64);
-        }
+        QUEUE_DEPTH.record(self.pending.len() as u64);
         let msg = Message {
             src: env.src,
             dest: env.dest,

@@ -35,10 +35,14 @@
 use crate::coll::CollOp;
 use crate::msg::Tag;
 use parking_lot::{Condvar, Mutex};
+use pas2p_obs::{Counter, Histogram};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+static PARKS: Counter = Counter::new("mpisim.parks");
+static SLEEPS: Counter = Counter::new("mpisim.park_sleeps");
+static WAIT_US: Histogram = Histogram::new("mpisim.park_wait_us");
 
 /// Sort key of a wildcard candidate: the match is the minimum over
 /// `(depart, src, msg_id)`.
@@ -204,20 +208,11 @@ impl Registry {
         *st = State::Running;
         drop(st);
         if let Some(since) = timed {
-            static PARKS: OnceLock<Arc<pas2p_obs::Counter>> = OnceLock::new();
-            static SLEEPS: OnceLock<Arc<pas2p_obs::Counter>> = OnceLock::new();
-            static WAIT_US: OnceLock<Arc<pas2p_obs::Histogram>> = OnceLock::new();
-            PARKS
-                .get_or_init(|| pas2p_obs::counter("mpisim.parks"))
-                .inc();
+            PARKS.inc();
             if slept {
-                SLEEPS
-                    .get_or_init(|| pas2p_obs::counter("mpisim.park_sleeps"))
-                    .inc();
+                SLEEPS.inc();
             }
-            WAIT_US
-                .get_or_init(|| pas2p_obs::histogram("mpisim.park_wait_us"))
-                .record(since.elapsed().as_micros() as u64);
+            WAIT_US.record(since.elapsed().as_micros() as u64);
         }
         verdict
     }

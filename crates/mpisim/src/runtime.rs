@@ -10,11 +10,19 @@ use crate::report::RunReport;
 use parking_lot::Mutex;
 use pas2p_machine::{MachineModel, Mapping, MappingPolicy};
 use pas2p_obs::cancel::{CancelToken, CANCELLED};
+use pas2p_obs::Counter;
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Once};
 use std::time::Instant;
+
+static RUNS: Counter = Counter::new("mpisim.runs");
+static RANK_THREADS: Counter = Counter::new("mpisim.rank_threads");
+static MESSAGES: Counter = Counter::new("mpisim.messages");
+static BYTES: Counter = Counter::new("mpisim.bytes");
+static BYTES_COPIED: Counter = Counter::new("mpisim.bytes_copied");
+static COLLECTIVES: Counter = Counter::new("mpisim.collectives");
 
 /// Panic payload used to unwind rank threads on a harness abort. Not an
 /// error: the runtime converts it into `RunReport::aborted`.
@@ -183,14 +191,12 @@ where
     }
     let rank_clocks = clocks.into_inner();
     let makespan = rank_clocks.iter().cloned().fold(0.0f64, f64::max);
-    if pas2p_obs::enabled() {
-        pas2p_obs::counter("mpisim.runs").inc();
-        pas2p_obs::counter("mpisim.rank_threads").add(n as u64);
-        pas2p_obs::counter("mpisim.messages").add(shared.total_msgs.load(Ordering::Relaxed));
-        pas2p_obs::counter("mpisim.bytes").add(shared.total_bytes.load(Ordering::Relaxed));
-        pas2p_obs::counter("mpisim.bytes_copied").add(shared.bytes_copied.load(Ordering::Relaxed));
-        pas2p_obs::counter("mpisim.collectives").add(shared.total_colls.load(Ordering::Relaxed));
-    }
+    RUNS.inc();
+    RANK_THREADS.add(n as u64);
+    MESSAGES.add(shared.total_msgs.load(Ordering::Relaxed));
+    BYTES.add(shared.total_bytes.load(Ordering::Relaxed));
+    BYTES_COPIED.add(shared.bytes_copied.load(Ordering::Relaxed));
+    COLLECTIVES.add(shared.total_colls.load(Ordering::Relaxed));
     RunReport {
         nprocs: n,
         rank_clocks,

@@ -32,25 +32,23 @@ use std::time::{Duration, Instant};
 /// self-describing if it ever surfaces in an error string.
 pub const CANCELLED: &str = "pas2p: run cancelled";
 
-/// Gap histograms by stage name, a slot filled the first time a stage
-/// is entered under a token with metrics on. Stage names are literals,
-/// so the code bounds the table; a check reads its slot without a lock.
-static GAPS: [OnceLock<(&str, Arc<Histogram>)>; 64] = [const { OnceLock::new() }; 64];
+/// Gap histograms by stage name (each slot is its histogram's static
+/// home), filled the first time a stage is entered under a token with
+/// metrics on. Stage names are literals, so the code bounds the table;
+/// a check reads its slot without a lock.
+static GAPS: [OnceLock<(&str, Histogram)>; 64] = [const { OnceLock::new() }; 64];
 
 /// The slot of a token that has entered no stage (or one past a full
 /// table): its gaps are not recorded.
 const NO_STAGE: usize = usize::MAX;
 
-/// The [`GAPS`] slot of `stage`, registering its histogram on first use.
+/// The [`GAPS`] slot of `stage`, filling it on first use.
 fn gap_slot(stage: &'static str) -> usize {
     GAPS.iter()
         .position(|slot| {
             let (name, _) = slot.get_or_init(|| {
                 let histogram = format!("cancel.checkpoint_gap_us.{stage}");
-                (
-                    stage,
-                    crate::histogram(Box::leak(histogram.into_boxed_str())),
-                )
+                (stage, Histogram::new(Box::leak(histogram.into_boxed_str())))
             });
             *name == stage
         })
@@ -181,7 +179,7 @@ pub fn checkpoint() {
 }
 
 /// [`checkpoint`] at the boundary into `stage`, which
-/// [`Registry::stage`](crate::Registry::stage) takes: the time up to
+/// [`stage`](crate::stage) takes: the time up to
 /// here belongs to the stage being left, what follows to `stage`.
 pub(crate) fn enter(stage: &'static str) {
     let hit = CURRENT.with(|c| {
@@ -259,6 +257,7 @@ mod tests {
 
     #[test]
     fn a_check_charges_the_time_since_the_last_one_to_the_stage_being_left() {
+        let _g = crate::events::test_guard();
         crate::set_enabled(true);
         with_cancel(&CancelToken::with_deadline(FAR), || {
             enter("pas2p_order");
@@ -266,10 +265,11 @@ mod tests {
             enter("extract_phases");
         });
         crate::set_enabled(false);
-        let order = crate::histogram("cancel.checkpoint_gap_us.pas2p_order").summary();
+        let gaps = crate::global().snapshot().histograms;
+        let order = &gaps["cancel.checkpoint_gap_us.pas2p_order"];
         assert!(order.count >= 1 && order.max >= 5_000, "{order:?}");
         // The scope's end closed the gap of the stage it ended in.
-        let extract = crate::histogram("cancel.checkpoint_gap_us.extract_phases").summary();
+        let extract = &gaps["cancel.checkpoint_gap_us.extract_phases"];
         assert!(extract.count >= 1, "{extract:?}");
     }
 

@@ -74,8 +74,8 @@ pub struct Event {
     pub args: Vec<(&'static str, String)>,
 }
 
-/// Annotations of an event, built only when the event is recorded.
-type Args = Vec<(&'static str, String)>;
+/// Annotations of an event or fields of a log record, built only when recorded.
+pub(crate) type Args = Vec<(&'static str, String)>;
 
 /// Tracing gate plus the sink every event goes into.
 struct TraceState {

@@ -2,66 +2,52 @@
 //!
 //! PAS2P is itself a measurement tool: the paper's Table 8 (tracefile
 //! size, analysis time, phase counts) and Table 9 (instrumentation
-//! overhead) *observe the observer*. This crate is the first-class home
-//! for that self-observation — every pipeline layer feeds one shared,
-//! process-wide instrumentation path instead of ad-hoc `Instant` math:
+//! overhead) *observe the observer*. Every pipeline layer feeds this
+//! crate's one process-wide instrumentation path:
 //!
-//! * **[`logger`](mod@logger)** — a leveled, structured logger.
-//!   Human-readable lines go to stderr; JSON lines optionally to a file.
-//!   Configured via the `PAS2P_LOG` / `PAS2P_LOG_FILE` environment
-//!   variables or programmatically (`pas2p-cli --log-level/--log-file`).
-//! * **[`metrics`]** — a thread-safe registry of atomic [`Counter`]s,
-//!   [`Gauge`]s and streaming log₂-bucketed [`Histogram`]s
-//!   (min/max/mean/p50/p95/p99), fed by the simulator runtime, the trace
-//!   recorder, the model builder, phase extraction and the signature
-//!   machinery.
-//! * **[`registry`]** — the global [`Registry`] tying it together: stage
-//!   profiles ([`StageGuard`] wall-clock + events/sec per pipeline stage)
-//!   and the serializable [`MetricsSnapshot`] embedded into
+//! * **[`logger`](mod@logger)** — a leveled, structured logger (no
+//!   spans; those are [`events`]): lines on stderr, JSON lines
+//!   optionally to a file (`PAS2P_LOG` / `PAS2P_LOG_FILE`, or
+//!   `pas2p-cli --log-level/--log-file`).
+//! * **[`metrics`]** — named static instruments: atomic [`Counter`]s,
+//!   [`Gauge`]s and log₂-bucketed [`Histogram`]s (min/max/mean/p50/p95/p99).
+//! * **[`registry`]** — the global [`Registry`]: the instruments
+//!   recorded so far, stage profiles ([`StageGuard`]) and the
+//!   serializable [`MetricsSnapshot`] embedded into
 //!   `Analysis`/`Prediction` JSON and written by `pas2p-cli --metrics`.
-//! * **[`events`]** — timeline tracing: timestamped span/instant/flow
-//!   events recorded straight into one process-wide sink (gated
-//!   separately via [`set_tracing`] / `PAS2P_TRACE=1`), feeding…
+//! * **[`events`]** — timeline tracing: span/instant/flow events
+//!   recorded straight into one process-wide sink (gated separately via
+//!   [`set_tracing`] / `PAS2P_TRACE=1`), feeding…
 //! * **[`export`]** — …the Chrome Trace Event / Perfetto-compatible
-//!   [`ChromeTrace`] JSON exporter behind `pas2p-cli timeline` and the
-//!   `--trace-out` flags.
-//! * **[`cancel`]** — cooperative cancellation: a [`cancel::CancelToken`] is a
-//!   deadline, installed per thread and asked at checkpoints by the
-//!   work itself — entering a stage is one — and the gap between
-//!   consecutive checks is a histogram named after the stage.
+//!   [`ChromeTrace`] JSON behind `pas2p-cli timeline` and `--trace-out`.
+//! * **[`cancel`]** — cooperative cancellation: a [`cancel::CancelToken`]
+//!   is a deadline asked at checkpoints by the work itself (entering a
+//!   stage is one); the gaps between checks are histograms named after
+//!   the stage.
 //! * **[`farm`]** — every fan-out of the workspace: an ordered map over
-//!   scoped workers, and one closure run beside the calling thread; the
-//!   farm is also where worker lanes, panic re-raise and "one worker
-//!   per core" live.
+//!   scoped workers, and one closure run beside the calling thread, with
+//!   their worker lanes and panic re-raise.
 //!
 //! # Cost model
 //!
-//! Observation must never perturb the simulation (virtual clocks are
-//! untouched by every hook), and the *disabled* path must be a near-no-op
-//! on the hot simulation loop. The contract at every hot call site is:
-//!
-//! ```ignore
-//! if pas2p_obs::enabled() {            // one relaxed atomic load
-//!     HIST.get_or_init(|| pas2p_obs::histogram("mpisim.msg_bytes"))
-//!         .record(len);                // lock-free atomics when enabled
-//! }
-//! ```
-//!
-//! Metric collection is **disabled by default**; enable it with
-//! [`set_enabled`] or `PAS2P_OBS=1`. The benchmark ledger's
-//! `obs.enabled_overhead_pct` measures what switching metrics on costs.
-//! Event tracing has its gate inside [`events`]: off, a recording call
-//! formats nothing and allocates nothing.
-//!
-//! # Example
+//! Observation never perturbs the simulation (no hook touches a virtual
+//! clock), and off it is a near-no-op on the hot loop. A metric is a
+//! named `static` of the module whose work it counts, recorded with one
+//! call and no gate at the call site: the instrument asks [`enabled`]
+//! itself (one relaxed load) and registers on its first record with
+//! collection on, so a run with collection off leaves the registry
+//! empty. Collection is **off by default** ([`set_enabled`],
+//! `PAS2P_OBS=1`); the benchmark ledger's `obs.enabled_overhead_pct` is
+//! what switching it on costs. Tracing and logging gate the same way:
+//! off, an event or a dropped [`log`] record formats nothing.
 //!
 //! ```
+//! static EVENTS: pas2p_obs::Counter = pas2p_obs::Counter::new("demo.events");
 //! pas2p_obs::set_enabled(true);
-//! pas2p_obs::counter("demo.events").add(3);
+//! EVENTS.add(3);
 //! let mut stage = pas2p_obs::stage("demo_stage");
 //! stage.items(3);
-//! let secs = stage.finish();
-//! assert!(secs >= 0.0);
+//! assert!(stage.finish() >= 0.0);
 //! let snap = pas2p_obs::global().snapshot();
 //! assert_eq!(snap.counters["demo.events"], 3);
 //! pas2p_obs::set_enabled(false);
@@ -82,6 +68,5 @@ pub use export::{ChromeEvent, ChromeTrace, CAT_HOST_WORKER, PID_APP, PID_HOST};
 pub use logger::{log, logger, Level, Logger};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary};
 pub use registry::{
-    counter, enabled, gauge, global, histogram, set_enabled, stage, MetricsSnapshot, Registry,
-    StageGuard, StageProfile,
+    enabled, global, set_enabled, stage, MetricsSnapshot, Registry, StageGuard, StageProfile,
 };

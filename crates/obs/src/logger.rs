@@ -10,6 +10,7 @@
 //! * programmatic: [`Logger::set_level`] / [`Logger::set_file`]
 //!   (the CLI's `--log-level` / `--log-file` flags call these)
 
+use crate::events::Args;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -92,14 +93,16 @@ impl Logger {
         level != Level::Off && level as u8 <= self.level.load(Ordering::Relaxed)
     }
 
-    /// Emit one record. `fields` are structured key/value pairs rendered
-    /// as `key=value` on stderr and as a JSON object in the file sink.
-    pub fn log(&self, level: Level, target: &str, msg: &str, fields: &[(&str, String)]) {
+    /// Emit one record. `fields` returns structured key/value pairs,
+    /// rendered as `key=value` on stderr and as a JSON object in the
+    /// file sink; it is called only when the level lets the record out.
+    pub fn log(&self, level: Level, target: &str, msg: &str, fields: impl FnOnce() -> Args) {
         if !self.enabled(level) {
             return;
         }
+        let fields = fields();
         let mut line = format!("[{:5} {}] {}", level.as_str(), target, msg);
-        for (k, v) in fields {
+        for (k, v) in &fields {
             line.push(' ');
             line.push_str(k);
             line.push('=');
@@ -119,7 +122,7 @@ impl Logger {
                 "target": target,
                 "msg": msg,
             });
-            for (k, v) in fields {
+            for (k, v) in &fields {
                 record[*k] = serde_json::json!(v);
             }
             let _ = writeln!(w, "{record}");
@@ -136,8 +139,9 @@ pub fn logger() -> &'static Logger {
     LOGGER.get_or_init(Logger::from_env)
 }
 
-/// Convenience: emit a record through the global logger.
-pub fn log(level: Level, target: &str, msg: &str, fields: &[(&str, String)]) {
+/// Emit a record through the global logger; `fields` is called only
+/// when the record is emitted.
+pub fn log(level: Level, target: &str, msg: &str, fields: impl FnOnce() -> Args) {
     logger().log(level, target, msg, fields);
 }
 
@@ -184,8 +188,8 @@ mod tests {
         };
         logger.set_file(path.to_str().unwrap()).unwrap();
         let msg = "a \"quoted\"\nline\u{1}";
-        let fields = [("app", "cg".to_string()), ("nprocs", "8".to_string())];
-        logger.log(Level::Warn, "store", msg, &fields);
+        let fields = || vec![("app", "cg".to_string()), ("nprocs", "8".to_string())];
+        logger.log(Level::Warn, "store", msg, fields);
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(text.lines().count(), 1, "{text}");
@@ -196,5 +200,26 @@ mod tests {
         assert_eq!(v["msg"].as_str(), Some(msg));
         assert_eq!(v["app"].as_str(), Some("cg"));
         assert_eq!(v["nprocs"].as_str(), Some("8"));
+    }
+
+    /// Below the logger's level a record is dropped before its fields
+    /// are built: the closure is not called.
+    #[test]
+    fn a_dropped_record_builds_no_fields() {
+        use std::cell::Cell;
+        let logger = Logger {
+            level: AtomicU8::new(Level::Warn as u8),
+            sink: Mutex::new(None),
+        };
+        let called = Cell::new(0);
+        let fields = || {
+            called.set(called.get() + 1);
+            vec![("k", "v".to_string())]
+        };
+        logger.log(Level::Info, "test", "dropped", fields);
+        logger.log(Level::Debug, "test", "dropped", fields);
+        assert_eq!(called.get(), 0);
+        logger.log(Level::Warn, "test", "emitted", fields);
+        assert_eq!(called.get(), 1);
     }
 }

@@ -1,63 +1,86 @@
-//! Lock-free metric primitives: counters, gauges, and streaming
-//! log₂-bucketed histograms.
-//!
-//! All three are plain atomics so hot paths (the simulator's send/recv
-//! loop) can record without taking a lock. Histograms trade exactness
-//! for O(1) recording: each value lands in a power-of-two bucket and
-//! percentiles are reconstructed from the bucket midpoints, clamped to
-//! the exact observed `[min, max]`.
+//! Lock-free instruments, each a named `static` carrying its own gate:
+//! while collection is off ([`crate::enabled`]) a record returns after
+//! one relaxed load; on, the first record lists the instrument in the
+//! registry, and every record is plain atomics. Histogram percentiles
+//! are power-of-two bucket midpoints clamped to the exact `[min, max]`.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+/// List an instrument in the registry on its first record.
+fn list_once(listed: &AtomicBool, instrument: impl FnOnce() -> Instrument) {
+    if !listed.load(Ordering::Relaxed) {
+        crate::registry::global().list(listed, instrument());
+    }
+}
 
 /// Monotonic event counter.
-#[derive(Default)]
-pub struct Counter(AtomicU64);
+pub struct Counter {
+    name: &'static str,
+    listed: AtomicBool,
+    value: AtomicU64,
+}
 
 impl Counter {
-    pub fn new() -> Counter {
-        Counter(AtomicU64::new(0))
+    /// A counter reported under `name` (`crate.metric`, e.g.
+    /// `mpisim.messages`), which keys the snapshot.
+    pub const fn new(name: &'static str) -> Counter {
+        Counter {
+            name,
+            listed: AtomicBool::new(false),
+            value: AtomicU64::new(0),
+        }
+    }
+
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     #[inline]
-    pub fn inc(&self) {
+    pub fn inc(&'static self) {
         self.add(1);
     }
 
     #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+    pub fn add(&'static self, n: u64) {
+        if !crate::enabled() {
+            return;
+        }
+        list_once(&self.listed, || Instrument::Counter(self));
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
+        self.value.load(Ordering::Relaxed)
     }
 }
 
 /// Last-write-wins floating-point gauge (stored as f64 bit patterns).
-#[derive(Default)]
-pub struct Gauge(AtomicU64);
+pub struct Gauge {
+    name: &'static str,
+    listed: AtomicBool,
+    bits: AtomicU64,
+}
 
 impl Gauge {
-    pub fn new() -> Gauge {
-        Gauge(AtomicU64::new(0))
+    pub const fn new(name: &'static str) -> Gauge {
+        Gauge {
+            name,
+            listed: AtomicBool::new(false),
+            bits: AtomicU64::new(0),
+        }
     }
 
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
+    pub fn set(&'static self, v: f64) {
+        if !crate::enabled() {
+            return;
+        }
+        list_once(&self.listed, || Instrument::Gauge(self));
+        self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
     pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
+        f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
 
@@ -87,6 +110,8 @@ fn bucket_midpoint(b: usize) -> u64 {
 /// Streaming histogram over `u64` samples with exact count/sum/min/max
 /// and approximate (log₂-bucketed) percentiles.
 pub struct Histogram {
+    name: &'static str,
+    listed: AtomicBool,
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
@@ -94,25 +119,30 @@ pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
 }
 
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram::new()
-    }
-}
-
 impl Histogram {
-    pub fn new() -> Histogram {
+    pub const fn new(name: &'static str) -> Histogram {
         Histogram {
+            name,
+            listed: AtomicBool::new(false),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            buckets: [const { AtomicU64::new(0) }; HISTOGRAM_BUCKETS],
         }
     }
 
     #[inline]
-    pub fn record(&self, v: u64) {
+    pub fn record(&'static self, v: u64) {
+        if !crate::enabled() {
+            return;
+        }
+        list_once(&self.listed, || Instrument::Histogram(self));
+        self.sample(v);
+    }
+
+    /// Add one sample, ungated.
+    fn sample(&self, v: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
@@ -120,11 +150,7 @@ impl Histogram {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    pub fn reset(&self) {
+    fn reset(&self) {
         self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         self.min.store(u64::MAX, Ordering::Relaxed);
@@ -173,6 +199,33 @@ impl Histogram {
     }
 }
 
+/// A recorded instrument, as the registry lists it.
+#[derive(Clone, Copy)]
+pub(crate) enum Instrument {
+    Counter(&'static Counter),
+    Gauge(&'static Gauge),
+    Histogram(&'static Histogram),
+}
+
+impl Instrument {
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Instrument::Counter(c) => c.name,
+            Instrument::Gauge(g) => g.name,
+            Instrument::Histogram(h) => h.name,
+        }
+    }
+
+    /// Zero the instrument in place; it stays listed.
+    pub(crate) fn reset(self) {
+        match self {
+            Instrument::Counter(c) => c.value.store(0, Ordering::Relaxed),
+            Instrument::Gauge(g) => g.bits.store(0, Ordering::Relaxed),
+            Instrument::Histogram(h) => h.reset(),
+        }
+    }
+}
+
 /// Point-in-time summary of a [`Histogram`], as embedded in
 /// [`crate::MetricsSnapshot`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -191,22 +244,37 @@ pub struct HistogramSummary {
 mod tests {
     use super::*;
 
+    /// Off, a record is one load and registers nothing; on, the first
+    /// record registers the instrument and every record counts.
     #[test]
     fn counter_and_gauge_basics() {
-        let c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        c.reset();
-        assert_eq!(c.get(), 0);
+        static COUNT: Counter = Counter::new("t.basics.count");
+        static GAUGE: Gauge = Gauge::new("t.basics.gauge");
+        static HIST: Histogram = Histogram::new("t.basics.hist");
+        let _g = crate::events::test_guard();
+        crate::set_enabled(false);
+        COUNT.add(5);
+        GAUGE.set(2.5);
+        HIST.record(3);
+        assert_eq!(
+            (COUNT.get(), GAUGE.get(), HIST.summary().count),
+            (0, 0.0, 0)
+        );
+        let snap = crate::global().snapshot();
+        assert!(!snap.counters.contains_key("t.basics.count"));
+        assert!(!snap.gauges.contains_key("t.basics.gauge"));
+        assert!(!snap.histograms.contains_key("t.basics.hist"));
 
-        let g = Gauge::new();
-        g.set(2.5);
-        assert_eq!(g.get(), 2.5);
-        g.set(-1.0);
-        assert_eq!(g.get(), -1.0);
-        g.reset();
-        assert_eq!(g.get(), 0.0);
+        crate::set_enabled(true);
+        COUNT.inc();
+        COUNT.add(4);
+        GAUGE.set(-1.0);
+        HIST.record(3);
+        let snap = crate::global().snapshot();
+        crate::set_enabled(false);
+        assert_eq!(snap.counters["t.basics.count"], 5);
+        assert_eq!(snap.gauges["t.basics.gauge"], -1.0);
+        assert_eq!(snap.histograms["t.basics.hist"].sum, 3);
     }
 
     #[test]
@@ -224,14 +292,14 @@ mod tests {
 
     #[test]
     fn empty_histogram_summary_is_zero() {
-        let h = Histogram::new();
+        let h = Histogram::new("t.hist");
         assert_eq!(h.summary(), HistogramSummary::default());
     }
 
     #[test]
     fn single_value_summary() {
-        let h = Histogram::new();
-        h.record(42);
+        let h = Histogram::new("t.hist");
+        h.sample(42);
         let s = h.summary();
         assert_eq!(s.count, 1);
         assert_eq!(s.sum, 42);
@@ -245,9 +313,9 @@ mod tests {
 
     #[test]
     fn all_zero_samples() {
-        let h = Histogram::new();
+        let h = Histogram::new("t.hist");
         for _ in 0..10 {
-            h.record(0);
+            h.sample(0);
         }
         let s = h.summary();
         assert_eq!(s.count, 10);
@@ -257,9 +325,9 @@ mod tests {
 
     #[test]
     fn percentiles_are_ordered_and_bounded() {
-        let h = Histogram::new();
+        let h = Histogram::new("t.hist");
         for v in 1..=1000u64 {
-            h.record(v);
+            h.sample(v);
         }
         let s = h.summary();
         assert_eq!(s.count, 1000);
@@ -273,11 +341,11 @@ mod tests {
 
     #[test]
     fn reset_clears_everything() {
-        let h = Histogram::new();
-        h.record(7);
+        let h = Histogram::new("t.hist");
+        h.sample(7);
         h.reset();
         assert_eq!(h.summary(), HistogramSummary::default());
-        h.record(3);
+        h.sample(3);
         let s = h.summary();
         assert_eq!((s.count, s.min, s.max), (1, 3, 3));
     }

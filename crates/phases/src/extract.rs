@@ -17,10 +17,22 @@
 use crate::sig::{CellSig, SimilarityConfig, SimilarityKernel};
 use crate::soa::{SoaIndex, SoaPattern};
 use pas2p_model::LogicalTrace;
+use pas2p_obs::{Counter, Gauge};
 use pas2p_trace::EventKind;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+static TICKS_SCANNED: Counter = Counter::new("phases.ticks_scanned");
+static UNIQUE: Counter = Counter::new("phases.unique");
+static OCCURRENCES: Counter = Counter::new("phases.occurrences");
+static SIMILARITY_COMPARISONS: Counter = Counter::new("phases.similarity_comparisons");
+static DEDUPE_HITS: Counter = Counter::new("phases.dedupe_hits");
+static BAND_REJECTS: Counter = Counter::new("extract.band.rejects");
+static LSH_SKIPPED: Counter = Counter::new("extract.lsh.skipped");
+static SOA_COMPARES: Counter = Counter::new("extract.soa.compares");
+static NEGATIVE_SPAN: Counter = Counter::new("extract.negative_span");
+static ANALYSIS_SECONDS: Gauge = Gauge::new("phases.analysis_seconds");
 
 /// A phase pattern: `pattern[tick][process]` cells.
 pub type Pattern = Vec<Vec<Option<CellSig>>>;
@@ -197,25 +209,22 @@ pub fn extract_phases(lt: &LogicalTrace, cfg: &SimilarityConfig) -> PhaseAnalysi
         analysis_seconds: st.finish(),
         negative_spans: merger.negative_spans,
     };
-    if pas2p_obs::enabled() {
-        pas2p_obs::counter("phases.ticks_scanned").add(ticks.len() as u64);
-        pas2p_obs::counter("phases.unique").add(analysis.total_phases() as u64);
-        pas2p_obs::counter("phases.occurrences")
-            .add(analysis.phases.iter().map(|p| p.weight).sum());
-        pas2p_obs::counter("phases.similarity_comparisons").add(merger.comparisons);
-        pas2p_obs::counter("phases.dedupe_hits").add(merger.dedupe_hits);
-        if matches!(cfg.kernel, SimilarityKernel::Soa) {
-            // Always registered (even at 0) so the SoA kernel's skip
-            // behaviour is visible in every metrics snapshot.
-            pas2p_obs::counter("extract.band.rejects").add(merger.band_rejects);
-            pas2p_obs::counter("extract.lsh.skipped").add(merger.lsh_skipped);
-            pas2p_obs::counter("extract.soa.compares").add(merger.soa_compares);
-        }
-        if merger.negative_spans > 0 {
-            pas2p_obs::counter("extract.negative_span").add(merger.negative_spans);
-        }
-        pas2p_obs::gauge("phases.analysis_seconds").set(analysis.analysis_seconds);
+    TICKS_SCANNED.add(ticks.len() as u64);
+    UNIQUE.add(analysis.total_phases() as u64);
+    OCCURRENCES.add(analysis.phases.iter().map(|p| p.weight).sum());
+    SIMILARITY_COMPARISONS.add(merger.comparisons);
+    DEDUPE_HITS.add(merger.dedupe_hits);
+    if matches!(cfg.kernel, SimilarityKernel::Soa) {
+        // Always registered (even at 0) so the SoA kernel's skip
+        // behaviour is visible in every metrics snapshot.
+        BAND_REJECTS.add(merger.band_rejects);
+        LSH_SKIPPED.add(merger.lsh_skipped);
+        SOA_COMPARES.add(merger.soa_compares);
     }
+    if merger.negative_spans > 0 {
+        NEGATIVE_SPAN.add(merger.negative_spans);
+    }
+    ANALYSIS_SECONDS.set(analysis.analysis_seconds);
     analysis
 }
 

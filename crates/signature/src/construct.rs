@@ -11,10 +11,17 @@ use crate::app::MpiApp;
 use crate::checkpoint::{CheckpointData, CkptCoordinator, RowTargets};
 use pas2p_machine::{IsaKind, MachineModel, MappingPolicy};
 use pas2p_mpisim::{run_app, Mpi, SimConfig};
+use pas2p_obs::{Counter, Gauge};
 use pas2p_phases::{PhaseRow, PhaseTable};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
+
+static ROWS_SKIPPED_EMPTY: Counter = Counter::new("signature.rows_skipped_empty");
+static CONSTRUCT_RUNS: Counter = Counter::new("signature.construct_runs");
+static CHECKPOINTS: Counter = Counter::new("signature.checkpoints");
+static CHECKPOINT_BYTES: Counter = Counter::new("signature.checkpoint_bytes");
+static SCT_SECONDS: Gauge = Gauge::new("signature.sct_seconds");
 
 /// Tunables of signature construction and execution.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -154,9 +161,7 @@ pub fn construct_signature(
                 },
             )),
             None => {
-                if pas2p_obs::enabled() {
-                    pas2p_obs::counter("signature.rows_skipped_empty").inc();
-                }
+                ROWS_SKIPPED_EMPTY.inc();
                 None
             }
         })
@@ -224,12 +229,10 @@ pub fn construct_signature(
         ckpt_bytes,
         wall_seconds: started.elapsed().as_secs_f64(),
     };
-    if pas2p_obs::enabled() {
-        pas2p_obs::counter("signature.construct_runs").inc();
-        pas2p_obs::counter("signature.checkpoints").add(signature.entries.len() as u64);
-        pas2p_obs::counter("signature.checkpoint_bytes").add(ckpt_bytes);
-        pas2p_obs::gauge("signature.sct_seconds").set(stats.sct);
-    }
+    CONSTRUCT_RUNS.inc();
+    CHECKPOINTS.add(signature.entries.len() as u64);
+    CHECKPOINT_BYTES.add(ckpt_bytes);
+    SCT_SECONDS.set(stats.sct);
     pas2p_obs::instant("host.signature", "signature constructed", || {
         vec![
             ("app", signature.app_name.clone()),

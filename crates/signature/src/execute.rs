@@ -13,8 +13,13 @@ use crate::predict::{PhaseMeasurement, Prediction};
 use parking_lot::Mutex;
 use pas2p_machine::{IsaKind, MachineModel, MappingPolicy};
 use pas2p_mpisim::{run_app, Counters, HarnessAction, Mpi, SimConfig, SimHarness};
+use pas2p_obs::{Counter, Histogram};
 use std::sync::Arc;
 use std::time::Instant;
+
+static RESTARTS: Counter = Counter::new("signature.restarts");
+static PHASE_MEASUREMENTS: Counter = Counter::new("signature.phase_measurements");
+static PHASE_ET_US: Histogram = Histogram::new("signature.phase_et_us");
 
 /// Errors from signature execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -335,13 +340,10 @@ pub fn execute_signature(
         });
     }
 
-    if pas2p_obs::enabled() {
-        pas2p_obs::counter("signature.restarts").add(signature.entries.len() as u64);
-        pas2p_obs::counter("signature.phase_measurements").add(measurements.len() as u64);
-        let phase_et = pas2p_obs::histogram("signature.phase_et_us");
-        for m in &measurements {
-            phase_et.record((m.phase_et * 1e6) as u64);
-        }
+    RESTARTS.add(signature.entries.len() as u64);
+    PHASE_MEASUREMENTS.add(measurements.len() as u64);
+    for m in &measurements {
+        PHASE_ET_US.record((m.phase_et * 1e6) as u64);
     }
     let mut prediction = Prediction::from_measurements(
         signature.app_name.clone(),

@@ -5,7 +5,13 @@ use crate::app::{run_plain, MpiApp};
 use crate::construct::Signature;
 use crate::execute::{execute_signature, ExecError};
 use pas2p_machine::{MachineModel, MappingPolicy};
+use pas2p_obs::Gauge;
 use serde::{Deserialize, Serialize};
+
+static PET_SECONDS: Gauge = Gauge::new("predict.pet_seconds");
+static SET_SECONDS: Gauge = Gauge::new("predict.set_seconds");
+static AET_SECONDS: Gauge = Gauge::new("predict.aet_seconds");
+static PETE_PERCENT: Gauge = Gauge::new("predict.pete_percent");
 
 /// One phase's measurement on the target machine.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -74,10 +80,8 @@ impl Prediction {
             .iter()
             .map(|m| m.restart_cost + m.measured_span)
             .sum();
-        if pas2p_obs::enabled() {
-            pas2p_obs::gauge("predict.pet_seconds").set(pet);
-            pas2p_obs::gauge("predict.set_seconds").set(set);
-        }
+        PET_SECONDS.set(pet);
+        SET_SECONDS.set(set);
         Prediction {
             app,
             base_machine,
@@ -152,11 +156,9 @@ pub fn report_from(prediction: Prediction, aet: f64) -> ValidationReport {
     } else {
         0.0
     };
-    if pas2p_obs::enabled() {
-        pas2p_obs::gauge("predict.aet_seconds").set(aet);
-        if let Some(pete) = pete_percent {
-            pas2p_obs::gauge("predict.pete_percent").set(pete);
-        }
+    AET_SECONDS.set(aet);
+    if let Some(pete) = pete_percent {
+        PETE_PERCENT.set(pete);
     }
     ValidationReport {
         prediction,

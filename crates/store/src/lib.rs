@@ -32,9 +32,9 @@
 //!   the [`StoreIo`] seam so these guarantees are provable under
 //!   injected faults.
 //!
-//! Observability: `store.hit` / `store.miss` / `store.evict` /
-//! `store.put` counters and a `store.entries` gauge, behind the same
-//! [`pas2p_obs::enabled`] gate as the rest of the stack.
+//! Observability: the `store.hit` ([`HITS`], which the service also
+//! counts) / `store.miss` / `store.evict` / `store.put` counters and a
+//! `store.entries` gauge, recorded while [`pas2p_obs::enabled`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,6 +52,7 @@ pub use key::{
     STORE_FORMAT_VERSION,
 };
 pub use report::StoreReport;
+pub use store::HITS;
 pub use store::{ArtifactKind, IndexEntry, Sidecar, SignatureStore, StoreError, StoredSignature};
 
 #[cfg(test)]

@@ -36,13 +36,20 @@ use crate::digest::sha256_hex;
 use crate::io::{RealIo, StoreIo};
 use crate::key::{signature_alias, StoreKey, STORE_FORMAT_VERSION};
 use crate::report::StoreReport;
-use pas2p_obs::MetricsSnapshot;
+use pas2p_obs::{Counter, Gauge, MetricsSnapshot};
 use pas2p_phases::{PhaseAnalysis, PhaseTable};
 use pas2p_signature::Signature;
 use pas2p_trace::Confidence;
 use serde::{Deserialize, Error, Serialize, Sink, Value};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+
+/// Reads that found their object; the service counts its kept replies.
+pub static HITS: Counter = Counter::new("store.hit");
+static MISSES: Counter = Counter::new("store.miss");
+static EVICTS: Counter = Counter::new("store.evict");
+static PUTS: Counter = Counter::new("store.put");
+static ENTRIES: Gauge = Gauge::new("store.entries");
 
 /// What kind of artifact an entry holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -336,7 +343,7 @@ impl SignatureStore {
         if why != Evicted::Missing {
             let _ = self.io.remove_file(&self.object_path(digest));
         }
-        count("store.evict");
+        EVICTS.inc();
         match why {
             Evicted::Version => self.report.evicted_version += 1,
             Evicted::Corrupt => self.report.evicted_corrupt += 1,
@@ -480,7 +487,7 @@ impl SignatureStore {
         let obj = self.load_object(key, ArtifactKind::Signature)?;
         match serde_json::from_str::<StoredSignature>(&obj.payload) {
             Ok(payload) => {
-                count("store.hit");
+                HITS.inc();
                 Some((payload, obj.sidecar))
             }
             Err(e) => {
@@ -495,7 +502,7 @@ impl SignatureStore {
     /// was put: one verified read of its object. `None` is a miss.
     pub fn get_prediction_json(&mut self, key: &StoreKey) -> Option<String> {
         let obj = self.load_object(key, ArtifactKind::Prediction)?;
-        count("store.hit");
+        HITS.inc();
         Some(obj.payload)
     }
 
@@ -563,12 +570,12 @@ impl SignatureStore {
     /// counted by the typed getters once the payload also parses.
     fn load_object(&mut self, key: &StoreKey, kind: ArtifactKind) -> Option<StoredObject> {
         if !self.index.entries.contains_key(&key.digest) {
-            count("store.miss");
+            MISSES.inc();
             return None;
         }
         match self.read_object(&key.digest) {
             Ok(obj) if obj.entry.kind == kind => return Some(obj),
-            Ok(_) => count("store.miss"),
+            Ok(_) => MISSES.inc(),
             Err((why, reason)) => self.evict_on_read(&key.digest, why, reason),
         }
         None
@@ -578,7 +585,7 @@ impl SignatureStore {
     /// is flushed at once.
     fn evict_on_read(&mut self, digest: &str, why: Evicted, reason: &str) {
         self.forget(digest, why, reason);
-        count("store.miss");
+        MISSES.inc();
         let _ = self.flush_index();
     }
 
@@ -606,10 +613,8 @@ impl SignatureStore {
         }
         self.index.entries.insert(key.digest.clone(), entry);
         self.flush_index()?;
-        if pas2p_obs::enabled() {
-            pas2p_obs::counter("store.put").add(1);
-            pas2p_obs::gauge("store.entries").set(self.index.entries.len() as f64);
-        }
+        PUTS.inc();
+        ENTRIES.set(self.index.entries.len() as f64);
         Ok(())
     }
 
@@ -667,13 +672,6 @@ fn temp_path_for(path: &Path) -> PathBuf {
         SEQ.fetch_add(1, Ordering::Relaxed)
     );
     path.with_file_name(name)
-}
-
-/// One tick of a `store.*` counter, behind the obs gate.
-fn count(metric: &'static str) {
-    if pas2p_obs::enabled() {
-        pas2p_obs::counter(metric).add(1);
-    }
 }
 
 #[cfg(test)]

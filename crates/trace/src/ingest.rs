@@ -20,7 +20,16 @@
 
 use crate::event::{EventKind, ProcessTrace, Trace};
 use crate::format::{self, Cursor, EVENT_RECORD_BYTES};
+use pas2p_obs::Counter;
 use serde::{Deserialize, Serialize};
+
+static RUNS: Counter = Counter::new("ingest.runs");
+static RECORDS_RECOVERED: Counter = Counter::new("ingest.records_recovered");
+static RECORDS_QUARANTINED: Counter = Counter::new("ingest.records_quarantined");
+static BYTES_SKIPPED: Counter = Counter::new("ingest.bytes_skipped");
+static RANKS_MISSING: Counter = Counter::new("ingest.ranks_missing");
+static DEGRADED: Counter = Counter::new("ingest.degraded");
+static COLLECTIVES_CLAMPED: Counter = Counter::new("ingest.collectives_clamped");
 
 /// How much the pipeline's output can be trusted — the flag carried by
 /// analyses, signatures and predictions.
@@ -367,15 +376,13 @@ pub fn decode_recovering(buf: &[u8]) -> (Option<Trace>, IngestReport) {
         .collect();
     report.ranks = accounts;
 
-    if pas2p_obs::enabled() {
-        pas2p_obs::counter("ingest.runs").add(1);
-        pas2p_obs::counter("ingest.records_recovered").add(report.records_recovered());
-        pas2p_obs::counter("ingest.records_quarantined").add(report.records_quarantined());
-        pas2p_obs::counter("ingest.bytes_skipped").add(report.bytes_skipped);
-        pas2p_obs::counter("ingest.ranks_missing").add(report.missing_ranks().len() as u64);
-        if report.is_degraded() {
-            pas2p_obs::counter("ingest.degraded").add(1);
-        }
+    RUNS.inc();
+    RECORDS_RECOVERED.add(report.records_recovered());
+    RECORDS_QUARANTINED.add(report.records_quarantined());
+    BYTES_SKIPPED.add(report.bytes_skipped);
+    RANKS_MISSING.add(report.missing_ranks().len() as u64);
+    if report.is_degraded() {
+        DEGRADED.inc();
     }
 
     let trace = Trace {
@@ -418,8 +425,8 @@ pub fn repair_collectives(trace: &mut Trace) -> u64 {
             }
         }
     }
-    if clamped > 0 && pas2p_obs::enabled() {
-        pas2p_obs::counter("ingest.collectives_clamped").add(clamped);
+    if clamped > 0 {
+        COLLECTIVES_CLAMPED.add(clamped);
     }
     clamped
 }

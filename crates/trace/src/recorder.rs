@@ -4,6 +4,10 @@ use crate::event::{EventKind, ProcessTrace, Trace, TraceEvent};
 use parking_lot::Mutex;
 use pas2p_machine::Work;
 use pas2p_mpisim::{CollInput, CollOp, CollOutput, Counters, Group, Message, Mpi, Payload, Tag};
+use pas2p_obs::Counter;
+
+static EVENTS: Counter = Counter::new("trace.events");
+static BYTES: Counter = Counter::new("trace.bytes");
 
 /// Cost model of the instrumentation itself.
 ///
@@ -109,10 +113,8 @@ impl TraceCollector {
             machine: self.machine,
             procs,
         };
-        if pas2p_obs::enabled() {
-            pas2p_obs::counter("trace.events").add(trace.total_events() as u64);
-            pas2p_obs::counter("trace.bytes").add(trace.size_bytes());
-        }
+        EVENTS.add(trace.total_events() as u64);
+        BYTES.add(trace.size_bytes());
         Ok(trace)
     }
 }

@@ -67,6 +67,12 @@ fn with_misbehaving_apps() -> AppResolver {
     })
 }
 
+/// Simulated runs so far, as `mpisim.runs` counts them.
+fn simulated_runs() -> u64 {
+    let counters = pas2p_obs::global().snapshot().counters;
+    counters.get("mpisim.runs").copied().unwrap_or(0)
+}
+
 fn send(svc: &PredictionService, line: &str) -> serde_json::Value {
     let (response, _) = svc.handle_line(line);
     serde_json::from_str(&response.render()).expect("a reply is JSON")
@@ -89,9 +95,9 @@ fn batch_simulates_each_missing_app_exactly_twice() {
     pas2p_obs::global().reset();
     // No targets: Stage B (one restarted run per phase) stays out of the count.
     let reply = svc.batch(&apps, 4, "A", &[], Some(2), None).expect("batch");
-    let runs = pas2p_obs::counter("mpisim.runs").get();
+    let runs = simulated_runs();
     let again = svc.batch(&apps, 4, "A", &[], Some(2), None).expect("batch");
-    let runs_again = pas2p_obs::counter("mpisim.runs").get() - runs;
+    let runs_again = simulated_runs() - runs;
     pas2p_obs::set_enabled(false);
 
     for app in &apps {
@@ -110,7 +116,7 @@ fn batch_simulates_each_missing_app_exactly_twice() {
     let missing = ["lu", "sp", "bt", "pop"];
     let line = r#"{"op":"batch","apps":["lu","sp","bt","pop"],"nprocs":4,"workers":2}"#;
     pas2p_obs::set_enabled(true);
-    let before = pas2p_obs::counter("mpisim.runs").get();
+    let before = simulated_runs();
     let barrier = Barrier::new(4);
     let replies: Vec<serde_json::Value> = std::thread::scope(|scope| {
         let senders: Vec<_> = (0..4)
@@ -126,7 +132,7 @@ fn batch_simulates_each_missing_app_exactly_twice() {
             .map(|sender| sender.join().expect("a sender"))
             .collect()
     });
-    let concurrent_runs = pas2p_obs::counter("mpisim.runs").get() - before;
+    let concurrent_runs = simulated_runs() - before;
     pas2p_obs::set_enabled(false);
     for reply in &replies {
         for app in missing {

@@ -3,6 +3,8 @@
 //! vs disabled, once the host-wall-clock fields (which legitimately vary
 //! run to run) are normalized out. Every virtual-clock quantity — trace
 //! shape, phase structure, AET, the phase table — has to match exactly.
+//! And off, nothing registers: the disabled run leaves the registry
+//! empty.
 
 use pas2p::prelude::*;
 use pas2p::{Analysis, Pas2p};
@@ -30,6 +32,13 @@ fn observability_does_not_perturb_the_analysis() {
     pas2p_obs::set_enabled(false);
     let disabled = pas2p.analyze(&app, &base, MappingPolicy::Block);
     assert!(disabled.metrics.is_none());
+    // Off, an instrument records nothing and registers nothing: the
+    // registry of this process is still empty.
+    let idle = pas2p_obs::global().snapshot();
+    assert!(idle.counters.is_empty(), "{:?}", idle.counters);
+    assert!(idle.gauges.is_empty(), "{:?}", idle.gauges);
+    assert!(idle.histograms.is_empty(), "{:?}", idle.histograms);
+    assert!(idle.stages.is_empty(), "{:?}", idle.stages);
 
     pas2p_obs::set_enabled(true);
     pas2p_obs::global().reset();

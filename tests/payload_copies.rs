@@ -35,8 +35,9 @@ fn no_payload_is_materialised_by_a_catalog_app() {
         logical > 1 << 30,
         "the catalog moves gigabytes of logical payload"
     );
-    assert_eq!(pas2p_obs::counter("mpisim.bytes").get(), logical);
-    assert_eq!(pas2p_obs::counter("mpisim.bytes_copied").get(), 0);
+    let counters = pas2p_obs::global().snapshot().counters;
+    assert_eq!(counters["mpisim.bytes"], logical);
+    assert_eq!(counters["mpisim.bytes_copied"], 0);
 
     // The data-carrying constructor is counted by what it copies.
     let cfg = SimConfig::new(base, 2, MappingPolicy::Block);
@@ -52,5 +53,6 @@ fn no_payload_is_materialised_by_a_catalog_app() {
     pas2p_obs::set_enabled(false);
     assert_eq!(report.total_bytes, 4096 + (1 << 20));
     assert_eq!(report.bytes_copied, 4096);
-    assert_eq!(pas2p_obs::counter("mpisim.bytes_copied").get(), 4096);
+    let counters = pas2p_obs::global().snapshot().counters;
+    assert_eq!(counters["mpisim.bytes_copied"], 4096);
 }

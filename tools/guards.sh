@@ -216,6 +216,33 @@ a_stage_is_its_own_boundary() {
   return $bad
 }
 
+# A metric carries its own gate: an instrument is a named static
+# (`static PARKS: Counter = Counter::new("mpisim.parks")`) whose record
+# asks `pas2p_obs::enabled()` itself. Outside crates/obs, non-test code
+# looks no instrument up by name, caches no handle in a OnceLock, and
+# asks the gate itself only where the work is not a record: the park's
+# clock read (crates/mpisim/src/park.rs, once) and the two snapshots
+# of crates/core/src/pipeline.rs.
+one_metric_gate() {
+  bad=0
+  for f in $(find src crates/*/src -name '*.rs' ! -path 'crates/obs/*'); do
+    awk -v f="$f" '
+      /#\[cfg\(test\)\]/ { exit }
+      /^[[:space:]]*\/\// { next }
+      /pas2p_obs::(counter|gauge|histogram)\(|OnceLock<.*(Counter|Gauge|Histogram)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+      /pas2p_obs::enabled\(\)/ { gates++; line[gates] = FILENAME ":" FNR ": " $0 }
+      END {
+        allowed = (f == "crates/mpisim/src/park.rs") ? 1 : (f == "crates/core/src/pipeline.rs") ? 2 : 0
+        if (gates + 0 != allowed) {
+          for (i = 1; i <= gates; i++) print line[i]
+          print f ": " gates + 0 " pas2p_obs::enabled() calls, expected " allowed; bad = 1
+        }
+        exit bad
+      }' "$f" || bad=1
+  done
+  return $bad
+}
+
 guard "no wall-clock waits in the simulator" no_wall_clock_waits_in_the_simulator
 guard "one worker pool (threads, lanes and worker-exit flushes live in the farm)" one_worker_pool
 guard "one collective seam (the eight _in collectives are provided by the Mpi trait only)" one_collective_seam
@@ -224,6 +251,7 @@ guard "a store file is a struct (no hand-spelled codec beside the derives)" a_st
 guard "one way into the store (one put_signature call; service.rs does not name the batch driver)" one_way_into_the_store
 guard "one reply render (a stored prediction is parsed into a Value at one site in crates/core/src)" one_reply_render
 guard "a stage is its own cancellation boundary (no stage enum, enter( or bare checkpoint() in crates/core/src)" a_stage_is_its_own_boundary
+guard "one metric gate (instruments are statics that gate themselves; enabled() only for the park clock and the pipeline snapshots)" one_metric_gate
 guard "every dependency is in the tree (five stand-ins by path, three crates gone)" every_dependency_is_in_the_tree
 guard "every declared dependency is used" every_declared_dependency_is_used
 exit $failed
