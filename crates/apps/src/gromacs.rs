@@ -9,7 +9,7 @@
 
 use crate::util::{near_square_grid, SplitMix, StateReader, StateWriter};
 use pas2p_machine::Work;
-use pas2p_mpisim::{Group, Mpi, Payload};
+use pas2p_mpisim::{Group, Mpi};
 use pas2p_signature::{MpiApp, RankProgram};
 
 /// The GROMACS-like application.
@@ -120,14 +120,9 @@ impl GromacsRank {
     fn pme(&mut self, ctx: &mut dyn Mpi) {
         let rg = Group::grid_row(self.rank, self.rows, self.cols);
         let cg = Group::grid_col(self.rank, self.rows, self.cols);
-        let blocks = |g: &Group| -> Vec<Payload> {
-            (0..g.len())
-                .map(|_| Payload::sized(self.pme_block))
-                .collect()
-        };
-        ctx.alltoall_in(&rg, blocks(&rg));
+        ctx.alltoall_in(&rg, vec![self.pme_block; rg.len()]);
         ctx.compute(Work::flops(self.pme_flops));
-        ctx.alltoall_in(&cg, blocks(&cg));
+        ctx.alltoall_in(&cg, vec![self.pme_block; cg.len()]);
         ctx.compute(Work::flops(self.pme_flops * 0.5));
     }
 }
@@ -135,8 +130,7 @@ impl GromacsRank {
 impl RankProgram for GromacsRank {
     fn prologue(&mut self, ctx: &mut dyn Mpi) {
         // Topology distribution.
-        let data = (self.rank == 0).then(|| Payload::sized(4096));
-        ctx.bcast(0, data);
+        ctx.bcast(0, (self.rank == 0).then_some(4096));
         ctx.compute(Work::new(self.force_flops, self.mem_bytes));
         ctx.barrier();
     }
@@ -154,14 +148,13 @@ impl RankProgram for GromacsRank {
         ctx.allreduce_f64(&[self.q[0]], pas2p_mpisim::ReduceOp::Sum);
         ctx.compute(Work::flops(self.force_flops * 0.05));
         if (s + 1).is_multiple_of(self.dlb_every) {
-            let data = (self.rank == 0).then(|| Payload::sized(512));
-            ctx.bcast(0, data);
+            ctx.bcast(0, (self.rank == 0).then_some(512));
         }
         self.step_no += 1;
     }
 
     fn epilogue(&mut self, ctx: &mut dyn Mpi) {
-        ctx.gather(0, Payload::sized(256));
+        ctx.gather(0, 256);
     }
 
     fn snapshot(&self) -> Vec<u8> {

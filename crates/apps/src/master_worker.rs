@@ -85,7 +85,7 @@ impl RankProgram for MwRank {
             }
             for _ in 1..self.nprocs {
                 let m = ctx.recv(None, Some(2));
-                self.result += m.data.len() as f64;
+                self.result += m.len as f64;
             }
         } else {
             ctx.recv(Some(0), Some(1));

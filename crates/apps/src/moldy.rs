@@ -11,7 +11,7 @@
 
 use crate::util::{near_cube_grid, SplitMix, StateReader, StateWriter};
 use pas2p_machine::Work;
-use pas2p_mpisim::{Mpi, Payload};
+use pas2p_mpisim::Mpi;
 use pas2p_signature::{MpiApp, RankProgram};
 
 /// The Moldy application.
@@ -158,7 +158,7 @@ impl RankProgram for MoldyRank {
         // Read input, build initial cells (cheap relative to the MD loop:
         // a non-relevant phase, like the paper's initialization phases).
         ctx.compute(Work::new(self.force_flops * 0.1, self.mem_bytes * 0.2));
-        ctx.allgather(Payload::sized(64));
+        ctx.allgather(64);
         ctx.barrier();
     }
 
@@ -176,7 +176,7 @@ impl RankProgram for MoldyRank {
         ctx.allreduce_f64(&[self.energy], pas2p_mpisim::ReduceOp::Sum);
         // Periodic neighbour-list rebuild: a different, rarer phase.
         if (s + 1).is_multiple_of(self.rebuild_every) {
-            ctx.allgather(Payload::sized(256));
+            ctx.allgather(256);
             ctx.compute(Work::new(self.force_flops * 0.4, self.mem_bytes * 0.5));
         }
         // Sparse trajectory sampling: a cheap, rare phase family that
@@ -184,14 +184,14 @@ impl RankProgram for MoldyRank {
         // bookkeeping) — the paper's Table 3 finds 13 phases of which
         // only 4 matter.
         if (s + 1).is_multiple_of(self.rebuild_every * 3) {
-            ctx.gather(0, Payload::sized(64));
+            ctx.gather(0, 64);
         }
         self.step_no += 1;
     }
 
     fn epilogue(&mut self, ctx: &mut dyn Mpi) {
         // Final trajectory dump to rank 0.
-        ctx.gather(0, Payload::sized(128));
+        ctx.gather(0, 128);
     }
 
     fn snapshot(&self) -> Vec<u8> {

@@ -10,7 +10,7 @@
 use crate::npb::Class;
 use crate::util::{near_square_grid, SplitMix, StateReader, StateWriter};
 use pas2p_machine::Work;
-use pas2p_mpisim::{Group, Mpi, Payload};
+use pas2p_mpisim::{Group, Mpi};
 use pas2p_signature::{MpiApp, RankProgram};
 
 /// The FT application.
@@ -102,10 +102,7 @@ impl FtRank {
     }
 
     fn transpose(&mut self, ctx: &mut dyn Mpi, group: &Group) {
-        let blocks = (0..group.len())
-            .map(|_| Payload::sized(self.block_bytes))
-            .collect();
-        ctx.alltoall_in(group, blocks);
+        ctx.alltoall_in(group, vec![self.block_bytes; group.len()]);
     }
 }
 

@@ -65,7 +65,7 @@ pub mod prelude {
         MappingPolicy, Work,
     };
     pub use pas2p_model::{lamport_order, pas2p_order, try_pas2p_order, LogicalTrace, ModelError};
-    pub use pas2p_mpisim::{run_app, Group, Mpi, Payload, RankCtx, ReduceOp, SimConfig};
+    pub use pas2p_mpisim::{run_app, Group, Mpi, RankCtx, ReduceOp, SimConfig};
     pub use pas2p_phases::{
         extract_phases, PhaseAnalysis, PhaseTable, SimilarityConfig, SimilarityKernel,
     };

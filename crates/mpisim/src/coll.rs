@@ -13,7 +13,6 @@
 //! thread scheduling cannot influence the result.
 
 use crate::group::Group;
-use crate::msg::Payload;
 use parking_lot::Mutex;
 use pas2p_machine::CollectiveKind;
 use serde::{Deserialize, Serialize};
@@ -82,51 +81,42 @@ impl CollOp {
     }
 }
 
-/// A participant's contribution to a collective round.
+/// A participant's contribution to a collective round. A block is its
+/// length in bytes.
 #[derive(Debug, Clone)]
 pub enum CollInput {
-    /// No payload (barrier, non-root bcast/scatter).
+    /// No block (barrier, non-root bcast/scatter).
     None,
     /// A single block.
-    Block(Payload),
+    Block(usize),
     /// One block per group member (alltoall, root scatter).
-    Blocks(Vec<Payload>),
+    Blocks(Vec<usize>),
     /// Numeric vector for reductions.
     F64(Vec<f64>),
 }
 
 impl CollInput {
-    /// Payload bytes this participant contributes (for costing): its
-    /// block, its largest block, or its reduction vector.
+    /// Bytes this participant contributes (for costing): its block, its
+    /// largest block, or its reduction vector.
     pub fn byte_len(&self) -> u64 {
         match self {
             CollInput::None => 0,
-            CollInput::Block(b) => b.len() as u64,
-            CollInput::Blocks(bs) => bs.iter().map(|b| b.len() as u64).max().unwrap_or(0),
+            CollInput::Block(b) => *b as u64,
+            CollInput::Blocks(bs) => bs.iter().max().map_or(0, |&b| b as u64),
             CollInput::F64(xs) => (xs.len() * 8) as u64,
-        }
-    }
-
-    /// Block bytes this participant holds in memory (0 for size-only
-    /// blocks; a reduction vector is values, not payload).
-    pub(crate) fn held(&self) -> u64 {
-        match self {
-            CollInput::None | CollInput::F64(_) => 0,
-            CollInput::Block(b) => b.held(),
-            CollInput::Blocks(bs) => bs.iter().map(Payload::held).sum(),
         }
     }
 }
 
-/// A participant's result from a collective round.
+/// A participant's result from a collective round; a block is a length.
 #[derive(Debug, Clone)]
 pub enum CollOutput {
-    /// No payload delivered to this member.
+    /// No block delivered to this member.
     None,
     /// A single block.
-    Block(Payload),
+    Block(usize),
     /// One block per group member.
-    Blocks(Vec<Payload>),
+    Blocks(Vec<usize>),
     /// Numeric vector.
     F64(Vec<f64>),
 }
@@ -144,11 +134,11 @@ pub(crate) fn complete(op: CollOp, group: &Group, inputs: &[CollInput]) -> Vec<C
         CollOp::Barrier => vec![CollOutput::None; n],
         CollOp::Bcast { root } => {
             let rp = root_pos(root);
-            let payload = match &inputs[rp] {
-                CollInput::Block(b) => b.clone(),
-                other => panic!("bcast root must supply a block, got {:?}", other),
+            let block = match inputs[rp] {
+                CollInput::Block(b) => b,
+                ref other => panic!("bcast root must supply a block, got {:?}", other),
             };
-            (0..n).map(|_| CollOutput::Block(payload.clone())).collect()
+            vec![CollOutput::Block(block); n]
         }
         CollOp::Reduce { root, op } => {
             let acc = reduce_inputs(inputs, op);
@@ -168,17 +158,17 @@ pub(crate) fn complete(op: CollOp, group: &Group, inputs: &[CollInput]) -> Vec<C
             (0..n).map(|_| CollOutput::F64(acc.clone())).collect()
         }
         CollOp::Allgather => {
-            let blocks: Vec<Payload> = inputs
+            let blocks: Vec<usize> = inputs
                 .iter()
                 .map(|i| match i {
-                    CollInput::Block(b) => b.clone(),
+                    CollInput::Block(b) => *b,
                     other => panic!("allgather members must supply a block, got {:?}", other),
                 })
                 .collect();
             (0..n).map(|_| CollOutput::Blocks(blocks.clone())).collect()
         }
         CollOp::Alltoall => {
-            let matrix: Vec<&Vec<Payload>> = inputs
+            let matrix: Vec<&Vec<usize>> = inputs
                 .iter()
                 .map(|i| match i {
                     CollInput::Blocks(bs) => {
@@ -189,15 +179,15 @@ pub(crate) fn complete(op: CollOp, group: &Group, inputs: &[CollInput]) -> Vec<C
                 })
                 .collect();
             (0..n)
-                .map(|i| CollOutput::Blocks(matrix.iter().map(|row| row[i].clone()).collect()))
+                .map(|i| CollOutput::Blocks(matrix.iter().map(|row| row[i]).collect()))
                 .collect()
         }
         CollOp::Gather { root } => {
             let rp = root_pos(root);
-            let blocks: Vec<Payload> = inputs
+            let blocks: Vec<usize> = inputs
                 .iter()
                 .map(|i| match i {
-                    CollInput::Block(b) => b.clone(),
+                    CollInput::Block(b) => *b,
                     other => panic!("gather members must supply a block, got {:?}", other),
                 })
                 .collect();
@@ -378,10 +368,6 @@ impl CollSlot {
 mod tests {
     use super::*;
 
-    fn b(s: &[u8]) -> Payload {
-        s.into()
-    }
-
     #[test]
     fn reduce_ops_combine_correctly() {
         assert_eq!(ReduceOp::Sum.apply(2.0, 3.0), 5.0);
@@ -393,11 +379,11 @@ mod tests {
     #[test]
     fn complete_bcast_copies_root_payload() {
         let g = Group::new(vec![0, 1, 2]);
-        let inputs = vec![CollInput::None, CollInput::Block(b(b"hi")), CollInput::None];
+        let inputs = vec![CollInput::None, CollInput::Block(42), CollInput::None];
         let out = complete(CollOp::Bcast { root: 1 }, &g, &inputs);
         for o in out {
             match o {
-                CollOutput::Block(p) => assert_eq!(&p[..], b"hi"),
+                CollOutput::Block(len) => assert_eq!(len, 42),
                 other => panic!("unexpected {:?}", other),
             }
         }
@@ -441,23 +427,18 @@ mod tests {
     #[test]
     fn complete_alltoall_transposes_blocks() {
         let g = Group::new(vec![0, 1]);
+        // Block `10 * from + to + 1` goes from position `from` to `to`.
         let inputs = vec![
-            CollInput::Blocks(vec![b(b"00"), b(b"01")]),
-            CollInput::Blocks(vec![b(b"10"), b(b"11")]),
+            CollInput::Blocks(vec![1, 2]),
+            CollInput::Blocks(vec![11, 12]),
         ];
         let out = complete(CollOp::Alltoall, &g, &inputs);
         match &out[0] {
-            CollOutput::Blocks(bs) => {
-                assert_eq!(&bs[0][..], b"00");
-                assert_eq!(&bs[1][..], b"10");
-            }
+            CollOutput::Blocks(bs) => assert_eq!(bs, &[1, 11]),
             other => panic!("unexpected {:?}", other),
         }
         match &out[1] {
-            CollOutput::Blocks(bs) => {
-                assert_eq!(&bs[0][..], b"01");
-                assert_eq!(&bs[1][..], b"11");
-            }
+            CollOutput::Blocks(bs) => assert_eq!(bs, &[2, 12]),
             other => panic!("unexpected {:?}", other),
         }
     }
@@ -466,15 +447,14 @@ mod tests {
     fn complete_scatter_distributes_root_blocks() {
         let g = Group::new(vec![0, 1, 2]);
         let inputs = vec![
-            CollInput::Blocks(vec![b(b"a"), b(b"b"), b(b"c")]),
+            CollInput::Blocks(vec![7, 8, 9]),
             CollInput::None,
             CollInput::None,
         ];
         let out = complete(CollOp::Scatter { root: 0 }, &g, &inputs);
-        let expect = [b"a", b"b", b"c"];
-        for (o, e) in out.iter().zip(expect) {
+        for (o, e) in out.iter().zip([7, 8, 9]) {
             match o {
-                CollOutput::Block(p) => assert_eq!(&p[..], *e),
+                CollOutput::Block(len) => assert_eq!(*len, e),
                 other => panic!("unexpected {:?}", other),
             }
         }
@@ -483,13 +463,10 @@ mod tests {
     #[test]
     fn complete_gather_collects_in_group_order() {
         let g = Group::new(vec![0, 1]);
-        let inputs = vec![CollInput::Block(b(b"x")), CollInput::Block(b(b"y"))];
+        let inputs = vec![CollInput::Block(3), CollInput::Block(4)];
         let out = complete(CollOp::Gather { root: 0 }, &g, &inputs);
         match &out[0] {
-            CollOutput::Blocks(bs) => {
-                assert_eq!(&bs[0][..], b"x");
-                assert_eq!(&bs[1][..], b"y");
-            }
+            CollOutput::Blocks(bs) => assert_eq!(bs, &[3, 4]),
             other => panic!("unexpected {:?}", other),
         }
         assert!(matches!(out[1], CollOutput::None));
@@ -499,14 +476,11 @@ mod tests {
     fn complete_delivers_size_only_blocks_by_position() {
         let g = Group::new(vec![0, 1]);
         let lens = |o: &CollOutput| match o {
-            CollOutput::Blocks(bs) => bs.iter().map(Payload::len).collect::<Vec<_>>(),
-            CollOutput::Block(b) => vec![b.len()],
+            CollOutput::Blocks(bs) => bs.clone(),
+            CollOutput::Block(b) => vec![*b],
             other => panic!("unexpected {:?}", other),
         };
-        let rows = vec![
-            CollInput::Blocks(vec![Payload::sized(1), Payload::sized(2)]),
-            CollInput::Blocks(vec![Payload::sized(3), Payload::sized(4)]),
-        ];
+        let rows = vec![CollInput::Blocks(vec![1, 2]), CollInput::Blocks(vec![3, 4])];
         let out = complete(CollOp::Alltoall, &g, &rows);
         assert_eq!((lens(&out[0]), lens(&out[1])), (vec![1, 3], vec![2, 4]));
         let out = complete(
@@ -515,10 +489,7 @@ mod tests {
             &[CollInput::None, rows[1].clone()],
         );
         assert_eq!((lens(&out[0]), lens(&out[1])), (vec![3], vec![4]));
-        let singles = vec![
-            CollInput::Block(Payload::sized(5)),
-            CollInput::Block(Payload::sized(6)),
-        ];
+        let singles = vec![CollInput::Block(5), CollInput::Block(6)];
         let out = complete(CollOp::Allgather, &g, &singles);
         assert_eq!((lens(&out[0]), lens(&out[1])), (vec![5, 6], vec![5, 6]));
         let out = complete(CollOp::Gather { root: 1 }, &g, &singles);
@@ -533,13 +504,11 @@ mod tests {
     }
 
     #[test]
-    fn inputs_cost_by_length_and_hold_only_contents() {
-        let mixed = CollInput::Blocks(vec![Payload::sized(100), b(b"abc")]);
-        assert_eq!((mixed.byte_len(), mixed.held()), (100, 3));
-        let sized = CollInput::Block(Payload::sized(64));
-        assert_eq!((sized.byte_len(), sized.held()), (64, 0));
-        let values = CollInput::F64(vec![0.0; 4]);
-        assert_eq!((values.byte_len(), values.held()), (32, 0));
+    fn inputs_cost_by_length() {
+        assert_eq!(CollInput::Blocks(vec![100, 3]).byte_len(), 100);
+        assert_eq!(CollInput::Block(64).byte_len(), 64);
+        assert_eq!(CollInput::F64(vec![0.0; 4]).byte_len(), 32);
+        assert_eq!(CollInput::None.byte_len(), 0);
     }
 
     #[test]

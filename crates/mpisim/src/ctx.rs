@@ -3,7 +3,7 @@
 use crate::coll::{keyed_unit_noise, Arrival, CollInput, CollOp, CollOutput, CollSlot};
 use crate::group::Group;
 use crate::harness::{Counters, HarnessAction};
-use crate::msg::{Envelope, Message, Payload, PendingQueue, Tag};
+use crate::msg::{Envelope, Message, PendingQueue, Tag};
 use crate::park::Wait;
 use crate::runtime::{Shared, SimAbort};
 use crate::Mpi;
@@ -295,14 +295,13 @@ impl Mpi for RankCtx {
         self.publish_clock();
     }
 
-    fn send_payload(&mut self, dest: u32, tag: Tag, payload: Payload) -> u64 {
+    fn send_sized(&mut self, dest: u32, tag: Tag, len: usize) -> u64 {
         assert!(dest < self.size, "send to rank {} of {}", dest, self.size);
         self.check_abort();
         let msg_id = self.alloc_msg_id();
-        let len = payload.len() as u64;
         let machine = &self.shared.machine;
         let mapping = &self.shared.mapping;
-        let base = machine.p2p_cost(mapping, self.rank, dest, len);
+        let base = machine.p2p_cost(mapping, self.rank, dest, len as u64);
         let wire_cost = base * self.jitter.comm_factor();
         // Sender-side CPU overhead: injecting the message costs roughly the
         // per-message overhead of the link used.
@@ -313,15 +312,14 @@ impl Mpi for RankCtx {
         };
         self.clock += overhead;
         self.shared.total_msgs.fetch_add(1, Ordering::Relaxed);
-        self.shared.total_bytes.fetch_add(len, Ordering::Relaxed);
         self.shared
-            .bytes_copied
-            .fetch_add(payload.held(), Ordering::Relaxed);
+            .total_bytes
+            .fetch_add(len as u64, Ordering::Relaxed);
         let env = Envelope {
             src: self.rank,
             dest,
             tag,
-            data: payload,
+            len,
             depart: self.clock,
             msg_id,
             wire_cost,
@@ -342,7 +340,7 @@ impl Mpi for RankCtx {
         self.shared.park.wake(dest);
         self.publish_clock();
         self.counters.sends += 1;
-        MSG_BYTES.record(len);
+        MSG_BYTES.record(len as u64);
         self.after_comm_event();
         msg_id
     }
@@ -388,7 +386,7 @@ impl Mpi for RankCtx {
             src: env.src,
             dest: env.dest,
             tag: env.tag,
-            data: env.data,
+            len: env.len,
             depart: env.depart,
             arrive,
             msg_id: env.msg_id,
@@ -406,9 +404,6 @@ impl Mpi for RankCtx {
             .unwrap_or_else(|| panic!("rank {} is not in group {:?}", self.rank, group.ranks()));
         let slot = self.coll_slot(group);
         let shared = self.shared.clone();
-        shared
-            .bytes_copied
-            .fetch_add(input.held(), Ordering::Relaxed);
         let group_hash = {
             let mut h = DefaultHasher::new();
             group.ranks().hash(&mut h);

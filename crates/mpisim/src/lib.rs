@@ -9,15 +9,12 @@
 //!   messages travel over channels and collectives rendezvous through
 //!   shared state, so message matching, `ANY_SOURCE` nondeterminism and
 //!   collective synchronization are genuine, not simulated formulas.
-//! * **A message is a length, and bytes only when someone reads them** —
-//!   what travels is a [`Payload`]. Costs, `RunReport::total_bytes` and
-//!   the trace's `size` fields are functions of its length, which is all
-//!   the PAS2P method consumes, so a program whose receivers never read
-//!   contents sends sizes ([`Mpi::send_sized`], [`Payload::sized`] for
-//!   collective blocks) and the run allocates and copies no payload
-//!   (`RunReport::bytes_copied` = 0). Use [`Mpi::send`] /
-//!   `Payload::from(bytes)` when a receiver reads the bytes; reading a
-//!   size-only payload panics.
+//! * **A message is a length** — a send, a receive and a collective
+//!   block carry a byte count and nothing else ([`Mpi::send_sized`];
+//!   [`Mpi::send`] sends its slice's length). Costs,
+//!   `RunReport::total_bytes` and the trace's `size` fields are functions
+//!   of it, which is all the PAS2P method consumes, so contents can move
+//!   no clock, msg id or trace byte.
 //! * **Virtual time** — each rank carries a virtual clock advanced by the
 //!   [`pas2p_machine::MachineModel`] cost models: computation is charged
 //!   via declared [`Work`], communication via latency/bandwidth models, and
@@ -59,7 +56,7 @@ pub use coll::{CollInput, CollOp, CollOutput, ReduceOp};
 pub use ctx::RankCtx;
 pub use group::Group;
 pub use harness::{Counters, HarnessAction, SimHarness};
-pub use msg::{Message, Payload, RecvRequest, Tag, ANY_TAG};
+pub use msg::{Message, RecvRequest, Tag, ANY_TAG};
 pub use report::RunReport;
 pub use runtime::{run_app, SimConfig};
 
@@ -89,24 +86,15 @@ pub trait Mpi {
     /// trace layer to charge instrumentation overhead).
     fn elapse(&mut self, seconds: f64);
 
-    /// Blocking standard-mode send (eager: never blocks on the receiver)
-    /// — the one send primitive; [`send`](Mpi::send) and
-    /// [`send_sized`](Mpi::send_sized) are its two constructors.
-    /// Returns the globally unique message id — the paper's *relation*
-    /// field linking this Send event to its Receive event.
-    fn send_payload(&mut self, dest: u32, tag: Tag, payload: Payload) -> u64;
-    /// Send a copy of `data`: for a message whose receiver reads the
-    /// bytes ([`Message::bytes`], `m.data[..]`, [`recv_f64`](Mpi::recv_f64)).
+    /// Blocking standard-mode send of `len` bytes (eager: never blocks
+    /// on the receiver) — the one send primitive. Returns the globally
+    /// unique message id — the paper's *relation* field linking this
+    /// Send event to its Receive event.
+    fn send_sized(&mut self, dest: u32, tag: Tag, len: usize) -> u64;
+    /// Send `data.len()` bytes: [`send_sized`](Mpi::send_sized) for a
+    /// caller that holds a buffer.
     fn send(&mut self, dest: u32, tag: Tag, data: &[u8]) -> u64 {
-        self.send_payload(dest, tag, data.into())
-    }
-    /// Send `len` bytes without contents: for a message whose receiver
-    /// looks at most at its length — every message of the application
-    /// catalog. Costs, counters and the trace are those of
-    /// [`send`](Mpi::send) with `len` bytes; nothing is allocated or
-    /// copied, and a receiver that does read the bytes panics.
-    fn send_sized(&mut self, dest: u32, tag: Tag, len: usize) -> u64 {
-        self.send_payload(dest, tag, Payload::sized(len))
+        self.send_sized(dest, tag, data.len())
     }
     /// Blocking receive. `src = None` is `MPI_ANY_SOURCE`; `tag = None` is
     /// `MPI_ANY_TAG`.
@@ -145,13 +133,11 @@ pub trait Mpi {
     fn barrier_in(&mut self, group: &Group) {
         self.collective_in(group, CollOp::Barrier, CollInput::None);
     }
-    /// Broadcast `data` from `root` (world rank) to every group member;
-    /// returns the broadcast payload on every rank. Like every block a
-    /// collective takes, `data` is [`Payload::sized`] unless a member
-    /// reads what it receives.
-    fn bcast_in(&mut self, group: &Group, root: u32, data: Option<Payload>) -> Payload {
+    /// Broadcast a block of `len` bytes from `root` (world rank) to
+    /// every group member; returns the block's length on every rank.
+    fn bcast_in(&mut self, group: &Group, root: u32, len: Option<usize>) -> usize {
         let input = if self.rank() == root {
-            CollInput::Block(data.expect("bcast root must supply the payload"))
+            CollInput::Block(len.expect("bcast root must supply the block"))
         } else {
             CollInput::None
         };
@@ -186,30 +172,30 @@ pub trait Mpi {
     }
     /// Every member contributes a block; every member receives all blocks
     /// ordered by group position.
-    fn allgather_in(&mut self, group: &Group, data: Payload) -> Vec<Payload> {
-        match self.collective_in(group, CollOp::Allgather, CollInput::Block(data)) {
+    fn allgather_in(&mut self, group: &Group, len: usize) -> Vec<usize> {
+        match self.collective_in(group, CollOp::Allgather, CollInput::Block(len)) {
             CollOutput::Blocks(bs) => bs,
             other => panic!("allgather returned {:?}", other),
         }
     }
     /// Personalized all-to-all: `blocks[i]` goes to group member `i`;
     /// returns the blocks addressed to this rank, ordered by group position.
-    fn alltoall_in(&mut self, group: &Group, blocks: Vec<Payload>) -> Vec<Payload> {
+    fn alltoall_in(&mut self, group: &Group, blocks: Vec<usize>) -> Vec<usize> {
         match self.collective_in(group, CollOp::Alltoall, CollInput::Blocks(blocks)) {
             CollOutput::Blocks(bs) => bs,
             other => panic!("alltoall returned {:?}", other),
         }
     }
     /// Gather every member's block to `root`.
-    fn gather_in(&mut self, group: &Group, root: u32, data: Payload) -> Option<Vec<Payload>> {
-        match self.collective_in(group, CollOp::Gather { root }, CollInput::Block(data)) {
+    fn gather_in(&mut self, group: &Group, root: u32, len: usize) -> Option<Vec<usize>> {
+        match self.collective_in(group, CollOp::Gather { root }, CollInput::Block(len)) {
             CollOutput::Blocks(bs) => Some(bs),
             CollOutput::None => None,
             other => panic!("gather returned {:?}", other),
         }
     }
     /// Scatter `root`'s blocks to members; returns this rank's block.
-    fn scatter_in(&mut self, group: &Group, root: u32, blocks: Option<Vec<Payload>>) -> Payload {
+    fn scatter_in(&mut self, group: &Group, root: u32, blocks: Option<Vec<usize>>) -> usize {
         let input = if self.rank() == root {
             CollInput::Blocks(blocks.expect("scatter root must supply the blocks"))
         } else {
@@ -233,9 +219,9 @@ pub trait Mpi {
         self.barrier_in(&g);
     }
     /// World-group broadcast.
-    fn bcast(&mut self, root: u32, data: Option<Payload>) -> Payload {
+    fn bcast(&mut self, root: u32, len: Option<usize>) -> usize {
         let g = Group::world(self.size());
-        self.bcast_in(&g, root, data)
+        self.bcast_in(&g, root, len)
     }
     /// World-group reduce.
     fn reduce_f64(&mut self, root: u32, xs: &[f64], op: ReduceOp) -> Option<Vec<f64>> {
@@ -248,75 +234,23 @@ pub trait Mpi {
         self.allreduce_f64_in(&g, xs, op)
     }
     /// World-group allgather.
-    fn allgather(&mut self, data: Payload) -> Vec<Payload> {
+    fn allgather(&mut self, len: usize) -> Vec<usize> {
         let g = Group::world(self.size());
-        self.allgather_in(&g, data)
+        self.allgather_in(&g, len)
     }
     /// World-group all-to-all.
-    fn alltoall(&mut self, blocks: Vec<Payload>) -> Vec<Payload> {
+    fn alltoall(&mut self, blocks: Vec<usize>) -> Vec<usize> {
         let g = Group::world(self.size());
         self.alltoall_in(&g, blocks)
     }
     /// World-group gather.
-    fn gather(&mut self, root: u32, data: Payload) -> Option<Vec<Payload>> {
+    fn gather(&mut self, root: u32, len: usize) -> Option<Vec<usize>> {
         let g = Group::world(self.size());
-        self.gather_in(&g, root, data)
+        self.gather_in(&g, root, len)
     }
     /// World-group scatter.
-    fn scatter(&mut self, root: u32, blocks: Option<Vec<Payload>>) -> Payload {
+    fn scatter(&mut self, root: u32, blocks: Option<Vec<usize>>) -> usize {
         let g = Group::world(self.size());
         self.scatter_in(&g, root, blocks)
-    }
-
-    /// Send a slice of `f64` values (convenience; payload is the raw LE
-    /// byte representation).
-    fn send_f64(&mut self, dest: u32, tag: Tag, xs: &[f64]) -> u64 {
-        self.send(dest, tag, &f64s_to_bytes(xs))
-    }
-    /// Receive a slice of `f64` values. Panics on a size-only message.
-    fn recv_f64(&mut self, src: Option<u32>, tag: Option<Tag>) -> (Message, Vec<f64>) {
-        let m = self.recv(src, tag);
-        let xs = bytes_to_f64s(m.bytes());
-        (m, xs)
-    }
-}
-
-/// Encode an `f64` slice as little-endian bytes.
-pub fn f64s_to_bytes(xs: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(xs.len() * 8);
-    for x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out
-}
-
-/// Decode little-endian bytes back into `f64`s. Trailing partial values
-/// are ignored.
-pub fn bytes_to_f64s(b: &[u8]) -> Vec<f64> {
-    b.chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
-}
-
-#[cfg(test)]
-mod codec_tests {
-    use super::*;
-
-    #[test]
-    fn f64_roundtrip() {
-        let xs = [1.0, -2.5, 1e-300, f64::MAX];
-        assert_eq!(bytes_to_f64s(&f64s_to_bytes(&xs)), xs.to_vec());
-    }
-
-    #[test]
-    fn partial_trailing_bytes_ignored() {
-        let mut b = f64s_to_bytes(&[3.0]);
-        b.push(0xFF);
-        assert_eq!(bytes_to_f64s(&b), vec![3.0]);
-    }
-
-    #[test]
-    fn empty_roundtrip() {
-        assert!(bytes_to_f64s(&f64s_to_bytes(&[])).is_empty());
     }
 }

@@ -1,9 +1,6 @@
-//! Point-to-point messages, what they carry, and the per-rank mailbox.
+//! Point-to-point messages and the per-rank mailbox.
 
 use crate::park::Candidate;
-use std::ops::Index;
-use std::slice::SliceIndex;
-use std::sync::Arc;
 
 /// Message tag (the MPI tag). [`ANY_TAG`] in a receive matches anything.
 pub type Tag = u32;
@@ -11,83 +8,6 @@ pub type Tag = u32;
 /// Wildcard tag constant for documentation purposes; receives take
 /// `Option<Tag>` where `None` is the wildcard.
 pub const ANY_TAG: Option<Tag> = None;
-
-/// What a message or a collective block carries: a length, and the
-/// bytes themselves only when the sender supplied them.
-///
-/// The simulator charges, counts and traces a payload by its length
-/// alone, so a program whose receivers never look at what arrived sends
-/// [`Payload::sized`] and nothing is allocated or copied. A payload made
-/// from bytes (`From<&[u8]>`, `From<Vec<u8>>`, `From<Arc<[u8]>>`) carries
-/// them to the receiver. Reading a size-only payload is a bug in the
-/// program that does it and panics: it never reads as empty or zeroed
-/// data.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Payload {
-    len: usize,
-    data: Option<Arc<[u8]>>,
-}
-
-impl Payload {
-    /// A payload of `len` bytes without contents.
-    pub const fn sized(len: usize) -> Payload {
-        Payload { len, data: None }
-    }
-
-    /// Length in bytes — all that costs, counters and trace sizes see.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True for a zero-length payload, size-only or not.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The bytes, if the sender supplied any.
-    pub fn contents(&self) -> Option<&[u8]> {
-        self.data.as_deref()
-    }
-
-    /// Bytes this payload holds in memory: its length when it carries
-    /// data, 0 when size-only.
-    pub(crate) fn held(&self) -> u64 {
-        self.data.as_ref().map_or(0, |data| data.len() as u64)
-    }
-}
-
-impl From<Arc<[u8]>> for Payload {
-    fn from(data: Arc<[u8]>) -> Payload {
-        Payload {
-            len: data.len(),
-            data: Some(data),
-        }
-    }
-}
-
-impl From<Vec<u8>> for Payload {
-    fn from(data: Vec<u8>) -> Payload {
-        Arc::<[u8]>::from(data).into()
-    }
-}
-
-impl From<&[u8]> for Payload {
-    fn from(data: &[u8]) -> Payload {
-        Arc::<[u8]>::from(data).into()
-    }
-}
-
-/// Reads the contents (`&p[..]`, `p[0]`); panics on a size-only payload.
-impl<I: SliceIndex<[u8]>> Index<I> for Payload {
-    type Output = I::Output;
-
-    fn index(&self, index: I) -> &I::Output {
-        match self.contents() {
-            Some(data) => &data[index],
-            None => panic!("read of a size-only payload (len {})", self.len),
-        }
-    }
-}
 
 /// A delivered message, as seen by the receiving application.
 #[derive(Debug, Clone)]
@@ -98,9 +18,8 @@ pub struct Message {
     pub dest: u32,
     /// Message tag.
     pub tag: Tag,
-    /// What the sender put in: always a length, bytes only from a
-    /// data-carrying send.
-    pub data: Payload,
+    /// Length in bytes — all a message carries.
+    pub len: usize,
     /// Sender's virtual clock at departure.
     pub depart: f64,
     /// Receiver's virtual clock at matching completion.
@@ -108,20 +27,6 @@ pub struct Message {
     /// Globally unique message id — the paper's *relation* field linking a
     /// Send event to its Receive event.
     pub msg_id: u64,
-}
-
-impl Message {
-    /// The message's contents. Panics if it was sent size-only.
-    pub fn bytes(&self) -> &[u8] {
-        self.data.contents().unwrap_or_else(|| {
-            panic!(
-                "read of a size-only message (src {}, tag {}, len {})",
-                self.src,
-                self.tag,
-                self.data.len()
-            )
-        })
-    }
 }
 
 /// A posted nonblocking receive (`MPI_Irecv` analog). Matching happens at
@@ -146,7 +51,7 @@ pub(crate) struct Envelope {
     pub src: u32,
     pub dest: u32,
     pub tag: Tag,
-    pub data: Payload,
+    pub len: usize,
     pub depart: f64,
     pub msg_id: u64,
     /// Precomputed wire cost (seconds) for this message on this machine
@@ -245,7 +150,7 @@ mod tests {
             src,
             dest: 0,
             tag,
-            data: Payload::sized(0),
+            len: 0,
             depart,
             msg_id,
             wire_cost: 0.0,

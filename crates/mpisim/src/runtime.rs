@@ -21,8 +21,8 @@ static RUNS: Counter = Counter::new("mpisim.runs");
 static RANK_THREADS: Counter = Counter::new("mpisim.rank_threads");
 static MESSAGES: Counter = Counter::new("mpisim.messages");
 static BYTES: Counter = Counter::new("mpisim.bytes");
-static BYTES_COPIED: Counter = Counter::new("mpisim.bytes_copied");
 static COLLECTIVES: Counter = Counter::new("mpisim.collectives");
+static RUNS_ABORTED: Counter = Counter::new("mpisim.runs_aborted");
 
 /// Panic payload used to unwind rank threads on a harness abort. Not an
 /// error: the runtime converts it into `RunReport::aborted`.
@@ -59,7 +59,6 @@ pub(crate) struct Shared {
     pub cancelled: AtomicBool,
     pub total_msgs: AtomicU64,
     pub total_bytes: AtomicU64,
-    pub bytes_copied: AtomicU64,
     pub total_colls: AtomicU64,
 }
 
@@ -133,7 +132,6 @@ where
         cancelled: AtomicBool::new(false),
         total_msgs: AtomicU64::new(0),
         total_bytes: AtomicU64::new(0),
-        bytes_copied: AtomicU64::new(0),
         total_colls: AtomicU64::new(0),
     });
 
@@ -191,21 +189,27 @@ where
     }
     let rank_clocks = clocks.into_inner();
     let makespan = rank_clocks.iter().cloned().fold(0.0f64, f64::max);
-    RUNS.inc();
-    RANK_THREADS.add(n as u64);
-    MESSAGES.add(shared.total_msgs.load(Ordering::Relaxed));
-    BYTES.add(shared.total_bytes.load(Ordering::Relaxed));
-    BYTES_COPIED.add(shared.bytes_copied.load(Ordering::Relaxed));
-    COLLECTIVES.add(shared.total_colls.load(Ordering::Relaxed));
-    RunReport {
+    let report = RunReport {
         nprocs: n,
         rank_clocks,
         makespan,
         total_msgs: shared.total_msgs.load(Ordering::Relaxed),
         total_bytes: shared.total_bytes.load(Ordering::Relaxed),
-        bytes_copied: shared.bytes_copied.load(Ordering::Relaxed),
         total_colls: shared.total_colls.load(Ordering::Relaxed),
         aborted: any_aborted.load(Ordering::Relaxed),
         wall_seconds: start.elapsed().as_secs_f64(),
+    };
+    RUNS.inc();
+    RANK_THREADS.add(n as u64);
+    // How far an aborted run's ranks got before they noticed depends on
+    // the schedule: its traffic stays out of the session's counters,
+    // which then repeat exactly.
+    if report.aborted {
+        RUNS_ABORTED.inc();
+    } else {
+        MESSAGES.add(report.total_msgs);
+        BYTES.add(report.total_bytes);
+        COLLECTIVES.add(report.total_colls);
     }
+    report
 }

@@ -2,8 +2,7 @@
 
 use pas2p_machine::{cluster_a, cluster_b, cluster_c, JitterModel, MappingPolicy, Work};
 use pas2p_mpisim::{
-    run_app, Counters, Group, HarnessAction, Mpi, Payload, ReduceOp, RunReport, SimConfig,
-    SimHarness,
+    run_app, Counters, Group, HarnessAction, Mpi, ReduceOp, RunReport, SimConfig, SimHarness,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,13 +27,12 @@ fn ping_pong_delivers_payload() {
         0 => {
             ctx.send(1, 7, b"ping");
             let m = ctx.recv(Some(1), Some(8));
-            assert_eq!(&m.data[..], b"pong");
-            assert_eq!(m.src, 1);
+            assert_eq!((m.len, m.src, m.dest), (5, 1, 0));
         }
         1 => {
             let m = ctx.recv(Some(0), Some(7));
-            assert_eq!(&m.data[..], b"ping");
-            ctx.send(0, 8, b"pong");
+            assert_eq!((m.len, m.src, m.dest), (4, 0, 1));
+            ctx.send(0, 8, b"pong!");
         }
         _ => {}
     });
@@ -194,33 +192,25 @@ fn collectives_synchronize_clocks() {
 #[test]
 fn bcast_from_nonzero_root() {
     run4(|ctx| {
-        let data = if ctx.rank() == 2 {
-            Some(Payload::from(&b"hello"[..]))
-        } else {
-            None
-        };
-        let out = ctx.bcast(2, data);
-        assert_eq!(&out[..], b"hello");
+        let out = ctx.bcast(2, (ctx.rank() == 2).then_some(5));
+        assert_eq!(out, 5);
     });
 }
 
 #[test]
 fn gather_and_scatter_roundtrip() {
     run4(|ctx| {
-        let mine = Payload::from(vec![ctx.rank() as u8]);
-        let gathered = ctx.gather(0, mine);
+        // A block's length is its sender's rank plus one.
+        let gathered = ctx.gather(0, ctx.rank() as usize + 1);
         if ctx.rank() == 0 {
             let blocks = gathered.unwrap();
-            assert_eq!(blocks.len(), 4);
-            for (i, b) in blocks.iter().enumerate() {
-                assert_eq!(b[0] as usize, i);
-            }
+            assert_eq!(blocks, [1, 2, 3, 4]);
             let back = ctx.scatter(0, Some(blocks));
-            assert_eq!(back[0], 0);
+            assert_eq!(back, 1);
         } else {
             assert!(gathered.is_none());
             let back = ctx.scatter(0, None);
-            assert_eq!(back[0] as u32, ctx.rank());
+            assert_eq!(back, ctx.rank() as usize + 1);
         }
     });
 }
@@ -228,13 +218,11 @@ fn gather_and_scatter_roundtrip() {
 #[test]
 fn alltoall_transposes() {
     run4(|ctx| {
-        let blocks: Vec<Payload> = (0..4)
-            .map(|d| Payload::from(vec![ctx.rank() as u8, d as u8]))
-            .collect();
-        let got = ctx.alltoall(blocks);
-        for (s, b) in got.iter().enumerate() {
-            assert_eq!(b[0] as usize, s, "block from rank {}", s);
-            assert_eq!(b[1] as u32, ctx.rank());
+        // Block `10 * from + to` goes from rank `from` to rank `to`.
+        let rank = ctx.rank() as usize;
+        let got = ctx.alltoall((0..4).map(|d| 10 * rank + d).collect());
+        for (s, &b) in got.iter().enumerate() {
+            assert_eq!(b, 10 * s + rank, "block from rank {}", s);
         }
     });
 }
@@ -242,9 +230,8 @@ fn alltoall_transposes() {
 #[test]
 fn allgather_orders_by_rank() {
     run4(|ctx| {
-        let got = ctx.allgather(Payload::from(vec![ctx.rank() as u8 * 10]));
-        let vals: Vec<u8> = got.iter().map(|b| b[0]).collect();
-        assert_eq!(vals, vec![0, 10, 20, 30]);
+        let got = ctx.allgather(ctx.rank() as usize * 10);
+        assert_eq!(got, vec![0, 10, 20, 30]);
     });
 }
 
@@ -407,7 +394,7 @@ fn irecv_wait_completes_like_recv() {
             let req = ctx.irecv(Some(0), Some(7));
             assert_eq!(req.posted_at, ctx.now());
             let m = ctx.wait(req);
-            assert_eq!(&m.data[..], b"async");
+            assert_eq!((m.len, m.tag), (5, 7));
             assert_eq!(ctx.counters().recvs, 1);
         }
     });
@@ -448,14 +435,14 @@ fn overlapped_compute_absorbs_wire_time() {
 fn waitall_preserves_request_order() {
     run4(|ctx| {
         if ctx.rank() == 0 {
-            ctx.send(1, 10, b"a");
-            ctx.send(1, 11, b"b");
+            ctx.send_sized(1, 10, 1);
+            ctx.send_sized(1, 11, 2);
         } else if ctx.rank() == 1 {
             let r1 = ctx.irecv(Some(0), Some(10));
             let r2 = ctx.irecv(Some(0), Some(11));
             let ms = ctx.waitall(vec![r1, r2]);
-            assert_eq!(&ms[0].data[..], b"a");
-            assert_eq!(&ms[1].data[..], b"b");
+            let got: Vec<_> = ms.iter().map(|m| (m.tag, m.len)).collect();
+            assert_eq!(got, [(10, 1), (11, 2)]);
         }
     });
 }
@@ -464,22 +451,9 @@ fn waitall_preserves_request_order() {
 fn self_send_matches() {
     run4(|ctx| {
         if ctx.rank() == 0 {
-            ctx.send(0, 9, b"me");
+            let id = ctx.send(0, 9, b"me");
             let m = ctx.recv(Some(0), Some(9));
-            assert_eq!(&m.data[..], b"me");
-        }
-    });
-}
-
-#[test]
-fn send_f64_helpers_roundtrip() {
-    run4(|ctx| {
-        if ctx.rank() == 0 {
-            ctx.send_f64(1, 3, &[1.5, -2.5]);
-        } else if ctx.rank() == 1 {
-            let (m, xs) = ctx.recv_f64(Some(0), Some(3));
-            assert_eq!(xs, vec![1.5, -2.5]);
-            assert_eq!(m.tag, 3);
+            assert_eq!((m.src, m.dest, m.len, m.msg_id), (0, 0, 2, id));
         }
     });
 }
@@ -597,7 +571,7 @@ fn empty_payload_messages_work() {
             ctx.send(1, 0, &[]);
         } else if ctx.rank() == 1 {
             let m = ctx.recv(Some(0), Some(0));
-            assert!(m.data.is_empty());
+            assert_eq!(m.len, 0);
             assert!(m.arrive >= m.depart);
         }
     });
@@ -610,8 +584,7 @@ fn single_rank_world_runs_collectives() {
         ctx.barrier();
         let s = ctx.allreduce_f64(&[5.0], ReduceOp::Sum);
         assert_eq!(s, vec![5.0]);
-        let b = ctx.bcast(0, Some(Payload::from(&b"solo"[..])));
-        assert_eq!(&b[..], b"solo");
+        assert_eq!(ctx.bcast(0, Some(4)), 4);
     });
     assert_eq!(r.nprocs, 1);
 }
@@ -620,15 +593,16 @@ fn single_rank_world_runs_collectives() {
 fn tags_isolate_message_streams() {
     run4(|ctx| {
         if ctx.rank() == 0 {
-            // Send interleaved tags; receiver drains them out of order.
+            // Send interleaved tags, message `i` of length `i`; the
+            // receiver drains them out of order.
             for i in 0..6u32 {
-                ctx.send(1, i % 2, &[i as u8]);
+                ctx.send_sized(1, i % 2, i as usize);
             }
         } else if ctx.rank() == 1 {
             // Receive all tag-1 first, then tag-0: matching must respect
             // per-(src,tag) FIFO regardless of arrival interleaving.
-            let odd: Vec<u8> = (0..3).map(|_| ctx.recv(Some(0), Some(1)).data[0]).collect();
-            let even: Vec<u8> = (0..3).map(|_| ctx.recv(Some(0), Some(0)).data[0]).collect();
+            let odd: Vec<usize> = (0..3).map(|_| ctx.recv(Some(0), Some(1)).len).collect();
+            let even: Vec<usize> = (0..3).map(|_| ctx.recv(Some(0), Some(0)).len).collect();
             assert_eq!(odd, vec![1, 3, 5]);
             assert_eq!(even, vec![0, 2, 4]);
         }
@@ -646,130 +620,23 @@ fn rank_clocks_reflect_load_imbalance() {
     assert!(r.imbalance() > 0.5);
 }
 
-// ---- A message is a length, and bytes only when someone reads them ----
-
-/// A block of `len` bytes, with contents or size-only.
-fn block(len: usize, carry: bool) -> Payload {
-    if carry {
-        vec![1u8; len].into()
-    } else {
-        Payload::sized(len)
-    }
-}
-
-/// One program — ring sends of growing size, a wildcard fan-in at rank
-/// 0, every block collective — run on the jittered machine with
-/// data-carrying (`carry`) or size-only payloads. Returns the report and,
-/// per rank, every msg id it sent or matched, in program order.
-fn twin_run(carry: bool) -> (RunReport, Vec<Vec<u64>>) {
-    let ids = parking_lot::Mutex::new(vec![Vec::new(); 4]);
-    let cfg = SimConfig::new(cluster_a(), 4, MappingPolicy::Block);
-    let report = run_app(&cfg, |ctx| {
-        let (rank, n) = (ctx.rank(), ctx.size());
-        let mut mine = Vec::new();
-        for step in 0..6usize {
-            ctx.compute(Work::flops(1e6 * (rank + 1) as f64));
-            let len = 64 << step;
-            mine.push(if carry {
-                ctx.send((rank + 1) % n, 1, &vec![1u8; len])
-            } else {
-                ctx.send_sized((rank + 1) % n, 1, len)
-            });
-            let m = ctx.recv(Some((rank + n - 1) % n), Some(1));
-            assert_eq!(m.data.len(), len);
-            mine.push(m.msg_id);
-            if rank == 0 {
-                for _ in 1..n {
-                    mine.push(ctx.recv(None, Some(2)).msg_id);
-                }
-            } else {
-                mine.push(ctx.send_payload(0, 2, block(100 * rank as usize, carry)));
-            }
-            ctx.bcast(1, (rank == 1).then(|| block(len, carry)));
-            ctx.allgather(block(8 + rank as usize, carry));
-            ctx.alltoall((0..n).map(|d| block(len + d as usize, carry)).collect());
-            ctx.gather(2, block(16, carry));
-            ctx.scatter(3, (rank == 3).then(|| vec![block(len, carry); n as usize]));
-        }
-        ids.lock()[rank as usize] = mine;
-    });
-    (report, ids.into_inner())
-}
-
-#[test]
-fn size_only_twin_is_the_same_run() {
-    let (data, data_ids) = twin_run(true);
-    let (sized, sized_ids) = twin_run(false);
-    let bits = |r: &RunReport| {
-        r.rank_clocks
-            .iter()
-            .map(|c| c.to_bits())
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(bits(&data), bits(&sized), "rank clocks must be bit-equal");
-    // Sent ids, and which candidate each wildcard receive committed.
-    assert_eq!(data_ids, sized_ids);
-    assert_eq!(data.total_msgs, sized.total_msgs);
-    assert_eq!(data.total_bytes, sized.total_bytes);
-    assert_eq!(data.total_colls, sized.total_colls);
-    assert_eq!(sized.bytes_copied, 0, "a size-only run holds no payload");
-    assert!(
-        data.bytes_copied > data.total_bytes,
-        "sends and collective blocks"
-    );
-}
-
 #[test]
 fn size_only_collectives_deliver_lengths_by_group_position() {
     run4(|ctx| {
         let rank = ctx.rank() as usize;
-        let got = ctx.alltoall((0..4).map(|d| Payload::sized(10 * rank + d + 1)).collect());
-        for (s, b) in got.iter().enumerate() {
-            assert_eq!(b.len(), 10 * s + rank + 1, "block from rank {s}");
-            assert!(b.contents().is_none());
+        let got = ctx.alltoall((0..4).map(|d| 10 * rank + d + 1).collect());
+        for (s, &b) in got.iter().enumerate() {
+            assert_eq!(b, 10 * s + rank + 1, "block from rank {s}");
         }
-        let got = ctx.allgather(Payload::sized(rank + 1));
-        assert_eq!(
-            got.iter().map(Payload::len).collect::<Vec<_>>(),
-            [1, 2, 3, 4]
-        );
-        let got = ctx.gather(2, Payload::sized(20 + rank));
+        assert_eq!(ctx.allgather(rank + 1), [1, 2, 3, 4]);
+        let got = ctx.gather(2, 20 + rank);
         assert_eq!(got.is_some(), rank == 2);
         if let Some(blocks) = got {
-            assert_eq!(
-                blocks.iter().map(Payload::len).collect::<Vec<_>>(),
-                [20, 21, 22, 23]
-            );
+            assert_eq!(blocks, [20, 21, 22, 23]);
         }
-        let blocks = (rank == 1).then(|| (0..4).map(|i| Payload::sized(5 + i)).collect());
-        assert_eq!(ctx.scatter(1, blocks).len(), 5 + rank);
-        let out = ctx.bcast(3, (rank == 3).then(|| Payload::sized(77)));
-        assert_eq!(out, Payload::sized(77));
-    });
-}
-
-#[test]
-#[should_panic(expected = "read of a size-only message (src 0, tag 3, len 16)")]
-fn recv_f64_of_a_size_only_message_panics() {
-    run4(|ctx| {
-        if ctx.rank() == 0 {
-            ctx.send_sized(1, 3, 16);
-        } else if ctx.rank() == 1 {
-            ctx.recv_f64(Some(0), Some(3));
-        }
-    });
-}
-
-#[test]
-#[should_panic(expected = "read of a size-only payload (len 16)")]
-fn indexing_a_size_only_payload_panics() {
-    run4(|ctx| {
-        if ctx.rank() == 0 {
-            ctx.send_sized(1, 3, 16);
-        } else if ctx.rank() == 1 {
-            let m = ctx.recv(Some(0), Some(3));
-            let _ = m.data[0];
-        }
+        let blocks = (rank == 1).then(|| (0..4).map(|i| 5 + i).collect());
+        assert_eq!(ctx.scatter(1, blocks), 5 + rank);
+        assert_eq!(ctx.bcast(3, (rank == 3).then_some(77)), 77);
     });
 }
 

@@ -5,7 +5,7 @@ use pas2p_machine::{
     cluster_a, cluster_b, cluster_d, JitterModel, MachineModel, MappingPolicy, Work,
 };
 use pas2p_model::pas2p_order;
-use pas2p_mpisim::{Mpi, Payload, ReduceOp};
+use pas2p_mpisim::{Mpi, ReduceOp};
 use pas2p_phases::{extract_phases, PhaseTable, SimilarityConfig};
 use pas2p_signature::{
     construct_signature, execute_signature, predict, rebuild_signature, run_plain, run_traced,
@@ -49,9 +49,7 @@ struct RingRank {
 
 impl RankProgram for RingRank {
     fn prologue(&mut self, ctx: &mut dyn Mpi) {
-        let data = (self.rank == 0).then(|| Payload::sized(64));
-        let got = ctx.bcast(0, data);
-        self.acc = got.len() as f64;
+        self.acc = ctx.bcast(0, (self.rank == 0).then_some(64)) as f64;
     }
     fn steps(&self) -> u64 {
         self.iters
@@ -60,9 +58,8 @@ impl RankProgram for RingRank {
         let next = (self.rank + 1) % self.n;
         let prev = (self.rank + self.n - 1) % self.n;
         ctx.compute(Work::flops(self.flops));
-        ctx.send(next, 1, &vec![2u8; 512]);
-        let m = ctx.recv(Some(prev), Some(1));
-        self.acc += m.data[0] as f64;
+        ctx.send_sized(next, 1, 512);
+        self.acc += ctx.recv(Some(prev), Some(1)).len as f64;
         let s = ctx.allreduce_f64(&[self.acc], ReduceOp::Sum);
         self.acc = s[0] / self.n as f64;
     }

@@ -18,15 +18,6 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// The signed-K encoding used in the paper's event structure.
-    pub fn signed_k(&self, involved: u32) -> i64 {
-        match self {
-            EventKind::Send => involved as i64,
-            EventKind::Recv => -(involved as i64),
-            EventKind::Coll(_) => involved as i64,
-        }
-    }
-
     /// True for collective participations.
     pub fn is_collective(&self) -> bool {
         matches!(self, EventKind::Coll(_))
@@ -198,15 +189,6 @@ mod tests {
             comm_id: 0,
             wildcard: false,
         }
-    }
-
-    #[test]
-    fn signed_k_encoding() {
-        assert_eq!(EventKind::Send.signed_k(1), 1);
-        assert_eq!(EventKind::Recv.signed_k(1), -1);
-        assert_eq!(EventKind::Coll(CollectiveKind::Bcast).signed_k(16), 16);
-        assert!(EventKind::Coll(CollectiveKind::Barrier).is_collective());
-        assert!(!EventKind::Send.is_collective());
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub struct CandidateSend {
     pub number: u64,
     /// The message id (relation field) of the send.
     pub msg_id: u64,
-    /// Payload size in bytes — differing candidate sizes make a race
+    /// Message size in bytes — differing candidate sizes make a race
     /// structure-changing for the signature.
     pub size: u64,
 }

@@ -3,7 +3,7 @@
 use crate::event::{EventKind, ProcessTrace, Trace, TraceEvent};
 use parking_lot::Mutex;
 use pas2p_machine::Work;
-use pas2p_mpisim::{CollInput, CollOp, CollOutput, Counters, Group, Message, Mpi, Payload, Tag};
+use pas2p_mpisim::{CollInput, CollOp, CollOutput, Counters, Group, Message, Mpi, Tag};
 use pas2p_obs::Counter;
 
 static EVENTS: Counter = Counter::new("trace.events");
@@ -239,16 +239,15 @@ impl<'a, C: Mpi> Mpi for Traced<'a, C> {
         self.inner.elapse(seconds);
     }
 
-    fn send_payload(&mut self, dest: u32, tag: Tag, payload: Payload) -> u64 {
+    fn send_sized(&mut self, dest: u32, tag: Tag, len: usize) -> u64 {
         let t_post = self.inner.now();
-        let size = payload.len() as u64;
-        let msg_id = self.inner.send_payload(dest, tag, payload);
+        let msg_id = self.inner.send_sized(dest, tag, len);
         self.record(
             t_post,
             EventKind::Send,
             Some(dest),
             tag,
-            size,
+            len as u64,
             1,
             msg_id,
             0,
@@ -266,7 +265,7 @@ impl<'a, C: Mpi> Mpi for Traced<'a, C> {
             EventKind::Recv,
             Some(m.src),
             m.tag,
-            m.data.len() as u64,
+            m.len as u64,
             1,
             m.msg_id,
             0,
@@ -286,7 +285,7 @@ impl<'a, C: Mpi> Mpi for Traced<'a, C> {
             EventKind::Recv,
             Some(m.src),
             m.tag,
-            m.data.len() as u64,
+            m.len as u64,
             1,
             m.msg_id,
             0,
@@ -303,7 +302,7 @@ impl<'a, C: Mpi> Mpi for Traced<'a, C> {
         let sent = input.byte_len();
         let out = self.inner.collective_in(group, op, input);
         let received = match &out {
-            CollOutput::Block(b) => b.len() as u64,
+            CollOutput::Block(b) => *b as u64,
             _ => 0,
         };
         self.record(

@@ -2,7 +2,7 @@
 //! layer.
 
 use pas2p_machine::{cluster_a, JitterModel, MappingPolicy, Work};
-use pas2p_mpisim::{run_app, Mpi, Payload, ReduceOp, SimConfig};
+use pas2p_mpisim::{run_app, Mpi, ReduceOp, SimConfig};
 use pas2p_trace::{
     decode_recovering, format, EventKind, InstrumentationModel, Trace, TraceCollector, Traced,
 };
@@ -166,14 +166,13 @@ fn sizes_recorded_in_bytes() {
         let is_root = rank == root as usize;
         let mut t = Traced::new(ctx, &col);
         t.barrier();
-        t.bcast(root, is_root.then(|| Payload::sized(40)));
+        t.bcast(root, is_root.then_some(40));
         t.reduce_f64(root, &[1.0; 3], ReduceOp::Sum);
         t.allreduce_f64(&[1.0; 2], ReduceOp::Max);
-        t.allgather(Payload::sized(8 + rank));
-        let to_each = (0..n as usize).map(|i| Payload::sized(100 * (rank + 1) + i));
-        t.alltoall(to_each.collect());
-        t.gather(root, Payload::sized(20 + rank));
-        let blocks = (0..n as usize).map(|i| Payload::sized(50 + i)).collect();
+        t.allgather(8 + rank);
+        t.alltoall((0..n as usize).map(|i| 100 * (rank + 1) + i).collect());
+        t.gather(root, 20 + rank);
+        let blocks = (0..n as usize).map(|i| 50 + i).collect();
         t.scatter(root, is_root.then_some(blocks));
         t.finish();
     });
@@ -198,60 +197,4 @@ fn sizes_recorded_in_bytes() {
             assert_eq!(got, (row.0.to_string(), size, n), "rank {rank}");
         }
     }
-}
-
-/// The trace records sizes, never contents: a program sending
-/// `send(&vec![1u8; n])` and data blocks, and its size-only twin, encode
-/// to the same bytes — on the jittered machine, wildcard receives and
-/// every block collective included.
-#[test]
-fn size_only_twin_encodes_to_the_same_trace() {
-    let traced = |carry: bool| -> Vec<u8> {
-        let block = move |len: usize| -> Payload {
-            if carry {
-                vec![1u8; len].into()
-            } else {
-                Payload::sized(len)
-            }
-        };
-        let n = 4;
-        let collector = Arc::new(TraceCollector::new(
-            n,
-            "cluster-A",
-            InstrumentationModel::default(),
-        ));
-        let cfg = SimConfig::new(cluster_a(), n, MappingPolicy::Block);
-        let col = collector.clone();
-        run_app(&cfg, move |ctx| {
-            let rank = ctx.rank();
-            let mut t = Traced::new(ctx, &col);
-            for step in 0..5usize {
-                t.compute(Work::flops(1e6 * (rank + 1) as f64));
-                let len = 100 << step;
-                if carry {
-                    t.send((rank + 1) % n, 1, &vec![1u8; len]);
-                } else {
-                    t.send_sized((rank + 1) % n, 1, len);
-                }
-                t.recv(Some((rank + n - 1) % n), Some(1));
-                if rank == 0 {
-                    for _ in 1..n {
-                        t.recv(None, Some(2));
-                    }
-                } else {
-                    t.send_payload(0, 2, block(10 * rank as usize));
-                }
-                t.bcast(1, (rank == 1).then(|| block(len)));
-                t.allgather(block(8 + rank as usize));
-                t.alltoall((0..n).map(|d| block(len + d as usize)).collect());
-                t.gather(2, block(16));
-                t.scatter(3, (rank == 3).then(|| vec![block(len); n as usize]));
-            }
-            t.finish();
-        });
-        format::encode(&Arc::into_inner(collector).unwrap().into_trace())
-    };
-    let (data, sized) = (traced(true), traced(false));
-    assert!(data.len() > 1000);
-    assert!(data == sized, "encoded traces differ");
 }

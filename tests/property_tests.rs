@@ -100,7 +100,7 @@ fn run_rounds(n: u32, rounds: &[Round]) -> Trace {
                 Round::Gather { root } => {
                     // The strategy draws roots for the largest size; clamp
                     // into this run's world.
-                    t.gather(*root % size, vec![rank as u8].into());
+                    t.gather(*root % size, 1);
                 }
                 Round::Compute { flops } => t.compute(Work::flops(*flops)),
             }
