@@ -1,15 +1,15 @@
 //! The catalog session, pinned: every response line of one protocol
 //! session over the whole catalog must equal
 //! `tests/golden/catalog_session.ndjson`, over the stdin loop and over
-//! the unix socket alike. The session submits the 22 catalog tuples on
-//! base A, predicts each on B and C three times — cold, then the first
-//! warm read (the object file is read back), then the warm reads that
-//! follow it — and shuts down: 155 lines. A change to how a reply is
-//! stored, cached or rendered must leave every byte of it alone.
+//! the unix socket alike (the 155 lines of `session/mod.rs`). A change
+//! to how a reply is stored, cached or rendered must leave every byte of
+//! it alone.
+
+mod session;
 
 use pas2p::{serve_unix_with, Pas2p, PredictionService, ServeOptions};
-use pas2p_apps::CATALOG;
 use pas2p_store::SignatureStore;
+use session::session;
 use std::io::{BufRead, BufReader, Cursor, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -19,28 +19,6 @@ const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/catalog_session.ndjson"
 );
-
-/// The session's request lines, in order.
-fn session() -> Vec<String> {
-    let tuples = || CATALOG.iter().flat_map(|app| [4u32, 8].map(|n| (*app, n)));
-    let mut lines: Vec<String> = tuples()
-        .map(|(app, n)| format!(r#"{{"op":"submit","app":"{app}","nprocs":{n},"base":"A"}}"#))
-        .collect();
-    let predicts: Vec<String> = tuples()
-        .flat_map(|(app, n)| {
-            ["B", "C"].map(|target| {
-                format!(
-                    r#"{{"op":"predict","app":"{app}","nprocs":{n},"base":"A","target":"{target}"}}"#
-                )
-            })
-        })
-        .collect();
-    for _ in 0..3 {
-        lines.extend(predicts.iter().cloned());
-    }
-    lines.push(r#"{"op":"shutdown"}"#.to_string());
-    lines
-}
 
 fn fresh_root(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!(
