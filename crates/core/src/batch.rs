@@ -374,7 +374,7 @@ mod tests {
     }
 
     /// The determinism surface of one result: everything except host
-    /// timing and the metrics snapshot.
+    /// timing.
     fn key(r: &BatchResult) -> (usize, String, usize, usize, usize) {
         let a = r.analysis.as_ref().expect("analysis present");
         (

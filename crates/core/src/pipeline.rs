@@ -3,7 +3,7 @@
 use pas2p_check::{Artifacts, CheckEngine, CheckReport};
 use pas2p_machine::{MachineModel, MappingPolicy};
 use pas2p_model::{try_pas2p_order, LogicalTrace, ModelError};
-use pas2p_obs::{Gauge, Level, MetricsSnapshot};
+use pas2p_obs::Level;
 use pas2p_phases::{extract_phases, PhaseAnalysis, PhaseTable, SimilarityConfig};
 use pas2p_signature::{
     construct_signature, execute_signature, predict, run_plain, run_traced, ConstructionStats,
@@ -11,9 +11,6 @@ use pas2p_signature::{
 };
 use pas2p_trace::{ingest, Confidence, IngestReport, InstrumentationModel, Trace};
 use serde::{Deserialize, Serialize};
-
-static TFAT_SECONDS: Gauge = Gauge::new("pipeline.tfat_seconds");
-static AET_INSTRUMENTED: Gauge = Gauge::new("pipeline.aet_instrumented");
 
 /// Stage-A output: everything the analysis of one application run on the
 /// base machine produced.
@@ -41,10 +38,6 @@ pub struct Analysis {
     pub analysis: PhaseAnalysis,
     /// The phase table feeding signature construction.
     pub table: PhaseTable,
-    /// Observability snapshot taken at the end of the analysis (absent
-    /// when observability is disabled).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub metrics: Option<MetricsSnapshot>,
     /// Invariant-check report over the produced artifacts (absent unless
     /// the analysis ran with a check engine, [`Pas2p::analyze_run`] or
     /// [`Pas2p::analyze_buffer`]).
@@ -325,11 +318,6 @@ impl Pas2p {
                 ]
             });
         }
-        // Taken last, so the check stage and rule hit counters are part
-        // of the recorded metrics.
-        TFAT_SECONDS.set(tfat_seconds);
-        AET_INSTRUMENTED.set(trace.elapsed());
-        let metrics = pas2p_obs::enabled().then(|| pas2p_obs::global().snapshot());
         pas2p_obs::log(Level::Info, "pas2p.pipeline", "analysis complete", || {
             vec![
                 ("app", app_name.to_string()),
@@ -350,7 +338,6 @@ impl Pas2p {
             aet_instrumented: trace.elapsed(),
             analysis,
             table,
-            metrics,
             check,
             confidence,
             ingest: ingest.cloned(),
@@ -388,12 +375,9 @@ impl Pas2p {
         policy: MappingPolicy,
     ) -> Result<Prediction, ExecError> {
         let mut st = pas2p_obs::stage("execute");
-        let mut prediction = execute_signature(app, signature, target, policy)?;
+        let prediction = execute_signature(app, signature, target, policy)?;
         st.items(prediction.measurements.len() as u64);
         st.finish();
-        if pas2p_obs::enabled() {
-            prediction.metrics = Some(pas2p_obs::global().snapshot());
-        }
         Ok(prediction)
     }
 

@@ -52,12 +52,11 @@ static TIMEOUT_OVERRUN_US: Histogram = Histogram::new("serve.timeout_overrun_us"
 /// concurrently through a shared service.
 pub type AppResolver = Box<dyn Fn(&str, u32) -> Option<Box<dyn MpiApp>> + Send + Sync>;
 
-/// Strip host-volatile fields so the serialized prediction is a stable
-/// artifact: wall-clock and the metrics snapshot vary run to run and
-/// would break the byte-identical cache-hit contract.
+/// Zero the host wall-clock seconds so the serialized prediction is a
+/// stable artifact: they vary run to run and would break the
+/// byte-identical cache-hit contract.
 pub fn canonicalize_prediction(prediction: &mut Prediction) {
     prediction.wall_seconds = 0.0;
-    prediction.metrics = None;
 }
 
 /// Everything clones of a [`PredictionService`] share. The store mutex
@@ -281,7 +280,6 @@ impl PredictionService {
         };
         let sidecar = Sidecar {
             tfat_seconds: analysis.tfat_seconds,
-            metrics: analysis.metrics,
         };
         // Everything above ran without the store lock; only the publish
         // takes it.

@@ -13,8 +13,8 @@
 //!   [`Gauge`]s and log₂-bucketed [`Histogram`]s (min/max/mean/p50/p95/p99).
 //! * **[`registry`]** — the global [`Registry`]: the instruments
 //!   recorded so far, stage profiles ([`StageGuard`]) and the
-//!   serializable [`MetricsSnapshot`] embedded into
-//!   `Analysis`/`Prediction` JSON and written by `pas2p-cli --metrics`.
+//!   serializable [`MetricsSnapshot`] that `pas2p-cli --metrics` writes
+//!   (process totals; a run's own figures are fields of its result).
 //! * **[`events`]** — timeline tracing: span/instant/flow events
 //!   recorded straight into one process-wide sink (gated separately via
 //!   [`set_tracing`] / `PAS2P_TRACE=1`), feeding…

@@ -153,8 +153,8 @@ impl StageGuard {
     }
 }
 
-/// Serializable point-in-time view of the registry, embedded into
-/// `Analysis`/`Prediction` JSON and written by `pas2p-cli --metrics`.
+/// Serializable point-in-time view of the registry, written by
+/// `pas2p-cli --metrics` and rendered by `pas2p-cli metrics --snapshot`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     pub enabled: bool,

@@ -17,7 +17,7 @@
 use crate::sig::{CellSig, SimilarityConfig, SimilarityKernel};
 use crate::soa::{SoaIndex, SoaPattern};
 use pas2p_model::LogicalTrace;
-use pas2p_obs::{Counter, Gauge};
+use pas2p_obs::Counter;
 use pas2p_trace::EventKind;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -32,7 +32,6 @@ static BAND_REJECTS: Counter = Counter::new("extract.band.rejects");
 static LSH_SKIPPED: Counter = Counter::new("extract.lsh.skipped");
 static SOA_COMPARES: Counter = Counter::new("extract.soa.compares");
 static NEGATIVE_SPAN: Counter = Counter::new("extract.negative_span");
-static ANALYSIS_SECONDS: Gauge = Gauge::new("phases.analysis_seconds");
 
 /// A phase pattern: `pattern[tick][process]` cells.
 pub type Pattern = Vec<Vec<Option<CellSig>>>;
@@ -224,7 +223,6 @@ pub fn extract_phases(lt: &LogicalTrace, cfg: &SimilarityConfig) -> PhaseAnalysi
     if merger.negative_spans > 0 {
         NEGATIVE_SPAN.add(merger.negative_spans);
     }
-    ANALYSIS_SECONDS.set(analysis.analysis_seconds);
     analysis
 }
 

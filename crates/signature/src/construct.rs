@@ -11,7 +11,7 @@ use crate::app::MpiApp;
 use crate::checkpoint::{CheckpointData, CkptCoordinator, RowTargets};
 use pas2p_machine::{IsaKind, MachineModel, MappingPolicy};
 use pas2p_mpisim::{run_app, Mpi, SimConfig};
-use pas2p_obs::{Counter, Gauge};
+use pas2p_obs::Counter;
 use pas2p_phases::{PhaseRow, PhaseTable};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -21,7 +21,6 @@ static ROWS_SKIPPED_EMPTY: Counter = Counter::new("signature.rows_skipped_empty"
 static CONSTRUCT_RUNS: Counter = Counter::new("signature.construct_runs");
 static CHECKPOINTS: Counter = Counter::new("signature.checkpoints");
 static CHECKPOINT_BYTES: Counter = Counter::new("signature.checkpoint_bytes");
-static SCT_SECONDS: Gauge = Gauge::new("signature.sct_seconds");
 
 /// Tunables of signature construction and execution.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -232,7 +231,6 @@ pub fn construct_signature(
     CONSTRUCT_RUNS.inc();
     CHECKPOINTS.add(signature.entries.len() as u64);
     CHECKPOINT_BYTES.add(ckpt_bytes);
-    SCT_SECONDS.set(stats.sct);
     pas2p_obs::instant("host.signature", "signature constructed", || {
         vec![
             ("app", signature.app_name.clone()),

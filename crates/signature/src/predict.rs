@@ -5,13 +5,7 @@ use crate::app::{run_plain, MpiApp};
 use crate::construct::Signature;
 use crate::execute::{execute_signature, ExecError};
 use pas2p_machine::{MachineModel, MappingPolicy};
-use pas2p_obs::Gauge;
 use serde::{Deserialize, Serialize};
-
-static PET_SECONDS: Gauge = Gauge::new("predict.pet_seconds");
-static SET_SECONDS: Gauge = Gauge::new("predict.set_seconds");
-static AET_SECONDS: Gauge = Gauge::new("predict.aet_seconds");
-static PETE_PERCENT: Gauge = Gauge::new("predict.pete_percent");
 
 /// One phase's measurement on the target machine.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -55,10 +49,6 @@ pub struct Prediction {
     pub set: f64,
     /// Host wall-clock seconds the signature execution took.
     pub wall_seconds: f64,
-    /// Observability snapshot taken when the prediction was produced
-    /// (attached by the pipeline layer; absent when observability is off).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub metrics: Option<pas2p_obs::MetricsSnapshot>,
     /// Confidence inherited from the signature this prediction executed:
     /// `Degraded` predictions rest on a partially recovered trace.
     #[serde(default)]
@@ -80,8 +70,6 @@ impl Prediction {
             .iter()
             .map(|m| m.restart_cost + m.measured_span)
             .sum();
-        PET_SECONDS.set(pet);
-        SET_SECONDS.set(set);
         Prediction {
             app,
             base_machine,
@@ -91,7 +79,6 @@ impl Prediction {
             pet,
             set,
             wall_seconds,
-            metrics: None,
             confidence: pas2p_trace::Confidence::Full,
         }
     }
@@ -156,10 +143,6 @@ pub fn report_from(prediction: Prediction, aet: f64) -> ValidationReport {
     } else {
         0.0
     };
-    AET_SECONDS.set(aet);
-    if let Some(pete) = pete_percent {
-        PETE_PERCENT.set(pete);
-    }
     ValidationReport {
         prediction,
         aet,

@@ -5,7 +5,7 @@
 //! base machine, then executed cheaply on any number of target machines.
 //! This crate is the "once": it persists what Stage B and the replies
 //! read of what Stage A + construction produced — the signature, with its
-//! phase table, checkpoints and confidence flag, and a metrics snapshot
+//! phase table, checkpoints and confidence flag, and the analysis's TFAT
 //! beside it — keyed by
 //! `digest(trace bytes ‖ base machine ‖ config fingerprint ‖ format
 //! version)`, plus canonical predictions keyed by
@@ -348,7 +348,7 @@ mod tests {
                 r#""entry":{"app":"cg","base":"A","fingerprint":"fp","format_version":3,"#,
                 r#""kind":"prediction","nprocs":8,"target":"B","workload":"w"},"#,
                 r#""payload":"{\"app\":\"cg\",\"pet\":1.25}","#,
-                r#""sidecar":{"metrics":null,"tfat_seconds":0.0}}"#,
+                r#""sidecar":{"tfat_seconds":0.0}}"#,
             )
         );
         let index = std::fs::read_to_string(store.index_path()).expect("index file");
@@ -437,8 +437,9 @@ mod tests {
         let mut store = SignatureStore::open(&root).expect("open");
         let key = pred_key(2);
         let stored = small_signature();
+        let sidecar = Sidecar { tfat_seconds: 0.5 };
         store
-            .put_signature(&key, &stored, Sidecar::default())
+            .put_signature(&key, &stored, sidecar.clone())
             .expect("put");
         let object = std::fs::read_to_string(object_file(&root, &key)).expect("object file");
         let object: serde_json::Value = serde_json::from_str(&object).expect("object JSON");
@@ -487,8 +488,10 @@ mod tests {
             r#""trace_bytes":96,"trace_events":4}"#,
         );
         assert_eq!(object["payload"].as_str(), Some(payload));
+        assert_eq!(object["sidecar"].to_string(), r#"{"tfat_seconds":0.5}"#);
         // A read rebuilds the rest from the signature.
-        let (back, _) = store.get_signature(&key).expect("served");
+        let (back, read_sidecar) = store.get_signature(&key).expect("served");
+        assert_eq!(read_sidecar, sidecar);
         assert_eq!(back.signature, stored.signature);
         assert_eq!(back.table, stored.table);
         assert_eq!(
@@ -543,7 +546,7 @@ mod tests {
         // No sidecar, and a key this version does not know.
         let mut store = reopen_with_object(&root, &key, |text| {
             text.replace(
-                r#","sidecar":{"metrics":null,"tfat_seconds":0.0}}"#,
+                r#","sidecar":{"tfat_seconds":0.0}}"#,
                 r#","written_by":"a later release"}"#,
             )
         });
@@ -553,6 +556,40 @@ mod tests {
             Some(r#"{"pet":1.0}"#)
         );
         assert_eq!(store.entry(&key).expect("entry").target, None);
+
+        // An older object, whose sidecar also holds the metrics snapshot
+        // taken when it was written: no eviction, the same payload.
+        let key = pred_key(14);
+        let stored = small_signature();
+        store
+            .put_signature(&key, &stored, Sidecar { tfat_seconds: 0.25 })
+            .expect("put");
+        let payload = std::fs::read_to_string(object_file(&root, &key)).expect("object file");
+        drop(store);
+        let mut store = reopen_with_object(&root, &key, |text| {
+            text.replace(
+                r#""sidecar":{"tfat_seconds":0.25}}"#,
+                concat!(
+                    r#""sidecar":{"metrics":{"enabled":true,"#,
+                    r#""counters":{"mpisim.runs":1,"serve.requests":1,"trace.events":1448},"#,
+                    r#""gauges":{"pipeline.tfat_seconds":0.00114501,"serve.inflight":1.0},"#,
+                    r#""histograms":{"mpisim.msg_bytes":{"count":480,"sum":31457280,"#,
+                    r#""min":65536,"max":65536,"mean":65536.0,"p50":65536,"p95":65536,"p99":65536}},"#,
+                    r#""stages":[{"name":"run_traced","calls":1,"wall_seconds":0.009298858,"#,
+                    r#""items":1448,"items_per_sec":155718.0462375057}]},"#,
+                    r#""tfat_seconds":0.25}}"#,
+                ),
+            )
+        });
+        assert!(store.report().is_clean(), "{:?}", store.report());
+        let (back, sidecar) = store.get_signature(&key).expect("served");
+        assert_eq!(sidecar, Sidecar { tfat_seconds: 0.25 });
+        assert_eq!(back.signature, stored.signature);
+        let object: serde_json::Value = serde_json::from_str(&payload).expect("object JSON");
+        assert_eq!(
+            serde_json::to_string(&back).expect("encodes"),
+            object["payload"].as_str().expect("payload text")
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -567,7 +604,7 @@ mod tests {
         drop(store);
 
         let mut store = reopen_with_object(&root, &key, |text| {
-            text.replace(r#""metrics":null"#, r#""metrics":"not a snapshot""#)
+            text.replace(r#""tfat_seconds":0.0"#, r#""tfat_seconds":"not a number""#)
         });
         assert_eq!(store.report().evicted_corrupt, 1);
         assert!(

@@ -12,8 +12,8 @@
 //! confidence flag) and three numbers of the traced run — is stored as
 //! one canonical JSON string, covered by a SHA-256 checksum and free of
 //! host wall-clock values, so the same inputs always produce the same
-//! payload bytes (this is what the digest-stability tests pin). Volatile
-//! observations (TFAT seconds, the metrics snapshot) ride in a sidecar
+//! payload bytes (this is what the digest-stability tests pin). The one
+//! volatile observation, the analysis's TFAT seconds, rides in a sidecar
 //! outside the checksum.
 //!
 //! Both file kinds are derived structs, fields in written order (sorted
@@ -36,7 +36,7 @@ use crate::digest::sha256_hex;
 use crate::io::{RealIo, StoreIo};
 use crate::key::{signature_alias, StoreKey, STORE_FORMAT_VERSION};
 use crate::report::StoreReport;
-use pas2p_obs::{Counter, Gauge, MetricsSnapshot};
+use pas2p_obs::{Counter, Gauge};
 use pas2p_phases::{PhaseAnalysis, PhaseTable};
 use pas2p_signature::Signature;
 use pas2p_trace::Confidence;
@@ -188,12 +188,11 @@ impl Deserialize for StoredSignature {
 }
 
 /// Volatile observations attached to an entry outside the checksum:
-/// they describe the producing host run, not the artifact.
+/// they describe the producing host run, not the artifact. A
+/// sidecar that also holds a `metrics` snapshot, as older objects' do,
+/// reads the same: unknown keys are ignored.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Sidecar {
-    /// Metrics snapshot captured when the artifact was produced
-    /// (`null` when collection was off).
-    pub metrics: Option<MetricsSnapshot>,
     /// Host seconds the producing analysis spent (TFAT).
     #[serde(default)]
     pub tfat_seconds: f64,

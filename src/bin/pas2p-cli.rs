@@ -8,7 +8,7 @@
 //! pas2p-cli validate  --app cg --nprocs 16 --base A --target B
 //! pas2p-cli check     --app cg --nprocs 16 --base A [--json] [--logical-out model.json]
 //! pas2p-cli check     --logical model.json [--json]
-//! pas2p-cli metrics   --analysis analysis.json
+//! pas2p-cli metrics   --snapshot metrics.json [--format text|prom]
 //! ```
 //!
 //! Applications come from the built-in catalog (`pas2p_apps::by_name`);
@@ -43,7 +43,7 @@ const USAGE: &str = "usage:
   pas2p-cli check     --trace FILE [--json]
                       (any form also takes [--sarif FILE] [--baseline FILE]
                        [--write-baseline FILE])
-  pas2p-cli metrics   --analysis FILE [--format text|prom]
+  pas2p-cli metrics   --snapshot FILE [--format text|prom]
   pas2p-cli batch     --apps NAME[,NAME...] --nprocs N --base M [--workers K] [--out FILE]
                       [--fault-seed N] [--deadline-ms N] [--strict]
   pas2p-cli timeline  --app NAME --nprocs N --base M [--out FILE] [--normalize]
@@ -619,16 +619,10 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
             Ok(ExitCode::SUCCESS)
         }
         "metrics" => {
-            let path = flags.get("analysis").ok_or("missing --analysis")?;
+            let path = flags.get("snapshot").ok_or("missing --snapshot")?;
             let data = std::fs::read_to_string(path).map_err(reading(path))?;
-            let analysis: pas2p::Analysis = serde_json::from_str(&data)
+            let snapshot: pas2p_obs::MetricsSnapshot = serde_json::from_str(&data)
                 .map_err(|e| input(format!("parsing {}: {}", path, e)))?;
-            let snapshot = analysis.metrics.ok_or_else(|| {
-                input(format!(
-                    "{path} carries no metrics snapshot — rerun analyze with --metrics FILE \
-                     or PAS2P_OBS=1"
-                ))
-            })?;
             match flags.get("format").map(String::as_str).unwrap_or("text") {
                 "text" => print!("{}", snapshot.render()),
                 "prom" | "prometheus" => print!("{}", snapshot.render_prometheus()),

@@ -57,8 +57,8 @@ fn analyze_emits_analysis_json() {
     let analysis: pas2p::Analysis = serde_json::from_str(&stdout).unwrap();
     assert_eq!(analysis.nprocs, 4);
     assert_eq!(analysis.table.nprocs, 4);
-    // Observability was not requested: no snapshot in the JSON.
-    assert!(analysis.metrics.is_none());
+    // An analysis carries its own figures, never a metrics snapshot.
+    assert!(!stdout.contains(r#""metrics""#), "{stdout}");
 }
 
 #[test]
@@ -211,14 +211,15 @@ fn metrics_flag_writes_snapshot_and_subcommand_renders_it() {
     let distinct = snap.counters.len() + snap.histograms.len();
     assert!(distinct >= 10, "only {distinct} instruments in snapshot");
 
-    // The analysis JSON embeds the same snapshot, and the `metrics`
-    // subcommand renders it.
-    let analysis: pas2p::Analysis =
-        serde_json::from_str(&std::fs::read_to_string(&analysis_path).unwrap()).unwrap();
-    assert!(analysis.metrics.is_some());
+    // The analysis JSON carries its own figures and no snapshot; the
+    // `metrics` subcommand renders the snapshot file.
+    let analysis = std::fs::read_to_string(&analysis_path).unwrap();
+    let analysis: serde_json::Value = serde_json::from_str(&analysis).unwrap();
+    assert!(analysis.get("metrics").is_none());
+    assert!(analysis["tfat_seconds"].as_f64().unwrap() > 0.0);
 
     let out = cli()
-        .args(["metrics", "--analysis", analysis_path.to_str().unwrap()])
+        .args(["metrics", "--snapshot", metrics_path.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(
@@ -229,6 +230,15 @@ fn metrics_flag_writes_snapshot_and_subcommand_renders_it() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("stages:"), "{}", stdout);
     assert!(stdout.contains("mpisim.messages"), "{}", stdout);
+
+    // An analysis is no snapshot source: `--analysis` is an unknown flag.
+    let out = cli()
+        .args(["metrics", "--analysis", analysis_path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag '--analysis'"), "{stderr}");
 }
 
 #[test]
@@ -532,7 +542,7 @@ fn unreadable_inputs_exit_two_with_one_line_diagnostic() {
     for args in [
         ["check", "--trace", "/nonexistent/pas2p.trace"].as_slice(),
         ["check", "--logical", "/nonexistent/pas2p.model.json"].as_slice(),
-        ["metrics", "--analysis", "/nonexistent/pas2p.analysis.json"].as_slice(),
+        ["metrics", "--snapshot", "/nonexistent/pas2p.metrics.json"].as_slice(),
     ] {
         let out = cli().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -796,6 +806,7 @@ fn metrics_format_prom_emits_exposition() {
     let dir = std::env::temp_dir().join("pas2p-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
     let analysis_path = dir.join("mw.prom.analysis.json");
+    let metrics_path = dir.join("mw.prom.metrics.json");
     let out = cli()
         .args([
             "analyze",
@@ -808,7 +819,7 @@ fn metrics_format_prom_emits_exposition() {
             "--out",
             analysis_path.to_str().unwrap(),
             "--metrics",
-            dir.join("mw.prom.metrics.json").to_str().unwrap(),
+            metrics_path.to_str().unwrap(),
         ])
         .output()
         .unwrap();
@@ -821,8 +832,8 @@ fn metrics_format_prom_emits_exposition() {
     let out = cli()
         .args([
             "metrics",
-            "--analysis",
-            analysis_path.to_str().unwrap(),
+            "--snapshot",
+            metrics_path.to_str().unwrap(),
             "--format",
             "prom",
         ])
@@ -846,8 +857,8 @@ fn metrics_format_prom_emits_exposition() {
     let out = cli()
         .args([
             "metrics",
-            "--analysis",
-            analysis_path.to_str().unwrap(),
+            "--snapshot",
+            metrics_path.to_str().unwrap(),
             "--format",
             "xml",
         ])
@@ -978,66 +989,76 @@ fn serve_answers_ndjson_and_hits_the_cache() {
     let _ = std::fs::remove_dir_all(&store);
 }
 
-/// With collection on, a signature's sidecar embeds the registry's
-/// snapshot. The registry keeps one aggregate per stage name and a name
-/// is a literal, so once a submit, a predict and a batch have run every
-/// stage, a later sidecar holds no more stage entries than an earlier
-/// one, however many requests — or batches of another shape — ran
-/// between.
+/// The registry keeps one aggregate per stage name and a name is a
+/// literal, so once a submit, a predict and a batch have run every
+/// stage, a `serve --metrics` snapshot holds no more stage entries
+/// however many requests — or batches of another shape — run after.
+/// A signature's sidecar holds its TFAT and no snapshot.
 #[test]
 fn serve_sidecars_do_not_grow_with_the_request_count() {
     use std::io::Write;
     use std::process::Stdio;
 
-    let store = std::env::temp_dir().join(format!("pas2p-cli-sidecar-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store);
-    let mut child = cli()
-        .args(["serve", "--store", store.to_str().unwrap()])
-        .env("PAS2P_OBS", "1")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
     let submit =
         |nprocs: u32| format!(r#"{{"op":"submit","app":"masterworker","nprocs":{nprocs}}}"#);
     let predict = r#"{"op":"predict","app":"masterworker","nprocs":2,"target":"B"}"#.to_string();
     let batch = |apps: &str| format!(r#"{{"op":"batch","apps":[{apps}],"nprocs":2}}"#);
-    let mut session = vec![submit(2), predict.clone(), batch(r#""cg""#), submit(3)];
-    session.extend(std::iter::repeat_n(predict, 20));
-    session.extend([batch(r#""ft","lu""#), submit(4)]);
-    let stdin = child.stdin.as_mut().unwrap();
-    stdin
-        .write_all((session.join("\n") + "\n").as_bytes())
-        .unwrap();
-    let out = child.wait_with_output().unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let short = vec![submit(2), predict.clone(), batch(r#""cg""#), submit(3)];
+    let mut long = short.clone();
+    long.extend(std::iter::repeat_n(predict, 20));
+    long.extend([batch(r#""ft","lu""#), submit(4)]);
 
-    let replies: Vec<serde_json::Value> = String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .map(|l| serde_json::from_str(l).unwrap())
-        .collect();
-    assert_eq!(replies.len(), 26);
-    let stage_entries = |reply: &serde_json::Value| {
-        let digest = reply["result"]["digest"].as_str().expect("a submit reply");
-        let object = std::fs::read_to_string(store.join(format!("objects/{digest}.json"))).unwrap();
-        let object: serde_json::Value = serde_json::from_str(&object).unwrap();
-        object["sidecar"]["metrics"]["stages"]
-            .as_array()
-            .expect("a snapshot")
-            .len()
+    let stage_entries = |tag: &str, session: &[String]| {
+        let store =
+            std::env::temp_dir().join(format!("pas2p-cli-sidecar-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&store);
+        std::fs::create_dir_all(&store).unwrap();
+        let metrics = store.with_extension("metrics.json");
+        let mut child = cli()
+            .args(["serve", "--store", store.to_str().unwrap()])
+            .args(["--metrics", metrics.to_str().unwrap()])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let stdin = child.stdin.as_mut().unwrap();
+        stdin
+            .write_all((session.join("\n") + "\n").as_bytes())
+            .unwrap();
+        let out = child.wait_with_output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let replies = String::from_utf8_lossy(&out.stdout).lines().count();
+        assert_eq!(replies, session.len());
+
+        let objects: Vec<_> = std::fs::read_dir(store.join("objects"))
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .collect();
+        assert!(!objects.is_empty());
+        for path in objects {
+            let object: serde_json::Value =
+                serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            let sidecar = object["sidecar"].as_object().expect("a sidecar");
+            let keys: Vec<&str> = sidecar.keys().map(String::as_str).collect();
+            assert_eq!(keys, ["tfat_seconds"], "{}", path.display());
+        }
+        let snapshot: pas2p_obs::MetricsSnapshot =
+            serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        let _ = std::fs::remove_dir_all(&store);
+        let _ = std::fs::remove_file(&metrics);
+        snapshot.stages.len()
     };
-    let (second, third) = (stage_entries(&replies[3]), stage_entries(&replies[25]));
-    assert!(second > 0);
-    assert!(
-        third <= second,
-        "{second} stage entries, then {third}, twenty predicts and a batch later"
+    let (short, long) = (stage_entries("short", &short), stage_entries("long", &long));
+    assert!(short > 0);
+    assert_eq!(
+        short, long,
+        "{short} stage entries, then {long}, twenty predicts and a batch later"
     );
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
