@@ -564,7 +564,7 @@ mod tests {
         store
             .put_signature(&key, &stored, Sidecar { tfat_seconds: 0.25 })
             .expect("put");
-        let payload = std::fs::read_to_string(object_file(&root, &key)).expect("object file");
+        let written = std::fs::read_to_string(object_file(&root, &key)).expect("object file");
         drop(store);
         let mut store = reopen_with_object(&root, &key, |text| {
             text.replace(
@@ -585,7 +585,7 @@ mod tests {
         let (back, sidecar) = store.get_signature(&key).expect("served");
         assert_eq!(sidecar, Sidecar { tfat_seconds: 0.25 });
         assert_eq!(back.signature, stored.signature);
-        let object: serde_json::Value = serde_json::from_str(&payload).expect("object JSON");
+        let object: serde_json::Value = serde_json::from_str(&written).expect("object JSON");
         assert_eq!(
             serde_json::to_string(&back).expect("encodes"),
             object["payload"].as_str().expect("payload text")

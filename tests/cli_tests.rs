@@ -1012,7 +1012,6 @@ fn serve_sidecars_do_not_grow_with_the_request_count() {
         let store =
             std::env::temp_dir().join(format!("pas2p-cli-sidecar-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&store);
-        std::fs::create_dir_all(&store).unwrap();
         let metrics = store.with_extension("metrics.json");
         let mut child = cli()
             .args(["serve", "--store", store.to_str().unwrap()])
