@@ -333,7 +333,7 @@ impl PredictionService {
     /// Serve newline-delimited JSON requests from `input`, writing one
     /// response line each to `output`, until EOF, a `shutdown` or an
     /// over-long line. The final response is flushed before the loop
-    /// exits, and the store index is flushed to disk on the way out.
+    /// exits.
     pub fn serve(&self, mut input: impl BufRead, mut output: impl Write) -> std::io::Result<()> {
         let mut line = String::new();
         while read_bounded_line(&mut input, &mut line)? > 0 {
@@ -343,7 +343,6 @@ impl PredictionService {
             line.clear();
         }
         self.serve_stats().accepting.store(false, Ordering::SeqCst);
-        self.flush_store();
         Ok(())
     }
 }

@@ -23,8 +23,9 @@
 //!   own connection first; that connection then sets the stop flag and
 //!   connects to the socket once, which wakes the acceptor. It stops
 //!   accepting, open connections get `drain` to finish what they are
-//!   answering, the store index is flushed and the socket file removed
-//!   — also when `accept` itself failed.
+//!   answering, and the socket file is removed — also when `accept`
+//!   itself failed. Every acknowledged put is already durable, so the
+//!   store has nothing to seal.
 //!
 //! Per-request deadlines are the service's own
 //! ([`crate::service::PredictionService::with_deadline`]) and start
@@ -152,7 +153,7 @@ pub fn serve_unix_with(
 
     // Graceful shutdown, on every way out of the loop: stop accepting
     // (drop the listener), give open connections `drain` to finish,
-    // then seal the store.
+    // then remove the socket.
     stats.accepting.store(false, Ordering::SeqCst);
     drop(listener);
     let deadline = Instant::now() + opts.drain;
@@ -164,7 +165,6 @@ pub fn serve_unix_with(
             let _ = handle.join();
         }
     }
-    service.flush_store();
     let _ = std::fs::remove_file(socket_path);
     outcome
 }
@@ -427,8 +427,8 @@ mod tests {
 
     /// The stdin loop reads through the same bound: a line of exactly
     /// the cap is answered, one byte more gets the one `invalid` answer
-    /// and ends the loop — what follows is never read, the store index
-    /// is flushed on the way out.
+    /// and ends the loop — what follows is never read, and the way out
+    /// writes nothing to a store no request put into.
     #[test]
     fn an_overlong_stdin_line_gets_one_invalid_answer_and_ends_the_loop() {
         let root = temp_root("overlong-stdin");
@@ -451,8 +451,8 @@ mod tests {
         assert!(error.contains(&MAX_LINE_BYTES.to_string()), "{error}");
         assert_eq!(svc.serve_stats().requests.load(Ordering::SeqCst), 2);
         assert!(
-            root.join("store/index.json").exists(),
-            "index flushed on the way out"
+            !root.join("store/index.json").exists(),
+            "no index written on the way out"
         );
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -529,14 +529,6 @@ impl PredictionService {
         })
     }
 
-    /// Flush the store index to disk (graceful-shutdown step).
-    pub(crate) fn flush_store(&self) {
-        let mut store = self.shared.store.lock();
-        if let Err(e) = store.flush_index() {
-            eprintln!("pas2p serve: flushing store index on shutdown: {e}");
-        }
-    }
-
     /// Answer one compute op on the calling thread: permit, stage
     /// profile, and the work under [`guarded`]. A request that failed
     /// after a checkpoint found its deadline passed answers
@@ -1286,17 +1278,19 @@ mod tests {
         assert!(line.contains(r#""cached":false,"prediction""#), "{line}");
         assert_eq!(s.kept().0, 0);
 
-        // Another format version, found at open.
+        // Another format version, found at open in the objects.
         let mut s = Counted::new("reply-evict-version");
         s.warm();
-        let index = s.root.join("index.json");
-        let text = std::fs::read_to_string(&index).expect("index");
         let current = format!(r#""format_version":{STORE_FORMAT_VERSION},"kind""#);
-        std::fs::write(
-            &index,
-            text.replace(&current, r#""format_version":0,"kind""#),
-        )
-        .expect("rewrite index");
+        for file in std::fs::read_dir(s.root.join("objects")).expect("objects") {
+            let object = file.expect("object").path();
+            let text = std::fs::read_to_string(&object).expect("object");
+            std::fs::write(
+                &object,
+                text.replace(&current, r#""format_version":0,"kind""#),
+            )
+            .expect("rewrite object");
+        }
         s.reopen();
         assert_eq!(s.svc.store_report().evicted_version, 2);
         let (line, _) = s.predict();

@@ -21,16 +21,19 @@
 //! * **Incremental invalidation** — config changes move the key
 //!   (old entries become unreachable; [`SignatureStore::evict_stale_configs`]
 //!   reclaims them), and format-version bumps evict at open.
-//! * **Corruption tolerance** — a damaged index is rebuilt from object
-//!   files; a damaged object fails its checksum, is evicted, and the
-//!   caller recomputes — all reported via [`StoreReport`] and `STORE-*`
-//!   diagnostics (the `IngestReport` pattern, one layer up).
+//! * **The objects are the index** — each object embeds its entry, and
+//!   opening derives the index and the aliases from one verified pass
+//!   over `objects/`; `index.json` is written by each put and never
+//!   read.
+//! * **Corruption tolerance** — a damaged object fails its checksum, is
+//!   evicted (at open or on a get), and the caller recomputes — all
+//!   reported via [`StoreReport`] and `STORE-*` diagnostics (the
+//!   `IngestReport` pattern, one layer up).
 //! * **Crash durability** — writes go to per-write unique temp files
 //!   that are fsynced (file and parent directory) around an atomic
-//!   rename, and opening runs a recovery pass that sweeps stale temps
-//!   and evicts torn objects; all filesystem access is routed through
-//!   the [`StoreIo`] seam so these guarantees are provable under
-//!   injected faults.
+//!   rename, and opening sweeps stale temps and evicts torn objects;
+//!   all filesystem access is routed through the [`StoreIo`] seam so
+//!   these guarantees are provable under injected faults.
 //!
 //! Observability: the `store.hit` ([`HITS`], which the service also
 //! counts) / `store.miss` / `store.evict` / `store.put` counters and a
@@ -132,6 +135,12 @@ mod tests {
         std::fs::write(&obj_path, text.replace("1.0", "9.9")).expect("tamper");
 
         let mut store = SignatureStore::open(&root).expect("reopen");
+        assert_eq!(
+            store.report().evicted_corrupt,
+            1,
+            "the open pass verifies the checksum: evicted before any get"
+        );
+        assert!(!obj_path.exists(), "and its file removed at open");
         assert!(
             store.get_prediction_json(&key).is_none(),
             "checksum mismatch must read as a miss"
@@ -172,28 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn unreadable_index_is_rebuilt_from_objects() {
-        let root = temp_root("rebuild");
-        let mut store = SignatureStore::open(&root).expect("open");
-        let key = pred_key(4);
-        let json = r#"{"pet":2.5}"#;
-        store
-            .put_prediction_json(&key, pred_entry("lu", "D"), json)
-            .expect("put");
-        std::fs::write(root.join("index.json"), b"not json at all {{{").expect("clobber index");
-
-        let mut store = SignatureStore::open(&root).expect("reopen");
-        assert!(store.report().index_rebuilt);
-        assert!(store
-            .diagnostics()
-            .iter()
-            .any(|d| d.code == "STORE-IDX-001"));
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.get_prediction_json(&key).as_deref(), Some(json));
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
     fn format_version_bump_evicts_at_open() {
         let root = temp_root("version");
         let mut store = SignatureStore::open(&root).expect("open");
@@ -203,16 +190,17 @@ mod tests {
             .expect("put");
         drop(store);
 
-        // Rewrite the entry as if an older release had produced it.
-        let index_path = root.join("index.json");
-        let text = std::fs::read_to_string(&index_path).expect("index");
-        let mut value: serde_json::Value = serde_json::from_str(&text).expect("index json");
-        value["entries"][key.digest.as_str()]["format_version"] = serde_json::json!(0);
-        std::fs::write(&index_path, serde_json::to_string(&value).expect("encode"))
-            .expect("rewrite index");
-
-        let mut store = SignatureStore::open(&root).expect("reopen");
+        // Rewrite the object's entry as if an older release had written
+        // it: the entry is outside the checksum, so only its version
+        // tells.
+        let mut store = reopen_with_object(&root, &key, |text| {
+            text.replace(r#""format_version":3,"#, r#""format_version":0,"#)
+        });
         assert_eq!(store.report().evicted_version, 1);
+        assert!(
+            !object_file(&root, &key).exists(),
+            "the stale object is removed"
+        );
         assert!(store
             .diagnostics()
             .iter()
@@ -347,8 +335,7 @@ mod tests {
                 r#""digest":"4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a","#,
                 r#""entry":{"app":"cg","base":"A","fingerprint":"fp","format_version":3,"#,
                 r#""kind":"prediction","nprocs":8,"target":"B","workload":"w"},"#,
-                r#""payload":"{\"app\":\"cg\",\"pet\":1.25}","#,
-                r#""sidecar":{"tfat_seconds":0.0}}"#,
+                r#""payload":"{\"app\":\"cg\",\"pet\":1.25}"}"#,
             )
         );
         let index = std::fs::read_to_string(store.index_path()).expect("index file");
@@ -366,7 +353,7 @@ mod tests {
     }
 
     /// A one-rank signature whose two entries resume from one checkpoint.
-    fn small_signature() -> StoredSignature {
+    pub(crate) fn small_signature() -> StoredSignature {
         use pas2p_phases::{MeasureWindow, PhaseAnalysis, PhaseRow, PhaseTable};
         use pas2p_signature::{CheckpointData, RankState, Signature, SignatureEntry};
         let row = |phase_id, at: u64| PhaseRow {
@@ -543,11 +530,12 @@ mod tests {
         );
         drop(store);
 
-        // No sidecar, and a key this version does not know.
+        // The zero sidecar older releases wrote into a prediction, and a
+        // key this version does not know.
         let mut store = reopen_with_object(&root, &key, |text| {
             text.replace(
-                r#","sidecar":{"tfat_seconds":0.0}}"#,
-                r#","written_by":"a later release"}"#,
+                r#"1.0}"}"#,
+                r#"1.0}","sidecar":{"tfat_seconds":0.0},"written_by":"a later release"}"#,
             )
         });
         assert!(store.report().is_clean(), "{:?}", store.report());
@@ -599,12 +587,12 @@ mod tests {
         let mut store = SignatureStore::open(&root).expect("open");
         let key = pred_key(13);
         store
-            .put_prediction_json(&key, pred_entry("cg", "B"), "{}")
+            .put_signature(&key, &small_signature(), Sidecar { tfat_seconds: 0.5 })
             .expect("put");
         drop(store);
 
         let mut store = reopen_with_object(&root, &key, |text| {
-            text.replace(r#""tfat_seconds":0.0"#, r#""tfat_seconds":"not a number""#)
+            text.replace(r#""tfat_seconds":0.5"#, r#""tfat_seconds":"not a number""#)
         });
         assert_eq!(store.report().evicted_corrupt, 1);
         assert!(
@@ -620,7 +608,7 @@ mod tests {
             .diagnostics()
             .iter()
             .any(|d| d.code == "STORE-CORRUPT-001"));
-        assert!(store.get_prediction_json(&key).is_none());
+        assert!(store.get_signature(&key).is_none());
         let _ = std::fs::remove_dir_all(&root);
     }
 }

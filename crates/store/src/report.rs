@@ -4,41 +4,36 @@
 //!
 //! # Rule codes
 //!
-//! * `STORE-IDX-001` — the index file was missing or unreadable and was
-//!   rebuilt by scanning the object files (Warning).
-//! * `STORE-VER-001` — entries written under an older store format
+//! * `STORE-VER-001` — objects written under another store format
 //!   version were evicted at open (Info: expected on upgrades).
 //! * `STORE-CORRUPT-001` — an object failed its checksum, did not
-//!   parse or is not text; the entry was evicted and the artifact
-//!   recomputed (Warning).
-//! * `STORE-OBJ-001` — the index pointed at an object file that no
-//!   longer exists; the dangling entry was evicted (Warning).
+//!   parse, is not text or names another digest than its file; it was
+//!   evicted, at open or on a get, and the artifact is recomputed
+//!   (Warning).
+//! * `STORE-OBJ-001` — a get found the object file of a loaded entry
+//!   gone; the entry was evicted (Warning).
 //! * `STORE-TMP-001` — stale temp files from crashed writes were
-//!   removed by the startup recovery pass (Info: the crash-durability
-//!   protocol working as designed).
+//!   removed at open (Info: the crash-durability protocol working as
+//!   designed).
 
 use pas2p_check::{Diagnostic, Location, Severity};
 use serde::{Deserialize, Serialize};
 
-/// What the store repaired, evicted and rebuilt. Carried by
+/// What the store repaired and evicted. Carried by
 /// [`crate::SignatureStore`] and folded into service responses.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StoreReport {
-    /// The index file was missing/unreadable and was reconstructed from
-    /// the object files on disk.
-    pub index_rebuilt: bool,
     /// Entries alive in the index after open-time validation.
     pub entries_loaded: usize,
-    /// Entries evicted at open because they were written under a
+    /// Objects evicted at open because they were written under a
     /// different [`crate::STORE_FORMAT_VERSION`].
     pub evicted_version: usize,
-    /// Entries evicted (at open or on access) because the object file
-    /// failed its checksum or did not parse.
+    /// Objects evicted (at open or on access) because the file failed
+    /// its checksum, did not parse or named another digest.
     pub evicted_corrupt: usize,
-    /// Entries evicted because the index pointed at a missing object.
+    /// Entries evicted because a get found their object file gone.
     pub evicted_missing: usize,
-    /// Stale temp files (crashed writes) removed at open by the
-    /// recovery pass.
+    /// Stale temp files (crashed writes) removed at open.
     #[serde(default)]
     pub temps_removed: usize,
     /// One line per corrupt/missing object: digest prefix plus reason.
@@ -46,11 +41,10 @@ pub struct StoreReport {
 }
 
 impl StoreReport {
-    /// True when the store opened clean: nothing rebuilt, nothing
-    /// evicted.
+    /// True when the store opened clean: nothing evicted, nothing
+    /// swept.
     pub fn is_clean(&self) -> bool {
-        !self.index_rebuilt
-            && self.evicted_version == 0
+        self.evicted_version == 0
             && self.evicted_corrupt == 0
             && self.evicted_missing == 0
             && self.temps_removed == 0
@@ -81,24 +75,6 @@ impl StoreReport {
     /// produced here rather than by a `Checker` inside the engine.)
     pub fn diagnostics(&self) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        if self.index_rebuilt {
-            out.push(
-                Diagnostic::new(
-                    "STORE-IDX-001",
-                    Severity::Warning,
-                    Location::none(),
-                    format!(
-                        "store index was missing or unreadable; rebuilt from object files \
-                         ({} entries recovered)",
-                        self.entries_loaded
-                    ),
-                )
-                .with_suggestion(
-                    "aliases and entries were re-derived from object metadata; verify the \
-                     store directory is not shared by concurrent writers",
-                ),
-            );
-        }
         if self.evicted_version > 0 {
             out.push(
                 Diagnostic::new(
@@ -139,7 +115,7 @@ impl StoreReport {
                     Severity::Warning,
                     Location::none(),
                     format!(
-                        "{} index entr(ies) pointed at missing object files and were evicted",
+                        "{} entr(ies) found their object file gone on a read and were evicted",
                         self.evicted_missing
                     ),
                 )
@@ -159,7 +135,7 @@ impl StoreReport {
                 )
                 .with_suggestion(
                     "expected after a crash mid-write; the published objects were verified \
-                     by the recovery pass",
+                     when the store opened",
                 ),
             );
         }
@@ -185,7 +161,6 @@ mod tests {
     #[test]
     fn every_repair_surfaces_a_code() {
         let mut report = StoreReport {
-            index_rebuilt: true,
             entries_loaded: 1,
             evicted_version: 2,
             evicted_corrupt: 1,
@@ -201,12 +176,7 @@ mod tests {
             .collect();
         assert_eq!(
             codes,
-            vec![
-                "STORE-IDX-001",
-                "STORE-VER-001",
-                "STORE-CORRUPT-001",
-                "STORE-OBJ-001"
-            ]
+            vec!["STORE-VER-001", "STORE-CORRUPT-001", "STORE-OBJ-001"]
         );
         let render = report.render();
         assert!(render.contains("deadbeefdead: checksum mismatch"));

@@ -1,11 +1,12 @@
-//! The on-disk repository: an index file plus one object file per
-//! artifact, every byte of it accounted for.
+//! The on-disk repository: one object file per artifact, every byte of
+//! it accounted for. The objects are the index: each embeds its
+//! [`IndexEntry`], and opening derives the index from them.
 //!
 //! # Layout
 //!
 //! ```text
-//! <root>/index.json               digest → entry metadata, alias → digest
-//! <root>/objects/<digest>.json    wrapper { entry, checksum, payload, sidecar }
+//! <root>/objects/<digest>.json    wrapper { checksum, digest, entry, payload, sidecar? }
+//! <root>/index.json               digest → entry, alias → digest: written by each put, never read
 //! ```
 //!
 //! The payload — the signature itself (its phase table, checkpoints and
@@ -13,8 +14,8 @@
 //! one canonical JSON string, covered by a SHA-256 checksum and free of
 //! host wall-clock values, so the same inputs always produce the same
 //! payload bytes (this is what the digest-stability tests pin). The one
-//! volatile observation, the analysis's TFAT seconds, rides in a sidecar
-//! outside the checksum.
+//! volatile observation, the analysis's TFAT seconds, rides in a
+//! signature's sidecar outside the checksum; a prediction has none.
 //!
 //! Both file kinds are derived structs, fields in written order (sorted
 //! by name): `StoreIndex`, `StoredObject`, [`IndexEntry`] and [`Sidecar`]
@@ -23,8 +24,8 @@
 //! hand: it stores fewer fields than [`StoredSignature`] has.
 //!
 //! Writes are crash-durable (`write_atomic`). Corruption is handled
-//! twice: a startup recovery pass verifies every indexed object
-//! and evicts torn ones, and a read from the file verifies that object
+//! twice: opening reads and verifies every object once, evicting torn
+//! and other-version ones, and a read from the file verifies that object
 //! again; every eviction is reported ([`crate::StoreReport`]) and the
 //! caller recomputes.
 //!
@@ -61,8 +62,8 @@ pub enum ArtifactKind {
     Prediction,
 }
 
-/// Index metadata for one entry — enough to rebuild the index (and the
-/// alias map) from object files alone. Like every struct of a store
+/// Index metadata for one entry, embedded in its object: opening derives
+/// the index (and the alias map) from these alone. Like every struct of a store
 /// file, it is written by its derive: field order here is byte order on
 /// disk, so a new field goes where its name sorts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -198,19 +199,20 @@ pub struct Sidecar {
     pub tfat_seconds: f64,
 }
 
-/// One object file: metadata + checksummed payload + sidecar.
+/// One object file: metadata + checksummed payload + a signature's
+/// sidecar (a prediction has none).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct StoredObject {
     checksum: String,
     digest: String,
     entry: IndexEntry,
     payload: String,
-    #[serde(default)]
-    sidecar: Sidecar,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    sidecar: Option<Sidecar>,
 }
 
-/// The index file. `format_version` is stamped by `open_with_io`, the
-/// one place an index comes from.
+/// The index: built by `open_with_io` from the objects, written to
+/// `index.json` by every put and never read back.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct StoreIndex {
     aliases: BTreeMap<String, String>,
@@ -252,7 +254,7 @@ enum Evicted {
     Version,
     /// The object is torn or tampered with.
     Corrupt,
-    /// The index points at a file that cannot be read.
+    /// A get found its indexed object file gone.
     Missing,
     /// Another configuration's entry (`evict_stale_configs`).
     Config,
@@ -276,66 +278,95 @@ impl SignatureStore {
     /// filesystem access through `io` (the chaos harness passes a
     /// fault-injecting implementation here).
     ///
-    /// Opening validates what is already there: entries from another
-    /// format version are evicted, an unreadable index is rebuilt by
-    /// scanning the object files, stale temp files from crashed writes
-    /// are removed, torn or missing objects are evicted by a recovery
-    /// pass, and everything done is recorded in
-    /// [`SignatureStore::report`]. Every get reads the file and
+    /// The objects are the index: opening reads every `objects/*.json`
+    /// once and verifies it as a get does (it parses, names its own
+    /// file, and its payload matches its checksum). A verified object of
+    /// this format version is registered with its alias; one written
+    /// under another version is evicted, and so is a torn or misnamed
+    /// one, its file removed. Stale temp files from crashed writes are
+    /// removed. `index.json` is never read. Everything done is recorded
+    /// in [`SignatureStore::report`]; every get reads the file and
     /// verifies the object again.
     pub fn open_with_io(
         root: impl Into<PathBuf>,
         io: Box<dyn StoreIo>,
     ) -> Result<SignatureStore, StoreError> {
         let root = root.into();
-        io.create_dir_all(&root.join("objects"))
+        let objects = root.join("objects");
+        io.create_dir_all(&objects)
             .map_err(|e| io_err("creating store directories", e))?;
-        let mut report = StoreReport::default();
-        let index = match io.read_to_string(&root.join("index.json")) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => StoreIndex::default(),
-            // Unreadable, or read and not an index: rebuild, and say so.
-            read => match read.ok().and_then(|text| serde_json::from_str(&text).ok()) {
-                Some(index) => index,
-                None => {
-                    report.index_rebuilt = true;
-                    Self::rebuild_index(&root, io.as_ref())
-                }
-            },
-        };
         let mut store = SignatureStore {
-            root,
-            index,
-            report,
+            index: StoreIndex {
+                format_version: STORE_FORMAT_VERSION,
+                ..StoreIndex::default()
+            },
+            report: StoreReport::default(),
             io,
+            root,
         };
-
-        // Format-version invalidation: entries written under any other
-        // version are dropped wholesale — the key derivation itself is
-        // versioned, so they could never be addressed again anyway.
-        let stale: Vec<String> = store
-            .index
-            .entries
-            .iter()
-            .filter(|(_, e)| e.format_version != STORE_FORMAT_VERSION)
-            .map(|(d, _)| d.clone())
-            .collect();
-        for digest in &stale {
-            store.forget(digest, Evicted::Version, "stale format version");
+        // A crash between temp-write and rename leaves a `*.tmp` behind,
+        // next to the index or among the objects: never addressable.
+        let root_files = store.io.list_dir(&store.root).unwrap_or_default();
+        let object_files = store
+            .io
+            .list_dir(&objects)
+            .map_err(|e| io_err("listing store objects", e))?;
+        for path in root_files.iter().chain(&object_files) {
+            if path.extension().and_then(|e| e.to_str()) == Some("tmp")
+                && store.io.remove_file(path).is_ok()
+            {
+                store.report.temps_removed += 1;
+            }
         }
-        store.index.format_version = STORE_FORMAT_VERSION;
-
-        let recovered = store.recover();
+        for path in &object_files {
+            if path.extension().and_then(|e| e.to_str()) != Some("json") {
+                continue;
+            }
+            if let Some(digest) = path.file_stem().and_then(|s| s.to_str()) {
+                store.load(digest);
+            }
+        }
         store.report.entries_loaded = store.index.entries.len();
-        if store.report.index_rebuilt || !stale.is_empty() || recovered {
-            store.flush_index()?;
-        }
         Ok(store)
     }
 
+    /// The open pass for one object file: verify it end to end, then
+    /// register it or evict it. A file that cannot be read at all (gone
+    /// since the listing) is no entry and nothing to evict.
+    fn load(&mut self, digest: &str) {
+        match self.read_object(digest) {
+            Ok(obj) if obj.entry.format_version == STORE_FORMAT_VERSION => {
+                self.register(digest, obj.entry);
+            }
+            // The key derivation is versioned, so another version's
+            // object could never be addressed again anyway.
+            Ok(_) => self.forget(digest, Evicted::Version, "stale format version"),
+            Err((Evicted::Missing, _)) => {}
+            Err((why, reason)) => self.forget(digest, why, &format!("startup recovery: {reason}")),
+        }
+    }
+
+    /// Index a verified object of this version under its digest and
+    /// alias. Two live objects can share an alias only when two writers
+    /// shared the directory; the smallest digest wins, whatever order
+    /// the directory listed them in.
+    fn register(&mut self, digest: &str, entry: IndexEntry) {
+        if let Some(alias) = entry.alias() {
+            let named = self
+                .index
+                .aliases
+                .entry(alias)
+                .or_insert_with(|| digest.to_string());
+            if digest < named.as_str() {
+                *named = digest.to_string();
+            }
+        }
+        self.index.entries.insert(digest.to_string(), entry);
+    }
+
     /// The one way an entry leaves the index: its aliases go with it,
-    /// its object file is removed unless that is what is missing, and the eviction is counted and classified in the
-    /// report. The caller flushes the index, once for however many
-    /// entries it forgot.
+    /// its object file is removed unless that is what is missing, and
+    /// the eviction is counted and classified in the report.
     fn forget(&mut self, digest: &str, why: Evicted, reason: &str) {
         self.index.entries.remove(digest);
         self.index.aliases.retain(|_, d| d != digest);
@@ -372,74 +403,7 @@ impl SignatureStore {
         Ok(obj)
     }
 
-    /// Startup recovery: remove stale temp files left by crashed writes
-    /// and evict indexed objects that are torn (truncated / corrupt) or
-    /// missing, so an acknowledged-but-damaged entry can never serve.
-    /// Returns whether the index changed.
-    fn recover(&mut self) -> bool {
-        // Stale temps: a crash between temp-write and rename leaves a
-        // `*.tmp` file behind. They are never addressable, only litter.
-        for dir in [self.root.clone(), self.root.join("objects")] {
-            let Ok(entries) = self.io.list_dir(&dir) else {
-                continue;
-            };
-            for path in entries {
-                if path.extension().and_then(|e| e.to_str()) == Some("tmp")
-                    && self.io.remove_file(&path).is_ok()
-                {
-                    self.report.temps_removed += 1;
-                }
-            }
-        }
-
-        // Torn-object eviction: verify every indexed object end to end
-        // (parse, digest agreement, payload checksum). A partial write
-        // published by a crash or a lying disk is caught here instead of
-        // surfacing as a latent read failure.
-        let digests: Vec<String> = self.index.entries.keys().cloned().collect();
-        let before = digests.len();
-        for digest in digests {
-            if let Err((why, reason)) = self.read_object(&digest) {
-                self.forget(&digest, why, &format!("startup recovery: {reason}"));
-            }
-        }
-        self.index.entries.len() != before
-    }
-
-    /// Reconstruct an index by scanning `objects/*.json`. Objects that
-    /// do not parse are left on disk; without an index entry they are
-    /// unreachable and harmless (and a later `put` may overwrite them).
-    fn rebuild_index(root: &Path, io: &dyn StoreIo) -> StoreIndex {
-        let mut index = StoreIndex::default();
-        let Ok(files) = io.list_dir(&root.join("objects")) else {
-            return index;
-        };
-        for path in files {
-            if path.extension().and_then(|e| e.to_str()) != Some("json") {
-                continue;
-            }
-            let Ok(text) = io.read_to_string(&path) else {
-                continue;
-            };
-            // Parsed, not verified: the recovery pass that follows
-            // evicts a torn one, and says so in the report.
-            let Ok(obj) = serde_json::from_str::<StoredObject>(&text) else {
-                continue;
-            };
-            // The filename must agree with the embedded digest, or the
-            // object was renamed/tampered and cannot be trusted.
-            if path.file_stem().and_then(|s| s.to_str()) != Some(obj.digest.as_str()) {
-                continue;
-            }
-            if let Some(alias) = obj.entry.alias() {
-                index.aliases.insert(alias, obj.digest.clone());
-            }
-            index.entries.insert(obj.digest.clone(), obj.entry);
-        }
-        index
-    }
-
-    /// Path of the index file (CI uploads this as an artifact).
+    /// Path of the index file, which each put rewrites and nothing reads.
     pub fn index_path(&self) -> PathBuf {
         self.root.join("index.json")
     }
@@ -487,7 +451,7 @@ impl SignatureStore {
         match serde_json::from_str::<StoredSignature>(&obj.payload) {
             Ok(payload) => {
                 HITS.inc();
-                Some((payload, obj.sidecar))
+                Some((payload, obj.sidecar.unwrap_or_default()))
             }
             Err(e) => {
                 let reason = format!("signature payload: {e}");
@@ -526,17 +490,18 @@ impl SignatureStore {
             target: None,
         };
         let text = serde_json::to_string(payload).map_err(|e| StoreError::Encode(e.to_string()))?;
-        self.write_object(key, entry, text, sidecar)
+        self.write_object(key, entry, text, Some(sidecar))
     }
 
-    /// Store a prediction's canonical JSON under `key`.
+    /// Store a prediction's canonical JSON under `key`. A prediction
+    /// has no TFAT of its own, so its object carries no sidecar.
     pub fn put_prediction_json(
         &mut self,
         key: &StoreKey,
         entry: IndexEntry,
         canonical_json: &str,
     ) -> Result<(), StoreError> {
-        self.write_object(key, entry, canonical_json.to_string(), Sidecar::default())
+        self.write_object(key, entry, canonical_json.to_string(), None)
     }
 
     /// Evict every entry whose fingerprint differs from `fingerprint`:
@@ -554,9 +519,6 @@ impl SignatureStore {
             .collect();
         for digest in &stale {
             self.forget(digest, Evicted::Config, "stale config fingerprint");
-        }
-        if !stale.is_empty() {
-            let _ = self.flush_index();
         }
         stale.len()
     }
@@ -580,12 +542,10 @@ impl SignatureStore {
         None
     }
 
-    /// An eviction found by a read: that read is a miss, and the index
-    /// is flushed at once.
+    /// An eviction found by a read: that read is a miss.
     fn evict_on_read(&mut self, digest: &str, why: Evicted, reason: &str) {
         self.forget(digest, why, reason);
         MISSES.inc();
-        let _ = self.flush_index();
     }
 
     fn write_object(
@@ -593,7 +553,7 @@ impl SignatureStore {
         key: &StoreKey,
         entry: IndexEntry,
         payload: String,
-        sidecar: Sidecar,
+        sidecar: Option<Sidecar>,
     ) -> Result<(), StoreError> {
         let obj = StoredObject {
             checksum: sha256_hex(payload.as_bytes()),
@@ -611,15 +571,16 @@ impl SignatureStore {
             self.index.aliases.insert(alias, key.digest.clone());
         }
         self.index.entries.insert(key.digest.clone(), entry);
-        self.flush_index()?;
+        self.write_index()?;
         PUTS.inc();
         ENTRIES.set(self.index.entries.len() as f64);
         Ok(())
     }
 
-    /// Persist the index. Called by every mutating operation; public so
-    /// long-running services can force a sync point.
-    pub fn flush_index(&mut self) -> Result<(), StoreError> {
+    /// Write `index.json` after a put: two of a put's four fsyncs, kept
+    /// only because the frozen benchmark counts them and measures the
+    /// file. No open reads it, so an eviction does not rewrite it.
+    fn write_index(&self) -> Result<(), StoreError> {
         let text =
             serde_json::to_string(&self.index).map_err(|e| StoreError::Encode(e.to_string()))?;
         self.write_atomic(&self.index_path(), text.as_bytes())
@@ -750,15 +711,26 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use crate::tests::small_signature;
+    use std::sync::{Arc, Mutex};
 
-    /// Real files with every read counted; the fsyncs are skipped.
-    struct CountingIo(Arc<AtomicU64>);
+    /// Real files with the path of every read recorded; the fsyncs are
+    /// skipped.
+    #[derive(Clone, Default)]
+    struct CountingIo(Arc<Mutex<Vec<PathBuf>>>);
+
+    impl CountingIo {
+        fn reads(&self) -> Vec<PathBuf> {
+            self.0
+                .lock()
+                .expect("no test panics under the lock")
+                .clone()
+        }
+    }
 
     impl StoreIo for CountingIo {
         fn read_to_string(&self, path: &Path) -> std::io::Result<String> {
-            self.0.fetch_add(1, Ordering::Relaxed);
+            self.0.lock().expect("read log").push(path.to_path_buf());
             RealIo.read_to_string(path)
         }
         fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
@@ -791,9 +763,8 @@ mod tests {
     fn every_get_of_a_prediction_reads_its_object_once() {
         let root = std::env::temp_dir().join(format!("pas2p-store-reads-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        let reads = Arc::new(AtomicU64::new(0));
-        let mut store =
-            SignatureStore::open_with_io(&root, Box::new(CountingIo(reads.clone()))).expect("open");
+        let io = CountingIo::default();
+        let mut store = SignatureStore::open_with_io(&root, Box::new(io.clone())).expect("open");
         let key = StoreKey {
             digest: sha256_hex(b"one prediction"),
             fingerprint: "fp".into(),
@@ -811,9 +782,9 @@ mod tests {
         let json = r#"{"app":"cg","pet":1.25}"#;
         store.put_prediction_json(&key, entry, json).expect("put");
         let get = |store: &mut SignatureStore| {
-            let before = reads.load(Ordering::Relaxed);
+            let before = io.reads().len();
             let got = store.get_prediction_json(&key);
-            (got, reads.load(Ordering::Relaxed) - before)
+            (got, io.reads().len() - before)
         };
         for _ in 0..3 {
             assert_eq!(get(&mut store), (Some(json.to_string()), 1));
@@ -824,6 +795,107 @@ mod tests {
         assert_eq!(get(&mut store), (None, 1), "the rot is read and caught");
         assert_eq!(store.report().evicted_corrupt, 1);
         assert_eq!(get(&mut store), (None, 0), "evicted: no read");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    fn prediction_entry(app: &str) -> IndexEntry {
+        IndexEntry {
+            kind: ArtifactKind::Prediction,
+            format_version: STORE_FORMAT_VERSION,
+            fingerprint: "fp".into(),
+            app: app.into(),
+            workload: "w".into(),
+            nprocs: 1,
+            base: "A".into(),
+            target: Some("B".into()),
+        }
+    }
+
+    fn key_of(seed: &[u8]) -> StoreKey {
+        StoreKey {
+            digest: sha256_hex(seed),
+            fingerprint: "fp".into(),
+        }
+    }
+
+    /// The objects are the index: whatever `index.json` holds — nothing,
+    /// garbage, or an entry of another format version — a reopened store
+    /// holds the same entries and aliases, serves the same bytes and
+    /// reports clean, having read each object once and the index never.
+    #[test]
+    fn the_open_derives_the_index_from_the_objects_alone() {
+        let root = std::env::temp_dir().join(format!("pas2p-store-derived-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut store = SignatureStore::open(&root).expect("open");
+        let stored = small_signature();
+        let (sig, pred) = (key_of(b"a signature"), key_of(b"a prediction"));
+        let json = r#"{"app":"ring","pet":2.5}"#;
+        store
+            .put_signature(&sig, &stored, Sidecar { tfat_seconds: 0.5 })
+            .expect("put");
+        store
+            .put_prediction_json(&pred, prediction_entry("ring"), json)
+            .expect("put");
+        let (entries, aliases) = (store.index.entries.clone(), store.index.aliases.clone());
+        assert_eq!((entries.len(), aliases.len()), (2, 1));
+        let index = store.index_path();
+        drop(store);
+
+        let written = std::fs::read_to_string(&index).expect("index");
+        let current = format!(r#""format_version":{STORE_FORMAT_VERSION},"kind""#);
+        let stale = written.replacen(&current, r#""format_version":0,"kind""#, 1);
+        assert_ne!(stale, written, "the index names an entry's version");
+        for (case, text) in [
+            ("deleted", None),
+            ("garbage", Some("not json at all {{{")),
+            ("an entry of version 0", Some(stale.as_str())),
+        ] {
+            match text {
+                None => std::fs::remove_file(&index).expect("delete the index"),
+                Some(text) => std::fs::write(&index, text).expect("rewrite the index"),
+            }
+            let io = CountingIo::default();
+            let mut store =
+                SignatureStore::open_with_io(&root, Box::new(io.clone())).expect("reopen");
+            let read = io.reads();
+            assert_eq!(read.len(), 2, "{case}: each object read once: {read:?}");
+            assert!(!read.contains(&index), "{case}: the index is never read");
+            assert!(store.report().is_clean(), "{case}: {:?}", store.report());
+            assert_eq!(store.index.entries, entries, "{case}");
+            assert_eq!(store.index.aliases, aliases, "{case}");
+            assert_eq!(store.get_prediction_json(&pred).as_deref(), Some(json));
+            let (back, sidecar) = store.get_signature(&sig).expect("the signature serves");
+            assert_eq!(back.signature, stored.signature, "{case}");
+            assert_eq!(sidecar, Sidecar { tfat_seconds: 0.5 }, "{case}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Two live objects under one alias (two writers each published a
+    /// traced run into one directory): a put names its own object, and a
+    /// reopen names the smaller digest.
+    #[test]
+    fn two_objects_under_one_alias_reopen_to_the_smaller_digest() {
+        let root = std::env::temp_dir().join(format!("pas2p-store-alias-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (a, b) = (key_of(b"one run"), key_of(b"another run"));
+        let (small, large) = if a.digest < b.digest { (a, b) } else { (b, a) };
+        let stored = small_signature();
+        let alias = signature_alias("ring", "w", 1, "A", "fp");
+        let named = |store: &SignatureStore| store.lookup_alias(&alias).map(|k| k.digest);
+        let mut store = SignatureStore::open(&root).expect("open");
+        for key in [&small, &large] {
+            store
+                .put_signature(key, &stored, Sidecar::default())
+                .expect("put");
+        }
+        assert_eq!(named(&store), Some(large.digest.clone()), "the last put");
+        drop(store);
+
+        let store = SignatureStore::open(&root).expect("reopen");
+        assert_eq!(store.len(), 2, "both objects stay entries");
+        assert!(store.report().is_clean(), "{:?}", store.report());
+        assert_eq!(named(&store), Some(small.digest.clone()));
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -505,8 +505,8 @@ fn deadline_expiry_answers_timeout_and_frees_the_worker() {
     let health = roundtrip(&mut client, r#"{"op":"health"}"#);
     assert_eq!(health["result"]["timeouts"], serde_json::json!(1));
     assert_eq!(health["result"]["deadline_ms"], serde_json::json!(400));
-    // Open the gate before shutting down: the graceful shutdown's own
-    // index flush is a store write and runs with no cancel token.
+    // Open the gate before shutting down, so no store write is left
+    // blocked behind it.
     std::fs::write(&gate, b"open for shutdown").expect("open gate");
     let bye = roundtrip(&mut client, r#"{"op":"shutdown"}"#);
     assert_eq!(bye["ok"], serde_json::json!(true));

@@ -993,7 +993,8 @@ fn serve_answers_ndjson_and_hits_the_cache() {
 /// literal, so once a submit, a predict and a batch have run every
 /// stage, a `serve --metrics` snapshot holds no more stage entries
 /// however many requests — or batches of another shape — run after.
-/// A signature's sidecar holds its TFAT and no snapshot.
+/// A signature's sidecar holds its TFAT and no snapshot; a prediction
+/// has none.
 #[test]
 fn serve_sidecars_do_not_grow_with_the_request_count() {
     use std::io::Write;
@@ -1042,9 +1043,14 @@ fn serve_sidecars_do_not_grow_with_the_request_count() {
         for path in objects {
             let object: serde_json::Value =
                 serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-            let sidecar = object["sidecar"].as_object().expect("a sidecar");
-            let keys: Vec<&str> = sidecar.keys().map(String::as_str).collect();
-            assert_eq!(keys, ["tfat_seconds"], "{}", path.display());
+            let keys: Vec<&str> = object["sidecar"].as_object().map_or(Vec::new(), |sidecar| {
+                sidecar.keys().map(String::as_str).collect()
+            });
+            let want: &[&str] = match object["entry"]["kind"].as_str() {
+                Some("signature") => &["tfat_seconds"],
+                _ => &[],
+            };
+            assert_eq!(keys, want, "{}", path.display());
         }
         let snapshot: pas2p_obs::MetricsSnapshot =
             serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();

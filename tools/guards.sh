@@ -105,9 +105,10 @@ one_measurement_system() {
   return $bad
 }
 
-# index.json and objects/*.json are written and read by the derives of
-# StoreIndex, StoredObject, IndexEntry and Sidecar, fields in written
-# order (DESIGN.md, "Signature repository"). A `*_to_value(` /
+# objects/*.json is written and read, and index.json written (no open
+# reads it), by the derives of StoredObject, IndexEntry, Sidecar and
+# StoreIndex, fields in written order (DESIGN.md, "Signature
+# repository"). A `*_to_value(` /
 # `*_from_value(` function or a `json!` outside the #[cfg(test)] tail
 # of a store file is a second spelling of the format that must then
 # agree with the first.
