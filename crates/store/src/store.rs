@@ -63,9 +63,9 @@ pub enum ArtifactKind {
 }
 
 /// Index metadata for one entry, embedded in its object: opening derives
-/// the index (and the alias map) from these alone. Like every struct of a store
-/// file, it is written by its derive: field order here is byte order on
-/// disk, so a new field goes where its name sorts.
+/// the index (and the alias map) from these alone. Like every struct of
+/// a store file, it is written by its derive: field order here is byte
+/// order on disk, so a new field goes where its name sorts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IndexEntry {
     /// Application name.
@@ -714,32 +714,45 @@ mod tests {
     use crate::tests::small_signature;
     use std::sync::{Arc, Mutex};
 
-    /// Real files with the path of every read recorded; the fsyncs are
-    /// skipped.
+    /// Real files with every read and fsync logged by path; the fsyncs
+    /// themselves are skipped.
     #[derive(Clone, Default)]
-    struct CountingIo(Arc<Mutex<Vec<PathBuf>>>);
+    struct CountingIo(Arc<Mutex<Vec<(&'static str, PathBuf)>>>);
 
     impl CountingIo {
+        fn log(&self, op: &'static str, path: &Path) {
+            let mut log = self.0.lock().expect("no test panics under the lock");
+            log.push((op, path.to_path_buf()));
+        }
+        fn logged(&self, op: &str) -> Vec<PathBuf> {
+            let log = self.0.lock().expect("no test panics under the lock");
+            log.iter()
+                .filter(|(o, _)| *o == op)
+                .map(|(_, p)| p.clone())
+                .collect()
+        }
         fn reads(&self) -> Vec<PathBuf> {
-            self.0
-                .lock()
-                .expect("no test panics under the lock")
-                .clone()
+            self.logged("read")
+        }
+        fn syncs(&self) -> usize {
+            self.logged("sync").len()
         }
     }
 
     impl StoreIo for CountingIo {
         fn read_to_string(&self, path: &Path) -> std::io::Result<String> {
-            self.0.lock().expect("read log").push(path.to_path_buf());
+            self.log("read", path);
             RealIo.read_to_string(path)
         }
         fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
             RealIo.write(path, bytes)
         }
-        fn sync_file(&self, _: &Path) -> std::io::Result<()> {
+        fn sync_file(&self, path: &Path) -> std::io::Result<()> {
+            self.log("sync", path);
             Ok(())
         }
-        fn sync_dir(&self, _: &Path) -> std::io::Result<()> {
+        fn sync_dir(&self, path: &Path) -> std::io::Result<()> {
+            self.log("sync", path);
             Ok(())
         }
         fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
@@ -756,9 +769,11 @@ mod tests {
         }
     }
 
-    /// The store keeps nothing it has read: every get of a prediction,
-    /// the first after a put and every repeat, is one verified read of
-    /// its object, so a file that rots between two gets fails the second.
+    /// A put reads nothing and fsyncs four times (the object and the
+    /// index, each before its rename and its directory after it). The
+    /// store keeps nothing it has read: every get of a prediction, the
+    /// first after a put and every repeat, is one verified read of its
+    /// object, so a file that rots between two gets fails the second.
     #[test]
     fn every_get_of_a_prediction_reads_its_object_once() {
         let root = std::env::temp_dir().join(format!("pas2p-store-reads-{}", std::process::id()));
@@ -781,6 +796,7 @@ mod tests {
         };
         let json = r#"{"app":"cg","pet":1.25}"#;
         store.put_prediction_json(&key, entry, json).expect("put");
+        assert_eq!((io.reads().len(), io.syncs()), (0, 4), "a put");
         let get = |store: &mut SignatureStore| {
             let before = io.reads().len();
             let got = store.get_prediction_json(&key);
@@ -860,6 +876,7 @@ mod tests {
             let read = io.reads();
             assert_eq!(read.len(), 2, "{case}: each object read once: {read:?}");
             assert!(!read.contains(&index), "{case}: the index is never read");
+            assert_eq!(io.syncs(), 0, "{case}: the open writes nothing");
             assert!(store.report().is_clean(), "{case}: {:?}", store.report());
             assert_eq!(store.index.entries, entries, "{case}");
             assert_eq!(store.index.aliases, aliases, "{case}");
